@@ -83,7 +83,6 @@ pop = DeviceStatePopulation(
     n, np.random.default_rng(0),
     trace=DutyCycleTrace(n, np.random.default_rng(1), mean_on_fraction=0.8,
                          min_period=100, max_period=400))
-assert pop.event_driven
 config = RunConfig(
     dataset=dataset, model_name="mlp", model_kwargs={"hidden": (8,)},
     strategy=FedAvgStrategy(), sampler=UniformSampler(10), rounds=rounds,

@@ -227,7 +227,6 @@ def _load_builtin_checkers() -> None:
         dtype_discipline,
         golden_coverage,
         lifecycle,
-        population_sweep,
         shard_dtype,
     )
 

@@ -2,10 +2,7 @@
 
 A :class:`RoundContext` is created empty at the top of each round and
 filled in progressively: every phase reads the fields earlier phases
-produced and writes its own.  Scheduler hooks may pre-set the injection
-knobs (``extra_dropout_prob``, ``straggler_*``) before the timing phase
-runs — the sync scheduler never touches them, so the default context
-reproduces the monolithic loop exactly.
+produced and writes its own.
 """
 
 from __future__ import annotations
@@ -99,12 +96,5 @@ class RoundContext:
     accuracy: Optional[float] = None
     record: Any = None
 
-    # -- failure-injection knobs (set by scheduler hooks) -------------------------
-    #: extra mid-round dropout applied on top of the availability trace
-    extra_dropout_prob: float = 0.0
-    #: fraction of candidates hit by a straggler storm this round
-    straggler_fraction: float = 0.0
-    #: compute-time multiplier for storm-hit candidates
-    straggler_slowdown: float = 1.0
-    #: True when a scheduler injected failures into this round
+    #: True when the failure scheduler's population bursts this round
     injected_failure: bool = False

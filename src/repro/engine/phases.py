@@ -315,11 +315,10 @@ class SyncAccountingPhase(Phase):
 class TimingSelectionPhase(Phase):
     """Per-candidate latency estimates + first-K-per-bucket selection.
 
-    Consults the context's failure-injection knobs: a straggler storm
-    multiplies the compute time of a random candidate subset, a dropout
-    burst thins the survivor masks.  Both draw from the availability
-    trace's RNG and only when the knobs are set, so the sync path makes
-    no extra RNG calls.
+    Faults arrive through the availability model alone: a population's
+    responsiveness column scales compute time inside
+    ``candidate_timings`` and its connectivity column drives
+    ``survives_round``.
     """
 
     name = "timing"
@@ -337,36 +336,15 @@ class TimingSelectionPhase(Phase):
         """Price one candidate wave and select its first-K-per-bucket
         cohort — the original timing-phase body, reusable per quorum
         re-draw wave."""
-        up_nominal = ctx.up_nominal
-
-        def timings_for(ids: np.ndarray, down: np.ndarray) -> CandidateTimings:
-            timings = candidate_timings(server, ids, down, up_nominal)
-            if ctx.straggler_fraction > 0.0:
-                storm = server.availability.straggler_mask(
-                    ids, ctx.straggler_fraction
-                )
-                timings.compute_s = np.where(
-                    storm,
-                    timings.compute_s * ctx.straggler_slowdown,
-                    timings.compute_s,
-                )
-            return timings
-
         n_sticky = len(draw.sticky)
-        sticky_t = timings_for(draw.sticky, down_per_client[:n_sticky])
-        nonsticky_t = timings_for(draw.nonsticky, down_per_client[n_sticky:])
+        sticky_t = candidate_timings(
+            server, draw.sticky, down_per_client[:n_sticky], ctx.up_nominal
+        )
+        nonsticky_t = candidate_timings(
+            server, draw.nonsticky, down_per_client[n_sticky:], ctx.up_nominal
+        )
         sticky_survives = server.availability.survives_round(draw.sticky)
         nonsticky_survives = server.availability.survives_round(draw.nonsticky)
-        if ctx.extra_dropout_prob > 0.0:
-            sticky_survives = sticky_survives & server.availability.burst_survives(
-                draw.sticky, ctx.extra_dropout_prob
-            )
-            nonsticky_survives = (
-                nonsticky_survives
-                & server.availability.burst_survives(
-                    draw.nonsticky, ctx.extra_dropout_prob
-                )
-            )
         if getattr(server, "population", None) is not None:
             lost = np.concatenate(
                 [draw.sticky[~sticky_survives], draw.nonsticky[~nonsticky_survives]]

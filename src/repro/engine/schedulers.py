@@ -44,7 +44,8 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     The sync pipeline over a fault-injecting device population: the server
     auto-attaches a ``"storm"`` population preset
     (:class:`~repro.population.traces.ChurnStormTrace`, parameterized by
-    the ``failure_*`` knobs), so every ``failure_burst_every``-th round
+    the ``failure_*`` knobs; wrapped around any other
+    ``population_preset``), so every ``failure_burst_every``-th round
     (1-based — first burst at round ``failure_burst_every``) a dropout
     burst collapses the population's connectivity column by
     ``failure_burst_dropout`` and a straggler storm multiplies
@@ -179,44 +180,30 @@ class FailureInjectionScheduler(SyncScheduler):
     The faults themselves live in the server's device population: building
     a ``failure`` server auto-attaches a ``"storm"``
     :class:`~repro.population.traces.ChurnStormTrace` (parameterized by the
-    ``failure_*`` knobs) unless the config supplies its own population, so
-    bursts are plain trace-driven state transitions — connectivity
-    collapses and responsiveness multiplies in the population columns, and
-    the unchanged timing phase reads them through the availability-trace
-    protocol.  This scheduler only *flags* burst rounds
-    (``RoundRecord.injected_failure``) by asking the trace's ``is_burst``.
+    ``failure_*`` knobs, over whichever ``population_preset`` is set)
+    unless the config supplies its own population, so bursts are plain
+    trace-driven state transitions — connectivity collapses and
+    responsiveness multiplies in the population columns, and the unchanged
+    timing phase reads them through the availability-trace protocol.  This
+    scheduler only *flags* burst rounds (``RoundRecord.injected_failure``)
+    by asking the trace's ``is_burst``.
 
     Round indices are 1-based, so the first burst lands at round
     ``failure_burst_every``, not round 0 (pinned by
-    ``tests/engine/test_schedulers.py``).  Populations without a burst
-    schedule (or legacy servers built without a population) fall back to
-    the context-knob injection path the timing phase has always honored.
+    ``tests/engine/test_schedulers.py``).  ``FLServer`` rejects an
+    explicit ``population=`` whose trace has no ``is_burst``.
     """
 
     name = "failure"
 
     def __init__(self, engine: Optional[RoundEngine] = None):
         super().__init__(engine)
-        self.engine.add_before("timing", self._inject)
+        self.engine.add_before("timing", self._flag_burst)
 
     @staticmethod
-    def _inject(server, ctx: RoundContext) -> None:
-        cfg = server.config
-        population = getattr(server, "population", None)
-        if population is not None:
-            is_burst = getattr(population.trace, "is_burst", None)
-            if is_burst is not None:
-                # trace-driven faults: the population columns already
-                # carry the burst; just flag the record
-                if is_burst(ctx.round_idx):
-                    ctx.injected_failure = True
-                return
-        every = cfg.failure_burst_every
-        if every and ctx.round_idx % every == 0:
-            ctx.extra_dropout_prob = cfg.failure_burst_dropout
-            ctx.straggler_fraction = cfg.failure_straggler_fraction
-            ctx.straggler_slowdown = cfg.failure_straggler_slowdown
-            ctx.injected_failure = True
+    def _flag_burst(server, ctx: RoundContext) -> None:
+        # the population columns already carry the burst; flag the record
+        ctx.injected_failure = server.population.trace.is_burst(ctx.round_idx)
 
 
 class OverlappedSyncScheduler(SyncScheduler):

@@ -68,11 +68,8 @@ class RunConfig:
       by a scenario trace: ``"none"``, ``"diurnal"``, ``"device-classes"``
       (phone/tablet/silo), or ``"storm"`` (periodic churn bursts).
       ``scheduler="failure"`` auto-builds the ``"storm"`` population from
-      the ``failure_*`` knobs.
-    * ``population_event_driven`` — tri-state switch for the population's
-      event-driven O(active) advance: ``None`` (default) uses it whenever
-      the trace supports scheduling, ``True`` requires it, ``False``
-      forces the legacy full-column sweep.  Bit-identical either way.
+      the ``failure_*`` knobs (storms wrap any other preset it is combined
+      with).
     * ``population_scalable_sampling`` — draw cohorts from the
       population's maintained idle index (O(idle) per draw) instead of
       N-wide availability masks; a different RNG stream, so opt-in.
@@ -259,18 +256,12 @@ class RunConfig:
     population_max_responsiveness: float = 8.0
     #: rounds a mid-round-dropped client sits out before rejoining the pool
     population_dropped_cooldown: int = 1
-    #: tri-state: None (default) advances the population through its event
-    #: queue (O(touched clients) per round) whenever the trace's
-    #: ``schedule`` hook supports it, sweeping otherwise; True requires
-    #: event support (construction fails on traces without it); False
-    #: forces the legacy full-column sweep.  Bit-identical either way
-    population_event_driven: Optional[bool] = None
     #: sample cohorts from the population's maintained idle index
     #: (:class:`~repro.population.IdlePool`, O(idle) per draw) instead of
     #: building N-wide availability masks.  A *different RNG stream* than
     #: the mask-based draw — cohorts differ for the same seed — so it is
-    #: opt-in; requires an event-driven population, a pool-capable
-    #: sampler (``supports_pool_draw``), and no ``quorum_fraction``
+    #: opt-in; requires a population, a pool-capable sampler
+    #: (``supports_pool_draw``), and no ``quorum_fraction``
     population_scalable_sampling: bool = False
     #: bound every per-client residual store the strategy keeps (error
     #: compensation) to an LRU of this many clients; an evicted client
@@ -538,12 +529,6 @@ class RunConfig:
             raise ValueError("redraw_max_attempts must be >= 0")
         if self.redraw_backoff_s < 0:
             raise ValueError("redraw_backoff_s must be >= 0")
-        if self.population_event_driven is not None and not isinstance(
-            self.population_event_driven, bool
-        ):
-            raise ValueError(
-                "population_event_driven must be True, False, or None"
-            )
         if not isinstance(self.population_scalable_sampling, bool):
             raise ValueError("population_scalable_sampling must be a bool")
         if self.population_scalable_sampling:
@@ -557,12 +542,6 @@ class RunConfig:
                     "population's idle index; set population/"
                     "population_preset (or scheduler='failure', which "
                     "auto-builds one)"
-                )
-            if self.population_event_driven is False:
-                raise ValueError(
-                    "population_scalable_sampling needs the event-driven "
-                    "population (the sweep path does not maintain an idle "
-                    "index); unset population_event_driven=False"
                 )
             if not getattr(self.sampler, "supports_pool_draw", False):
                 raise ValueError(

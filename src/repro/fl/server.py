@@ -133,17 +133,6 @@ class FLServer:
             sigma=config.compute_sigma,
         )
         self.model_scale = ComputeTrace.model_scale(self.d)
-        if config.availability_trace is not None:
-            self.availability = config.availability_trace
-        elif config.always_available:
-            self.availability = always_available(self.n)
-        else:
-            self.availability = AvailabilityTrace(
-                self.n,
-                self.rngs("availability"),
-                mean_on_fraction=config.mean_on_fraction,
-                dropout_prob=config.dropout_prob,
-            )
         # device population: explicit object > preset > auto "storm" for
         # the failure scheduler (its faults are trace-driven transitions).
         # When bound, the population *is* the availability model — it
@@ -167,17 +156,32 @@ class FLServer:
                     f"population models {self.population.num_clients} "
                     f"clients but the dataset has {self.n}"
                 )
+            if config.scheduler == "failure" and not hasattr(
+                self.population.trace, "is_burst"
+            ):
+                raise ValueError(
+                    "scheduler='failure' injects faults through the "
+                    "population's trace, but "
+                    f"{type(self.population.trace).__name__} has no "
+                    "is_burst(round_idx) — wrap it in ChurnStormTrace, or "
+                    "drop population= for the auto-built storm population"
+                )
             if config.population_scalable_sampling:
-                if not getattr(self.population, "event_driven", False):
-                    raise ValueError(
-                        "population_scalable_sampling needs an event-driven "
-                        "population (only the event path maintains the idle "
-                        "index); this population runs the sweep"
-                    )
                 # presets inherit the flag at construction; an explicit
                 # population object is marked here
                 self.population.scalable_sampling = True
             self.availability = self.population
+        elif config.availability_trace is not None:
+            self.availability = config.availability_trace
+        elif config.always_available:
+            self.availability = always_available(self.n)
+        else:
+            self.availability = AvailabilityTrace(
+                self.n,
+                self.rngs("availability"),
+                mean_on_fraction=config.mean_on_fraction,
+                dropout_prob=config.dropout_prob,
+            )
         self.staleness = StalenessTracker(self.d, self.n)
         self.trainer = LocalTrainer(
             self.model,

@@ -9,13 +9,11 @@ availability model unchanged; :mod:`repro.population.traces` provides the
 per-round dynamics (duty-cycle, diurnal, device classes, churn storms) and
 the ``population_preset`` registry.
 
-Populations advance either by the legacy O(N) column sweep or — whenever
-the trace's ``schedule`` hook supports it, which all built-in traces do —
-by draining transition events from a
-:class:`~repro.population.events.PopulationEventQueue`, touching only the
-clients that actually change state.  The event path is bit-identical to
-the sweep and exposes :class:`~repro.population.population.IdlePool` for
-O(idle) sampler draws at fleet scale.
+Populations advance by draining the transition events their trace
+scheduled on a :class:`~repro.population.events.PopulationEventQueue`,
+touching only the clients that actually change state, and expose
+:class:`~repro.population.population.IdlePool` for O(idle) sampler draws at
+fleet scale.
 """
 
 from repro.population.events import PopulationEventQueue

@@ -1,25 +1,23 @@
-"""Round-indexed transition-event queue behind the event-driven population.
+"""Round-indexed transition-event queue behind the population's advance.
 
-The sweep-mode population pays O(N) per round: every ``advance`` lets the
-trace rewrite full columns and then re-settles all N devices.  The
-event-driven mode inverts that: at bind time the trace converts its
-dynamics into *transition events* on this queue, and ``advance`` only
-touches the clients those events name.  Two event classes cover every
-trace in the repo:
+At construction the bound trace converts its dynamics into *transition
+events* on this queue, and ``advance`` only touches the clients those
+events name — O(transitions) per round instead of a rewrite and re-settle
+of all N devices.  Two event classes cover every trace in the repo:
 
 scheduled events (``schedule``)
     Absolute state transitions pinned to a round — duty-cycle window
     flips, diurnal window edges, drop-cooldown revivals.  When ``advance``
     jumps several rounds at once, *all* events up to the target round
     drain in ``(round, seq)`` order, so the population lands in the same
-    state the round-by-round sweep would have produced.
+    state advancing round by round would have produced.
 
 recurring actions (``add_recurring``)
     Per-round behavior that consumes RNG or otherwise depends on the
     queried round — device-class Bernoulli redraws, diurnal jitter,
-    churn-storm bursts.  These fire exactly once per ``advance``, at the
-    target round only, mirroring the sweep contract that ``apply`` runs
-    once per *queried* round (never for skipped rounds).
+    churn-storm bursts, external ``online(round_idx)`` objects.  These
+    fire exactly once per ``advance``, at the target round only — once per
+    *queried* round, never for skipped rounds — in registration order.
 
 Actions are callables ``action(population, fire_round)`` where
 ``fire_round`` is the round the event was scheduled for (scheduled

@@ -25,38 +25,29 @@ columns, so 10⁵–10⁶ clients cost a few flat arrays:
 
 The population *is* the server's availability model: it duck-types the
 :class:`~repro.traces.availability.AvailabilityTrace` protocol (``online``,
-``survives_round``, ``burst_survives``, ``straggler_mask``) so every
-scheduler consumes it unchanged, and adds the state-machine API the engine
-phases drive (``begin_work`` → ``finish_round``).  State advances once per
-round, on the first ``online(round_idx)`` call.
+``survives_round``) so every scheduler consumes it unchanged, and adds the
+state-machine API the engine phases drive (``begin_work`` →
+``finish_round``).  State advances once per round, on the first
+``online(round_idx)`` call.
 
-Two advance disciplines share that contract:
-
-sweep mode (legacy)
-    Expired drops revive by an O(N) scan, the bound
-    :class:`~repro.population.traces.DeviceTrace` rewrites full columns in
-    ``apply``, and every non-working device re-settles.  Any trace works
-    here, including arbitrary user subclasses that poke columns directly.
-
-event mode (default whenever the trace supports it)
-    At bind time the trace converts its dynamics into transition events on
-    a :class:`~repro.population.events.PopulationEventQueue`; ``advance``
-    drains due events and settles *only the touched ids*, drop-cooldown
-    revivals are scheduled events instead of scans, and a maintained
-    idle-index structure (``idle_pool``) lets samplers draw from O(idle)
-    without N-wide masks.  ``state_counts`` reads O(1) counters maintained
-    at transition time.  The event path is bit-identical to the sweep for
-    every built-in trace (the differential suite in
-    ``tests/properties/test_props_population_events.py`` proves it);
-    custom traces that only implement ``apply`` silently keep the sweep.
-    In event mode, mutate ``state`` only through the API
-    (``begin_work`` / ``complete_work`` / ``drop_work`` /
-    ``finish_round``) — direct pokes desync the counters and idle index.
+Advancing is event-driven.  At construction the bound
+:class:`~repro.population.traces.DeviceTrace` converts its dynamics into
+transition events on a
+:class:`~repro.population.events.PopulationEventQueue`; ``advance`` drains
+the due events and settles *only the touched ids*, drop-cooldown revivals
+are scheduled events, and a maintained idle index (``idle_pool``) lets
+samplers draw from O(idle) without N-wide masks.  ``state_counts`` reads
+O(1) counters maintained at transition time.  Mutate ``state`` only
+through the API (``begin_work`` / ``complete_work`` / ``drop_work`` /
+``finish_round``) and ``available`` only through ``set_available`` /
+``note_available_changed`` — direct pokes desync the counters and the idle
+index.  ``tests/population/oracle.py`` is the naive full-recompute
+reference the differential suite
+(``tests/properties/test_props_population_events.py``) holds this module
+to.
 
 >>> import numpy as np
 >>> pop = DeviceStatePopulation(4, np.random.default_rng(0))
->>> pop.event_driven                # StaticTrace schedules trivially
-True
 >>> pop.online(1).tolist()
 [True, True, True, True]
 >>> pop.begin_work(np.array([0, 1]))
@@ -104,10 +95,30 @@ def _as_ids(client_ids) -> np.ndarray:
     return np.asarray(client_ids, dtype=np.int64)
 
 
+def _reject_apply_only(trace) -> None:
+    """Refuse a trace whose dynamics live in an ``apply(population,
+    round_idx)`` override: nothing calls ``apply``, so the trace would
+    silently run as an always-on population."""
+    mro = type(trace).__mro__
+    apply_at = next((i for i, k in enumerate(mro) if "apply" in vars(k)), None)
+    if apply_at is None:
+        return
+    schedule_at = next(
+        (i for i, k in enumerate(mro) if "schedule" in vars(k)), len(mro)
+    )
+    if apply_at < schedule_at:
+        raise TypeError(
+            f"{type(trace).__name__} defines apply() but not schedule(); "
+            "the population only runs scheduled events. Port it: rename "
+            "apply to _step and add `def schedule(self, population, queue): "
+            "queue.add_recurring(self._step)`, writing availability through "
+            "population.set_available(ids, value)"
+        )
+
+
 class _ReviveEvent:
     """Scheduled drop-cooldown expiry: settle the ids back in by their
-    current availability (the event-mode replacement for the sweep's
-    O(N) ``state == DROPPED`` scan)."""
+    current availability."""
 
     __slots__ = ("ids",)
 
@@ -200,12 +211,6 @@ class DeviceStatePopulation:
     dropped_cooldown:
         How many rounds a mid-round-dropped client sits out before
         returning to the idle pool (0 = back next round).
-    event_driven:
-        ``None`` (default) enables the event-driven advance whenever the
-        trace's ``schedule`` hook supports it and falls back to the sweep
-        otherwise; ``True`` requires event support (raises if the trace
-        has none); ``False`` forces the legacy sweep (the differential
-        suite's reference path).
     scalable_sampling:
         Advisory flag the engine reads to route sampling through
         :meth:`idle_pool` instead of N-wide ``online`` masks.
@@ -219,7 +224,6 @@ class DeviceStatePopulation:
         *,
         dropout_prob: float = 0.0,
         dropped_cooldown: int = 1,
-        event_driven: Optional[bool] = None,
         scalable_sampling: bool = False,
     ):
         if num_clients <= 0:
@@ -239,13 +243,13 @@ class DeviceStatePopulation:
         self.completeness = np.ones(n)
         self.responsiveness = np.ones(n)
         self.state = np.zeros(n, dtype=np.int8)
-        self._drop_until = np.full(n, -1, dtype=np.int64)
         self._round = -1
 
         if trace is None:
             from repro.population.traces import StaticTrace
 
             trace = StaticTrace()
+        _reject_apply_only(trace)
         self.trace = trace
         trace.bind(self)
         # post-bind snapshots: the columns a trace restores on calm rounds
@@ -253,40 +257,25 @@ class DeviceStatePopulation:
         self.base_responsiveness = self.responsiveness.copy()
         self.base_completeness = self.completeness.copy()
 
-        # -- transition bookkeeping (event mode keeps these live; the
-        #    sweep rebuilds the idle index lazily via ``_idle_dirty``)
+        # -- transition bookkeeping, kept live at every state write
         self.events = PopulationEventQueue()
         self._working_set: set = set()
         self._pending_settle: list = []
         self._touch_buf: Optional[list] = None
         self._counts = np.zeros(4, dtype=np.int64)
-        self._counts[IDLE] = n
         self._idle_ids = np.empty(n, dtype=np.int64)
         self._idle_pos = np.full(n, -1, dtype=np.int64)
         self._idle_len = 0
-        self._idle_dirty = True
-
-        scheduled = False
-        if event_driven is None or event_driven:
-            scheduled = bool(trace.schedule(self, self.events))
-        if event_driven and not scheduled:
-            raise ValueError(
-                f"trace {type(trace).__name__} has no event schedule; "
-                "event_driven=True needs a trace whose schedule() hook "
-                "returns True (or event_driven=None to auto-fallback)"
-            )
-        self.event_driven = scheduled
         self.scalable_sampling = bool(scalable_sampling)
-        if self.event_driven:
-            # settle everyone once against the trace's round-0
-            # availability and seed the idle index — the only O(N) settle
-            # the event path ever pays
-            off = np.flatnonzero(~self.available)
-            self.state[off] = OFFLINE
-            self._counts[IDLE] = n - len(off)
-            self._counts[OFFLINE] = len(off)
-            self._idle_add(np.flatnonzero(self.available))
-            self._idle_dirty = False
+
+        trace.schedule(self, self.events)
+        # settle everyone once against the trace's round-0 availability
+        # and seed the idle index — the only O(N) settle ever paid
+        off = np.flatnonzero(~self.available)
+        self.state[off] = OFFLINE
+        self._counts[IDLE] = n - len(off)
+        self._counts[OFFLINE] = len(off)
+        self._idle_add(np.flatnonzero(self.available))
 
     # -- idle-index maintenance ----------------------------------------------------
     def _idle_add(self, ids: np.ndarray) -> None:
@@ -313,8 +302,8 @@ class DeviceStatePopulation:
         self._idle_len = new_len
 
     def _transition(self, ids: np.ndarray, new_state: int) -> None:
-        """Event-mode state write for unique ``ids`` with live counters
-        and idle-index upkeep."""
+        """State write for unique ``ids`` with live counters and
+        idle-index upkeep."""
         if not len(ids):
             return
         old = self.state[ids]
@@ -327,8 +316,8 @@ class DeviceStatePopulation:
             self._idle_remove(ids[old == IDLE])
 
     def _settle_ids(self, ids: np.ndarray) -> None:
-        """Event-mode settle: idle/offline per ``available`` for the
-        touched, non-working, non-dropped ids only."""
+        """Settle the touched ids idle/offline per ``available``; working
+        and dropped devices keep their state."""
         st = self.state[ids]
         ids = ids[(st != WORKING) & (st != DROPPED)]
         if not len(ids):
@@ -348,8 +337,8 @@ class DeviceStatePopulation:
         self._idle_add(cids[cnew == IDLE])
 
     def _revive(self, ids: np.ndarray) -> None:
-        """Drop-cooldown expiry (event mode): settle straight from
-        ``DROPPED`` into idle/offline by current availability."""
+        """Drop-cooldown expiry: settle straight from ``DROPPED`` into
+        idle/offline by current availability."""
         ids = ids[self.state[ids] == DROPPED]
         if not len(ids):
             return
@@ -376,27 +365,13 @@ class DeviceStatePopulation:
     def advance(self, round_idx: int) -> None:
         """Advance the state columns to ``round_idx`` (idempotent per round).
 
-        Sweep mode revives expired drops, lets the device trace rewrite
-        the columns, then settles every non-working, non-dropped device.
-        Event mode drains due transition events and settles only the
-        touched ids — O(transitions), not O(N).
+        Drains every scheduled event due at or before ``round_idx``, fires
+        the recurring actions once for ``round_idx`` itself, then settles
+        only the touched ids — O(transitions), not O(N).
         """
         if round_idx == self._round:
             return
         self._round = round_idx
-        if self.event_driven:
-            self._advance_events(round_idx)
-            return
-        revive = (self.state == DROPPED) & (round_idx > self._drop_until)
-        self.state[revive] = IDLE
-        self.trace.apply(self, round_idx)
-        settled = (self.state != WORKING) & (self.state != DROPPED)
-        self.state[settled] = np.where(
-            self.available[settled], IDLE, OFFLINE
-        ).astype(np.int8)
-        self._idle_dirty = True
-
-    def _advance_events(self, round_idx: int) -> None:
         touched: list = list(self._pending_settle)
         self._pending_settle = []
         self._touch_buf = touched
@@ -423,30 +398,17 @@ class DeviceStatePopulation:
         return np.flatnonzero(self.online(round_idx))
 
     def idle_pool(self, round_idx: int) -> IdlePool:
-        """Advance to ``round_idx`` and return the O(idle) sampling view.
-
-        Event mode maintains the index at transition time; sweep mode
-        rebuilds it lazily after each full-column advance."""
+        """Advance to ``round_idx`` and return the O(idle) sampling view
+        over the index maintained at transition time."""
         self.advance(round_idx)
-        if self._idle_dirty:
-            idle = np.flatnonzero(self.state == IDLE)
-            self._idle_len = len(idle)
-            self._idle_ids[: len(idle)] = idle
-            self._idle_pos.fill(-1)
-            self._idle_pos[idle] = np.arange(len(idle), dtype=np.int64)
-            self._idle_dirty = False
         return IdlePool(self)
 
     def begin_work(self, client_ids: np.ndarray) -> None:
         """Mark contacted candidates as working — out of the idle pool."""
         if not len(client_ids):
             return
-        ids = _as_ids(client_ids)
-        if self.event_driven:
-            self._transition(np.unique(ids), WORKING)
-        else:
-            self.state[ids] = WORKING
-            self._idle_dirty = True
+        ids = np.unique(_as_ids(client_ids))
+        self._transition(ids, WORKING)
         self._working_set.update(int(c) for c in ids)
 
     def complete_work(self, client_ids: np.ndarray) -> None:
@@ -457,13 +419,9 @@ class DeviceStatePopulation:
         ids = np.unique(_as_ids(client_ids))
         self._working_set.difference_update(int(c) for c in ids)
         ids = ids[self.state[ids] == WORKING]
-        if self.event_driven:
-            self._transition(ids, IDLE)
-            if len(ids):
-                self._pending_settle.append(ids)
-        else:
-            self.state[ids] = IDLE
-            self._idle_dirty = True
+        self._transition(ids, IDLE)
+        if len(ids):
+            self._pending_settle.append(ids)
 
     def drop_work(self, client_ids: np.ndarray, round_idx: int) -> None:
         """Per-client mid-round failure (continuous schedulers): enter
@@ -472,15 +430,14 @@ class DeviceStatePopulation:
             return
         ids = np.unique(_as_ids(client_ids))
         self._working_set.difference_update(int(c) for c in ids)
-        self._drop_until[ids] = round_idx + self.dropped_cooldown
-        if self.event_driven:
-            self._transition(ids, DROPPED)
-            self.events.schedule(
-                round_idx + self.dropped_cooldown + 1, _ReviveEvent(ids)
-            )
-        else:
-            self.state[ids] = DROPPED
-            self._idle_dirty = True
+        self._drop(ids, round_idx)
+
+    def _drop(self, ids: np.ndarray, round_idx: int) -> None:
+        """Enter ``DROPPED`` and arm the cooldown-expiry revival."""
+        self._transition(ids, DROPPED)
+        self.events.schedule(
+            round_idx + self.dropped_cooldown + 1, _ReviveEvent(ids)
+        )
 
     def finish_round(
         self, round_idx: int, dropped_ids: Optional[np.ndarray] = None
@@ -493,32 +450,19 @@ class DeviceStatePopulation:
             if dropped_ids is not None and len(dropped_ids)
             else None
         )
-        if self.event_driven:
-            working = np.fromiter(
-                self._working_set, dtype=np.int64, count=len(self._working_set)
-            )
-            working.sort()
-            self._working_set.clear()
-            returned = (
-                np.setdiff1d(working, dropped) if dropped is not None else working
-            )
-            self._transition(returned, IDLE)
-            if len(returned):
-                self._pending_settle.append(returned)
-            if dropped is not None:
-                uniq = np.unique(dropped)
-                self._transition(uniq, DROPPED)
-                self._drop_until[uniq] = round_idx + self.dropped_cooldown
-                self.events.schedule(
-                    round_idx + self.dropped_cooldown + 1, _ReviveEvent(uniq)
-                )
-            return
-        self.state[self.state == WORKING] = IDLE
+        working = np.fromiter(
+            self._working_set, dtype=np.int64, count=len(self._working_set)
+        )
+        working.sort()
         self._working_set.clear()
+        returned = (
+            np.setdiff1d(working, dropped) if dropped is not None else working
+        )
+        self._transition(returned, IDLE)
+        if len(returned):
+            self._pending_settle.append(returned)
         if dropped is not None:
-            self.state[dropped] = DROPPED
-            self._drop_until[dropped] = round_idx + self.dropped_cooldown
-        self._idle_dirty = True
+            self._drop(np.unique(dropped), round_idx)
 
     # -- AvailabilityTrace protocol ----------------------------------------------
     def survives_round(self, client_ids: np.ndarray) -> np.ndarray:
@@ -528,22 +472,6 @@ class DeviceStatePopulation:
         if np.all(conn >= 1.0):
             return np.ones(len(ids), dtype=bool)
         return self._rng.random(len(ids)) < conn
-
-    def burst_survives(
-        self, client_ids: np.ndarray, extra_prob: float
-    ) -> np.ndarray:
-        """Extra dropout draw (legacy context-knob compatibility)."""
-        if extra_prob <= 0.0:
-            return np.ones(len(client_ids), dtype=bool)
-        return self._rng.random(len(client_ids)) >= extra_prob
-
-    def straggler_mask(
-        self, client_ids: np.ndarray, fraction: float
-    ) -> np.ndarray:
-        """Storm-hit draw (legacy context-knob compatibility)."""
-        if fraction <= 0.0:
-            return np.zeros(len(client_ids), dtype=bool)
-        return self._rng.random(len(client_ids)) < fraction
 
     # -- column reads -------------------------------------------------------------
     def responsiveness_of(self, client_ids: np.ndarray) -> np.ndarray:
@@ -563,27 +491,18 @@ class DeviceStatePopulation:
         return np.maximum(1, steps).astype(np.int64)
 
     def state_counts(self) -> Dict[str, int]:
-        """``{"idle": …, "working": …, "offline": …, "dropped": …}``.
-
-        Event mode reads the O(1) counters maintained at transition time;
-        the sweep recomputes the truth (direct ``state`` pokes are legal
-        there)."""
-        counts = (
-            self._counts
-            if self.event_driven
-            else np.bincount(self.state, minlength=4)
-        )
+        """``{"idle": …, "working": …, "offline": …, "dropped": …}`` from
+        the O(1) counters maintained at transition time."""
         return {
-            "idle": int(counts[IDLE]),
-            "working": int(counts[WORKING]),
-            "offline": int(counts[OFFLINE]),
-            "dropped": int(counts[DROPPED]),
+            "idle": int(self._counts[IDLE]),
+            "working": int(self._counts[WORKING]),
+            "offline": int(self._counts[OFFLINE]),
+            "dropped": int(self._counts[DROPPED]),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeviceStatePopulation(n={self.num_clients}, "
             f"trace={type(self.trace).__name__}, "
-            f"mode={'event' if self.event_driven else 'sweep'}, "
             f"{self.state_counts()})"
         )

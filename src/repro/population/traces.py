@@ -1,34 +1,22 @@
 """Device traces: the per-round dynamics driving a population.
 
 A :class:`DeviceTrace` is the population's behavior model.  It is bound to
-a :class:`~repro.population.population.DeviceStatePopulation` once
-(``bind``); after that two advance disciplines exist:
-
-sweep (``apply``)
-    ``apply(population, round_idx)`` runs exactly once per queried round
-    (the population's ``advance`` guard) and rewrites whichever columns
-    the trace owns — ``available`` for plain availability models,
-    ``connectivity``/``responsiveness`` for churn storms, every column for
-    the device-class model.  O(N) per round, works for any trace.
-
-events (``schedule``)
-    ``schedule(population, queue)`` converts the same dynamics into
-    transition events on the population's
-    :class:`~repro.population.events.PopulationEventQueue` and returns
-    ``True``; the population then never calls ``apply`` and each round
-    costs O(transitions).  Deterministic dynamics (duty-cycle windows,
-    jitter-free diurnal edges) become periodic index flips; RNG-consuming
-    dynamics (device-class redraws, diurnal jitter, storm bursts) become
-    recurring actions that make *the same draws in the same order* as the
-    sweep and write only the changed indices, so both paths are
-    bit-identical.  A trace that returns ``False`` (the default, and any
-    subclass that overrides ``apply``) keeps the sweep.
+a :class:`~repro.population.population.DeviceStatePopulation` once:
+``bind`` initializes whichever columns the trace owns, then
+``schedule(population, queue)`` converts its dynamics into transition
+events on the population's
+:class:`~repro.population.events.PopulationEventQueue`, so each round
+costs O(transitions), never O(N).  Deterministic dynamics (duty-cycle
+windows, jitter-free diurnal edges) become periodic index flips;
+dynamics that consume RNG or read an opaque ``online(round_idx)`` object
+(device-class redraws, diurnal jitter, storm bursts, external traces)
+become recurring actions that fire once per queried round, make their
+draws in registration order, and write only the changed indices.
 
 Traces compose: :class:`ChurnStormTrace` wraps any base availability trace
-and layers burst-round effects on top — in event mode the base's events
-touch ``available`` while the storm's recurring action touches
-``connectivity``/``responsiveness``, so the composition commutes exactly
-like the sweep's restore → base → burst ordering.
+and layers burst-round effects on top — the base's events touch
+``available`` while the storm's recurring action, registered after the
+base's, touches ``connectivity``/``responsiveness``.
 
 The ``POPULATION_PRESETS`` registry names the scenarios
 ``RunConfig.population_preset`` accepts; :func:`build_population` turns a
@@ -41,8 +29,6 @@ preset name plus a config into a ready population (this is also how
 ...                         straggler_fraction=0.0,
 ...                         rng=np.random.default_rng(0))
 >>> pop = DeviceStatePopulation(4, np.random.default_rng(1), storm)
->>> pop.event_driven                 # storms schedule as recurring events
-True
 >>> storm.is_burst(3) and not storm.is_burst(1)
 True
 >>> _ = pop.online(1)
@@ -84,14 +70,12 @@ class DeviceTrace:
     def bind(self, population) -> None:
         """One-time column initialization hook (called by the population)."""
 
-    def apply(self, population, round_idx: int) -> None:
-        """Sweep mode: rewrite the population's columns for ``round_idx``."""
-
-    def schedule(self, population, queue) -> bool:
-        """Event mode: translate the trace's dynamics into transition
-        events on ``queue`` and return ``True``; returning ``False``
-        (the default) keeps the O(N) sweep via ``apply``."""
-        return False
+    def schedule(self, population, queue) -> None:
+        """Translate the trace's dynamics into transition events on
+        ``queue``: ``queue.schedule(round, action)`` for a transition
+        pinned to a round, ``queue.add_recurring(action)`` for per-round
+        behavior.  Actions write ``available`` through
+        ``population.set_available`` / ``note_available_changed``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -132,31 +116,25 @@ def _first_fire(residue: int, period: int) -> int:
 class StaticTrace(DeviceTrace):
     """No dynamics: the constructor baselines hold for the whole run."""
 
-    def schedule(self, population, queue) -> bool:
-        # trivially event-capable — unless a subclass re-introduced
-        # per-round dynamics through apply(), which only the sweep runs
-        return type(self).apply is DeviceTrace.apply
-
 
 class ExternalAvailabilityTrace(DeviceTrace):
     """Adapt a classic availability trace (duty-cycle, diurnal, or any
     user object with ``online(round_idx)``) into a device trace: the
     wrapped object drives the ``available`` column, everything else keeps
-    its baseline.  An arbitrary external object gives us nothing to
-    schedule from, so this adapter is the one built-in trace that always
-    keeps the O(N) sweep (subclasses wrapping known trace types override
-    ``schedule``)."""
+    its baseline.  An arbitrary external object gives nothing to schedule
+    from, so the adapter asks it for its mask once per queried round and
+    writes the difference (subclasses wrapping known trace types override
+    ``schedule`` with index flips)."""
 
     def __init__(self, trace) -> None:
         self.trace = trace
 
-    def apply(self, population, round_idx: int) -> None:
-        # repro: allow[population-column-sweep] -- legacy adapter: an external trace only exposes online(round_idx), so the full-column rewrite is the only faithful bridge
-        population.available[:] = self.trace.online(round_idx)
+    def schedule(self, population, queue) -> None:
+        queue.add_recurring(self._diff_apply)
 
     def _diff_apply(self, population, fire_round: int) -> None:
-        """Recurring event action: same mask (and RNG draws) as the
-        sweep's ``apply``, written as index diffs."""
+        """Recurring action: one ``online(fire_round)`` call on the wrapped
+        trace, written as index diffs."""
         new = self.trace.online(fire_round)
         diff = np.flatnonzero(population.available != new)
         if len(diff):
@@ -169,7 +147,7 @@ class DutyCycleTrace(ExternalAvailabilityTrace):
     :class:`~repro.traces.availability.AvailabilityTrace` (mid-round
     dropout lives in the population's connectivity column instead).
 
-    Event mode: the wrapped trace's window ``pos < on_fraction · period``
+    The wrapped trace's window ``pos < on_fraction · period``
     is an integer interval ``pos ∈ [0, L)`` with ``L = ⌈on_fraction ·
     period⌉``, so each client flips on at rounds ≡ −phase (mod period)
     and off at rounds ≡ L − phase.  Clients sharing ``(period, residue,
@@ -197,20 +175,18 @@ class DutyCycleTrace(ExternalAvailabilityTrace):
             )
         )
 
-    def schedule(self, population, queue) -> bool:
-        if type(self).apply is not ExternalAvailabilityTrace.apply:
-            return False
+    def schedule(self, population, queue) -> None:
         t = self.trace
         period = np.asarray(t._period, dtype=np.int64)
         phase = np.asarray(t._phase, dtype=np.int64) % period
-        # seed round 0 with the sweep's own expression (bit-identical)
+        # seed round 0 with the wrapped trace's own expression
         population.available[:] = t.online(0)
         # integer on-window length: pos < frac·P  ⟺  pos < ceil(frac·P)
         width = t._on_fraction * period
         length = np.clip(np.ceil(width).astype(np.int64), 0, period)
         flips = np.flatnonzero((length > 0) & (length < period))
         if not len(flips):
-            return True
+            return
         key_base = int(period.max()) + 1
         for value, residue in (
             (True, (-phase[flips]) % period[flips]),
@@ -223,14 +199,13 @@ class DutyCycleTrace(ExternalAvailabilityTrace):
                 queue.schedule(
                     _first_fire(res, p), _PeriodicFlip(ids, value, p)
                 )
-        return True
 
 
 class DiurnalTrace(ExternalAvailabilityTrace):
     """Day/night availability — the population-column port of
     :class:`~repro.traces.diurnal.DiurnalAvailabilityTrace`.
 
-    Event mode: without jitter each client's window is a circular
+    Without jitter each client's window is a circular
     interval of the ``rounds_per_day`` positions, so whole timezone
     groups flip together — O(rounds_per_day) chains total, each firing
     once per simulated day.  With jitter the per-round counter-seeded
@@ -257,13 +232,11 @@ class DiurnalTrace(ExternalAvailabilityTrace):
             )
         )
 
-    def schedule(self, population, queue) -> bool:
-        if type(self).apply is not ExternalAvailabilityTrace.apply:
-            return False
+    def schedule(self, population, queue) -> None:
         t = self.trace
         if t.jitter_prob > 0.0:
-            queue.add_recurring(self._diff_apply)
-            return True
+            super().schedule(population, queue)
+            return
         rounds_per_day = int(t.rounds_per_day)
         masks = [t.online(pos) for pos in range(rounds_per_day)]
         population.available[:] = masks[0]
@@ -279,7 +252,6 @@ class DiurnalTrace(ExternalAvailabilityTrace):
                         _first_fire(pos, rounds_per_day),
                         _PeriodicFlip(ids, value, rounds_per_day),
                     )
-        return True
 
 
 class DeviceClassTrace(DeviceTrace):
@@ -293,8 +265,8 @@ class DeviceClassTrace(DeviceTrace):
     ``population_max_responsiveness`` config knobs).
 
     The per-round Bernoulli redraw is inherently O(N) (the model *is* an
-    independent draw per client per round), so event mode registers a
-    recurring action making the identical shared-stream draw and writing
+    independent draw per client per round), so the trace registers a
+    recurring action that makes the draw on the shared stream and writes
     only the flipped indices.
     """
 
@@ -334,17 +306,8 @@ class DeviceClassTrace(DeviceTrace):
             resp, 1.0, self.max_responsiveness
         )
 
-    def apply(self, population, round_idx: int) -> None:
-        # repro: allow[population-column-sweep] -- sweep reference path: schedule() is the primary, diff-writing implementation
-        population.available[:] = (
-            self._rng.random(population.num_clients) < self._online_p
-        )
-
-    def schedule(self, population, queue) -> bool:
-        if type(self).apply is not DeviceClassTrace.apply:
-            return False
+    def schedule(self, population, queue) -> None:
         queue.add_recurring(self._redraw)
-        return True
 
     def _redraw(self, population, fire_round: int) -> None:
         new = self._rng.random(population.num_clients) < self._online_p
@@ -362,16 +325,15 @@ class ChurnStormTrace(DeviceTrace):
     ``burst_every == 1``) the trace multiplies connectivity by
     ``1 − burst_dropout`` and slows a ``straggler_fraction`` of clients by
     ``straggler_slowdown``×; calm rounds restore the population baselines.
-    This is the column-level reimplementation of the old context-knob
-    failure injection, so ``scheduler="failure"`` is now just a population
-    preset.
+    ``scheduler="failure"`` runs on this trace (the ``"storm"`` preset)
+    and reads ``is_burst`` to flag burst rounds.
 
-    Event mode composes: the base trace's events keep driving
-    ``available`` while a recurring storm action handles bursts.  Calm →
-    calm rounds cost nothing — the restore (an exact copy from the
-    population's baseline snapshots, never a multiplicative undo) runs
-    only on the round after a burst, and the straggler draw stays on the
-    shared RNG stream in sweep order.
+    The base trace's events keep driving ``available`` while a recurring
+    storm action handles bursts.  Calm → calm rounds cost nothing — the
+    restore (an exact copy from the population's baseline snapshots,
+    never a multiplicative undo) runs only on the round after a burst,
+    and the straggler draw comes after the base trace's own draws on the
+    shared RNG stream.
     """
 
     def __init__(
@@ -403,35 +365,12 @@ class ChurnStormTrace(DeviceTrace):
         """True on storm rounds (``round_idx % burst_every == 0``)."""
         return bool(self.burst_every) and round_idx % self.burst_every == 0
 
-    def apply(self, population, round_idx: int) -> None:
-        # repro: allow[population-column-sweep] -- sweep reference path: schedule() is the primary, restore-on-demand implementation
-        population.connectivity[:] = population.base_connectivity
-        population.responsiveness[:] = population.base_responsiveness
+    def schedule(self, population, queue) -> None:
         if self.base is not None:
-            self.base.apply(population, round_idx)
-        if not self.is_burst(round_idx):
-            return
-        population.connectivity *= 1.0 - self.burst_dropout
-        if self.straggler_fraction >= 1.0:
-            hit = np.ones(population.num_clients, dtype=bool)
-        elif self.straggler_fraction > 0.0:
-            hit = (
-                self._rng.random(population.num_clients)
-                < self.straggler_fraction
-            )
-        else:
-            return
-        population.responsiveness[hit] *= self.straggler_slowdown
-
-    def schedule(self, population, queue) -> bool:
-        if type(self).apply is not ChurnStormTrace.apply:
-            return False
-        if self.base is not None and not self.base.schedule(population, queue):
-            return False
+            self.base.schedule(population, queue)
         self._bursted = False
         self._hit_ids = None
         queue.add_recurring(self._storm_step)
-        return True
 
     def _storm_step(self, population, fire_round: int) -> None:
         if self._hit_ids is not None:
@@ -480,11 +419,11 @@ def build_population(
     * ``"device-classes"`` — phone/tablet/silo population
       (:class:`DeviceClassTrace`);
     * ``"storm"`` — periodic churn storms over the base availability,
-      parameterized by the ``failure_*`` knobs (:class:`ChurnStormTrace`)
-      — what ``scheduler="failure"`` runs on.
+      parameterized by the ``failure_*`` knobs (:class:`ChurnStormTrace`).
 
-    ``config.population_event_driven`` picks the advance discipline
-    (``None`` = event mode whenever the trace supports it) and
+    ``scheduler="failure"`` wraps whichever preset it is combined with in
+    the same storm trace, so its population always answers ``is_burst``.
+
     ``config.population_scalable_sampling`` marks the population for
     O(idle) pool-based sampler draws.
     """
@@ -506,20 +445,20 @@ def build_population(
         )
 
     dropout = 0.0 if config.always_available else config.dropout_prob
-    if preset == "none":
+    if preset in ("none", "storm"):
         trace = base_trace() or StaticTrace()
     elif preset == "diurnal":
         trace = DiurnalTrace(num_clients, rng)
-    elif preset == "device-classes":
+    else:  # "device-classes"
         trace = DeviceClassTrace(
             num_clients,
             rng,
             min_completeness=config.population_min_completeness,
             max_responsiveness=config.population_max_responsiveness,
         )
-    else:  # "storm"
+    if preset == "storm" or config.scheduler == "failure":
         trace = ChurnStormTrace(
-            base_trace(),
+            trace,
             burst_every=config.failure_burst_every,
             burst_dropout=config.failure_burst_dropout,
             straggler_fraction=config.failure_straggler_fraction,
@@ -532,8 +471,5 @@ def build_population(
         trace,
         dropout_prob=dropout,
         dropped_cooldown=config.population_dropped_cooldown,
-        event_driven=getattr(config, "population_event_driven", None),
-        scalable_sampling=getattr(
-            config, "population_scalable_sampling", False
-        ),
+        scalable_sampling=config.population_scalable_sampling,
     )

@@ -70,27 +70,6 @@ class AvailabilityTrace:
             return np.ones(len(client_ids), dtype=bool)
         return self._rng.random(len(client_ids)) >= self.dropout_prob
 
-    def burst_survives(
-        self, client_ids: np.ndarray, extra_prob: float
-    ) -> np.ndarray:
-        """Extra dropout draw for injected failure bursts.
-
-        Independent of :meth:`survives_round`: the failure-injection
-        scheduler ANDs the two masks, so a burst stacks on top of the
-        trace's baseline dropout.
-        """
-        if extra_prob <= 0.0:
-            return np.ones(len(client_ids), dtype=bool)
-        return self._rng.random(len(client_ids)) >= extra_prob
-
-    def straggler_mask(
-        self, client_ids: np.ndarray, fraction: float
-    ) -> np.ndarray:
-        """Draw which of ``client_ids`` are hit by a straggler storm."""
-        if fraction <= 0.0:
-            return np.zeros(len(client_ids), dtype=bool)
-        return self._rng.random(len(client_ids)) < fraction
-
 
 def always_available(num_clients: int) -> AvailabilityTrace:
     """A trace with every client always online and no dropout (for tests)."""

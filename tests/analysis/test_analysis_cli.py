@@ -78,7 +78,7 @@ def test_list_rules(capsys):
         assert rule in out
 
 
-def test_suite_has_the_eight_pinned_rules():
+def test_suite_has_exactly_the_pinned_rules():
     assert set(all_rules()) == {
         "determinism",
         "bare-dtype",
@@ -87,5 +87,4 @@ def test_suite_has_the_eight_pinned_rules():
         "golden-coverage",
         "lifecycle-pairing",
         "shard-kernel-dtype",
-        "population-column-sweep",
     }

@@ -347,80 +347,6 @@ def test_lifecycle_accepts_ledger_pairing():
     ) == []
 
 
-# -- population-column-sweep ---------------------------------------------------
-BAD_SWEEP = """
-    class MyTrace(DeviceTrace):
-        def apply(self, population, round_idx):
-            population.available[:] = True
-            population.connectivity[:] = 0.5
-"""
-
-
-def test_population_sweep_flags_full_column_rewrites():
-    # one finding per apply (anchored at the first write), not one per line
-    assert rules_of(BAD_SWEEP) == ["population-column-sweep"]
-
-
-def test_population_sweep_flags_rebind_and_augassign():
-    assert rules_of(
-        """
-        class RebindTrace(DeviceTrace):
-            def apply(self, population, round_idx):
-                population.responsiveness = np.ones(population.num_clients)
-        """
-    ) == ["population-column-sweep"]
-    assert rules_of(
-        """
-        class ScaleTrace(DeviceTrace):
-            def apply(self, population, round_idx):
-                population.connectivity *= 0.5
-        """
-    ) == ["population-column-sweep"]
-
-
-def test_population_sweep_accepts_diff_writes_and_schedule():
-    assert rules_of(
-        """
-        class EventTrace(DeviceTrace):
-            def schedule(self, population, queue):
-                queue.add_recurring(self._step)
-                return True
-
-            def _step(self, population, fire_round):
-                diff = np.flatnonzero(population.available)
-                population.available[diff] = False
-                population.note_available_changed(diff)
-
-            def apply(self, population, round_idx):
-                idx = self.hit_ids(round_idx)
-                population.connectivity[idx] = 0.0
-        """
-    ) == []
-
-
-def test_population_sweep_ignores_non_trace_classes():
-    # full-column writes outside a *Trace class are someone else's business
-    assert rules_of(
-        """
-        class PopulationView:
-            def apply(self, population, round_idx):
-                population.available[:] = True
-        """
-    ) == []
-
-
-def test_population_sweep_waiver_covers_the_method():
-    assert rules_of(
-        """
-        class LegacyTrace(DeviceTrace):
-            def apply(self, population, round_idx):
-                # repro: allow[population-column-sweep] -- adapter has nothing to schedule from
-                population.available[:] = self.trace.online(round_idx)
-                population.connectivity[:] = 1.0
-        """
-    ) == []
-
-
 # -- parse errors --------------------------------------------------------------
 def test_syntax_error_is_reported_not_raised():
     findings = analyze_source("def broken(:\n", "src/repro/example.py")

@@ -1,0 +1,141 @@
+"""Naive reference population for the differential suite.
+
+:class:`SweepOraclePopulation` answers the same questions as
+:class:`repro.population.DeviceStatePopulation` by recomputing everything
+from scratch each queried round: every built-in trace's columns are
+rewritten whole (:func:`rewrite_columns`), expired drops revive by an
+O(N) scan, and all N devices re-settle.  No event queue, no idle index,
+no counters — nothing here can share a bug with the event-driven code in
+``src/``.  It carries exactly the surface the engine drives, so it can be
+handed to a server as ``RunConfig(population=…)``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.population import (
+    DROPPED,
+    IDLE,
+    OFFLINE,
+    WORKING,
+    ChurnStormTrace,
+    DeviceClassTrace,
+    DeviceTrace,
+    ExternalAvailabilityTrace,
+    StaticTrace,
+)
+
+
+def rewrite_columns(trace, pop, round_idx: int) -> None:
+    """Write what ``trace`` says about ``round_idx`` as full columns."""
+    if isinstance(trace, ChurnStormTrace):
+        pop.connectivity[:] = pop.base_connectivity
+        pop.responsiveness[:] = pop.base_responsiveness
+        if trace.base is not None:
+            rewrite_columns(trace.base, pop, round_idx)
+        if not trace.is_burst(round_idx):
+            return
+        pop.connectivity *= 1.0 - trace.burst_dropout
+        if trace.straggler_fraction >= 1.0:
+            hit = np.ones(pop.num_clients, dtype=bool)
+        elif trace.straggler_fraction > 0.0:
+            hit = trace._rng.random(pop.num_clients) < trace.straggler_fraction
+        else:
+            return
+        pop.responsiveness[hit] *= trace.straggler_slowdown
+    elif isinstance(trace, DeviceClassTrace):
+        pop.available[:] = trace._rng.random(pop.num_clients) < trace._online_p
+    elif isinstance(trace, ExternalAvailabilityTrace):
+        # covers DutyCycleTrace / DiurnalTrace: ask the wrapped trace
+        pop.available[:] = trace.trace.online(round_idx)
+    elif type(trace) not in (DeviceTrace, StaticTrace):
+        raise TypeError(f"oracle has no column model for {type(trace).__name__}")
+
+
+class SweepOraclePopulation:
+    scalable_sampling = False
+
+    def __init__(
+        self, num_clients, rng, trace=None, *, dropout_prob=0.0, dropped_cooldown=1
+    ):
+        n = num_clients
+        self.num_clients = n
+        self.dropped_cooldown = dropped_cooldown
+        self._rng = rng
+        self.trace = trace if trace is not None else StaticTrace()
+        self.available = np.ones(n, dtype=bool)
+        self.connectivity = np.full(n, 1.0 - dropout_prob)
+        self.completeness = np.ones(n)
+        self.responsiveness = np.ones(n)
+        self.state = np.zeros(n, dtype=np.int8)
+        self._drop_until = np.full(n, -1, dtype=np.int64)
+        self._round = -1
+        self.trace.bind(self)
+        self.base_connectivity = self.connectivity.copy()
+        self.base_responsiveness = self.responsiveness.copy()
+
+    @classmethod
+    def mirroring(cls, population):
+        """An oracle over a *fresh* population's trace, RNG and knobs.
+        The two share RNG streams, so the donor must never be advanced."""
+        return cls(
+            population.num_clients,
+            population._rng,
+            population.trace,
+            dropout_prob=population.dropout_prob,
+            dropped_cooldown=population.dropped_cooldown,
+        )
+
+    def advance(self, round_idx: int) -> None:
+        if round_idx == self._round:
+            return
+        self._round = round_idx
+        revive = (self.state == DROPPED) & (round_idx > self._drop_until)
+        self.state[revive] = IDLE
+        rewrite_columns(self.trace, self, round_idx)
+        settled = (self.state != WORKING) & (self.state != DROPPED)
+        self.state[settled] = np.where(self.available[settled], IDLE, OFFLINE)
+
+    def online(self, round_idx: int) -> np.ndarray:
+        self.advance(round_idx)
+        return self.state == IDLE
+
+    def begin_work(self, client_ids) -> None:
+        self.state[np.asarray(client_ids, dtype=np.int64)] = WORKING
+
+    def complete_work(self, client_ids) -> None:
+        ids = np.asarray(client_ids, dtype=np.int64)
+        self.state[ids[self.state[ids] == WORKING]] = IDLE
+
+    def drop_work(self, client_ids, round_idx: int) -> None:
+        ids = np.asarray(client_ids, dtype=np.int64)
+        self.state[ids] = DROPPED
+        self._drop_until[ids] = round_idx + self.dropped_cooldown
+
+    def finish_round(self, round_idx: int, dropped_ids=None) -> None:
+        self.state[self.state == WORKING] = IDLE
+        if dropped_ids is not None:
+            self.drop_work(dropped_ids, round_idx)
+
+    def survives_round(self, client_ids) -> np.ndarray:
+        conn = self.connectivity[np.asarray(client_ids, dtype=np.int64)]
+        if np.all(conn >= 1.0):
+            return np.ones(len(conn), dtype=bool)
+        return self._rng.random(len(conn)) < conn
+
+    def responsiveness_of(self, client_ids) -> np.ndarray:
+        return self.responsiveness[np.asarray(client_ids, dtype=np.int64)]
+
+    def local_steps_for(self, client_ids, local_steps: int) -> np.ndarray:
+        frac = self.completeness[np.asarray(client_ids, dtype=np.int64)]
+        return np.maximum(1, np.ceil(frac * local_steps)).astype(np.int64)
+
+    def state_counts(self) -> dict:
+        counts = np.bincount(self.state, minlength=4)
+        return {
+            "idle": int(counts[IDLE]),
+            "working": int(counts[WORKING]),
+            "offline": int(counts[OFFLINE]),
+            "dropped": int(counts[DROPPED]),
+        }

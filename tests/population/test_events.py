@@ -1,9 +1,9 @@
 """Event-driven population mechanics: the queue, the O(1) counters, the
 maintained idle index, and the per-client work transitions.
 
-The bit-identity of event mode against the sweep lives in the
-differential suite (``tests/properties/test_props_population_events.py``);
-this module pins the machinery itself.
+Bit-identity against the naive sweep oracle lives in the differential
+suite (``tests/properties/test_props_population_events.py``); this module
+pins the machinery itself.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.population import (
     DeviceTrace,
     DiurnalTrace,
     PopulationEventQueue,
-    StaticTrace,
 )
 
 pytestmark = pytest.mark.population
@@ -90,7 +89,6 @@ def test_state_counts_match_truth_through_transition_sequence():
         12,
         trace=DiurnalTrace(12, np.random.default_rng(4), rounds_per_day=6),
     )
-    assert pop.event_driven
     rng = np.random.default_rng(11)
     for t in range(1, 9):
         idle = pop.online_clients(t)
@@ -111,9 +109,8 @@ def test_state_counts_match_truth_through_transition_sequence():
 
 
 def test_state_counts_is_o1_in_event_mode():
-    """The event path must not rescan the state column per query."""
+    """``state_counts`` must not rescan the state column per query."""
     pop = make_pop(6)
-    assert pop.event_driven
     pop.state[0] = OFFLINE  # illegal direct poke: counters don't see it
     assert pop.state_counts()["idle"] == 6  # counters, not a rescan
     assert counts_truth(pop)["idle"] == 5
@@ -176,7 +173,6 @@ def test_revival_settles_by_current_availability():
             queue.schedule(
                 2, lambda pop, r: pop.set_available(np.array([0]), False)
             )
-            return True
 
     pop = make_pop(3, trace=DarkAfterRoundTwo(), dropped_cooldown=1)
     _ = pop.online(1)
@@ -204,7 +200,6 @@ def test_working_devices_ride_through_event_rewrites():
                     np.arange(pop.num_clients), False
                 ),
             )
-            return True
 
     pop = make_pop(3, trace=AllDarkRoundTwo())
     _ = pop.online(1)
@@ -218,24 +213,7 @@ def test_working_devices_ride_through_event_rewrites():
     assert pop.state_counts() == counts_truth(pop)
 
 
-# -- mode selection ----------------------------------------------------------------
-
-
-def test_event_driven_true_requires_schedule_support():
-    class SweepOnly(DeviceTrace):
-        def apply(self, population, round_idx):
-            pass
-
-    with pytest.raises(ValueError, match="no event schedule"):
-        make_pop(4, trace=SweepOnly(), event_driven=True)
-    pop = make_pop(4, trace=SweepOnly(), event_driven=None)
-    assert not pop.event_driven  # auto-fallback keeps the sweep
-
-
-def test_event_driven_false_forces_sweep_even_when_supported():
-    pop = make_pop(4, trace=StaticTrace(), event_driven=False)
-    assert not pop.event_driven
-    assert pop.online(1).all()
+# -- round jumps -------------------------------------------------------------------
 
 
 def test_round_jump_lands_in_sweep_state():
@@ -248,7 +226,6 @@ def test_round_jump_lands_in_sweep_state():
 
     stepped = make_pop(24, trace=trace(5))
     jumped = make_pop(24, trace=trace(5))
-    assert stepped.event_driven and jumped.event_driven
     for t in range(1, 13):
         _ = stepped.online(t)
     np.testing.assert_array_equal(stepped.online(12), jumped.online(12))

@@ -10,6 +10,7 @@ from repro.population import (
     WORKING,
     ChurnStormTrace,
     DeviceStatePopulation,
+    DeviceTrace,
     ExternalAvailabilityTrace,
     StaticTrace,
 )
@@ -17,6 +18,16 @@ from repro.population import (
 
 def make_pop(n=10, seed=0, **kwargs):
     return DeviceStatePopulation(n, np.random.default_rng(seed), **kwargs)
+
+
+class EveryRound(DeviceTrace):
+    """Runs ``step(population, round_idx)`` once per queried round."""
+
+    def __init__(self, step):
+        self._step = step
+
+    def schedule(self, population, queue):
+        queue.add_recurring(self._step)
 
 
 # -- construction ------------------------------------------------------------------
@@ -79,29 +90,40 @@ def test_zero_cooldown_revives_next_round():
 
 def test_advance_is_idempotent_per_round():
     """Repeated online() calls at one round must not re-draw trace RNG."""
-
-    class CountingTrace(StaticTrace):
-        applies = 0
-
-        def apply(self, population, round_idx):
-            type(self).applies += 1
-
-    pop = make_pop(4, trace=CountingTrace())
+    fired = []
+    pop = make_pop(4, trace=EveryRound(lambda pop, t: fired.append(t)))
     _ = pop.online(1)
     _ = pop.online(1)
     _ = pop.online(1)
-    assert CountingTrace.applies == 1
+    assert fired == [1]
     _ = pop.online(2)
-    assert CountingTrace.applies == 2
+    assert fired == [1, 2]
+
+
+def test_apply_only_trace_is_rejected_with_the_port_recipe():
+    """A pre-event-queue trace must fail loudly, not run as always-on."""
+
+    class LegacyTrace(StaticTrace):
+        def apply(self, population, round_idx):
+            population.available[:] = False
+
+    with pytest.raises(TypeError, match=r"add_recurring\(self\._step\)"):
+        make_pop(4, trace=LegacyTrace())
+
+    class Ported(LegacyTrace):  # a schedule at or below apply is accepted
+        def schedule(self, population, queue):
+            queue.add_recurring(
+                lambda pop, t: pop.set_available(np.arange(4), False)
+            )
+
+    assert not make_pop(4, trace=Ported()).online(1).any()
 
 
 def test_offline_settling_follows_available_column():
-    class HalfOffline(StaticTrace):
-        def apply(self, population, round_idx):
-            population.available[:] = False
-            population.available[::2] = True
-
-    pop = make_pop(6, trace=HalfOffline())
+    odd_offline = EveryRound(
+        lambda pop, t: pop.set_available(np.arange(1, 6, 2), False)
+    )
+    pop = make_pop(6, trace=odd_offline)
     assert pop.online(1).tolist() == [True, False] * 3
     assert pop.state_counts() == {
         "idle": 3, "working": 0, "offline": 3, "dropped": 0,
@@ -112,12 +134,11 @@ def test_working_state_survives_trace_rewrites():
     """A working device stays WORKING even if its trace marks it offline
     mid-round — it is already training."""
 
-    class AllOffline(StaticTrace):
-        def apply(self, population, round_idx):
-            population.available[:] = False
-
-    pop = make_pop(3, trace=AllOffline())
-    pop.state[0] = WORKING
+    all_offline = EveryRound(
+        lambda pop, t: pop.set_available(np.arange(3), False)
+    )
+    pop = make_pop(3, trace=all_offline)
+    pop.begin_work(np.array([0]))
     _ = pop.online(1)
     assert pop.state[0] == WORKING
     assert pop.state[1] == OFFLINE
@@ -135,15 +156,6 @@ def test_survives_round_fast_path_and_draws():
     pop.connectivity[:] = 0.5
     draws = np.array([pop.survives_round(ids).mean() for _ in range(200)])
     assert 0.3 < draws.mean() < 0.7
-
-
-def test_burst_survives_and_straggler_mask_edges():
-    pop = make_pop(5)
-    ids = np.arange(5)
-    assert pop.burst_survives(ids, 0.0).all()
-    assert not pop.burst_survives(ids, 1.0).any()
-    assert not pop.straggler_mask(ids, 0.0).any()
-    assert pop.straggler_mask(ids, 1.0).all()
 
 
 # -- column reads ------------------------------------------------------------------

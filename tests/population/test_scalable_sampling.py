@@ -13,7 +13,7 @@ from repro.compression import FedAvgStrategy
 from repro.datasets import femnist_like
 from repro.fl import RunConfig, StickySampler, UniformSampler, run_training
 from repro.fl.extra_samplers import DynamicScheduleSampler, MDSampler
-from repro.population import DeviceStatePopulation, DeviceTrace
+from repro.population import DeviceStatePopulation
 
 pytestmark = pytest.mark.population
 
@@ -65,16 +65,6 @@ def test_scalable_sampling_needs_a_population(dataset):
         make_config(dataset, population_scalable_sampling=True).validate()
 
 
-def test_scalable_sampling_rejects_forced_sweep(dataset):
-    with pytest.raises(ValueError, match="event-driven"):
-        make_config(
-            dataset,
-            population_preset="diurnal",
-            population_scalable_sampling=True,
-            population_event_driven=False,
-        ).validate()
-
-
 def test_scalable_sampling_rejects_mask_only_samplers(dataset):
     with pytest.raises(ValueError, match="supports_pool_draw"):
         make_config(
@@ -95,34 +85,11 @@ def test_scalable_sampling_excludes_quorum(dataset):
         ).validate()
 
 
-def test_event_driven_tristate_validates(dataset):
-    with pytest.raises(ValueError, match="population_event_driven"):
-        make_config(dataset, population_event_driven="yes").validate()
-
-
 def test_residual_budget_validates(dataset):
     with pytest.raises(ValueError, match="residual_max_clients"):
         make_config(dataset, residual_max_clients=0).validate()
     with pytest.raises(ValueError, match="residual_max_clients"):
         make_config(dataset, residual_max_clients=True).validate()
-
-
-def test_server_rejects_scalable_flag_on_sweep_population(dataset):
-    from repro.fl.server import FLServer
-
-    class SweepOnly(DeviceTrace):
-        def apply(self, population, round_idx):
-            pass
-
-    pop = DeviceStatePopulation(
-        dataset.num_clients, np.random.default_rng(0), trace=SweepOnly()
-    )
-    assert not pop.event_driven
-    cfg = make_config(
-        dataset, population=pop, population_scalable_sampling=True
-    )
-    with pytest.raises(ValueError, match="event-driven"):
-        FLServer(cfg)
 
 
 # -- pool draws --------------------------------------------------------------------

@@ -128,6 +128,26 @@ def test_failure_scheduler_autobuilds_storm_population(dataset):
     server.close()
 
 
+def test_failure_scheduler_storms_over_any_preset(dataset):
+    for preset, base in (
+        ("diurnal", DiurnalTrace),
+        ("device-classes", DeviceClassTrace),
+    ):
+        server = FLServer(
+            make_config(dataset, scheduler="failure", population_preset=preset)
+        )
+        storm = server.population.trace
+        assert isinstance(storm, ChurnStormTrace)
+        assert isinstance(storm.base, base)
+        server.close()
+
+
+def test_failure_scheduler_rejects_population_without_bursts(dataset):
+    pop = DeviceStatePopulation(dataset.num_clients, np.random.default_rng(9))
+    with pytest.raises(ValueError, match="is_burst"):
+        FLServer(make_config(dataset, scheduler="failure", population=pop))
+
+
 def test_explicit_population_object_wins(dataset):
     pop = DeviceStatePopulation(dataset.num_clients, np.random.default_rng(9))
     server = FLServer(make_config(dataset, population=pop))

@@ -1,16 +1,20 @@
 """Differential properties: the event-driven population advance is
-bit-identical to the legacy O(N) sweep.
+bit-identical to a naive O(N) sweep.
 
-Two layers of evidence, both over Hypothesis-drawn inputs:
+The sweep is :class:`tests.population.oracle.SweepOraclePopulation` — a
+from-scratch full recompute per round that shares no code with
+``repro.population``'s queue, idle index, or counters.  Two layers of
+evidence, both over Hypothesis-drawn inputs:
 
-* population-level — twin populations (event mode vs forced sweep) driven
-  through random trace compositions and random work/drop op sequences
-  must agree on every online mask, every state column, the O(1)
-  ``state_counts`` counters, and the maintained idle index;
-* engine-level — full ``run_training`` runs with
-  ``population_event_driven`` ``None`` (auto: event) vs ``False``
-  (sweep) must produce equal ``RoundRecord`` streams under all five
-  schedulers and every population preset.
+* population-level — a ``DeviceStatePopulation`` and an oracle over twin
+  traces, driven through random trace compositions and random work/drop
+  op sequences, must agree on every online mask, every state column,
+  every survival draw, the O(1) ``state_counts`` counters, and the
+  maintained idle index;
+* engine-level — full ``run_training`` runs on a preset population vs
+  the oracle handed in as ``population=`` must produce equal
+  ``RoundRecord`` streams under all five schedulers and every population
+  preset.
 """
 
 import numpy as np
@@ -22,13 +26,18 @@ from repro.compression import FedAvgStrategy
 from repro.datasets import femnist_like
 from repro.fl import RunConfig, UniformSampler, run_training
 from repro.population import (
+    IDLE,
     ChurnStormTrace,
     DeviceClassTrace,
     DeviceStatePopulation,
     DiurnalTrace,
     DutyCycleTrace,
+    ExternalAvailabilityTrace,
     StaticTrace,
+    build_population,
 )
+from repro.utils.rng import RngFactory
+from tests.population.oracle import SweepOraclePopulation
 
 pytestmark = pytest.mark.population
 
@@ -62,11 +71,28 @@ def tiny_config(**overrides):
     return RunConfig(**params)
 
 
+class CounterSeededOnline:
+    """An opaque availability object: all it offers is ``online(t)``, a
+    fresh Bernoulli mask seeded by ``(seed, t)``."""
+
+    def __init__(self, n: int, seed: int) -> None:
+        self.n = n
+        self.seed = seed
+
+    def online(self, round_idx: int) -> np.ndarray:
+        rng = np.random.default_rng([self.seed, round_idx])
+        return rng.random(self.n) < 0.6
+
+
 def make_trace(kind: str, n: int, seed: int, composed: bool):
     """One trace instance per call — twins need two independent copies
     with identical RNG streams."""
     rng = np.random.default_rng(seed)
-    if kind == "static":
+    if kind == "storm-over-external":
+        kind, composed = "external", True
+    if kind == "external":
+        base = ExternalAvailabilityTrace(CounterSeededOnline(n, seed))
+    elif kind == "static":
         base = StaticTrace()
     elif kind == "duty":
         base = DutyCycleTrace(n, rng, min_period=3, max_period=9)
@@ -96,14 +122,12 @@ def twin_pops(kind, n, seed, composed):
         trace=make_trace(kind, n, seed, composed),
         dropped_cooldown=1,
     )
-    sweep = DeviceStatePopulation(
+    sweep = SweepOraclePopulation(
         n,
         np.random.default_rng(seed),
         trace=make_trace(kind, n, seed, composed),
         dropped_cooldown=1,
-        event_driven=False,
     )
-    assert event.event_driven and not sweep.event_driven
     return event, sweep
 
 
@@ -128,14 +152,21 @@ def assert_same_state(event, sweep, context):
     )
     assert event.state_counts() == sweep.state_counts(), context
     assert set(event.idle_pool(event._round).ids.tolist()) == set(
-        sweep.idle_pool(sweep._round).ids.tolist()
+        np.flatnonzero(sweep.state == IDLE).tolist()
     ), context
 
 
 # ------------------------------------------------ population-level differential
 @given(
     kind=st.sampled_from(
-        ("static", "duty", "diurnal-flat", "diurnal-jitter", "classes")
+        (
+            "static",
+            "duty",
+            "diurnal-flat",
+            "diurnal-jitter",
+            "classes",
+            "external",
+        )
     ),
     composed=st.booleans(),
     n=st.integers(8, 40),
@@ -169,6 +200,11 @@ def test_event_advance_matches_sweep_through_random_ops(
         cohort = op_rng.choice(
             idle, size=min(want, len(idle)), replace=False
         )
+        np.testing.assert_array_equal(
+            event.survives_round(cohort),
+            sweep.survives_round(cohort),
+            err_msg=f"survival draw diverged at round {t}",
+        )
         for pop in (event, sweep):
             pop.begin_work(cohort)
         n_done = int(round(complete_frac * len(cohort)))
@@ -183,7 +219,9 @@ def test_event_advance_matches_sweep_through_random_ops(
 
 
 @given(
-    kind=st.sampled_from(("duty", "diurnal-flat", "classes")),
+    kind=st.sampled_from(
+        ("duty", "diurnal-flat", "classes", "external", "storm-over-external")
+    ),
     n=st.integers(10, 30),
     seed=st.integers(0, 2**31 - 1),
     jump=st.integers(2, 15),
@@ -210,17 +248,23 @@ def test_event_round_jumps_match_sweep(kind, n, seed, jump):
 def test_round_records_identical_event_vs_sweep(
     scheduler, preset, dropout, seed
 ):
-    results = [
-        run_training(
-            tiny_config(
-                scheduler=scheduler,
-                population_preset=preset,
-                dropout_prob=dropout,
-                always_available=False,
-                population_event_driven=mode,
-                seed=seed,
-            )
-        )
-        for mode in (None, False)
-    ]
-    assert results[0].records == results[1].records
+    knobs = dict(
+        scheduler=scheduler,
+        dropout_prob=dropout,
+        always_available=False,
+        seed=seed,
+    )
+    event_cfg = tiny_config(population_preset=preset, **knobs)
+    # the server's own construction recipe: same preset, same named stream
+    donor = build_population(
+        preset,
+        DATASET.num_clients,
+        RngFactory(seed)("population"),
+        config=event_cfg,
+    )
+    sweep_cfg = tiny_config(
+        population=SweepOraclePopulation.mirroring(donor), **knobs
+    )
+    assert (
+        run_training(event_cfg).records == run_training(sweep_cfg).records
+    )
