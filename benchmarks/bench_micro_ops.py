@@ -2,10 +2,10 @@
 
 Not a paper artifact — these guard the performance of the primitives the
 simulation spends its time in, at paper-scale dimensions (d = 5M):
-top-k selection, staleness bookkeeping, sparse vs dense aggregation, the
-conv training step in both precisions, and round dispatch through the
-execution backends.  Unlike the experiment benches these use
-pytest-benchmark's normal repeated timing.
+top-k selection (dense and support-restricted), staleness bookkeeping,
+sparse aggregation, the conv training step in both precisions, and round
+dispatch through the execution backends.  Unlike the experiment benches
+these use pytest-benchmark's normal repeated timing.
 
 ``benchmarks/run_micro_bench.py`` runs the same cases standalone and dumps
 ``BENCH_micro.json`` so the perf trajectory is tracked across PRs.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.compression.base import ClientPayload, weighted_dense_sum
-from repro.compression.topk import top_k_indices
+from repro.compression.topk import select_top_k, top_k_indices
 from repro.datasets import femnist_like
 from repro.fl.staleness import StalenessTracker
 from repro.nn import Conv2d, CrossEntropyLoss, Sequential
@@ -32,6 +32,21 @@ def big_vector():
 def test_topk_5m(benchmark, big_vector):
     idx = benchmark(top_k_indices, big_vector, D // 10)
     assert len(idx) == D // 10
+
+
+def test_mask_shift_sparse_support_5m(benchmark):
+    """Alg. 3 line 26 on the shape an aggregate has: 80 % exact zeros plus
+    its sorted support (q = 0.2, q_shr = 0.16).  Dropping ``support=``
+    times the pathology this case is named for — introselect over 4M ties
+    at zero, an order of magnitude slower than ``test_topk_5m``'s
+    tie-free vector of the same length."""
+    rng = np.random.default_rng(4)
+    support = np.sort(rng.choice(D, size=D // 5, replace=False))
+    delta = np.zeros(D)
+    delta[support] = rng.normal(size=len(support))
+    k_shr = D * 4 // 25
+    idx = benchmark(select_top_k, delta, k_shr, support=support)
+    assert len(idx) == k_shr
 
 
 def test_staleness_bookkeeping_5m(benchmark):
@@ -62,25 +77,6 @@ def test_sparse_accumulate_scatter_5m(benchmark):
     """The shipped path: one np.add.at scatter per payload (sorted idx)."""
     payloads = _sparse_payloads(k_clients=10)
     acc = benchmark(weighted_dense_sum, payloads, D)
-    assert np.isfinite(acc).all()
-
-
-def test_sparse_accumulate_bincount_5m(benchmark):
-    """The rejected alternative: concatenated (idx, ν·vals) + one bincount.
-
-    Kept as a benchmark so the comparison stays honest across numpy
-    versions — at d=5M this loses to the per-payload scatter at every
-    density tried (the concatenated index/value arrays cost more to build
-    than the scatters save).
-    """
-    payloads = _sparse_payloads(k_clients=10)
-
-    def accumulate():
-        idx = np.concatenate([p.data["idx"] for _, _, p in payloads])
-        vals = np.concatenate([w * p.data["vals"] for _, w, p in payloads])
-        return np.bincount(idx, weights=vals, minlength=D)
-
-    acc = benchmark(accumulate)
     assert np.isfinite(acc).all()
 
 

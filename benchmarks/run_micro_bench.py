@@ -155,15 +155,9 @@ def micro_ops(repeats: int) -> dict:
             (i, 1 / 30, ClientPayload(0, {"idx": idx, "vals": rng.normal(size=keep)}))
         )
 
-    def concat_bincount():
-        idx = np.concatenate([p.data["idx"] for _, _, p in payloads])
-        vals = np.concatenate([w * p.data["vals"] for _, w, p in payloads])
-        return np.bincount(idx, weights=vals, minlength=D)
-
     out["aggregate_scatter_k30_5m_s"] = timed(
         lambda: weighted_dense_sum(payloads, D), repeats
     )
-    out["aggregate_bincount_k30_5m_s"] = timed(concat_bincount, repeats)
 
     for dtype, label in ((np.float64, "f64"), (np.float32, "f32")):
         model = Sequential(

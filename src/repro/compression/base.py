@@ -67,6 +67,18 @@ class AggregateResult:
     changed_idx:
         Coordinates where ``global_delta`` is (possibly) non-zero — exactly
         the positions a stale client will eventually have to download.
+        Sorted ascending, without duplicates.
+
+    **Invariant: ``global_delta`` is exactly zero outside ``changed_idx``.**
+    Every server step after aggregation relies on it to do work
+    proportional to ``len(changed_idx)`` rather than ``d``: the mask shift
+    selects among ``global_delta[changed_idx]``
+    (:func:`~repro.compression.topk.select_top_k` with ``support=``), and
+    the staleness ledger advances its version histogram from
+    ``changed_idx`` alone.  A strategy that moves a coordinate it does not
+    list would have that movement ignored by both — and never downloaded
+    by stale clients.  ``changed_idx`` may over-approximate (listed
+    coordinates can hold zeros).
     """
 
     global_delta: np.ndarray
@@ -237,14 +249,10 @@ def weighted_dense_sum(
     """Accumulate ``Σ ν_i · sparse_i`` into a single dense vector.
 
     Shared by STC/GlueFL aggregation paths; ``np.add.at`` handles repeated
-    indices across clients correctly.  One scatter per payload into one
-    shared accumulator is the measured winner at paper scale: top-k
-    indices arrive pre-sorted, so each scatter streams the accumulator in
-    order, and it beats the concatenated-``bincount`` formulation at every
-    density tried (1–10% of d = 5M; see ``benchmarks/bench_micro_ops.py``)
-    because the latter pays for materializing the 15M-element concatenated
-    index/value arrays first.  The accumulator uses the run-level
-    ``dtype``, so float32 runs halve the memory traffic of this loop.
+    indices across clients correctly.  Top-k indices arrive pre-sorted,
+    so each per-payload scatter streams the one shared accumulator in
+    order.  The accumulator uses the run-level ``dtype``, so float32 runs
+    halve the memory traffic of this loop.
 
     ``out`` (optional) supplies a caller-owned zeroed accumulator — e.g.
     arena scratch when the result does not escape the caller's scope.

@@ -115,15 +115,21 @@ class ResidualStore:
         if entry is None:
             return delta.copy()
         h = self._flat(entry[0])
+        # the ufunc-level spelling of ``h.astype(delta.dtype)``
+        cast = {"dtype": delta.dtype, "casting": "unsafe"}
         if self.mode is ErrorCompMode.REC:
             if current_weight <= 0:
                 raise ValueError(
                     f"non-positive aggregation weight {current_weight} for "
                     f"client {client_id}"
                 )
-            scale = entry[1] / current_weight
-            return delta + scale * h.astype(delta.dtype)
-        return delta + h.astype(delta.dtype)
+            # scale·h lands directly in the caller-owned result and delta
+            # is added in place: the same two IEEE operations (in delta's
+            # dtype) as ``delta + scale * h.astype(delta.dtype)``, without
+            # its cast copy and product temporary
+            out = np.multiply(h, entry[1] / current_weight, **cast)
+            return np.add(delta, out, out=out)
+        return np.add(delta, h, **cast)
 
     def record(
         self, client_id: int, residual: np.ndarray, weight: float

@@ -38,7 +38,12 @@ from repro.compression.base import (
     weighted_dense_sum,
 )
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
-from repro.compression.topk import ratio_to_k, select_top_k, top_k_indices
+from repro.compression.topk import (
+    ratio_to_k,
+    select_top_k,
+    top_k_indices,
+    union_sorted,
+)
 from repro.runtime.arena import scratch_zeros
 from repro.network.encoding import bitmap_bytes, sparse_bytes, values_bytes
 
@@ -213,16 +218,22 @@ class GlueFLMaskStrategy(CompressionStrategy):
             global_delta[mask] = shr_acc
         global_delta[keep] += uni_acc[keep]
 
-        changed = np.union1d(mask, keep).astype(np.int64)
-        return AggregateResult(global_delta=global_delta, changed_idx=changed)
+        return AggregateResult(
+            global_delta=global_delta, changed_idx=union_sorted(mask, keep)
+        )
 
     def end_round(self, agg: AggregateResult, round_idx: int) -> None:
-        # Alg. 3 line 26 / §3.3 regeneration: next mask from this update
+        # Alg. 3 line 26 / §3.3 regeneration: next mask from this update.
+        # Δ̃_t is zero outside changed_idx (the AggregateResult invariant),
+        # so the selection runs over those q·d values, not over d
         self._check_setup()
         self._regen_pending = False
         if self._k_shr > 0:
             self.mask_idx = select_top_k(
-                agg.global_delta, self._k_shr, self.sharding
+                agg.global_delta,
+                self._k_shr,
+                self.sharding,
+                support=agg.changed_idx,
             )
 
     def abort_round(self, round_idx: int) -> None:

@@ -5,6 +5,12 @@ coordinates" (client-side in STC/GlueFL, server-side in STC/GlueFL mask
 updates).  ``argpartition`` gives O(d) selection; ties are broken
 arbitrarily but deterministically (numpy's partition order), which is fine —
 the paper's algorithms are insensitive to tie order.
+
+Server-side vectors are sparse by construction — an aggregated update has
+``q·d`` non-zeros — and a dense selection over one is introselect's worst
+case (``(1 − q)·d`` exact ties at zero).  :func:`top_k_in_support` selects
+among the support's values only, so the mask shift costs O(q·d); the index
+sets it works on are combined by :func:`union_sorted`, a linear merge.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ __all__ = [
     "top_k_mask",
     "sparsify_top_k",
     "select_top_k",
+    "top_k_in_support",
+    "union_sorted",
     "ratio_to_k",
 ]
 
@@ -50,10 +58,28 @@ def top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
     mag = scratch_empty(x.shape, x.dtype)
     np.abs(x, out=mag)
     idx = np.argpartition(mag, d - k)[d - k :]
-    return np.sort(idx).astype(np.int64)
+    return np.sort(idx).astype(np.int64, copy=False)
 
 
-def select_top_k(x: np.ndarray, k: int, sharding=None) -> np.ndarray:
+def top_k_in_support(
+    values: np.ndarray, support: np.ndarray, k: int
+) -> np.ndarray:
+    """Coordinates of the ``k`` largest ``|values|`` of a sparse vector.
+
+    The vector is in coordinate form: ``values[i]`` sits at coordinate
+    ``support[i]`` (sorted ascending) and everything outside ``support``
+    is exactly zero.  The selection sees ``len(support)`` values instead
+    of ``d``, and returns the same (sorted) coordinates a dense
+    :func:`top_k_indices` over the scattered vector would whenever the
+    k-th magnitude is untied.  With ``k >= len(support)`` the whole
+    support comes back: a sparse vector has no other coordinates to offer.
+    """
+    return support[top_k_indices(values, k)]
+
+
+def select_top_k(
+    x: np.ndarray, k: int, sharding=None, support=None
+) -> np.ndarray:
     """:func:`top_k_indices`, routed through a bound sharding runtime.
 
     The one seam strategies use for server-side top-k: with a
@@ -62,10 +88,34 @@ def select_top_k(x: np.ndarray, k: int, sharding=None) -> np.ndarray:
     index set whenever the k-th magnitude is untied — the same arbitrary
     tie-breaking contract ``argpartition`` already has); with ``None`` it
     is exactly the unsharded selection.
+
+    ``support`` (sorted coordinates outside which ``x`` is exactly zero,
+    e.g. :attr:`AggregateResult.changed_idx
+    <repro.compression.base.AggregateResult>`) restricts the selection to
+    ``x[support]`` via :func:`top_k_in_support`.  Asking for at least the
+    whole support is the one case that needs coordinates from outside it,
+    and runs the dense selection.
     """
     if sharding is not None:
-        return sharding.top_k_indices(x, k)
+        return sharding.top_k_indices(x, k, support)
+    if support is not None and k < len(support):
+        return top_k_in_support(x[support], support, k)
     return top_k_indices(x, k)
+
+
+def union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted ``int64`` index arrays.
+
+    A stable sort of the concatenation merges the two pre-sorted runs in
+    O(len(a) + len(b)); duplicates (within or across the inputs) collapse
+    to one entry — numpy's own set union re-sorts from scratch instead.
+    """
+    merged = np.concatenate((a, b), dtype=np.int64)
+    merged.sort(kind="stable")
+    fresh = np.empty(len(merged), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
+    return merged[fresh]
 
 
 def top_k_mask(x: np.ndarray, k: int) -> np.ndarray:

@@ -39,6 +39,9 @@ class StalenessTracker:
         self.num_clients = num_clients
         self.version = 0
         self.last_modified = np.zeros(d, dtype=np.int64)
+        # _version_hist[v] = #coordinates with last_modified == v, kept in
+        # step by record_update so stale_counts never rescans d
+        self._version_hist = np.array([d], dtype=np.int64)
         self._last_sync = LazyClientState()
 
     @property
@@ -57,10 +60,23 @@ class StalenessTracker:
         )
 
     def record_update(self, changed_idx: np.ndarray) -> int:
-        """Advance the model version; ``changed_idx`` now carry it."""
+        """Advance the model version; ``changed_idx`` now carry it.
+
+        ``changed_idx`` must hold no duplicates (the
+        :class:`~repro.compression.base.AggregateResult` contract): the
+        per-version histogram moves each listed coordinate from its old
+        version's bin to the new one, in O(len(changed_idx) + versions).
+        """
         self.version += 1
+        hist = np.zeros(self.version + 1, dtype=np.int64)
+        hist[:-1] = self._version_hist
         if len(changed_idx):
+            hist[:-1] -= np.bincount(
+                self.last_modified[changed_idx], minlength=self.version
+            )
+            hist[-1] = len(changed_idx)
             self.last_modified[changed_idx] = self.version
+        self._version_hist = hist
         return self.version
 
     def stale_count(self, client_id: int) -> int:
@@ -73,14 +89,15 @@ class StalenessTracker:
     def stale_counts(self, client_ids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`stale_count` over several clients.
 
-        Uses a version histogram + suffix sum so the cost is
-        ``O(d + versions + len(client_ids))`` instead of
-        ``O(d · len(client_ids))``.
+        A suffix sum over the per-version histogram ``record_update``
+        maintains, so the cost is ``O(versions + len(client_ids))`` —
+        independent of ``d``.
         """
         client_ids = np.asarray(client_ids)
-        hist = np.bincount(self.last_modified, minlength=self.version + 1)
         # changed_after[v] = #coords with last_modified > v
-        suffix = np.concatenate([np.cumsum(hist[::-1])[::-1], [0]])
+        suffix = np.concatenate(
+            [np.cumsum(self._version_hist[::-1])[::-1], [0]]
+        )
         last = self.last_sync_of(client_ids)
         lookup = suffix[np.minimum(last + 1, self.version + 1)]
         return np.where(last < 0, self.d, lookup).astype(np.int64, copy=False)

@@ -16,7 +16,13 @@ Three families of kernel cover the whole GlueFL server hot path:
   of the answer; one ``argpartition`` over the (tiny) candidate
   magnitudes finishes the job.  Ties at the k-th magnitude are broken
   arbitrarily — exactly the contract ``np.argpartition`` already has in
-  the unsharded :func:`~repro.compression.topk.top_k_indices`.
+  the unsharded :func:`~repro.compression.topk.top_k_indices`.  These
+  are the kernels for *dense* inputs; a vector with a known sorted
+  support (the mask shift over an aggregated update) never comes here —
+  :meth:`ShardingRuntime.top_k_indices
+  <repro.sharding.runtime.ShardingRuntime.top_k_indices>` dispatches
+  :func:`~repro.compression.topk.top_k_in_support` over the support's
+  per-shard slices instead, which is a module-level pure function too.
 
 Every function here is a module-level pure function of its arguments so
 the ``process`` shard backend can ship it through a fork pool unchanged.

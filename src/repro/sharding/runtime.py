@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compression.topk import top_k_in_support
 from repro.sharding.executor import ShardExecutor
 from repro.sharding.kernels import (
     merge_top_candidates,
@@ -227,18 +228,38 @@ class ShardingRuntime:
         return acc
 
     # -- selection --------------------------------------------------------
-    def top_k_indices(self, x: np.ndarray, k: int) -> np.ndarray:
+    def top_k_indices(
+        self, x: np.ndarray, k: int, support: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Exact global top-``k`` of ``|x|`` via per-shard candidates.
 
         Same contract as :func:`~repro.compression.topk.top_k_indices`
         (sorted ascending, all of ``[0, d)`` when ``k >= d``, empty when
         ``k <= 0``); identical index set whenever the k-th magnitude is
         untied — the same arbitrary-tie contract ``argpartition`` has.
+
+        ``support`` (sorted coordinates outside which ``x`` is exactly
+        zero) makes every shard select among its slice of the support's
+        values instead of its whole coordinate range, and the merge among
+        the candidates' values: :func:`top_k_in_support` at both levels.
+        ``k >= len(support)`` needs coordinates from outside the support
+        and runs the dense selection.
         """
         if k <= 0:
             return np.empty(0, dtype=np.int64)
         if k >= x.shape[0]:
             return np.arange(x.shape[0], dtype=np.int64)
+        if support is not None and k < len(support):
+            values = x[support]
+            pts = self.spec.split_points(support)
+            tasks = [
+                (values[a:b], support[a:b], k)
+                for a, b in zip(pts[:-1], pts[1:])
+            ]
+            # per-shard winners arrive in shard order, each sorted: the
+            # concatenation is itself a sorted support
+            cand = np.concatenate(self.executor.map(top_k_in_support, tasks))
+            return top_k_in_support(x[cand], cand, k)
         tasks = [
             (x[lo:hi], k, lo) for _s, lo, hi in self.spec.iter_bounds()
         ]

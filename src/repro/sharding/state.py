@@ -20,8 +20,10 @@ ever materializing a dense length-``d`` vector in RAM:
   (:func:`_apply_shard` reopens by path, so the ``process`` backend works
   without shipping parameters);
 * the next shared mask is the top-``k_shr`` of the (sparse) global delta
-  — exact versus the dense formulation whenever the delta's support
-  carries at least ``k_shr`` nonzero magnitudes, GlueFL's generic case.
+  (:func:`~repro.compression.topk.top_k_in_support`, the helper the
+  integrated path's mask shift also runs on) — exact versus the dense
+  formulation whenever the delta's support carries at least ``k_shr``
+  nonzero magnitudes, GlueFL's generic case.
 
 The integrated :class:`~repro.fl.server.FLServer` path instead binds a
 :class:`~repro.sharding.runtime.ShardingRuntime` to its strategy (dense
@@ -40,6 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
+from repro.compression.topk import top_k_in_support, union_sorted
 from repro.sharding.executor import ShardExecutor
 from repro.sharding.kernels import merge_top_candidates
 from repro.sharding.partition import ShardSpec
@@ -242,7 +245,7 @@ class ShardedServerState:
         # sparse global delta: mask positions take shr_acc, kept unique
         # positions add their aggregate (the dense formulation's
         # ``delta[mask] = shr; delta[keep] += uni[keep]``)
-        changed = np.union1d(mask, keep).astype(np.int64, copy=False)
+        changed = union_sorted(mask, keep)
         changed_vals = np.zeros(len(changed), dtype=self.dtype)
         if len(mask):
             changed_vals[np.searchsorted(changed, mask)] = shr_acc
@@ -255,14 +258,7 @@ class ShardedServerState:
         # Alg. 3 line 26 over the sparse delta: exact vs the dense top-k
         # whenever the support holds >= k_shr nonzero magnitudes
         if self.k_shr > 0:
-            m = len(changed)
-            if self.k_shr >= m:
-                self.mask_idx = changed.copy()
-            else:
-                sel = np.argpartition(
-                    np.abs(changed_vals), m - self.k_shr
-                )[m - self.k_shr :]
-                self.mask_idx = np.sort(changed[sel])
+            self.mask_idx = top_k_in_support(changed_vals, changed, self.k_shr)
         self.round_idx += 1
         return changed, changed_vals
 

@@ -67,3 +67,28 @@ def test_peek(rng):
 
 def test_mode_accepts_string():
     assert ResidualStore("rec").mode is ErrorCompMode.REC
+
+
+@pytest.mark.parametrize("mode", [ErrorCompMode.EC, ErrorCompMode.REC])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_compensate_is_bit_identical_to_eq7_reference(rng, mode, dtype):
+    """The fused in-place form performs Eq. 7's two operations in the
+    delta's dtype — no different from the three-temporary expression."""
+    store = ResidualStore(mode)
+    residual = rng.normal(size=257).astype(dtype)
+    store.record(0, residual.copy(), weight=0.3)
+    delta = rng.normal(size=257).astype(dtype)
+    kept = delta.copy()
+    out = store.compensate(0, delta, current_weight=0.7)
+
+    h = residual.astype(np.float32)
+    scale = 0.3 / 0.7 if mode is ErrorCompMode.REC else None
+    expected = (
+        delta + scale * h.astype(dtype) if scale else delta + h.astype(dtype)
+    )
+    assert out.dtype == expected.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(out, expected)
+    # caller-owned: zeroing it touches neither the delta nor the store
+    out[:] = 0.0
+    np.testing.assert_array_equal(delta, kept)
+    np.testing.assert_array_equal(store.peek(0)[0], h)

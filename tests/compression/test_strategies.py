@@ -7,9 +7,12 @@ from repro.compression import (
     APFStrategy,
     ErrorCompMode,
     FedAvgStrategy,
+    GlueFLMaskStrategy,
+    QuantizedStrategy,
     STCStrategy,
 )
 from repro.network.encoding import dense_bytes, sparse_bytes, values_bytes
+from repro.privacy import PrivateStrategy
 
 
 def setup_strategy(strategy, d=100, seed=0):
@@ -212,3 +215,50 @@ def test_apf_validation():
         APFStrategy(check_every=0)
     with pytest.raises(ValueError):
         APFStrategy(base_period=10, max_period=5)
+
+
+# ------------------------------------------- AggregateResult invariant
+def _private(inner):
+    return PrivateStrategy(
+        inner, clip_norm=1.0, noise_multiplier=0.5, sample_rate=0.1,
+        values_only=True,
+    )
+
+
+def _gluefl():
+    return GlueFLMaskStrategy(q=0.2, q_shr=0.1, regen_interval=3)
+
+
+@pytest.mark.filterwarnings("ignore:.*transmits client-chosen indices:UserWarning")
+@pytest.mark.parametrize(
+    "build",
+    [
+        FedAvgStrategy,
+        lambda: STCStrategy(q=0.2),
+        lambda: STCStrategy(q=0.2, server_residual=True),
+        _gluefl,
+        lambda: APFStrategy(warmup_rounds=2, check_every=1, base_period=2),
+        lambda: QuantizedStrategy(_gluefl(), bits=4),
+        lambda: QuantizedStrategy(STCStrategy(q=0.2), bits=4),
+        lambda: _private(_gluefl()),
+        lambda: _private(FedAvgStrategy()),
+    ],
+)
+def test_global_delta_is_zero_outside_changed_idx(rng, build):
+    """What the support-sized mask shift and staleness ledger rely on:
+    every coordinate a strategy moves is listed — once, in order."""
+    d = 120
+    s = setup_strategy(build(), d=d)
+    for t in range(1, 7):
+        s.begin_round(t)
+        payloads = [
+            (i, 0.5, s.client_compress(i, rng.normal(size=d), 0.5))
+            for i in range(2)
+        ]
+        agg = s.aggregate(payloads)
+        s.end_round(agg, t)
+        assert agg.changed_idx.dtype == np.int64
+        assert (np.diff(agg.changed_idx) > 0).all()  # sorted, no duplicates
+        outside = np.ones(d, dtype=bool)
+        outside[agg.changed_idx] = False
+        np.testing.assert_array_equal(agg.global_delta[outside], 0.0)

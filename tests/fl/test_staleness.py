@@ -95,3 +95,28 @@ def test_sync_gaps_vectorized():
     # client 0: synced at v0, now v2 -> gap 2; client 1: gap 1;
     # client 2: never contacted -> -1
     np.testing.assert_array_equal(gaps, [2, 1, -1])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_version_histogram_matches_brute_force(seed):
+    """The incrementally maintained per-version histogram behind
+    ``stale_counts`` == a scan of ``last_modified`` per client, over random
+    update / sync sequences (empty, overlapping and full-width updates)."""
+    rng = np.random.default_rng(seed)
+    d, n = 60, 8
+    tr = StalenessTracker(d=d, num_clients=n)
+    ids = np.arange(n)
+    for _ in range(40):
+        if rng.random() < 0.6:
+            size = int(rng.choice([0, 1, rng.integers(0, d + 1), d]))
+            tr.record_update(
+                np.sort(rng.choice(d, size=size, replace=False))
+            )
+        else:
+            tr.mark_synced(rng.choice(n, size=rng.integers(0, n), replace=False))
+        last = tr.last_sync_of(ids)
+        brute = np.where(
+            last < 0, d, (tr.last_modified[None, :] > last[:, None]).sum(axis=1)
+        )
+        np.testing.assert_array_equal(tr.stale_counts(ids), brute)
+        assert tr.stale_counts(ids).dtype == np.int64
