@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.runtime.arena import scratch_empty
+from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "top_k_indices",
@@ -111,11 +112,7 @@ def union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     to one entry — numpy's own set union re-sorts from scratch instead.
     """
     merged = np.concatenate((a, b), dtype=np.int64)
-    merged.sort(kind="stable")
-    fresh = np.empty(len(merged), dtype=bool)
-    fresh[:1] = True
-    np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
-    return merged[fresh]
+    return sorted_unique(merged, kind="stable")
 
 
 def top_k_mask(x: np.ndarray, k: int) -> np.ndarray:

@@ -3,14 +3,21 @@
 At construction the bound trace converts its dynamics into *transition
 events* on this queue, and ``advance`` only touches the clients those
 events name — O(transitions) per round instead of a rewrite and re-settle
-of all N devices.  Two event classes cover every trace in the repo:
+of all N devices.  Three registration kinds cover every trace in the repo:
 
-scheduled events (``schedule``)
-    Absolute state transitions pinned to a round — duty-cycle window
-    flips, diurnal window edges, drop-cooldown revivals.  When ``advance``
-    jumps several rounds at once, *all* events up to the target round
-    drain in ``(round, seq)`` order, so the population lands in the same
-    state advancing round by round would have produced.
+periodic flips (``schedule_periodic``)
+    Deterministic availability flips that repeat forever — duty-cycle
+    window edges, jitter-free diurnal day/night edges.  One vector call
+    registers per-id ``(period, residue)`` pairs; the queue compiles them
+    into a *flip wheel* (a CSR table with one row per ``(period,
+    residue)``), and each drained round gathers the ids whose
+    ``round % period == residue`` and flips them with a single
+    ``set_available`` — no per-chain Python objects, no heap traffic.
+
+one-shot events (``schedule``)
+    A callable pinned to one round — drop-cooldown revivals, a trace's
+    one-off outages, anything that writes a float column.  These live on
+    a min-heap and are the only thing ``len(queue)`` counts.
 
 recurring actions (``add_recurring``)
     Per-round behavior that consumes RNG or otherwise depends on the
@@ -19,25 +26,43 @@ recurring actions (``add_recurring``)
     fire exactly once per ``advance``, at the target round only — once per
     *queried* round, never for skipped rounds — in registration order.
 
-Actions are callables ``action(population, fire_round)`` where
-``fire_round`` is the round the event was scheduled for (scheduled
-events) or the advance target (recurring actions).  Self-rescheduling
-actions re-arm relative to ``fire_round``, which keeps periodic chains
-aligned across round jumps.
+**Ordering contract.**  When ``advance`` jumps several rounds at once,
+*every* round up to the target drains, in round order, so the population
+lands in the state advancing round by round would have produced.  Within
+one drained round ``r`` — skipped rounds of a jump included — the wheel's
+flips of ``r`` apply *before* any one-shot event scheduled for ``r``, and
+same-round one-shots fire in the order they were scheduled.  A revival
+therefore always settles against the availability of its own round,
+however long ago it was armed; the order in which ids enter the
+population's idle index (and so every pool-sampled cohort) depends on it.
 
+Actions are callables ``action(population, fire_round)`` where
+``fire_round`` is the round the event was scheduled for (one-shot events
+and wheel flips) or the advance target (recurring actions).
+
+>>> import numpy as np
 >>> q = PopulationEventQueue()
 >>> fired = []
 >>> q.schedule(3, lambda pop, r: fired.append(("b", r)))
 >>> q.schedule(1, lambda pop, r: fired.append(("a", r)))
 >>> q.add_recurring(lambda pop, r: fired.append(("tick", r)))
->>> for fire_round, action in q.pop_due(4):
-...     action(None, fire_round)
+>>> # clients 0 and 1 go dark on even rounds; client 1 returns on odd ones
+>>> q.schedule_periodic(np.array([0, 1]), 2, 0, False)
+>>> q.schedule_periodic(np.array([1]), 2, 1, True)
+>>> class Recorder:
+...     def set_available(self, ids, value):
+...         fired.append((ids.tolist(), value))
+>>> pop = Recorder()
+>>> for fire_round, action in q.pop_due(3):
+...     action(pop, fire_round)
 >>> for action in q.recurring:
-...     action(None, 4)
->>> fired
-[('a', 1), ('b', 3), ('tick', 4)]
->>> len(q)
-0
+...     action(pop, 3)
+>>> fired[:3]                   # round 1: the wheel first, then the one-shot
+[([1], True), ('a', 1), ([0, 1], False)]
+>>> fired[3:]
+[([1], True), ('b', 3), ('tick', 3)]
+>>> len(q), q.periodic_ids.tolist(), q.drained_events, q.flipped_ids
+(0, [0, 1], 2, 4)
 """
 
 from __future__ import annotations
@@ -45,29 +70,136 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterator, List, Tuple
 
+import numpy as np
+
+from repro.utils.arrays import sorted_unique
+
 __all__ = ["PopulationEventQueue"]
 
 #: an event action: ``action(population, fire_round)``
 Action = Callable[[object, int], None]
 
 
-class PopulationEventQueue:
-    """Min-heap of ``(round, seq, action)`` plus a recurring-action list.
+class _FlipWheel:
+    """One direction's periodic flips, compiled to a CSR table.
 
-    ``seq`` is a monotone tie-break so same-round events fire in the
+    ``ids`` is ordered by ``(period, residue, id)``; row ``row_start[j] +
+    r % periods[j]`` of ``row_ptr`` brackets the ids of distinct period
+    ``periods[j]`` that flip to ``value`` at round ``r``.  Memory is
+    O(ids + Σ distinct periods); a round's lookup is one gather over the
+    distinct periods' rows, independent of how many ids hold still.
+    """
+
+    __slots__ = ("value", "ids", "periods", "row_start", "row_ptr")
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        period: np.ndarray,
+        residue: np.ndarray,
+        value: bool,
+    ) -> None:
+        self.value = value
+        self.periods = sorted_unique(period.copy())  # sorts in place
+        spans = np.cumsum(self.periods, dtype=np.int64)
+        self.row_start = spans - self.periods
+        row = self.row_start[np.searchsorted(self.periods, period)]
+        row += residue % period
+        self.ids = ids[np.lexsort((ids, row))]
+        counts = np.bincount(row, minlength=int(spans[-1]))
+        self.row_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.row_ptr[1:])
+
+    def ids_at(self, round_idx: int) -> np.ndarray:
+        """The ids flipping at ``round_idx``: those registered with
+        ``round_idx % period == residue``."""
+        rows = self.row_start + round_idx % self.periods
+        first = self.row_ptr[rows]
+        count = self.row_ptr[rows + 1] - first
+        # output slot i of the segment copied from row k reads
+        # ids[first[k] + (i - out_start[k])]
+        shift = first - (np.cumsum(count, dtype=np.int64) - count)
+        take = np.arange(int(count.sum()), dtype=np.int64)
+        take += np.repeat(shift, count)
+        return self.ids[take]
+
+
+class _WheelFlip:
+    """The action a drained wheel round yields: one ``set_available``."""
+
+    __slots__ = ("ids", "value")
+
+    def __init__(self, ids: np.ndarray, value: bool) -> None:
+        self.ids = ids
+        self.value = value
+
+    def __call__(self, population, fire_round: int) -> None:
+        population.set_available(self.ids, self.value)
+
+
+class PopulationEventQueue:
+    """Flip wheel + min-heap of ``(round, seq, action)`` one-shots + a
+    recurring-action list (see the module docstring for the three kinds
+    and the order they drain in).
+
+    ``seq`` is a monotone tie-break so same-round one-shots fire in the
     order they were scheduled — the same FIFO discipline as
-    :class:`~repro.engine.clock.SimClock`.
+    :class:`~repro.engine.clock.SimClock`.  ``len(queue)`` is the number
+    of pending one-shot events only; the wheel's size is
+    ``len(queue.periodic_ids)``.
+
+    ``drained_events`` (one-shot events fired) and ``flipped_ids`` (ids
+    the wheel has flipped) are monotone counters updated by the drain.
     """
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, Action]] = []
         self._seq = 0
         self._recurring: List[Action] = []
+        self._wheels: List[_FlipWheel] = []
+        self._drained_round = 0
+        self.drained_events = 0
+        self.flipped_ids = 0
 
     def schedule(self, round_idx: int, action: Action) -> None:
-        """Arm ``action`` to fire when ``advance`` reaches ``round_idx``."""
+        """Arm ``action`` to fire once, when ``advance`` reaches
+        ``round_idx``."""
         heapq.heappush(self._heap, (int(round_idx), self._seq, action))
         self._seq += 1
+
+    def schedule_periodic(self, ids, period, residue, value) -> None:
+        """Flip ``available[ids[i]]`` to ``value[i]`` at every round ``r``
+        with ``r % period[i] == residue[i] % period[i]``, forever.
+
+        ``period`` (≥ 1), ``residue`` and ``value`` are per-id arrays or
+        scalars that broadcast against ``ids``.  Each call compiles its
+        own wheel per direction, so register a trace's flips in as few
+        calls as it has directions, not one call per client group.  Flips
+        start with the first round not yet drained: rounds are 1-based,
+        round 0 being the state the trace seeded, and a call made after
+        rounds have drained joins from the next one.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ValueError("ids must be one-dimensional")
+        period = np.broadcast_to(np.asarray(period, dtype=np.int64), ids.shape)
+        residue = np.broadcast_to(
+            np.asarray(residue, dtype=np.int64), ids.shape
+        )
+        if len(ids) and period.min() < 1:
+            raise ValueError("period must be >= 1")
+        value = np.asarray(value, dtype=bool)
+        if value.ndim == 0:
+            directions = [(bool(value), slice(None))]
+        else:
+            value = np.broadcast_to(value, ids.shape)
+            directions = [(True, value), (False, ~value)]
+        for direction, pick in directions:
+            chosen = ids[pick]
+            if len(chosen):
+                self._wheels.append(
+                    _FlipWheel(chosen, period[pick], residue[pick], direction)
+                )
 
     def add_recurring(self, action: Action) -> None:
         """Register a per-round action (fires once per ``advance``)."""
@@ -78,17 +210,39 @@ class PopulationEventQueue:
         """The registered per-round actions, in registration order."""
         return tuple(self._recurring)
 
+    @property
+    def periodic_ids(self) -> np.ndarray:
+        """Sorted distinct ids the wheel holds (a fresh array)."""
+        held = [np.empty(0, dtype=np.int64)]
+        held += [wheel.ids for wheel in self._wheels]
+        return sorted_unique(np.concatenate(held, dtype=np.int64))
+
+    def _pop_one_shots(self, round_idx: int) -> Iterator[Tuple[int, Action]]:
+        heap = self._heap
+        while heap and heap[0][0] <= round_idx:
+            fire_round, _, action = heapq.heappop(heap)
+            self.drained_events += 1
+            yield fire_round, action
+
     def pop_due(self, round_idx: int) -> Iterator[Tuple[int, Action]]:
         """Drain ``(fire_round, action)`` pairs due at or before
-        ``round_idx``, in ``(round, seq)`` order.
+        ``round_idx``: round by round, the wheel's flips of a round
+        first, then that round's one-shots in scheduling order.
 
-        Actions may ``schedule`` follow-up events while draining (the
-        periodic-chain pattern); follow-ups due within the same drain
-        fire in the same pass.
+        Actions may ``schedule`` follow-up events while draining;
+        follow-ups due within the same drain fire in the same pass.
         """
-        while self._heap and self._heap[0][0] <= round_idx:
-            fire_round, _, action = heapq.heappop(self._heap)
-            yield fire_round, action
+        if self._wheels:
+            for r in range(self._drained_round + 1, round_idx + 1):
+                yield from self._pop_one_shots(r - 1)
+                self._drained_round = r
+                for wheel in self._wheels:
+                    ids = wheel.ids_at(r)
+                    if len(ids):
+                        self.flipped_ids += len(ids)
+                        yield r, _WheelFlip(ids, wheel.value)
+        yield from self._pop_one_shots(round_idx)
+        self._drained_round = max(self._drained_round, round_idx)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -97,5 +251,8 @@ class PopulationEventQueue:
         nxt = self._heap[0][0] if self._heap else None
         return (
             f"PopulationEventQueue(pending={len(self._heap)}, "
-            f"recurring={len(self._recurring)}, next_round={nxt})"
+            f"periodic_flips={sum(len(w.ids) for w in self._wheels)}, "
+            f"recurring={len(self._recurring)}, next_round={nxt}, "
+            f"drained_events={self.drained_events}, "
+            f"flipped_ids={self.flipped_ids})"
         )

@@ -35,7 +35,7 @@ Advancing is event-driven.  At construction the bound
 transition events on a
 :class:`~repro.population.events.PopulationEventQueue`; ``advance`` drains
 the due events and settles *only the touched ids*, drop-cooldown revivals
-are scheduled events, and a maintained idle index (``idle_pool``) lets
+are one-shot events, and a maintained idle index (``idle_pool``) lets
 samplers draw from O(idle) without N-wide masks.  ``state_counts`` reads
 O(1) counters maintained at transition time.  Mutate ``state`` only
 through the API (``begin_work`` / ``complete_work`` / ``drop_work`` /
@@ -73,6 +73,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.population.events import PopulationEventQueue
+from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "IDLE",
@@ -365,9 +366,11 @@ class DeviceStatePopulation:
     def advance(self, round_idx: int) -> None:
         """Advance the state columns to ``round_idx`` (idempotent per round).
 
-        Drains every scheduled event due at or before ``round_idx``, fires
-        the recurring actions once for ``round_idx`` itself, then settles
-        only the touched ids — O(transitions), not O(N).
+        Drains every periodic flip and one-shot event due at or before
+        ``round_idx`` (round by round, a round's flips before its
+        one-shots), fires the recurring actions once for ``round_idx``
+        itself, then settles only the touched ids — O(transitions), not
+        O(N).
         """
         if round_idx == self._round:
             return
@@ -383,7 +386,9 @@ class DeviceStatePopulation:
         finally:
             self._touch_buf = None
         if touched:
-            self._settle_ids(np.unique(np.concatenate(touched)))
+            self._settle_ids(
+                sorted_unique(np.concatenate(touched, dtype=np.int64))
+            )
 
     def online(self, round_idx: int) -> np.ndarray:
         """Boolean mask of *selectable* clients: idle at ``round_idx``.

@@ -7,11 +7,12 @@ a :class:`~repro.population.population.DeviceStatePopulation` once:
 events on the population's
 :class:`~repro.population.events.PopulationEventQueue`, so each round
 costs O(transitions), never O(N).  Deterministic dynamics (duty-cycle
-windows, jitter-free diurnal edges) become periodic index flips;
-dynamics that consume RNG or read an opaque ``online(round_idx)`` object
-(device-class redraws, diurnal jitter, storm bursts, external traces)
-become recurring actions that fire once per queried round, make their
-draws in registration order, and write only the changed indices.
+windows, jitter-free diurnal edges) become periodic flips on the queue's
+compiled flip wheel; dynamics that consume RNG or read an opaque
+``online(round_idx)`` object (device-class redraws, diurnal jitter, storm
+bursts, external traces) become recurring actions that fire once per
+queried round, make their draws in registration order, and write only
+the changed indices.
 
 Traces compose: :class:`ChurnStormTrace` wraps any base availability trace
 and layers burst-round effects on top — the base's events touch
@@ -72,45 +73,15 @@ class DeviceTrace:
 
     def schedule(self, population, queue) -> None:
         """Translate the trace's dynamics into transition events on
-        ``queue``: ``queue.schedule(round, action)`` for a transition
-        pinned to a round, ``queue.add_recurring(action)`` for per-round
+        ``queue``: ``queue.schedule_periodic(ids, period, residue,
+        value)`` for availability flips that repeat forever,
+        ``queue.schedule(round, action)`` for a one-off transition pinned
+        to a round, ``queue.add_recurring(action)`` for per-round
         behavior.  Actions write ``available`` through
         ``population.set_available`` / ``note_available_changed``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
-
-
-class _PeriodicFlip:
-    """Self-rescheduling availability flip for a fixed id group: fire,
-    set the bit, re-arm ``period`` rounds after the *scheduled* round (so
-    chains stay phase-aligned across round jumps)."""
-
-    __slots__ = ("ids", "value", "period")
-
-    def __init__(self, ids: np.ndarray, value: bool, period: int) -> None:
-        self.ids = ids
-        self.value = bool(value)
-        self.period = int(period)
-
-    def __call__(self, population, fire_round: int) -> None:
-        population.set_available(self.ids, self.value)
-        population.events.schedule(fire_round + self.period, self)
-
-
-def _grouped(keys: np.ndarray):
-    """Yield ``(key, member_indices)`` per distinct key (sorted order)."""
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    bounds = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    for i, b in enumerate(bounds):
-        e = bounds[i + 1] if i + 1 < len(bounds) else len(sk)
-        yield int(sk[b]), order[b:e]
-
-
-def _first_fire(residue: int, period: int) -> int:
-    """Smallest round ≥ 1 congruent to ``residue`` mod ``period``."""
-    return residue if residue >= 1 else period
 
 
 class StaticTrace(DeviceTrace):
@@ -150,10 +121,10 @@ class DutyCycleTrace(ExternalAvailabilityTrace):
     The wrapped trace's window ``pos < on_fraction · period``
     is an integer interval ``pos ∈ [0, L)`` with ``L = ⌈on_fraction ·
     period⌉``, so each client flips on at rounds ≡ −phase (mod period)
-    and off at rounds ≡ L − phase.  Clients sharing ``(period, residue,
-    direction)`` form one periodic flip chain — at most ``2 · Σ period``
-    chains and O(Σ 1/period · N) touched ids per round, independent of
-    how many clients sit between transitions.
+    and off at rounds ≡ L − phase.  Both edges go to the queue's flip
+    wheel in one vector call per direction, so a round costs one gather
+    of its O(Σ 1/period · N) flipping ids, independent of how many
+    clients sit between transitions.
     """
 
     def __init__(
@@ -185,20 +156,9 @@ class DutyCycleTrace(ExternalAvailabilityTrace):
         width = t._on_fraction * period
         length = np.clip(np.ceil(width).astype(np.int64), 0, period)
         flips = np.flatnonzero((length > 0) & (length < period))
-        if not len(flips):
-            return
-        key_base = int(period.max()) + 1
-        for value, residue in (
-            (True, (-phase[flips]) % period[flips]),
-            (False, (length[flips] - phase[flips]) % period[flips]),
-        ):
-            keys = period[flips] * key_base + residue
-            for key, members in _grouped(keys):
-                p, res = divmod(key, key_base)
-                ids = np.sort(flips[members])
-                queue.schedule(
-                    _first_fire(res, p), _PeriodicFlip(ids, value, p)
-                )
+        period, phase, length = period[flips], phase[flips], length[flips]
+        queue.schedule_periodic(flips, period, -phase, True)
+        queue.schedule_periodic(flips, period, length - phase, False)
 
 
 class DiurnalTrace(ExternalAvailabilityTrace):
@@ -206,9 +166,10 @@ class DiurnalTrace(ExternalAvailabilityTrace):
     :class:`~repro.traces.diurnal.DiurnalAvailabilityTrace`.
 
     Without jitter each client's window is a circular
-    interval of the ``rounds_per_day`` positions, so whole timezone
-    groups flip together — O(rounds_per_day) chains total, each firing
-    once per simulated day.  With jitter the per-round counter-seeded
+    interval of the ``rounds_per_day`` positions, so each client is two
+    entries on the queue's flip wheel (period ``rounds_per_day``, the
+    residues its window opens and closes at) and whole timezone groups
+    flip together.  With jitter the per-round counter-seeded
     flip draw is inherently O(N), so the trace registers a recurring
     diff-apply that makes the identical draw and writes only changes.
     """
@@ -238,20 +199,22 @@ class DiurnalTrace(ExternalAvailabilityTrace):
             super().schedule(population, queue)
             return
         rounds_per_day = int(t.rounds_per_day)
-        masks = [t.online(pos) for pos in range(rounds_per_day)]
-        population.available[:] = masks[0]
+        population.available[:] = t.online(0)
+        on, off = [], []  # per day position: the ids whose window opens/closes
+        prev = t.online(rounds_per_day - 1)  # position 0 wraps to the last
         for pos in range(rounds_per_day):
-            prev = masks[pos - 1]  # pos 0 wraps to the last slot
-            cur = masks[pos]
-            for ids, value in (
-                (np.flatnonzero(cur & ~prev), True),
-                (np.flatnonzero(prev & ~cur), False),
-            ):
-                if len(ids):
-                    queue.schedule(
-                        _first_fire(pos, rounds_per_day),
-                        _PeriodicFlip(ids, value, rounds_per_day),
-                    )
+            cur = t.online(pos)
+            on.append(np.flatnonzero(cur & ~prev))
+            off.append(np.flatnonzero(prev & ~cur))
+            prev = cur
+        day = np.arange(rounds_per_day, dtype=np.int64)
+        for value, edges in ((True, on), (False, off)):
+            queue.schedule_periodic(
+                np.concatenate(edges, dtype=np.int64),
+                rounds_per_day,
+                np.repeat(day, [len(ids) for ids in edges]),
+                value,
+            )
 
 
 class DeviceClassTrace(DeviceTrace):

@@ -46,6 +46,7 @@ DOCUMENTED_MODULES = (
     "repro.population.traces",
     "repro.population.events",
     "repro.utils.client_state",
+    "repro.utils.arrays",
     "repro.datasets.lazy",
     "repro.analysis",
     "repro.runtime.arena",

@@ -8,6 +8,12 @@ O(N) scan, and all N devices re-settle.  No event queue, no idle index,
 no counters — nothing here can share a bug with the event-driven code in
 ``src/``.  It carries exactly the surface the engine drives, so it can be
 handed to a server as ``RunConfig(population=…)``.
+
+The oracle has no idle index, so it cannot say in which *order* ids
+became idle — and pool-sampled cohorts depend on that order.
+:class:`PrescheduledDiffTrace` is the reference for it: the queue's
+ordering contract (periodic flips of a round before that round's
+one-shots) realised without the flip wheel.
 """
 
 from __future__ import annotations
@@ -51,6 +57,28 @@ def rewrite_columns(trace, pop, round_idx: int) -> None:
         pop.available[:] = trace.trace.online(round_idx)
     elif type(trace) not in (DeviceTrace, StaticTrace):
         raise TypeError(f"oracle has no column model for {type(trace).__name__}")
+
+
+class PrescheduledDiffTrace(DeviceTrace):
+    """Drive a real population from a classic ``online(t)`` trace by brute
+    force: one one-shot event per round ``1 … horizon``, all armed at
+    construction (so each precedes, in scheduling order, every revival
+    later armed for its round), each diffing two full ``online`` masks."""
+
+    def __init__(self, classic, horizon: int) -> None:
+        self.classic = classic
+        self.horizon = horizon
+
+    def schedule(self, population, queue) -> None:
+        population.available[:] = self.classic.online(0)
+        for round_idx in range(1, self.horizon + 1):
+            queue.schedule(round_idx, self._flip)
+
+    def _flip(self, population, fire_round: int) -> None:
+        prev = self.classic.online(fire_round - 1)
+        cur = self.classic.online(fire_round)
+        population.set_available(np.flatnonzero(cur & ~prev), True)
+        population.set_available(np.flatnonzero(prev & ~cur), False)
 
 
 class SweepOraclePopulation:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fl.samplers import StickySampler, UniformSampler
@@ -105,17 +105,27 @@ def test_ocs_draw_invariants(pool, seed):
 
 
 @given(st.integers(0, 2**31 - 1))
-@settings(max_examples=10, deadline=None)
+@example(22)  # the first 400 draws of this seed average 0.899
+@settings(max_examples=6, deadline=None, derandomize=True)
 def test_ocs_weight_sum_is_unbiased_estimator(seed):
     """Monte Carlo over draws: E[Σ_{i∈S} ν_i] = Σ_i p_i = 1.
 
     The sum of Horvitz–Thompson weights over a draw is itself an unbiased
     estimator of the total data weight, whatever the norm profile — the
     scalar version of Theorem-1-style unbiasedness for OCS.
+
+    The sum is right-skewed (a large ``p_i`` behind a small ``π_i`` is
+    rare and heavy), so a few hundred draws underestimate its spread and
+    a sample-σ bound rejects a correct sampler.  The bound here is built
+    from the design instead: independent (Poisson) inclusion with the
+    same π has variance ``Σ p_i² (1 − π_i) / π_i``, which a fixed-size
+    draw only undercuts.  Seeds are fixed (``derandomize``), and the trial
+    count keeps the 4 σ band inside ±0.06, so a sampler whose weights sum
+    to 0.9 in expectation still fails.
     """
     from repro.fl.extra_samplers import OptimalClientSampler
 
-    n, k, trials = 30, 6, 400
+    n, k, trials = 30, 6, 4000
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(n))
     sampler = OptimalClientSampler(k)
@@ -131,5 +141,7 @@ def test_ocs_weight_sum_is_unbiased_estimator(seed):
             p, np.empty(0, dtype=np.int64), draw.nonsticky
         )
         sums[t] = nu.sum()
-    stderr = sums.std() / np.sqrt(trials)
-    assert abs(sums.mean() - 1.0) < 4 * stderr + 1e-9
+    pi = sampler._last_inclusion  # the norms never change: same π every draw
+    band = 4 * np.sqrt(np.sum(p**2 * (1.0 - pi) / pi) / trials)
+    assert band < 0.06
+    assert abs(sums.mean() - 1.0) < band
