@@ -15,11 +15,6 @@ writes one JSON blob so the performance trajectory is tracked across PRs.
 in a subprocess against that version and recorded as the baseline.
 ``speedup_vs_seed`` is the seed time over the *best* e2e combo
 (``speedup_combo`` names it) — the ratio the regression gate holds.
-
-``--profile`` instead runs the e2e workload once under the sync round
-engine with per-phase wall-clock hooks and prints where the time goes
-(sampling / timing / execution / compression / aggregation / ...), so a
-perf PR can see which phase it moved before regenerating the blob.
 """
 
 from __future__ import annotations
@@ -175,59 +170,6 @@ def micro_ops(repeats: int) -> dict:
     return out
 
 
-PROFILE_SNIPPET = """\
-import json, sys, time
-from repro.core import make_gluefl
-from repro.datasets import femnist_like
-from repro.fl import RunConfig
-from repro.fl.server import FLServer
-
-rounds = int(sys.argv[1])
-extra = json.loads(sys.argv[2])
-dataset = femnist_like(num_clients=100, num_classes=10, image_size=16,
-                       samples_per_client=32, seed=0)
-strategy, sampler = make_gluefl(10, q=0.20, q_shr=0.16, regen_interval=10)
-config = RunConfig(dataset=dataset, model_name="cnn", strategy=strategy,
-                   sampler=sampler, rounds=rounds, local_steps=5, seed=7,
-                   **extra)
-server = FLServer(config)
-engine = server.scheduler.engine  # sync-family schedulers only
-totals, marks = {}, {}
-for phase in engine.phases:
-    name = phase.name
-    engine.add_before(
-        name, lambda s, c, _n=name: marks.__setitem__(_n, time.perf_counter())
-    )
-    engine.add_after(
-        name,
-        lambda s, c, _n=name: totals.__setitem__(
-            _n, totals.get(_n, 0.0) + time.perf_counter() - marks[_n]
-        ),
-    )
-t0 = time.perf_counter()
-try:
-    for _ in range(rounds):
-        server.run_round()
-finally:
-    server.close()
-total = time.perf_counter() - t0
-print(json.dumps({"total_s": total, "phases_s": totals,
-                  "unattributed_s": total - sum(totals.values())}))
-"""
-
-
-def profile(python_path: str, rounds: int, extra: dict) -> dict:
-    """Per-phase wall-clock breakdown of one sync e2e run."""
-    proc = subprocess.run(
-        [sys.executable, "-c", PROFILE_SNIPPET, str(rounds), json.dumps(extra)],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": python_path, "PATH": "/usr/bin:/bin"},
-        check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def e2e(python_path: str, rounds: int, extra: dict) -> dict:
     """Run the quickstart-scale workload in a subprocess and parse its JSON."""
     proc = subprocess.run(
@@ -249,12 +191,6 @@ def main() -> None:
         "--seed-src",
         default=None,
         help="src/ dir of an older checkout to time as the e2e baseline",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a per-phase timing breakdown of the e2e workload "
-        "instead of running the full bench (writes nothing)",
     )
     parser.add_argument(
         "--sanitize-overhead",
@@ -295,24 +231,6 @@ def main() -> None:
         print(json.dumps(timings, indent=2))
         return
 
-    if args.profile:
-        out = {
-            label: profile(here, args.rounds, extra)
-            for label, extra in (
-                ("serial_float32", {"dtype": "float32"}),
-                (
-                    "batched_thread_float32",
-                    {
-                        "dtype": "float32",
-                        "execution_backend": "thread",
-                        "backend_workers": 1,
-                        "batch_replicas": 10,
-                    },
-                ),
-            )
-        }
-        print(json.dumps(out, indent=2))
-        return
     report = {
         "workload": {
             "e2e": "GlueFL K=10, CNN, femnist_like(100 clients), "

@@ -129,8 +129,8 @@ def main() -> None:
     )
 
     # --- beyond Algorithm 1: pluggable round schedulers -----------------------
-    # The round loop is a phase engine (repro.engine) with swappable
-    # schedulers.  "async" runs FedBuff-style buffered asynchrony: clients
+    # The round is written once (repro.engine.steps) under swappable
+    # scheduler policies.  "async" runs FedBuff-style buffered asynchrony: clients
     # train on their own clocks from the global state at dispatch time, and
     # the server aggregates every `async_buffer_size` arrivals with
     # staleness-discounted weights — one RoundRecord per buffer flush.

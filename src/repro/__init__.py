@@ -15,7 +15,7 @@ Subpackages:
 
 - :mod:`repro.core` — the GlueFL strategy (sticky sampling + mask shifting).
 - :mod:`repro.fl` — the federated-learning simulation engine.
-- :mod:`repro.engine` — the phase-based round engine + schedulers.
+- :mod:`repro.engine` — the round's step functions + scheduler policies.
 - :mod:`repro.runtime` — execution backends and the dtype policy.
 - :mod:`repro.compression` — STC, APF, GlueFL masking, error compensation.
 - :mod:`repro.privacy` — clipping, Gaussian mechanism, RDP accounting.

@@ -5,13 +5,10 @@ every ``begin_round`` to be paired with exactly one ``end_round`` (normal
 path) or ``abort_round`` (failure path) — stateful mask schedules (GlueFL
 shift, APF freeze) corrupt silently when a round is left open, the bug
 class PR 3 fixed by hand in the async scheduler.  This rule checks each
-function that opens a round for one of the two sanctioned pairing shapes:
-
-* **try-pairing** — the opened region runs inside/before a ``try`` whose
-  handlers or ``finally`` close the round (the scheduler pattern);
-* **ledger-pairing** — the function records ``<ctx>.round_opened = True``
-  and delegates closing to the round engine, which aborts any opened,
-  unclosed round when a phase raises (the phase pattern).
+function that opens a round for the sanctioned pairing shape:
+**try-pairing** — the opened region runs inside/before a ``try`` whose
+handlers or ``finally`` close the round, as in the engine's one opener,
+the ``repro.engine.steps.strategy_round`` context manager.
 
 Forwarding wrappers (methods themselves named ``begin_round`` and so on)
 are exempt — they *are* the lifecycle surface, not a caller of it.
@@ -40,20 +37,6 @@ def _calls_with_attr(node: ast.AST, attrs) -> List[ast.Call]:
     ]
 
 
-def _has_ledger(fn: ast.AST, after_line: int) -> bool:
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Assign)
-            and node.lineno >= after_line
-            and isinstance(node.value, ast.Constant)
-            and node.value.value is True
-        ):
-            for target in node.targets:
-                if isinstance(target, ast.Attribute) and target.attr == "round_opened":
-                    return True
-    return False
-
-
 def _try_pairs(fn: ast.AST, begin: ast.Call) -> bool:
     for node in ast.walk(fn):
         if not isinstance(node, ast.Try):
@@ -77,13 +60,12 @@ class LifecycleChecker(Checker):
     rule = "lifecycle-pairing"
     description = (
         "code paths calling begin_round must reach end_round or "
-        "abort_round on every exit (try-pairing or the engine's "
-        "round_opened ledger)"
+        "abort_round on every exit (try-pairing)"
     )
     hint = (
-        "wrap the opened region in try/except calling abort_round before "
-        "re-raising (see AsyncScheduler.run_round), or set "
-        "ctx.round_opened = True and let the RoundEngine pair it"
+        "open the round with repro.engine.steps.strategy_round, or wrap "
+        "the opened region in try/finally calling abort_round unless the "
+        "round was ended"
     )
 
     def check(self, source: SourceFile) -> List[Finding]:
@@ -106,8 +88,6 @@ class LifecycleChecker(Checker):
                 if _owning_function(source.tree, c) is fn
             ]
             for begin in begins:
-                if _has_ledger(fn, begin.lineno):
-                    continue
                 if not closers:
                     findings.append(
                         self.finding(

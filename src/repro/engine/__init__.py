@@ -1,31 +1,15 @@
-"""Phase-based round engine with pluggable scheduling on a simulated clock.
+"""One cohort round, five round shapes, one simulated clock.
 
-The :class:`RoundEngine` composes seven :class:`~repro.engine.phases.Phase`
-objects — each owning one slice of the synchronous GlueFL round — with
-before/after hooks; :mod:`~repro.engine.schedulers` turns the engine into
-runnable round shapes: sync (Algorithm 1), async/buffered (FedBuff-style),
-failure-injection, semi-async tiered rounds (FLASH-style), and overlapped
-sync rounds.  All of them share the simulated-time core
-(:class:`~repro.engine.clock.SimClock`), so every round record carries
-comparable cumulative ``wall_clock_s``.  ``FLServer`` is the state-holder
-these operate on.
+:mod:`~repro.engine.steps` writes Algorithm 1's round once, as plain step
+functions over the ``FLServer`` state-holder; :mod:`~repro.engine.schedulers`
+turns them into runnable round shapes as policies: sync (Algorithm 1),
+async/buffered (FedBuff-style), failure-injection, semi-async tiered
+rounds (FLASH-style), and overlapped sync rounds.  All of them share the
+simulated-time core (:class:`~repro.engine.clock.SimClock`), so every
+round record carries comparable cumulative ``wall_clock_s``.
 """
 
 from repro.engine.clock import SimClock
-from repro.engine.context import RoundContext
-from repro.engine.engine import RoundEngine, RoundHook
-from repro.engine.phases import (
-    AggregationPhase,
-    CompressionPhase,
-    ExecutionPhase,
-    MeasurementPhase,
-    Phase,
-    SamplingPhase,
-    SyncAccountingPhase,
-    TimingSelectionPhase,
-    candidate_timings,
-    default_phases,
-)
 from repro.engine.schedulers import (
     SCHEDULERS,
     AsyncBufferedScheduler,
@@ -36,22 +20,11 @@ from repro.engine.schedulers import (
     SyncScheduler,
     create_scheduler,
 )
+from repro.engine.steps import candidate_timings
 
 __all__ = [
     "SimClock",
-    "RoundContext",
-    "RoundEngine",
-    "RoundHook",
-    "Phase",
-    "SamplingPhase",
-    "SyncAccountingPhase",
-    "TimingSelectionPhase",
-    "ExecutionPhase",
-    "CompressionPhase",
-    "AggregationPhase",
-    "MeasurementPhase",
     "candidate_timings",
-    "default_phases",
     "Scheduler",
     "SyncScheduler",
     "AsyncBufferedScheduler",

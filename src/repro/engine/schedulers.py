@@ -11,9 +11,10 @@ is comparable across schedulers.
 A scheduler decides what one call to ``FLServer.run_round`` means:
 
 ``sync``
-    One Algorithm 1 round through the default phase pipeline — bit-identical
-    to the pre-refactor monolithic loop (pinned by the engine golden test).
-    The measurement phase replays the round's duration through the clock.
+    One Algorithm 1 round: the steps of :mod:`repro.engine.steps`, in
+    order — bit-identical to the original monolithic loop (pinned by the
+    engine golden test).  The round's duration is replayed through the
+    clock once its record exists.
 
 ``async``
     FedBuff-style buffered asynchrony (Nguyen et al., 2022).  Clients train
@@ -34,14 +35,11 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     default; norm-proportional for
     :class:`~repro.fl.extra_samplers.OptimalClientSampler`).  Arrivals
     tied at the same finish time from the same dispatch snapshot drain as
-    *one* backend batch, so thread/process backends parallelize them;
-    every ``begin_round`` is paired with ``end_round`` or — when a flush
-    comes up empty — ``abort_round``, keeping stateful mask schedules
-    honest.  The record stream is pinned by
-    ``tests/engine/golden_async.json``.
+    *one* backend batch, so thread/process backends parallelize them.
+    The record stream is pinned by ``tests/engine/golden_async.json``.
 
 ``failure``
-    The sync pipeline over a fault-injecting device population: the server
+    The sync round over a fault-injecting device population: the server
     auto-attaches a ``"storm"`` population preset
     (:class:`~repro.population.traces.ChurnStormTrace`, parameterized by
     the ``failure_*`` knobs; wrapped around any other
@@ -51,15 +49,16 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     ``failure_burst_dropout`` and a straggler storm multiplies
     ``failure_straggler_fraction`` of devices' responsiveness by
     ``failure_straggler_slowdown``× — plain trace-driven state
-    transitions read by the unchanged timing phase.  Burst rounds are
+    transitions read by the unchanged selection step.  Burst rounds are
     flagged in ``RoundRecord.injected_failure``; pair with
     ``RunConfig.skip_empty_rounds`` so a burst that wipes out every
     candidate records a zero-participant round instead of aborting.  The
     record stream is pinned by ``tests/engine/golden_failure.json``.
 
 ``semiasync``
-    FLASH-style tiered rounds.  The round samples and prices candidates
-    exactly like ``sync``; the **fast tier** (the first-K-per-bucket
+    FLASH-style tiered rounds.  The round *is* the ``sync`` round — the
+    same steps, so with nobody left behind (``overcommit=1.0``) the two
+    are bit-identical; the **fast tier** (the first-K-per-bucket
     selection) aggregates synchronously at the round's deadline with the
     sampler's own unbiasedness weights.  The over-committed stragglers —
     candidates whose uploads would land *after* the deadline and are
@@ -71,10 +70,9 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     Arrivals staler than ``semiasync_max_lag`` rounds are discarded.
     Clients with an in-flight straggler task are *busy* — excluded from
     the sampler pool until their arrival folds in, so no round ever
-    aggregates two updates from one client.  Candidates are priced
-    through the same downstream accounting as ``sync``; straggler upload
-    bytes land in the record of their *arrival* round.  Stale
-    deltas are compressed under the strategy state of the arrival round —
+    aggregates two updates from one client.  Straggler upload bytes land
+    in the record of their *arrival* round, and stale deltas are
+    compressed under the strategy state of the arrival round —
     under GlueFL's shifting shared mask this is exactly the mask-drift
     regime ``benchmarks/bench_sticky_staleness.py`` studies.
 
@@ -96,27 +94,14 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional
 
 import numpy as np
 
+from repro.engine import steps
 from repro.engine.clock import SimClock
-from repro.engine.context import RoundContext
-from repro.engine.engine import RoundEngine
-from repro.engine.phases import (
-    apply_aggregate,
-    candidate_timings,
-    compress_results,
-    downstream_sync_bytes,
-    nominal_upstream_bytes,
-    scheduled_accuracy,
-    sync_detail_rows,
-)
 from repro.fl.aggregation import staleness_discounted_weights
 from repro.fl.metrics import RoundRecord
-from repro.fl.samplers import SampleDraw
-from repro.fl.simulator import select_participants
-from repro.runtime.backends import ClientTask
 
 __all__ = [
     "SCHEDULERS",
@@ -130,13 +115,6 @@ __all__ = [
 ]
 
 SCHEDULERS = ("sync", "async", "failure", "semiasync", "overlapped")
-
-
-def _nan_safe_mean(values) -> Optional[float]:
-    """Mean of a possibly-empty/None collection — ``None`` instead of NaN."""
-    if values is None or len(values) == 0:
-        return None
-    return float(np.mean(values))
 
 
 class Scheduler:
@@ -160,89 +138,179 @@ class Scheduler:
 
 
 class SyncScheduler(Scheduler):
-    """The default: one synchronous round through the phase engine."""
+    """The default: one synchronous cohort round, the steps in order.
+
+    :meth:`run_round` is the round every cohort scheduler runs; the policy
+    points below it are all that ``overlapped`` and ``semiasync`` override.
+    """
 
     name = "sync"
-
-    def __init__(self, engine: Optional[RoundEngine] = None):
-        super().__init__()
-        self.engine = engine if engine is not None else RoundEngine()
+    #: clients the draw must skip — a sync round leaves nobody busy
+    busy: Collection[int] = ()
+    #: tiered rounds keep the deadline's stragglers training
+    tiered = False
 
     def run_round(self, server) -> RoundRecord:
         server.round_idx += 1
-        ctx = RoundContext(round_idx=server.round_idx, clock=self.clock)
-        return self.engine.run_round(server, ctx)
+        t = server.round_idx
+        start = self.clock.now
+        with steps.strategy_round(server, t) as rnd:
+            cohort = steps.contact_wave(server, t, busy=self.busy)
+            steps.select_wave(server, cohort)
+            if server.config.quorum_fraction is not None:
+                steps.enforce_quorum(server, t, cohort)
+            batch, late = steps.train_cohort(server, t, cohort, self.tiered)
+            self.at_deadline(server, t, cohort, batch, late)
+            steps.close_round(server, rnd, batch, cohort.selection)
+        selection = cohort.selection
+        record = steps.make_record(
+            server, rnd, batch,
+            down_bytes=cohort.down_bytes,
+            round_seconds=selection.round_seconds + cohort.redraw_wait_s,
+            download_seconds=selection.download_seconds,
+            compute_seconds=selection.compute_seconds,
+            upload_seconds=selection.upload_seconds,
+            num_candidates=cohort.num_candidates,
+            mean_stale_fraction=cohort.mean_stale_fraction,
+            sync_details=cohort.sync_details,
+            quorum_redraws=cohort.quorum_redraws,
+            quorum_failed=cohort.quorum_failed,
+        )
+        self.advance_clock(start, selection, record)
+        record.wall_clock_s = self.clock.now
+        return record
+
+    # -- policy points -----------------------------------------------------------
+    def at_deadline(self, server, t: int, cohort, batch, late) -> None:
+        """The deadline passed: release the round's devices and settle
+        what ``batch`` aggregates.  A sync round closes the population's
+        state machine — workers return to idle, mid-round failures enter
+        DROPPED for the configured cooldown."""
+        if server.population is not None:
+            server.population.finish_round(t, cohort.lost)
+
+    def advance_clock(self, start: float, selection, record: RoundRecord) -> None:
+        """Replay the round's duration through the clock, from the round's
+        ``start``, so every record carries comparable cumulative time."""
+        self.clock.advance_to(start + record.round_seconds)
 
 
 class FailureInjectionScheduler(SyncScheduler):
-    """Sync rounds with periodic dropout bursts + straggler storms.
+    """Sync rounds over a fault-injecting population (module docstring).
 
-    The faults themselves live in the server's device population: building
-    a ``failure`` server auto-attaches a ``"storm"``
-    :class:`~repro.population.traces.ChurnStormTrace` (parameterized by the
-    ``failure_*`` knobs, over whichever ``population_preset`` is set)
-    unless the config supplies its own population, so bursts are plain
-    trace-driven state transitions — connectivity collapses and
-    responsiveness multiplies in the population columns, and the unchanged
-    timing phase reads them through the availability-trace protocol.  This
-    scheduler only *flags* burst rounds (``RoundRecord.injected_failure``)
-    by asking the trace's ``is_burst``.
-
-    Round indices are 1-based, so the first burst lands at round
-    ``failure_burst_every``, not round 0 (pinned by
-    ``tests/engine/test_schedulers.py``).  ``FLServer`` rejects an
-    explicit ``population=`` whose trace has no ``is_burst``.
+    The faults are trace-driven state transitions the unchanged selection
+    step reads; this scheduler only *flags* burst rounds by asking the
+    trace's ``is_burst`` (``FLServer`` rejects an explicit ``population=``
+    whose trace has none).  Round indices are 1-based, so the first burst
+    lands at round ``failure_burst_every``, not round 0 (pinned by
+    ``tests/engine/test_schedulers.py``).
     """
 
     name = "failure"
 
-    def __init__(self, engine: Optional[RoundEngine] = None):
-        super().__init__(engine)
-        self.engine.add_before("timing", self._flag_burst)
-
-    @staticmethod
-    def _flag_burst(server, ctx: RoundContext) -> None:
+    def run_round(self, server) -> RoundRecord:
+        record = super().run_round(server)
         # the population columns already carry the burst; flag the record
-        ctx.injected_failure = server.population.trace.is_burst(ctx.round_idx)
+        record.injected_failure = server.population.trace.is_burst(record.round_idx)
+        return record
 
 
 class OverlappedSyncScheduler(SyncScheduler):
-    """Sync learning dynamics under a pipelined communication clock.
-
-    Runs the identical phase pipeline (same RNG consumption, same model
-    updates as ``sync``) but advances the clock with the overlapped-round
-    recurrence documented in the module docstring, overwriting the
-    record's ``round_seconds`` with the pipelined advance.
-    """
+    """Sync learning dynamics under a pipelined communication clock: the
+    identical round, but the clock advances by the overlapped-round
+    recurrence of the module docstring, which overwrites the record's
+    ``round_seconds`` before ``wall_clock_s`` is stamped."""
 
     name = "overlapped"
+    _prev_upload_start: Optional[float] = None
 
-    def __init__(self, engine: Optional[RoundEngine] = None):
-        super().__init__(engine)
-        self._prev_upload_start: Optional[float] = None
-
-    def run_round(self, server) -> RoundRecord:
-        server.round_idx += 1
-        # clock stays out of the context: this scheduler owns the advance
-        ctx = RoundContext(round_idx=server.round_idx)
-        record = self.engine.run_round(server, ctx)
-        sel = ctx.selection
-        agg_ready = self.clock.now  # previous round's aggregation time
+    def advance_clock(self, start: float, selection, record: RoundRecord) -> None:
+        agg_ready = start  # previous round's aggregation time
         dl_start = (
             self._prev_upload_start
             if self._prev_upload_start is not None
             else agg_ready
         )
-        dl_done = dl_start + sel.critical_download_s
+        dl_done = dl_start + selection.critical_download_s
         # compute needs both the prefetched payload and the fresh update
         compute_start = max(dl_done, agg_ready)
-        upload_start = compute_start + sel.critical_compute_s
-        done = upload_start + sel.critical_upload_s
+        upload_start = compute_start + selection.critical_compute_s
+        done = upload_start + selection.critical_upload_s
         self._prev_upload_start = upload_start
         record.round_seconds = done - agg_ready
         self.clock.advance_to(done)
-        record.wall_clock_s = self.clock.now
-        return record
+
+
+@dataclass
+class _StaleArrival:
+    """A straggler's finished update, waiting on the clock to fold in."""
+
+    client_id: int
+    dispatch_round: int
+    result: object  # ClientResult trained from the dispatch-round snapshot
+    work: float  # the fraction it trained with scales its 1/K share
+
+
+class SemiAsyncScheduler(SyncScheduler):
+    """FLASH-style tiered rounds: sync fast tier + async straggler fold-in.
+
+    The sync round with three insertions — busy stragglers stay out of the
+    draw, the deadline's stragglers train in the fast tier's backend batch
+    and go onto the clock, and due arrivals join the aggregation (module
+    docstring).  Pinned by ``tests/engine/golden_semiasync.json``.
+    """
+
+    name = "semiasync"
+    tiered = True
+
+    def setup(self, server) -> None:
+        cfg = server.config
+        self.alpha = cfg.async_staleness_alpha
+        self.max_lag = cfg.semiasync_max_lag
+        # clients with a scheduled, not-yet-folded straggler arrival are
+        # still computing, so the sampler must not re-draw them (a client
+        # contributing twice to one aggregation is a state no real device
+        # can be in; mirrors the async dispatcher's exclude)
+        self.busy = set()
+
+    def at_deadline(self, server, t: int, cohort, batch, late) -> None:
+        clock = self.clock
+        for cid, finish_s, (result, work) in zip(
+            cohort.straggler_ids.tolist(), cohort.straggler_finish_s.tolist(), late
+        ):
+            # straggler results are held across rounds — detach them from
+            # the process backend's result ring before it is reclaimed
+            clock.schedule(
+                clock.now + finish_s, _StaleArrival(cid, t, result.detach(), work)
+            )
+            self.busy.add(cid)
+
+        # the fast tier's deadline collects due straggler arrivals (the
+        # clock itself reaches the deadline in ``advance_clock``)
+        deadline = clock.now + cohort.selection.round_seconds
+        due = [arrival for _, arrival in clock.pop_until(deadline)]
+        due_ids = np.array([a.client_id for a in due], dtype=np.int64)
+        self.busy.difference_update(due_ids.tolist())
+        if server.population is not None:
+            # stragglers stay WORKING, so devices return one by one, not
+            # through ``finish_round``: mid-round failures drop, the fast
+            # tier returns at the deadline, then the due stragglers (even
+            # over-lag ones whose update is discarded — the device itself
+            # came back).  The idle index's insertion order feeds
+            # ``IdlePool.sample``, so this order is pinned by the golden
+            server.population.drop_work(cohort.lost, t)
+            server.population.complete_work(cohort.selection.participant_ids)
+            server.population.complete_work(due_ids)
+
+        # stale arrivals join after the fast tier, each with a discounted
+        # 1/K share (one fast-tier unit) scaled by the work it trained with
+        kept = [a for a in due if t - a.dispatch_round <= self.max_lag]
+        batch.taus = np.array([t - a.dispatch_round for a in kept], dtype=np.int64)
+        work = np.array([a.work for a in kept])
+        shares = (1.0 + batch.taus) ** (-self.alpha) / server.sampler.k * work
+        batch.results += [a.result for a in kept]
+        batch.weights = np.concatenate([batch.weights, shares])
+        batch.work = np.concatenate([batch.work, work])
 
 
 @dataclass
@@ -262,7 +330,11 @@ class _InFlightJob:
 
 
 class AsyncBufferedScheduler(Scheduler):
-    """FedBuff-style buffered-asynchronous aggregation (see module docs)."""
+    """FedBuff-style buffered-asynchronous aggregation (see module docs).
+
+    Dispatch and the event drain are its own; a flush goes through the
+    cohort rounds' lifecycle guard, task builder, close and record.
+    """
 
     name = "async"
 
@@ -270,7 +342,6 @@ class AsyncBufferedScheduler(Scheduler):
         super().__init__()
         self._in_flight: Dict[int, _InFlightJob] = {}
         self._last_flush = 0.0
-        self._round_closed = False
         # accounting accumulated between flushes
         self._pending_down = 0
         self._pending_candidates = 0
@@ -296,13 +367,11 @@ class AsyncBufferedScheduler(Scheduler):
         want = self.concurrency - len(self._in_flight)
         if want <= 0:
             return
-        population = getattr(server, "population", None)
+        population = server.population
         exclude = np.fromiter(
             self._in_flight.keys(), dtype=np.int64, count=len(self._in_flight)
         )
-        if population is not None and getattr(
-            population, "scalable_sampling", False
-        ):
+        if population is not None and population.scalable_sampling:
             # O(idle) path: in-flight clients are WORKING, so the pool
             # already excludes them; ``exclude`` guards the window where
             # a completed client re-idles before its next dispatch
@@ -316,7 +385,7 @@ class AsyncBufferedScheduler(Scheduler):
         if population is not None:
             population.begin_work(new)
 
-        _, down = downstream_sync_bytes(server, new)
+        _, down = steps.downstream_sync_bytes(server, new)
         self._pending_down += int(down.sum())
         self._pending_candidates += len(new)
         self._pending_stale_fracs.extend(
@@ -324,8 +393,8 @@ class AsyncBufferedScheduler(Scheduler):
         )
         server.staleness.mark_synced(new)
 
-        timings = candidate_timings(
-            server, new, down, nominal_upstream_bytes(server)
+        timings = steps.candidate_timings(
+            server, new, down, steps.nominal_upstream_bytes(server)
         )
         lr = server.lr_schedule.at_round(round_idx - 1)
         for i, cid in enumerate(new):
@@ -354,7 +423,7 @@ class AsyncBufferedScheduler(Scheduler):
         order (same RNG stream as draining one by one).
         """
         jobs: List[_InFlightJob] = []
-        population = getattr(server, "population", None)
+        population = server.population
         first_finish: Optional[float] = None
         version: Optional[int] = None
         while len(self.clock) and len(jobs) < limit:
@@ -366,344 +435,77 @@ class AsyncBufferedScheduler(Scheduler):
                 break
             self.clock.pop()
             del self._in_flight[cid]
-            if bool(server.availability.survives_round(np.array([cid]))[0]):
+            one = np.array([cid], dtype=np.int64)
+            if server.availability.survives_round(one)[0]:
                 jobs.append(job)
                 if population is not None:
-                    population.complete_work(np.array([cid], dtype=np.int64))
+                    population.complete_work(one)
             elif population is not None:
                 # lost mid-flight: sit out the dropped cooldown
-                population.drop_work(
-                    np.array([cid], dtype=np.int64), server.round_idx
-                )
+                population.drop_work(one, server.round_idx)
         return jobs
 
     # -- one buffer flush --------------------------------------------------------
     def run_round(self, server) -> RoundRecord:
-        """One flush, with the strategy round-lifecycle enforced: whatever
-        fails between ``begin_round`` and ``end_round`` (empty pool, a
-        crashing backend, ...) the opened round is closed by
-        ``abort_round`` before the error propagates."""
+        """One flush: drain arrivals until the buffer is full, then
+        aggregate it with staleness-discounted weights."""
         server.round_idx += 1
         t = server.round_idx
-        server.strategy.begin_round(t)
-        self._round_closed = False
-        try:
-            return self._run_flush(server, t)
-        except Exception:
-            if not self._round_closed:
-                server.strategy.abort_round(t)
-            raise
-
-    def _run_flush(self, server, t: int) -> RoundRecord:
-        cfg = server.config
-        self._dispatch(server, t)
-
-        arrivals: List[Tuple[_InFlightJob, object]] = []
-        while len(arrivals) < self.buffer_size and len(self.clock):
-            batch = self._pop_batch(server, self.buffer_size - len(arrivals))
-            if not batch:
-                self._dispatch(server, t)  # lost mid-round; refill and move on
-                continue
-            tasks = [
-                ClientTask(client_id=job.client_id, lr=job.lr, round_idx=t)
-                for job in batch
-            ]
-            # same snapshot version ⇒ same dispatch-time global arrays
-            results = server.backend.run_clients(
-                tasks, batch[0].params, batch[0].buffers
-            )
-            # the buffer outlives later run_clients calls in this flush, so
-            # results borrowed from the process backend's ring must be
-            # copied out before the next dispatch reclaims their slots
-            arrivals.extend((job, res.detach()) for job, res in zip(batch, results))
+        with steps.strategy_round(server, t) as rnd:
             self._dispatch(server, t)
+            jobs: List[_InFlightJob] = []
+            results: list = []
+            work: List[float] = []
+            while len(jobs) < self.buffer_size and len(self.clock):
+                arrived = self._pop_batch(server, self.buffer_size - len(jobs))
+                if arrived:
+                    # same snapshot version ⇒ same dispatch-time global arrays
+                    trained, trained_work = steps.train_clients(
+                        server, t,
+                        [job.client_id for job in arrived],
+                        [job.lr for job in arrived],
+                        arrived[0].params, arrived[0].buffers,
+                    )
+                    jobs += arrived
+                    # the buffer outlives later run_clients calls in this
+                    # flush, so results borrowed from the process backend's
+                    # ring must be copied out before the next dispatch
+                    # reclaims their slots
+                    results += [result.detach() for result in trained]
+                    work += trained_work
+                # refill — also after a batch lost mid-round came up empty
+                self._dispatch(server, t)
 
-        if not arrivals:
-            # pair this round's begin_round before bailing either way
-            server.strategy.abort_round(t)
-            self._round_closed = True
-            if cfg.skip_empty_rounds:
-                return self._flush_record(server, t, arrivals, None, [])
-            raise RuntimeError(
-                f"round {t}: no clients available to fill the buffer"
+            taus = np.array(
+                [server.staleness.version - job.start_version for job in jobs]
+            )
+            work = np.array(work)
+            weights = staleness_discounted_weights(taus, self.alpha)
+            weights = steps.scale_by_work(weights, work)
+            batch = steps.Batch(results, weights, work, taus)
+            steps.close_round(
+                server, rnd, batch,
+                why_empty="no clients available to fill the buffer",
             )
 
-        # --- staleness-discounted aggregation of the buffer ---
-        taus = np.array(
-            [server.staleness.version - job.start_version for job, _ in arrivals]
-        )
-        weights = staleness_discounted_weights(taus, self.alpha)
-        payloads, buffer_deltas, losses, up_bytes_total = compress_results(
-            server, [result for _, result in arrivals], weights
-        )
-        agg = apply_aggregate(server, payloads, buffer_deltas)
-        server.strategy.end_round(agg, t)
-        self._round_closed = True
-        return self._flush_record(server, t, arrivals, taus, losses, up_bytes_total)
-
-    def _flush_record(
-        self, server, t, arrivals, taus, losses, up_bytes_total: int = 0
-    ) -> RoundRecord:
-        accuracy = scheduled_accuracy(server, t, self._pending_down)
         now = self.clock.now
-        record = RoundRecord(
-            round_idx=t,
+        stale_fracs = self._pending_stale_fracs
+        record = steps.make_record(
+            server, rnd, batch,
             down_bytes=self._pending_down,
-            up_bytes=up_bytes_total,
             round_seconds=now - self._last_flush,
-            download_seconds=max(
-                (job.download_s for job, _ in arrivals), default=0.0
-            ),
-            compute_seconds=max(
-                (job.compute_s for job, _ in arrivals), default=0.0
-            ),
-            upload_seconds=max(
-                (job.upload_s for job, _ in arrivals), default=0.0
-            ),
+            download_seconds=max((job.download_s for job in jobs), default=0.0),
+            compute_seconds=max((job.compute_s for job in jobs), default=0.0),
+            upload_seconds=max((job.upload_s for job in jobs), default=0.0),
             num_candidates=self._pending_candidates,
-            num_participants=len(arrivals),
-            mean_stale_fraction=(
-                float(np.mean(self._pending_stale_fracs))
-                if self._pending_stale_fracs
-                else 0.0
-            ),
-            train_loss=_nan_safe_mean(losses) or 0.0,
-            accuracy=accuracy,
+            mean_stale_fraction=float(np.mean(stale_fracs)) if stale_fracs else 0.0,
             wall_clock_s=now,
-            mean_update_staleness=_nan_safe_mean(taus),
-            privacy_epsilon_spent=server.strategy.privacy_epsilon_spent(),
         )
         self._pending_down = 0
         self._pending_candidates = 0
         self._pending_stale_fracs = []
         self._last_flush = now
         return record
-
-
-@dataclass
-class _StaleArrival:
-    """A straggler's finished update, waiting on the clock to fold in."""
-
-    client_id: int
-    dispatch_round: int
-    result: object  # ClientResult trained from the dispatch-round snapshot
-
-
-class SemiAsyncScheduler(Scheduler):
-    """FLASH-style tiered rounds: sync fast tier + async straggler fold-in.
-
-    See the module docstring for the full semantics.  The record stream is
-    pinned by ``tests/engine/golden_semiasync.json``.
-    """
-
-    name = "semiasync"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._round_closed = False
-        #: clients with a scheduled, not-yet-folded straggler arrival —
-        #: they are still computing, so the sampler must not re-draw them
-        #: (a client contributing twice to one aggregation is a state no
-        #: real device can be in; mirrors the async dispatcher's exclude)
-        self._busy: set = set()
-
-    def setup(self, server) -> None:
-        cfg = server.config
-        self.alpha = cfg.async_staleness_alpha
-        self.max_lag = cfg.semiasync_max_lag
-
-    def run_round(self, server) -> RoundRecord:
-        server.round_idx += 1
-        t = server.round_idx
-        server.strategy.begin_round(t)
-        self._round_closed = False
-        try:
-            return self._run(server, t)
-        except Exception:
-            if not self._round_closed:
-                server.strategy.abort_round(t)
-            raise
-
-    def _run(self, server, t: int) -> RoundRecord:
-        cfg = server.config
-
-        # --- sampling + downstream accounting, through the same shared
-        # slices the sync phases use (downstream_sync_bytes,
-        # sync_detail_rows, candidate_timings, select_participants) —
-        # minus the clients still busy with an in-flight straggler task
-        population = getattr(server, "population", None)
-        if population is not None and getattr(
-            population, "scalable_sampling", False
-        ):
-            # O(idle) path: busy stragglers are WORKING in the population
-            # (begin_work below), so the pool already excludes them
-            pool = population.idle_pool(t)
-            if len(pool) == 0 and cfg.skip_empty_rounds:
-                empty = np.empty(0, dtype=np.int64)
-                draw = SampleDraw(
-                    sticky=empty, nonsticky=empty,
-                    quota_sticky=0, quota_nonsticky=0,
-                )
-            else:
-                draw = server.sampler.draw_pool(t, pool, cfg.overcommit)
-        else:
-            available = server.availability.online(t)
-            if self._busy:
-                available = available.copy()
-                available[np.fromiter(self._busy, dtype=np.int64)] = False
-            if not available.any() and cfg.skip_empty_rounds:
-                # churn can empty the drawable pool outright (everyone
-                # offline, dropped, or busy with a straggler task): run a
-                # zero-candidate fast tier — due straggler arrivals still
-                # fold in below
-                empty = np.empty(0, dtype=np.int64)
-                draw = SampleDraw(
-                    sticky=empty, nonsticky=empty,
-                    quota_sticky=0, quota_nonsticky=0,
-                )
-            else:
-                draw = server.sampler.draw(t, available, cfg.overcommit)
-        candidates = draw.candidates
-        if population is not None:
-            # sampled candidates leave the idle pool until they return
-            # (fast tier at the deadline, stragglers when their arrival
-            # folds in) or fail mid-round (drop_work below)
-            population.begin_work(candidates)
-        sync_bytes, down_per_client = downstream_sync_bytes(server, candidates)
-        down_total = int(down_per_client.sum())
-        mean_stale = server.staleness.mean_staleness_fraction(candidates)
-        sync_details = (
-            sync_detail_rows(server, candidates, sync_bytes)
-            if cfg.collect_sync_details
-            else None
-        )
-        server.staleness.mark_synced(candidates)
-
-        # --- timing + fast-tier selection
-        up_nominal = nominal_upstream_bytes(server)
-        n_sticky = len(draw.sticky)
-        sticky_t = candidate_timings(
-            server, draw.sticky, down_per_client[:n_sticky], up_nominal
-        )
-        nonsticky_t = candidate_timings(
-            server, draw.nonsticky, down_per_client[n_sticky:], up_nominal
-        )
-        sticky_survives = server.availability.survives_round(draw.sticky)
-        nonsticky_survives = server.availability.survives_round(draw.nonsticky)
-        if population is not None:
-            lost = np.concatenate(
-                [draw.sticky[~sticky_survives], draw.nonsticky[~nonsticky_survives]]
-            )
-            population.drop_work(lost, t)
-        selection = select_participants(
-            sticky_t,
-            nonsticky_t,
-            draw.quota_sticky,
-            draw.quota_nonsticky,
-            sticky_survives,
-            nonsticky_survives,
-        )
-
-        # --- stragglers: surviving candidates the deadline leaves behind
-        fast_ids = selection.participant_ids
-        fast_set = {int(cid) for cid in fast_ids}
-        stragglers: List[Tuple[int, float]] = []  # (client_id, finish_s)
-        for timings, survives in (
-            (sticky_t, sticky_survives),
-            (nonsticky_t, nonsticky_survives),
-        ):
-            finish = timings.finish_s
-            for row in np.flatnonzero(survives):
-                cid = int(timings.client_ids[row])
-                if cid not in fast_set:
-                    stragglers.append((cid, float(finish[row])))
-
-        # --- execution: fast tier + stragglers share one backend batch
-        # (per-client RNG streams are order-independent by construction)
-        lr = server.lr_schedule.at_round(t - 1)
-        tasks = [
-            ClientTask(client_id=int(cid), lr=lr, round_idx=t)
-            for cid in fast_ids
-        ] + [
-            ClientTask(client_id=cid, lr=lr, round_idx=t)
-            for cid, _ in stragglers
-        ]
-        results = server.backend.run_clients(
-            tasks, server.global_params, server.global_buffers
-        )
-        fast_results = results[: len(fast_ids)]
-        for (cid, finish_s), result in zip(stragglers, results[len(fast_ids):]):
-            # straggler results are held across rounds — detach them from
-            # the process backend's result ring before it is reclaimed
-            self.clock.schedule(
-                self.clock.now + finish_s, _StaleArrival(cid, t, result.detach())
-            )
-            self._busy.add(cid)
-
-        # --- the fast tier's deadline collects due straggler arrivals
-        deadline = self.clock.now + selection.round_seconds
-        due = [payload for _, payload in self.clock.pop_until(deadline)]
-        self.clock.advance_to(deadline)
-        for arrival in due:
-            self._busy.discard(arrival.client_id)
-        if population is not None:
-            # the fast tier returned at the deadline; due stragglers
-            # returned too (even the over-lag ones whose update is
-            # discarded — the device itself came back)
-            population.complete_work(fast_ids)
-            if due:
-                population.complete_work(
-                    np.array([a.client_id for a in due], dtype=np.int64)
-                )
-        kept = [a for a in due if t - a.dispatch_round <= self.max_lag]
-
-        # --- weights: sampler correction for the fast tier, discounted
-        # 1/K shares for stale arrivals
-        nu_s, nu_r = server._weights_for(
-            selection.sticky_ids, selection.nonsticky_ids
-        )
-        taus = np.array([t - a.dispatch_round for a in kept], dtype=np.int64)
-        arrival_w = (1.0 + taus) ** (-self.alpha) / server.sampler.k
-        weights = np.concatenate([nu_s, nu_r, arrival_w])
-
-        all_results = list(fast_results) + [a.result for a in kept]
-        payloads, buffer_deltas, losses, up_bytes_total = compress_results(
-            server, all_results, weights
-        )
-        if not payloads:
-            server.strategy.abort_round(t)
-            self._round_closed = True
-            if not cfg.skip_empty_rounds:
-                raise RuntimeError(
-                    f"round {t}: no participants survived"
-                )
-        else:
-            agg = apply_aggregate(server, payloads, buffer_deltas)
-            server.sampler.complete_round(
-                selection.sticky_ids, selection.nonsticky_ids
-            )
-            server.strategy.end_round(agg, t)
-            self._round_closed = True
-
-        accuracy = scheduled_accuracy(server, t, down_total)
-        return RoundRecord(
-            round_idx=t,
-            down_bytes=down_total,
-            up_bytes=up_bytes_total,
-            round_seconds=selection.round_seconds,
-            download_seconds=selection.download_seconds,
-            compute_seconds=selection.compute_seconds,
-            upload_seconds=selection.upload_seconds,
-            num_candidates=len(candidates),
-            num_participants=len(payloads),
-            mean_stale_fraction=mean_stale,
-            train_loss=_nan_safe_mean(losses) or 0.0,
-            accuracy=accuracy,
-            sync_details=sync_details,
-            wall_clock_s=self.clock.now,
-            mean_update_staleness=_nan_safe_mean(taus),
-            privacy_epsilon_spent=server.strategy.privacy_epsilon_spent(),
-        )
 
 
 _SCHEDULER_TYPES = {

@@ -78,7 +78,7 @@ class RunConfig:
       compensation).
     * ``quorum_fraction`` / ``redraw_max_attempts`` / ``redraw_backoff_s``
       — graceful degradation: when a round's surviving cohort falls below
-      ``quorum_fraction · K``, the timing phase re-draws fresh candidates
+      ``quorum_fraction · K``, the round re-draws fresh candidates
       up to ``redraw_max_attempts`` times (each wave's round time plus
       ``redraw_backoff_s`` is charged to the simulated clock) before
       falling back to ``skip_empty_rounds`` semantics.
@@ -215,8 +215,10 @@ class RunConfig:
 
     # round scheduling (repro.engine)
     #: round shape: "sync" (Algorithm 1), "async" (FedBuff-style buffered
-    #: asynchrony), or "failure" (sync + injected dropout bursts/straggler
-    #: storms); see :mod:`repro.engine.schedulers` for semantics
+    #: asynchrony), "failure" (sync + injected dropout bursts/straggler
+    #: storms), "semiasync" (sync fast tier + stale straggler fold-ins) or
+    #: "overlapped" (sync dynamics under a pipelined clock); see
+    #: :mod:`repro.engine.schedulers` for semantics
     scheduler: str = "sync"
     #: record a zero-participant RoundRecord and continue instead of
     #: aborting when no participant survives a round
@@ -269,7 +271,7 @@ class RunConfig:
     #: uncompensated, never wrong).  None (the default) keeps all N
     residual_max_clients: Optional[int] = None
     #: graceful degradation: minimum surviving cohort, as a fraction of the
-    #: sampler's K, below which the timing phase re-draws fresh candidates
+    #: sampler's K, below which the round re-draws fresh candidates
     #: (None disables quorum checking).  Sync-shaped schedulers only
     quorum_fraction: Optional[float] = None
     #: quorum: bounded number of re-draw waves before giving up and

@@ -50,8 +50,10 @@ class RoundRecord:
     #: optional per-candidate ``(client_id, gap_rounds, sync_bytes)`` detail
     #: (gap −1 = first contact); enabled by RunConfig.collect_sync_details
     sync_details: Optional[List[tuple]] = None
-    #: async scheduler only: mean staleness τ (global updates between
-    #: dispatch and arrival) over the aggregated buffer
+    #: mean staleness τ over the stale updates this record aggregated:
+    #: the async buffer (τ = global updates between dispatch and arrival)
+    #: or a semi-async round's folded-in stragglers (τ = rounds since
+    #: dispatch); None when the round aggregated none
     mean_update_staleness: Optional[float] = None
     #: True when the failure-injection scheduler hit this round with a
     #: dropout burst / straggler storm

@@ -1,32 +1,35 @@
-"""The FL server: state-holder + driver for the phase-based round engine.
+"""The FL server: state-holder for the round's step functions.
 
-Since the engine refactor, :class:`FLServer` no longer owns a round loop.
-It owns the *state* — global model, strategy, sampler, and the substrate
-models (bandwidth, compute, availability, staleness) — and delegates every
-``run_round`` call to a :class:`~repro.engine.schedulers.Scheduler` chosen
-by ``RunConfig.scheduler``:
+:class:`FLServer` owns no round loop.  It owns the *state* — global model,
+strategy, sampler, and the substrate models (bandwidth, compute,
+availability, staleness) — and delegates every ``run_round`` call to a
+:class:`~repro.engine.schedulers.Scheduler` chosen by
+``RunConfig.scheduler``, a policy over the one cohort round written in
+:mod:`repro.engine.steps`:
 
-* ``"sync"`` drives the seven-phase :class:`~repro.engine.engine.RoundEngine`
-  (sampling → sync accounting → timing/selection → execution → compression
-  → aggregation → measurement) — a faithful, bit-identical decomposition of
-  Algorithm 1's round (pinned by ``tests/engine/test_round_engine.py``);
+* ``"sync"`` calls the steps in order (contact an over-committed wave →
+  downstream ledger → first K per bucket → train → compress → aggregate →
+  record) — a faithful, bit-identical decomposition of Algorithm 1's
+  round (pinned by ``tests/engine/test_round_engine.py``);
 * ``"async"`` runs FedBuff-style buffered asynchrony over the shared
-  simulated-time clock's event queue of client finish times;
-* ``"failure"`` replays the sync pipeline over a fault-injecting device
+  simulated-time clock's event queue of client finish times, flushing
+  through the same lifecycle guard, task builder, close and record;
+* ``"failure"`` is the sync round over a fault-injecting device
   population (``"storm"`` preset: dropout bursts + straggler storms as
-  trace-driven state transitions);
-* ``"semiasync"`` runs FLASH-style tiered rounds (sync fast tier at its
-  deadline + staleness-discounted straggler fold-in);
-* ``"overlapped"`` replays the sync pipeline under a pipelined clock
-  (round *t+1* downloads overlap round *t* uploads).
+  trace-driven state transitions), flagging the burst rounds;
+* ``"semiasync"`` runs FLASH-style tiered rounds (the sync round as fast
+  tier at its deadline + staleness-discounted straggler fold-in);
+* ``"overlapped"`` is the sync round under a pipelined clock (round *t+1*
+  downloads overlap round *t* uploads).
 
 All five run on one :class:`~repro.engine.clock.SimClock` per scheduler,
 whose cumulative reading lands in ``RoundRecord.wall_clock_s``.
 
-Phases and scheduler hooks reach the state through this object (``server``
-in their signatures); anything per-round lives in the
-:class:`~repro.engine.context.RoundContext` instead, so no stale round
-state ever survives on the server.
+The steps reach the state through this object (``server`` in their
+signatures); anything per-round lives in the
+:class:`~repro.engine.steps.Cohort` and :class:`~repro.engine.steps.Batch`
+they hand to each other, so no stale round state ever survives on the
+server.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ class FLServer:
         self.logger = RunLogger(echo=config.log_echo)
         self.round_idx = 0
 
-        # local import: repro.engine's phases import repro.fl submodules, so
+        # local import: repro.engine's steps import repro.fl submodules, so
         # a module-level import here would cycle through repro.fl.__init__
         from repro.engine import create_scheduler
 

@@ -26,7 +26,7 @@ columns, so 10⁵–10⁶ clients cost a few flat arrays:
 The population *is* the server's availability model: it duck-types the
 :class:`~repro.traces.availability.AvailabilityTrace` protocol (``online``,
 ``survives_round``) so every scheduler consumes it unchanged, and adds the
-state-machine API the engine phases drive (``begin_work`` →
+state-machine API the engine's round steps drive (``begin_work`` →
 ``finish_round``).  State advances once per round, on the first
 ``online(round_idx)`` call.
 

@@ -335,14 +335,22 @@ def test_lifecycle_accepts_try_pairing():
     ) == []
 
 
-def test_lifecycle_accepts_ledger_pairing():
-    # the phases.py shape: the opener flips a ledger bit the engine uses
-    # to abort unclosed rounds on any exit path
+def test_lifecycle_accepts_context_manager_guard():
+    # the steps.strategy_round shape: the opener is a generator whose
+    # finally aborts any round the block did not end
     assert rules_of(
         """
-        def open_round(ctx, strategy, round_idx):
-            strategy.begin_round(round_idx)
-            ctx.round_opened = True
+        from contextlib import contextmanager
+
+        @contextmanager
+        def strategy_round(server, round_idx):
+            server.strategy.begin_round(round_idx)
+            rnd = OpenRound(round_idx)
+            try:
+                yield rnd
+            finally:
+                if not rnd.closed:
+                    server.strategy.abort_round(round_idx)
         """
     ) == []
 

@@ -2,6 +2,8 @@
 threading across every scheduler, the tiered (semiasync) fold-in, the
 overlapped pipeline, and the async record fixes."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ from repro.engine import (
     SemiAsyncScheduler,
     create_scheduler,
 )
-from repro.fl import RunConfig, UniformSampler, run_training
+from repro.fl import FLServer, RunConfig, UniformSampler, run_training
 from repro.traces.availability import AvailabilityTrace
 
 ALL_SCHEDULERS = ("sync", "async", "failure", "semiasync", "overlapped")
@@ -206,6 +208,36 @@ def test_semiasync_accounting_shape_matches_sync(tiny_dataset):
     assert semi.records[0].down_bytes == sync.records[0].down_bytes
     assert semi.series("up_bytes").sum() >= sync.series("up_bytes").sum()
 
+    # policy, not copy: with no candidate left behind (overcommit 1.0 —
+    # no straggler exists) the tiered round IS the sync round, bit for
+    # bit, under GlueFL's sticky sampling with a mask regeneration inside
+    # the horizon
+    def run(scheduler):
+        strategy, sampler = make_gluefl(
+            5, group_size=20, sticky_count=4, q=0.2, q_shr=0.16, regen_interval=4
+        )
+        server = FLServer(
+            make_config(
+                tiny_dataset,
+                strategy=strategy,
+                sampler=sampler,
+                scheduler=scheduler,
+                overcommit=1.0,
+                collect_sync_details=True,
+            )
+        )
+        records = [
+            dataclasses.asdict(server.run_round())
+            for _ in range(server.config.rounds)
+        ]
+        server.close()
+        return records, hashlib.sha256(server.global_params.tobytes()).hexdigest()
+
+    sync_records, sync_digest = run("sync")
+    semi_records, semi_digest = run("semiasync")
+    assert semi_records == sync_records
+    assert semi_digest == sync_digest
+
 
 def test_semiasync_collects_sync_details(tiny_dataset):
     """RunConfig.collect_sync_details works under the tiered scheduler."""
@@ -339,6 +371,32 @@ def test_semiasync_raise_paths_pair_round_state(tiny_dataset):
     with pytest.raises(RuntimeError):
         run_training(cfg)
     assert strategy.begins == strategy.ends + strategy.aborts
+
+
+@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+def test_raise_after_close_does_not_abort_again(tiny_dataset, scheduler):
+    """The lifecycle guard closes a round exactly once: a failure *after*
+    ``end_round`` (here: evaluation) must not abort the round it ended."""
+    strategy = PairingSpyStrategy()
+    server = FLServer(
+        make_config(
+            tiny_dataset,
+            strategy=strategy,
+            scheduler=scheduler,
+            always_available=True,
+            dropout_prob=0.0,
+            eval_every=1,
+        )
+    )
+
+    def broken_evaluate():
+        raise OSError("test set unreadable")
+
+    server.evaluate = broken_evaluate
+    with pytest.raises(OSError, match="test set unreadable"):
+        server.run_round()
+    server.close()
+    assert (strategy.begins, strategy.ends, strategy.aborts) == (1, 1, 0)
 
 
 # -- async record fixes (satellite) ------------------------------------------------

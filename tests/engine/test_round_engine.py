@@ -1,4 +1,4 @@
-"""Bit-identity regression: the phase-based sync engine vs the monolith.
+"""Bit-identity regression: the step-function sync round vs the monolith.
 
 ``golden_sync.json`` was captured from the pre-refactor monolithic
 ``FLServer.run_round`` (PR 1 state) on a fixed seed, for FedAvg / STC /

@@ -1,16 +1,12 @@
 """Behavioral tests for the async/buffered and failure-injection schedulers,
-plus the RoundEngine hook machinery and empty-round survival."""
+plus empty-round survival and the strategy round-lifecycle pairing."""
 
 import numpy as np
 import pytest
 
 from repro.compression import FedAvgStrategy, STCStrategy
 from repro.core import make_gluefl
-from repro.engine import (
-    RoundContext,
-    RoundEngine,
-    create_scheduler,
-)
+from repro.engine import create_scheduler
 from repro.fl import (
     FLServer,
     RunConfig,
@@ -248,27 +244,6 @@ def test_empty_round_still_raises_by_default(tiny_dataset):
     )
     with pytest.raises(RuntimeError, match="no participants survived"):
         run_training(cfg)
-
-
-# -- engine hooks ------------------------------------------------------------------
-
-
-def test_round_engine_hooks_fire_in_order(tiny_dataset):
-    server = FLServer(make_config(tiny_dataset))
-    engine = RoundEngine()
-    calls = []
-    engine.add_before("sampling", lambda s, c: calls.append("before"))
-    engine.add_after("measurement", lambda s, c: calls.append("after"))
-    server.round_idx += 1
-    record = engine.run_round(server, RoundContext(round_idx=server.round_idx))
-    server.close()
-    assert calls == ["before", "after"]
-    assert record.round_idx == 1
-
-
-def test_round_engine_rejects_unknown_phase():
-    with pytest.raises(ValueError, match="unknown phase"):
-        RoundEngine().add_before("bogus", lambda s, c: None)
 
 
 # -- config plumbing ---------------------------------------------------------------
@@ -584,7 +559,7 @@ def test_quantized_wrapper_forwards_abort_round():
 def test_sync_raise_paths_pair_round_state(tiny_dataset):
     """Both fatal sync paths (empty draw, no survivors) abort the opened
     round before raising, mirroring the async raise path."""
-    # no survivors: CompressionPhase raises after begin_round
+    # no survivors: close_round raises after begin_round
     strategy = PairingSpyStrategy()
     cfg = make_config(
         tiny_dataset,
@@ -595,7 +570,7 @@ def test_sync_raise_paths_pair_round_state(tiny_dataset):
         run_training(cfg)
     assert strategy.begins == strategy.ends + strategy.aborts
 
-    # empty draw: the sampler raises inside SamplingPhase
+    # empty draw: the sampler raises inside contact_wave
     strategy = PairingSpyStrategy()
     cfg = make_config(
         tiny_dataset,

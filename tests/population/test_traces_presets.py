@@ -176,25 +176,54 @@ def test_population_presets_train_end_to_end(dataset, preset):
     assert (np.diff(wall) >= 0).all()
 
 
+class _TaskSpyBackend:
+    """Wraps an ExecutionBackend, records every ClientTask it is handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.tasks = []
+
+    def run_clients(self, tasks, global_params, global_buffers):
+        self.tasks.extend(tasks)
+        return self.inner.run_clients(tasks, global_params, global_buffers)
+
+    def close(self):
+        self.inner.close()
+
+
 def test_device_classes_partial_work_scales_weights(dataset):
     """Phones (completeness 0.6) run fewer steps; the record reports the
-    cohort's mean realized work fraction."""
-    cfg = make_config(
-        dataset,
-        population_preset="device-classes",
-        local_steps=10,
-        rounds=4,
-        skip_empty_rounds=True,
-    )
-    result = run_training(cfg)
-    fracs = [
-        r.mean_completeness
-        for r in result.records
-        if r.mean_completeness is not None
-    ]
-    assert fracs, "device-classes never reported completeness"
-    assert all(0.0 < f <= 1.0 for f in fracs)
-    assert min(fracs) < 1.0  # somebody did partial work
+    participants' mean realized work fraction — under every round shape
+    (semiasync and async used to train every device for the full E)."""
+    for scheduler in ("sync", "overlapped", "failure", "semiasync", "async"):
+        cfg = make_config(
+            dataset,
+            scheduler=scheduler,
+            population_preset="device-classes",
+            local_steps=10,
+            rounds=4,
+            skip_empty_rounds=True,
+        )
+        server = FLServer(cfg)
+        spy = server._backend = _TaskSpyBackend(server.backend)
+        records = [server.run_round() for _ in range(cfg.rounds)]
+        server.close()
+        fracs = [
+            r.mean_completeness
+            for r in records
+            if r.mean_completeness is not None
+        ]
+        assert fracs, f"{scheduler}: never reported completeness"
+        assert all(0.0 < f <= 1.0 for f in fracs), scheduler
+        assert min(fracs) < 1.0, scheduler  # somebody did partial work
+        # ... and actually ran ceil(completeness · E) steps, not E
+        partial = [t for t in spy.tasks if t.local_steps is not None]
+        assert any(t.local_steps < cfg.local_steps for t in partial), scheduler
+        for task in partial:
+            realized = server.population.local_steps_for(
+                np.array([task.client_id]), cfg.local_steps
+            )
+            assert task.local_steps == realized[0], scheduler
 
 
 def test_population_runs_are_reproducible(dataset):
