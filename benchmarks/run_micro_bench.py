@@ -195,9 +195,9 @@ def main() -> None:
     parser.add_argument(
         "--sanitize-overhead",
         action="store_true",
-        help="time the e2e workload with the runtime sanitizer off vs on "
-        "and print the ratio (documented in docs/analysis.md, not gated; "
-        "writes nothing)",
+        help="time the e2e workload on the process backend (the one path "
+        "the runtime sanitizer guards) with it off vs on and print the "
+        "ratio (documented in docs/analysis.md, not gated; writes nothing)",
     )
     args = parser.parse_args()
 
@@ -218,10 +218,11 @@ def main() -> None:
 
     if args.sanitize_overhead:
         reps = max(1, args.repeats - 1)
+        ring = {"dtype": "float32", "execution_backend": "process"}
         timings = {}
         for label, extra in (
-            ("sanitize_off", {"dtype": "float32"}),
-            ("sanitize_on", {"dtype": "float32", "sanitize": True}),
+            ("sanitize_off", ring),
+            ("sanitize_on", {**ring, "sanitize": True}),
         ):
             samples = [e2e(here, args.rounds, extra) for _ in range(reps)]
             timings[label] = statistics.median(s["seconds"] for s in samples)

@@ -8,7 +8,7 @@ waived in place with ``# repro: allow[rule] -- justification``.
 
 Runtime half: the sanitizer mode (``REPRO_SANITIZE=1`` or
 ``RunConfig.sanitize=True``) lives in :mod:`repro.runtime.sanitize` and
-turns the buffer-arena and result-ring ownership protocols into checked
+turns the process backend's result-ring ownership protocol into checked
 assertions.
 
 >>> from repro.analysis import analyze_source

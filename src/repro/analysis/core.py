@@ -2,19 +2,19 @@
 
 The repo carries a set of load-bearing invariants that exist nowhere in
 the type system: SimClock as the single time authority, ``resolve_dtype``
-as the single dtype authority, the arena's one-epoch scratch discipline,
-the ``begin_round``/``end_round``/``abort_round`` lifecycle contract, and
-the golden-pinned scheduler surface.  Each is encoded as a
-:class:`Checker` producing :class:`Finding` records with a ``file:line``
-anchor, a rule id, and a fix hint, so drift is caught on every push —
-before a golden (or a reviewer) has to.
+as the single dtype authority, the ``begin_round``/``end_round``/
+``abort_round`` lifecycle contract, and the golden-pinned scheduler
+surface.  Each is encoded as a :class:`Checker` producing
+:class:`Finding` records with a ``file:line`` anchor, a rule id, and a
+fix hint, so drift is caught on every push — before a golden (or a
+reviewer) has to.
 
 Waivers
 -------
 A violation that is *by design* is silenced where it happens, with a
 required justification::
 
-    return out  # repro: allow[arena-escape] -- consumed before reset()
+    stamp = time.time()  # repro: allow[determinism] -- diagnostic stamp
 
 ``# repro: allow[rule] -- why`` waives ``rule`` on its own line (or, as a
 standalone comment, on the next line); ``# repro: allow-file[rule] -- why``
@@ -221,7 +221,6 @@ def _load_builtin_checkers() -> None:
     # checker modules self-register on import; imported lazily so that
     # `from repro.analysis.core import Checker` never cycles
     from repro.analysis import (  # noqa: F401
-        arena_escape,
         config_coverage,
         determinism,
         dtype_discipline,

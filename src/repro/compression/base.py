@@ -244,7 +244,6 @@ def weighted_dense_sum(
     key_idx: str = "idx",
     key_vals: str = "vals",
     dtype=np.float64,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Accumulate ``Σ ν_i · sparse_i`` into a single dense vector.
 
@@ -253,16 +252,8 @@ def weighted_dense_sum(
     so each per-payload scatter streams the one shared accumulator in
     order.  The accumulator uses the run-level ``dtype``, so float32 runs
     halve the memory traffic of this loop.
-
-    ``out`` (optional) supplies a caller-owned zeroed accumulator — e.g.
-    arena scratch when the result does not escape the caller's scope.
     """
-    if out is not None:
-        if out.shape != (d,):
-            raise ValueError(f"out must have shape ({d},), got {out.shape}")
-        acc = out
-    else:
-        acc = np.zeros(d, dtype=dtype)
+    acc = np.zeros(d, dtype=dtype)
     for _, weight, payload in payloads:
         idx = payload.data[key_idx]
         vals = payload.data[key_vals]

@@ -19,7 +19,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.runtime.arena import scratch_empty
 from repro.utils.arrays import sorted_unique
 
 __all__ = [
@@ -54,11 +53,7 @@ def top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if k >= d:
         return np.arange(d, dtype=np.int64)
-    # the d-sized magnitude buffer is the selection's only big temporary;
-    # it never escapes, so it may come from the active scratch arena
-    mag = scratch_empty(x.shape, x.dtype)
-    np.abs(x, out=mag)
-    idx = np.argpartition(mag, d - k)[d - k :]
+    idx = np.argpartition(np.abs(x), d - k)[d - k :]
     return np.sort(idx).astype(np.int64, copy=False)
 
 

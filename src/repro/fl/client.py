@@ -21,7 +21,6 @@ from repro.nn.flat import FlatParamView
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import SGD
-from repro.runtime.arena import BufferArena, activate
 
 __all__ = ["LocalResult", "LocalTrainer"]
 
@@ -49,15 +48,6 @@ class LocalTrainer:
         Mini-batch size per step.
     momentum, weight_decay:
         Client optimizer settings (paper: momentum 0.9).
-    use_arena:
-        Recycle the step's scratch buffers (im2col matrices, norm/pool
-        temporaries, optimizer updates) through a private
-        :class:`~repro.runtime.arena.BufferArena` instead of reallocating
-        them every step.  Bit-identical either way; default on.
-    sanitize:
-        Run the arena in sanitizer mode (guarded scratch views; see
-        :mod:`repro.runtime.sanitize`).  ``None`` follows the
-        ``REPRO_SANITIZE`` environment gate.
     """
 
     def __init__(
@@ -67,8 +57,6 @@ class LocalTrainer:
         batch_size: int,
         momentum: float = 0.9,
         weight_decay: float = 0.0,
-        use_arena: bool = True,
-        sanitize: Optional[bool] = None,
     ):
         if local_steps <= 0:
             raise ValueError("local_steps must be positive")
@@ -80,9 +68,6 @@ class LocalTrainer:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.loss = CrossEntropyLoss()
-        # private per-trainer pool: the thread backend hands each replica
-        # (and thus each arena) to one in-flight task at a time
-        self.arena = BufferArena(sanitize=sanitize) if use_arena else None
 
     def run(
         self,
@@ -113,28 +98,14 @@ class LocalTrainer:
             weight_decay=self.weight_decay,
         )
         losses = []
-        if self.arena is not None:
-            # every scratch buffer taken during a step is dead once the
-            # optimizer has applied it — reclaim the whole epoch at once
-            with activate(self.arena):
-                for xb, yb in dataset.batches(
-                    self.batch_size, rng, num_batches=steps
-                ):
-                    optimizer.zero_grad()
-                    logits = self.model(xb.astype(self.dtype, copy=False))
-                    losses.append(self.loss(logits, yb))
-                    self.model.backward(self.loss.backward())
-                    optimizer.step()
-                    self.arena.reset()
-        else:
-            for xb, yb in dataset.batches(
-                self.batch_size, rng, num_batches=steps
-            ):
-                optimizer.zero_grad()
-                logits = self.model(xb.astype(self.dtype, copy=False))
-                losses.append(self.loss(logits, yb))
-                self.model.backward(self.loss.backward())
-                optimizer.step()
+        for xb, yb in dataset.batches(
+            self.batch_size, rng, num_batches=steps
+        ):
+            optimizer.zero_grad()
+            logits = self.model(xb.astype(self.dtype, copy=False))
+            losses.append(self.loss(logits, yb))
+            self.model.backward(self.loss.backward())
+            optimizer.step()
         delta = self.view.get_flat() - global_params
         if self.view.num_buffer:
             buffer_delta = self.view.get_buffers_flat() - global_buffers

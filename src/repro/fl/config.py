@@ -179,17 +179,13 @@ class RunConfig:
     #: optional ml_dtypes package).  Half-precision runs keep aggregation
     #: and loss accumulation in float32 (see repro.runtime.dtype)
     dtype: str = "float64"
-    #: recycle per-step training scratch (im2col, norm/pool temporaries,
-    #: optimizer updates) through per-trainer buffer arenas; bit-identical
-    #: to allocation-per-step, so it defaults on
-    use_arena: bool = True
-    #: runtime sanitizer (see :mod:`repro.runtime.sanitize`): tag arena
-    #: buffers with owner-thread/epoch metadata and the process backend's
-    #: result-ring slots with claim/release epochs, and raise
-    #: ``SanitizerError`` on cross-thread scratch touches, use of scratch
-    #: across an arena ``reset()``, or slot reuse while a result is in
-    #: flight.  Debugging aid with measurable overhead, so it defaults
-    #: off; ``REPRO_SANITIZE=1`` in the environment also enables it
+    #: process backend only: runtime sanitizer (see
+    #: :mod:`repro.runtime.sanitize`) — tag the result-ring slots with
+    #: claim epochs and the parent-side ring views with the dispatch
+    #: epoch, and raise ``SanitizerError`` on a double slot claim or a
+    #: result touched after the next dispatch reclaimed the ring.
+    #: Debugging aid (every touch of a ring view pays a tag check), so it
+    #: defaults off; ``REPRO_SANITIZE=1`` in the environment also enables it
     sanitize: bool = False
     #: thread backend only: train this many clients' mini-batches through
     #: one vectorized replica with a leading replica axis (see
@@ -393,7 +389,6 @@ class RunConfig:
             raise ValueError("seed must be an int")
         for flag in (
             "always_available",
-            "use_arena",
             "sanitize",
             "shard_mmap",
             "skip_empty_rounds",
@@ -430,6 +425,13 @@ class RunConfig:
                     "it requires execution_backend='thread' (got "
                     f"{self.execution_backend!r})"
                 )
+        if self.sanitize and self.execution_backend != "process":
+            raise ValueError(
+                "sanitize guards the process backend's result ring; with "
+                f"execution_backend={self.execution_backend!r} it would be "
+                "silently ignored — set execution_backend='process' (or "
+                "unset it)"
+            )
         if self.shard_count is not None and self.shard_count <= 0:
             raise ValueError("shard_count must be positive (or None)")
         if self.shard_backend not in SHARD_BACKENDS:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 from typing import Tuple
 
 import numpy as np
@@ -50,7 +49,6 @@ from repro.network.profiles import get_profile
 from repro.network.transfer import ClientLinks
 from repro.nn.flat import FlatParamView
 from repro.nn.models import build_model
-from repro.runtime.arena import BufferArena, activate
 from repro.runtime.backends import WorkerSpec, create_backend
 from repro.runtime.dtype import accumulation_dtype, resolve_dtype
 from repro.traces.availability import AvailabilityTrace, always_available
@@ -192,13 +190,7 @@ class FLServer:
             batch_size=config.batch_size,
             momentum=config.momentum,
             weight_decay=config.weight_decay,
-            use_arena=config.use_arena,
-            sanitize=True if config.sanitize else None,
         )
-        # server-side scratch pool for the compression/aggregation hot path
-        # (top-k magnitude buffers, dense accumulators); round-scoped via
-        # scratch_scope()
-        self.scratch_arena = BufferArena() if config.use_arena else None
         self._worker_spec = WorkerSpec(
             model_name=config.model_name,
             model_kwargs=dict(config.model_kwargs),
@@ -214,7 +206,6 @@ class FLServer:
             dtype=config.dtype,
             d=self.d,
             num_buffer=self.view.num_buffer,
-            use_arena=config.use_arena,
             sanitize=config.sanitize,
             # sizes the process backend's zero-copy result rings: the most
             # results a scheduler can ask for before draining them
@@ -290,26 +281,6 @@ class FLServer:
                 privatize(config.strategy.inner), bits=config.strategy.bits
             )
         return privatize(config.strategy)
-
-    # -- scratch ---------------------------------------------------------------
-    @contextmanager
-    def scratch_scope(self):
-        """Round-scoped server-side scratch arena.
-
-        The compression/aggregation helpers wrap their hot loops in this
-        scope so per-client magnitude buffers and dense accumulators are
-        recycled across clients and rounds.  Everything taken inside the
-        scope is reclaimed on exit — only arrays that never escape the
-        scope may come from scratch.  No-op when ``use_arena`` is off.
-        """
-        if self.scratch_arena is None:
-            yield None
-            return
-        with activate(self.scratch_arena):
-            try:
-                yield self.scratch_arena
-            finally:
-                self.scratch_arena.reset()
 
     # -- weights ---------------------------------------------------------------
     def _weights_for(

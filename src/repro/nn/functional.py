@@ -3,11 +3,6 @@
 Everything here is vectorized numpy; the only Python loops are over kernel
 taps (``kh * kw`` iterations) in :func:`col2im`, per the scikit-learn
 performance guidance of pushing work into array primitives.
-
-Scratch buffers (the padded input, the col2im accumulator) come from the
-active :mod:`~repro.runtime.arena` when a trainer has one bound, so the
-per-step temporaries of the conv/pool hot loop are recycled instead of
-reallocated; with no arena active the helpers allocate as before.
 """
 
 from __future__ import annotations
@@ -15,14 +10,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-# repro: allow-file[arena-escape] -- intra-step handoff by design: scratch
-# returned (activations/grads) or cached for backward here is consumed within
-# the same local step and is dead before the trainer's per-step
-# BufferArena.reset(); nothing crosses a reset epoch (pinned by
-# tests/runtime/test_arena.py).
-
-from repro.runtime.arena import scratch_zeros
 
 __all__ = [
     "conv_out_size",
@@ -70,14 +57,13 @@ def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
 def pad_nchw(x: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the two spatial axes of an NCHW tensor.
 
-    Equivalent to ``np.pad(x, ((0,0),(0,0),(pad,pad),(pad,pad)))`` but the
-    output buffer comes from the active scratch arena, so the per-step
-    padded copy in the conv hot loop is recycled across steps.
+    Equivalent to ``np.pad(x, ((0,0),(0,0),(pad,pad),(pad,pad)))`` without
+    ``np.pad``'s per-call overhead in the conv hot loop.
     """
     if pad <= 0:
         return x
     n, c, h, w = x.shape
-    out = scratch_zeros((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     out[:, :, pad : pad + h, pad : pad + w] = x
     return out
 
@@ -135,7 +121,7 @@ def col2im(
     hp, wp = h + 2 * pad, w + 2 * pad
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    x = scratch_zeros((n, c, hp, wp), cols.dtype)
+    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += (

@@ -13,7 +13,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.runtime.arena import scratch_empty
 
 __all__ = ["SGD", "ExponentialDecay", "StepDecay", "ConstantLR"]
 
@@ -56,32 +55,31 @@ class SGD:
             p.zero_grad()
 
     def step(self) -> None:
-        # temporaries draw from the active scratch arena so the per-step
-        # decayed-gradient / scaled-update buffers are recycled; each is
-        # fully overwritten, so values match the allocation-per-step form
+        # out= into a buffer of the gradient's dtype pins every product to
+        # that dtype, whatever scalar type lr / momentum / weight_decay is
         for p in self.params:
             g = p.grad
             if self.weight_decay:
-                t = scratch_empty(g.shape, g.dtype)
+                t = np.empty(g.shape, dtype=g.dtype)
                 np.multiply(p.data, self.weight_decay, out=t)
                 np.add(g, t, out=t)
                 g = t
             if self.momentum:
                 buf = self._buffers.get(id(p))
                 if buf is None:
-                    buf = g.copy()  # persistent across steps: never pooled
+                    buf = g.copy()
                     self._buffers[id(p)] = buf
                 else:
                     buf *= self.momentum
                     buf += g
                 if self.nesterov:
-                    t = scratch_empty(buf.shape, buf.dtype)
+                    t = np.empty(buf.shape, dtype=buf.dtype)
                     np.multiply(buf, self.momentum, out=t)
                     np.add(g, t, out=t)
                     g = t
                 else:
                     g = buf
-            upd = scratch_empty(g.shape, g.dtype)
+            upd = np.empty(g.shape, dtype=g.dtype)
             np.multiply(g, self.lr, out=upd)
             p.data -= upd
 

@@ -7,8 +7,12 @@ Two orthogonal knobs, both selected through
 
 * ``"serial"`` (default) — one shared model instance, clients trained one
   after another in the server process (the seed behavior);
-* ``"thread"`` — a thread pool with one model replica per worker; numpy
-  releases the GIL inside BLAS/einsum kernels, so heavy models overlap;
+* ``"thread"`` — a thread pool with one model replica per worker.  Only
+  the time numpy spends inside GIL-releasing kernels can overlap; at the
+  ledger's CNN shapes that is not enough (two workers measured
+  0.78–0.97× of serial on the 2-CPU reference host, ROADMAP), so the
+  backend pays only with the opt-in ``batch_replicas`` path
+  (:mod:`repro.runtime.batched`);
 * ``"process"`` — a fork-based process pool.  The frozen global
   parameters/buffers are shipped **once per round** through POSIX shared
   memory; each worker owns its own model replica and
@@ -22,12 +26,17 @@ independent of execution order, and the server compresses/aggregates the
 returned deltas in the same deterministic order regardless of backend.
 
 ``dtype`` — *in what precision* the whole run executes: ``"float64"``
-(default, the seed behavior) or ``"float32"``.  The policy is threaded
-through model construction (every ``Conv2d``/``Linear``/norm layer),
-:class:`~repro.nn.flat.FlatParamView`, local training (inputs are cast once
-per batch), the compression strategies and the aggregation path, so a
-float32 run never silently up-casts back to float64 in the hot loop.
-On memory-bandwidth-bound numpy kernels this alone is a ~1.5–2× speedup.
+(default, the seed behavior), ``"float32"``, or the 2-byte storage modes
+``"float16"`` / ``"bfloat16"`` (one :func:`resolve_dtype` gate; GEMMs and
+long reductions widen to float32, see :mod:`repro.runtime.dtype`).  The
+policy is threaded through model construction (every
+``Conv2d``/``Linear``/norm layer), :class:`~repro.nn.flat.FlatParamView`,
+local training (inputs are cast once per batch), the compression
+strategies and the aggregation path, so a float32 run never silently
+up-casts back to float64 in the hot loop.
+On memory-bandwidth-bound numpy kernels float32 alone is a ~1.5–2×
+speedup over float64; the 2-byte modes trade bytes for tolerance, not
+time (numpy has no half-precision BLAS).
 """
 
 from repro.runtime.backends import (

@@ -42,9 +42,8 @@ from repro.runtime import sanitize as _sanitize
 from repro.utils.rng import RngFactory
 
 # LocalTrainer is imported lazily inside build_trainer(): repro.fl pulls in
-# this module through repro.fl.server, and compression/nn modules reach the
-# scratch arena through repro.runtime's package init, so a module-level
-# import here would close an import cycle
+# this module through repro.fl.server, so a module-level import here would
+# close an import cycle
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.client import LocalTrainer
 
@@ -158,11 +157,9 @@ class WorkerSpec:
     dtype: str = "float64"
     d: int = 0
     num_buffer: int = 0
-    #: recycle per-step scratch through each trainer's private BufferArena
-    use_arena: bool = True
-    #: runtime ownership sanitizer (repro.runtime.sanitize): guard arena
-    #: scratch and the process backend's result ring; False still honors
-    #: the REPRO_SANITIZE environment gate downstream
+    #: runtime ownership sanitizer (repro.runtime.sanitize): guard the
+    #: process backend's result ring; False still honors the
+    #: REPRO_SANITIZE environment gate there
     sanitize: bool = False
     #: cap on results a parallel backend may have outstanding at once
     #: (sizes the process backend's zero-copy result rings); 0 = derive
@@ -191,10 +188,6 @@ class WorkerSpec:
             batch_size=self.batch_size,
             momentum=self.momentum,
             weight_decay=self.weight_decay,
-            use_arena=self.use_arena,
-            # None (not False) keeps the REPRO_SANITIZE env gate live when
-            # the config knob is off
-            sanitize=True if self.sanitize else None,
         )
         return model, trainer
 
@@ -208,18 +201,13 @@ def _run_one(
     global_buffers: np.ndarray,
 ) -> ClientResult:
     """Train one client — the shared inner step of every backend."""
-    # forward the partial-work override only when set, so stubbed trainers
-    # with the classic five-argument signature keep working
-    kwargs = (
-        {} if task.local_steps is None else {"local_steps": task.local_steps}
-    )
     result = trainer.run(
         global_params,
         global_buffers,
         clients[task.client_id],
         task.lr,
         rngs(f"client/{task.client_id}/round/{task.round_idx}"),
-        **kwargs,
+        local_steps=task.local_steps,
     )
     return ClientResult(
         client_id=task.client_id,
@@ -339,10 +327,7 @@ class ThreadBackend(ExecutionBackend):
             try:
                 pool.put(
                     BatchedReplicaTrainer(
-                        model,
-                        view.num_trainable,
-                        view.num_buffer,
-                        use_arena=self.spec.use_arena,
+                        model, view.num_trainable, view.num_buffer
                     )
                 )
             except UnsupportedModelError as exc:
@@ -686,7 +671,6 @@ class ProcessBackend(ExecutionBackend):
                     tag = _sanitize.OwnershipTag(
                         host=self,
                         epoch=self._epoch,
-                        owner_thread=None,
                         label=f"result-ring slot {r.slot}",
                     )
                     delta = _sanitize.guard(delta, tag)

@@ -48,12 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# repro: allow-file[arena-escape] -- intra-step handoff by design: scratch
-# returned (activations/grads) or cached for backward here is consumed within
-# the same local step and is dead before the trainer's per-step
-# BufferArena.reset(); nothing crosses a reset epoch (pinned by
-# tests/runtime/test_arena.py).
-
 from repro.nn.functional import conv_out_size
 from repro.nn.layers import (
     AvgPool2d,
@@ -68,12 +62,6 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.module import Module, Sequential
-from repro.runtime.arena import (
-    BufferArena,
-    activate,
-    scratch_empty,
-    scratch_zeros,
-)
 
 __all__ = [
     "UnsupportedModelError",
@@ -172,7 +160,7 @@ class _BatchedConv:
         cg = c // g
         m = cg * k * k
         if p > 0:
-            xp = scratch_zeros((r, b, c, h + 2 * p, w + 2 * p), x.dtype)
+            xp = np.zeros((r, b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
             xp[:, :, :, p : p + h, p : p + w] = x
         else:
             xp = np.ascontiguousarray(x)
@@ -183,15 +171,15 @@ class _BatchedConv:
             strides=(sr, sb, sc * cg, sc, sh, sw, sh * s, sw * s),
             writeable=False,
         )
-        cols = scratch_empty((r, g, cg, k, k, b, oh, ow), x.dtype)
+        cols = np.empty((r, g, cg, k, k, b, oh, ow), dtype=x.dtype)
         np.copyto(cols, win.transpose(0, 2, 3, 4, 5, 1, 6, 7))
         cols = cols.reshape(r, g, m, b * oh * ow)
         self._cols = cols
         self._dims = (r, b, c, h, w, oh, ow)
         # (R, G, OC/G, M) @ (R, G, M, B·L) -> (R, G, OC/G, B·L)
-        outf = scratch_empty((r, g, self.oc // g, b * oh * ow), x.dtype)
+        outf = np.empty((r, g, self.oc // g, b * oh * ow), dtype=x.dtype)
         np.matmul(self._weight(params), cols, out=outf)
-        out = scratch_empty((r, b, self.oc, oh, ow), x.dtype)
+        out = np.empty((r, b, self.oc, oh, ow), dtype=x.dtype)
         np.copyto(
             out.reshape(r, b, g, self.oc // g, oh, ow),
             outf.reshape(r, g, self.oc // g, b, oh, ow).transpose(
@@ -210,14 +198,14 @@ class _BatchedConv:
         m = cg * k * k
         bl = b * oh * ow
         cols = self._cols
-        ggrad = scratch_empty((r, g, ocg, b, oh, ow), grad_out.dtype)
+        ggrad = np.empty((r, g, ocg, b, oh, ow), dtype=grad_out.dtype)
         np.copyto(
             ggrad,
             grad_out.reshape(r, b, g, ocg, oh, ow).transpose(0, 2, 3, 1, 4, 5),
         )
         ggrad = ggrad.reshape(r, g, ocg, bl)
         # dW contracts over B·L in one GEMM per (replica, group)
-        dw = scratch_empty((r, g, ocg, m), grad_out.dtype)
+        dw = np.empty((r, g, ocg, m), dtype=grad_out.dtype)
         np.matmul(ggrad, cols.swapaxes(-1, -2), out=dw)
         gw = _view(grads, self.w_off, self.w_shape)
         gw += dw.reshape((r,) + self.w_shape)
@@ -227,13 +215,13 @@ class _BatchedConv:
         self._cols = None
         if self.skip_dx:
             return None
-        dcols = scratch_empty((r, g, m, bl), grad_out.dtype)
+        dcols = np.empty((r, g, m, bl), dtype=grad_out.dtype)
         np.matmul(self._weight(params).swapaxes(-1, -2), ggrad, out=dcols)
         # inline batched col2im: scatter-add each kernel tap into the padded
         # input plane (same tap loop as functional.col2im, with the extra
         # replica axis)
         hp, wp = h + 2 * p, w + 2 * p
-        dxp = scratch_zeros((r, b, c, hp, wp), grad_out.dtype)
+        dxp = np.zeros((r, b, c, hp, wp), dtype=grad_out.dtype)
         dxp6 = dxp.reshape(r, b, g, cg, hp, wp)
         dv = dcols.reshape(r, g, cg, k, k, b, oh, ow)
         for i in range(k):
@@ -242,7 +230,7 @@ class _BatchedConv:
                     :, :, :, :, i : i + s * oh : s, j : j + s * ow : s
                 ] += dv[:, :, :, i, j].transpose(0, 3, 1, 2, 4, 5)
         if p > 0:
-            dx = scratch_empty((r, b, c, h, w), grad_out.dtype)
+            dx = np.empty((r, b, c, h, w), dtype=grad_out.dtype)
             np.copyto(dx, dxp[:, :, :, p : p + h, p : p + w])
             return dx
         return dxp
@@ -314,7 +302,7 @@ class _BatchedBN:
         weight = _view(params, self.w_off, (self.c,))
         a = weight * inv_std
         shift = _view(params, self.b_off, (self.c,)) - mean * a
-        out = scratch_empty(x.shape, x.dtype)
+        out = np.empty(x.shape, dtype=x.dtype)
         np.multiply(x, self._expand(a), out=out)
         out += self._expand(shift)
         self._cache = (x, mean, inv_std, count, mask)
@@ -338,9 +326,9 @@ class _BatchedBN:
         coef_a = inv_std * weight
         coef_b = -(np.square(inv_std) * weight) * sum_gxhat / count
         coef_c = -coef_a * sum_g / count - mean * coef_b
-        dx = scratch_empty(grad_out.shape, grad_out.dtype)
+        dx = np.empty(grad_out.shape, dtype=grad_out.dtype)
         np.multiply(grad_out, self._expand(coef_a), out=dx)
-        tmp = scratch_empty(grad_out.shape, grad_out.dtype)
+        tmp = np.empty(grad_out.shape, dtype=grad_out.dtype)
         np.multiply(x, self._expand(coef_b), out=tmp)
         dx += tmp
         dx += self._expand(coef_c)
@@ -437,12 +425,10 @@ class BatchedReplicaTrainer:
     trains its own ``(R, d)`` state from the given global snapshot.
     """
 
-    def __init__(self, template: Module, d: int, num_buffer: int,
-                 use_arena: bool = True):
+    def __init__(self, template: Module, d: int, num_buffer: int):
         self.d = d
         self.num_buffer = num_buffer
         self.ops: List[object] = []
-        self.arena = BufferArena() if use_arena else None
         p_off = 0
         b_off = 0
         for layer in _chain_leaves(template):
@@ -591,35 +577,24 @@ class BatchedReplicaTrainer:
         mom = np.zeros_like(params) if momentum else None
         loss_sums = np.zeros(r, dtype=np.float64)
 
-        def one_step(xb, yb, mask):
+        for xb, yb, mask in data:
             h = xb.astype(dtype, copy=False)
             for op in self.ops:
                 h = op.forward(params, bufs, h, mask)
             losses, grad = _cross_entropy(h, yb, mask)
-            loss_sums[:] += losses
+            loss_sums += losses
             for op in reversed(self.ops):
                 grad = op.backward(params, grads, grad)
-            # vectorized SGD over the whole (R, d) state (torch semantics);
-            # in-place ops spelled as ufuncs with out= — augmented
-            # assignment would rebind the closed-over names
+            # vectorized SGD over the whole (R, d) state (torch semantics)
             g = grads
             if weight_decay:
                 g = g + weight_decay * params
             if mom is not None:
-                np.multiply(mom, momentum, out=mom)
-                np.add(mom, g, out=mom)
+                mom *= momentum
+                mom += g
                 g = mom
-            np.subtract(params, lr * g, out=params)
+            params -= lr * g
             grads.fill(0)
-
-        if self.arena is not None:
-            with activate(self.arena):
-                for xb, yb, mask in data:
-                    one_step(xb, yb, mask)
-                    self.arena.reset()
-        else:
-            for xb, yb, mask in data:
-                one_step(xb, yb, mask)
 
         out = []
         for i, task in enumerate(tasks):

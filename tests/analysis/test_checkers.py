@@ -193,53 +193,6 @@ def test_shard_dtype_waiver_honored():
     ) == []
 
 
-# -- arena-escape --------------------------------------------------------------
-def test_arena_escape_flags_returned_scratch():
-    assert rules_of(
-        """
-        from repro.runtime.arena import scratch_empty
-
-        def make():
-            buf = scratch_empty((4,), "float64")
-            return buf
-        """
-    ) == ["arena-escape"]
-
-
-def test_arena_escape_flags_self_store_and_yield():
-    assert rules_of(
-        """
-        from repro.runtime.arena import scratch_zeros
-
-        class Holder:
-            def stash(self):
-                self._buf = scratch_zeros((4,), "float64")
-
-        def gen():
-            yield scratch_zeros((2,), "float64")
-        """
-    ) == ["arena-escape", "arena-escape"]
-
-
-def test_arena_escape_accepts_copies_and_local_use():
-    assert rules_of(
-        """
-        from repro.runtime.arena import scratch_empty
-
-        def reduce_sum(x):
-            buf = scratch_empty(x.shape, x.dtype)
-            buf[...] = x
-            total = buf.sum()
-            return total
-
-        def escape_by_copy(x):
-            buf = scratch_empty(x.shape, x.dtype)
-            buf[...] = x * 2
-            return buf.copy()
-        """
-    ) == []
-
-
 # -- config-coverage -----------------------------------------------------------
 def test_config_coverage_flags_unvalidated_undocumented_field():
     findings = analyze_source(

@@ -49,7 +49,6 @@ DOCUMENTED_MODULES = (
     "repro.utils.arrays",
     "repro.datasets.lazy",
     "repro.analysis",
-    "repro.runtime.arena",
     "repro.runtime.sanitize",
 )
 

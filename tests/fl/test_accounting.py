@@ -34,7 +34,9 @@ def make_server(dataset, strategy, sampler, **overrides):
     params.update(overrides)
     server = FLServer(RunConfig(**params))
 
-    def stub_run(global_params, global_buffers, shard, lr, rng):
+    def stub_run(
+        global_params, global_buffers, shard, lr, rng, local_steps=None
+    ):
         delta = np.random.default_rng(shard.client_id).normal(size=server.d)
         return LocalResult(
             delta=delta, buffer_delta=np.zeros(0), num_samples=len(shard),
@@ -114,7 +116,9 @@ def test_buffer_sync_adds_fixed_cost(tiny_dataset):
         count_buffer_sync=True,
     )
 
-    def stub_run(global_params, global_buffers, shard, lr, rng):
+    def stub_run(
+        global_params, global_buffers, shard, lr, rng, local_steps=None
+    ):
         return LocalResult(
             delta=np.zeros(server.d),
             buffer_delta=np.zeros(server.view.num_buffer),

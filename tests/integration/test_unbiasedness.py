@@ -42,7 +42,9 @@ def one_round_delta(dataset, sampler_factory, seed: int) -> np.ndarray:
     server = FLServer(cfg)
     d = server.d
 
-    def stub_run(global_params, global_buffers, shard, lr, rng):
+    def stub_run(
+        global_params, global_buffers, shard, lr, rng, local_steps=None
+    ):
         return LocalResult(
             delta=fixed_delta(shard.client_id, d),
             buffer_delta=np.zeros(0),
@@ -136,7 +138,9 @@ def test_equal_weights_are_biased_with_nonuniform_p(unbias_dataset):
         server = FLServer(cfg)
         d = server.d
 
-        def stub_run(global_params, global_buffers, shard, lr, rng):
+        def stub_run(
+            global_params, global_buffers, shard, lr, rng, local_steps=None
+        ):
             return LocalResult(
                 delta=fixed_delta(shard.client_id, d),
                 buffer_delta=np.zeros(0),
@@ -197,7 +201,9 @@ def test_ocs_sampling_is_unbiased(unbias_dataset):
                 cid, float(np.linalg.norm(fixed_delta(cid, d)))
             )
 
-        def stub_run(global_params, global_buffers, shard, lr, rng):
+        def stub_run(
+            global_params, global_buffers, shard, lr, rng, local_steps=None
+        ):
             return LocalResult(
                 delta=fixed_delta(shard.client_id, d),
                 buffer_delta=np.zeros(0),

@@ -61,7 +61,7 @@ def test_masked_weighted_sum_matches_inplace_loop():
 
 def test_dense_weighted_sum_is_fresh_and_exact():
     """The FedAvg sum escapes as the global delta — it must never be the
-    recycled accumulator (arena-escape discipline, runtime-owned flavor)."""
+    runtime's recycled accumulator."""
     rng = np.random.default_rng(11)
     d = 97
     payloads = []
