@@ -58,7 +58,7 @@ def test_staleness_bookkeeping_5m(benchmark):
         tracker.record_update(changed)
         return tracker.download_bytes_many(np.arange(0, 1000, 25))
 
-    nbytes = benchmark(round_bookkeeping)
+    nbytes, _ = benchmark(round_bookkeeping)
     assert (nbytes >= 0).all()
 
 

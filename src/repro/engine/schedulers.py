@@ -385,12 +385,10 @@ class AsyncBufferedScheduler(Scheduler):
         if population is not None:
             population.begin_work(new)
 
-        _, down = steps.downstream_sync_bytes(server, new)
+        _, down, stale = steps.downstream_sync_bytes(server, new)
         self._pending_down += int(down.sum())
         self._pending_candidates += len(new)
-        self._pending_stale_fracs.extend(
-            (server.staleness.stale_counts(new) / server.staleness.d).tolist()
-        )
+        self._pending_stale_fracs.extend((stale / server.staleness.d).tolist())
         server.staleness.mark_synced(new)
 
         timings = steps.candidate_timings(

@@ -118,16 +118,18 @@ class Batch:
 
 
 def downstream_sync_bytes(server, client_ids: np.ndarray):
-    """``(value_sync_bytes, per_client_total)`` for contacting ``client_ids``.
+    """``(value_sync_bytes, per_client_total, stale_counts)`` for
+    contacting ``client_ids``.
 
     The total adds the strategy's per-client mask overhead and, when
-    ``count_buffer_sync`` is on, the dense BN-buffer shipment.
+    ``count_buffer_sync`` is on, the dense BN-buffer shipment;
+    ``stale_counts`` are the coordinates the value sync was priced from.
     """
-    sync_bytes = server.staleness.download_bytes_many(client_ids)
+    sync_bytes, stale_counts = server.staleness.download_bytes_many(client_ids)
     extra = server.strategy.downstream_extra_bytes()
     if server.config.count_buffer_sync and server.view.num_buffer:
         extra += dense_bytes(server.view.num_buffer)
-    return sync_bytes, sync_bytes + extra
+    return sync_bytes, sync_bytes + extra, stale_counts
 
 
 def nominal_upstream_bytes(server) -> int:
@@ -324,8 +326,12 @@ def contact_wave(
     candidates = draw.candidates
     if population is not None:
         population.begin_work(candidates)
-    sync_bytes, down_per_client = downstream_sync_bytes(server, candidates)
-    mean_stale = server.staleness.mean_staleness_fraction(candidates)
+    sync_bytes, down_per_client, stale = downstream_sync_bytes(
+        server, candidates
+    )
+    mean_stale = (
+        float(stale.mean() / server.staleness.d) if len(candidates) else 0.0
+    )
     sync_details = None
     if cfg.collect_sync_details:
         # (client_id, gap_rounds, sync_bytes) rows, gap −1 = first contact;

@@ -324,19 +324,24 @@ class FLServer:
         self.view.set_flat(self.global_params)
         if self.view.num_buffer:
             self.view.set_buffers_flat(self.global_buffers)
-        self.model.eval()
         correct = 0
         total = len(dataset.test_y)
-        for start in range(0, total, cfg.eval_batch):
-            xb = dataset.test_x[start : start + cfg.eval_batch]
-            yb = dataset.test_y[start : start + cfg.eval_batch]
-            logits = self.model(xb.astype(self.dtype, copy=False))
-            if cfg.eval_top_k == 1:
-                correct += int((logits.argmax(axis=1) == yb).sum())
-            else:
-                top = np.argsort(logits, axis=1)[:, -cfg.eval_top_k :]
-                correct += int((top == yb[:, None]).any(axis=1).sum())
-        self.model.train()
+        # eval mode is inference: no layer keeps backward state, so the
+        # model holds no test-batch activation once this returns
+        self.model.eval()
+        try:
+            for start in range(0, total, cfg.eval_batch):
+                xb = dataset.test_x[start : start + cfg.eval_batch]
+                yb = dataset.test_y[start : start + cfg.eval_batch]
+                logits = self.model(xb.astype(self.dtype, copy=False))
+                if cfg.eval_top_k == 1:
+                    correct += int((logits.argmax(axis=1) == yb).sum())
+                else:
+                    top = np.argsort(logits, axis=1)[:, -cfg.eval_top_k :]
+                    correct += int((top == yb[:, None]).any(axis=1).sum())
+        finally:
+            # the serial backend trains on this same instance
+            self.model.train()
         return correct / total
 
     # -- one round ------------------------------------------------------------------

@@ -39,9 +39,12 @@ class StalenessTracker:
         self.num_clients = num_clients
         self.version = 0
         self.last_modified = np.zeros(d, dtype=np.int64)
-        # _version_hist[v] = #coordinates with last_modified == v, kept in
-        # step by record_update so stale_counts never rescans d
+        # _version_hist[v] = #coordinates with last_modified == v and
+        # _changed_from[v] = #coordinates with last_modified >= v (its
+        # suffix sum, one trailing 0), both kept in step by record_update
+        # so pricing a contact never rescans d or re-sums the versions
         self._version_hist = np.array([d], dtype=np.int64)
+        self._changed_from = np.array([d, 0], dtype=np.int64)
         self._last_sync = LazyClientState()
 
     @property
@@ -77,6 +80,9 @@ class StalenessTracker:
             hist[-1] = len(changed_idx)
             self.last_modified[changed_idx] = self.version
         self._version_hist = hist
+        self._changed_from = np.concatenate(
+            [np.cumsum(hist[::-1])[::-1], [0]]
+        )
         return self.version
 
     def stale_count(self, client_id: int) -> int:
@@ -86,21 +92,19 @@ class StalenessTracker:
             return self.d
         return int((self.last_modified > last).sum())
 
+    def _stale_counts_since(self, last: np.ndarray) -> np.ndarray:
+        """Stale counts for clients whose ``last_sync`` reads ``last``."""
+        lookup = self._changed_from[np.minimum(last + 1, self.version + 1)]
+        return np.where(last < 0, self.d, lookup).astype(np.int64, copy=False)
+
     def stale_counts(self, client_ids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`stale_count` over several clients.
 
-        A suffix sum over the per-version histogram ``record_update``
-        maintains, so the cost is ``O(versions + len(client_ids))`` —
-        independent of ``d``.
+        One lookup per client in the suffix sum ``record_update`` keeps
+        over the per-version histogram — ``O(len(client_ids))``,
+        independent of ``d`` and of the number of versions.
         """
-        client_ids = np.asarray(client_ids)
-        # changed_after[v] = #coords with last_modified > v
-        suffix = np.concatenate(
-            [np.cumsum(self._version_hist[::-1])[::-1], [0]]
-        )
-        last = self.last_sync_of(client_ids)
-        lookup = suffix[np.minimum(last + 1, self.version + 1)]
-        return np.where(last < 0, self.d, lookup).astype(np.int64, copy=False)
+        return self._stale_counts_since(self.last_sync_of(client_ids))
 
     def sync_gaps(self, client_ids: np.ndarray) -> np.ndarray:
         """Versions elapsed since each client's last sync (−1 = never).
@@ -128,15 +132,22 @@ class StalenessTracker:
             return dense_bytes(self.d)
         return sparse_bytes(self.stale_count(client_id), self.d)
 
-    def download_bytes_many(self, client_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`download_bytes`."""
-        client_ids = np.asarray(client_ids)
-        counts = self.stale_counts(client_ids)
-        return np.where(
-            self.last_sync_of(client_ids) < 0,
+    def download_bytes_many(self, client_ids: np.ndarray):
+        """Price a contact: ``(value_sync_bytes, stale_counts)`` per client.
+
+        The vectorized :meth:`download_bytes` / :meth:`stale_count` pair
+        from one ``last_sync`` read — a dispatch needs both (bytes for the
+        ledger, counts for the stale fraction) and this is its per-arrival
+        hot path on a 10⁶-client fleet.
+        """
+        last = self.last_sync_of(client_ids)
+        counts = self._stale_counts_since(last)
+        nbytes = np.where(
+            last < 0,
             dense_bytes(self.d),
             sparse_bytes_many(counts, self.d),
         ).astype(np.int64, copy=False)
+        return nbytes, counts
 
     def mark_synced(self, client_ids: np.ndarray) -> None:
         """Record that these clients now hold the current version."""

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import NO_CACHE, Module
 
 __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
@@ -17,7 +17,8 @@ class ReLU(Module):
     Forward is a plain ``np.maximum`` (correct for ±inf, unlike a mask
     multiply, which would turn ``-inf · 0`` into NaN); backward is a
     boolean-mask multiply — one fused ufunc pass, ~10× faster than the
-    equivalent ``np.where`` select on current numpy.
+    equivalent ``np.where`` select on current numpy.  The mask pass runs
+    only in training mode: an eval-mode forward is the ``maximum`` alone.
     """
 
     def __init__(self):
@@ -25,18 +26,21 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = np.empty(x.shape, dtype=bool)
-        np.greater(x, 0, out=mask)
-        self._mask = mask
+        if self.training:
+            self._mask = np.empty(x.shape, dtype=bool)
+            np.greater(x, 0, out=self._mask)
+        else:
+            self._mask = None
         out = np.empty(x.shape, dtype=x.dtype)
         np.maximum(x, 0.0, out=out)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
+        mask, self._mask = self._mask, None
+        if mask is None:
+            raise RuntimeError(NO_CACHE)
         g = np.empty(grad_out.shape, dtype=grad_out.dtype)
-        np.multiply(grad_out, self._mask, out=g)
+        np.multiply(grad_out, mask, out=g)
         return g
 
 
@@ -49,14 +53,15 @@ class LeakyReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
+        self._mask = x > 0 if self.training else None
         # maximum/minimum split stays exact for ±inf inputs
         return np.maximum(x, 0.0) + self.slope * np.minimum(x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._mask + self.slope * (grad_out * ~self._mask)
+        mask, self._mask = self._mask, None
+        if mask is None:
+            raise RuntimeError(NO_CACHE)
+        return grad_out * mask + self.slope * (grad_out * ~mask)
 
 
 class Sigmoid(Module):
@@ -73,13 +78,14 @@ class Sigmoid(Module):
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
-        self._out = out
+        self._out = out if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._out * (1.0 - self._out)
+        out, self._out = self._out, None
+        if out is None:
+            raise RuntimeError(NO_CACHE)
+        return grad_out * out * (1.0 - out)
 
 
 class Tanh(Module):
@@ -90,10 +96,12 @@ class Tanh(Module):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = out if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * (1.0 - self._out**2)
+        out, self._out = self._out, None
+        if out is None:
+            raise RuntimeError(NO_CACHE)
+        return grad_out * (1.0 - out**2)

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import NO_CACHE, Module
 
 __all__ = ["Identity", "ResidualAdd", "ChannelConcat"]
 
@@ -78,7 +78,7 @@ class ChannelConcat(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._split is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError(NO_CACHE)
         g_left = grad_out[:, : self._split]
         g_right = grad_out[:, self._split :]
         return self.left.backward(g_left) + self.right.backward(g_right)

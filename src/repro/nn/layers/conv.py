@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn.functional import col2im, conv_out_size, im2col, matmul_widened
-from repro.nn.module import Module, Parameter, kaiming_init
+from repro.nn.module import NO_CACHE, Module, Parameter, kaiming_init
 
 __all__ = ["Conv2d"]
 
@@ -94,7 +94,9 @@ class Conv2d(Module):
         cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
         np.copyto(cols, im2col(x, k, k, s, p))
         cols = cols.reshape(n, g, (c // g) * k * k, oh * ow)
-        self._cols = cols
+        # the GEMM matrix is k² × the input: keep it only for a backward
+        # that can come; an eval-mode forward lets it die with the call
+        self._cols = cols if self.training else None
         self._x_shape = (n, c, h, w)
         # (G, OC/G, CG·k·k) @ (N, G, CG·k·k, L) -> (N, G, OC/G, L)
         out = np.empty(
@@ -108,11 +110,11 @@ class Conv2d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError(NO_CACHE)
         n, c, h, w = self._x_shape
         k, s, p, g = self.kernel_size, self.stride, self.padding, self.groups
         oh, ow = grad_out.shape[2], grad_out.shape[3]
-        cols = self._cols  # (N, G, CG·k·k, L)
+        cols, self._cols = self._cols, None  # (N, G, CG·k·k, L)
         if grad_out.flags.c_contiguous:
             ggrad = grad_out.reshape(n, g, self.out_channels // g, oh * ow)
         else:
@@ -121,11 +123,15 @@ class Conv2d(Module):
             )
             np.copyto(ggrad.reshape(grad_out.shape), grad_out)
 
-        # dW[g,o,m] = Σ_n ggrad[n,g,o,:] · cols[n,g,m,:]
+        # dW[g,o,m] = Σ_n ggrad[n,g,o,:] · cols[n,g,m,:], computed as
+        # cols @ ggradᵀ: the same dot products in the same k-order, with
+        # the transposed view on the small operand instead of the big one
         m = (c // g) * k * k
-        dw_n = np.empty((n, g, self.out_channels // g, m), dtype=grad_out.dtype)
-        matmul_widened(ggrad, cols.swapaxes(-1, -2), out=dw_n)
-        dw = dw_n.sum(axis=0)
+        dw_n = np.empty((n, g, m, self.out_channels // g), dtype=grad_out.dtype)
+        matmul_widened(cols, ggrad.swapaxes(-1, -2), out=dw_n)
+        # last read of the k² × input matrix: let dcols reuse its block
+        del cols
+        dw = dw_n.sum(axis=0).swapaxes(-1, -2)
         self.weight.grad += dw.reshape(self.weight.data.shape)
         if self.bias is not None:
             # float32 accumulation for 2-byte dtypes; native otherwise
@@ -139,7 +145,4 @@ class Conv2d(Module):
             self._grouped_weight().swapaxes(-1, -2), ggrad, out=dcols
         )
         dcols = dcols.reshape(n, c, k, k, oh, ow)
-        # release the materialized GEMM matrix (k² × input size) so it
-        # doesn't stay resident between steps
-        self._cols = None
         return col2im(dcols, self._x_shape, k, k, s, p)

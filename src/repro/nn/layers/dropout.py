@@ -40,6 +40,7 @@ class Dropout(Module):
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             return grad_out
-        return grad_out * self._mask
+        return grad_out * mask

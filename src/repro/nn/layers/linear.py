@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.functional import matmul_widened
-from repro.nn.module import Module, Parameter, kaiming_init
+from repro.nn.module import NO_CACHE, Module, Parameter, kaiming_init
 
 __all__ = ["Linear"]
 
@@ -47,16 +47,17 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expects (N, {self.in_features}), got {x.shape}"
             )
-        self._x = x
+        self._x = x if self.training else None
         out = matmul_widened(x, self.weight.data.T)
         if self.bias is not None:
             out += self.bias.data
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        self.weight.grad += matmul_widened(grad_out.T, self._x)
+        x, self._x = self._x, None
+        if x is None:
+            raise RuntimeError(NO_CACHE)
+        self.weight.grad += matmul_widened(grad_out.T, x)
         if self.bias is not None:
             # float32 accumulation for 2-byte dtypes; native otherwise
             dt = grad_out.dtype

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.module import Buffer, Module, Parameter
+from repro.nn.module import NO_CACHE, Buffer, Module, Parameter
 
 __all__ = ["BatchNorm1d", "BatchNorm2d"]
 
@@ -95,17 +95,12 @@ class _BatchNormBase(Module):
         out = np.empty(x.shape, dtype=x.dtype)
         np.multiply(self._expand(self.weight.data, nd), x_hat, out=out)
         out += self._expand(self.bias.data, nd)
-        if self.training:
-            self._cache = (x_hat, inv_std)
-        else:
-            self._cache = None
+        self._cache = (x_hat, inv_std) if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError(
-                "BatchNorm backward requires a preceding training-mode forward"
-            )
+            raise RuntimeError(NO_CACHE)
         # mirror of forward's 2-byte widening: lift the incoming gradient to
         # float32 (the cached x_hat already is), compute, round dx back
         if grad_out.dtype.itemsize <= 2:
@@ -119,6 +114,7 @@ class _BatchNormBase(Module):
 
     def _backward_impl(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat, inv_std = self._cache
+        self._cache = None
         nd = grad_out.ndim
         count = int(np.prod([grad_out.shape[a] for a in self._axes]))
         # half-precision runs accumulate the batch reductions in float32

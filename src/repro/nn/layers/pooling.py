@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.nn.functional import col2im, conv_out_size, im2col
-from repro.nn.module import Module
+from repro.nn.module import NO_CACHE, Module
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
@@ -47,7 +47,9 @@ class MaxPool2d(Module):
             np.copyto(out, v[:, :, :, 0, :, 0])
             for t in range(1, k * k):
                 np.maximum(out, v[:, :, :, t // k, :, t % k], out=out)
-            self._cache = (True, (x, out), (n, c, h, w), oh, ow)
+            self._cache = (
+                (True, (x, out), (n, c, h, w), oh, ow) if self.training else None
+            )
             return out
         if p > 0:
             # pad with -inf so padding never wins the max
@@ -58,13 +60,16 @@ class MaxPool2d(Module):
         flat = cols.reshape(n, c, k * k, oh, ow)
         argmax = flat.argmax(axis=2)  # (N, C, OH, OW)
         out = np.take_along_axis(flat, argmax[:, :, None, :, :], axis=2)[:, :, 0]
-        self._cache = (False, argmax, (n, c, h, w), oh, ow)
+        self._cache = (
+            (False, argmax, (n, c, h, w), oh, ow) if self.training else None
+        )
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        fast, cached, x_shape, oh, ow = self._cache
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(NO_CACHE)
+        fast, cached, x_shape, oh, ow = cache
         n, c, h, w = x_shape
         k, s, p = self.kernel_size, self.stride, self.padding
         if fast:
@@ -91,7 +96,7 @@ class MaxPool2d(Module):
         dcols = np.empty((n, c, k * k, oh, ow), dtype=grad_out.dtype)
         sel = np.empty((n, c, oh, ow), dtype=bool)
         for j in range(k * k):
-            np.equal(argmax, j, out=sel)
+            np.equal(cached, j, out=sel)
             np.multiply(grad_out, sel, out=dcols[:, :, j])
         dcols = dcols.reshape(n, c, k, k, oh, ow)
         return col2im(dcols, x_shape, k, k, s, p)
@@ -119,7 +124,7 @@ class AvgPool2d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError(NO_CACHE)
         x_shape, oh, ow = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
         scale = 1.0 / (k * k)
@@ -143,7 +148,7 @@ class GlobalAvgPool2d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError(NO_CACHE)
         n, c, h, w = self._shape
         g = grad_out[:, :, None, None] / (h * w)
         dx = np.empty((n, c, h, w), dtype=g.dtype)

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import NO_CACHE, Module
 
 __all__ = ["Flatten", "ChannelShuffle"]
 
@@ -24,7 +24,7 @@ class Flatten(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError(NO_CACHE)
         return grad_out.reshape(self._shape)
 
 

@@ -7,6 +7,12 @@ classic Caffe/micro-torch implementations: every :class:`Module` implements a
 returns the gradient w.r.t. the module input, accumulating parameter
 gradients along the way.
 
+Activation lifetime: a forward caches arrays for backward only while
+``self.training``, and each backward drops what it read.  So an eval-mode
+forward is inference (it leaves no activation behind and a backward after
+it raises :data:`NO_CACHE`), and a model holds no activation between one
+step's backward and the next step's forward.
+
 Design notes
 ------------
 * Parameters are :class:`Parameter` objects (``data`` + ``grad``); buffers
@@ -25,7 +31,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Parameter", "Buffer", "Module", "Sequential"]
+__all__ = ["NO_CACHE", "Parameter", "Buffer", "Module", "Sequential"]
+
+#: what every layer's ``backward`` raises (``RuntimeError``) when it finds no
+#: cache to read: no forward yet, an eval-mode forward, or a second backward
+NO_CACHE = "backward requires a preceding training-mode forward"
 
 
 class Parameter:

@@ -32,6 +32,48 @@ def tiny_model(rng):
     return MLP(in_features=64, hidden=(16,), num_classes=4, rng=rng)
 
 
+def held_arrays(model):
+    """``(module type, attribute)`` of every ``ndarray`` a module tree holds
+    outside its parameters and buffers — directly or inside a tuple/list.
+
+    The activation-lifetime rule says this is empty after an eval-mode
+    forward and after a training-mode forward + backward.
+    """
+
+    def has_array(value):
+        if isinstance(value, np.ndarray):
+            return True
+        if isinstance(value, (tuple, list)):
+            return any(has_array(v) for v in value)
+        return False
+
+    return [
+        (type(m).__name__, name)
+        for m in model.modules()
+        for name, value in vars(m).items()
+        if has_array(value)
+    ]
+
+
+def assert_activation_lifetime(module, x):
+    """The lifetime rule on ``module`` for input ``x``: an eval-mode forward
+    is inference (nothing cached, ``backward`` refuses), a training-mode
+    forward caches, and the backward that reads the cache releases it (so a
+    second backward is the same typed error)."""
+    module.eval()
+    out = module(x)
+    assert held_arrays(module) == []
+    with pytest.raises(RuntimeError, match="training-mode forward"):
+        module.backward(np.ones_like(out))
+    module.train()
+    out = module(x)
+    assert held_arrays(module) != []
+    module.backward(np.ones_like(out))
+    assert held_arrays(module) == []
+    with pytest.raises(RuntimeError, match="training-mode forward"):
+        module.backward(np.ones_like(out))
+
+
 def numeric_gradient(f, theta, indices, eps=1e-6):
     """Central-difference gradient of scalar ``f`` at chosen coordinates."""
     out = np.zeros(len(indices))

@@ -71,7 +71,7 @@ def test_stc_round_byte_identities(tiny_dataset):
     # a candidate synced at round 1 and re-sampled at round 2 downloads the
     # q-fraction the server changed; never-seen candidates pay dense;
     # either way the down ledger is the per-candidate sum
-    per_candidate = server.staleness.download_bytes_many(
+    per_candidate, _ = server.staleness.download_bytes_many(
         np.arange(0)
     )  # smoke the vector path
     assert rec2.down_bytes <= rec2.num_candidates * dense_bytes(server.d)

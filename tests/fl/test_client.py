@@ -112,36 +112,38 @@ def test_zero_lr_gives_zero_delta(rng):
 
 
 def test_run_retains_no_step_scratch(rng):
-    """Step temporaries are numpy's to free: once ``run`` returns, only
-    the result and the layers' backward caches of the *last* batch stay
-    live.  The shard is one full 32-sample batch plus a ragged 2-sample
-    one, so those caches are small and a pool that parks every shape it
-    ever served (tens of MB of im2col/norm/pool planes here) shows up."""
+    """Step temporaries are numpy's to free and layer caches die in the
+    backward that reads them: once ``run`` returns, only the result stays
+    live.  Both shard shapes count — a ragged last batch (32 + 2 samples:
+    a pool that parks every shape it ever served shows up) and a full one
+    (2 × 32: layers that kept their last batch's im2col / norm / pool
+    planes retained ≈ 11.5 MB here)."""
     model = build_model(
         "cnn", in_channels=1, num_classes=10, image_size=28, rng=rng
     )
     view = FlatParamView(model)
-    shard = ClientDataset(
-        x=rng.normal(size=(34, 1, 28, 28)),
-        y=rng.integers(0, 10, 34),
-        client_id=0,
-    )
     trainer = LocalTrainer(model, local_steps=2, batch_size=32)
     theta, bufs = view.get_flat(), view.get_buffers_flat()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        result = trainer.run(theta, bufs, shard, 0.05, rng)
-        gc.collect()
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     vector = view.num_trainable * theta.itemsize
-    assert result.delta.nbytes == vector
-    # the step really did allocate well beyond what may stay resident
-    assert peak - before > 256 * vector
-    assert after - before <= 32 * vector
+    for n_samples in (34, 64):
+        shard = ClientDataset(
+            x=rng.normal(size=(n_samples, 1, 28, 28)),
+            y=rng.integers(0, 10, n_samples),
+            client_id=0,
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = trainer.run(theta, bufs, shard, 0.05, rng)
+            gc.collect()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.delta.nbytes == vector
+        # the step really did allocate well beyond what may stay resident
+        assert peak - before > 256 * vector
+        assert after - before <= 32 * vector, n_samples
 
 
 def test_validation(rng):

@@ -1,5 +1,8 @@
 """Integration tests of the full server round loop."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.compression import (
     STCStrategy,
 )
 from repro.core import make_gluefl
+from repro.datasets import femnist_like
 from repro.fl import FLServer, RunConfig, StickySampler, UniformSampler, run_training
 
 
@@ -243,3 +247,53 @@ def test_sticky_sampler_weights_used(tiny_dataset):
     np.testing.assert_allclose(
         nu_r, ((tiny_dataset.num_clients - 20) / 1) * p[[2]]
     )
+
+
+# ---------------------------------------------------------------- evaluation
+def test_evaluate_is_inference():
+    """``evaluate()`` pushes the test set through in eval mode, where no
+    layer keeps backward state: nothing of a 256-image batch stays live
+    afterwards, and the peak is the widest layer's transient — not every
+    layer's im2col matrix, mask and pooling input at once (which measured
+    +65 MB live, +104 MB peak on this configuration)."""
+    dataset = femnist_like(
+        num_clients=20, num_classes=10, image_size=28,
+        samples_per_client=32, seed=3,
+    )
+    cfg = make_config(
+        dataset, FedAvgStrategy(), UniformSampler(4),
+        model_name="cnn", model_kwargs={}, dtype="float32", eval_batch=256,
+    )
+    server = FLServer(cfg)
+    assert len(dataset.test_y) >= 2 * cfg.eval_batch
+    eval_input = cfg.eval_batch * dataset.test_x[0].size * 4  # 0.8 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        first = server.evaluate()
+        second = server.evaluate()
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        server.close()
+    assert first == second
+    assert after - before <= eval_input
+    assert peak - before < 52e6
+    assert server.model.training
+
+
+def test_evaluate_restores_train_mode_on_error(tiny_dataset):
+    """The serial backend trains on the instance ``evaluate`` flips to eval
+    mode; an exception mid-evaluation must not leave it there."""
+    server = FLServer(make_config(tiny_dataset, FedAvgStrategy(), UniformSampler(5)))
+
+    def boom(x):
+        raise FloatingPointError("bad batch")
+
+    server.model.forward = boom
+    with pytest.raises(FloatingPointError):
+        server.evaluate()
+    assert all(m.training for m in server.model.modules())
+    server.close()

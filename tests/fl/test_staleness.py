@@ -48,7 +48,9 @@ def test_vectorized_counts_match_scalar():
     counts = tr.stale_counts(ids)
     for i in ids:
         assert counts[i] == tr.stale_count(i)
-    nbytes = tr.download_bytes_many(ids)
+    # a contact is priced from one last_sync read: bytes and counts together
+    nbytes, priced_counts = tr.download_bytes_many(ids)
+    np.testing.assert_array_equal(priced_counts, counts)
     for i in ids:
         assert nbytes[i] == tr.download_bytes(i)
 

@@ -26,7 +26,11 @@ from repro.nn import (
 )
 from repro.nn.flat import FlatParamView
 
-from tests.conftest import numeric_gradient
+from tests.conftest import (
+    assert_activation_lifetime,
+    held_arrays,
+    numeric_gradient,
+)
 
 
 def gradcheck_params(model, x, rng, n_coords=30, tol=1e-5):
@@ -213,6 +217,14 @@ def test_maxpool_gradient_routes_to_argmax():
     np.testing.assert_array_equal(g[0, 0], expected)
 
 
+def test_maxpool_overlapping_padded_gradcheck(rng):
+    """The argmax path (stride < kernel, padding): ResNet's stem pool."""
+    model = Sequential(Conv2d(2, 2, 1, rng=rng), MaxPool2d(3, stride=2, padding=1))
+    x = rng.normal(size=(2, 2, 6, 6))
+    gradcheck_params(model, x, rng)
+    gradcheck_input(model, x)
+
+
 def test_avgpool_gradcheck(rng):
     model = Sequential(Conv2d(2, 2, 1, rng=rng), AvgPool2d(2))
     gradcheck_params(model, rng.normal(size=(3, 2, 4, 4)), rng)
@@ -314,3 +326,29 @@ def test_channel_concat_gradcheck(rng):
     x = rng.normal(size=(2, 2, 3, 3))
     assert block(x).shape == (2, 5, 3, 3)
     gradcheck_params(block, x, rng)
+
+
+# ---------------------------------------------------------------- activation lifetime
+# the array-caching layers no registry model is built from; the model-wide
+# walk in test_models.py covers the rest
+@pytest.mark.parametrize(
+    "make,shape",
+    [
+        (lambda: BatchNorm1d(6), (4, 6)),
+        (LeakyReLU, (4, 6)),
+        (Sigmoid, (4, 6)),
+        (Tanh, (4, 6)),
+        (lambda: MaxPool2d(3, stride=2, padding=1), (2, 2, 6, 6)),
+    ],
+)
+def test_layer_caches_only_in_training_and_backward_releases(rng, make, shape):
+    assert_activation_lifetime(make(), rng.normal(size=shape))
+
+
+def test_dropout_backward_releases_mask(rng):
+    drop = Dropout(0.5, rng=rng)
+    x = np.ones((10, 10))
+    drop(x)
+    assert held_arrays(drop) != []
+    drop.backward(np.ones_like(x))
+    assert held_arrays(drop) == []

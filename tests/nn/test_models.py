@@ -13,6 +13,8 @@ from repro.nn import (
 from repro.nn.flat import FlatParamView
 from repro.nn.models import MODELS
 
+from tests.conftest import assert_activation_lifetime, held_arrays
+
 ALL_MODELS = ["mlp", "cnn", "shufflenet", "mobilenet", "resnet"]
 
 
@@ -31,6 +33,17 @@ def test_build_forward_backward(rng, name):
     grads = FlatParamView(model).get_grad_flat()
     assert np.isfinite(grads).all()
     assert np.abs(grads).sum() > 0
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_models_keep_no_activation(rng, name):
+    """The lifetime rule, model-wide: evaluation leaves nothing on the
+    model and a training step's caches die in its backward."""
+    model = build_model(
+        name, in_channels=1, num_classes=7, image_size=16, rng=rng
+    )
+    assert held_arrays(model) == []
+    assert_activation_lifetime(model, rng.normal(size=(4, 1, 16, 16)))
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
