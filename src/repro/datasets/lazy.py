@@ -151,7 +151,8 @@ def lazy_synthetic_federation(
     exactly ``samples_per_client`` samples) comes from
     ``np.random.default_rng([seed, client_id])`` on first access.  Equal
     shard sizes let the importance weights ``p_i = 1/n`` be pre-set, so
-    ``weights()`` never touches a shard.
+    ``weights()`` never touches a shard — and, being one value, they are
+    a read-only zero-stride view of it rather than an N-wide array.
     """
     root = np.random.default_rng(seed)
     protos = image_prototypes(num_classes, in_channels, image_size, root)
@@ -173,5 +174,5 @@ def lazy_synthetic_federation(
         in_channels=in_channels,
         image_size=image_size,
         name=name,
-        _weights=np.full(num_clients, 1.0 / num_clients),
+        _weights=np.broadcast_to(np.float64(1.0 / num_clients), num_clients),
     )

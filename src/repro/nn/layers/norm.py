@@ -8,6 +8,7 @@ go through masking; running statistics are averaged without re-weighting).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -76,7 +77,7 @@ class _BatchNormBase(Module):
             np.subtract(x, self._expand(mean, nd), out=centered)
             var = np.mean(np.square(centered), axis=self._axes)
             m = self.momentum
-            count = int(np.prod([x.shape[a] for a in self._axes]))
+            count = math.prod(x.shape[a] for a in self._axes)
             # unbiased variance for the running estimate (PyTorch semantics)
             unbiased = var * (count / max(count - 1, 1))
             self.running_mean.data *= 1 - m
@@ -116,7 +117,7 @@ class _BatchNormBase(Module):
         x_hat, inv_std = self._cache
         self._cache = None
         nd = grad_out.ndim
-        count = int(np.prod([grad_out.shape[a] for a in self._axes]))
+        count = math.prod(grad_out.shape[a] for a in self._axes)
         # half-precision runs accumulate the batch reductions in float32
         # (see repro.runtime.dtype); float32/float64 accumulate natively,
         # which keeps those paths bit-identical

@@ -80,6 +80,12 @@ __all__ = ["PopulationEventQueue"]
 Action = Callable[[object, int], None]
 
 
+def _as_integers(values) -> np.ndarray:
+    """``values`` as an integer array, left as narrow as it arrives."""
+    values = np.asarray(values)
+    return values if values.dtype.kind in "iu" else values.astype(np.int64)
+
+
 class _FlipWheel:
     """One direction's periodic flips, compiled to a CSR table.
 
@@ -88,6 +94,13 @@ class _FlipWheel:
     ``periods[j]`` that flip to ``value`` at round ``r``.  Memory is
     O(ids + Σ distinct periods); a round's lookup is one gather over the
     distinct periods' rows, independent of how many ids hold still.
+
+    Compiling is the population's construction-time memory peak at 10⁶
+    ids, so it works by table lookup and two stable argsorts over keys
+    stored as narrow as their values, and holds at most three N-wide
+    int64 arrays at once.  ``tests/population/oracle.py`` keeps an
+    all-int64 ``searchsorted`` + ``lexsort`` compile as the reference;
+    the four arrays are bit-equal to it.
     """
 
     __slots__ = ("value", "ids", "periods", "row_start", "row_ptr")
@@ -100,15 +113,35 @@ class _FlipWheel:
         value: bool,
     ) -> None:
         self.value = value
-        self.periods = sorted_unique(period.copy())  # sorts in place
+        if np.any(ids[1:] < ids[:-1]):
+            # the two passes below break ties by position: make that by id
+            by_id = np.argsort(ids, kind="stable")
+            ids, period, residue = ids[by_id], period[by_id], residue[by_id]
+        # distinct periods and period -> slot by table, not by sorting
+        top = int(period.max())
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[period] = True
+        self.periods = np.flatnonzero(seen)
         spans = np.cumsum(self.periods, dtype=np.int64)
         self.row_start = spans - self.periods
-        row = self.row_start[np.searchsorted(self.periods, period)]
-        row += residue % period
-        self.ids = ids[np.lexsort((ids, row))]
+        slot_of = np.zeros(top + 1, dtype=np.min_scalar_type(len(self.periods)))
+        slot_of[self.periods] = np.arange(len(self.periods))
+        # the two sort keys, each stored as narrow as its values
+        slot = slot_of[period]
+        residue = (residue % period).astype(np.min_scalar_type(top), copy=False)
+        row = self.row_start[slot]
+        row += residue
         counts = np.bincount(row, minlength=int(spans[-1]))
+        del row
         self.row_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.row_ptr[1:])
+        # (period, residue, id) order in two stable passes, least
+        # significant key first; 16-bit keys take numpy's radix sort
+        order = np.argsort(residue, kind="stable")
+        del residue  # these temporaries set the peak RSS at 10⁶ ids
+        ids, slot = ids[order], slot[order]
+        del order
+        self.ids = ids[np.argsort(slot, kind="stable")]
 
     def ids_at(self, round_idx: int) -> np.ndarray:
         """The ids flipping at ``round_idx``: those registered with
@@ -182,10 +215,8 @@ class PopulationEventQueue:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError("ids must be one-dimensional")
-        period = np.broadcast_to(np.asarray(period, dtype=np.int64), ids.shape)
-        residue = np.broadcast_to(
-            np.asarray(residue, dtype=np.int64), ids.shape
-        )
+        period = np.broadcast_to(_as_integers(period), ids.shape)
+        residue = np.broadcast_to(_as_integers(residue), ids.shape)
         if len(ids) and period.min() < 1:
             raise ValueError("period must be >= 1")
         value = np.asarray(value, dtype=bool)

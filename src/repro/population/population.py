@@ -4,7 +4,8 @@ FLGo-style system simulators give every client a Python object with an
 idle/working/offline/dropped state machine.  That design caps the
 federation size at whatever fits in object overhead; this module keeps the
 same state machine but stores the whole population as parallel numpy
-columns, so 10⁵–10⁶ clients cost a few flat arrays:
+columns, so 10⁵–10⁶ clients cost a few flat arrays — and a column costs
+bytes only once somebody writes it:
 
 ``state``
     int8 state machine: ``IDLE`` (0, selectable), ``WORKING`` (1, training
@@ -22,6 +23,17 @@ columns, so 10⁵–10⁶ clients cost a few flat arrays:
     weights are scaled down honestly (see the execution phase).
 ``responsiveness``
     Compute-time multiplier (1.0 = nominal; a straggler storm sets it > 1).
+
+The three float columns start as ``np.broadcast_to(scalar, (N,))`` — a
+zero-stride, read-only view of one value, zero bytes per client — and
+every read (indexing, comparisons, arithmetic) works on that view as on
+any array.  A writer asks for ``population.writable(name)``, which turns
+the column into a real N-wide array the first time and hands back the same
+array ever after; assigning into an unmaterialized column directly raises
+numpy's read-only ``ValueError`` rather than silently doing nothing.
+``base_connectivity`` / ``base_responsiveness`` are the post-``bind``
+snapshots a storm restores on calm rounds: the live view itself while the
+column is still one scalar, a private copy when ``bind`` wrote it.
 
 The population *is* the server's availability model: it duck-types the
 :class:`~repro.traces.availability.AvailabilityTrace` protocol (``online``,
@@ -90,10 +102,18 @@ OFFLINE = 2
 DROPPED = 3
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+#: the columns that start as one broadcast scalar (see ``writable``)
+_FLOAT_COLUMNS = ("connectivity", "completeness", "responsiveness")
 
 
 def _as_ids(client_ids) -> np.ndarray:
     return np.asarray(client_ids, dtype=np.int64)
+
+
+def _snapshot(column: np.ndarray) -> np.ndarray:
+    """A copy of ``column`` that later writes to it cannot reach — the
+    column itself while it is still the read-only one-scalar view."""
+    return column.copy() if column.flags.writeable else column
 
 
 def _reject_apply_only(trace) -> None:
@@ -240,9 +260,10 @@ class DeviceStatePopulation:
 
         n = num_clients
         self.available = np.ones(n, dtype=bool)
-        self.connectivity = np.full(n, 1.0 - dropout_prob)
-        self.completeness = np.ones(n)
-        self.responsiveness = np.ones(n)
+        # one scalar each until somebody asks for ``writable(name)``
+        self.connectivity = np.broadcast_to(np.float64(1.0 - dropout_prob), n)
+        self.completeness = np.broadcast_to(np.float64(1.0), n)
+        self.responsiveness = np.broadcast_to(np.float64(1.0), n)
         self.state = np.zeros(n, dtype=np.int8)
         self._round = -1
 
@@ -254,9 +275,8 @@ class DeviceStatePopulation:
         self.trace = trace
         trace.bind(self)
         # post-bind snapshots: the columns a trace restores on calm rounds
-        self.base_connectivity = self.connectivity.copy()
-        self.base_responsiveness = self.responsiveness.copy()
-        self.base_completeness = self.completeness.copy()
+        self.base_connectivity = _snapshot(self.connectivity)
+        self.base_responsiveness = _snapshot(self.responsiveness)
 
         # -- transition bookkeeping, kept live at every state write
         self.events = PopulationEventQueue()
@@ -350,6 +370,21 @@ class DeviceStatePopulation:
         self._idle_add(ids[new == IDLE])
 
     # -- trace-facing column writes ------------------------------------------------
+    def writable(self, name: str) -> np.ndarray:
+        """The float column ``name`` (``"connectivity"``, ``"completeness"``
+        or ``"responsiveness"``) as an array that owns its buffer: the
+        first call replaces the one-scalar view with a real N-wide array,
+        later calls return that same array.  Reads need nothing."""
+        if name not in _FLOAT_COLUMNS:
+            raise ValueError(
+                f"no float column {name!r}; expected one of {_FLOAT_COLUMNS}"
+            )
+        column = getattr(self, name)
+        if not column.flags.writeable:
+            column = column.copy()
+            setattr(self, name, column)
+        return column
+
     def set_available(self, ids: np.ndarray, value: bool) -> None:
         """Event-action helper: flip ``available`` for ``ids`` and queue
         them for settling at the end of the current ``advance``."""

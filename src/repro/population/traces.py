@@ -69,7 +69,9 @@ class DeviceTrace:
     """Base trace: owns nothing, changes nothing (always-on population)."""
 
     def bind(self, population) -> None:
-        """One-time column initialization hook (called by the population)."""
+        """One-time column initialization hook (called by the population).
+        Write a float column through ``population.writable(name)``; a
+        column no trace writes stays one broadcast scalar."""
 
     def schedule(self, population, queue) -> None:
         """Translate the trace's dynamics into transition events on
@@ -78,7 +80,8 @@ class DeviceTrace:
         ``queue.schedule(round, action)`` for a one-off transition pinned
         to a round, ``queue.add_recurring(action)`` for per-round
         behavior.  Actions write ``available`` through
-        ``population.set_available`` / ``note_available_changed``."""
+        ``population.set_available`` / ``note_available_changed`` and the
+        float columns through ``population.writable(name)``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -148,17 +151,29 @@ class DutyCycleTrace(ExternalAvailabilityTrace):
 
     def schedule(self, population, queue) -> None:
         t = self.trace
-        period = np.asarray(t._period, dtype=np.int64)
-        phase = np.asarray(t._phase, dtype=np.int64) % period
+        period = t._period  # stored as narrow as a period is; so is all below
         # seed round 0 with the wrapped trace's own expression
         population.available[:] = t.online(0)
         # integer on-window length: pos < frac·P  ⟺  pos < ceil(frac·P)
-        width = t._on_fraction * period
-        length = np.clip(np.ceil(width).astype(np.int64), 0, period)
+        length = t._on_fraction * period
+        np.ceil(length, out=length)
+        np.clip(length, 0, period, out=length)
+        length = length.astype(period.dtype)
         flips = np.flatnonzero((length > 0) & (length < period))
-        period, phase, length = period[flips], phase[flips], length[flips]
-        queue.schedule_periodic(flips, period, -phase, True)
-        queue.schedule_periodic(flips, period, length - phase, False)
+        period, length = period[flips], length[flips]
+        # the window opens at rounds ≡ −phase and closes at ≡ length − phase
+        # (mod period); written so no intermediate leaves [0, period] — the
+        # unsigned storage type holds neither a negative nor 2·period
+        opens = period - t._phase[flips] % period
+        gap = period - length
+        closes = np.where(opens >= gap, opens - gap, opens + length)
+        # the wheel compiles' temporaries set the process's peak RSS at
+        # 10⁶ clients: nothing N-wide rides through them that they do not
+        # read
+        del length, gap
+        queue.schedule_periodic(flips, period, opens, True)
+        del opens
+        queue.schedule_periodic(flips, period, closes, False)
 
 
 class DiurnalTrace(ExternalAvailabilityTrace):
@@ -263,9 +278,11 @@ class DeviceClassTrace(DeviceTrace):
         comp = np.array([c[4] for c in self.CLASSES])[self.class_of]
         resp = np.array([c[5] for c in self.CLASSES])[self.class_of]
         self._online_p = online_p
-        population.connectivity[:] = conn
-        population.completeness[:] = np.clip(comp, self.min_completeness, 1.0)
-        population.responsiveness[:] = np.clip(
+        population.writable("connectivity")[:] = conn
+        population.writable("completeness")[:] = np.clip(
+            comp, self.min_completeness, 1.0
+        )
+        population.writable("responsiveness")[:] = np.clip(
             resp, 1.0, self.max_responsiveness
         )
 
@@ -337,16 +354,19 @@ class ChurnStormTrace(DeviceTrace):
 
     def _storm_step(self, population, fire_round: int) -> None:
         if self._hit_ids is not None:
-            population.responsiveness[self._hit_ids] = (
+            population.writable("responsiveness")[self._hit_ids] = (
                 population.base_responsiveness[self._hit_ids]
             )
             self._hit_ids = None
         if self._bursted:
-            population.connectivity[:] = population.base_connectivity
+            population.writable("connectivity")[:] = (
+                population.base_connectivity
+            )
             self._bursted = False
         if not self.is_burst(fire_round):
             return
-        population.connectivity *= 1.0 - self.burst_dropout
+        connectivity = population.writable("connectivity")
+        connectivity *= 1.0 - self.burst_dropout
         self._bursted = True
         if self.straggler_fraction >= 1.0:
             hit = np.ones(population.num_clients, dtype=bool)
@@ -358,7 +378,8 @@ class ChurnStormTrace(DeviceTrace):
         else:
             return
         hit_ids = np.flatnonzero(hit)
-        population.responsiveness[hit_ids] *= self.straggler_slowdown
+        responsiveness = population.writable("responsiveness")
+        responsiveness[hit_ids] *= self.straggler_slowdown
         self._hit_ids = hit_ids
 
 

@@ -48,8 +48,13 @@ class AvailabilityTrace:
         self.num_clients = num_clients
         self.dropout_prob = dropout_prob
         self._rng = rng
-        self._period = rng.integers(min_period, max_period + 1, size=num_clients)
-        self._phase = rng.integers(0, self._period)
+        # drawn as int64 (the RNG stream is pinned), kept as wide as a
+        # period is: uint8 up to 255 rounds, uint16 up to 65 535
+        narrow = np.min_scalar_type(int(max_period))
+        period = rng.integers(min_period, max_period + 1, size=num_clients)
+        self._phase = rng.integers(0, period).astype(narrow)
+        self._period = period.astype(narrow)
+        del period
         # Beta with the requested mean, moderate dispersion
         a = 4.0 * mean_on_fraction
         b = 4.0 * (1.0 - mean_on_fraction) + 1e-9
@@ -57,7 +62,9 @@ class AvailabilityTrace:
 
     def online(self, round_idx: int) -> np.ndarray:
         """Boolean mask of clients online at ``round_idx``."""
-        pos = (round_idx + self._phase) % self._period
+        pos = self._phase.astype(np.int64)
+        pos += round_idx
+        pos %= self._period.astype(np.int64)
         return pos < self._on_fraction * self._period
 
     def online_clients(self, round_idx: int) -> np.ndarray:

@@ -14,6 +14,10 @@ became idle — and pool-sampled cohorts depend on that order.
 :class:`PrescheduledDiffTrace` is the reference for it: the queue's
 ordering contract (periodic flips of a round before that round's
 one-shots) realised without the flip wheel.
+
+:func:`lexsort_compile` is the reference for the wheel's *compile*: the
+all-int64 ``searchsorted`` + ``lexsort`` lines the lookup-table / two-pass
+compile in ``src/`` replaced.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.population import (
     DeviceClassTrace,
     DeviceTrace,
     ExternalAvailabilityTrace,
+    PopulationEventQueue,
     StaticTrace,
 )
 
@@ -36,20 +41,22 @@ from repro.population import (
 def rewrite_columns(trace, pop, round_idx: int) -> None:
     """Write what ``trace`` says about ``round_idx`` as full columns."""
     if isinstance(trace, ChurnStormTrace):
-        pop.connectivity[:] = pop.base_connectivity
-        pop.responsiveness[:] = pop.base_responsiveness
+        connectivity = pop.writable("connectivity")
+        responsiveness = pop.writable("responsiveness")
+        connectivity[:] = pop.base_connectivity
+        responsiveness[:] = pop.base_responsiveness
         if trace.base is not None:
             rewrite_columns(trace.base, pop, round_idx)
         if not trace.is_burst(round_idx):
             return
-        pop.connectivity *= 1.0 - trace.burst_dropout
+        connectivity *= 1.0 - trace.burst_dropout
         if trace.straggler_fraction >= 1.0:
             hit = np.ones(pop.num_clients, dtype=bool)
         elif trace.straggler_fraction > 0.0:
             hit = trace._rng.random(pop.num_clients) < trace.straggler_fraction
         else:
             return
-        pop.responsiveness[hit] *= trace.straggler_slowdown
+        responsiveness[hit] *= trace.straggler_slowdown
     elif isinstance(trace, DeviceClassTrace):
         pop.available[:] = trace._rng.random(pop.num_clients) < trace._online_p
     elif isinstance(trace, ExternalAvailabilityTrace):
@@ -115,6 +122,11 @@ class SweepOraclePopulation:
             dropped_cooldown=population.dropped_cooldown,
         )
 
+    def writable(self, name: str) -> np.ndarray:
+        """The trace-facing write protocol; every oracle column is a plain
+        eager array, so there is nothing to materialize."""
+        return getattr(self, name)
+
     def advance(self, round_idx: int) -> None:
         if round_idx == self._round:
             return
@@ -167,3 +179,32 @@ class SweepOraclePopulation:
             "offline": int(counts[OFFLINE]),
             "dropped": int(counts[DROPPED]),
         }
+
+
+def lexsort_compile(ids, period, residue):
+    """``(ids, row_ptr, periods, row_start)`` as ``_FlipWheel.__init__``
+    built them before the lookup-table / two-pass rewrite: everything
+    int64, period → row block by ``searchsorted``, order by ``lexsort``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    period = np.broadcast_to(np.asarray(period, dtype=np.int64), ids.shape)
+    residue = np.broadcast_to(np.asarray(residue, dtype=np.int64), ids.shape)
+    periods = np.unique(period)
+    spans = np.cumsum(periods, dtype=np.int64)
+    row_start = spans - periods
+    row = row_start[np.searchsorted(periods, period)]
+    row = row + residue % period
+    counts = np.bincount(row, minlength=int(spans[-1]))
+    row_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    return ids[np.lexsort((ids, row))], row_ptr, periods, row_start
+
+
+def assert_compiles_like_lexsort(ids, period, residue):
+    q = PopulationEventQueue()
+    q.schedule_periodic(ids, period, residue, True)
+    (wheel,) = q._wheels
+    want = lexsort_compile(ids, period, residue)
+    got = (wheel.ids, wheel.row_ptr, wheel.periods, wheel.row_start)
+    for name, g, w in zip(("ids", "row_ptr", "periods", "row_start"), got, want):
+        assert g.dtype == np.int64, name
+        np.testing.assert_array_equal(g, w, err_msg=name)

@@ -1,6 +1,7 @@
 """The compiled flip wheel behind ``PopulationEventQueue.schedule_periodic``:
-its lookup against brute force, the drain-order contract, what it keeps
-off the heap, and the queue's introspection counters.
+its lookup against brute force, its compile against the ``lexsort``
+compile it replaced, the drain-order contract, what it keeps off the heap,
+and the queue's introspection counters.
 
 Bit-identity of wheel-driven populations against the sweep oracle lives in
 ``tests/properties/test_props_flip_wheel.py``.
@@ -15,6 +16,8 @@ from repro.population import (
     DutyCycleTrace,
     PopulationEventQueue,
 )
+from repro.traces.availability import AvailabilityTrace
+from tests.population.oracle import assert_compiles_like_lexsort, lexsort_compile
 
 pytestmark = pytest.mark.population
 
@@ -100,6 +103,121 @@ def test_schedule_periodic_rejects_bad_input():
     q.schedule_periodic(np.empty(0, dtype=np.int64), 5, 0, True)  # a no-op
     assert len(q.periodic_ids) == 0
     assert flips_by_round(q, 10) == {}
+
+
+# -- compile ≡ the lexsort compile -------------------------------------------------
+
+
+def _wheel_case(name):
+    rng = np.random.default_rng(11)
+    n = 500
+    ids = np.arange(n, dtype=np.int64) * 3
+    if name == "unsorted ids":
+        return rng.permutation(ids), rng.integers(2, 9, n), rng.integers(-9, 30, n)
+    if name == "repeated ids":
+        return rng.integers(0, 40, n), rng.integers(2, 5, n), rng.integers(0, 5, n)
+    if name == "duplicate periods":
+        return ids, rng.choice([4, 4, 6, 12], n), rng.integers(0, 12, n)
+    if name == "single period":
+        return ids, np.full(n, 7), rng.integers(-7, 14, n)
+    if name == "scalar period and residue":
+        return ids, 5, 3
+    if name == "period 1":
+        return ids, rng.choice([1, 2], n), rng.integers(0, 4, n)
+    if name == "only period 1":
+        return ids, 1, rng.integers(-3, 3, n)
+    if name == "period beyond 16 bits":  # keys fall off the radix path
+        return ids, rng.choice([3, 65_536, 70_001], n), rng.integers(0, 70_001, n)
+    if name == "uint8 keys":
+        period = rng.integers(100, 201, n).astype(np.uint8)
+        return ids, period, (rng.integers(0, 200, n) % period).astype(np.uint8)
+    if name == "uint16 keys":
+        period = rng.integers(100, 401, n).astype(np.uint16)
+        return ids, period, (rng.integers(0, 400, n) % period).astype(np.uint16)
+    if name == "negative residues on unsigned periods":
+        return ids, rng.integers(2, 200, n).astype(np.uint8), rng.integers(-500, 0, n)
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize(
+    "case",
+    (
+        "unsorted ids",
+        "repeated ids",
+        "duplicate periods",
+        "single period",
+        "scalar period and residue",
+        "period 1",
+        "only period 1",
+        "period beyond 16 bits",
+        "uint8 keys",
+        "uint16 keys",
+        "negative residues on unsigned periods",
+    ),
+)
+def test_compiled_arrays_equal_the_lexsort_compile(case):
+    assert_compiles_like_lexsort(*_wheel_case(case))
+
+
+def int64_duty_cycles(seed, n, mean_on_fraction, min_period, max_period):
+    """``(period, phase, on_fraction)`` exactly as ``AvailabilityTrace``
+    draws them, left int64."""
+    rng = np.random.default_rng(seed)
+    period = rng.integers(min_period, max_period + 1, size=n)
+    phase = rng.integers(0, period)
+    a, b = 4.0 * mean_on_fraction, 4.0 * (1.0 - mean_on_fraction) + 1e-9
+    assert period.dtype == phase.dtype == np.int64
+    return period, phase, rng.beta(a, b, size=n)
+
+
+@pytest.mark.parametrize("max_period", (200, 255, 256, 400, 70_000))
+def test_duty_cycle_wheels_equal_the_int64_schedule(max_period):
+    """``DutyCycleTrace.schedule`` works in the narrow storage type, where
+    neither ``-phase`` nor ``length - phase`` exists; its two wheels must
+    be the ones the int64 arithmetic (those two residues, un-reduced)
+    compiled — 200 and 255 put ``2·period`` past uint8."""
+    n, seed = 400, 5
+    min_period = max_period - 60
+    trace = DutyCycleTrace(
+        n, np.random.default_rng(seed), 0.6, min_period, max_period
+    )
+    pop = DeviceStatePopulation(n, np.random.default_rng(0), trace=trace)
+    period, phase, on_fraction = int64_duty_cycles(
+        seed, n, 0.6, min_period, max_period
+    )
+    length = np.clip(np.ceil(on_fraction * period).astype(np.int64), 0, period)
+    flips = np.flatnonzero((length > 0) & (length < period))
+    period, phase, length = period[flips], phase[flips], length[flips]
+    opens, closes = pop.events._wheels
+    assert (opens.value, closes.value) == (True, False)
+    for wheel, residue in ((opens, -phase), (closes, length - phase)):
+        ids, row_ptr, periods, row_start = lexsort_compile(flips, period, residue)
+        np.testing.assert_array_equal(wheel.ids, ids)
+        np.testing.assert_array_equal(wheel.row_ptr, row_ptr)
+        np.testing.assert_array_equal(wheel.periods, periods)
+        np.testing.assert_array_equal(wheel.row_start, row_start)
+
+
+@pytest.mark.parametrize("max_period", (200, 255, 256, 400, 65_535, 70_000))
+def test_narrow_duty_cycles_answer_online_like_int64(max_period):
+    """``_period`` / ``_phase`` are stored as narrow as ``max_period``
+    allows — cast after the draws, so the RNG stream is the int64 one —
+    and ``online`` upcasts: no wrap-around, even at rounds near 2³¹."""
+    n, seed = 300, 9
+    min_period = max(2, max_period - 150)
+    trace = AvailabilityTrace(
+        n, np.random.default_rng(seed), 0.7, min_period, max_period
+    )
+    assert trace._period.dtype == trace._phase.dtype
+    assert trace._period.dtype == np.min_scalar_type(max_period)
+    period, phase, on_fraction = int64_duty_cycles(
+        seed, n, 0.7, min_period, max_period
+    )
+    np.testing.assert_array_equal(trace._period, period)
+    np.testing.assert_array_equal(trace._phase, phase)
+    for r in [*range(51), *range(2**31 - 3, 2**31 + 4), 2**40 + 17]:
+        want = (r + phase) % period < on_fraction * period
+        np.testing.assert_array_equal(trace.online(r), want, err_msg=str(r))
 
 
 # -- the ordering contract ---------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the vectorized device-state population."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,15 @@ from repro.population import (
     OFFLINE,
     WORKING,
     ChurnStormTrace,
+    DeviceClassTrace,
     DeviceStatePopulation,
     DeviceTrace,
+    DutyCycleTrace,
     ExternalAvailabilityTrace,
     StaticTrace,
 )
+
+FLOAT_COLUMNS = ("connectivity", "completeness", "responsiveness")
 
 
 def make_pop(n=10, seed=0, **kwargs):
@@ -56,6 +62,117 @@ def test_dropout_prob_sets_baseline_connectivity():
     pop = make_pop(5, dropout_prob=0.3)
     np.testing.assert_allclose(pop.connectivity, 0.7)
     np.testing.assert_allclose(pop.base_connectivity, 0.7)
+
+
+# -- columns cost what varies ------------------------------------------------------
+
+
+@pytest.mark.population
+def test_float_columns_own_no_buffer_until_writable():
+    pop = make_pop(1000, dropout_prob=0.25)
+    for name in FLOAT_COLUMNS:
+        column = getattr(pop, name)
+        assert column.shape == (1000,) and column.dtype == np.float64
+        assert column.strides == (0,) and not column.flags.writeable
+    assert pop.connectivity[0] == 0.75 and pop.completeness[999] == 1.0
+    for name in FLOAT_COLUMNS:
+        before = getattr(pop, name)
+        column = pop.writable(name)
+        assert column is getattr(pop, name)
+        assert column is pop.writable(name)  # idempotent: the same array
+        assert column.strides == (8,) and column.flags.writeable
+        np.testing.assert_array_equal(column, before)
+    with pytest.raises(ValueError, match="no float column"):
+        pop.writable("available")
+
+
+@pytest.mark.population
+def test_direct_write_to_an_unmaterialized_column_raises():
+    pop = make_pop(8)
+    with pytest.raises(ValueError, match="read-only"):
+        pop.connectivity[:] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        pop.responsiveness[np.array([1, 2])] *= 4.0
+    assert pop.survives_round(np.arange(8)).all()  # nothing was written
+    pop.writable("connectivity")
+    pop.connectivity[:] = 0.0  # a materialized column is an ordinary array
+    assert not pop.survives_round(np.arange(8)).any()
+
+
+@pytest.mark.population
+def test_base_columns_share_the_view_until_the_live_one_is_written():
+    pop = make_pop(6, dropout_prob=0.2)
+    assert pop.base_connectivity is pop.connectivity
+    assert pop.base_responsiveness is pop.responsiveness
+    pop.writable("connectivity")[:] = 0.0
+    pop.writable("responsiveness")[2] = 9.0
+    assert pop.base_connectivity is not pop.connectivity
+    np.testing.assert_array_equal(pop.base_connectivity, np.full(6, 0.8))
+    np.testing.assert_array_equal(pop.base_responsiveness, np.ones(6))
+    # a trace that writes in bind() gets a private snapshot, as it always did
+    classes = make_pop(50, trace=DeviceClassTrace(50, np.random.default_rng(3)))
+    assert classes.connectivity.flags.writeable
+    assert not np.shares_memory(classes.base_connectivity, classes.connectivity)
+    np.testing.assert_array_equal(classes.base_connectivity, classes.connectivity)
+    before = classes.base_connectivity.copy()
+    classes.writable("connectivity")[:] = 0.0
+    np.testing.assert_array_equal(classes.base_connectivity, before)
+
+
+@pytest.mark.population
+@pytest.mark.parametrize("materialized", (False, True))
+def test_reads_agree_on_a_view_and_on_a_real_column(materialized):
+    """``survives_round`` / ``local_steps_for`` / ``*_of`` return what an
+    eager ``np.full`` column returns — same values, same RNG draws."""
+    n, ids = 12, np.array([7, 0, 7, 11])
+    pop = make_pop(n, seed=4, dropout_prob=0.4)
+    if materialized:
+        for name in FLOAT_COLUMNS:
+            pop.writable(name)
+    ref_rng = np.random.default_rng(4)
+    for _ in range(3):
+        np.testing.assert_array_equal(
+            pop.survives_round(ids), ref_rng.random(len(ids)) < np.full(4, 0.6)
+        )
+    assert pop.local_steps_for(ids, 7).tolist() == [7, 7, 7, 7]
+    assert pop.local_steps_for(ids, 7).dtype == np.int64
+    np.testing.assert_array_equal(pop.responsiveness_of(ids), np.ones(4))
+    np.testing.assert_array_equal(pop.completeness_of(ids), np.ones(4))
+    # connectivity 1.0 keeps the no-draw fast path on either kind of column
+    sure = make_pop(n, seed=5)
+    if materialized:
+        sure.writable("connectivity")
+    assert sure.survives_round(ids).all()
+    assert sure._rng.random() == np.random.default_rng(5).random()
+
+
+@pytest.mark.population
+def test_fleet_shape_footprint_per_client():
+    """The ``fleet_async_1m`` population shape at N = 10⁵: what stays
+    live is the state that varies (reads 66 B per client; one eager
+    float64 column adds 8) and the wheel compile's temporaries do not
+    pile up (the traced peak reads 101)."""
+    n = 100_000
+    tracemalloc.start()
+    try:
+        pop = DeviceStatePopulation(
+            n,
+            np.random.default_rng(1),
+            trace=DutyCycleTrace(
+                n,
+                np.random.default_rng(2),
+                mean_on_fraction=0.8,
+                min_period=100,
+                max_period=400,
+            ),
+            dropout_prob=0.05,
+        )
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live <= 80 * n, f"{live / n:.1f} B live per client"
+    assert peak <= 125 * n, f"{peak / n:.1f} B peak per client"
+    assert all(getattr(pop, name).strides == (0,) for name in FLOAT_COLUMNS)
 
 
 # -- state machine -----------------------------------------------------------------
@@ -151,9 +268,9 @@ def test_survives_round_fast_path_and_draws():
     pop = make_pop(6)
     ids = np.arange(6)
     assert pop.survives_round(ids).all()  # connectivity 1.0: no RNG draw
-    pop.connectivity[:] = 0.0
+    pop.writable("connectivity")[:] = 0.0
     assert not pop.survives_round(ids).any()
-    pop.connectivity[:] = 0.5
+    pop.writable("connectivity")[:] = 0.5
     draws = np.array([pop.survives_round(ids).mean() for _ in range(200)])
     assert 0.3 < draws.mean() < 0.7
 
@@ -163,14 +280,14 @@ def test_survives_round_fast_path_and_draws():
 
 def test_local_steps_for_partial_completeness():
     pop = make_pop(4)
-    pop.completeness[:] = [1.0, 0.5, 0.24, 0.01]
+    pop.writable("completeness")[:] = [1.0, 0.5, 0.24, 0.01]
     steps = pop.local_steps_for(np.arange(4), 10)
     assert steps.tolist() == [10, 5, 3, 1]  # ceil, floored at 1
 
 
 def test_responsiveness_of_indexes_column():
     pop = make_pop(4)
-    pop.responsiveness[:] = [1.0, 2.0, 4.0, 8.0]
+    pop.writable("responsiveness")[:] = [1.0, 2.0, 4.0, 8.0]
     np.testing.assert_allclose(
         pop.responsiveness_of(np.array([3, 1])), [8.0, 2.0]
     )

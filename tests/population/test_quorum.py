@@ -138,7 +138,7 @@ def test_redraw_recovers_quorum_when_fresh_candidates_survive(dataset):
 def test_redraw_never_recontacts_a_tried_candidate(dataset):
     """Re-draw waves exclude every already-contacted candidate."""
     pop = DeviceStatePopulation(dataset.num_clients, np.random.default_rng(5))
-    pop.connectivity[:] = 0.0  # nobody ever survives
+    pop.writable("connectivity")[:] = 0.0  # nobody ever survives
     contacted = []
 
     server = FLServer(

@@ -16,6 +16,10 @@ population must agree
 Cooldowns reach past the longest period on purpose: there a revival is
 armed before the flip chain of its round would have re-armed itself, the
 case where per-chain heap events fire in the other order.
+
+The wheel's *compile* — lookup table, then two stable passes over keys as
+narrow as their values — is held, array for array, to the ``lexsort``
+compile it replaced (kept in ``tests/population/oracle.py``).
 """
 
 import numpy as np
@@ -30,7 +34,11 @@ from repro.population import (
     DutyCycleTrace,
 )
 from repro.utils.arrays import sorted_unique
-from tests.population.oracle import PrescheduledDiffTrace, SweepOraclePopulation
+from tests.population.oracle import (
+    PrescheduledDiffTrace,
+    SweepOraclePopulation,
+    assert_compiles_like_lexsort,
+)
 
 pytestmark = pytest.mark.population
 
@@ -140,6 +148,36 @@ def test_wheel_population_matches_sweep_and_contract_order(
             else:
                 pop.finish_round(t, dropped_ids=lost)
         check(f"after round {t}")
+
+
+@st.composite
+def periodic_registrations(draw):
+    """``(ids, period, residue)`` as a trace might hand them over: ids in
+    any order with repeats, few distinct periods (some past 16 bits),
+    residues un-reduced and negative, each in any integer width that
+    holds it."""
+    n = draw(st.integers(1, 80))
+    ids = draw(st.lists(st.integers(0, 200), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        ids = sorted(ids)
+    top = draw(st.sampled_from((1, 6, 200, 255, 256, 400, 65_535, 65_536, 70_000)))
+    palette = draw(st.lists(st.integers(1, top), min_size=1, max_size=5))
+    period = np.array(draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
+    lowest = draw(st.sampled_from((0, -2 * top)))
+    residue = np.array(
+        draw(st.lists(st.integers(lowest, 2 * top), min_size=n, max_size=n))
+    )
+    if draw(st.booleans()):
+        period = period.astype(np.min_scalar_type(int(period.max())))
+    if draw(st.booleans()) and lowest == 0:
+        residue = residue.astype(np.min_scalar_type(int(residue.max())))
+    return np.array(ids, dtype=np.int64), period, residue
+
+
+@given(registration=periodic_registrations())
+@settings(max_examples=200, deadline=None)
+def test_wheel_compile_equals_the_lexsort_compile(registration):
+    assert_compiles_like_lexsort(*registration)
 
 
 @given(
