@@ -14,12 +14,13 @@ these use pytest-benchmark's normal repeated timing.
 import numpy as np
 import pytest
 
-from repro.compression.base import ClientPayload, weighted_dense_sum
-from repro.compression.topk import select_top_k, top_k_indices
+from repro.compression.base import ClientPayload
+from repro.compression.topk import top_k_indices
 from repro.datasets import femnist_like
 from repro.fl.staleness import StalenessTracker
 from repro.nn import Conv2d, CrossEntropyLoss, Sequential
 from repro.runtime import ClientTask, WorkerSpec, create_backend
+from repro.sharding import ShardingRuntime
 
 D = 5_000_000
 
@@ -45,7 +46,8 @@ def test_mask_shift_sparse_support_5m(benchmark):
     delta = np.zeros(D)
     delta[support] = rng.normal(size=len(support))
     k_shr = D * 4 // 25
-    idx = benchmark(select_top_k, delta, k_shr, support=support)
+    runtime = ShardingRuntime(D, 1)  # the default server kernels
+    idx = benchmark(runtime.top_k_indices, delta, k_shr, support=support)
     assert len(idx) == k_shr
 
 
@@ -76,7 +78,7 @@ def _sparse_payloads(k_clients=30, keep=D // 10):
 def test_sparse_accumulate_scatter_5m(benchmark):
     """The shipped path: one np.add.at scatter per payload (sorted idx)."""
     payloads = _sparse_payloads(k_clients=10)
-    acc = benchmark(weighted_dense_sum, payloads, D)
+    acc = benchmark(ShardingRuntime(D, 1).sparse_weighted_sum, payloads)
     assert np.isfinite(acc).all()
 
 

@@ -30,9 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compression.base import ClientPayload, weighted_dense_sum
+from repro.compression.base import ClientPayload
 from repro.compression.topk import top_k_indices
 from repro.nn import Conv2d, Sequential
+from repro.sharding import ShardingRuntime
 
 D = 5_000_000
 
@@ -151,7 +152,7 @@ def micro_ops(repeats: int) -> dict:
         )
 
     out["aggregate_scatter_k30_5m_s"] = timed(
-        lambda: weighted_dense_sum(payloads, D), repeats
+        lambda: ShardingRuntime(D, 1).sparse_weighted_sum(payloads), repeats
     )
 
     for dtype, label in ((np.float64, "f64"), (np.float32, "f32")):

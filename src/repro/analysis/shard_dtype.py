@@ -1,9 +1,10 @@
-"""Rule ``shard-kernel-dtype``: sharded kernels must pin their dtype.
+"""Rule ``shard-kernel-dtype``: the server kernels must pin their dtype.
 
-The sharding subsystem's whole contract is bit-identity with the
-unsharded path (``tests/properties/test_props_sharding.py``), and that
-only holds if every per-shard accumulator, candidate buffer, and memmap
-states its dtype explicitly — a bare ``np.zeros(shard_len)`` silently
+``repro/sharding/`` holds the only server kernels there are (one shard is
+the default), and their whole contract is bit-identity across shard
+counts (``tests/properties/test_props_sharding.py``), which only holds if
+every per-shard accumulator, candidate buffer, and memmap states its
+dtype explicitly — a bare ``np.zeros(shard_len)`` silently
 accumulates one shard in float64 while its neighbors follow the run
 policy, and the differential suite would only catch it for the dtypes it
 happens to draw.  ``np.memmap`` is included on top of the usual bare
@@ -27,11 +28,11 @@ class ShardKernelDtypeChecker(DtypeDisciplineChecker):
     rule = "shard-kernel-dtype"
     description = (
         "flag numpy array/memmap constructors without an explicit dtype= "
-        "in the sharded server kernels (repro/sharding/)"
+        "in the server kernels (repro/sharding/)"
     )
     hint = (
-        "pin dtype= on every shard-sized buffer — the sharded/unsharded "
-        "bit-identity contract depends on it (np.memmap defaults to uint8)"
+        "pin dtype= on every shard-sized buffer — bit-identity across "
+        "shard counts depends on it (np.memmap defaults to uint8)"
     )
 
     hot_path_dirs = ("repro/sharding/",)
@@ -41,10 +42,10 @@ class ShardKernelDtypeChecker(DtypeDisciplineChecker):
     def _message(self, name: str) -> str:
         if name == "numpy.memmap":
             return (
-                "np.memmap() without dtype= in a sharded kernel defaults "
+                "np.memmap() without dtype= in a server kernel defaults "
                 "to uint8 — it reinterprets the backing file outright"
             )
         return (
-            f"{name.replace('numpy', 'np')}() without dtype= in a sharded "
-            "kernel breaks the sharded/unsharded bit-identity contract"
+            f"{name.replace('numpy', 'np')}() without dtype= in a server "
+            "kernel breaks bit-identity across shard counts"
         )

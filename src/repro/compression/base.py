@@ -73,7 +73,7 @@ class AggregateResult:
     Every server step after aggregation relies on it to do work
     proportional to ``len(changed_idx)`` rather than ``d``: the mask shift
     selects among ``global_delta[changed_idx]``
-    (:func:`~repro.compression.topk.select_top_k` with ``support=``), and
+    (``self.sharding.top_k_indices(..., support=changed_idx)``), and
     the staleness ledger advances its version histogram from
     ``changed_idx`` alone.  A strategy that moves a coordinate it does not
     list would have that movement ignored by both — and never downloaded
@@ -106,8 +106,8 @@ class CompressionStrategy:
     def __init__(self) -> None:
         self.d: int = 0
         self.dtype: np.dtype = np.dtype(np.float64)
-        #: bound sharding runtime (:class:`repro.sharding.ShardingRuntime`)
-        #: or None; strategies with sharded kernels consult it per call
+        #: the :class:`repro.sharding.ShardingRuntime` whose kernels this
+        #: strategy aggregates and selects through; bound by :meth:`setup`
         self.sharding = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -117,21 +117,27 @@ class CompressionStrategy:
         ``dtype`` is the run-level precision (see :mod:`repro.runtime`):
         aggregation outputs and any dense scratch vectors the strategy
         materializes use it, so a float32 run stays float32 end to end.
+        Leaves a one-shard :class:`~repro.sharding.ShardingRuntime` bound
+        as ``self.sharding``, so a strategy is usable after ``setup()``
+        alone; the server re-binds its configured one.
         """
         if d <= 0:
             raise ValueError(f"model dimension must be positive, got {d}")
+        # call-time import: repro.sharding imports repro.compression.topk
+        from repro.sharding import ShardingRuntime
+
         self.d = d
         self.dtype = np.dtype(dtype)
+        self.sharding = ShardingRuntime(d, 1)
 
     def bind_sharding(self, runtime) -> None:
-        """Bind a :class:`~repro.sharding.ShardingRuntime` (or ``None``).
+        """Replace the one-shard runtime :meth:`setup` bound.
 
-        Called by the server after :meth:`setup` when
-        ``RunConfig.shard_count`` is set.  Strategies whose hot path has
-        sharded kernels (GlueFL, STC, FedAvg) route their dense sums and
-        top-k selections through the runtime when bound — bit-identical
-        to the unsharded path, so binding never changes results, only how
-        the work is partitioned and dispatched.  Wrapper strategies must
+        Called by the server after :meth:`setup` with the runtime
+        ``RunConfig.shard_count`` / ``shard_backend`` / ``shard_mmap``
+        describe.  Every shard count is bit-identical, so binding never
+        changes results, only how the ``self.sharding`` kernels are
+        partitioned, dispatched and stored.  Wrapper strategies must
         delegate to their inner strategy.
         """
         self.sharding = runtime
@@ -236,27 +242,3 @@ class CompressionStrategy:
             raise ValueError(
                 f"delta must be a length-{self.d} vector, got {delta.shape}"
             )
-
-
-def weighted_dense_sum(
-    payloads: Sequence[Tuple[int, float, ClientPayload]],
-    d: int,
-    key_idx: str = "idx",
-    key_vals: str = "vals",
-    dtype=np.float64,
-) -> np.ndarray:
-    """Accumulate ``Σ ν_i · sparse_i`` into a single dense vector.
-
-    Shared by STC/GlueFL aggregation paths; ``np.add.at`` handles repeated
-    indices across clients correctly.  Top-k indices arrive pre-sorted,
-    so each per-payload scatter streams the one shared accumulator in
-    order.  The accumulator uses the run-level ``dtype``, so float32 runs
-    halve the memory traffic of this loop.
-    """
-    acc = np.zeros(d, dtype=dtype)
-    for _, weight, payload in payloads:
-        idx = payload.data[key_idx]
-        vals = payload.data[key_vals]
-        if len(idx):
-            np.add.at(acc, idx, weight * vals)
-    return acc

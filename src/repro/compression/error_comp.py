@@ -26,7 +26,7 @@ are bit-identical to the historical dict-backed implementation.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,9 +48,14 @@ class ResidualStore:
 
     Residuals are stored as float32 to bound memory (they are re-added to
     float64 deltas; the quantization error is far below compression error).
-    Each entry is a ``(chunks_or_array, weight)`` pair inside a
+    Each entry is a ``(array, weight)`` pair inside a
     :class:`~repro.utils.client_state.LazyClientState`; ``max_clients``
     (settable later via :meth:`bound`) turns on LRU eviction.
+
+    A residual is one flat vector whatever the server's shard count:
+    residuals are *client-side* state that ``compensate`` reads whole, once
+    per participation, so chunking one along the server's partition would
+    buy a reassembly copy per read and nothing else.
     """
 
     def __init__(
@@ -61,7 +66,6 @@ class ResidualStore:
     ):
         self.mode = ErrorCompMode(mode)
         self._store: LazyClientState = LazyClientState(max_clients=max_clients)
-        self._spec = None  # optional repro.sharding.ShardSpec
 
     def bound(self, max_clients: Optional[int]) -> None:
         """(Re)set the LRU residual budget (``None`` = unbounded)."""
@@ -71,31 +75,6 @@ class ResidualStore:
     def evictions(self) -> int:
         """Residuals dropped by the LRU bound since construction."""
         return self._store.evictions
-
-    def partition(self, spec) -> None:
-        """Store residuals as per-shard float32 chunks from now on.
-
-        Bound by the sharding layer (see :mod:`repro.sharding`): each
-        recorded residual is split along ``spec``'s contiguous coordinate
-        ranges, so per-client residual memory follows the same partition
-        as every other piece of server state (and each chunk is
-        independently spillable).  Chunking is storage-only — reassembly
-        is a concatenation of contiguous slices, so ``compensate`` is
-        bit-identical to the flat store.
-        """
-        if len(self._store):
-            raise RuntimeError(
-                "partition() must run before any residual is recorded"
-            )
-        self._spec = spec
-
-    @staticmethod
-    def _flat(
-        h: Union[np.ndarray, List[np.ndarray]]
-    ) -> np.ndarray:
-        if isinstance(h, np.ndarray):
-            return h
-        return np.concatenate(h)
 
     def compensate(
         self, client_id: int, delta: np.ndarray, current_weight: float
@@ -114,7 +93,7 @@ class ResidualStore:
         entry = self._store.get(client_id)
         if entry is None:
             return delta.copy()
-        h = self._flat(entry[0])
+        h = entry[0]
         # the ufunc-level spelling of ``h.astype(delta.dtype)``
         cast = {"dtype": delta.dtype, "casting": "unsafe"}
         if self.mode is ErrorCompMode.REC:
@@ -137,27 +116,18 @@ class ResidualStore:
         """Store this participation's residual and the weight it was sent with.
 
         ``residual`` is copied into float32 storage (a no-copy view when it
-        already is float32 — callers hand over ownership); a partitioned
-        store keeps it as per-shard chunks instead of one flat vector.
+        already is float32 — callers hand over ownership).
         """
         if self.mode is ErrorCompMode.NONE:
             return
         h = residual.astype(np.float32, copy=False)
-        if self._spec is not None:
-            stored: Union[np.ndarray, List[np.ndarray]] = [
-                h[lo:hi] for _s, lo, hi in self._spec.iter_bounds()
-            ]
-        else:
-            stored = h
-        self._store.set(client_id, (stored, float(weight)))
+        self._store.set(client_id, (h, float(weight)))
 
     def peek(self, client_id: int) -> Optional[Tuple[np.ndarray, float]]:
-        """Inspect a stored residual (testing hook; chunked stores are
-        reassembled)."""
+        """Inspect a stored residual (testing hook)."""
         if client_id not in self._store:
             return None
-        entry = self._store.get(client_id)
-        return self._flat(entry[0]), entry[1]
+        return self._store.get(client_id)
 
     def __len__(self) -> int:
         return len(self._store)

@@ -41,14 +41,9 @@ class FedAvgStrategy(CompressionStrategy):
         self, payloads: Sequence[Tuple[int, float, ClientPayload]]
     ) -> AggregateResult:
         self._check_setup()
-        if self.sharding is not None:
-            acc = self.sharding.dense_weighted_sum(
-                payloads, key="dense", dtype=self.dtype
-            )
-        else:
-            acc = np.zeros(self.d, dtype=self.dtype)
-            for _, weight, payload in payloads:
-                acc += weight * payload.data["dense"]
+        acc = self.sharding.dense_weighted_sum(
+            payloads, key="dense", dtype=self.dtype
+        )
         return AggregateResult(
             global_delta=acc, changed_idx=np.arange(self.d, dtype=np.int64)
         )

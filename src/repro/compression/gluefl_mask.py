@@ -35,15 +35,9 @@ from repro.compression.base import (
     AggregateResult,
     ClientPayload,
     CompressionStrategy,
-    weighted_dense_sum,
 )
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
-from repro.compression.topk import (
-    ratio_to_k,
-    select_top_k,
-    top_k_indices,
-    union_sorted,
-)
+from repro.compression.topk import ratio_to_k, union_sorted
 from repro.network.encoding import bitmap_bytes, sparse_bytes, values_bytes
 
 __all__ = ["GlueFLMaskStrategy"]
@@ -105,13 +99,6 @@ class GlueFLMaskStrategy(CompressionStrategy):
         self._regen_round = True
         self._regen_pending = False
 
-    def bind_sharding(self, runtime) -> None:
-        super().bind_sharding(runtime)
-        if runtime is not None:
-            # residual memory follows the same partition as the rest of
-            # the server state (chunk-for-chunk, bit-identical reassembly)
-            self.residuals.partition(runtime.spec)
-
     # -- round state ----------------------------------------------------------
     def begin_round(self, round_idx: int) -> None:
         regen_due = (
@@ -162,7 +149,7 @@ class GlueFLMaskStrategy(CompressionStrategy):
         shr_vals = accumulated[mask]  # fancy indexing copies
         accumulated[mask] = 0.0
         k_uni = self._k_unique()
-        uni_idx = select_top_k(accumulated, k_uni, self.sharding)
+        uni_idx = self.sharding.top_k_indices(accumulated, k_uni)
         uni_vals = accumulated[uni_idx].copy()
         accumulated[uni_idx] = 0.0  # what remains is exactly the residual
         self.residuals.record(client_id, accumulated, weight)
@@ -180,30 +167,14 @@ class GlueFLMaskStrategy(CompressionStrategy):
         self._check_setup()
         mask = self._effective_mask()
 
-        if self.sharding is not None:
-            # bit-identical sharded kernels (see repro.sharding.runtime):
-            # Eq. 5 over aligned per-shard mask slices, Eq. 6's scatter
-            # into the runtime-owned (optionally memmapped) accumulator,
-            # and exact merged top-k
-            shr_acc = self.sharding.masked_weighted_sum(
-                payloads, mask, key="shr_vals", dtype=self.dtype
-            )
-            uni_acc = self.sharding.sparse_weighted_sum(
-                payloads, dtype=self.dtype
-            )
-            keep = self.sharding.top_k_indices(uni_acc, self._k_unique())
-        else:
-            # Eq. 5: aggregation on the shared mask.  The server knows the
-            # mask positions, so the weighted sum runs on contiguous
-            # length-|M| vectors; nothing dense is materialized per
-            # payload.
-            shr_acc = np.zeros(len(mask), dtype=self.dtype)
-            for _, weight, payload in payloads:
-                shr_acc += weight * payload.data["shr_vals"]
-
-            # Eq. 6: top-(q - q_shr) of the aggregated unique parts
-            uni_acc = weighted_dense_sum(payloads, self.d, dtype=self.dtype)
-            keep = top_k_indices(uni_acc, self._k_unique())
+        # Eq. 5: aggregation on the shared mask (the server knows the
+        # positions, so the sum runs on length-|M| vectors)
+        shr_acc = self.sharding.masked_weighted_sum(
+            payloads, mask, key="shr_vals", dtype=self.dtype
+        )
+        # Eq. 6: top-(q - q_shr) of the aggregated unique parts
+        uni_acc = self.sharding.sparse_weighted_sum(payloads, dtype=self.dtype)
+        keep = self.sharding.top_k_indices(uni_acc, self._k_unique())
         # global_delta is built fresh — it must not alias the shared-mask
         # accumulator (mask and keep are disjoint, but end_round and
         # callers treat global_delta as an independently-owned vector)
@@ -223,11 +194,8 @@ class GlueFLMaskStrategy(CompressionStrategy):
         self._check_setup()
         self._regen_pending = False
         if self._k_shr > 0:
-            self.mask_idx = select_top_k(
-                agg.global_delta,
-                self._k_shr,
-                self.sharding,
-                support=agg.changed_idx,
+            self.mask_idx = self.sharding.top_k_indices(
+                agg.global_delta, self._k_shr, support=agg.changed_idx
             )
 
     def abort_round(self, round_idx: int) -> None:

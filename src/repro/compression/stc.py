@@ -25,10 +25,9 @@ from repro.compression.base import (
     AggregateResult,
     ClientPayload,
     CompressionStrategy,
-    weighted_dense_sum,
 )
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
-from repro.compression.topk import ratio_to_k, select_top_k
+from repro.compression.topk import ratio_to_k
 from repro.network.encoding import sparse_bytes
 
 __all__ = ["STCStrategy"]
@@ -79,11 +78,6 @@ class STCStrategy(CompressionStrategy):
             raise ValueError(f"q={self.q} keeps zero of {d} coordinates")
         self._server_h = np.zeros(d, dtype=self.dtype)
 
-    def bind_sharding(self, runtime) -> None:
-        super().bind_sharding(runtime)
-        if runtime is not None:
-            self.residuals.partition(runtime.spec)
-
     def nominal_upstream_bytes(self) -> int:
         self._check_setup()
         return sparse_bytes(self._k, self.d)
@@ -96,7 +90,7 @@ class STCStrategy(CompressionStrategy):
         # compensate() returns a caller-owned vector: zero the sent top-k
         # in place and what remains is the residual (no zeros(d) scratch)
         accumulated = self.residuals.compensate(client_id, delta, weight)
-        idx = select_top_k(accumulated, self._k, self.sharding)
+        idx = self.sharding.top_k_indices(accumulated, self._k)
         vals = accumulated[idx].copy()
         accumulated[idx] = 0.0
         self.residuals.record(client_id, accumulated, weight)
@@ -109,15 +103,10 @@ class STCStrategy(CompressionStrategy):
         self, payloads: Sequence[Tuple[int, float, ClientPayload]]
     ) -> AggregateResult:
         self._check_setup()
-        if self.sharding is not None:
-            acc = self.sharding.sparse_weighted_sum(
-                payloads, dtype=self.dtype
-            )
-        else:
-            acc = weighted_dense_sum(payloads, self.d, dtype=self.dtype)
+        acc = self.sharding.sparse_weighted_sum(payloads, dtype=self.dtype)
         if self.server_residual:
             acc = acc + self._server_h
-        keep = select_top_k(acc, self._k, self.sharding)
+        keep = self.sharding.top_k_indices(acc, self._k)
         global_delta = np.zeros(self.d, dtype=self.dtype)
         global_delta[keep] = acc[keep]
         if self.server_residual:

@@ -11,6 +11,10 @@ Server-side vectors are sparse by construction — an aggregated update has
 case (``(1 − q)·d`` exact ties at zero).  :func:`top_k_in_support` selects
 among the support's values only, so the mask shift costs O(q·d); the index
 sets it works on are combined by :func:`union_sorted`, a linear merge.
+
+These are the selection *primitives*.  Server-side selection goes through
+``strategy.sharding.top_k_indices(x, k, support=...)``
+(:class:`repro.sharding.ShardingRuntime`), which runs them per shard.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "top_k_indices",
     "top_k_mask",
     "sparsify_top_k",
-    "select_top_k",
     "top_k_in_support",
     "union_sorted",
     "ratio_to_k",
@@ -71,32 +74,6 @@ def top_k_in_support(
     support comes back: a sparse vector has no other coordinates to offer.
     """
     return support[top_k_indices(values, k)]
-
-
-def select_top_k(
-    x: np.ndarray, k: int, sharding=None, support=None
-) -> np.ndarray:
-    """:func:`top_k_indices`, routed through a bound sharding runtime.
-
-    The one seam strategies use for server-side top-k: with a
-    :class:`~repro.sharding.ShardingRuntime` bound, selection runs as
-    per-shard partial top-k plus an exact candidate merge (identical
-    index set whenever the k-th magnitude is untied — the same arbitrary
-    tie-breaking contract ``argpartition`` already has); with ``None`` it
-    is exactly the unsharded selection.
-
-    ``support`` (sorted coordinates outside which ``x`` is exactly zero,
-    e.g. :attr:`AggregateResult.changed_idx
-    <repro.compression.base.AggregateResult>`) restricts the selection to
-    ``x[support]`` via :func:`top_k_in_support`.  Asking for at least the
-    whole support is the one case that needs coordinates from outside it,
-    and runs the dense selection.
-    """
-    if sharding is not None:
-        return sharding.top_k_indices(x, k, support)
-    if support is not None and k < len(support):
-        return top_k_in_support(x[support], support, k)
-    return top_k_indices(x, k)
 
 
 def union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

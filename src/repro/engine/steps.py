@@ -24,7 +24,7 @@ from typing import Collection, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fl.aggregation import aggregate_buffer_deltas, apply_update
+from repro.fl.aggregation import aggregate_buffer_deltas
 from repro.fl.metrics import RoundRecord
 from repro.fl.samplers import SampleDraw
 from repro.fl.simulator import (
@@ -226,7 +226,9 @@ def apply_aggregate(server, payloads, buffer_deltas):
     and the new arrays are marked read-only to enforce that invariant.
     """
     agg = server.strategy.aggregate(payloads)
-    params = apply_update(server.global_params, agg.global_delta, server.sharding)
+    params = server.sharding.elementwise_add(
+        server.global_params, agg.global_delta
+    )
     if params.dtype != server.global_params.dtype:
         # half-precision run: the delta was accumulated in float32 —
         # round back to the run dtype once, after the add
@@ -238,8 +240,7 @@ def apply_aggregate(server, payloads, buffer_deltas):
         buffers.flags.writeable = False
         server.global_buffers = buffers
     server.staleness.record_update(agg.changed_idx)
-    if server.sharding is not None:
-        server.sharding.observe_release(agg.changed_idx)
+    server.sharding.observe_release(agg.changed_idx)
     return agg
 
 

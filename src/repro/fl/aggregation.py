@@ -24,22 +24,7 @@ __all__ = [
     "horvitz_thompson_weights",
     "staleness_discounted_weights",
     "aggregate_buffer_deltas",
-    "apply_update",
 ]
-
-
-def apply_update(params, delta, sharding=None) -> np.ndarray:
-    """Return ``params + delta``, shard-by-shard when a runtime is bound.
-
-    The sharded add runs each contiguous coordinate range through
-    :func:`repro.sharding.kernels.shard_elementwise_add` — the same
-    element-wise IEEE add in the same order, so the result is
-    bit-identical to the plain expression.  ``sharding=None`` (the
-    default, ``RunConfig.shard_count`` unset) is exactly the seed path.
-    """
-    if sharding is not None:
-        return sharding.elementwise_add(params, delta)
-    return params + delta
 
 
 def fedavg_weights(

@@ -33,14 +33,15 @@ class RunConfig:
       the whole hot path (model, training, compression, aggregation) in
       single precision for a large CPU speedup at FL-irrelevant accuracy
       cost.
-    * ``shard_count`` / ``shard_backend`` / ``shard_mmap`` — partition
-      the server hot path (aggregation sums, top-k selection, mask
-      bookkeeping, residual storage) into contiguous coordinate-range
-      shards (see :mod:`repro.sharding`).  Bit-identical to the
-      unsharded path on and off, so the knobs trade nothing but how the
-      work is partitioned, dispatched (``"serial"``/``"thread"``/
-      ``"process"``) and stored (``shard_mmap=True`` backs the dense
-      accumulators with ``np.memmap`` files).
+    * ``shard_count`` / ``shard_backend`` / ``shard_mmap`` — the server
+      hot path (aggregation sums, top-k selection, the params apply)
+      always runs through the kernels of :mod:`repro.sharding`, over
+      ``shard_count`` contiguous coordinate-range shards (default 1).
+      Bit-identical for every count, so the knobs trade nothing but how
+      the work is partitioned, dispatched (``"serial"``/``"thread"``/
+      ``"process"``; one shard runs inline) and stored
+      (``shard_mmap=True`` backs the dense accumulator with an
+      ``np.memmap`` file).
 
     Scheduling knobs (see :mod:`repro.engine.schedulers`):
 
@@ -175,9 +176,9 @@ class RunConfig:
     # runtime policy (repro.runtime)
     execution_backend: str = "serial"  # "serial" | "thread" | "process"
     backend_workers: Optional[int] = None
-    #: "float64" | "float32" | "float16" | "bfloat16" (bfloat16 needs the
-    #: optional ml_dtypes package).  Half-precision runs keep aggregation
-    #: and loss accumulation in float32 (see repro.runtime.dtype)
+    #: "float64" | "float32" | "float16".  Half-precision runs keep
+    #: aggregation and loss accumulation in float32 (see
+    #: repro.runtime.dtype)
     dtype: str = "float64"
     #: process backend only: runtime sanitizer (see
     #: :mod:`repro.runtime.sanitize`) — tag the result-ring slots with
@@ -193,20 +194,20 @@ class RunConfig:
     #: floating-point op order, so it is off for golden-pinned runs
     batch_replicas: Optional[int] = None
 
-    # sharded server state (repro.sharding)
-    #: partition the server hot path into this many contiguous
-    #: coordinate-range shards; None (the default) keeps the unsharded
-    #: path.  Bit-identical on and off — contiguous shards preserve
-    #: per-coordinate operation order and the merged top-k is exact — so
-    #: the knob only changes how server work is partitioned/dispatched
-    shard_count: Optional[int] = None
+    # server kernels (repro.sharding)
+    #: run the server hot path over this many contiguous coordinate-range
+    #: shards; the default is one shard, not a separate path.  Bit-identical
+    #: for every count — contiguous shards preserve per-coordinate
+    #: operation order and the per-shard top-k is exact — so the knob only
+    #: changes how server work is partitioned/dispatched
+    shard_count: int = 1
     #: per-shard kernel dispatch: "serial" | "thread" | "process" (the
-    #: shard analogue of execution_backend; requires shard_count)
+    #: shard analogue of execution_backend; a single shard runs inline)
     shard_backend: str = "serial"
-    #: back the sharded dense accumulators with np.memmap files so the
-    #: d-sized aggregation temporaries live out-of-core (requires
-    #: shard_count; see repro.sharding.ShardedServerState for the fully
-    #: memmapped parameter store)
+    #: back the dense Eq. 6 accumulator with an np.memmap file so the
+    #: d-sized aggregation temporary lives out-of-core (see
+    #: repro.sharding.ShardedServerState for the fully memmapped
+    #: parameter store)
     shard_mmap: bool = False
 
     # round scheduling (repro.engine)
@@ -432,26 +433,18 @@ class RunConfig:
                 "silently ignored — set execution_backend='process' (or "
                 "unset it)"
             )
-        if self.shard_count is not None and self.shard_count <= 0:
-            raise ValueError("shard_count must be positive (or None)")
+        if (
+            not isinstance(self.shard_count, int)
+            or isinstance(self.shard_count, bool)
+            or self.shard_count <= 0
+        ):
+            raise ValueError("shard_count must be a positive int")
         if self.shard_backend not in SHARD_BACKENDS:
             raise ValueError(
                 f"unknown shard_backend {self.shard_backend!r}; "
                 f"expected {SHARD_BACKENDS}"
             )
-        if self.shard_count is None:
-            stale_shard = []
-            if self.shard_backend != "serial":
-                stale_shard.append("shard_backend")
-            if self.shard_mmap:
-                stale_shard.append("shard_mmap")
-            if stale_shard:
-                raise ValueError(
-                    f"{', '.join(stale_shard)} only applies to the sharded "
-                    "server path; with shard_count unset it would be "
-                    "silently ignored — set shard_count (or unset it)"
-                )
-        if self.dtype in ("float16", "bfloat16"):
+        if self.dtype == "float16":
             if self.privacy_mode == "gaussian":
                 raise ValueError(
                     "privacy_mode='gaussian' is incompatible with "

@@ -99,24 +99,22 @@ class FLServer:
         self.strategy.setup(
             self.d, self.rngs("strategy"), dtype=accumulation_dtype(self.dtype)
         )
-        # sharded server hot path (repro.sharding): bind a runtime so the
-        # strategy's aggregation sums and top-k selections run shard-by-
-        # shard — bit-identical to the unsharded path, so goldens hold
-        # with the flag on or off.  Lazy import: repro.sharding pulls in
+        # the server kernels (repro.sharding): aggregation sums, top-k
+        # selections and the params apply run over shard_count contiguous
+        # coordinate ranges — one by default, bit-identical for any count —
+        # through this runtime, which replaces the one-shard runtime
+        # setup() bound.  Lazy import: repro.sharding pulls in
         # runtime/compression modules this module also feeds.
-        if config.shard_count is not None:
-            from repro.sharding import ShardingRuntime
+        from repro.sharding import ShardingRuntime
 
-            self.sharding = ShardingRuntime(
-                self.d,
-                config.shard_count,
-                backend=config.shard_backend,
-                workers=config.backend_workers,
-                mmap=config.shard_mmap,
-            )
-            self.strategy.bind_sharding(self.sharding)
-        else:
-            self.sharding = None
+        self.sharding = ShardingRuntime(
+            self.d,
+            config.shard_count,
+            backend=config.shard_backend,
+            workers=config.backend_workers,
+            mmap=config.shard_mmap,
+        )
+        self.strategy.bind_sharding(self.sharding)
         if config.residual_max_clients is not None:
             # bound per-client error-compensation state to an LRU budget;
             # wrappers delegate the call down to the strategy that owns
@@ -387,8 +385,7 @@ class FLServer:
         if self._backend is not None:
             self._backend.close()
             self._backend = None
-        if self.sharding is not None:
-            self.sharding.close()
+        self.sharding.close()
 
     # -- full run -----------------------------------------------------------------------
     def run(self) -> RunResult:

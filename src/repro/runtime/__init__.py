@@ -26,16 +26,16 @@ independent of execution order, and the server compresses/aggregates the
 returned deltas in the same deterministic order regardless of backend.
 
 ``dtype`` — *in what precision* the whole run executes: ``"float64"``
-(default, the seed behavior), ``"float32"``, or the 2-byte storage modes
-``"float16"`` / ``"bfloat16"`` (one :func:`resolve_dtype` gate; GEMMs and
-long reductions widen to float32, see :mod:`repro.runtime.dtype`).  The
+(default, the seed behavior), ``"float32"``, or the 2-byte storage mode
+``"float16"`` (one :func:`resolve_dtype` gate; GEMMs and long reductions
+widen to float32, see :mod:`repro.runtime.dtype`).  The
 policy is threaded through model construction (every
 ``Conv2d``/``Linear``/norm layer), :class:`~repro.nn.flat.FlatParamView`,
 local training (inputs are cast once per batch), the compression
 strategies and the aggregation path, so a float32 run never silently
 up-casts back to float64 in the hot loop.
 On memory-bandwidth-bound numpy kernels float32 alone is a ~1.5–2×
-speedup over float64; the 2-byte modes trade bytes for tolerance, not
+speedup over float64; the 2-byte mode trades bytes for tolerance, not
 time (numpy has no half-precision BLAS).
 """
 

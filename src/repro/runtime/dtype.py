@@ -10,16 +10,15 @@ pooling) this roughly halves the bytes moved per op and doubles SIMD width.
 
 Half precision
 --------------
-``"float16"`` (IEEE binary16) and ``"bfloat16"`` (needs the optional
-``ml_dtypes`` package) extend the same policy to 2-byte floats.  Storage —
-parameters, activations, deltas — lives in the half dtype, but any
-*accumulation over many small terms* is numerically fragile there (float16
-has a 10-bit significand; bfloat16 only 7), so the hot reductions run in
+``"float16"`` (IEEE binary16) extends the same policy to a 2-byte float.
+Storage — parameters, activations, deltas — lives in the half dtype, but
+any *accumulation over many small terms* is numerically fragile there
+(float16 has a 10-bit significand), so the hot reductions run in
 :func:`accumulation_dtype` (float32) and round once at the end:
 
-* server aggregation (``weighted_dense_sum``, GlueFL's shared-mask sum,
-  BN-buffer averaging) accumulates in float32 and casts the final update
-  back to the run dtype;
+* server aggregation (the ``repro.sharding`` sums, BN-buffer averaging)
+  accumulates in float32 and casts the final update back to the run
+  dtype;
 * the cross-entropy loss reduces log-probabilities in float32 (the loss
   value itself is a python float).
 
@@ -47,41 +46,27 @@ __all__ = [
 ]
 
 #: Accepted ``RunConfig.dtype`` spellings.
-DTYPE_NAMES = ("float32", "float64", "float16", "bfloat16")
+DTYPE_NAMES = ("float32", "float64", "float16")
 
 #: The 2-byte members of :data:`DTYPE_NAMES` — runs in these dtypes pin
 #: their accumulations to :func:`accumulation_dtype`.
-HALF_DTYPE_NAMES = ("float16", "bfloat16")
-
-
-def _bfloat16_dtype() -> np.dtype:
-    """The bfloat16 dtype, gated on the optional ``ml_dtypes`` package."""
-    try:
-        import ml_dtypes
-    except ImportError as exc:  # pragma: no cover - env without ml_dtypes
-        raise ValueError(
-            "dtype 'bfloat16' requires the optional ml_dtypes package "
-            "(numpy has no native bfloat16); install ml_dtypes or use "
-            "'float16'"
-        ) from exc
-    return np.dtype(ml_dtypes.bfloat16)
+HALF_DTYPE_NAMES = ("float16",)
 
 
 def resolve_dtype(spec: Union[str, type, np.dtype]) -> np.dtype:
     """Normalize a dtype spec (``"float32"``, ``np.float32``, ...) to ``np.dtype``.
 
     Raises ``ValueError`` for anything outside :data:`DTYPE_NAMES` —
-    integer dtypes would silently break the training math, and
-    ``"bfloat16"`` raises with guidance when ``ml_dtypes`` is missing.
+    integer dtypes would silently break the training math — including
+    names numpy itself does not know.
     """
-    if isinstance(spec, str) and spec == "bfloat16":
-        return _bfloat16_dtype()
-    dt = np.dtype(spec)
-    if dt in (np.dtype(np.float32), np.dtype(np.float64), np.dtype(np.float16)):
-        return dt
-    if dt.itemsize == 2 and dt.kind == "V" or dt.name == "bfloat16":
-        # an ml_dtypes.bfloat16 instance passed directly
-        return dt
+    try:
+        dt = np.dtype(spec)
+    except TypeError:
+        pass
+    else:
+        if dt in map(np.dtype, DTYPE_NAMES):
+            return dt
     raise ValueError(
         f"unsupported runtime dtype {spec!r}; expected one of {DTYPE_NAMES}"
     )

@@ -1,32 +1,34 @@
-"""Sharded, out-of-core server state (ROADMAP headline #3).
+"""The server kernels, partitioned by coordinate range (and out of core).
 
-Partitions the GlueFL server hot path — weighted-sum aggregation,
-shared-mask bookkeeping, top-k selection, residual storage, release
-ledgers — into contiguous coordinate-range shards:
+Every run's server hot path — weighted-sum aggregation, shared-mask
+bookkeeping, top-k selection, the params apply, release ledgers — runs
+through this package over contiguous coordinate-range shards; the default
+``RunConfig.shard_count = 1`` is simply one shard:
 
 * :class:`ShardSpec` — the partition (``np.array_split`` convention);
 * :class:`ShardExecutor` — per-shard kernel dispatch over
   ``serial``/``thread``/``process`` backends;
-* :class:`ShardingRuntime` — what the server binds to its strategy when
-  ``RunConfig.shard_count`` is set (bit-identical dense kernels,
-  optionally memmapped accumulators, release ledger);
+* :class:`ShardingRuntime` — the kernels every strategy aggregates
+  through (bound by ``CompressionStrategy.setup``, re-bound by the
+  server: optionally memmapped accumulator, release ledger);
 * :class:`ShardedServerState` — the fully out-of-core surface: per-shard
   ``np.memmap`` parameters and a fused shard pass that never
   materializes a dense length-``d`` vector in RAM.
 
-Bit-identity to the unsharded path is the subsystem's contract, proven
-by the differential suite in ``tests/properties/test_props_sharding.py``:
+Bit-identity across shard counts is the subsystem's contract, proven
+against the plain numpy expressions (``tests/sharding/reference.py``) by
+the differential suite in ``tests/properties/test_props_sharding.py``:
 contiguous shards preserve per-coordinate operation order for every sum,
-and the merged per-shard top-k is exact (see
+and the per-shard top-k candidates are a superset of the answer (see
 :mod:`repro.sharding.kernels` for the argument).
 """
 
 from repro.sharding.executor import SHARD_BACKENDS, ShardExecutor
 from repro.sharding.kernels import (
-    merge_top_candidates,
     shard_elementwise_add,
     shard_slice_weighted_sum,
-    shard_top_candidates,
+    shard_top_k,
+    shard_top_k_in_support,
     shard_weighted_scatter,
 )
 from repro.sharding.partition import ShardSpec
@@ -40,9 +42,9 @@ __all__ = [
     "ShardingRuntime",
     "ShardReleaseLedger",
     "ShardedServerState",
-    "merge_top_candidates",
     "shard_elementwise_add",
     "shard_slice_weighted_sum",
-    "shard_top_candidates",
+    "shard_top_k",
+    "shard_top_k_in_support",
     "shard_weighted_scatter",
 ]

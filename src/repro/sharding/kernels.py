@@ -1,28 +1,30 @@
-"""Per-shard server kernels + exact global merges.
+"""Per-shard server kernels.
 
-Three families of kernel cover the whole GlueFL server hot path:
+Four kernels cover the whole GlueFL server hot path, and every run —
+one shard (the default) or many — executes exactly these:
 
-* **scatter** (:func:`shard_weighted_scatter`) — the per-shard slice of
-  ``Σ ν_i · sparse_i`` (Eq. 6's accumulator).  Bit-identical to the
-  unsharded ``np.add.at`` loop because a contiguous shard preserves, for
-  every coordinate, the exact sequence of adds it receives;
+* **scatter** (:func:`shard_weighted_scatter`) — the shard's slice of
+  ``Σ ν_i · sparse_i`` (Eq. 6's accumulator).  A contiguous shard
+  preserves, for every coordinate, the exact sequence of adds it
+  receives, so the sum is bit-identical whatever the partition;
 * **slice sums** (:func:`shard_slice_weighted_sum`,
-  :func:`shard_elementwise_add`) — shared-mask accumulation (Eq. 5) and
-  the model-update apply, trivially shard-local;
-* **top-k** (:func:`shard_top_candidates` + :func:`merge_top_candidates`)
-  — exact global top-k: any member of the global top-k is beaten by fewer
-  than ``k`` coordinates anywhere, in particular inside its own shard, so
-  the union of per-shard top-``min(k, |shard|)`` candidates is a superset
-  of the answer; one ``argpartition`` over the (tiny) candidate
-  magnitudes finishes the job.  Ties at the k-th magnitude are broken
-  arbitrarily — exactly the contract ``np.argpartition`` already has in
-  the unsharded :func:`~repro.compression.topk.top_k_indices`.  These
-  are the kernels for *dense* inputs; a vector with a known sorted
-  support (the mask shift over an aggregated update) never comes here —
-  :meth:`ShardingRuntime.top_k_indices
-  <repro.sharding.runtime.ShardingRuntime.top_k_indices>` dispatches
-  :func:`~repro.compression.topk.top_k_in_support` over the support's
-  per-shard slices instead, which is a module-level pure function too.
+  :func:`shard_elementwise_add`) — shared-mask accumulation (Eq. 5), the
+  dense FedAvg sum and the model-update apply, trivially shard-local;
+* **top-k** (:func:`shard_top_k`, :func:`shard_top_k_in_support`) — one
+  shard's candidates for a global top-k, over its coordinate range or
+  over its slice of a sorted support.  Any member of the global top-k is
+  beaten by fewer than ``k`` coordinates anywhere, in particular inside
+  its own shard, so the union of per-shard top-``min(k, |shard|)`` sets
+  is a superset of the answer (:meth:`ShardingRuntime.top_k_indices
+  <repro.sharding.runtime.ShardingRuntime.top_k_indices>` finishes it).
+
+**The slice-writing rule.**  Every kernel takes its output as the first
+argument — the shard's view of the caller's result (the length-``d`` sum,
+the candidate list) — writes into it in place and returns it.  Under the
+``serial`` / ``thread`` backends that view *is* the result's memory, so a
+shard costs no part buffer and no copy and one shard costs what the plain
+expression does; a ``process`` worker writes into its pickled copy and
+the parent copies the returned part back.
 
 Every function here is a module-level pure function of its arguments so
 the ``process`` shard backend can ship it through a fork pool unchanged.
@@ -30,93 +32,67 @@ the ``process`` shard backend can ship it through a fork pool unchanged.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+
+from repro.compression.topk import top_k_indices
 
 __all__ = [
     "shard_weighted_scatter",
     "shard_slice_weighted_sum",
     "shard_elementwise_add",
-    "shard_top_candidates",
-    "merge_top_candidates",
+    "shard_top_k",
+    "shard_top_k_in_support",
 ]
 
 
 def shard_weighted_scatter(
-    shard_len: int,
+    out: np.ndarray,
+    lo: int,
     items: Sequence[Tuple[float, np.ndarray, np.ndarray]],
-    dtype: np.dtype,
 ) -> np.ndarray:
-    """``Σ weight · scatter(idx_local, vals)`` over one shard.
+    """``out += Σ weight · scatter(idx − lo, vals)`` over one shard.
 
-    ``items`` holds ``(weight, idx_local, vals)`` per payload, with
-    ``idx_local`` shard-relative and in the payload's original (sorted)
-    order — so each coordinate sees its adds in the same order as the
-    unsharded accumulator.
+    ``out`` covers global coordinates ``[lo, lo + len(out))``; ``items``
+    holds ``(weight, idx, vals)`` per payload, ``idx`` global and in the
+    payload's original (sorted) order — so each coordinate sees its adds
+    in the same order under every partition.
     """
-    acc = np.zeros(shard_len, dtype=dtype)
     for weight, idx, vals in items:
-        if len(idx):
-            np.add.at(acc, idx, weight * vals)
-    return acc
+        np.add.at(out, idx - lo, weight * vals)
+    return out
 
 
 def shard_slice_weighted_sum(
-    length: int,
-    items: Sequence[Tuple[float, np.ndarray]],
-    dtype: np.dtype,
+    out: np.ndarray, items: Sequence[Tuple[float, np.ndarray]]
 ) -> np.ndarray:
-    """``Σ weight · vals`` over aligned contiguous slices (Eq. 5 per shard)."""
-    acc = np.zeros(length, dtype=dtype)
+    """``out += Σ weight · vals`` over aligned contiguous slices."""
     for weight, vals in items:
-        acc += weight * vals
-    return acc
+        out += weight * vals
+    return out
 
 
-def shard_elementwise_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a + b`` on one shard's slices (the params-apply kernel)."""
-    return a + b
-
-
-def shard_top_candidates(
-    x_shard: np.ndarray, k: int, lo: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(global_idx, |x|)`` of the top-``min(k, len)`` magnitudes.
-
-    ``lo`` is the shard's global offset, added so the caller can merge
-    candidates from many shards without bookkeeping.
-    """
-    n = x_shard.shape[0]
-    kk = min(k, n)
-    if kk <= 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=x_shard.dtype),
-        )
-    mag = np.abs(x_shard)
-    if kk >= n:
-        idx = np.arange(n, dtype=np.int64)
-    else:
-        idx = np.argpartition(mag, n - kk)[n - kk :].astype(
-            np.int64, copy=False
-        )
-    return idx + np.int64(lo), mag[idx]
-
-
-def merge_top_candidates(
-    cand_idx: List[np.ndarray], cand_mag: List[np.ndarray], k: int
+def shard_elementwise_add(
+    out: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Global top-``k`` indices (sorted ascending) from per-shard candidates.
+    """``out[:] = a + b`` on one shard's slices (the params-apply kernel)."""
+    return np.add(a, b, out=out)
 
-    Exact whenever each shard contributed its top-``min(k, |shard|)``
-    (superset property above); with fewer than ``k`` candidates in total,
-    everything is returned — the ``k >= d`` degenerate case.
-    """
-    idx = np.concatenate(cand_idx) if cand_idx else np.empty(0, dtype=np.int64)
-    if len(idx) <= k:
-        return np.sort(idx).astype(np.int64, copy=False)
-    mag = np.concatenate(cand_mag)
-    m = len(idx)
-    sel = np.argpartition(mag, m - k)[m - k :]
-    return np.sort(idx[sel]).astype(np.int64, copy=False)
+
+def shard_top_k(
+    out: np.ndarray, x_shard: np.ndarray, k: int, lo: int
+) -> np.ndarray:
+    """Global indices (sorted) of the shard's top-``len(out)`` ``|x|``,
+    ``len(out) == min(k, len(x_shard))``."""
+    return np.add(top_k_indices(x_shard, k), lo, out=out)
+
+
+def shard_top_k_in_support(
+    out: np.ndarray, values: np.ndarray, support: np.ndarray, k: int
+) -> np.ndarray:
+    """:func:`~repro.compression.topk.top_k_in_support` over the shard's
+    slice of a sorted support, ``len(out) == min(k, len(support))``."""
+    # the winners index ``values``, which ``support`` aligns with, so they
+    # are in range: "clip" never clips, it skips "raise"'s buffered copy
+    return np.take(support, top_k_indices(values, k), out=out, mode="clip")

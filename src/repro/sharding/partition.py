@@ -1,15 +1,15 @@
 """Contiguous coordinate-range partitioning of a length-``d`` vector.
 
 Every sharded structure in :mod:`repro.sharding` — accumulators, the
-memory-mapped parameter store, mask bookkeeping, residual chunks, release
-ledgers — is partitioned the same way: ``shard_count`` contiguous ranges
-in ``np.array_split`` convention (the first ``d % shard_count`` shards are
+memory-mapped parameter store, mask bookkeeping, release ledgers — is
+partitioned the same way: ``shard_count`` contiguous ranges in
+``np.array_split`` convention (the first ``d % shard_count`` shards are
 one element larger), so a coordinate's shard is a single
 ``searchsorted`` over the offset table and a *sorted* index array splits
 into per-shard slices without any gather.
 
-Contiguity is what makes the sharded kernels bit-identical to the
-unsharded ones: a contiguous range preserves the relative order of every
+Contiguity is what makes the kernels bit-identical for every shard
+count: a contiguous range preserves the relative order of every
 per-coordinate operation (scatter-adds, slice sums, element-wise adds),
 so the floating-point sequence each coordinate sees is unchanged.
 """
@@ -17,7 +17,7 @@ so the floating-point sequence each coordinate sees is unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -82,19 +82,3 @@ class ShardSpec:
         order (the bit-identity precondition).
         """
         return np.searchsorted(sorted_idx, self.offsets, side="left")
-
-    def split_sorted(
-        self, sorted_idx: np.ndarray
-    ) -> List[Tuple[int, np.ndarray]]:
-        """``(shard, local_idx)`` for every shard with members.
-
-        ``local_idx`` is shard-relative (``global - lo``), ready to index a
-        shard-sized buffer.
-        """
-        pts = self.split_points(sorted_idx)
-        out: List[Tuple[int, np.ndarray]] = []
-        for s, lo, _hi in self.iter_bounds():
-            part = sorted_idx[pts[s] : pts[s + 1]]
-            if len(part):
-                out.append((s, part - lo))
-        return out

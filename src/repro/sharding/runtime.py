@@ -1,42 +1,46 @@
-"""The sharding runtime a :class:`~repro.fl.server.FLServer` binds to its
-strategy.
+"""The sharding runtime every strategy aggregates through.
 
-One object carries everything the sharded hot path needs:
+One object carries the whole server-kernel path:
 
-* the :class:`~repro.sharding.partition.ShardSpec` partition,
+* the :class:`~repro.sharding.partition.ShardSpec` partition — one shard
+  by default (``RunConfig.shard_count = 1``), so "unsharded" is not a
+  second path but this one with a single task per kernel;
 * a :class:`~repro.sharding.executor.ShardExecutor` dispatching per-shard
-  kernels over the configured backend,
-* a persistent length-``d`` accumulator, recycled across rounds and
-  optionally ``np.memmap``-backed (``RunConfig.shard_mmap``) so the dense
-  sums of Eq. 5/6 never live in RAM,
+  kernels over the configured backend (at most one task runs inline);
+* the length-``d`` accumulator of Eq. 6 — a fresh ``np.zeros`` per call,
+  or one recycled ``np.memmap`` file (``RunConfig.shard_mmap``) so the
+  dense sum never lives in RAM;
 * a :class:`ShardReleaseLedger` counting released (changed) coordinates
   per shard — the bookkeeping seam for per-coordinate privacy accounting
   over sparse releases (Kerkouche et al., 2021).
 
-Strategies reach the sharded kernels only through this object (see
-:meth:`~repro.compression.base.CompressionStrategy.bind_sharding`), so
-:mod:`repro.compression` never imports :mod:`repro.sharding`.
+:meth:`CompressionStrategy.setup
+<repro.compression.base.CompressionStrategy.setup>` binds a one-shard
+runtime and :class:`~repro.fl.server.FLServer` replaces it with the
+configured one; both import this package at call time, so
+:mod:`repro.compression` never imports it at module level.
 
-All sums and top-k selections here are bit-identical to the unsharded
-path: contiguous shards preserve each coordinate's operation order, and
-the merged top-k is exact (see :mod:`repro.sharding.kernels`).
+Results are bit-identical for every shard count, and one shard costs what
+the plain expression costs: :mod:`repro.sharding.kernels` gives both
+arguments (operation order, the top-k superset, the slice-writing rule).
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compression.topk import top_k_in_support
 from repro.sharding.executor import ShardExecutor
 from repro.sharding.kernels import (
-    merge_top_candidates,
     shard_elementwise_add,
     shard_slice_weighted_sum,
-    shard_top_candidates,
+    shard_top_k,
+    shard_top_k_in_support,
     shard_weighted_scatter,
 )
 from repro.sharding.partition import ShardSpec
@@ -66,15 +70,21 @@ class ShardReleaseLedger:
         self.rounds += 1
 
     def released_fraction(self) -> np.ndarray:
-        """Mean released fraction of each shard's coordinates per round."""
-        sizes = np.diff(self.spec.offsets).astype(np.float64)
-        if self.rounds == 0:
-            return np.zeros(self.spec.count, dtype=np.float64)
-        return self.counts / (sizes * self.rounds)
+        """Mean released fraction of each shard's coordinates per round.
+
+        An empty shard (``shard_count > d``) releases nothing: 0.0.
+        """
+        sizes = np.diff(self.spec.offsets)
+        out = np.zeros(self.spec.count, dtype=np.float64)
+        if self.rounds:
+            np.divide(
+                self.counts, sizes * self.rounds, out=out, where=sizes > 0
+            )
+        return out
 
 
 class ShardingRuntime:
-    """Sharded kernels + shard-partitioned server bookkeeping.
+    """Per-shard kernels + shard-partitioned server bookkeeping.
 
     Payload index arrays handed to the sums must be sorted ascending —
     the repo-wide payload convention (``top_k_indices`` returns sorted
@@ -92,6 +102,7 @@ class ShardingRuntime:
         mmap_dir: Optional[str] = None,
     ):
         self.spec = ShardSpec.build(d, shard_count)
+        self._bounds = [(lo, hi) for _s, lo, hi in self.spec.iter_bounds()]
         self.executor = ShardExecutor(backend, workers=workers)
         self.ledger = ShardReleaseLedger(self.spec)
         self.mmap = bool(mmap)
@@ -112,27 +123,75 @@ class ShardingRuntime:
         return self._mmap_dir
 
     def accumulator(self, dtype) -> np.ndarray:
-        """A zeroed length-``d`` accumulator, recycled across calls.
+        """A zeroed length-``d`` accumulator.
 
-        Runtime-owned and ``np.memmap``-backed when ``shard_mmap`` is on —
-        the one d-sized temporary of a sharded aggregation then lives on
-        disk.  Callers must finish with it before requesting the next
-        accumulator of the same dtype.
+        In RAM it is a fresh ``np.zeros`` the caller owns — exactly what
+        the plain expression allocates, and nothing d-sized stays resident
+        between rounds.  With ``shard_mmap`` it is one ``np.memmap`` file
+        per dtype, recycled across calls, so the d-sized temporary of an
+        aggregation lives on disk; callers must then finish with it before
+        requesting the next accumulator of the same dtype.
         """
-        key = np.dtype(dtype).name
-        acc = self._acc.get(key)
+        dtype = np.dtype(dtype)
+        if not self.mmap:
+            return np.zeros(self.d, dtype=dtype)
+        acc = self._acc.get(dtype.name)
         if acc is None:
-            if self.mmap:
-                path = os.path.join(self._mmap_root(), f"acc-{key}.dat")
-                acc = np.memmap(
-                    path, dtype=np.dtype(dtype), mode="w+", shape=(self.d,)
-                )
-                self._acc_paths[key] = path
-            else:
-                acc = np.zeros(self.d, dtype=np.dtype(dtype))
-            self._acc[key] = acc
+            path = os.path.join(self._mmap_root(), f"acc-{dtype.name}.dat")
+            acc = np.memmap(path, dtype=dtype, mode="w+", shape=(self.d,))
+            self._acc[dtype.name] = acc
+            self._acc_paths[dtype.name] = path
         acc[:] = 0
         return acc
+
+    def _map_into(
+        self,
+        kernel: Callable[..., np.ndarray],
+        out: np.ndarray,
+        bounds: Sequence[Tuple[int, int]],
+        tasks: Sequence[Tuple],
+    ) -> np.ndarray:
+        """Run ``kernel(out[a:b], *task)`` per shard; return ``out``.
+
+        The slice-writing rule (see :mod:`repro.sharding.kernels`): each
+        kernel writes its shard's view of ``out`` in place.  Only a
+        ``process`` worker, which wrote into a pickled copy, hands back a
+        different array — that part is copied into place here.
+        """
+        views = [out[a:b] for a, b in bounds]
+        parts = self.executor.map(
+            kernel, [(view, *task) for view, task in zip(views, tasks)]
+        )
+        for view, part in zip(views, parts):
+            if part is not view:
+                view[...] = part
+        return out
+
+    def _split(self, sorted_idx: np.ndarray) -> List[Tuple[int, int]]:
+        """Each shard's ``(start, stop)`` slice of a sorted index array."""
+        pts = self.spec.split_points(sorted_idx).tolist()
+        return list(zip(pts[:-1], pts[1:]))
+
+    def payload_slices(
+        self,
+        payloads: Sequence[Tuple[int, float, object]],
+        key_idx: str = "idx",
+        key_vals: str = "vals",
+    ) -> List[List[Tuple[float, np.ndarray, np.ndarray]]]:
+        """Per shard, every payload's ``(weight, idx, vals)`` slice — views
+        of the payload arrays, ``idx`` still global."""
+        splits = [
+            self._split(payload.data[key_idx]) for _, _, payload in payloads
+        ]
+        return [
+            [
+                (weight, payload.data[key_idx][a:b], payload.data[key_vals][a:b])
+                for (_, weight, payload), (a, b) in zip(
+                    payloads, (split[s] for split in splits)
+                )
+            ]
+            for s in range(self.spec.count)
+        ]
 
     # -- sums -------------------------------------------------------------
     def sparse_weighted_sum(
@@ -141,35 +200,22 @@ class ShardingRuntime:
         key_idx: str = "idx",
         key_vals: str = "vals",
         dtype=np.float64,
-        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Sharded ``Σ ν_i · sparse_i`` — bit-identical to
-        :func:`~repro.compression.base.weighted_dense_sum`."""
-        acc = self.accumulator(dtype) if out is None else out
-        splits = [
-            self.spec.split_points(payload.data[key_idx])
-            for _, _, payload in payloads
+        """``Σ ν_i · sparse_i`` as one dense vector (Eq. 6's accumulator).
+
+        ``np.add.at`` handles indices repeated across clients; top-k
+        indices arrive sorted, so each payload's scatter streams its
+        shard's slice of the accumulator in order.
+        """
+        tasks = [
+            (lo, items)
+            for (lo, _hi), items in zip(
+                self._bounds, self.payload_slices(payloads, key_idx, key_vals)
+            )
         ]
-        tasks = []
-        for s, lo, hi in self.spec.iter_bounds():
-            items = []
-            for (_, weight, payload), pts in zip(payloads, splits):
-                idx = payload.data[key_idx][pts[s] : pts[s + 1]]
-                if len(idx):
-                    items.append(
-                        (
-                            weight,
-                            idx - lo,
-                            payload.data[key_vals][pts[s] : pts[s + 1]],
-                        )
-                    )
-            tasks.append((hi - lo, items, np.dtype(dtype)))
-        for (_, lo, hi), part in zip(
-            self.spec.iter_bounds(),
-            self.executor.map(shard_weighted_scatter, tasks),
-        ):
-            acc[lo:hi] = part
-        return acc
+        return self._map_into(
+            shard_weighted_scatter, self.accumulator(dtype), self._bounds, tasks
+        )
 
     def masked_weighted_sum(
         self,
@@ -178,27 +224,17 @@ class ShardingRuntime:
         key: str = "shr_vals",
         dtype=np.float64,
     ) -> np.ndarray:
-        """Sharded Eq. 5: ``Σ ν_i · vals_i`` over aligned mask slices.
+        """Eq. 5: ``Σ ν_i · vals_i`` on the shared mask.
 
         ``payload.data[key]`` holds one value per (sorted) ``mask``
-        position, so the shard partition of the mask splits every payload
-        into aligned contiguous slices.
+        position — the server knows the positions, so the sum runs on
+        length-``|M|`` vectors and nothing dense is materialized — and the
+        shard partition of the mask splits every payload into aligned
+        contiguous slices.
         """
-        out = np.zeros(len(mask), dtype=np.dtype(dtype))
-        pts = self.spec.split_points(mask)
-        tasks = []
-        for s in range(self.spec.count):
-            a, b = int(pts[s]), int(pts[s + 1])
-            items = [
-                (weight, payload.data[key][a:b])
-                for _, weight, payload in payloads
-            ]
-            tasks.append((b - a, items, np.dtype(dtype)))
-        for s, part in enumerate(
-            self.executor.map(shard_slice_weighted_sum, tasks)
-        ):
-            out[pts[s] : pts[s + 1]] = part
-        return out
+        return self._sliced_sum(
+            payloads, key, len(mask), self._split(mask), dtype
+        )
 
     def dense_weighted_sum(
         self,
@@ -206,43 +242,50 @@ class ShardingRuntime:
         key: str = "dense",
         dtype=np.float64,
     ) -> np.ndarray:
-        """Sharded dense FedAvg sum ``Σ ν_i · Δ_i``.
+        """The dense FedAvg sum ``Σ ν_i · Δ_i``.
 
-        Freshly allocated (never the recycled accumulator): the dense sum
-        *is* the global delta, which outlives the aggregation call.
+        Freshly allocated (never the recycled memmap): the dense sum *is*
+        the global delta, which outlives the aggregation call.
         """
-        acc = np.empty(self.d, dtype=np.dtype(dtype))
-        tasks = []
-        for _s, lo, hi in self.spec.iter_bounds():
-            items = [
-                (weight, payload.data[key][lo:hi])
-                for _, weight, payload in payloads
-            ]
-            tasks.append((hi - lo, items, np.dtype(dtype)))
-        for (_, lo, hi), part in zip(
-            self.spec.iter_bounds(),
-            self.executor.map(shard_slice_weighted_sum, tasks),
-        ):
-            acc[lo:hi] = part
-        return acc
+        return self._sliced_sum(payloads, key, self.d, self._bounds, dtype)
+
+    def _sliced_sum(self, payloads, key, length, bounds, dtype) -> np.ndarray:
+        tasks = [
+            (
+                [
+                    (weight, payload.data[key][a:b])
+                    for _, weight, payload in payloads
+                ],
+            )
+            for a, b in bounds
+        ]
+        out = np.zeros(length, dtype=np.dtype(dtype))
+        return self._map_into(shard_slice_weighted_sum, out, bounds, tasks)
 
     # -- selection --------------------------------------------------------
     def top_k_indices(
         self, x: np.ndarray, k: int, support: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Exact global top-``k`` of ``|x|`` via per-shard candidates.
+        """Indices of the ``k`` largest ``|x|`` (sorted ascending).
 
-        Same contract as :func:`~repro.compression.topk.top_k_indices`
-        (sorted ascending, all of ``[0, d)`` when ``k >= d``, empty when
-        ``k <= 0``); identical index set whenever the k-th magnitude is
-        untied — the same arbitrary-tie contract ``argpartition`` has.
+        The one server-side selection: all of ``[0, d)`` when ``k >= d``,
+        empty when ``k <= 0``, ties at the k-th magnitude broken
+        arbitrarily (``argpartition``'s contract) and the same index set
+        for every shard count whenever that magnitude is untied.
+
+        Each shard selects its own top-``min(k, |shard|)`` — a superset
+        of the global answer; the winners land in shard order, each
+        sorted, so together they are themselves a sorted support, and
+        only when they outnumber ``k`` (never with one shard) does one
+        more :func:`top_k_in_support` over their values finish the job.
 
         ``support`` (sorted coordinates outside which ``x`` is exactly
-        zero) makes every shard select among its slice of the support's
-        values instead of its whole coordinate range, and the merge among
-        the candidates' values: :func:`top_k_in_support` at both levels.
-        ``k >= len(support)`` needs coordinates from outside the support
-        and runs the dense selection.
+        zero, e.g. ``AggregateResult.changed_idx``) makes every shard
+        select among its slice of the support's values instead of its
+        whole coordinate range — O(q·d), where the dense selection over an
+        aggregated update meets ``(1 − q)·d`` exact ties at zero,
+        introselect's worst case.  ``k >= len(support)`` needs
+        coordinates from outside the support and runs the dense selection.
         """
         if k <= 0:
             return np.empty(0, dtype=np.int64)
@@ -250,36 +293,32 @@ class ShardingRuntime:
             return np.arange(x.shape[0], dtype=np.int64)
         if support is not None and k < len(support):
             values = x[support]
-            pts = self.spec.split_points(support)
+            kernel = shard_top_k_in_support
             tasks = [
-                (values[a:b], support[a:b], k)
-                for a, b in zip(pts[:-1], pts[1:])
+                (values[a:b], support[a:b], k) for a, b in self._split(support)
             ]
-            # per-shard winners arrive in shard order, each sorted: the
-            # concatenation is itself a sorted support
-            cand = np.concatenate(self.executor.map(top_k_in_support, tasks))
-            return top_k_in_support(x[cand], cand, k)
-        tasks = [
-            (x[lo:hi], k, lo) for _s, lo, hi in self.spec.iter_bounds()
-        ]
-        results = self.executor.map(shard_top_candidates, tasks)
-        return merge_top_candidates(
-            [idx for idx, _ in results], [mag for _, mag in results], k
+        else:
+            kernel = shard_top_k
+            tasks = [(x[lo:hi], k, lo) for lo, hi in self._bounds]
+        # the candidate list is a result like any other: allocated once,
+        # each shard writing its min(k, |shard|) winners into its slice
+        ends = list(accumulate(min(k, len(task[0])) for task in tasks))
+        cand = self._map_into(
+            kernel,
+            np.empty(ends[-1], dtype=np.int64),
+            list(zip([0] + ends[:-1], ends)),
+            tasks,
         )
+        if len(cand) > k:
+            cand = top_k_in_support(x[cand], cand, k)
+        return cand
 
     # -- apply ------------------------------------------------------------
     def elementwise_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Fresh ``a + b``, computed shard-by-shard (the params apply)."""
         out = np.empty(a.shape[0], dtype=np.result_type(a, b))
-        tasks = [
-            (a[lo:hi], b[lo:hi]) for _s, lo, hi in self.spec.iter_bounds()
-        ]
-        for (_, lo, hi), part in zip(
-            self.spec.iter_bounds(),
-            self.executor.map(shard_elementwise_add, tasks),
-        ):
-            out[lo:hi] = part
-        return out
+        tasks = [(a[lo:hi], b[lo:hi]) for lo, hi in self._bounds]
+        return self._map_into(shard_elementwise_add, out, self._bounds, tasks)
 
     # -- bookkeeping ------------------------------------------------------
     def observe_release(self, changed_idx: np.ndarray) -> None:

@@ -1,35 +1,35 @@
 """Out-of-core sharded GlueFL server state.
 
 :class:`ShardedServerState` holds the *server half* of the GlueFL round —
-parameters, sticky-mask bookkeeping, residual chunks, and the release
-ledger — partitioned into contiguous coordinate-range shards, with the
-parameters living in per-shard ``np.memmap`` files.  One round of server
-math (Eq. 5 shared-mask aggregation, Eq. 6 unique top-k, the update
-apply, and the Alg. 3 line 26 mask shift) runs shard-by-shard without
-ever materializing a dense length-``d`` vector in RAM:
+parameters, sticky-mask bookkeeping, and the release ledger — partitioned
+into contiguous coordinate-range shards, with the parameters living in
+per-shard ``np.memmap`` files.  One round of server math (Eq. 5
+shared-mask aggregation, Eq. 6 unique top-k, the update apply, and the
+Alg. 3 line 26 mask shift) runs shard-by-shard without ever
+materializing a dense length-``d`` vector in RAM:
 
+* Eq. 5 is the bound runtime's
+  :meth:`~repro.sharding.runtime.ShardingRuntime.masked_weighted_sum`;
 * the unique-part aggregation and its top-k candidates come from one
   fused per-shard pass (:func:`_gluefl_shard_pass`): scatter the shard's
   payload slices into a shard-sized accumulator, emit the top
-  ``min(k, |shard|)`` candidate ``(index, |value|, value)`` triples, and
-  drop the accumulator — so the largest live temporary is one shard, not
-  ``d``;
-* the global top-k is the exact candidate merge of
-  :mod:`repro.sharding.kernels`;
+  ``min(k, |shard|)`` candidates as ``(index, value)``, and drop the
+  accumulator — so the largest live temporary is one shard, not ``d``;
+* the global top-k is the runtime's formulation on coordinate-form data:
+  the candidates concatenate in shard order (already sorted) and one
+  selection over their values runs only when they outnumber ``k``;
 * the update is applied sparsely into each shard's memmap
   (:func:`_apply_shard` reopens by path, so the ``process`` backend works
   without shipping parameters);
 * the next shared mask is the top-``k_shr`` of the (sparse) global delta
-  (:func:`~repro.compression.topk.top_k_in_support`, the helper the
-  integrated path's mask shift also runs on) — exact versus the dense
-  formulation whenever the delta's support carries at least ``k_shr``
-  nonzero magnitudes, GlueFL's generic case.
+  (:func:`~repro.compression.topk.top_k_in_support`) — exact versus the
+  dense formulation whenever the delta's support carries at least
+  ``k_shr`` nonzero magnitudes, GlueFL's generic case.
 
-The integrated :class:`~repro.fl.server.FLServer` path instead binds a
+The integrated :class:`~repro.fl.server.FLServer` path binds a
 :class:`~repro.sharding.runtime.ShardingRuntime` to its strategy (dense
-in/outputs, bit-identical, parallel dispatch); this class is the surface
-for ``d`` beyond RAM and the substrate the hierarchical-aggregation work
-builds on.
+in/outputs); this class is the surface for ``d`` beyond RAM and the
+substrate the hierarchical-aggregation work builds on.
 """
 
 from __future__ import annotations
@@ -41,48 +41,29 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compression.error_comp import ErrorCompMode, ResidualStore
-from repro.compression.topk import top_k_in_support, union_sorted
-from repro.sharding.executor import ShardExecutor
-from repro.sharding.kernels import merge_top_candidates
-from repro.sharding.partition import ShardSpec
-from repro.sharding.runtime import ShardReleaseLedger
+from repro.compression.topk import top_k_in_support, top_k_indices, union_sorted
+from repro.sharding.kernels import shard_weighted_scatter
+from repro.sharding.runtime import ShardingRuntime
 
 __all__ = ["ShardedServerState"]
 
 
 def _gluefl_shard_pass(
     shard_len: int,
+    lo: int,
     items: Sequence[Tuple[float, np.ndarray, np.ndarray]],
     k: int,
-    lo: int,
     dtype: np.dtype,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """One shard's fused Eq. 6 pass: scatter + top-k candidates.
 
-    Returns ``(global_idx, |acc|, acc)`` for the shard's top
-    ``min(k, shard_len)`` aggregated magnitudes.  Module-level and pure so
-    the ``process`` shard backend can dispatch it.
+    Returns ``(global_idx, acc[idx])`` for the shard's top
+    ``min(k, shard_len)`` aggregated magnitudes, ``global_idx`` sorted.
+    Module-level and pure so the ``process`` shard backend can dispatch it.
     """
-    acc = np.zeros(shard_len, dtype=dtype)
-    for weight, idx, vals in items:
-        if len(idx):
-            np.add.at(acc, idx, weight * vals)
-    kk = min(k, shard_len)
-    if kk <= 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=dtype),
-            np.empty(0, dtype=dtype),
-        )
-    mag = np.abs(acc)
-    if kk >= shard_len:
-        idx = np.arange(shard_len, dtype=np.int64)
-    else:
-        idx = np.argpartition(mag, shard_len - kk)[shard_len - kk :].astype(
-            np.int64, copy=False
-        )
-    return idx + np.int64(lo), mag[idx], acc[idx]
+    acc = shard_weighted_scatter(np.zeros(shard_len, dtype=dtype), lo, items)
+    idx = top_k_indices(acc, k)
+    return idx + lo, acc[idx]
 
 
 def _apply_shard(
@@ -125,10 +106,6 @@ class ShardedServerState:
     mmap_dir:
         Directory for the per-shard parameter files; a private temporary
         directory (removed on :meth:`close`) when ``None``.
-    error_comp:
-        Residual mode for the shard-chunked :class:`ResidualStore`
-        (``NONE`` by default — at out-of-core scale dense per-client
-        residuals are a deliberate opt-in).
     """
 
     def __init__(
@@ -141,7 +118,6 @@ class ShardedServerState:
         backend: str = "serial",
         workers: Optional[int] = None,
         mmap_dir: Optional[str] = None,
-        error_comp: ErrorCompMode = ErrorCompMode.NONE,
     ):
         if not 0 < k_total <= d:
             raise ValueError(f"k_total must be in (0, d], got {k_total}")
@@ -149,14 +125,15 @@ class ShardedServerState:
             raise ValueError(
                 f"k_shr must be in [0, k_total), got {k_shr}"
             )
-        self.spec = ShardSpec.build(d, shard_count)
+        self.runtime = ShardingRuntime(
+            d, shard_count, backend=backend, workers=workers
+        )
+        self.spec = self.runtime.spec
+        self.executor = self.runtime.executor
+        self.ledger = self.runtime.ledger
         self.dtype = np.dtype(dtype)
         self.k_total = int(k_total)
         self.k_shr = int(k_shr)
-        self.executor = ShardExecutor(backend, workers=workers)
-        self.ledger = ShardReleaseLedger(self.spec)
-        self.residuals = ResidualStore(error_comp)
-        self.residuals.partition(self.spec)
         self.mask_idx: np.ndarray = np.empty(0, dtype=np.int64)
         self.round_idx = 0
         self._owns_dir = mmap_dir is None
@@ -179,11 +156,6 @@ class ShardedServerState:
     def shard_paths(self) -> Tuple[str, ...]:
         return tuple(self._paths)
 
-    def mask_split_points(self) -> np.ndarray:
-        """The sticky mask's per-shard slice boundaries (the partitioned
-        bookkeeping the sharded Eq. 5 runs on)."""
-        return self.spec.split_points(self.mask_idx)
-
     # -- one server round -------------------------------------------------
     def aggregate_round(
         self, payloads: Sequence[Tuple[int, float, object]]
@@ -201,46 +173,24 @@ class ShardedServerState:
         k_uni = self.k_total - len(mask)
 
         # Eq. 5 on the partitioned mask (aligned contiguous slices)
-        pts = self.spec.split_points(mask)
-        shr_acc = np.zeros(len(mask), dtype=self.dtype)
-        for s in range(self.spec.count):
-            a, b = int(pts[s]), int(pts[s + 1])
-            for _, weight, payload in payloads:
-                shr_acc[a:b] += weight * payload.data["shr_vals"][a:b]
+        shr_acc = self.runtime.masked_weighted_sum(
+            payloads, mask, dtype=self.dtype
+        )
 
         # Eq. 6 fused per shard: scatter + candidates, never a dense d
-        splits = [
-            self.spec.split_points(payload.data["idx"])
-            for _, _, payload in payloads
+        tasks = [
+            (hi - lo, lo, items, k_uni, self.dtype)
+            for (_s, lo, hi), items in zip(
+                self.spec.iter_bounds(), self.runtime.payload_slices(payloads)
+            )
         ]
-        tasks = []
-        for s, lo, hi in self.spec.iter_bounds():
-            items = []
-            for (_, weight, payload), p in zip(payloads, splits):
-                idx = payload.data["idx"][p[s] : p[s + 1]]
-                if len(idx):
-                    items.append(
-                        (
-                            weight,
-                            idx - lo,
-                            payload.data["vals"][p[s] : p[s + 1]],
-                        )
-                    )
-            tasks.append((hi - lo, items, k_uni, lo, self.dtype))
         passes = self.executor.map(_gluefl_shard_pass, tasks)
-        keep = merge_top_candidates(
-            [idx for idx, _m, _v in passes],
-            [mag for _i, mag, _v in passes],
-            k_uni,
-        )
-        # candidate values for the kept set, without re-reading any shard
-        cand_idx = np.concatenate([idx for idx, _m, _v in passes])
-        cand_vals = np.concatenate([vals for _i, _m, vals in passes])
-        order = np.argsort(cand_idx, kind="stable")
-        cand_idx = cand_idx[order]
-        keep_vals = cand_vals[order][
-            np.searchsorted(cand_idx, keep)
-        ].astype(self.dtype, copy=False)
+        # shard order, each sorted: the candidates are a sorted support
+        keep = np.concatenate([idx for idx, _vals in passes])
+        keep_vals = np.concatenate([vals for _idx, vals in passes])
+        if len(keep) > k_uni:
+            winners = top_k_indices(keep_vals, k_uni)
+            keep, keep_vals = keep[winners], keep_vals[winners]
 
         # sparse global delta: mask positions take shr_acc, kept unique
         # positions add their aggregate (the dense formulation's
@@ -253,7 +203,7 @@ class ShardedServerState:
             changed_vals[np.searchsorted(changed, keep)] += keep_vals
 
         self._apply_sparse(changed, changed_vals)
-        self.ledger.observe(changed)
+        self.runtime.observe_release(changed)
 
         # Alg. 3 line 26 over the sparse delta: exact vs the dense top-k
         # whenever the support holds >= k_shr nonzero magnitudes
@@ -322,7 +272,7 @@ class ShardedServerState:
         if self._closed:
             return
         self._closed = True
-        self.executor.close()
+        self.runtime.close()
         for path in self._paths:
             try:
                 os.unlink(path)

@@ -1,11 +1,13 @@
-"""Hypothesis differential suite: sharded vs unsharded bit-identity.
+"""Hypothesis differential suite: every shard count is bit-identical.
 
-The contract of :mod:`repro.sharding` is that turning sharding on changes
+The contract of :mod:`repro.sharding` is that the shard count changes
 *nothing* — not within tolerance, but bit-for-bit.  These properties draw
-random (d, shard_count, k, dtype, scheduler) combinations — ragged last
-shards (d % shard_count != 0), more shards than coordinates, k larger
-than every shard — and compare the sharded kernels, a full strategy
-round, and whole scheduler runs against the unsharded originals.
+random (d, shard_count, k, dtype, scheduler) combinations — one shard,
+ragged last shards (d % shard_count != 0), more shards than coordinates,
+k larger than every shard — and compare the kernels against the plain
+numpy expressions (``tests/sharding/reference.py``), and a full strategy
+round and whole scheduler runs at N shards against the default one shard
+(which the goldens pin).
 
 Value data is drawn as a PRNG seed and expanded to continuous normals:
 bit-identity of top-k *index sets* is only guaranteed when the k-th
@@ -18,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.base import ClientPayload, weighted_dense_sum
+from repro.compression.base import ClientPayload
+from repro.compression.fedavg import FedAvgStrategy
 from repro.compression.gluefl_mask import GlueFLMaskStrategy
 from repro.compression.stc import STCStrategy
-from repro.compression.topk import top_k_indices
 from repro.sharding import ShardingRuntime
+from tests.sharding import reference
 
 pytestmark = pytest.mark.sharding
 
@@ -39,7 +42,7 @@ def test_topk_bit_identical(d, shard_count, k, seed):
     rt = ShardingRuntime(d, shard_count)
     try:
         np.testing.assert_array_equal(
-            top_k_indices(x, k), rt.top_k_indices(x, k)
+            reference.select_top_k(x, k), rt.top_k_indices(x, k)
         )
     finally:
         rt.close()
@@ -70,7 +73,7 @@ def test_sparse_weighted_sum_bit_identical(
         )
     rt = ShardingRuntime(d, shard_count)
     try:
-        ref = weighted_dense_sum(payloads, d, dtype=dtype)
+        ref = reference.weighted_dense_sum(payloads, d, dtype=dtype)
         got = rt.sparse_weighted_sum(payloads, dtype=dtype)
         np.testing.assert_array_equal(ref, got)
     finally:
@@ -88,16 +91,62 @@ def test_elementwise_add_bit_identical(d, shard_count, seed):
     b = rng.normal(size=d).astype(np.float32)
     rt = ShardingRuntime(d, shard_count)
     try:
-        np.testing.assert_array_equal(a + b, rt.elementwise_add(a, b))
+        np.testing.assert_array_equal(
+            reference.elementwise_add(a, b), rt.elementwise_add(a, b)
+        )
     finally:
         rt.close()
 
 
+@given(
+    d=st.integers(2, 300),
+    shard_count=st.integers(1, 32),
+    mask_fraction=st.floats(0.0, 1.0),
+    num_clients=st.integers(1, 5),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slice_sums_bit_identical(
+    d, shard_count, mask_fraction, num_clients, dtype, seed
+):
+    """Eq. 5 on a random sorted mask, and the dense FedAvg sum."""
+    rng = np.random.default_rng(seed)
+    m = round(mask_fraction * d)
+    mask = np.sort(rng.choice(d, size=m, replace=False)).astype(np.int64)
+    payloads = [
+        (
+            cid,
+            float(rng.uniform(0.1, 3.0)),
+            ClientPayload(
+                0,
+                data={
+                    "shr_vals": rng.normal(size=m).astype(dtype),
+                    "dense": rng.normal(size=d).astype(dtype),
+                },
+            ),
+        )
+        for cid in range(num_clients)
+    ]
+    rt = ShardingRuntime(d, shard_count)
+    np.testing.assert_array_equal(
+        reference.slice_weighted_sum(payloads, "shr_vals", m, dtype),
+        rt.masked_weighted_sum(payloads, mask, dtype=dtype),
+    )
+    np.testing.assert_array_equal(
+        reference.slice_weighted_sum(payloads, "dense", d, dtype),
+        rt.dense_weighted_sum(payloads, dtype=dtype),
+    )
+
+
 # ------------------------------------------------- full strategy rounds
 def run_strategy_rounds(make, d, seed, deltas, shard_count=None, backend="serial"):
-    """Drive a strategy through full rounds; return per-round deltas."""
+    """Drive a strategy through full rounds; return per-round deltas.
+
+    ``shard_count=None`` drives it after ``setup()`` alone — on the
+    one-shard runtime ``setup()`` leaves bound."""
     strategy = make()
     strategy.setup(d, np.random.default_rng(seed), dtype=np.float64)
+    assert strategy.sharding.spec.count == 1
     rt = None
     if shard_count is not None:
         rt = ShardingRuntime(d, shard_count, backend=backend)
@@ -121,7 +170,7 @@ def run_strategy_rounds(make, d, seed, deltas, shard_count=None, backend="serial
 
 @given(
     d=st.integers(30, 200),
-    shard_count=st.sampled_from([2, 7, 16]),
+    shard_count=st.sampled_from([1, 2, 7, 16]),
     backend=st.sampled_from(["serial", "thread"]),
     seed=st.integers(0, 2**16),
 )
@@ -147,7 +196,7 @@ def test_gluefl_rounds_bit_identical(d, shard_count, backend, seed):
 
 @given(
     d=st.integers(30, 200),
-    shard_count=st.sampled_from([2, 7, 16]),
+    shard_count=st.sampled_from([1, 2, 7, 16]),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=15, deadline=None)
@@ -166,6 +215,52 @@ def test_stc_rounds_bit_identical(d, shard_count, seed):
     for (gd_a, ci_a), (gd_b, ci_b) in zip(base, shard):
         np.testing.assert_array_equal(gd_a, gd_b)
         np.testing.assert_array_equal(ci_a, ci_b)
+
+
+def plain_sparse_round(payloads, d, k):
+    """Round 1 of STC / GlueFL (no mask yet) in plain numpy: top-k of the
+    scatter-summed uploads."""
+    uni = reference.weighted_dense_sum(payloads, d)
+    keep = reference.select_top_k(uni, k)
+    delta = np.zeros(d)
+    delta[keep] = uni[keep]
+    return delta
+
+
+@pytest.mark.parametrize(
+    "make,plain_round",
+    [
+        (
+            lambda: GlueFLMaskStrategy(q=0.3, q_shr=0.15),
+            lambda payloads, d: plain_sparse_round(payloads, d, round(0.3 * d)),
+        ),
+        (
+            lambda: STCStrategy(q=0.25),
+            lambda payloads, d: plain_sparse_round(payloads, d, round(0.25 * d)),
+        ),
+        (
+            FedAvgStrategy,
+            lambda payloads, d: reference.slice_weighted_sum(payloads, "dense", d),
+        ),
+    ],
+    ids=["gluefl", "stc", "fedavg"],
+)
+def test_strategy_runs_a_round_after_setup_alone(make, plain_round):
+    """No server, no ``bind_sharding``: ``setup()`` leaves a one-shard
+    runtime bound, and a round on it is the plain-expression round."""
+    d = 120
+    rng = np.random.default_rng(7)
+    strategy = make()
+    strategy.setup(d, rng)
+    assert strategy.sharding.spec.count == 1
+    strategy.begin_round(1)
+    payloads = [
+        (cid, 0.5, strategy.client_compress(cid, rng.normal(size=d), 0.5))
+        for cid in range(3)
+    ]
+    agg = strategy.aggregate(payloads)
+    strategy.end_round(agg, 1)
+    np.testing.assert_array_equal(agg.global_delta, plain_round(payloads, d))
 
 
 # --------------------------------------------------- whole scheduler runs

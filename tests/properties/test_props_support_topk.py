@@ -1,11 +1,12 @@
 """Hypothesis properties of the support-sized server kernels.
 
 A server-side vector is zero outside a known sorted support (the
-``AggregateResult`` invariant), so the mask shift selects among the
-support's values only and index sets are combined by a linear merge.
-Both must be indistinguishable from the dense formulations they replace:
-``top_k_indices`` over the scattered vector whenever the k-th magnitude
-is untied, and ``np.union1d``.
+``AggregateResult`` invariant), so the mask shift
+(``ShardingRuntime.top_k_indices(x, k, support)``, for one shard or many)
+selects among the support's values only and index sets are combined by a
+linear merge.  Both must be indistinguishable from the dense formulations
+they replace: ``top_k_indices`` over the scattered vector whenever the
+k-th magnitude is untied, and ``np.union1d``.
 
 Values are continuous draws from a seeded PRNG, so ties among non-zeros
 are measure-zero; exact zeros are planted *inside* the support on
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.compression.gluefl_mask import GlueFLMaskStrategy
 from repro.compression.topk import (
-    select_top_k,
     top_k_in_support,
     top_k_indices,
     union_sorted,
@@ -66,24 +66,20 @@ def test_support_topk_equals_dense_when_untied(case):
     np.testing.assert_array_equal(
         top_k_in_support(x[support], support, k), expected
     )
-    got = select_top_k(x, k, support=support)
+    got = ShardingRuntime(len(x), 1).top_k_indices(x, k, support=support)
     np.testing.assert_array_equal(got, expected)
     assert got.dtype == np.int64
 
 
 @pytest.mark.sharding
-@pytest.mark.parametrize("shard_count", [2, 7, 16])
+@pytest.mark.parametrize("shard_count", [1, 2, 7, 16])
 @given(case=sparse_cases)
 def test_support_topk_per_shard_split_equals_dense(shard_count, case):
     x, support, k = draw_untied(case)
     rt = ShardingRuntime(len(x), shard_count)
     try:
-        expected = top_k_indices(x, k)
         np.testing.assert_array_equal(
-            rt.top_k_indices(x, k, support), expected
-        )
-        np.testing.assert_array_equal(
-            select_top_k(x, k, rt, support=support), expected
+            rt.top_k_indices(x, k, support), top_k_indices(x, k)
         )
     finally:
         rt.close()
@@ -94,7 +90,7 @@ def test_support_topk_per_shard_split_equals_dense(shard_count, case):
     d=st.integers(2, 200),
     support_size=st.integers(0, 200),
     extra=st.integers(0, 250),
-    shard_count=st.sampled_from([None, 2, 7, 16]),
+    shard_count=st.sampled_from([1, 2, 7, 16]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_k_at_least_support_is_todays_dense_result(
@@ -106,14 +102,13 @@ def test_k_at_least_support_is_todays_dense_result(
     m = min(support_size, d)
     x, support = sparse_vector(rng, d, m, 0)
     k = m + extra
-    rt = None if shard_count is None else ShardingRuntime(d, shard_count)
+    rt = ShardingRuntime(d, shard_count)
     try:
         np.testing.assert_array_equal(
-            select_top_k(x, k, rt, support=support), select_top_k(x, k, rt)
+            rt.top_k_indices(x, k, support), rt.top_k_indices(x, k)
         )
     finally:
-        if rt is not None:
-            rt.close()
+        rt.close()
     # the coordinate-form helper has nothing outside the support to offer
     np.testing.assert_array_equal(
         top_k_in_support(x[support], support, k), support
@@ -135,7 +130,7 @@ def test_union_sorted_equals_union1d(a, b):
 
 @given(
     d=st.integers(20, 300),
-    shard_count=st.sampled_from([None, 2, 7, 16]),
+    shard_count=st.sampled_from([1, 2, 7, 16]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gluefl_mask_shift_equals_dense_topk(d, shard_count, seed):
@@ -144,7 +139,7 @@ def test_gluefl_mask_shift_equals_dense_topk(d, shard_count, seed):
     rng = np.random.default_rng(seed)
     s = GlueFLMaskStrategy(q=0.3, q_shr=0.2, regen_interval=3)
     s.setup(d, rng)
-    rt = None if shard_count is None else ShardingRuntime(d, shard_count)
+    rt = ShardingRuntime(d, shard_count)
     s.bind_sharding(rt)
     try:
         for t in range(1, 5):
@@ -165,5 +160,4 @@ def test_gluefl_mask_shift_equals_dense_topk(d, shard_count, seed):
                 s.mask_idx, top_k_indices(agg.global_delta, s._k_shr)
             )
     finally:
-        if rt is not None:
-            rt.close()
+        rt.close()

@@ -1,4 +1,4 @@
-"""Half-precision (float16 / bfloat16) policy and numerics.
+"""Half-precision (float16) policy and numerics.
 
 Storage lives in the 2-byte dtype; accumulations are pinned to float32
 (:func:`repro.runtime.dtype.accumulation_dtype`) and GEMMs compute through
@@ -23,15 +23,6 @@ from repro.runtime.dtype import (
     accumulation_dtype,
     resolve_dtype,
 )
-
-
-def _has_ml_dtypes() -> bool:
-    try:
-        import ml_dtypes  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
 
 
 def _config(tiny_dataset, dtype, **overrides):
@@ -64,12 +55,12 @@ def test_resolve_float16():
     assert resolve_dtype("float16") == np.dtype(np.float16)
 
 
-def test_bfloat16_requires_ml_dtypes():
-    if _has_ml_dtypes():
-        assert resolve_dtype("bfloat16").itemsize == 2
-    else:
-        with pytest.raises(ValueError, match="ml_dtypes"):
-            resolve_dtype("bfloat16")
+def test_bfloat16_is_an_unknown_dtype():
+    """Cut, not gated: the ordinary unknown-dtype error, like any other
+    name outside ``DTYPE_NAMES``."""
+    assert "bfloat16" not in DTYPE_NAMES
+    with pytest.raises(ValueError, match="unsupported runtime dtype"):
+        resolve_dtype("bfloat16")
 
 
 @pytest.mark.parametrize(
@@ -157,9 +148,3 @@ def test_float16_tracks_float32_within_tolerance(tiny_dataset):
     acc16 = r16.final_accuracy()
     acc32 = r32.final_accuracy()
     assert abs(acc16 - acc32) <= 0.1
-
-
-@pytest.mark.skipif(not _has_ml_dtypes(), reason="ml_dtypes not installed")
-def test_bfloat16_smoke(tiny_dataset):
-    r = run_training(_config(tiny_dataset, "bfloat16", rounds=3))
-    assert np.all(np.isfinite(r.series("train_loss")))

@@ -1,0 +1,57 @@
+"""Plain numpy references for the server kernels.
+
+``repro.sharding`` is the only implementation of the server hot path in
+``src/`` — one shard is the default, not a second path — so the textbook
+expressions it must stay bit-identical to live here, test-side (the
+``tests/population/oracle.py`` precedent): one accumulator, one loop, one
+``argpartition``, no partition and no dispatch.  Nothing here imports
+``repro.sharding``, so nothing here can share a bug with it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.compression.topk import top_k_in_support, top_k_indices
+
+
+def weighted_dense_sum(
+    payloads, d, key_idx="idx", key_vals="vals", dtype=np.float64
+):
+    """``Σ ν_i · sparse_i`` into one dense vector (Eq. 6's accumulator)."""
+    acc = np.zeros(d, dtype=dtype)
+    for _, weight, payload in payloads:
+        idx = payload.data[key_idx]
+        if len(idx):
+            np.add.at(acc, idx, weight * payload.data[key_vals])
+    return acc
+
+
+def slice_weighted_sum(payloads, key, length, dtype=np.float64):
+    """``Σ ν_i · vals_i`` over aligned vectors: Eq. 5 on the shared mask
+    (``key="shr_vals"``) and the dense FedAvg sum (``key="dense"``)."""
+    acc = np.zeros(length, dtype=dtype)
+    for _, weight, payload in payloads:
+        acc += weight * payload.data[key]
+    return acc
+
+
+def elementwise_add(a, b):
+    """The params apply."""
+    return a + b
+
+
+def select_top_k(x, k, support=None):
+    """Dense selection, or selection within a sorted ``support`` outside
+    which ``x`` is exactly zero; ``k >= len(support)`` needs coordinates
+    from outside the support and is dense again."""
+    if support is not None and k < len(support):
+        return top_k_in_support(x[support], support, k)
+    return top_k_indices(x, k)
+
+
+def residual_round_trip(residual, delta, scale=1.0):
+    """What ``ResidualStore.compensate`` returns for a recorded flat
+    ``residual``: float32 storage, then Eq. 7's two operations in the
+    delta's dtype (``scale`` = ν_old / ν_new under REC, 1 under EC)."""
+    return delta + scale * residual.astype(np.float32).astype(delta.dtype)

@@ -32,10 +32,16 @@ def test_map_preserves_task_order(backend):
 def test_map_ships_arrays(backend):
     ex = ShardExecutor(backend, workers=2)
     a = np.arange(4, dtype=np.float32)
+    outs = [np.empty_like(a), np.empty_like(a)]
     try:
-        out = ex.map(shard_elementwise_add, [(a, a), (a, 2 * a)])
-        np.testing.assert_array_equal(out[0], 2 * a)
-        np.testing.assert_array_equal(out[1], 3 * a)
+        got = ex.map(
+            shard_elementwise_add, [(outs[0], a, a), (outs[1], a, 2 * a)]
+        )
+        np.testing.assert_array_equal(got[0], 2 * a)
+        np.testing.assert_array_equal(got[1], 3 * a)
+        # the slice-writing rule: in-process backends hand back the very
+        # output they were given; a fork worker wrote into its own copy
+        assert (got[0] is outs[0]) == (backend != "process")
     finally:
         ex.close()
 

@@ -1,6 +1,9 @@
-"""FLServer integration: `shard_count` on vs off is bit-identical, the
-runtime is bound/closed through the server lifecycle, and the config
-rejects inconsistent shard knobs."""
+"""FLServer integration: N shards are bit-identical to the default one
+shard (which the goldens pin), the runtime is bound/closed through the
+server lifecycle, and the config validates the shard knobs."""
+
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -52,15 +55,19 @@ def test_gluefl_sharded_run_bit_identical(tiny_dataset, count):
 
 
 def test_thread_backend_and_mmap_bit_identical(tiny_dataset):
+    """At one shard the knobs still mean something — ``thread`` runs its
+    single task inline, ``shard_mmap`` memmaps the accumulator — and
+    change nothing, exactly as at four."""
     base = run_params(make_config(tiny_dataset))
-    threaded = run_params(
-        make_config(tiny_dataset, shard_count=4, shard_backend="thread")
-    )
-    mmapped = run_params(
-        make_config(tiny_dataset, shard_count=4, shard_mmap=True)
-    )
-    np.testing.assert_array_equal(base, threaded)
-    np.testing.assert_array_equal(base, mmapped)
+    for count in (1, 4):
+        threaded = run_params(
+            make_config(tiny_dataset, shard_count=count, shard_backend="thread")
+        )
+        mmapped = run_params(
+            make_config(tiny_dataset, shard_count=count, shard_mmap=True)
+        )
+        np.testing.assert_array_equal(base, threaded)
+        np.testing.assert_array_equal(base, mmapped)
 
 
 @pytest.mark.slow
@@ -108,23 +115,40 @@ def test_server_binds_and_closes_runtime(tiny_dataset):
     server.close()
 
 
-def test_server_without_flag_has_no_runtime(tiny_dataset):
+def test_default_server_binds_a_one_shard_runtime(tiny_dataset, monkeypatch, tmp_path):
+    """The default *is* one shard: same runtime class, its ledger charged
+    every round, and ``close()`` leaves no file or pool behind."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr("tempfile.tempdir", None)
+    threads = threading.active_count()
     server = FLServer(make_config(tiny_dataset))
     try:
-        assert server.sharding is None
-        assert server.strategy.sharding is None
+        assert server.config.shard_count == 1
+        assert server.sharding.spec.count == 1
+        assert server.strategy.sharding is server.sharding
+        for t in (1, 2, 3):
+            server.run_round()
+            assert server.sharding.ledger.rounds == t
+        assert server.sharding.ledger.counts.sum() > 0
+        assert 0.0 < server.sharding.ledger.released_fraction()[0] <= 1.0
     finally:
         server.close()
+    assert os.listdir(tmp_path) == []
+    assert threading.active_count() == threads
+    assert server.sharding.executor._threads is None
+    assert server.sharding.executor._procs is None
 
 
 # -- config plumbing ---------------------------------------------------------
 
 
 def test_config_validates_shard_count(tiny_dataset):
-    cfg = make_config(tiny_dataset, shard_count=0)
-    with pytest.raises(ValueError, match="shard_count"):
-        cfg.validate()
+    for bad in (0, -2, None, 2.0, True):
+        cfg = make_config(tiny_dataset, shard_count=bad)
+        with pytest.raises(ValueError, match="shard_count"):
+            cfg.validate()
     make_config(tiny_dataset, shard_count=4).validate()
+    assert make_config(tiny_dataset).shard_count == 1
 
 
 def test_config_validates_shard_backend(tiny_dataset):
@@ -133,17 +157,6 @@ def test_config_validates_shard_backend(tiny_dataset):
         cfg.validate()
     for backend in ("serial", "thread", "process"):
         make_config(tiny_dataset, shard_count=2, shard_backend=backend).validate()
-
-
-def test_config_rejects_set_but_ignored_shard_knobs(tiny_dataset):
-    """shard_backend / shard_mmap without shard_count would silently do
-    nothing — the repo's validation style rejects that outright."""
-    cfg = make_config(tiny_dataset, shard_backend="thread")
-    with pytest.raises(ValueError, match="shard_count"):
-        cfg.validate()
-    cfg = make_config(tiny_dataset, shard_mmap=True)
-    with pytest.raises(ValueError, match="shard_count"):
-        cfg.validate()
 
 
 def test_config_rejects_non_bool_shard_mmap(tiny_dataset):

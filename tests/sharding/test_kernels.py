@@ -1,41 +1,49 @@
-"""Per-shard kernels and the exact top-k candidate merge."""
+"""Per-shard kernels (the slice-writing rule) and per-shard-plus-merge top-k."""
 
 import numpy as np
 import pytest
 
 from repro.compression.topk import top_k_indices
 from repro.sharding import (
-    ShardSpec,
-    merge_top_candidates,
+    ShardingRuntime,
     shard_elementwise_add,
     shard_slice_weighted_sum,
-    shard_top_candidates,
+    shard_top_k,
+    shard_top_k_in_support,
     shard_weighted_scatter,
 )
+from tests.sharding import reference
 
 pytestmark = pytest.mark.sharding
 
 
 def test_weighted_scatter_matches_add_at_order():
     """The scatter kernel sees each coordinate's adds in payload order —
-    bit-identical to the unsharded np.add.at loop on that slice."""
+    bit-identical to the plain np.add.at loop on that slice — and writes
+    them into the slice it was handed."""
     rng = np.random.default_rng(1)
-    n = 50
+    n, lo = 50, 1000
     items = []
     ref = np.zeros(n, dtype=np.float32)
     for _ in range(4):
         idx = np.sort(rng.choice(n, size=20, replace=False)).astype(np.int64)
         vals = rng.normal(size=20).astype(np.float32)
         w = float(rng.uniform(0.5, 2.0))
-        items.append((w, idx, vals))
+        items.append((w, idx + lo, vals))
         np.add.at(ref, idx, w * vals)
-    got = shard_weighted_scatter(n, items, np.dtype(np.float32))
-    np.testing.assert_array_equal(ref, got)
-    assert got.dtype == np.float32
+    whole = np.zeros(n + 7, dtype=np.float32)
+    view = whole[3 : 3 + n]
+    got = shard_weighted_scatter(view, lo, items)
+    assert got is view
+    np.testing.assert_array_equal(ref, whole[3 : 3 + n])
+    assert not whole[:3].any() and not whole[3 + n :].any()
 
 
 def test_weighted_scatter_empty_items():
-    out = shard_weighted_scatter(5, [], np.dtype(np.float64))
+    out = np.zeros(5, dtype=np.float64)
+    assert shard_weighted_scatter(out, 0, []) is out
+    empty = (1.0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
+    shard_weighted_scatter(out, 0, [empty])
     np.testing.assert_array_equal(out, np.zeros(5))
 
 
@@ -48,57 +56,108 @@ def test_slice_weighted_sum_matches_inplace_loop():
     ref = np.zeros(30, dtype=np.float32)
     for w, vals in items:
         ref += w * vals
-    got = shard_slice_weighted_sum(30, items, np.dtype(np.float32))
-    np.testing.assert_array_equal(ref, got)
+    out = np.zeros(30, dtype=np.float32)
+    assert shard_slice_weighted_sum(out, items) is out
+    np.testing.assert_array_equal(ref, out)
 
 
 def test_elementwise_add_is_plain_add():
     a = np.array([1.0, 2.0], dtype=np.float32)
     b = np.array([0.5, -2.0], dtype=np.float32)
-    np.testing.assert_array_equal(shard_elementwise_add(a, b), a + b)
+    out = np.empty(2, dtype=np.float32)
+    assert shard_elementwise_add(out, a, b) is out
+    np.testing.assert_array_equal(out, a + b)
+    # a half-precision param plus a float32 delta adds in float32
+    half = a.astype(np.float16)
+    np.testing.assert_array_equal(
+        shard_elementwise_add(np.empty(2, dtype=np.float32), half, b), half + b
+    )
+
+
+def int_out(n):
+    return np.empty(n, dtype=np.int64)
 
 
 def test_top_candidates_globalizes_indices():
     x = np.array([0.1, -5.0, 2.0, 0.0], dtype=np.float64)
-    idx, mag = shard_top_candidates(x, 2, lo=100)
-    assert set(idx) == {101, 102}
-    np.testing.assert_allclose(np.sort(mag), [2.0, 5.0])
-    assert idx.dtype == np.int64
+    out = int_out(2)
+    assert shard_top_k(out, x, 2, lo=100) is out
+    np.testing.assert_array_equal(out, [101, 102])
+    # within a support the winners map back through it, into the slice
+    support = np.array([3, 40, 41, 99], dtype=np.int64)
+    out = int_out(2)
+    assert shard_top_k_in_support(out, x, support, 2) is out
+    np.testing.assert_array_equal(out, [40, 41])
 
 
 def test_top_candidates_k_exceeds_shard():
     x = np.array([1.0, -2.0], dtype=np.float64)
-    idx, mag = shard_top_candidates(x, 10, lo=0)
-    np.testing.assert_array_equal(np.sort(idx), [0, 1])
+    np.testing.assert_array_equal(shard_top_k(int_out(2), x, 10, lo=4), [4, 5])
+    support = np.array([6, 9], dtype=np.int64)
+    np.testing.assert_array_equal(
+        shard_top_k_in_support(int_out(2), x, support, 10), support
+    )
 
 
 def test_top_candidates_k_zero():
-    idx, mag = shard_top_candidates(np.ones(3), 0)
-    assert len(idx) == 0 and len(mag) == 0
+    assert len(shard_top_k(int_out(0), np.ones(3), 0, lo=7)) == 0
+    empty = np.empty(0, dtype=np.int64)
+    # an empty shard of the support (k > 0) has no winners either
+    assert len(shard_top_k_in_support(int_out(0), np.empty(0), empty, 5)) == 0
 
 
 def test_merge_is_exact_vs_global_topk():
-    """Superset property: per-shard top-min(k,|shard|) candidates always
+    """Superset property: per-shard top-min(k,|shard|) winners always
     contain the global top-k, for every partition of the vector."""
     rng = np.random.default_rng(3)
     x = rng.normal(size=257)
     for count in (1, 2, 7, 16, 300):
-        spec = ShardSpec.build(len(x), count)
+        rt = ShardingRuntime(len(x), count)
         for k in (1, 5, 64, 256):
-            cand = [
-                shard_top_candidates(x[lo:hi], k, lo)
-                for _s, lo, hi in spec.iter_bounds()
-            ]
-            merged = merge_top_candidates(
-                [i for i, _ in cand], [m for _, m in cand], k
-            )
-            np.testing.assert_array_equal(merged, top_k_indices(x, k))
+            got = rt.top_k_indices(x, k)
+            np.testing.assert_array_equal(got, top_k_indices(x, k))
+            assert got.dtype == np.int64
 
 
-def test_merge_returns_everything_when_short():
-    idx = [np.array([3, 7], dtype=np.int64)]
-    mag = [np.array([1.0, 2.0])]
-    np.testing.assert_array_equal(
-        merge_top_candidates(idx, mag, 10), [3, 7]
+def test_merge_returns_everything_when_short(monkeypatch):
+    """Winners that do not outnumber ``k`` *are* the answer: no second
+    selection runs — with one shard never, with many whenever all of them
+    sit in one shard."""
+    x = np.zeros(40)
+    x[[3, 7, 8]] = [1.0, -2.0, 3.0]
+    support = np.array([3, 7, 8], dtype=np.int64)  # all inside shard 0 of 4
+    lengths = []
+    real = np.argpartition
+    monkeypatch.setattr(
+        np, "argpartition", lambda a, *args: lengths.append(len(a)) or real(a, *args)
     )
-    assert merge_top_candidates([], [], 5).dtype == np.int64
+    for count in (1, 4):
+        rt = ShardingRuntime(40, count)
+        np.testing.assert_array_equal(rt.top_k_indices(x, 2, support), [7, 8])
+    # one selection over the 3 support values per runtime — never a second
+    # one over the 2 winners
+    assert lengths == [3, 3]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 16])
+@pytest.mark.parametrize("with_support", [False, True])
+def test_per_shard_plus_merge_topk_equals_reference(count, with_support):
+    """k ∈ {0, 1, < a shard, > every shard, ≥ d}, dense and in-support."""
+    rng = np.random.default_rng(count)
+    d = 240
+    support = None
+    x = rng.normal(size=d)
+    if with_support:
+        support = np.sort(rng.choice(d, size=90, replace=False)).astype(np.int64)
+        dense, x = x, np.zeros(d)
+        x[support] = dense[support]
+    rt = ShardingRuntime(d, count)
+    shard = d // count
+    for k in (0, 1, max(1, shard // 2), min(d - 1, shard + 3), 89, d, d + 5):
+        if with_support and k >= len(support) and k < d:
+            continue  # zeros tie at the k-th magnitude: any answer is legal
+        np.testing.assert_array_equal(
+            rt.top_k_indices(x, k, support),
+            reference.select_top_k(x, k, support),
+            err_msg=f"k={k}",
+        )

@@ -1,14 +1,18 @@
-"""ShardingRuntime: sharded sums/top-k vs the unsharded originals, the
-recycled (optionally memmapped) accumulator, and the release ledger."""
+"""ShardingRuntime: sums/top-k for 1..N shards vs the plain references,
+what one shard costs, the (optionally memmapped) accumulator, and the
+release ledger."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.compression.base import ClientPayload, weighted_dense_sum
+from repro.compression import GlueFLMaskStrategy
+from repro.compression.base import ClientPayload
 from repro.compression.topk import top_k_indices
 from repro.sharding import ShardingRuntime
+from tests.sharding import reference
 
 pytestmark = pytest.mark.sharding
 
@@ -32,7 +36,7 @@ def test_sparse_weighted_sum_bit_identical(count, dtype):
     rt = ShardingRuntime(d, count)
     try:
         payloads = make_payloads(rng, d)
-        ref = weighted_dense_sum(payloads, d, dtype=dtype)
+        ref = reference.weighted_dense_sum(payloads, d, dtype=dtype)
         got = rt.sparse_weighted_sum(payloads, dtype=dtype)
         np.testing.assert_array_equal(ref, got)
         assert got.dtype == np.dtype(dtype)
@@ -40,49 +44,56 @@ def test_sparse_weighted_sum_bit_identical(count, dtype):
         rt.close()
 
 
+def dense_payloads(rng, length, key, n=4, dtype=np.float32):
+    return [
+        (
+            cid,
+            float(rng.uniform(0.5, 2.0)),
+            ClientPayload(0, data={key: rng.normal(size=length).astype(dtype)}),
+        )
+        for cid in range(n)
+    ]
+
+
 def test_masked_weighted_sum_matches_inplace_loop():
     rng = np.random.default_rng(9)
     d, m = 150, 40
     mask = np.sort(rng.choice(d, size=m, replace=False)).astype(np.int64)
-    payloads = []
-    ref = np.zeros(m, dtype=np.float32)
-    for cid in range(4):
-        vals = rng.normal(size=m).astype(np.float32)
-        w = float(rng.uniform(0.5, 2.0))
-        payloads.append((cid, w, ClientPayload(0, data={"shr_vals": vals})))
-        ref += w * vals
-    rt = ShardingRuntime(d, 7)
-    try:
-        got = rt.masked_weighted_sum(payloads, mask, dtype=np.float32)
+    payloads = dense_payloads(rng, m, "shr_vals")
+    ref = reference.slice_weighted_sum(payloads, "shr_vals", m, np.float32)
+    for count in (1, 7):
+        got = ShardingRuntime(d, count).masked_weighted_sum(
+            payloads, mask, dtype=np.float32
+        )
         np.testing.assert_array_equal(ref, got)
-    finally:
-        rt.close()
+    # an empty mask (a regeneration round) sums to an empty vector
+    empty = dense_payloads(rng, 0, "shr_vals")
+    got = ShardingRuntime(d, 7).masked_weighted_sum(
+        empty, np.empty(0, dtype=np.int64), dtype=np.float32
+    )
+    assert got.shape == (0,) and got.dtype == np.float32
 
 
 def test_dense_weighted_sum_is_fresh_and_exact():
     """The FedAvg sum escapes as the global delta — it must never be the
-    runtime's recycled accumulator."""
+    runtime's recycled (memmap) accumulator."""
     rng = np.random.default_rng(11)
     d = 97
-    payloads = []
-    ref = np.zeros(d, dtype=np.float64)
-    for cid in range(3):
-        dense = rng.normal(size=d)
-        w = float(rng.uniform(0.5, 2.0))
-        payloads.append((cid, w, ClientPayload(0, data={"dense": dense})))
-        ref += w * dense
-    rt = ShardingRuntime(d, 4)
-    try:
-        got1 = rt.dense_weighted_sum(payloads, dtype=np.float64)
-        got2 = rt.dense_weighted_sum(payloads, dtype=np.float64)
-        np.testing.assert_array_equal(ref, got1)
-        assert got1 is not got2  # fresh allocation per call
-        assert got1 is not rt.accumulator(np.float64)
-    finally:
-        rt.close()
+    payloads = dense_payloads(rng, d, "dense", n=3, dtype=np.float64)
+    ref = reference.slice_weighted_sum(payloads, "dense", d, np.float64)
+    for count in (1, 4):
+        rt = ShardingRuntime(d, count, mmap=True)
+        try:
+            got1 = rt.dense_weighted_sum(payloads, dtype=np.float64)
+            got2 = rt.dense_weighted_sum(payloads, dtype=np.float64)
+            np.testing.assert_array_equal(ref, got1)
+            assert got1 is not got2  # fresh allocation per call
+            assert not isinstance(got1, np.memmap)
+        finally:
+            rt.close()
 
 
-@pytest.mark.parametrize("count", [2, 7, 16])
+@pytest.mark.parametrize("count", [1, 2, 7, 16])
 def test_top_k_indices_bit_identical(count):
     rng = np.random.default_rng(13)
     d = 503
@@ -98,7 +109,10 @@ def test_top_k_indices_bit_identical(count):
 
 
 def test_accumulator_recycled_and_zeroed():
-    rt = ShardingRuntime(10, 3)
+    """Only the memmap accumulator is recycled; in RAM each call is the
+    fresh ``np.zeros`` the plain expression allocates, so nothing d-sized
+    stays resident between rounds."""
+    rt = ShardingRuntime(10, 3, mmap=True)
     try:
         acc = rt.accumulator(np.float32)
         acc[:] = 7.0
@@ -109,6 +123,13 @@ def test_accumulator_recycled_and_zeroed():
         assert rt.accumulator(np.float64) is not acc
     finally:
         rt.close()
+    ram = ShardingRuntime(10, 3)
+    acc = ram.accumulator(np.float32)
+    acc[:] = 7.0
+    again = ram.accumulator(np.float32)
+    assert again is not acc and not isinstance(again, np.memmap)
+    np.testing.assert_array_equal(again, np.zeros(10, dtype=np.float32))
+    assert not ram._acc
 
 
 def test_mmap_accumulator_file_lifecycle():
@@ -131,15 +152,45 @@ def test_mmap_sum_bit_identical_to_ram():
     rng = np.random.default_rng(17)
     d = 211
     payloads = make_payloads(rng, d)
-    ram = ShardingRuntime(d, 5)
-    disk = ShardingRuntime(d, 5, mmap=True)
+    for count in (1, 5):
+        ram = ShardingRuntime(d, count)
+        disk = ShardingRuntime(d, count, mmap=True)
+        try:
+            a = np.array(ram.sparse_weighted_sum(payloads, dtype=np.float32))
+            b = np.array(disk.sparse_weighted_sum(payloads, dtype=np.float32))
+            np.testing.assert_array_equal(a, b)
+        finally:
+            ram.close()
+            disk.close()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_parallel_backends_fill_every_slice(backend):
+    """Threads write their view of the result in place; a fork worker
+    returns its part and the parent copies it back — memmap slices too."""
+    rng = np.random.default_rng(19)
+    d = 211
+    sparse = make_payloads(rng, d)
+    dense = dense_payloads(rng, d, "dense")
+    a = rng.normal(size=d).astype(np.float32)
+    rt = ShardingRuntime(d, 4, backend=backend, workers=2, mmap=True)
     try:
-        a = np.array(ram.sparse_weighted_sum(payloads, dtype=np.float32))
-        b = np.array(disk.sparse_weighted_sum(payloads, dtype=np.float32))
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            rt.sparse_weighted_sum(sparse, dtype=np.float32),
+            reference.weighted_dense_sum(sparse, d, dtype=np.float32),
+        )
+        np.testing.assert_array_equal(
+            rt.dense_weighted_sum(dense, dtype=np.float32),
+            reference.slice_weighted_sum(dense, "dense", d, np.float32),
+        )
+        np.testing.assert_array_equal(
+            rt.elementwise_add(a, a[::-1]), reference.elementwise_add(a, a[::-1])
+        )
+        np.testing.assert_array_equal(
+            rt.top_k_indices(a, 30), top_k_indices(a, 30)
+        )
     finally:
-        ram.close()
-        disk.close()
+        rt.close()
 
 
 def test_release_ledger_counts_and_fraction():
@@ -162,3 +213,77 @@ def test_ledger_zero_rounds_fraction_is_zero():
         np.testing.assert_array_equal(rt.ledger.released_fraction(), [0.0, 0.0])
     finally:
         rt.close()
+
+
+def test_ledger_empty_shard_releases_nothing():
+    """``shard_count > d`` is legal (empty trailing shards): their
+    released fraction is 0.0, not 0/0."""
+    rt = ShardingRuntime(3, 5)
+    rt.observe_release(np.array([0, 2], dtype=np.int64))
+    np.testing.assert_array_equal(
+        rt.ledger.released_fraction(), [1.0, 0.0, 1.0, 0.0, 0.0]
+    )
+
+
+# -- one shard costs what the plain expression costs -------------------------
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_shard_peak_memory_matches_plain_expression():
+    """The slice-writing rule: one shard allocates no part buffer and no
+    d-sized copy next to its result (d = 1e5, k = 5000, 6 payloads, f32)."""
+    rng = np.random.default_rng(23)
+    d, k = 100_000, 5_000
+    sparse = make_payloads(rng, d, n=6, nnz=k)
+    dense = dense_payloads(rng, d, "dense", n=6)
+    a = rng.normal(size=d).astype(np.float32)
+    b = rng.normal(size=d).astype(np.float32)
+    rt = ShardingRuntime(d, 1)
+    f32 = np.float32
+    pairs = {
+        "sparse_weighted_sum": (
+            lambda: rt.sparse_weighted_sum(sparse, dtype=f32),
+            lambda: reference.weighted_dense_sum(sparse, d, dtype=f32),
+        ),
+        "dense_weighted_sum": (
+            lambda: rt.dense_weighted_sum(dense, dtype=f32),
+            lambda: reference.slice_weighted_sum(dense, "dense", d, f32),
+        ),
+        "elementwise_add": (
+            lambda: rt.elementwise_add(a, b),
+            lambda: reference.elementwise_add(a, b),
+        ),
+    }
+    for name, (ours, plain) in pairs.items():
+        ours(), plain()  # warm caches so neither side pays a first call
+        assert traced_peak(ours) <= 1.25 * traced_peak(plain), name
+
+
+@pytest.mark.parametrize("count", [1, 7])
+def test_compensate_allocates_one_vector_whatever_the_shard_count(count):
+    """Residuals are flat client-side state: a bound runtime must not make
+    ``compensate`` reassemble chunks (a second d-sized array)."""
+    rng = np.random.default_rng(29)
+    d = 100_000
+    s = GlueFLMaskStrategy(q=0.2, q_shr=0.1)
+    s.setup(d, rng, dtype=np.float32)
+    s.bind_sharding(ShardingRuntime(d, count))
+    s.begin_round(1)
+    s.client_compress(0, rng.normal(size=d).astype(np.float32), 0.5)
+    delta = rng.normal(size=d).astype(np.float32)
+    stored, weight = s.residuals.peek(0)
+    assert stored.shape == (d,)
+    out = s.residuals.compensate(0, delta, 0.25)
+    np.testing.assert_array_equal(
+        out, reference.residual_round_trip(stored, delta, weight / 0.25)
+    )
+    peak = traced_peak(lambda: s.residuals.compensate(0, delta, 0.25))
+    assert peak < 1.1 * delta.nbytes

@@ -60,19 +60,6 @@ def test_split_points_slices_cover_sorted_idx():
     np.testing.assert_array_equal(np.concatenate(rebuilt), idx)
 
 
-def test_split_sorted_is_shard_relative():
-    spec = ShardSpec.build(d=10, shard_count=3)
-    idx = np.array([0, 3, 4, 9], dtype=np.int64)
-    out = dict(spec.split_sorted(idx))
-    np.testing.assert_array_equal(out[0], [0, 3])
-    np.testing.assert_array_equal(out[1], [0])
-    np.testing.assert_array_equal(out[2], [2])
-    # shards without members are omitted outright
-    assert set(out) == {0, 1, 2}
-    out2 = dict(ShardSpec.build(10, 5).split_sorted(np.array([0], dtype=np.int64)))
-    assert set(out2) == {0}
-
-
 def test_split_points_empty_idx():
     spec = ShardSpec.build(d=10, shard_count=3)
     pts = spec.split_points(np.empty(0, dtype=np.int64))
