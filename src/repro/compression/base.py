@@ -119,7 +119,10 @@ class CompressionStrategy:
         materializes use it, so a float32 run stays float32 end to end.
         Leaves a one-shard :class:`~repro.sharding.ShardingRuntime` bound
         as ``self.sharding``, so a strategy is usable after ``setup()``
-        alone; the server re-binds its configured one.
+        alone; the server re-binds its configured one.  A strategy bound
+        again starts over: the conventional ``self.residuals`` store is
+        reset (its mode and LRU bound stay), so no run compensates with
+        another run's residuals.
         """
         if d <= 0:
             raise ValueError(f"model dimension must be positive, got {d}")
@@ -129,6 +132,9 @@ class CompressionStrategy:
         self.d = d
         self.dtype = np.dtype(dtype)
         self.sharding = ShardingRuntime(d, 1)
+        store = getattr(self, "residuals", None)
+        if store is not None:
+            store.reset()
 
     def bind_sharding(self, runtime) -> None:
         """Replace the one-shard runtime :meth:`setup` bound.
@@ -157,6 +163,16 @@ class CompressionStrategy:
         store = getattr(self, "residuals", None)
         if store is not None:
             store.bound(max_clients)
+
+    def close(self) -> None:
+        """Release what the strategy holds outside the heap — the residual
+        store's row file, and the residuals in it.  Reached from
+        ``FLServer.close()``; idempotent, and the strategy stays usable.
+        Wrapper strategies must delegate to their inner strategy.
+        """
+        store = getattr(self, "residuals", None)
+        if store is not None:
+            store.close()
 
     # -- downstream accounting -------------------------------------------------
     def downstream_extra_bytes(self) -> int:

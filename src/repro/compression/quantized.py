@@ -66,6 +66,9 @@ class QuantizedStrategy(CompressionStrategy):
     def limit_residuals(self, max_clients) -> None:
         self.inner.limit_residuals(max_clients)
 
+    def close(self) -> None:
+        self.inner.close()
+
     def downstream_extra_bytes(self) -> int:
         return self.inner.downstream_extra_bytes()
 

@@ -376,16 +376,20 @@ class FLServer:
         return self._backend
 
     def close(self) -> None:
-        """Release execution-backend resources (pools, shared memory).
+        """Release execution-backend resources (pools, shared memory) and
+        the strategy's residual row file.
 
-        Idempotent; only needed when ``run_round`` is driven manually with
-        a parallel backend — :meth:`run` closes automatically.  Further
-        training after close is fine: a fresh backend is built on demand.
+        Idempotent; only needed when ``run_round`` is driven manually —
+        :meth:`run` closes automatically, and a server dropped un-closed
+        still closes the row file when it is collected.  Further training
+        after close is fine: a fresh backend is built on demand, but error
+        compensation starts over (the residuals went with the file).
         """
         if self._backend is not None:
             self._backend.close()
             self._backend = None
         self.sharding.close()
+        self.strategy.close()
 
     # -- full run -----------------------------------------------------------------------
     def run(self) -> RunResult:

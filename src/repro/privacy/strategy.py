@@ -287,6 +287,9 @@ class PrivateStrategy(CompressionStrategy):
     def limit_residuals(self, max_clients) -> None:
         self.inner.limit_residuals(max_clients)
 
+    def close(self) -> None:
+        self.inner.close()
+
     # -- pure delegation ----------------------------------------------------
     @property
     def data_dependent_selection(self) -> bool:

@@ -13,10 +13,12 @@ contract).
 >>> store = LazyClientState(default=lambda: 0.0, max_clients=2)
 >>> store.get(7)
 0.0
->>> store.set(7, 1.5); store.set(9, 2.5)
+>>> store.set(7, 1.5), store.set(9, 2.5)   # within the bound: nothing evicted
+([], [])
 >>> store.get(7)
 1.5
->>> store.set(11, 3.5)          # LRU bound: client 9 evicts
+>>> store.set(11, 3.5)          # LRU bound: client 9 evicts, value handed back
+[2.5]
 >>> sorted(store.ids()), store.evictions
 ([7, 11], 1)
 >>> store.get(9)                # evicted reads as the default again
@@ -60,19 +62,23 @@ class LazyClientState:
         self.evictions = 0
         self.bound(max_clients)
 
-    def bound(self, max_clients: Optional[int]) -> None:
-        """(Re)set the LRU bound, evicting down to it immediately."""
+    def bound(self, max_clients: Optional[int]) -> List[Any]:
+        """(Re)set the LRU bound, evicting down to it immediately.
+
+        Returns the evicted values (see :meth:`set`)."""
         if max_clients is not None and max_clients < 1:
             raise ValueError("max_clients must be >= 1 (or None)")
         self._max_clients = max_clients
-        self._evict()
+        return self._evict()
 
-    def _evict(self) -> None:
+    def _evict(self) -> List[Any]:
+        evicted: List[Any] = []
         if self._max_clients is None:
-            return
+            return evicted
         while len(self._data) > self._max_clients:
-            self._data.popitem(last=False)
-            self.evictions += 1
+            evicted.append(self._data.popitem(last=False)[1])
+        self.evictions += len(evicted)
+        return evicted
 
     def get(self, client_id: int, default: Any = None) -> Any:
         """The client's value, or the store default (freshens LRU rank)."""
@@ -80,16 +86,33 @@ class LazyClientState:
         if cid in self._data:
             self._data.move_to_end(cid)
             return self._data[cid]
+        return self._absent(default)
+
+    def peek(self, client_id: int, default: Any = None) -> Any:
+        """:meth:`get` without freshening LRU rank — for inspection, which
+        must not change which client the bound evicts next."""
+        cid = int(client_id)
+        if cid in self._data:
+            return self._data[cid]
+        return self._absent(default)
+
+    def _absent(self, default: Any) -> Any:
         if self._default is not None:
             return self._default()
         return default
 
-    def set(self, client_id: int, value: Any) -> None:
-        """Materialize/overwrite the client's entry (freshens LRU rank)."""
+    def set(self, client_id: int, value: Any) -> List[Any]:
+        """Materialize/overwrite the client's entry (freshens LRU rank).
+
+        Returns the values the LRU bound evicted to make room (usually
+        none), least-recently-used first — an owner whose values name an
+        outside resource (a row of
+        :class:`~repro.compression.error_comp.ResidualStore`'s file)
+        reclaims it from here."""
         cid = int(client_id)
         self._data[cid] = value
         self._data.move_to_end(cid)
-        self._evict()
+        return self._evict()
 
     def pop(self, client_id: int) -> Any:
         """Drop and return the client's entry (``None`` when absent)."""

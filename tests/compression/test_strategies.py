@@ -104,6 +104,47 @@ def test_stc_conservation_delta_equals_sent_plus_residual(rng):
     np.testing.assert_allclose(sent + h, delta, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: STCStrategy(q=0.3), lambda: GlueFLMaskStrategy(q=0.3, q_shr=0.2)]
+)
+def test_setup_starts_a_fresh_residual_store(make, rng):
+    """A strategy bound a second time must not compensate with the previous
+    run's residuals — nor die on them when ``d`` changed."""
+    s = setup_strategy(make(), d=100)
+    s.residuals.bound(5)
+    s.begin_round(1)
+    s.client_compress(0, rng.normal(size=100), 1.0)
+    assert len(s.residuals) == 1
+    setup_strategy(s, d=60)
+    assert len(s.residuals) == 0
+    delta = rng.normal(size=60)
+    fresh = setup_strategy(make(), d=60)
+    for strategy in (s, fresh):
+        strategy.begin_round(1)
+    again, first = (x.client_compress(0, delta, 1.0) for x in (s, fresh))
+    np.testing.assert_array_equal(again.data["idx"], first.data["idx"])
+    np.testing.assert_array_equal(again.data["vals"], first.data["vals"])
+    # the LRU bound is configuration, not run state: it survives
+    s.client_compress(1, delta, 1.0)
+    for cid in range(2, 8):
+        s.client_compress(cid, delta, 1.0)
+    assert len(s.residuals) == 5
+    s.close()
+    assert len(s.residuals) == 0
+
+
+def test_close_reaches_the_store_through_wrappers(rng):
+    inner = GlueFLMaskStrategy(q=0.3, q_shr=0.2)
+    stack = PrivateStrategy(QuantizedStrategy(inner, bits=8), clip_norm=None)
+    setup_strategy(stack)
+    stack.begin_round(1)
+    stack.client_compress(0, rng.normal(size=100), 1.0)
+    assert len(inner.residuals) == 1
+    stack.close()
+    assert len(inner.residuals) == 0
+    FedAvgStrategy().close()  # strategies without a store ignore it
+
+
 def test_stc_validation():
     with pytest.raises(ValueError):
         STCStrategy(q=0.0)

@@ -367,6 +367,9 @@ class TestAccountingHonesty:
         # two rounds for the same client: nothing accumulates
         strategy.client_compress(0, np.arange(16.0), 1.0)
         assert len(inner.residuals) == 0
+        # setup() resets the store it finds; the NONE store stays NONE
+        inner.setup(16, np.random.default_rng(0))
+        assert inner.residuals.mode is ErrorCompMode.NONE
 
     def test_zero_noise_preserves_error_compensation(self):
         from repro.compression.error_comp import ErrorCompMode
