@@ -129,8 +129,12 @@ def test_round_dispatch_k30(benchmark, backend):
     spec.d, spec.num_buffer = len(params), len(buffers)
     tasks = [ClientTask(client_id=cid, lr=0.05, round_idx=1) for cid in range(30)]
     engine = create_backend(backend, spec)
+    delivered = []
     try:
-        results = benchmark(engine.run_clients, tasks, params, buffers)
+        benchmark(
+            engine.run_clients, tasks, params, buffers,
+            lambda result: delivered.append(result.client_id),
+        )
     finally:
         engine.close()
-    assert len(results) == 30
+    assert delivered[-30:] == list(range(30))

@@ -247,7 +247,9 @@ class _StaleArrival:
 
     client_id: int
     dispatch_round: int
-    result: object  # ClientResult trained from the dispatch-round snapshot
+    #: ClientResult trained from the dispatch-round snapshot, detached
+    #: from the backend's memory (it is held across rounds)
+    result: object
     work: float  # the fraction it trained with scales its 1/K share
 
 
@@ -278,11 +280,7 @@ class SemiAsyncScheduler(SyncScheduler):
         for cid, finish_s, (result, work) in zip(
             cohort.straggler_ids.tolist(), cohort.straggler_finish_s.tolist(), late
         ):
-            # straggler results are held across rounds — detach them from
-            # the process backend's result ring before it is reclaimed
-            clock.schedule(
-                clock.now + finish_s, _StaleArrival(cid, t, result.detach(), work)
-            )
+            clock.schedule(clock.now + finish_s, _StaleArrival(cid, t, result, work))
             self.busy.add(cid)
 
         # the fast tier's deadline collects due straggler arrivals (the
@@ -302,13 +300,14 @@ class SemiAsyncScheduler(SyncScheduler):
             server.population.complete_work(cohort.selection.participant_ids)
             server.population.complete_work(due_ids)
 
-        # stale arrivals join after the fast tier, each with a discounted
-        # 1/K share (one fast-tier unit) scaled by the work it trained with
+        # stale arrivals join after the fast tier (already compressed, as
+        # it trained), each with a discounted 1/K share (one fast-tier
+        # unit) scaled by the work it trained with
         kept = [a for a in due if t - a.dispatch_round <= self.max_lag]
         batch.taus = np.array([t - a.dispatch_round for a in kept], dtype=np.int64)
         work = np.array([a.work for a in kept])
         shares = (1.0 + batch.taus) ** (-self.alpha) / server.sampler.k * work
-        batch.results += [a.result for a in kept]
+        batch.pending += [a.result for a in kept]
         batch.weights = np.concatenate([batch.weights, shares])
         batch.work = np.concatenate([batch.work, work])
 
@@ -454,23 +453,29 @@ class AsyncBufferedScheduler(Scheduler):
             jobs: List[_InFlightJob] = []
             results: list = []
             work: List[float] = []
+
+            def deliver(result) -> None:
+                # the buffer stays dense until the flush: its weights
+                # normalise over the complete buffer, and it outlives
+                # later run_clients calls in this flush, so a result
+                # borrowed from the process backend's ring is copied out
+                # before the next dispatch reclaims its slot
+                results.append(result.detach())
+
             while len(jobs) < self.buffer_size and len(self.clock):
                 arrived = self._pop_batch(server, self.buffer_size - len(jobs))
                 if arrived:
-                    # same snapshot version ⇒ same dispatch-time global arrays
-                    trained, trained_work = steps.train_clients(
+                    tasks, planned_work = steps.plan_tasks(
                         server, t,
                         [job.client_id for job in arrived],
                         [job.lr for job in arrived],
-                        arrived[0].params, arrived[0].buffers,
+                    )
+                    # same snapshot version ⇒ same dispatch-time global arrays
+                    server.backend.run_clients(
+                        tasks, arrived[0].params, arrived[0].buffers, deliver
                     )
                     jobs += arrived
-                    # the buffer outlives later run_clients calls in this
-                    # flush, so results borrowed from the process backend's
-                    # ring must be copied out before the next dispatch
-                    # reclaims their slots
-                    results += [result.detach() for result in trained]
-                    work += trained_work
+                    work += planned_work
                 # refill — also after a batch lost mid-round came up empty
                 self._dispatch(server, t)
 
@@ -480,7 +485,7 @@ class AsyncBufferedScheduler(Scheduler):
             work = np.array(work)
             weights = staleness_discounted_weights(taus, self.alpha)
             weights = steps.scale_by_work(weights, work)
-            batch = steps.Batch(results, weights, work, taus)
+            batch = steps.Batch(weights, work, taus, pending=results)
             steps.close_round(
                 server, rnd, batch,
                 why_empty="no clients available to fill the buffer",

@@ -41,17 +41,16 @@ __all__ = [
     "apply_aggregate",
     "candidate_timings",
     "close_round",
-    "compress_results",
+    "compress_result",
     "contact_wave",
     "downstream_sync_bytes",
     "enforce_quorum",
-    "feed_update_norms",
     "make_record",
     "nominal_upstream_bytes",
+    "plan_tasks",
     "scale_by_work",
     "select_wave",
     "strategy_round",
-    "train_clients",
     "train_cohort",
 ]
 
@@ -60,13 +59,11 @@ _NOBODY = np.empty(0, dtype=np.int64)
 
 class _OpenRound:
     """What :func:`strategy_round` yields; :func:`close_round` flips
-    ``closed`` once it has ended the round, and leaves what it cost."""
+    ``closed`` once it has ended the round."""
 
     def __init__(self, round_idx: int) -> None:
         self.round_idx = round_idx
         self.closed = False
-        self.up_bytes = 0
-        self.losses: List[float] = []
 
 
 @dataclass
@@ -103,14 +100,31 @@ class Cohort:
 
 @dataclass
 class Batch:
-    """What a round aggregates: results in aggregation order, their
-    weights and realized work fractions, and the staleness τ of the stale
-    ones (async buffer, semi-async fold-ins; ``None`` for a sync cohort)."""
+    """What a round aggregates, in aggregation order: one weight and
+    realized work fraction per update, and the staleness τ of the stale
+    ones (async buffer, semi-async fold-ins; ``None`` for a sync cohort).
 
-    results: list
+    An update is a compressed ``payload`` as soon as
+    :func:`compress_result` has seen it — a cohort's fast tier is, by the
+    time its training returns.  ``pending`` are the updates still dense
+    (stale arrivals, the async buffer: their weights are only known once
+    the batch is complete); they own the tail of ``weights`` and
+    :func:`close_round` compresses them before it aggregates, so
+    ``weights[i]`` is always the weight of the ``i``-th payload.
+    """
+
     weights: np.ndarray
     work: np.ndarray
     taus: Optional[np.ndarray] = None
+    pending: list = field(default_factory=list)
+    #: ``(client_id, weight, payload)`` per compressed update, with its
+    #: batch-norm buffer delta and training loss alongside
+    payloads: List[Tuple[int, float, object]] = field(default_factory=list)
+    buffer_deltas: List[np.ndarray] = field(default_factory=list)
+    losses: List[float] = field(default_factory=list)
+    #: the payloads' upstream bytes; :func:`close_round` adds the dense
+    #: batch-norm buffer shipment per update (``count_buffer_sync``)
+    up_bytes: int = 0
 
 
 # -- shared round slices -----------------------------------------------------------
@@ -168,54 +182,38 @@ def candidate_timings(
     )
 
 
-def feed_update_norms(server, results) -> None:
-    """Norm-feedback hook: report each participant's update magnitude.
-
-    Samplers that opt in via ``wants_update_norms`` (e.g. Optimal Client
-    Sampling) receive ``observe_update(client_id, norm)`` for every result
-    that reaches aggregation.  The norm comes from the *strategy's*
-    :meth:`~repro.compression.base.CompressionStrategy.feedback_norm` —
-    the raw ``‖Δ‖₂`` by default, but a privacy wrapper substitutes the
-    privatized (noisy) norm, so runs fire this hook *after* compression.
-    Sitting on the shared compression seam, the feedback flows identically
-    under every scheduler; samplers that don't opt in cost nothing.
-    """
-    if not server.sampler.wants_update_norms:
-        return
-    for result in results:
-        server.sampler.observe_update(
-            result.client_id,
-            server.strategy.feedback_norm(result.client_id, result.delta),
-        )
-
-
-def compress_results(server, results, weights):
-    """Compress training results in order; returns
-    ``(payloads, buffer_deltas, losses, up_bytes_total)``.
+def compress_result(server, batch: Batch, result) -> None:
+    """The round's per-result sink: compress one training result into
+    ``batch`` — as its next payload, under the weight at that position —
+    and let go of its dense delta.
 
     Compression stays in the server process, in task order, so every
-    execution backend is bit-identical to serial execution.  Also fires
-    the sampler's update-norm feedback (see :func:`feed_update_norms`) —
-    compression is the one seam every scheduler's results pass through,
-    and it runs first so privacy wrappers have recorded their noisy norms
-    before any sampler observes them.
+    execution backend is bit-identical to serial execution; called from
+    inside the backend's ``deliver`` hand-off, it is also what bounds a
+    dense Δ_i's life to "from its training to its compress".
+
+    Norm feedback rides here: samplers that opt in via
+    ``wants_update_norms`` (e.g. Optimal Client Sampling) receive
+    ``observe_update(client_id, norm)`` for every result that reaches
+    aggregation.  The norm comes from the *strategy's*
+    :meth:`~repro.compression.base.CompressionStrategy.feedback_norm` —
+    the raw ``‖Δ‖₂`` by default, but a privacy wrapper substitutes the
+    privatized (noisy) norm it recorded while compressing, so the hook
+    fires *after* this result's own ``client_compress``.  Sitting on the
+    one seam every scheduler's results pass through, the feedback flows
+    identically under all of them; samplers that don't opt in cost nothing.
     """
-    payloads: List[Tuple[int, float, object]] = []
-    buffer_deltas: List[np.ndarray] = []
-    losses: List[float] = []
-    up_bytes_total = 0
-    for result, weight in zip(results, weights):
-        payload = server.strategy.client_compress(
-            result.client_id, result.delta, float(weight)
+    cid = result.client_id
+    weight = batch.weights.item(len(batch.payloads))
+    payload = server.strategy.client_compress(cid, result.delta, weight)
+    if server.sampler.wants_update_norms:
+        server.sampler.observe_update(
+            cid, server.strategy.feedback_norm(cid, result.delta)
         )
-        payloads.append((result.client_id, float(weight), payload))
-        buffer_deltas.append(result.buffer_delta)
-        up_bytes_total += payload.upstream_bytes
-        losses.append(result.mean_loss)
-    if server.config.count_buffer_sync and server.view.num_buffer:
-        up_bytes_total += dense_bytes(server.view.num_buffer) * len(payloads)
-    feed_update_norms(server, results)
-    return payloads, buffer_deltas, losses, up_bytes_total
+    batch.payloads.append((cid, weight, payload))
+    batch.buffer_deltas.append(result.buffer_delta)
+    batch.losses.append(result.mean_loss)
+    batch.up_bytes += payload.upstream_bytes
 
 
 def apply_aggregate(server, payloads, buffer_deltas):
@@ -452,19 +450,23 @@ def enforce_quorum(server, round_idx: int, cohort: Cohort) -> None:
         )
 
 
-def train_clients(server, round_idx: int, client_ids, lrs, params, buffers):
-    """Local SGD for ``client_ids`` at learning rates ``lrs`` — the
-    execution-backend seam, and the only place a
+def plan_tasks(server, round_idx: int, client_ids, lrs):
+    """Work orders for local SGD on ``client_ids`` at learning rates
+    ``lrs`` — the only place a
     :class:`~repro.runtime.backends.ClientTask` is built.
 
-    All simulation substrates stop here: frozen global state (the current
-    globals, or an async job's dispatch-time snapshot) plus task orders go
-    to whatever :class:`~repro.runtime.backends.ExecutionBackend` the
-    config selected, and per-client deltas come back in task order.  Under
-    a device population every client runs its realized steps, whatever the
-    round shape; returns ``(results, work)``, ``work`` the realized
-    fraction per client.  Plain lists, not arrays: an async flush calls
-    this once per arrival, usually for one client.
+    Returns ``(tasks, work)``, ``work`` the realized work fraction per
+    client: under a device population every client runs its realized
+    steps, whatever the round shape.  Planned before anything trains so a
+    round can settle its aggregation weights first and compress each
+    result the moment the backend delivers it.  All simulation substrates
+    stop at ``server.backend.run_clients(tasks, params, buffers,
+    deliver)``: frozen global state (the current globals, or an async
+    job's dispatch-time snapshot) plus these task orders go to whatever
+    :class:`~repro.runtime.backends.ExecutionBackend` the config selected,
+    and per-client deltas come back one ``deliver(result)`` at a time, in
+    task order.  Plain lists, not arrays: an async flush plans once per
+    arrival, usually for one client.
     """
     steps = [None] * len(client_ids)  # full work: the trainer's default
     work = [1.0] * len(client_ids)
@@ -478,17 +480,20 @@ def train_clients(server, round_idx: int, client_ids, lrs, params, buffers):
         ClientTask(client_id=int(cid), lr=lr, round_idx=round_idx, local_steps=n)
         for cid, lr, n in zip(client_ids, lrs, steps)
     ]
-    return server.backend.run_clients(tasks, params, buffers), work
+    return tasks, work
 
 
 def train_cohort(server, round_idx: int, cohort: Cohort, with_stragglers: bool):
     """Train the selected cohort from the current globals, weighted by the
     sampler's unbiasedness correction; returns ``(batch, late)``.
 
-    ``with_stragglers`` also trains the cohort's stragglers, in the same
-    backend batch (per-client RNG streams are order-independent by
-    construction); ``late`` is their ``(result, work)`` pairs, for a
-    tiered scheduler to fold in when they arrive.
+    Each fast-tier result is compressed into ``batch`` as the backend
+    delivers it (:func:`compress_result`), so the round never holds more
+    than the one dense delta in hand.  ``with_stragglers`` also trains the
+    cohort's stragglers, in the same backend batch (per-client RNG streams
+    are order-independent by construction); ``late`` is their ``(result,
+    work)`` pairs, for a tiered scheduler to fold in when they arrive —
+    held across rounds, so detached from any backend-owned memory.
     """
     selection = cohort.selection
     ids = selection.participant_ids
@@ -496,18 +501,26 @@ def train_cohort(server, round_idx: int, cohort: Cohort, with_stragglers: bool):
         ids = np.concatenate([ids, cohort.straggler_ids])
     nu_s, nu_r = server._weights_for(selection.sticky_ids, selection.nonsticky_ids)
     lr = server.lr_schedule.at_round(round_idx - 1)
-    results, work = train_clients(
-        server, round_idx, ids, [lr] * len(ids),
-        server.global_params, server.global_buffers,
-    )
+    tasks, work = plan_tasks(server, round_idx, ids, [lr] * len(ids))
     n = selection.count
     fast_work = np.array(work[:n])
     batch = Batch(
-        results=list(results[:n]),
         weights=scale_by_work(np.concatenate([nu_s, nu_r]), fast_work),
         work=fast_work,
     )
-    return batch, list(zip(results[n:], work[n:]))
+    late: list = []
+
+    def deliver(result) -> None:
+        # task order: the fast tier, then the stragglers
+        if len(batch.payloads) < n:
+            compress_result(server, batch, result)
+        else:
+            late.append((result.detach(), work[n + len(late)]))
+
+    server.backend.run_clients(
+        tasks, server.global_params, server.global_buffers, deliver
+    )
+    return batch, late
 
 
 def close_round(
@@ -517,22 +530,26 @@ def close_round(
     selection: Optional[ParticipantSelection] = None,
     why_empty: str = "no participants survived",
 ):
-    """Compress, aggregate, update the model and end the strategy round.
+    """Compress what is still dense, aggregate, update the model and end
+    the strategy round.
 
-    An empty batch aggregates nothing: the round is left for
-    :func:`strategy_round` to abort, and unless ``skip_empty_rounds`` asks
-    for a zero-participant record the run stops with ``why_empty``.
+    ``batch.pending`` — updates whose weight was only known once the batch
+    was complete — are compressed here, in order, each let go as soon as
+    it is a payload.  An empty batch aggregates nothing: the round is left
+    for :func:`strategy_round` to abort, and unless ``skip_empty_rounds``
+    asks for a zero-participant record the run stops with ``why_empty``.
     ``selection`` is the cohort the sampler's sticky-group bookkeeping
     rotates on (``None`` under async: rebalancing is a cohort concept).
     """
-    payloads, buffer_deltas, rnd.losses, rnd.up_bytes = compress_results(
-        server, batch.results, batch.weights
-    )
-    if not payloads:
+    while batch.pending:
+        compress_result(server, batch, batch.pending.pop(0))
+    if server.config.count_buffer_sync and server.view.num_buffer:
+        batch.up_bytes += dense_bytes(server.view.num_buffer) * len(batch.payloads)
+    if not batch.payloads:
         if not server.config.skip_empty_rounds:
             raise RuntimeError(f"round {rnd.round_idx}: {why_empty}")
         return
-    agg = apply_aggregate(server, payloads, buffer_deltas)
+    agg = apply_aggregate(server, batch.payloads, batch.buffer_deltas)
     if selection is not None:
         server.sampler.complete_round(selection.sticky_ids, selection.nonsticky_ids)
     server.strategy.end_round(agg, rnd.round_idx)
@@ -546,7 +563,7 @@ def make_record(
     round's :class:`~repro.fl.metrics.RoundRecord` — the only place one is
     built; ``ledger`` carries the caller's clock and candidate fields."""
     cfg = server.config
-    round_idx, losses = rnd.round_idx, rnd.losses
+    round_idx, losses = rnd.round_idx, batch.losses
     accuracy = None
     if round_idx % cfg.eval_every == 0 or round_idx == cfg.rounds:
         accuracy = server.evaluate()
@@ -557,7 +574,7 @@ def make_record(
     return RoundRecord(
         round_idx=round_idx,
         down_bytes=down_bytes,
-        up_bytes=rnd.up_bytes,
+        up_bytes=batch.up_bytes,
         num_participants=len(losses),
         train_loss=float(np.mean(losses)) if losses else 0.0,
         accuracy=accuracy,

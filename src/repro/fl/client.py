@@ -106,9 +106,13 @@ class LocalTrainer:
             losses.append(self.loss(logits, yb))
             self.model.backward(self.loss.backward())
             optimizer.step()
-        delta = self.view.get_flat() - global_params
+        # get_flat() is already a fresh copy: subtract into it, one d-sized
+        # vector per task instead of two
+        delta = self.view.get_flat()
+        np.subtract(delta, global_params, out=delta)
         if self.view.num_buffer:
-            buffer_delta = self.view.get_buffers_flat() - global_buffers
+            buffer_delta = self.view.get_buffers_flat()
+            np.subtract(buffer_delta, global_buffers, out=buffer_delta)
         else:
             buffer_delta = np.zeros(0, dtype=self.dtype)
         return LocalResult(

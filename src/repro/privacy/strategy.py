@@ -56,10 +56,11 @@ Two modes:
     withhold.
 
 Both modes feed norm-aware samplers the *privatized* norm: the engine's
-``feed_update_norms`` hook asks :meth:`PrivateStrategy.feedback_norm`,
-which reports the L2 norm of the values actually uploaded (noisy under
-``gaussian``) instead of the raw local update — Optimal Client Sampling
-under privacy noise never sees a clean norm.
+per-result sink (``repro.engine.steps.compress_result``) asks
+:meth:`PrivateStrategy.feedback_norm` right after that client's own
+``client_compress``, which reports the L2 norm of the values actually
+uploaded (noisy under ``gaussian``) instead of the raw local update —
+Optimal Client Sampling under privacy noise never sees a clean norm.
 
 >>> import numpy as np
 >>> from repro.compression import FedAvgStrategy

@@ -22,8 +22,11 @@ Two orthogonal knobs, both selected through
 All three backends produce **bit-identical** training results for the same
 seed: each client's mini-batch stream comes from its own named RNG
 (``RngFactory(f"client/{cid}/round/{t}")``), so per-client results are
-independent of execution order, and the server compresses/aggregates the
-returned deltas in the same deterministic order regardless of backend.
+independent of execution order, and every backend *delivers* each result
+to the round (``run_clients(tasks, params, buffers, deliver)``: one
+``deliver(result)`` per task, in task order, on the calling thread), which
+compresses it on the spot — the same deterministic order regardless of
+backend, with one dense delta alive at a time instead of the whole cohort's.
 
 ``dtype`` — *in what precision* the whole run executes: ``"float64"``
 (default, the seed behavior), ``"float32"``, or the 2-byte storage mode

@@ -3,11 +3,14 @@
 The FL round is embarrassingly parallel on the client side: every
 participant trains from the *same frozen* global parameters with its own
 named RNG stream, so client results do not depend on execution order.  A
-backend receives the round's :class:`ClientTask` list plus the frozen
-``global_params``/``global_buffers`` and returns one :class:`ClientResult`
-per task, **in task order** — the server then compresses and aggregates in
-that deterministic order, which is what makes every backend bit-identical
-to serial execution.
+backend receives the round's :class:`ClientTask` list, the frozen
+``global_params``/``global_buffers`` and a ``deliver`` callable, and hands
+``deliver`` one :class:`ClientResult` per task, **in task order, on the
+calling thread**, as soon as that result and every one before it exist —
+the round compresses inside ``deliver`` and drops the result, in that
+deterministic order, which is what makes every backend bit-identical to
+serial execution and keeps one dense delta alive where a returned list
+would keep all of them.
 
 Backends
 --------
@@ -28,9 +31,11 @@ from __future__ import annotations
 
 import os
 import queue
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -51,6 +56,7 @@ __all__ = [
     "BACKENDS",
     "ClientTask",
     "ClientResult",
+    "Deliver",
     "WorkerSpec",
     "ExecutionBackend",
     "SerialBackend",
@@ -95,9 +101,9 @@ class ClientTask:
 
 @dataclass
 class ClientResult:
-    """One participant's training outcome, as returned by a backend.
+    """One participant's training outcome, as delivered by a backend.
 
-    The process backend returns ``delta``/``buffer_delta`` as **views into
+    The process backend delivers ``delta``/``buffer_delta`` as **views into
     a shared-memory result ring** that is reclaimed at the next
     ``run_clients`` call.  Consumers that hold a result across dispatches
     (the async arrival buffer, semi-async stragglers) must call
@@ -119,6 +125,10 @@ class ClientResult:
         if self.buffer_delta.base is not None:
             self.buffer_delta = self.buffer_delta.copy()
         return self
+
+
+#: the round's per-result sink (see :meth:`ExecutionBackend.run_clients`)
+Deliver = Callable[[ClientResult], None]
 
 
 @dataclass
@@ -232,8 +242,18 @@ class ExecutionBackend:
         tasks: Sequence[ClientTask],
         global_params: np.ndarray,
         global_buffers: np.ndarray,
-    ) -> List[ClientResult]:
-        """Train every task's client; results are returned in task order."""
+        deliver: Deliver,
+    ) -> None:
+        """Train every task's client, handing each result to ``deliver``.
+
+        ``deliver(result)`` is called once per task, in task order, on the
+        calling thread, as soon as that result and all before it exist;
+        nothing is returned and the backend keeps no reference to a
+        delivered result, so a dense delta lives only as long as its
+        consumer holds it.  An exception — from a task's training or from
+        ``deliver`` — propagates as itself once no task of this call is
+        still running; results after it are never delivered.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -266,14 +286,15 @@ class SerialBackend(ExecutionBackend):
         tasks: Sequence[ClientTask],
         global_params: np.ndarray,
         global_buffers: np.ndarray,
-    ) -> List[ClientResult]:
-        return [
-            _run_one(
-                self.trainer, self.rngs, self.spec.clients, task,
-                global_params, global_buffers,
+        deliver: Deliver,
+    ) -> None:
+        for task in tasks:
+            deliver(
+                _run_one(
+                    self.trainer, self.rngs, self.spec.clients, task,
+                    global_params, global_buffers,
+                )
             )
-            for task in tasks
-        ]
 
 
 class ThreadBackend(ExecutionBackend):
@@ -355,6 +376,16 @@ class ThreadBackend(ExecutionBackend):
         finally:
             self._replicas.put(trainer)
 
+    def _run_tasks(
+        self,
+        group: Sequence[ClientTask],
+        global_params: np.ndarray,
+        global_buffers: np.ndarray,
+    ) -> List[ClientResult]:
+        return [
+            self._run_task(task, global_params, global_buffers) for task in group
+        ]
+
     def _run_group(
         self,
         group: Sequence[ClientTask],
@@ -379,10 +410,7 @@ class ThreadBackend(ExecutionBackend):
         except RaggedBatchError:
             # a client in the group yields short batches — the whole group
             # retrains serially (RNG streams are per-call, so no state leaks)
-            return [
-                self._run_task(task, global_params, global_buffers)
-                for task in group
-            ]
+            return self._run_tasks(group, global_params, global_buffers)
         finally:
             self._batched.put(trainer)
         return [
@@ -398,23 +426,13 @@ class ThreadBackend(ExecutionBackend):
             )
         ]
 
-    def run_clients(
-        self,
-        tasks: Sequence[ClientTask],
-        global_params: np.ndarray,
-        global_buffers: np.ndarray,
-    ) -> List[ClientResult]:
+    def _chunks(self, tasks: Sequence[ClientTask]) -> List[List[int]]:
+        """Task indices per pool job: one task each, or — batched — the
+        tasks sharing a realized ``(steps, lr)`` in chunks of up to
+        ``batch_replicas`` (differing shard sizes are fine: the batched
+        trainer pads ragged steps with masked rows)."""
         if self._batched is None:
-            futures = [
-                self._pool.submit(
-                    self._run_task, task, global_params, global_buffers
-                )
-                for task in tasks
-            ]
-            return [f.result() for f in futures]
-        # group by realized (steps, lr) — differing shard sizes are fine
-        # (the batched trainer pads ragged steps with masked rows) — then
-        # chunk each group to the replica cap, remembering task order
+            return [[i] for i in range(len(tasks))]
         grouped: Dict[tuple, List[int]] = {}
         for i, task in enumerate(tasks):
             steps = (
@@ -423,26 +441,47 @@ class ThreadBackend(ExecutionBackend):
                 else self.spec.local_steps
             )
             grouped.setdefault((steps, task.lr), []).append(i)
-        futures = []
-        for indices in grouped.values():
-            for start in range(0, len(indices), self.batch_replicas):
-                chunk = indices[start : start + self.batch_replicas]
-                futures.append(
-                    (
-                        chunk,
-                        self._pool.submit(
-                            self._run_group,
-                            [tasks[i] for i in chunk],
-                            global_params,
-                            global_buffers,
-                        ),
-                    )
-                )
-        results: List[Optional[ClientResult]] = [None] * len(tasks)
-        for chunk, future in futures:
-            for i, res in zip(chunk, future.result()):
-                results[i] = res
-        return results  # type: ignore[return-value]
+        return [
+            indices[start : start + self.batch_replicas]
+            for indices in grouped.values()
+            for start in range(0, len(indices), self.batch_replicas)
+        ]
+
+    def run_clients(
+        self,
+        tasks: Sequence[ClientTask],
+        global_params: np.ndarray,
+        global_buffers: np.ndarray,
+        deliver: Deliver,
+    ) -> None:
+        run = self._run_tasks if self._batched is None else self._run_group
+        chunks = self._chunks(tasks)
+        futures: List[Optional[Future]] = [
+            self._pool.submit(
+                run, [tasks[i] for i in chunk], global_params, global_buffers
+            )
+            for chunk in chunks
+        ]
+        # a job's results wait here only until every earlier task has been
+        # delivered — per-task jobs never wait, a batched chunk's do when
+        # its group interleaves with another's in task order
+        waiting: Dict[int, ClientResult] = {}
+        delivered = 0
+        try:
+            for job, chunk in enumerate(chunks):
+                waiting.update(zip(chunk, futures[job].result()))
+                futures[job] = None  # a done future keeps its results alive
+                while delivered in waiting:
+                    deliver(waiting.pop(delivered))
+                    delivered += 1
+        except BaseException:
+            # leave no job of this call behind: queued ones are cancelled,
+            # running ones finish and put their replica back
+            live = [f for f in futures if f is not None]
+            for future in live:
+                future.cancel()
+            wait(live)
+            raise
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -502,10 +541,19 @@ def _process_worker_init(
 
 def _process_worker_run(task: ClientTask):
     ctx = _worker_ctx
-    result = _run_one(
-        ctx["trainer"], ctx["rngs"], ctx["spec"].clients, task,
-        ctx["params"], ctx["buffers"],
-    )
+    try:
+        result = _run_one(
+            ctx["trainer"], ctx["rngs"], ctx["spec"].clients, task,
+            ctx["params"], ctx["buffers"],
+        )
+    except Exception as exc:
+        # returned, not raised: map() comes back on the first raise while
+        # the other tasks keep running and claiming ring slots, and the
+        # parent must not reset the ring under them.  Unpickles as ``exc``
+        # itself with the worker's traceback as its cause, like a raise.
+        from multiprocessing.pool import ExceptionWithTraceback
+
+        return ExceptionWithTraceback(exc, exc.__traceback__)
     cursor = ctx["res_cursor"]
     if cursor is None:
         return result
@@ -551,7 +599,7 @@ class ProcessBackend(ExecutionBackend):
     of ``max_in_flight`` slots of ``d + num_buffer`` elements each, workers
     claim slots through a shared cursor and write their deltas in place,
     and only a tiny slot descriptor crosses the pickle channel.  The parent
-    hands back :class:`ClientResult` objects whose arrays **view** the ring.
+    delivers :class:`ClientResult` objects whose arrays **view** the ring.
 
     Ownership handoff: each ``run_clients`` call bumps the ring epoch and
     resets the cursor, reclaiming every slot of the previous dispatch —
@@ -642,7 +690,8 @@ class ProcessBackend(ExecutionBackend):
         tasks: Sequence[ClientTask],
         global_params: np.ndarray,
         global_buffers: np.ndarray,
-    ) -> List[ClientResult]:
+        deliver: Deliver,
+    ) -> None:
         spec = self.spec
         self._flat[: spec.d] = global_params
         if spec.num_buffer:
@@ -654,11 +703,14 @@ class ProcessBackend(ExecutionBackend):
             self._res_cursor.value = 0
             if self._shared_epoch is not None:
                 self._shared_epoch.value = self._epoch
-        # map() preserves task order, so aggregation order matches serial
+        # map() preserves task order, so aggregation order matches serial;
+        # every delta already sits in the ring (not on this heap), so
+        # delivering after the one map() costs no dense copy
         raw = self._pool.map(_process_worker_run, tasks, chunksize=1)
         d, stride = spec.d, self._stride
-        out: List[ClientResult] = []
         for r in raw:
+            if isinstance(r, Exception):
+                raise r
             if isinstance(r, _SlotResult):
                 base = r.slot * stride
                 delta = self._res[base : base + d]
@@ -675,18 +727,14 @@ class ProcessBackend(ExecutionBackend):
                     )
                     delta = _sanitize.guard(delta, tag)
                     buffer_delta = _sanitize.guard(buffer_delta, tag)
-                out.append(
-                    ClientResult(
-                        client_id=r.client_id,
-                        delta=delta,
-                        buffer_delta=buffer_delta,
-                        num_samples=r.num_samples,
-                        mean_loss=r.mean_loss,
-                    )
+                r = ClientResult(
+                    client_id=r.client_id,
+                    delta=delta,
+                    buffer_delta=buffer_delta,
+                    num_samples=r.num_samples,
+                    mean_loss=r.mean_loss,
                 )
-            else:
-                out.append(r)
-        return out
+            deliver(r)
 
     def _cleanup_shared(self) -> None:
         """Close + unlink both segments; tolerates partially-built state."""

@@ -116,12 +116,13 @@ def test_ring_result_touch_after_reclaim_raises(tiny_dataset):
     spec.d, spec.num_buffer = len(params), len(buffers)
     tasks = [ClientTask(client_id=c, lr=0.05, round_idx=1) for c in (1, 2)]
     with ProcessBackend(spec, workers=2) as backend:
-        first = backend.run_clients(tasks, params, buffers)
+        first = []
+        backend.run_clients(tasks, params, buffers, first.append)
         stale = first[0]  # deliberately NOT detached
         kept = first[1].detach()
         kept_before = kept.delta.copy()
         float(stale.delta[0])  # same dispatch: fine
-        backend.run_clients(tasks, params, buffers)  # ring reclaimed
+        backend.run_clients(tasks, params, buffers, lambda r: None)  # ring reclaimed
         with pytest.raises(SanitizerError, match="result-ring"):
             stale.delta[0]
         # a detached result owns its memory and survives the reclaim

@@ -443,9 +443,9 @@ class RecordingBackend:
         self.inner = inner
         self.batch_sizes = []
 
-    def run_clients(self, tasks, global_params, global_buffers):
+    def run_clients(self, tasks, global_params, global_buffers, deliver):
         self.batch_sizes.append(len(tasks))
-        return self.inner.run_clients(tasks, global_params, global_buffers)
+        self.inner.run_clients(tasks, global_params, global_buffers, deliver)
 
     def close(self):
         self.inner.close()
@@ -598,7 +598,7 @@ def test_config_rejects_draw_only_samplers_under_async(tiny_dataset):
 class ExplodingBackend:
     """A backend whose dispatch always fails (simulated worker crash)."""
 
-    def run_clients(self, tasks, global_params, global_buffers):
+    def run_clients(self, tasks, global_params, global_buffers, deliver):
         raise OSError("worker pool died")
 
     def close(self):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,37 @@ def test_buffer_delta_tracks_bn_stats(rng):
     np.testing.assert_allclose(
         view.get_buffers_flat(), buffers_before + result.buffer_delta
     )
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_delta_built_in_place_is_the_plain_difference_bit_for_bit(rng, dtype):
+    """``run`` subtracts the globals into ``get_flat()``'s copy instead of
+    allocating ``get_flat() - global`` — the same IEEE operation in the same
+    dtype, so the bytes (SHA-256 of delta + buffer delta) are those of the
+    two-vector expression evaluated on the trained model."""
+    model = build_model(
+        "cnn", in_channels=1, num_classes=4, image_size=8, rng=rng,
+        dtype=np.dtype(dtype), widths=(4,),
+    )
+    view = FlatParamView(model)
+    assert view.dtype == np.dtype(dtype) and view.num_buffer > 0
+    theta, bufs = view.get_flat(), view.get_buffers_flat()
+    shard = ClientDataset(
+        x=rng.normal(size=(24, 1, 8, 8)), y=rng.integers(0, 4, 24), client_id=0
+    )
+    trainer = LocalTrainer(model, local_steps=3, batch_size=8)
+    result = trainer.run(theta, bufs, shard, 0.05, rng)
+
+    def digest(delta, buffer_delta):
+        assert delta.dtype == buffer_delta.dtype == np.dtype(dtype)
+        return hashlib.sha256(delta.tobytes() + buffer_delta.tobytes()).hexdigest()
+
+    assert digest(result.delta, result.buffer_delta) == digest(
+        view.get_flat() - theta, view.get_buffers_flat() - bufs
+    )
+    assert np.abs(result.delta).max() > 0 and np.abs(result.buffer_delta).max() > 0
+    # owned memory, not a view: ClientResult.detach() must stay a no-op on it
+    assert result.delta.base is None and result.buffer_delta.base is None
 
 
 def test_training_is_deterministic_given_rng(rng):

@@ -183,9 +183,9 @@ class _TaskSpyBackend:
         self.inner = inner
         self.tasks = []
 
-    def run_clients(self, tasks, global_params, global_buffers):
+    def run_clients(self, tasks, global_params, global_buffers, deliver):
         self.tasks.extend(tasks)
-        return self.inner.run_clients(tasks, global_params, global_buffers)
+        self.inner.run_clients(tasks, global_params, global_buffers, deliver)
 
     def close(self):
         self.inner.close()
