@@ -17,8 +17,6 @@ the downstream staleness problem: the active set drifts between rounds.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from repro.compression.base import AggregateResult, ClientPayload, CompressionStrategy
@@ -118,18 +116,21 @@ class APFStrategy(CompressionStrategy):
         )
 
     # -- server side -----------------------------------------------------------------
-    def aggregate(
-        self, payloads: Sequence[Tuple[int, float, ClientPayload]]
-    ) -> AggregateResult:
+    def _new_sums(self):
+        # the sum on the round's active set — fixed from begin_round to
+        # end_round, so every values-only payload of the round aligns with it
+        active_idx = np.flatnonzero(self.active_mask())
+        return active_idx, np.zeros(len(active_idx), dtype=self.dtype)
+
+    def fold(self, weight: float, payload: ClientPayload) -> None:
+        _, acc = self._open_sums()
+        self.sharding.fold_dense(acc, weight, payload.data["vals"])
+
+    def aggregate(self) -> AggregateResult:
         self._check_setup()
+        active_idx, acc = self._close_sums()
         global_delta = np.zeros(self.d, dtype=self.dtype)
-        active_idx = None
-        for _, weight, payload in payloads:
-            idx = payload.data["idx"]
-            global_delta[idx] += weight * payload.data["vals"]
-            active_idx = idx
-        if active_idx is None:
-            active_idx = np.empty(0, dtype=np.int64)
+        global_delta[active_idx] = acc
         return AggregateResult(global_delta=global_delta, changed_idx=active_idx)
 
     def end_round(self, agg: AggregateResult, round_idx: int) -> None:

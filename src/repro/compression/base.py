@@ -1,15 +1,17 @@
 """Strategy interface between the FL server and a masking/compression scheme.
 
 The server round loop (:mod:`repro.fl.server`) is strategy-agnostic; a
-:class:`CompressionStrategy` plugs in at four points:
+:class:`CompressionStrategy` plugs in at five points:
 
 1. ``begin_round`` — per-round state decisions (e.g. GlueFL's shared-mask
    regeneration schedule);
 2. ``client_compress`` — turn a client's raw local delta into an upstream
    payload (with its wire size);
-3. ``aggregate`` — combine weighted payloads into the global update and
-   report which coordinates changed (what staleness tracking records);
-4. ``end_round`` — post-update state transitions (mask shift, APF freeze).
+3. ``fold`` — add one weighted payload into the round's open sums, the
+   moment it is compressed (the round keeps sums, never its K payloads);
+4. ``aggregate`` — finish the round from those sums into the global update
+   and report which coordinates changed (what staleness tracking records);
+5. ``end_round`` — post-update state transitions (mask shift, APF freeze).
 
 Everything a strategy sends downstream beyond the staleness-driven value
 sync (e.g. GlueFL's shared-mask bitmap) is reported via
@@ -19,7 +21,7 @@ sync (e.g. GlueFL's shared-mask bitmap) is reported via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -86,7 +88,7 @@ class AggregateResult:
 
 
 class CompressionStrategy:
-    """Base class; subclasses override the four hook points."""
+    """Base class; subclasses override the hook points."""
 
     name: str = "base"
 
@@ -109,6 +111,10 @@ class CompressionStrategy:
         #: the :class:`repro.sharding.ShardingRuntime` whose kernels this
         #: strategy aggregates and selects through; bound by :meth:`setup`
         self.sharding = None
+        #: the round's open sums (:meth:`_new_sums`): opened by its first
+        #: :meth:`fold`, closed by :meth:`aggregate`, dropped by
+        #: :meth:`abort_round`
+        self._sums = None
 
     # -- lifecycle -----------------------------------------------------------
     def setup(self, d: int, rng: np.random.Generator, dtype=np.float64) -> None:
@@ -120,9 +126,9 @@ class CompressionStrategy:
         Leaves a one-shard :class:`~repro.sharding.ShardingRuntime` bound
         as ``self.sharding``, so a strategy is usable after ``setup()``
         alone; the server re-binds its configured one.  A strategy bound
-        again starts over: the conventional ``self.residuals`` store is
-        reset (its mode and LRU bound stay), so no run compensates with
-        another run's residuals.
+        again starts over: open sums are dropped and the conventional
+        ``self.residuals`` store is reset (its mode and LRU bound stay),
+        so no run compensates with another run's residuals.
         """
         if d <= 0:
             raise ValueError(f"model dimension must be positive, got {d}")
@@ -132,6 +138,7 @@ class CompressionStrategy:
         self.d = d
         self.dtype = np.dtype(dtype)
         self.sharding = ShardingRuntime(d, 1)
+        self._sums = None
         store = getattr(self, "residuals", None)
         if store is not None:
             store.reset()
@@ -201,11 +208,39 @@ class CompressionStrategy:
         raise NotImplementedError
 
     # -- server side -------------------------------------------------------------
-    def aggregate(
-        self, payloads: Sequence[Tuple[int, float, ClientPayload]]
-    ) -> AggregateResult:
-        """Combine ``(client_id, weight, payload)`` triples into the update."""
+    def fold(self, weight: float, payload: ClientPayload) -> None:
+        """Add one compressed update, under its aggregation weight ν, into
+        the round's open sums (the first fold of a round opens them).
+
+        The engine folds each payload right after its ``client_compress``
+        and lets it go, in aggregation order — so a round holds its sums,
+        never its K payloads, and every coordinate receives the same adds
+        in the same order a list-at-once sum would give it.
+        """
         raise NotImplementedError
+
+    def aggregate(self) -> AggregateResult:
+        """Finish the round from its open sums, and close them.
+
+        Called once per closed round, after its last :meth:`fold`; a round
+        nothing was folded into aggregates empty sums.
+        """
+        raise NotImplementedError
+
+    def _new_sums(self):
+        """Fresh zeroed open sums for one round (whatever :meth:`fold` and
+        :meth:`aggregate` of the subclass need)."""
+        raise NotImplementedError
+
+    def _open_sums(self):
+        if self._sums is None:
+            self._sums = self._new_sums()
+        return self._sums
+
+    def _close_sums(self):
+        sums = self._open_sums()
+        self._sums = None
+        return sums
 
     def end_round(self, agg: AggregateResult, round_idx: int) -> None:
         """Post-aggregation state transitions (mask updates, freezing)."""
@@ -214,11 +249,15 @@ class CompressionStrategy:
         """Close a round that opened but aggregated nothing.
 
         Every ``begin_round`` is matched by exactly one of ``end_round``
-        (normal path) or ``abort_round`` (nobody survived a sync round, or
-        an async flush came up empty).  Strategies whose round schedule is
-        stateful (e.g. GlueFL's shared-mask regeneration cadence) use this
-        to keep the schedule from drifting; the default is a no-op.
+        (normal path) or ``abort_round`` (nobody survived a sync round, an
+        async flush came up empty, or the round raised — possibly after
+        some updates were folded).  The round's open sums are dropped.
+        Strategies whose round schedule is stateful (e.g. GlueFL's
+        shared-mask regeneration cadence) extend this to keep the schedule
+        from drifting; wrapper strategies must delegate to their inner
+        strategy.
         """
+        self._sums = None
 
     # -- engine feedback ---------------------------------------------------------
     def feedback_norm(self, client_id: int, delta: np.ndarray) -> float:

@@ -8,8 +8,6 @@ FedAvg's downstream volume the yardstick in Table 2.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from repro.compression.base import AggregateResult, ClientPayload, CompressionStrategy
@@ -37,13 +35,17 @@ class FedAvgStrategy(CompressionStrategy):
             data={"dense": delta.copy()},
         )
 
-    def aggregate(
-        self, payloads: Sequence[Tuple[int, float, ClientPayload]]
-    ) -> AggregateResult:
+    def _new_sums(self):
+        # freshly allocated, never the recycled (memmap) accumulator: the
+        # dense sum *is* the global delta, which outlives the round
+        return np.zeros(self.d, dtype=self.dtype)
+
+    def fold(self, weight: float, payload: ClientPayload) -> None:
+        self.sharding.fold_dense(self._open_sums(), weight, payload.data["dense"])
+
+    def aggregate(self) -> AggregateResult:
         self._check_setup()
-        acc = self.sharding.dense_weighted_sum(
-            payloads, key="dense", dtype=self.dtype
-        )
         return AggregateResult(
-            global_delta=acc, changed_idx=np.arange(self.d, dtype=np.int64)
+            global_delta=self._close_sums(),
+            changed_idx=np.arange(self.d, dtype=np.int64),
         )

@@ -27,7 +27,7 @@ Two §3.3 refinements are included:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -161,19 +161,25 @@ class GlueFLMaskStrategy(CompressionStrategy):
         )
 
     # -- server side -----------------------------------------------------------------
-    def aggregate(
-        self, payloads: Sequence[Tuple[int, float, ClientPayload]]
-    ) -> AggregateResult:
+    def _new_sums(self):
+        # Eq. 5 on the shared mask (the server knows the positions, so the
+        # sum runs on length-|M| vectors) and Eq. 6's length-d accumulator
+        return (
+            np.zeros(len(self._effective_mask()), dtype=self.dtype),
+            self.sharding.accumulator(self.dtype),
+        )
+
+    def fold(self, weight: float, payload: ClientPayload) -> None:
+        shr_acc, uni_acc = self._open_sums()
+        data = payload.data
+        self.sharding.fold_dense(shr_acc, weight, data["shr_vals"])
+        self.sharding.fold_sparse(uni_acc, weight, data["idx"], data["vals"])
+
+    def aggregate(self) -> AggregateResult:
         self._check_setup()
         mask = self._effective_mask()
-
-        # Eq. 5: aggregation on the shared mask (the server knows the
-        # positions, so the sum runs on length-|M| vectors)
-        shr_acc = self.sharding.masked_weighted_sum(
-            payloads, mask, key="shr_vals", dtype=self.dtype
-        )
+        shr_acc, uni_acc = self._close_sums()
         # Eq. 6: top-(q - q_shr) of the aggregated unique parts
-        uni_acc = self.sharding.sparse_weighted_sum(payloads, dtype=self.dtype)
         keep = self.sharding.top_k_indices(uni_acc, self._k_unique())
         # global_delta is built fresh — it must not alias the shared-mask
         # accumulator (mask and keep are disjoint, but end_round and
@@ -199,12 +205,14 @@ class GlueFLMaskStrategy(CompressionStrategy):
             )
 
     def abort_round(self, round_idx: int) -> None:
-        """An opened round aggregated nothing: keep the regen schedule honest.
+        """An opened round aggregated nothing: drop its open sums and keep
+        the regen schedule honest.
 
         If the aborted round was a regeneration round, the regeneration has
         not actually happened — re-arm it so the next round that *does*
         aggregate runs as a regen round instead of silently skipping a
         whole ``regen_interval``.
         """
+        super().abort_round(round_idx)
         if self._regen_round:
             self._regen_pending = True

@@ -15,8 +15,6 @@ and ``"shr_vals"`` are value payloads (this holds for every strategy in
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from repro.compression.base import (
@@ -85,10 +83,12 @@ class QuantizedStrategy(CompressionStrategy):
         # GlueFL's pending mask regeneration)
         self.inner.abort_round(round_idx)
 
-    def aggregate(
-        self, payloads: Sequence[Tuple[int, float, ClientPayload]]
-    ) -> AggregateResult:
-        return self.inner.aggregate(payloads)
+    def fold(self, weight: float, payload: ClientPayload) -> None:
+        # the open sums are the inner strategy's: it aggregates them
+        self.inner.fold(weight, payload)
+
+    def aggregate(self) -> AggregateResult:
+        return self.inner.aggregate()
 
     def feedback_norm(self, client_id: int, delta) -> float:
         # a wrapped privacy layer's noisy norm must survive the stack

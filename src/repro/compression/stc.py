@@ -17,8 +17,6 @@ orthogonal extension).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from repro.compression.base import (
@@ -99,11 +97,17 @@ class STCStrategy(CompressionStrategy):
             data={"idx": idx, "vals": vals},
         )
 
-    def aggregate(
-        self, payloads: Sequence[Tuple[int, float, ClientPayload]]
-    ) -> AggregateResult:
+    def _new_sums(self):
+        return self.sharding.accumulator(self.dtype)
+
+    def fold(self, weight: float, payload: ClientPayload) -> None:
+        self.sharding.fold_sparse(
+            self._open_sums(), weight, payload.data["idx"], payload.data["vals"]
+        )
+
+    def aggregate(self) -> AggregateResult:
         self._check_setup()
-        acc = self.sharding.sparse_weighted_sum(payloads, dtype=self.dtype)
+        acc = self._close_sums()
         if self.server_residual:
             acc = acc + self._server_h
         keep = self.sharding.top_k_indices(acc, self._k)

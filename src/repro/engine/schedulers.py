@@ -300,9 +300,9 @@ class SemiAsyncScheduler(SyncScheduler):
             server.population.complete_work(cohort.selection.participant_ids)
             server.population.complete_work(due_ids)
 
-        # stale arrivals join after the fast tier (already compressed, as
-        # it trained), each with a discounted 1/K share (one fast-tier
-        # unit) scaled by the work it trained with
+        # stale arrivals join after the fast tier (already folded, as it
+        # trained), each with a discounted 1/K share (one fast-tier unit)
+        # scaled by the work it trained with
         kept = [a for a in due if t - a.dispatch_round <= self.max_lag]
         batch.taus = np.array([t - a.dispatch_round for a in kept], dtype=np.int64)
         work = np.array([a.work for a in kept])

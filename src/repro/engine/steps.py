@@ -1,13 +1,14 @@
 """The steps of one cohort round — Algorithm 1's round, written once.
 
 A round contacts an over-committed cohort, charges its downstream sync,
-keeps the first K per bucket (§5.6), trains, compresses and aggregates.
-Each of those is one plain function over the
+keeps the first K per bucket (§5.6), trains, compresses and folds each
+update into the strategy's open sums as it lands, and aggregates.  Each
+of those is one plain function over the
 :class:`~repro.fl.server.FLServer` state-holder; the schedulers in
 :mod:`repro.engine.schedulers` are *policies* that call them in order and
 differ only where their round shape does.  Nothing per-round lives on the
 server: a round's state is the :class:`Cohort` and :class:`Batch` the
-steps hand to each other.
+steps hand to each other, and the strategy's open sums.
 
 RNG consumers run in the order of the original monolithic loop — sampler
 draw → sticky ``survives_round`` → non-sticky ``survives_round``
@@ -20,11 +21,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Collection, List, Optional, Tuple
+from typing import Collection, List, Optional
 
 import numpy as np
 
-from repro.fl.aggregation import aggregate_buffer_deltas
+from repro.fl.aggregation import fold_buffer_delta, mean_buffer_delta
 from repro.fl.metrics import RoundRecord
 from repro.fl.samplers import SampleDraw
 from repro.fl.simulator import (
@@ -104,26 +105,28 @@ class Batch:
     realized work fraction per update, and the staleness τ of the stale
     ones (async buffer, semi-async fold-ins; ``None`` for a sync cohort).
 
-    An update is a compressed ``payload`` as soon as
-    :func:`compress_result` has seen it — a cohort's fast tier is, by the
-    time its training returns.  ``pending`` are the updates still dense
-    (stale arrivals, the async buffer: their weights are only known once
-    the batch is complete); they own the tail of ``weights`` and
-    :func:`close_round` compresses them before it aggregates, so
-    ``weights[i]`` is always the weight of the ``i``-th payload.
+    An update is compressed and folded into the strategy's open sums as
+    soon as :func:`compress_result` has seen it — a cohort's fast tier is,
+    by the time its training returns — and only its count, loss, bytes and
+    batch-norm buffer sum stay here.  ``pending`` are the updates still
+    dense (stale arrivals, the async buffer: their weights are only known
+    once the batch is complete); they own the tail of ``weights`` and
+    :func:`close_round` folds them before it aggregates, so ``weights[i]``
+    is always the weight of the ``i``-th fold.
     """
 
     weights: np.ndarray
     work: np.ndarray
     taus: Optional[np.ndarray] = None
     pending: list = field(default_factory=list)
-    #: ``(client_id, weight, payload)`` per compressed update, with its
-    #: batch-norm buffer delta and training loss alongside
-    payloads: List[Tuple[int, float, object]] = field(default_factory=list)
-    buffer_deltas: List[np.ndarray] = field(default_factory=list)
+    #: updates folded into the strategy's open sums so far
+    folded: int = 0
+    #: running sum of the folded updates' batch-norm buffer deltas
+    #: (``None`` before the first, and for a model without buffers)
+    buffer_sum: Optional[np.ndarray] = None
     losses: List[float] = field(default_factory=list)
-    #: the payloads' upstream bytes; :func:`close_round` adds the dense
-    #: batch-norm buffer shipment per update (``count_buffer_sync``)
+    #: the folded payloads' upstream bytes; :func:`close_round` adds the
+    #: dense batch-norm buffer shipment per update (``count_buffer_sync``)
     up_bytes: int = 0
 
 
@@ -183,14 +186,15 @@ def candidate_timings(
 
 
 def compress_result(server, batch: Batch, result) -> None:
-    """The round's per-result sink: compress one training result into
-    ``batch`` — as its next payload, under the weight at that position —
-    and let go of its dense delta.
+    """The round's per-result sink: compress one training result, under
+    the weight at ``batch``'s next position, fold the payload into the
+    strategy's open sums, and let go of both payload and dense delta.
 
-    Compression stays in the server process, in task order, so every
-    execution backend is bit-identical to serial execution; called from
-    inside the backend's ``deliver`` hand-off, it is also what bounds a
-    dense Δ_i's life to "from its training to its compress".
+    Compression and the fold stay in the server process, in task order, so
+    every execution backend is bit-identical to serial execution; called
+    from inside the backend's ``deliver`` hand-off, it is also what bounds
+    a dense Δ_i's life to "from its training to its compress" and a
+    payload's to its fold.
 
     Norm feedback rides here: samplers that opt in via
     ``wants_update_norms`` (e.g. Optimal Client Sampling) receive
@@ -203,27 +207,28 @@ def compress_result(server, batch: Batch, result) -> None:
     one seam every scheduler's results pass through, the feedback flows
     identically under all of them; samplers that don't opt in cost nothing.
     """
-    cid = result.client_id
-    weight = batch.weights.item(len(batch.payloads))
-    payload = server.strategy.client_compress(cid, result.delta, weight)
+    cid, strategy = result.client_id, server.strategy
+    weight = batch.weights.item(batch.folded)
+    payload = strategy.client_compress(cid, result.delta, weight)
+    strategy.fold(weight, payload)
+    batch.folded += 1
     if server.sampler.wants_update_norms:
-        server.sampler.observe_update(
-            cid, server.strategy.feedback_norm(cid, result.delta)
-        )
-    batch.payloads.append((cid, weight, payload))
-    batch.buffer_deltas.append(result.buffer_delta)
+        server.sampler.observe_update(cid, strategy.feedback_norm(cid, result.delta))
+    if server.view.num_buffer:
+        batch.buffer_sum = fold_buffer_delta(batch.buffer_sum, result.buffer_delta)
     batch.losses.append(result.mean_loss)
     batch.up_bytes += payload.upstream_bytes
 
 
-def apply_aggregate(server, payloads, buffer_deltas):
-    """Aggregate payloads into the global state + staleness ledger.
+def apply_aggregate(server, batch: Batch):
+    """Finish the strategy's open sums into the global state + staleness
+    ledger, and apply the mean of the batch's buffer deltas.
 
     The globals are *replaced*, never mutated — in-flight async jobs hold
     references to the pre-update arrays as their dispatch-time snapshots —
     and the new arrays are marked read-only to enforce that invariant.
     """
-    agg = server.strategy.aggregate(payloads)
+    agg = server.strategy.aggregate()
     params = server.sharding.elementwise_add(
         server.global_params, agg.global_delta
     )
@@ -233,8 +238,10 @@ def apply_aggregate(server, payloads, buffer_deltas):
         params = params.astype(server.global_params.dtype)
     params.flags.writeable = False
     server.global_params = params
-    if server.view.num_buffer and buffer_deltas:
-        buffers = server.global_buffers + aggregate_buffer_deltas(buffer_deltas)
+    if batch.buffer_sum is not None:
+        buffers = server.global_buffers + mean_buffer_delta(
+            batch.buffer_sum, batch.folded, server.global_buffers.dtype
+        )
         buffers.flags.writeable = False
         server.global_buffers = buffers
     server.staleness.record_update(agg.changed_idx)
@@ -270,7 +277,9 @@ def strategy_round(server, round_idx: int):
     The single lifecycle guard: leaving the block before :func:`close_round`
     ended the round — an empty cohort, a draw the sampler raises on, a
     crashing backend — aborts it, so a caller that catches the error and
-    keeps training holds balanced strategy state.  Work that can fail
+    keeps training holds balanced strategy state: whatever was already
+    folded into the strategy's open sums is dropped (clients compressed
+    before the failure keep their recorded residuals).  Work that can fail
     *after* the close (evaluation, the record) belongs outside the block.
     """
     server.strategy.begin_round(round_idx)
@@ -487,13 +496,14 @@ def train_cohort(server, round_idx: int, cohort: Cohort, with_stragglers: bool):
     """Train the selected cohort from the current globals, weighted by the
     sampler's unbiasedness correction; returns ``(batch, late)``.
 
-    Each fast-tier result is compressed into ``batch`` as the backend
+    Each fast-tier result is compressed and folded as the backend
     delivers it (:func:`compress_result`), so the round never holds more
-    than the one dense delta in hand.  ``with_stragglers`` also trains the
-    cohort's stragglers, in the same backend batch (per-client RNG streams
-    are order-independent by construction); ``late`` is their ``(result,
-    work)`` pairs, for a tiered scheduler to fold in when they arrive —
-    held across rounds, so detached from any backend-owned memory.
+    than the one dense delta and its payload in hand.
+    ``with_stragglers`` also trains the cohort's stragglers, in the same
+    backend batch (per-client RNG streams are order-independent by
+    construction); ``late`` is their ``(result, work)`` pairs, for a tiered
+    scheduler to fold in when they arrive — held across rounds, so
+    detached from any backend-owned memory.
     """
     selection = cohort.selection
     ids = selection.participant_ids
@@ -512,7 +522,7 @@ def train_cohort(server, round_idx: int, cohort: Cohort, with_stragglers: bool):
 
     def deliver(result) -> None:
         # task order: the fast tier, then the stragglers
-        if len(batch.payloads) < n:
+        if batch.folded < n:
             compress_result(server, batch, result)
         else:
             late.append((result.detach(), work[n + len(late)]))
@@ -530,26 +540,27 @@ def close_round(
     selection: Optional[ParticipantSelection] = None,
     why_empty: str = "no participants survived",
 ):
-    """Compress what is still dense, aggregate, update the model and end
-    the strategy round.
+    """Fold what is still dense, aggregate, update the model and end the
+    strategy round.
 
     ``batch.pending`` — updates whose weight was only known once the batch
-    was complete — are compressed here, in order, each let go as soon as
-    it is a payload.  An empty batch aggregates nothing: the round is left
-    for :func:`strategy_round` to abort, and unless ``skip_empty_rounds``
-    asks for a zero-participant record the run stops with ``why_empty``.
-    ``selection`` is the cohort the sampler's sticky-group bookkeeping
-    rotates on (``None`` under async: rebalancing is a cohort concept).
+    was complete — are compressed and folded here, in order, each let go
+    as soon as it is folded.  An empty batch aggregates nothing: the round
+    is left for :func:`strategy_round` to abort, and unless
+    ``skip_empty_rounds`` asks for a zero-participant record the run stops
+    with ``why_empty``.  ``selection`` is the cohort the sampler's
+    sticky-group bookkeeping rotates on (``None`` under async: rebalancing
+    is a cohort concept).
     """
     while batch.pending:
         compress_result(server, batch, batch.pending.pop(0))
     if server.config.count_buffer_sync and server.view.num_buffer:
-        batch.up_bytes += dense_bytes(server.view.num_buffer) * len(batch.payloads)
-    if not batch.payloads:
+        batch.up_bytes += dense_bytes(server.view.num_buffer) * batch.folded
+    if not batch.folded:
         if not server.config.skip_empty_rounds:
             raise RuntimeError(f"round {rnd.round_idx}: {why_empty}")
         return
-    agg = apply_aggregate(server, batch.payloads, batch.buffer_deltas)
+    agg = apply_aggregate(server, batch)
     if selection is not None:
         server.sampler.complete_round(selection.sticky_ids, selection.nonsticky_ids)
     server.strategy.end_round(agg, rnd.round_idx)

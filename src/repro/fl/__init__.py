@@ -1,9 +1,10 @@
 """Federated-learning simulation engine."""
 
 from repro.fl.aggregation import (
-    aggregate_buffer_deltas,
     equal_weights,
     fedavg_weights,
+    fold_buffer_delta,
+    mean_buffer_delta,
     staleness_discounted_weights,
     sticky_weights,
 )
@@ -47,5 +48,6 @@ __all__ = [
     "sticky_weights",
     "equal_weights",
     "staleness_discounted_weights",
-    "aggregate_buffer_deltas",
+    "fold_buffer_delta",
+    "mean_buffer_delta",
 ]

@@ -8,12 +8,13 @@ makes the update unbiased.  ``equal_weights`` is the biased ``1/K`` variant
 used as the "GlueFL (Equal)" baseline of Fig. 5.
 
 Batch-norm running statistics bypass all of this: Appendix D aggregates
-their deltas as an unweighted mean over participants.
+their deltas as an unweighted mean over participants, summed as they
+arrive (``fold_buffer_delta``) and divided once (``mean_buffer_delta``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +24,8 @@ __all__ = [
     "equal_weights",
     "horvitz_thompson_weights",
     "staleness_discounted_weights",
-    "aggregate_buffer_deltas",
+    "fold_buffer_delta",
+    "mean_buffer_delta",
 ]
 
 
@@ -112,20 +114,27 @@ def staleness_discounted_weights(
     return s / s.sum()
 
 
-def aggregate_buffer_deltas(buffer_deltas: Sequence[np.ndarray]) -> np.ndarray:
-    """Appendix D: unweighted mean of non-trainable (BN statistic) deltas.
+def fold_buffer_delta(acc: Optional[np.ndarray], delta: np.ndarray) -> np.ndarray:
+    """Appendix D, one arrival at a time: add a non-trainable (BN
+    statistic) delta into the running sum ``acc`` (``None`` opens it) and
+    return the sum.
 
-    Half-precision runs accumulate in float32 (K small terms summed in a
-    2-byte float would lose whole contributions to rounding) and round the
-    mean back to the delta dtype once; float32/float64 runs accumulate in
-    their own dtype, bit-identical to the seed.
+    Half-precision deltas accumulate in float32 (K small terms summed in a
+    2-byte float would lose whole contributions to rounding);
+    float32/float64 deltas accumulate in their own dtype, bit-identical to
+    the seed.
     """
-    if not buffer_deltas:
+    if acc is None:
+        dt = delta.dtype
+        acc = np.zeros(delta.shape, dtype=np.float32 if dt.itemsize <= 2 else dt)
+    acc += delta
+    return acc
+
+
+def mean_buffer_delta(acc: Optional[np.ndarray], count: int, dtype) -> np.ndarray:
+    """The unweighted mean of the ``count`` deltas folded into ``acc``,
+    rounded back to the deltas' ``dtype`` once."""
+    if acc is None or count <= 0:
         raise ValueError("no buffer deltas to aggregate")
-    dt = buffer_deltas[0].dtype
-    acc_dt = np.dtype(np.float32) if dt.itemsize <= 2 else dt
-    acc = np.zeros(buffer_deltas[0].shape, dtype=acc_dt)
-    for delta in buffer_deltas:
-        acc += delta
-    mean = acc / len(buffer_deltas)
-    return mean.astype(dt) if acc_dt != dt else mean
+    mean = acc / count
+    return mean.astype(dtype) if mean.dtype != dtype else mean

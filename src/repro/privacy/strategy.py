@@ -71,7 +71,8 @@ Optimal Client Sampling under privacy noise never sees a clean norm.
 >>> payload = private.client_compress(0, np.full(4, 10.0), 1.0)
 >>> float(np.linalg.norm(payload.data["dense"])) < 20.0   # clipped + noise
 True
->>> agg = private.aggregate([(0, 1.0, payload)])
+>>> private.fold(1.0, payload)
+>>> agg = private.aggregate()
 >>> private.end_round(agg, 1)
 >>> 0.0 < private.privacy_epsilon_spent() < 3.0           # ε after 1 round
 True
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -304,10 +305,11 @@ class PrivateStrategy(CompressionStrategy):
     def nominal_upstream_bytes(self) -> int:
         return self.inner.nominal_upstream_bytes()
 
-    def aggregate(
-        self, payloads: Sequence[Tuple[int, float, ClientPayload]]
-    ) -> AggregateResult:
-        return self.inner.aggregate(payloads)
+    def fold(self, weight: float, payload: ClientPayload) -> None:
+        self.inner.fold(weight, payload)
+
+    def aggregate(self) -> AggregateResult:
+        return self.inner.aggregate()
 
     # -- the privatizing step -----------------------------------------------
     def client_compress(

@@ -8,9 +8,9 @@ through this package over contiguous coordinate-range shards; the default
 * :class:`ShardSpec` — the partition (``np.array_split`` convention);
 * :class:`ShardExecutor` — per-shard kernel dispatch over
   ``serial``/``thread``/``process`` backends;
-* :class:`ShardingRuntime` — the kernels every strategy aggregates
-  through (bound by ``CompressionStrategy.setup``, re-bound by the
-  server: optionally memmapped accumulator, release ledger);
+* :class:`ShardingRuntime` — the kernels every strategy folds and
+  selects through (bound by ``CompressionStrategy.setup``, re-bound by
+  the server: optionally memmapped accumulator, release ledger);
 * :class:`ShardedServerState` — the fully out-of-core surface: per-shard
   ``np.memmap`` parameters and a fused shard pass that never
   materializes a dense length-``d`` vector in RAM.

@@ -3,13 +3,16 @@
 Four kernels cover the whole GlueFL server hot path, and every run —
 one shard (the default) or many — executes exactly these:
 
-* **scatter** (:func:`shard_weighted_scatter`) — the shard's slice of
-  ``Σ ν_i · sparse_i`` (Eq. 6's accumulator).  A contiguous shard
-  preserves, for every coordinate, the exact sequence of adds it
-  receives, so the sum is bit-identical whatever the partition;
+* **scatter** (:func:`shard_weighted_scatter`) — ``Σ ν_i · sparse_i``
+  (Eq. 6's accumulator): one payload at a time over the whole sum when a
+  strategy folds (``lo = 0``), a shard's slice of a whole round in the
+  out-of-core state.  Either way every coordinate receives the exact
+  sequence of adds it would in one plain loop, so the sum is
+  bit-identical whatever the partition;
 * **slice sums** (:func:`shard_slice_weighted_sum`,
   :func:`shard_elementwise_add`) — shared-mask accumulation (Eq. 5), the
-  dense FedAvg sum and the model-update apply, trivially shard-local;
+  active-set and dense FedAvg sums (folded one payload at a time) and the
+  model-update apply, trivially shard-local;
 * **top-k** (:func:`shard_top_k`, :func:`shard_top_k_in_support`) — one
   shard's candidates for a global top-k, over its coordinate range or
   over its slice of a sorted support.  Any member of the global top-k is

@@ -7,7 +7,10 @@ One object carries the whole server-kernel path:
   second path but this one with a single task per kernel;
 * a :class:`~repro.sharding.executor.ShardExecutor` dispatching per-shard
   kernels over the configured backend (at most one task runs inline);
-* the length-``d`` accumulator of Eq. 6 — a fresh ``np.zeros`` per call,
+* the per-payload folds a strategy builds its round sums with — in the
+  calling process, over the whole sum (:meth:`ShardingRuntime.fold_sparse`,
+  :meth:`ShardingRuntime.fold_dense`);
+* the length-``d`` accumulator of Eq. 6 — a fresh ``np.zeros`` per round,
   or one recycled ``np.memmap`` file (``RunConfig.shard_mmap``) so the
   dense sum never lives in RAM;
 * a :class:`ShardReleaseLedger` counting released (changed) coordinates
@@ -123,14 +126,18 @@ class ShardingRuntime:
         return self._mmap_dir
 
     def accumulator(self, dtype) -> np.ndarray:
-        """A zeroed length-``d`` accumulator.
+        """A zeroed length-``d`` accumulator — Eq. 6's open sum.
 
-        In RAM it is a fresh ``np.zeros`` the caller owns — exactly what
-        the plain expression allocates, and nothing d-sized stays resident
-        between rounds.  With ``shard_mmap`` it is one ``np.memmap`` file
-        per dtype, recycled across calls, so the d-sized temporary of an
-        aggregation lives on disk; callers must then finish with it before
-        requesting the next accumulator of the same dtype.
+        A strategy requests it at a round's first ``fold`` and it stays
+        open, receiving one fold per update, until that round's
+        ``aggregate()`` (or ``abort_round``) closes it.  In RAM it is a
+        fresh ``np.zeros`` the caller owns — exactly what the plain
+        expression allocates, and nothing d-sized stays resident between
+        rounds.  With ``shard_mmap`` it is one ``np.memmap`` file per
+        dtype, recycled across calls, so the round's d-sized sum lives on
+        disk; a caller must then be done with it — its round aggregated or
+        aborted — before anyone requests the next accumulator of the same
+        dtype, which zeroes the file.
         """
         dtype = np.dtype(dtype)
         if not self.mmap:
@@ -193,30 +200,30 @@ class ShardingRuntime:
             for s in range(self.spec.count)
         ]
 
-    # -- sums -------------------------------------------------------------
-    def sparse_weighted_sum(
-        self,
-        payloads: Sequence[Tuple[int, float, object]],
-        key_idx: str = "idx",
-        key_vals: str = "vals",
-        dtype=np.float64,
+    # -- folds ------------------------------------------------------------
+    # A strategy's round sums grow one payload at a time, as each update is
+    # compressed (``CompressionStrategy.fold``).  A fold is O(payload) and
+    # mutates the sum across calls, so it runs in the calling process over
+    # the whole accumulator — shipping the accumulator to a shard worker per
+    # payload would cost d per fold.  Every coordinate still receives the
+    # same adds in the same order as under any partition: bit-identical.
+
+    @staticmethod
+    def fold_sparse(
+        acc: np.ndarray, weight: float, idx: np.ndarray, vals: np.ndarray
     ) -> np.ndarray:
-        """``Σ ν_i · sparse_i`` as one dense vector (Eq. 6's accumulator).
+        """``acc += weight · scatter(idx, vals)`` — one payload into a
+        length-``d`` sum (Eq. 6's accumulator); ``np.add.at`` lets indices
+        repeat across payloads."""
+        return shard_weighted_scatter(acc, 0, [(weight, idx, vals)])
 
-        ``np.add.at`` handles indices repeated across clients; top-k
-        indices arrive sorted, so each payload's scatter streams its
-        shard's slice of the accumulator in order.
-        """
-        tasks = [
-            (lo, items)
-            for (lo, _hi), items in zip(
-                self._bounds, self.payload_slices(payloads, key_idx, key_vals)
-            )
-        ]
-        return self._map_into(
-            shard_weighted_scatter, self.accumulator(dtype), self._bounds, tasks
-        )
+    @staticmethod
+    def fold_dense(acc: np.ndarray, weight: float, vals: np.ndarray) -> np.ndarray:
+        """``acc += weight · vals`` over aligned vectors — one payload into
+        Eq. 5's shared-mask sum, an active-set sum or the dense FedAvg sum."""
+        return shard_slice_weighted_sum(acc, [(weight, vals)])
 
+    # -- list-at-once sums (ShardedServerState) ---------------------------
     def masked_weighted_sum(
         self,
         payloads: Sequence[Tuple[int, float, object]],
@@ -224,7 +231,10 @@ class ShardingRuntime:
         key: str = "shr_vals",
         dtype=np.float64,
     ) -> np.ndarray:
-        """Eq. 5: ``Σ ν_i · vals_i`` on the shared mask.
+        """Eq. 5: ``Σ ν_i · vals_i`` on the shared mask, over a whole
+        round's payloads — the out-of-core
+        :class:`~repro.sharding.state.ShardedServerState` round; strategies
+        fold instead.
 
         ``payload.data[key]`` holds one value per (sorted) ``mask``
         position — the server knows the positions, so the sum runs on
@@ -232,34 +242,12 @@ class ShardingRuntime:
         shard partition of the mask splits every payload into aligned
         contiguous slices.
         """
-        return self._sliced_sum(
-            payloads, key, len(mask), self._split(mask), dtype
-        )
-
-    def dense_weighted_sum(
-        self,
-        payloads: Sequence[Tuple[int, float, object]],
-        key: str = "dense",
-        dtype=np.float64,
-    ) -> np.ndarray:
-        """The dense FedAvg sum ``Σ ν_i · Δ_i``.
-
-        Freshly allocated (never the recycled memmap): the dense sum *is*
-        the global delta, which outlives the aggregation call.
-        """
-        return self._sliced_sum(payloads, key, self.d, self._bounds, dtype)
-
-    def _sliced_sum(self, payloads, key, length, bounds, dtype) -> np.ndarray:
+        bounds = self._split(mask)
         tasks = [
-            (
-                [
-                    (weight, payload.data[key][a:b])
-                    for _, weight, payload in payloads
-                ],
-            )
+            ([(weight, payload.data[key][a:b]) for _, weight, payload in payloads],)
             for a, b in bounds
         ]
-        out = np.zeros(length, dtype=np.dtype(dtype))
+        out = np.zeros(len(mask), dtype=np.dtype(dtype))
         return self._map_into(shard_slice_weighted_sum, out, bounds, tasks)
 
     # -- selection --------------------------------------------------------

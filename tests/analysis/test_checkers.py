@@ -264,7 +264,7 @@ def test_lifecycle_flags_unpaired_begin():
             """
             def run_round(strategy):
                 strategy.begin_round(1)
-                return strategy.aggregate([])
+                return strategy.aggregate()
             """
         ),
         "src/repro/example.py",

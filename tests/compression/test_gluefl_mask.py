@@ -6,6 +6,7 @@ import pytest
 from repro.compression import ErrorCompMode, GlueFLMaskStrategy
 from repro.network.encoding import bitmap_bytes, sparse_bytes, values_bytes
 from repro.sharding import ShardingRuntime
+from tests.compression.rounds import aggregate_payloads
 
 
 def make(d=200, q=0.2, q_shr=0.1, regen=None, ec=ErrorCompMode.NONE, seed=0):
@@ -22,7 +23,7 @@ def run_round(s, t, deltas, weights=None):
         (i, w, s.client_compress(i, delta, w))
         for i, (delta, w) in enumerate(zip(deltas, weights))
     ]
-    agg = s.aggregate(payloads)
+    agg = aggregate_payloads(s, payloads)
     s.end_round(agg, t)
     return agg, payloads
 
@@ -166,7 +167,7 @@ def test_aggregate_matches_dense_reference(rng):
         (i, w, s.client_compress(i, rng.normal(size=300), w))
         for i, w in enumerate(weights)
     ]
-    agg = s.aggregate(payloads)
+    agg = aggregate_payloads(s, payloads)
 
     mask = s.mask_idx
     shr_ref = np.zeros(300)
@@ -197,11 +198,11 @@ def test_aggregate_owns_global_delta(rng):
         (i, 0.5, s.client_compress(i, rng.normal(size=200), 0.5))
         for i in range(2)
     ]
-    first = s.aggregate(payloads)
+    first = aggregate_payloads(s, payloads)
     # caller mutates its copy of the update (e.g. applies it in place) ...
     first.global_delta[:] = 123.0
     # ... and a repeated aggregation of the same payloads is unaffected
-    second = s.aggregate(payloads)
+    second = aggregate_payloads(s, payloads)
     assert not np.array_equal(second.global_delta, first.global_delta)
     sent_mask = np.zeros(200, dtype=bool)
     sent_mask[s.mask_idx] = True
@@ -243,7 +244,7 @@ def test_mask_shift_selects_within_the_support(rng, monkeypatch, shard_count):
                 (i, 0.5, s.client_compress(i, rng.normal(size=1000), 0.5))
                 for i in range(2)
             ]
-            agg = s.aggregate(payloads)
+            agg = aggregate_payloads(s, payloads)
             with monkeypatch.context() as m:
                 m.setattr(np, "argpartition", recording)
                 s.end_round(agg, t)

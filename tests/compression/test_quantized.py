@@ -7,6 +7,7 @@ from repro.compression import (
     QuantizedStrategy,
     STCStrategy,
 )
+from tests.compression.rounds import aggregate_payloads
 
 
 def setup(strategy, d=200, seed=0):
@@ -43,7 +44,7 @@ def test_quantized_gluefl_roundtrip(rng):
             (i, 0.5, quant.client_compress(i, rng.normal(size=200), 0.5))
             for i in range(2)
         ]
-        agg = quant.aggregate(payloads)
+        agg = aggregate_payloads(quant, payloads)
         quant.end_round(agg, t)
         assert np.isfinite(agg.global_delta).all()
     # the wrapped strategy's mask machinery still ran

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.compression import STCStrategy
+from tests.compression.rounds import aggregate_payloads
 
 
 def setup(strategy, d=100, seed=0):
@@ -15,7 +16,7 @@ def test_server_residual_conserves_aggregate_mass(rng):
     delta = rng.normal(size=100)
     payload = s.client_compress(0, delta, 1.0)
     carried = s._server_h.copy()
-    agg = s.aggregate([(0, 1.0, payload)])
+    agg = aggregate_payloads(s, [(0, 1.0, payload)])
     acc = np.zeros(100)
     acc[payload.data["idx"]] = payload.data["vals"]
     np.testing.assert_allclose(
@@ -31,7 +32,8 @@ def test_server_residual_recovers_dropped_mass_later(rng):
     strong[:10] = 10.0  # wins the server top-10
     weak = np.zeros(100)
     weak[90:] = 1.0  # masked out by the server this round
-    agg1 = s.aggregate(
+    agg1 = aggregate_payloads(
+        s,
         [
             (0, 1.0, s.client_compress(0, strong, 1.0)),
             (1, 1.0, s.client_compress(1, weak, 1.0)),
@@ -41,7 +43,7 @@ def test_server_residual_recovers_dropped_mass_later(rng):
     assert np.all(s._server_h[90:] != 0.0)
     # round 2: only quiet traffic; the carried residual now wins the top-10
     quiet = np.full(100, 1e-6)
-    agg2 = s.aggregate([(2, 1.0, s.client_compress(2, quiet, 1.0))])
+    agg2 = aggregate_payloads(s, [(2, 1.0, s.client_compress(2, quiet, 1.0))])
     assert set(agg2.changed_idx) == set(range(90, 100))
 
 
@@ -49,7 +51,7 @@ def test_server_residual_off_by_default(rng):
     s = setup(STCStrategy(q=0.2))
     assert s.server_residual is False
     payload = s.client_compress(0, rng.normal(size=100), 1.0)
-    s.aggregate([(0, 1.0, payload)])
+    aggregate_payloads(s, [(0, 1.0, payload)])
     np.testing.assert_array_equal(s._server_h, 0.0)
 
 

@@ -13,6 +13,7 @@ from repro.compression import (
 )
 from repro.network.encoding import dense_bytes, sparse_bytes, values_bytes
 from repro.privacy import PrivateStrategy
+from tests.compression.rounds import aggregate_payloads
 
 
 def setup_strategy(strategy, d=100, seed=0):
@@ -26,7 +27,7 @@ def test_fedavg_roundtrip(rng):
     delta = rng.normal(size=100)
     payload = s.client_compress(0, delta, 1.0)
     assert payload.upstream_bytes == dense_bytes(100)
-    agg = s.aggregate([(0, 0.5, payload)])
+    agg = aggregate_payloads(s, [(0, 0.5, payload)])
     np.testing.assert_allclose(agg.global_delta, 0.5 * delta)
     np.testing.assert_array_equal(agg.changed_idx, np.arange(100))
 
@@ -34,7 +35,8 @@ def test_fedavg_roundtrip(rng):
 def test_fedavg_weighted_sum(rng):
     s = setup_strategy(FedAvgStrategy())
     d1, d2 = rng.normal(size=100), rng.normal(size=100)
-    agg = s.aggregate(
+    agg = aggregate_payloads(
+        s,
         [
             (0, 0.3, s.client_compress(0, d1, 0.3)),
             (1, 0.7, s.client_compress(1, d2, 0.7)),
@@ -69,7 +71,7 @@ def test_stc_server_topq_bounds_changed_coordinates(rng):
         (i, 0.25, s.client_compress(i, rng.normal(size=100), 0.25))
         for i in range(4)
     ]
-    agg = s.aggregate(payloads)
+    agg = aggregate_payloads(s, payloads)
     assert len(agg.changed_idx) == 20
     assert np.count_nonzero(agg.global_delta) <= 20
     # outside the mask nothing changes
@@ -190,7 +192,7 @@ def test_apf_freezes_oscillating_coordinates(rng):
         delta[:50] = 0.1  # steady drift: effective perturbation 1 -> stays
         delta[50:] = 0.1 * sign  # oscillation -> freezes
         payload = s.client_compress(0, delta, 1.0)
-        agg = s.aggregate([(0, 1.0, payload)])
+        agg = aggregate_payloads(s, [(0, 1.0, payload)])
         s.end_round(agg, t)
     active = s.active_mask()
     assert active[:50].all()  # drifting coords keep training
@@ -204,7 +206,7 @@ def test_apf_frozen_coordinates_not_transmitted(rng):
     payload = s.client_compress(0, rng.normal(size=100), 1.0)
     assert len(payload.data["idx"]) == 70
     assert payload.upstream_bytes == values_bytes(70)
-    agg = s.aggregate([(0, 1.0, payload)])
+    agg = aggregate_payloads(s, [(0, 1.0, payload)])
     np.testing.assert_array_equal(agg.global_delta[:30], 0.0)
     assert len(agg.changed_idx) == 70
 
@@ -234,7 +236,7 @@ def test_apf_freeze_period_doubles(rng):
                 break
         delta = np.full(10, 0.1 * (-1) ** t)
         payload = s.client_compress(0, delta, 1.0)
-        agg = s.aggregate([(0, 1.0, payload)])
+        agg = aggregate_payloads(s, [(0, 1.0, payload)])
         s.end_round(agg, t)
         if not s.active_mask().any() if t >= 2 else False:
             pass
@@ -296,7 +298,7 @@ def test_global_delta_is_zero_outside_changed_idx(rng, build):
             (i, 0.5, s.client_compress(i, rng.normal(size=d), 0.5))
             for i in range(2)
         ]
-        agg = s.aggregate(payloads)
+        agg = aggregate_payloads(s, payloads)
         s.end_round(agg, t)
         assert agg.changed_idx.dtype == np.int64
         assert (np.diff(agg.changed_idx) > 0).all()  # sorted, no duplicates

@@ -1,12 +1,13 @@
 """The delta-lifetime rule: a dense Δ_i lives from the end of its training
-to the end of its ``client_compress``.
+to the end of its ``client_compress``, and its payload until its ``fold``.
 
-Backends deliver each result to the round as it lands and the round
-compresses it on the spot, so what a sync round holds per extra participant
-is one ``q·d`` payload — never one more dense ``d``-vector.  The one reader
-that used to need all K deltas after the batch was compressed, the
-sampler's norm feedback, now rides the same hand-off; its observable
-sequence is pinned against the old "after the whole batch" timing.
+Backends deliver each result to the round as it lands; the round
+compresses it on the spot and folds the payload into the strategy's open
+sums, so a round holds one dense ``d``-vector, one payload and the sums —
+what it holds does not grow with K.  The one reader that used to need all
+K deltas after the batch was compressed, the sampler's norm feedback, now
+rides the same hand-off; its observable sequence is pinned against the old
+"after the whole batch" timing.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.compression import GlueFLMaskStrategy
+from repro.compression import FedAvgStrategy, GlueFLMaskStrategy
+from repro.compression.topk import ratio_to_k
 from repro.fl import FLServer, RunConfig, UniformSampler
 from repro.fl.extra_samplers import OptimalClientSampler
 from repro.privacy import PrivateStrategy
 
 
-def _gluefl():
-    return GlueFLMaskStrategy(q=0.1, q_shr=0.08, regen_interval=10)
+def _gluefl(regen_interval=10):
+    return GlueFLMaskStrategy(q=0.1, q_shr=0.08, regen_interval=regen_interval)
 
 
 def _server(dataset, k, scheduler, **overrides):
@@ -50,11 +52,11 @@ def _server(dataset, k, scheduler, **overrides):
     return FLServer(RunConfig(**params))
 
 
-def _warm_round_peak(dataset, k, scheduler):
+def _warm_round_peak(dataset, k, scheduler, strategy):
     """``(tracemalloc peak above the round's starting level, largest
-    payload's array bytes, bytes of one dense delta)`` of one round of a
-    server that has already run three."""
-    server = _server(dataset, k, scheduler)
+    payload's array bytes, bytes of one dense delta)`` of the 4th round of
+    a server running ``strategy`` (three rounds warm it up)."""
+    server = _server(dataset, k, scheduler, strategy=strategy)
     payload_bytes = []
     compress = server.strategy.client_compress
 
@@ -87,14 +89,34 @@ def _warm_round_peak(dataset, k, scheduler):
 
 
 @pytest.mark.parametrize("scheduler", ["sync", "semiasync"])
-def test_extra_participants_cost_payloads_not_dense_deltas(tiny_dataset, scheduler):
-    """Twelve more participants raise a round's peak by twelve payloads
-    (plus slack for K-sized aggregation temporaries), not by twelve dense
-    deltas — which alone would be ``12 × 4d``."""
-    peak_4, _, _ = _warm_round_peak(tiny_dataset, 4, scheduler)
-    peak_16, payload, dense = _warm_round_peak(tiny_dataset, 16, scheduler)
-    assert dense > 400_000 and payload < dense / 4
-    assert peak_16 - peak_4 <= 12 * payload + 2 * dense
+def test_regen_round_memory_is_flat_in_k(tiny_dataset, scheduler):
+    """GlueFL's mask-regeneration round is its widest: M_t is empty, so
+    every client uploads a full top-q.  Twelve more participants there
+    raise the round's peak by at most two such payloads plus two dense
+    vectors of slack (K-sized bookkeeping, allocator noise) — each payload
+    is folded into the open sums and dropped as it is compressed — where
+    holding the payloads to the end of the round costs twelve."""
+    make = lambda: _gluefl(regen_interval=4)  # round 4 regenerates
+    peak_4, _, _ = _warm_round_peak(tiny_dataset, 4, scheduler, make())
+    strategy = make()
+    peak_16, payload, dense = _warm_round_peak(tiny_dataset, 16, scheduler, strategy)
+    assert strategy.is_regen_round
+    assert payload == ratio_to_k(strategy.q, strategy.d) * (8 + 4)
+    assert dense > 400_000 and payload < dense / 2
+    assert peak_16 - peak_4 <= 2 * payload + 2 * dense
+
+
+@pytest.mark.parametrize("scheduler", ["sync", "semiasync"])
+def test_fedavg_round_memory_is_flat_in_k(tiny_dataset, scheduler):
+    """The Table 2 baseline uploads dense ``delta.copy()`` payloads; folded
+    on arrival, twelve more of them cost at most three dense vectors of
+    slack, not twelve."""
+    peak_4, _, _ = _warm_round_peak(tiny_dataset, 4, scheduler, FedAvgStrategy())
+    peak_16, payload, dense = _warm_round_peak(
+        tiny_dataset, 16, scheduler, FedAvgStrategy()
+    )
+    assert payload == dense > 400_000
+    assert peak_16 - peak_4 <= 3 * dense
 
 
 # -- norm feedback moved to the hand-off ------------------------------------------
@@ -123,12 +145,12 @@ def _batch_end_oracle(strategy):
         in_round.append((int(client_id), np.array(delta, copy=True)))
         return payload
 
-    def aggregate_after_feedback(payloads):
+    def aggregate_after_feedback():
         expected.extend(
             (cid, float(strategy.feedback_norm(cid, delta))) for cid, delta in in_round
         )
         del in_round[:]
-        return aggregate(payloads)
+        return aggregate()
 
     strategy.client_compress = client_compress
     strategy.aggregate = aggregate_after_feedback

@@ -16,6 +16,7 @@ from repro.datasets import femnist_like
 from repro.fl import FLServer, RunConfig, run_training
 from repro.fl.extra_samplers import OptimalClientSampler
 from repro.privacy import PrivateStrategy, RdpAccountant, build_private_strategy
+from tests.compression.rounds import aggregate_payloads
 
 
 # ---------------------------------------------------------------- unit level
@@ -119,7 +120,7 @@ class TestWrapperUnit:
     def test_epsilon_steps_only_on_ended_rounds(self):
         strategy = self._ready(clip_norm=1.0, noise_multiplier=1.0)
         payload = strategy.client_compress(0, np.ones(16), 1.0)
-        agg = strategy.aggregate([(0, 1.0, payload)])
+        agg = aggregate_payloads(strategy, [(0, 1.0, payload)])
         assert strategy.accountant.steps == 0
         strategy.end_round(agg, 1)
         assert strategy.accountant.steps == 1
@@ -167,7 +168,7 @@ class TestWrapperUnit:
         stack = QuantizedStrategy(private, bits=8)
         stack.setup(16, np.random.default_rng(1))
         payload = stack.client_compress(0, np.arange(16.0), 1.0)
-        agg = stack.aggregate([(0, 1.0, payload)])
+        agg = aggregate_payloads(stack, [(0, 1.0, payload)])
         stack.end_round(agg, 1)
         assert stack.privacy_epsilon_spent() == private.privacy_epsilon_spent()
         assert stack.privacy_epsilon_spent() > 0
@@ -492,6 +493,6 @@ class TestGlueFLRegenUnderPrivacy:
                 round_idx == 1 or round_idx % 3 == 0
             )
             payload = strategy.client_compress(0, rng.normal(size=32), 1.0)
-            agg = strategy.aggregate([(0, 1.0, payload)])
+            agg = aggregate_payloads(strategy, [(0, 1.0, payload)])
             strategy.end_round(agg, round_idx)
         assert strategy.privacy_epsilon_spent() > 0

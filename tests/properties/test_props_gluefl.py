@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.compression import ErrorCompMode, GlueFLMaskStrategy
 from repro.compression.topk import ratio_to_k
 from repro.theory import sticky_expected_gap, sticky_resample_prob
+from tests.compression.rounds import aggregate_payloads
 
 
 @st.composite
@@ -41,7 +42,7 @@ def test_gluefl_round_invariants(config, num_clients, seed):
         deltas = [rng.normal(size=d) for _ in range(num_clients)]
         for i, delta in enumerate(deltas):
             payloads.append((i, weight, s.client_compress(i, delta, weight)))
-        agg = s.aggregate(payloads)
+        agg = aggregate_payloads(s, payloads)
         assert np.count_nonzero(agg.global_delta) <= len(agg.changed_idx)
         assert len(agg.changed_idx) <= k_total + k_shr
         s.end_round(agg, t)

@@ -20,11 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import APFStrategy, QuantizedStrategy
 from repro.compression.base import ClientPayload
 from repro.compression.fedavg import FedAvgStrategy
 from repro.compression.gluefl_mask import GlueFLMaskStrategy
 from repro.compression.stc import STCStrategy
+from repro.privacy import PrivateStrategy
 from repro.sharding import ShardingRuntime
+from tests.compression.rounds import aggregate_payloads
 from tests.sharding import reference
 
 pytestmark = pytest.mark.sharding
@@ -71,10 +74,15 @@ def test_sparse_weighted_sum_bit_identical(
                 ClientPayload(0, data={"idx": idx, "vals": vals}),
             )
         )
+    # STC at q = 1 keeps every coordinate: its global delta is Eq. 6's sum,
+    # folded payload by payload into the accumulator of the bound runtime
+    stc = STCStrategy(q=1.0)
+    stc.setup(d, rng, dtype=dtype)
     rt = ShardingRuntime(d, shard_count)
+    stc.bind_sharding(rt)
     try:
         ref = reference.weighted_dense_sum(payloads, d, dtype=dtype)
-        got = rt.sparse_weighted_sum(payloads, dtype=dtype)
+        got = aggregate_payloads(stc, payloads).global_delta
         np.testing.assert_array_equal(ref, got)
     finally:
         rt.close()
@@ -109,7 +117,7 @@ def test_elementwise_add_bit_identical(d, shard_count, seed):
 def test_slice_sums_bit_identical(
     d, shard_count, mask_fraction, num_clients, dtype, seed
 ):
-    """Eq. 5 on a random sorted mask, and the dense FedAvg sum."""
+    """Eq. 5 on a random sorted mask, and the dense FedAvg sum (folded)."""
     rng = np.random.default_rng(seed)
     m = round(mask_fraction * d)
     mask = np.sort(rng.choice(d, size=m, replace=False)).astype(np.int64)
@@ -132,9 +140,12 @@ def test_slice_sums_bit_identical(
         reference.slice_weighted_sum(payloads, "shr_vals", m, dtype),
         rt.masked_weighted_sum(payloads, mask, dtype=dtype),
     )
+    fedavg = FedAvgStrategy()
+    fedavg.setup(d, rng, dtype=dtype)
+    fedavg.bind_sharding(rt)
     np.testing.assert_array_equal(
         reference.slice_weighted_sum(payloads, "dense", d, dtype),
-        rt.dense_weighted_sum(payloads, dtype=dtype),
+        aggregate_payloads(fedavg, payloads).global_delta,
     )
 
 
@@ -159,7 +170,7 @@ def run_strategy_rounds(make, d, seed, deltas, shard_count=None, backend="serial
                 (cid, w, strategy.client_compress(cid, delta, w))
                 for cid, w, delta in round_deltas
             ]
-            agg = strategy.aggregate(payloads)
+            agg = aggregate_payloads(strategy, payloads)
             strategy.end_round(agg, t)
             out.append((agg.global_delta.copy(), agg.changed_idx.copy()))
     finally:
@@ -258,9 +269,71 @@ def test_strategy_runs_a_round_after_setup_alone(make, plain_round):
         (cid, 0.5, strategy.client_compress(cid, rng.normal(size=d), 0.5))
         for cid in range(3)
     ]
-    agg = strategy.aggregate(payloads)
+    agg = aggregate_payloads(strategy, payloads)
     strategy.end_round(agg, 1)
     np.testing.assert_array_equal(agg.global_delta, plain_round(payloads, d))
+
+
+def _private(inner):
+    return PrivateStrategy(
+        inner, clip_norm=1.0, noise_multiplier=0.5, values_only=True
+    )
+
+
+FOLDING_STRATEGIES = {
+    "gluefl": lambda: GlueFLMaskStrategy(q=0.3, q_shr=0.15, regen_interval=2),
+    "stc": lambda: STCStrategy(q=0.25),
+    "stc-server-residual": lambda: STCStrategy(q=0.25, server_residual=True),
+    "apf": lambda: APFStrategy(
+        threshold=0.5, check_every=1, base_period=2, warmup_rounds=1
+    ),
+    "fedavg": FedAvgStrategy,
+    # quantized values tie in magnitude, and which of a tie the k-th pick
+    # takes may differ with the shard count (argpartition's contract), so
+    # the wrapper rides a strategy whose aggregate selects nothing
+    "quantized-fedavg": lambda: QuantizedStrategy(FedAvgStrategy(), bits=4),
+    "private-gluefl": lambda: _private(
+        GlueFLMaskStrategy(q=0.3, q_shr=0.15, regen_interval=2)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDING_STRATEGIES))
+@given(
+    d=st.integers(30, 200),
+    shard_count=st.sampled_from([1, 3, 7]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_fold_then_aggregate_is_the_plain_round(name, d, shard_count, dtype, seed):
+    """Folding a round's payloads one at a time, then ``aggregate()``,
+    gives the bits of the whole-list textbook round
+    (``reference.strategy_round``) for every strategy and wrapper, dtype
+    and shard count — over rounds that regenerate GlueFL's mask, carry
+    STC's server residual and freeze APF coordinates."""
+    rng = np.random.default_rng(seed)
+    strategy = FOLDING_STRATEGIES[name]()
+    strategy.setup(d, np.random.default_rng(seed), dtype=dtype)
+    rt = ShardingRuntime(d, shard_count)
+    strategy.bind_sharding(rt)
+    try:
+        for t in range(1, 5):
+            strategy.begin_round(t)
+            payloads = []
+            for cid in range(3):
+                weight = float(rng.uniform(0.5, 2.0))
+                delta = rng.normal(size=d).astype(dtype)
+                payload = strategy.client_compress(cid, delta, weight)
+                payloads.append((cid, weight, payload))
+            want_delta, want_idx = reference.strategy_round(strategy, payloads)
+            agg = aggregate_payloads(strategy, payloads)
+            assert agg.global_delta.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(agg.global_delta, want_delta)
+            np.testing.assert_array_equal(agg.changed_idx, want_idx)
+            strategy.end_round(agg, t)
+    finally:
+        rt.close()
 
 
 # --------------------------------------------------- whole scheduler runs

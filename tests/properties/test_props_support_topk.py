@@ -25,6 +25,7 @@ from repro.compression.topk import (
     union_sorted,
 )
 from repro.sharding import ShardingRuntime
+from tests.compression.rounds import aggregate_payloads
 
 
 def sparse_vector(rng, d, support_size, zeros_inside):
@@ -150,7 +151,7 @@ def test_gluefl_mask_shift_equals_dense_topk(d, shard_count, seed):
                 (i, 0.5, s.client_compress(i, rng.normal(size=d), 0.5))
                 for i in range(2)
             ]
-            agg = s.aggregate(payloads)
+            agg = aggregate_payloads(s, payloads)
             np.testing.assert_array_equal(
                 agg.changed_idx,
                 np.union1d(mask, np.flatnonzero(agg.global_delta)),

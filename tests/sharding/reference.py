@@ -4,14 +4,22 @@
 ``src/`` — one shard is the default, not a second path — so the textbook
 expressions it must stay bit-identical to live here, test-side (the
 ``tests/population/oracle.py`` precedent): one accumulator, one loop, one
-``argpartition``, no partition and no dispatch.  Nothing here imports
-``repro.sharding``, so nothing here can share a bug with it.
+``argpartition``, no partition and no dispatch — and every sum over the
+whole round's payload list at once, where strategies fold one payload at
+a time.  Nothing here imports ``repro.sharding``, so nothing here can
+share a bug with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.compression import (
+    APFStrategy,
+    FedAvgStrategy,
+    GlueFLMaskStrategy,
+    STCStrategy,
+)
 from repro.compression.topk import top_k_in_support, top_k_indices
 
 
@@ -48,6 +56,42 @@ def select_top_k(x, k, support=None):
     if support is not None and k < len(support):
         return top_k_in_support(x[support], support, k)
     return top_k_indices(x, k)
+
+
+def strategy_round(strategy, payloads):
+    """``(global_delta, changed_idx)`` that one ``aggregate()`` of
+    ``strategy`` over a round's ``(client_id, weight, payload)`` triples
+    must return, in the textbook form of each strategy's server step.
+
+    Call it before the strategy aggregates: it reads the round's state
+    (shared mask, k, server residual, active set) off the strategy, and
+    wrappers aggregate through their inner strategy.
+    """
+    while hasattr(strategy, "inner"):
+        strategy = strategy.inner
+    d, dtype = strategy.d, strategy.dtype
+    if isinstance(strategy, FedAvgStrategy):
+        delta = slice_weighted_sum(payloads, "dense", d, dtype)
+        return delta, np.arange(d, dtype=np.int64)
+    if isinstance(strategy, APFStrategy):
+        delta = np.zeros(d, dtype=dtype)
+        for _, weight, payload in payloads:
+            delta[payload.data["idx"]] += weight * payload.data["vals"]
+        return delta, np.flatnonzero(strategy.active_mask())
+    uni = weighted_dense_sum(payloads, d, dtype=dtype)
+    delta = np.zeros(d, dtype=dtype)
+    if isinstance(strategy, GlueFLMaskStrategy):
+        mask = strategy._effective_mask()
+        keep = select_top_k(uni, strategy._k_unique())
+        delta[mask] = slice_weighted_sum(payloads, "shr_vals", len(mask), dtype)
+        delta[keep] += uni[keep]
+        return delta, np.union1d(mask, keep)
+    assert isinstance(strategy, STCStrategy)
+    if strategy.server_residual:
+        uni = uni + strategy._server_h
+    keep = select_top_k(uni, strategy._k)
+    delta[keep] = uni[keep]
+    return delta, keep
 
 
 def residual_round_trip(residual, delta, scale=1.0):

@@ -1,6 +1,6 @@
-"""ShardingRuntime: sums/top-k for 1..N shards vs the plain references,
-what one shard costs, the (optionally memmapped) accumulator, and the
-release ledger."""
+"""ShardingRuntime: folds, sums and top-k for 1..N shards vs the plain
+references, what one shard costs, the (optionally memmapped) accumulator,
+and the release ledger."""
 
 import os
 import tracemalloc
@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.compression import GlueFLMaskStrategy
+from repro.compression import FedAvgStrategy, GlueFLMaskStrategy, STCStrategy
 from repro.compression.base import ClientPayload
 from repro.compression.topk import top_k_indices
 from repro.sharding import ShardingRuntime
+from tests.compression.rounds import aggregate_payloads
 from tests.sharding import reference
 
 pytestmark = pytest.mark.sharding
@@ -28,16 +29,32 @@ def make_payloads(rng, d, n=5, nnz=40):
     return out
 
 
+def folded_sum(rt, payloads, dtype):
+    """Eq. 6's sum the way a strategy builds it: the round's accumulator,
+    one ``fold_sparse`` per payload as it arrives."""
+    acc = rt.accumulator(dtype)
+    for _, weight, payload in payloads:
+        rt.fold_sparse(acc, weight, payload.data["idx"], payload.data["vals"])
+    return acc
+
+
 @pytest.mark.parametrize("count", [1, 2, 7, 16])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sparse_weighted_sum_bit_identical(count, dtype):
+    """Folded payload by payload, through a strategy bound to a
+    ``count``-shard runtime (STC at q = 1 keeps every coordinate, so its
+    global delta *is* the sum), Eq. 6 is the plain loop's bits."""
     rng = np.random.default_rng(count)
     d = 211
     rt = ShardingRuntime(d, count)
     try:
         payloads = make_payloads(rng, d)
         ref = reference.weighted_dense_sum(payloads, d, dtype=dtype)
-        got = rt.sparse_weighted_sum(payloads, dtype=dtype)
+        np.testing.assert_array_equal(ref, folded_sum(rt, payloads, dtype))
+        stc = STCStrategy(q=1.0)
+        stc.setup(d, rng, dtype=dtype)
+        stc.bind_sharding(rt)
+        got = aggregate_payloads(stc, payloads).global_delta
         np.testing.assert_array_equal(ref, got)
         assert got.dtype == np.dtype(dtype)
     finally:
@@ -76,18 +93,21 @@ def test_masked_weighted_sum_matches_inplace_loop():
 
 def test_dense_weighted_sum_is_fresh_and_exact():
     """The FedAvg sum escapes as the global delta — it must never be the
-    runtime's recycled (memmap) accumulator."""
+    runtime's recycled (memmap) accumulator, even with one configured."""
     rng = np.random.default_rng(11)
     d = 97
     payloads = dense_payloads(rng, d, "dense", n=3, dtype=np.float64)
     ref = reference.slice_weighted_sum(payloads, "dense", d, np.float64)
     for count in (1, 4):
         rt = ShardingRuntime(d, count, mmap=True)
+        fedavg = FedAvgStrategy()
+        fedavg.setup(d, rng)
+        fedavg.bind_sharding(rt)
         try:
-            got1 = rt.dense_weighted_sum(payloads, dtype=np.float64)
-            got2 = rt.dense_weighted_sum(payloads, dtype=np.float64)
+            got1 = aggregate_payloads(fedavg, payloads).global_delta
+            got2 = aggregate_payloads(fedavg, payloads).global_delta
             np.testing.assert_array_equal(ref, got1)
-            assert got1 is not got2  # fresh allocation per call
+            assert got1 is not got2  # fresh allocation per round
             assert not isinstance(got1, np.memmap)
         finally:
             rt.close()
@@ -156,8 +176,8 @@ def test_mmap_sum_bit_identical_to_ram():
         ram = ShardingRuntime(d, count)
         disk = ShardingRuntime(d, count, mmap=True)
         try:
-            a = np.array(ram.sparse_weighted_sum(payloads, dtype=np.float32))
-            b = np.array(disk.sparse_weighted_sum(payloads, dtype=np.float32))
+            a = np.array(folded_sum(ram, payloads, np.float32))
+            b = np.array(folded_sum(disk, payloads, np.float32))
             np.testing.assert_array_equal(a, b)
         finally:
             ram.close()
@@ -167,21 +187,17 @@ def test_mmap_sum_bit_identical_to_ram():
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_parallel_backends_fill_every_slice(backend):
     """Threads write their view of the result in place; a fork worker
-    returns its part and the parent copies it back — memmap slices too."""
+    returns its part and the parent copies it back."""
     rng = np.random.default_rng(19)
-    d = 211
-    sparse = make_payloads(rng, d)
-    dense = dense_payloads(rng, d, "dense")
+    d, m = 211, 90
+    mask = np.sort(rng.choice(d, size=m, replace=False)).astype(np.int64)
+    shared = dense_payloads(rng, m, "shr_vals")
     a = rng.normal(size=d).astype(np.float32)
-    rt = ShardingRuntime(d, 4, backend=backend, workers=2, mmap=True)
+    rt = ShardingRuntime(d, 4, backend=backend, workers=2)
     try:
         np.testing.assert_array_equal(
-            rt.sparse_weighted_sum(sparse, dtype=np.float32),
-            reference.weighted_dense_sum(sparse, d, dtype=np.float32),
-        )
-        np.testing.assert_array_equal(
-            rt.dense_weighted_sum(dense, dtype=np.float32),
-            reference.slice_weighted_sum(dense, "dense", d, np.float32),
+            rt.masked_weighted_sum(shared, mask, dtype=np.float32),
+            reference.slice_weighted_sum(shared, "shr_vals", m, np.float32),
         )
         np.testing.assert_array_equal(
             rt.elementwise_add(a, a[::-1]), reference.elementwise_add(a, a[::-1])
@@ -239,7 +255,8 @@ def traced_peak(fn):
 
 def test_one_shard_peak_memory_matches_plain_expression():
     """The slice-writing rule: one shard allocates no part buffer and no
-    d-sized copy next to its result (d = 1e5, k = 5000, 6 payloads, f32)."""
+    d-sized copy next to its result, and a fold costs what one step of the
+    plain loop does (d = 1e5, k = 5000, 6 payloads, f32)."""
     rng = np.random.default_rng(23)
     d, k = 100_000, 5_000
     sparse = make_payloads(rng, d, n=6, nnz=k)
@@ -248,13 +265,20 @@ def test_one_shard_peak_memory_matches_plain_expression():
     b = rng.normal(size=d).astype(np.float32)
     rt = ShardingRuntime(d, 1)
     f32 = np.float32
+
+    def fold_dense():
+        acc = np.zeros(d, dtype=f32)
+        for _, weight, payload in dense:
+            rt.fold_dense(acc, weight, payload.data["dense"])
+        return acc
+
     pairs = {
-        "sparse_weighted_sum": (
-            lambda: rt.sparse_weighted_sum(sparse, dtype=f32),
+        "fold_sparse": (
+            lambda: folded_sum(rt, sparse, f32),
             lambda: reference.weighted_dense_sum(sparse, d, dtype=f32),
         ),
-        "dense_weighted_sum": (
-            lambda: rt.dense_weighted_sum(dense, dtype=f32),
+        "fold_dense": (
+            fold_dense,
             lambda: reference.slice_weighted_sum(dense, "dense", d, f32),
         ),
         "elementwise_add": (
