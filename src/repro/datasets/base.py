@@ -105,6 +105,67 @@ class FederatedDataset:
             self._weights = counts / total
         return self._weights
 
+    def narrowed(self, dtype) -> "FederatedDataset":
+        """This federation with its float features stored in ``dtype``.
+
+        Returns a new federation when the shards are an eager list whose
+        features share one feature shape and one float dtype wider than
+        ``dtype``: the client features become contiguous views of one
+        ``dtype`` block, a wider ``test_x`` is cast too, and labels, ids,
+        metadata and :meth:`weights` carry over.  Anything else — features
+        already as narrow, non-float or ragged, a lazy client list — comes
+        back as ``self``.  ``self`` is never modified, so its block is freed
+        once its owner drops it.  Casting the stored features once gives
+        the same values as casting every batch drawn from them.
+
+        >>> ds = FederatedDataset(
+        ...     clients=[ClientDataset(np.ones((2, 3)), np.zeros(2, int), 0)],
+        ...     test_x=np.ones((1, 3)), test_y=np.zeros(1, int),
+        ...     num_classes=2, in_channels=1, image_size=3)
+        >>> small = ds.narrowed(np.float32)
+        >>> small.clients[0].x.dtype, small.test_x.dtype, ds.clients[0].x.dtype
+        (dtype('float32'), dtype('float32'), dtype('float64'))
+        >>> ds.narrowed(np.float64) is ds
+        True
+        """
+        dtype = np.dtype(dtype)
+
+        def wider(dt: np.dtype) -> bool:
+            return dt.kind == "f" and dt.itemsize > dtype.itemsize
+
+        if not isinstance(self.clients, list) or not self.clients:
+            return self
+        kinds = {(c.x.dtype, c.x.shape[1:]) for c in self.clients}
+        if len(kinds) != 1:
+            return self
+        [(src, shape)] = kinds
+        if not wider(src):
+            return self
+        block = np.empty((self.total_samples(),) + shape, dtype=dtype)
+        clients: List[ClientDataset] = []
+        lo = 0
+        for c in self.clients:
+            hi = lo + len(c)
+            block[lo:hi] = c.x
+            clients.append(
+                ClientDataset(x=block[lo:hi], y=c.y, client_id=c.client_id)
+            )
+            lo = hi
+        return FederatedDataset(
+            clients=clients,
+            test_x=(
+                self.test_x.astype(dtype)
+                if wider(self.test_x.dtype)
+                else self.test_x
+            ),
+            test_y=self.test_y,
+            num_classes=self.num_classes,
+            in_channels=self.in_channels,
+            image_size=self.image_size,
+            name=self.name,
+            _weights=self._weights,
+        )
+
     def total_samples(self) -> int:
         return int(sum(len(c) for c in self.clients))
 

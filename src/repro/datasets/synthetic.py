@@ -22,6 +22,7 @@ __all__ = [
     "image_prototypes",
     "spectrogram_prototypes",
     "sample_from_prototypes",
+    "permute_rows",
     "synthetic_federation",
 ]
 
@@ -78,6 +79,12 @@ def spectrogram_prototypes(
     return protos / np.maximum(power, 1e-12)
 
 
+#: Rows per build chunk are sized to about this many bytes, so the build's
+#: temporaries (the gathered prototypes, one noise draw) stay ~1 MB whatever
+#: the federation's size.
+CHUNK_BYTES = 1 << 20
+
+
 def sample_from_prototypes(
     prototypes: np.ndarray,
     labels: np.ndarray,
@@ -85,12 +92,52 @@ def sample_from_prototypes(
     noise: float = 1.0,
     amplitude_jitter: float = 0.25,
 ) -> np.ndarray:
-    """Draw ``x = a·proto[y] + noise·ε`` with per-sample amplitude jitter."""
+    """Draw ``x = a·proto[y] + noise·ε`` with per-sample amplitude jitter.
+
+    ``x`` is preallocated and filled in row chunks of about
+    :data:`CHUNK_BYTES`.  ``Generator.normal`` consumes its stream
+    sequentially, so the chunked noise draws equal one whole-array draw and
+    the result is the same as building ``x`` in one expression.
+    """
     n = len(labels)
     amps = 1.0 + amplitude_jitter * rng.normal(size=(n, 1, 1, 1))
-    x = amps * prototypes[labels]
-    x += noise * rng.normal(size=x.shape)
+    dtype = np.result_type(amps, prototypes)
+    x = np.empty((n,) + prototypes.shape[1:], dtype=dtype)
+    rows = max(1, CHUNK_BYTES // max(1, x[:1].nbytes))
+    for start in range(0, n, rows):
+        c = slice(start, start + rows)
+        np.multiply(amps[c], prototypes[labels[c]], out=x[c])
+        x[c] += noise * rng.normal(size=x[c].shape)
     return x
+
+
+def permute_rows(x: np.ndarray, order: np.ndarray) -> None:
+    """Reorder ``x`` in place so that row ``j`` becomes old row ``order[j]``.
+
+    ``order`` must be a permutation of ``range(len(x))``.  Each cycle of the
+    permutation is walked with one row of scratch, so the reorder costs one
+    row of memory instead of a second copy of ``x``.
+
+    >>> x = np.arange(5) * 10
+    >>> permute_rows(x, np.array([3, 0, 4, 1, 2]))
+    >>> x
+    array([30,  0, 40, 10, 20])
+    """
+    order = order.tolist()
+    done = [False] * len(order)
+    for start, first in enumerate(order):
+        if done[start] or first == start:
+            continue
+        held = x[start].copy()
+        dst = start
+        while True:
+            done[dst] = True
+            src = order[dst]
+            if src == start:
+                x[dst] = held
+                break
+            x[dst] = x[src]
+            dst = src
 
 
 def synthetic_federation(
@@ -135,9 +182,16 @@ def synthetic_federation(
     x = sample_from_prototypes(protos, labels, rng, noise=noise)
 
     parts = dirichlet_partition(labels, num_clients, alpha, rng)
-    clients: List[ClientDataset] = []
-    for cid, idx in enumerate(parts):
-        clients.append(ClientDataset(x=x[idx], y=labels[idx], client_id=cid))
+    # one client-ordered block: each shard is a contiguous view of x, its
+    # rows in the partition's sample order
+    order = np.concatenate(parts)
+    permute_rows(x, order)
+    y = labels[order]
+    bounds = np.cumsum([0] + [len(idx) for idx in parts])
+    clients: List[ClientDataset] = [
+        ClientDataset(x=x[lo:hi], y=y[lo:hi], client_id=cid)
+        for cid, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
 
     test_y = rng.integers(0, num_classes, size=test_samples)
     test_x = sample_from_prototypes(protos, test_y, rng, noise=noise)

@@ -34,6 +34,7 @@ server.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from typing import Tuple
@@ -64,13 +65,19 @@ class FLServer:
 
     def __init__(self, config: RunConfig):
         config.validate()
+        self.dtype = resolve_dtype(config.dtype)
+        # the run keeps its shards in the run dtype, which every batch is
+        # cast to anyway, so no value changes: a float64 federation under a
+        # narrower run is copied once and the caller's is left untouched,
+        # its block freed when the caller drops its config
+        dataset = config.dataset.narrowed(self.dtype)
+        if dataset is not config.dataset:
+            config = dataclasses.replace(config, dataset=dataset)
         self.config = config
         self.rngs = RngFactory(config.seed)
-        dataset = config.dataset
         self.n = dataset.num_clients
         self.p = dataset.weights()
 
-        self.dtype = resolve_dtype(config.dtype)
         self.model = build_model(
             config.model_name,
             in_channels=dataset.in_channels,

@@ -47,7 +47,9 @@ DOCUMENTED_MODULES = (
     "repro.population.events",
     "repro.utils.client_state",
     "repro.utils.arrays",
+    "repro.datasets.base",
     "repro.datasets.lazy",
+    "repro.datasets.synthetic",
     "repro.analysis",
     "repro.runtime.sanitize",
 )
