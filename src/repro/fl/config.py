@@ -28,7 +28,8 @@ class RunConfig:
       are bit-identical for the same seed; the parallel backends trade
       setup cost for wall-clock on multi-core hosts.
     * ``backend_workers`` — worker count for the parallel backends
-      (default: ``os.cpu_count()``).
+      (default: the CPUs the process may run on, capped at K —
+      ``repro.runtime.backends.usable_cpus``).
     * ``dtype`` — ``"float64"`` (default) or ``"float32"``; float32 runs
       the whole hot path (model, training, compression, aggregation) in
       single precision for a large CPU speedup at FL-irrelevant accuracy

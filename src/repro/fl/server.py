@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from typing import Tuple
 
 import numpy as np
@@ -50,7 +49,7 @@ from repro.network.profiles import get_profile
 from repro.network.transfer import ClientLinks
 from repro.nn.flat import FlatParamView
 from repro.nn.models import build_model
-from repro.runtime.backends import WorkerSpec, create_backend
+from repro.runtime.backends import WorkerSpec, create_backend, usable_cpus
 from repro.runtime.dtype import accumulation_dtype, resolve_dtype
 from repro.traces.availability import AvailabilityTrace, always_available
 from repro.traces.compute import ComputeTrace
@@ -353,6 +352,10 @@ class FLServer:
     def run_round(self) -> RoundRecord:
         """Advance the run by one scheduler round (sync: one Algorithm 1
         round; async: one buffer flush) and return its record."""
+        # a closed server reopens its shard pool here, before the round
+        # starts a thread: forked beside a live thread, a pool worker can
+        # inherit a lock that thread held
+        self.sharding.open()
         return self.scheduler.run_round(self)
 
     @property
@@ -373,7 +376,7 @@ class FLServer:
             workers = self.config.backend_workers
             if workers is None:
                 # at most K clients run per round — never pool wider
-                workers = min(self.sampler.k, os.cpu_count() or 1)
+                workers = min(self.sampler.k, usable_cpus())
             self._backend = create_backend(
                 self.config.execution_backend,
                 self._worker_spec,
@@ -389,8 +392,9 @@ class FLServer:
         Idempotent; only needed when ``run_round`` is driven manually —
         :meth:`run` closes automatically, and a server dropped un-closed
         still closes the row file when it is collected.  Further training
-        after close is fine: a fresh backend is built on demand, but error
-        compensation starts over (the residuals went with the file).
+        after close is fine: the next ``run_round`` reopens the shard pool
+        and builds a fresh backend, but error compensation starts over (the
+        residuals went with the file).
         """
         if self._backend is not None:
             self._backend.close()

@@ -6,7 +6,9 @@ Two orthogonal knobs, both selected through
 ``execution_backend`` — *how* the round's participants are trained:
 
 * ``"serial"`` (default) — one shared model instance, clients trained one
-  after another in the server process (the seed behavior);
+  after another in the server process (the seed behavior), from the
+  second task on by a per-call helper thread one client ahead of the
+  caller's ``deliver``;
 * ``"thread"`` — a thread pool with one model replica per worker.  Only
   the time numpy spends inside GIL-releasing kernels can overlap; at the
   ledger's CNN shapes that is not enough (two workers measured
@@ -26,7 +28,8 @@ independent of execution order, and every backend *delivers* each result
 to the round (``run_clients(tasks, params, buffers, deliver)``: one
 ``deliver(result)`` per task, in task order, on the calling thread), which
 compresses it on the spot — the same deterministic order regardless of
-backend, with one dense delta alive at a time instead of the whole cohort's.
+backend, with a bounded few dense deltas alive instead of the whole
+cohort's.
 
 ``dtype`` — *in what precision* the whole run executes: ``"float64"``
 (default, the seed behavior), ``"float32"``, or the 2-byte storage mode

@@ -9,17 +9,21 @@ backend receives the round's :class:`ClientTask` list, the frozen
 calling thread**, as soon as that result and every one before it exist —
 the round compresses inside ``deliver`` and drops the result, in that
 deterministic order, which is what makes every backend bit-identical to
-serial execution and keeps one dense delta alive where a returned list
-would keep all of them.
+serial execution and keeps a bounded number of dense deltas alive where a
+returned list would keep all of them.
 
 Backends
 --------
 ``serial``
-    One shared model instance in the calling process (the seed behavior).
+    One shared model instance in the calling process (the seed behavior),
+    trained one client at a time; from the second task on, training runs
+    on one per-call helper thread, one task ahead of the caller's
+    ``deliver``, so a client's compress overlaps the next one's training.
 ``thread``
     A thread pool over per-worker model replicas.  numpy's BLAS/einsum
     kernels release the GIL, so wall-clock improves on multi-core hosts
-    without any serialization cost.
+    without any serialization cost; at most ``workers + 1`` jobs run or
+    wait ahead of the delivery cursor.
 ``process``
     A ``fork``-based :class:`multiprocessing.pool.Pool`.  The frozen global
     state is written once per round into a POSIX shared-memory block;
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import os
 import queue
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
@@ -64,9 +69,20 @@ __all__ = [
     "ProcessBackend",
     "create_backend",
     "require_fork",
+    "usable_cpus",
 ]
 
 BACKENDS = ("serial", "thread", "process")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on — its affinity mask (``taskset``, a
+    cgroup cpuset), or the machine's count where the platform has no
+    affinity call.  Every default pool width in the repo is this."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def require_fork(feature: str) -> None:
@@ -250,7 +266,8 @@ class ExecutionBackend:
         calling thread, as soon as that result and all before it exist;
         nothing is returned and the backend keeps no reference to a
         delivered result, so a dense delta lives only as long as its
-        consumer holds it.  An exception — from a task's training or from
+        consumer holds it.  Training may run on any thread; ``deliver``
+        may not.  An exception — from a task's training or from
         ``deliver`` — propagates as itself once no task of this call is
         still running; results after it are never delivered.
         """
@@ -267,7 +284,19 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Clients trained one after another on a single shared model."""
+    """Clients trained one after another on a single shared model.
+
+    Training stays serial, but not on the caller's thread alone: task 0
+    trains inline, and each later task trains on one per-call helper
+    thread while the caller delivers the task before it.  ``deliver``
+    (compress and fold: numpy, BLAS and the residual row file's I/O, which
+    release the GIL) then runs on one core while SGD runs on another, and
+    at most two dense deltas exist — the one being delivered and the next.
+    Each client has its own RNG stream and trains from the frozen globals,
+    and delivery stays in task order on the calling thread, so results are
+    bit-identical to training and delivering in turn.  A one-task call
+    starts no thread.
+    """
 
     name = "serial"
 
@@ -288,13 +317,28 @@ class SerialBackend(ExecutionBackend):
         global_buffers: np.ndarray,
         deliver: Deliver,
     ) -> None:
-        for task in tasks:
-            deliver(
-                _run_one(
-                    self.trainer, self.rngs, self.spec.clients, task,
-                    global_params, global_buffers,
-                )
+        def train(task: ClientTask) -> ClientResult:
+            return _run_one(
+                self.trainer, self.rngs, self.spec.clients, task,
+                global_params, global_buffers,
             )
+
+        if not tasks:
+            return
+        result = train(tasks[0])
+        if len(tasks) > 1:
+            # the executor starts its thread at the first submit, and the
+            # with-exit joins it — after a failure too, so an exception
+            # leaves here only once the helper's task has finished
+            with ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serial"
+            ) as helper:
+                for task in tasks[1:]:
+                    pending = helper.submit(train, task)
+                    deliver(result)
+                    del result  # the consumer owns a delivered result
+                    result = pending.result()
+        deliver(result)
 
 
 class ThreadBackend(ExecutionBackend):
@@ -302,7 +346,9 @@ class ThreadBackend(ExecutionBackend):
 
     Replicas are handed out through a queue, so at most ``workers`` clients
     train concurrently and no model instance is ever shared between two
-    in-flight tasks.
+    in-flight tasks.  Jobs are submitted as delivery advances, never more
+    than ``workers + 1`` ahead of it, so results that finished before the
+    caller could deliver them stay bounded by the pool, not by K.
 
     When ``spec.batch_replicas > 1``, tasks with the same realized
     ``(local_steps, lr)`` are grouped into chunks of up to that many clients
@@ -319,7 +365,7 @@ class ThreadBackend(ExecutionBackend):
 
     def __init__(self, spec: WorkerSpec, workers: Optional[int] = None):
         super().__init__(spec)
-        self.workers = max(1, workers or os.cpu_count() or 1)
+        self.workers = max(1, workers or usable_cpus())
         self._replicas: "queue.SimpleQueue[LocalTrainer]" = queue.SimpleQueue()
         for _ in range(self.workers):
             _, trainer = spec.build_trainer()
@@ -455,29 +501,40 @@ class ThreadBackend(ExecutionBackend):
         deliver: Deliver,
     ) -> None:
         run = self._run_tasks if self._batched is None else self._run_group
-        chunks = self._chunks(tasks)
-        futures: List[Optional[Future]] = [
-            self._pool.submit(
-                run, [tasks[i] for i in chunk], global_params, global_buffers
-            )
-            for chunk in chunks
-        ]
+        chunks = iter(self._chunks(tasks))
+        # submitted jobs not yet taken by this thread, oldest first: at most
+        # workers + 1, so every worker has a job and one waits behind them,
+        # and finished-but-undelivered results stay flat in K
+        ahead: "deque[Tuple[List[int], Future]]" = deque()
+
+        def submit_next() -> None:
+            chunk = next(chunks, None)
+            if chunk is not None:
+                ahead.append((chunk, self._pool.submit(
+                    run, [tasks[i] for i in chunk], global_params, global_buffers
+                )))
+
         # a job's results wait here only until every earlier task has been
         # delivered — per-task jobs never wait, a batched chunk's do when
         # its group interleaves with another's in task order
         waiting: Dict[int, ClientResult] = {}
         delivered = 0
         try:
-            for job, chunk in enumerate(chunks):
-                waiting.update(zip(chunk, futures[job].result()))
-                futures[job] = None  # a done future keeps its results alive
+            for _ in range(self.workers + 1):
+                submit_next()
+            while ahead:
+                # popped, not indexed: a done future keeps its results alive
+                chunk, future = ahead.popleft()
+                waiting.update(zip(chunk, future.result()))
+                del future
+                submit_next()
                 while delivered in waiting:
                     deliver(waiting.pop(delivered))
                     delivered += 1
         except BaseException:
             # leave no job of this call behind: queued ones are cancelled,
             # running ones finish and put their replica back
-            live = [f for f in futures if f is not None]
+            live = [future for _, future in ahead]
             for future in live:
                 future.cancel()
             wait(live)
@@ -617,7 +674,7 @@ class ProcessBackend(ExecutionBackend):
         require_fork("execution_backend='process'")
         from multiprocessing import shared_memory
 
-        self.workers = max(1, workers or os.cpu_count() or 1)
+        self.workers = max(1, workers or usable_cpus())
         dt = resolve_dtype(spec.dtype)
         self._dtype = dt
         stride = spec.d + spec.num_buffer

@@ -16,11 +16,10 @@ no kernel reads anything another shard writes.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.runtime.backends import require_fork
+from repro.runtime.backends import require_fork, usable_cpus
 
 __all__ = ["SHARD_BACKENDS", "ShardExecutor"]
 
@@ -30,9 +29,13 @@ SHARD_BACKENDS = ("serial", "thread", "process")
 class ShardExecutor:
     """Maps per-shard kernel calls over a backend, preserving task order.
 
-    Pools are created lazily on first use and released by :meth:`close`;
-    a closed executor stays usable — the next :meth:`map` simply builds a
-    fresh pool (the same contract as the execution backends).
+    Pools are released by :meth:`close`, and a closed executor stays
+    usable.  The process pool forks, so :meth:`open` starts it where the
+    caller knows it is the only thread —
+    :class:`~repro.sharding.ShardingRuntime` at construction, the server
+    before each round — never inside a kernel call, which may run beside
+    a client-training thread; a :meth:`map` on an unopened executor opens
+    it first.  The thread pool needs no such care and starts lazily.
     """
 
     def __init__(self, backend: str = "serial", workers: Optional[int] = None):
@@ -50,7 +53,16 @@ class ShardExecutor:
         self._procs = None
 
     def _worker_count(self) -> int:
-        return max(1, self._workers or os.cpu_count() or 1)
+        return max(1, self._workers or usable_cpus())
+
+    def open(self) -> None:
+        """Fork the process pool if this executor has one and it is not
+        running; idempotent, and a no-op for the other backends."""
+        if self.backend == "process" and self._procs is None:
+            import multiprocessing as mp
+
+            ctx = mp.get_context("fork")
+            self._procs = ctx.Pool(processes=self._worker_count())
 
     def map(
         self, fn: Callable[..., Any], tasks: Sequence[Tuple[Any, ...]]
@@ -66,11 +78,7 @@ class ShardExecutor:
                 )
             futures = [self._threads.submit(fn, *task) for task in tasks]
             return [f.result() for f in futures]
-        if self._procs is None:
-            import multiprocessing as mp
-
-            ctx = mp.get_context("fork")
-            self._procs = ctx.Pool(processes=self._worker_count())
+        self.open()
         return self._procs.starmap(fn, tasks)
 
     def close(self) -> None:

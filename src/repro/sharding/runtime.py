@@ -113,6 +113,18 @@ class ShardingRuntime:
         self._owns_dir = False
         self._acc: Dict[str, np.ndarray] = {}
         self._acc_paths: Dict[str, str] = {}
+        self.open()
+
+    def open(self) -> None:
+        """Start the shard pool ahead of any kernel call; idempotent.
+
+        Called at construction and by the server before each round, where
+        no other thread runs: a ``process`` pool forks, and a kernel call
+        may run beside a client-training thread.  One shard runs every
+        kernel inline and starts nothing.
+        """
+        if self.spec.count > 1:
+            self.executor.open()
 
     @property
     def d(self) -> int:
@@ -315,8 +327,8 @@ class ShardingRuntime:
     def close(self) -> None:
         """Release pools and delete any memmap accumulator files.
 
-        Idempotent, and the runtime stays usable — the next kernel call
-        rebuilds its pool/accumulators on demand.
+        Idempotent, and the runtime stays usable — :meth:`open` restarts
+        its pool, and accumulators are rebuilt on demand.
         """
         self.executor.close()
         self._acc.clear()

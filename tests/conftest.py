@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from repro.datasets import femnist_like
 from repro.nn import MLP
+
+#: live threads at each ``os.fork()`` of the running test
+_FORKS: list = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=lambda: _FORKS.append(threading.active_count()))
+
+
+@pytest.fixture(autouse=True)
+def forks():
+    """Every test forks only from a single-threaded process.
+
+    A child forked beside a live thread can inherit a lock that thread
+    held and deadlock on it; Python 3.12 warns on such a fork, which
+    ``pytest.ini`` makes an error.  This holds every interpreter to it.
+    The value is the live-thread count at each of the test's forks.
+    """
+    _FORKS.clear()
+    yield _FORKS
+    assert all(n == 1 for n in _FORKS), f"forked beside live threads: {_FORKS}"
 
 
 @pytest.fixture

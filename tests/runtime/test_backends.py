@@ -9,7 +9,13 @@ params, bytes, timings, losses — on every backend.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import os
+import sys
 import threading
+import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +32,12 @@ from repro.runtime import (
     WorkerSpec,
     create_backend,
 )
+from repro.runtime.backends import _run_one, usable_cpus
+from repro.sharding import ShardExecutor
+from repro.utils.rng import RngFactory
+
+#: every wait in these tests gives up after this many seconds
+TIMEOUT_S = 10.0
 
 
 def _config(tiny_dataset, backend="serial", dtype="float64", **overrides):
@@ -296,6 +308,218 @@ def test_deliver_failure_propagates_and_leaves_backend_usable(
         _assert_contract(
             _delivered(backend, _ORDER_TASKS, params, buffers), _ORDER_TASKS
         )
+
+
+# -- serial: the next client trains while the last one is delivered ------------
+
+
+class _WatchedTrainer:
+    """A trainer proxy: the k-th ``run`` sets ``started[k]`` on entry and
+    ``finished[k]`` once its delta exists, and keeps a weakref to that
+    delta in ``deltas[k]``."""
+
+    def __init__(self, trainer, n):
+        self.trainer = trainer
+        self.started = [threading.Event() for _ in range(n)]
+        self.finished = [threading.Event() for _ in range(n)]
+        self.deltas = []
+
+    def run(self, *args, **kwargs):
+        k = len(self.deltas)
+        self.started[k].set()
+        out = self.trainer.run(*args, **kwargs)
+        self.deltas.append(weakref.ref(out.delta))
+        self.finished[k].set()
+        return out
+
+    def alive(self):
+        return sum(ref() is not None for ref in self.deltas)
+
+
+def _watched_serial(tiny_dataset, n):
+    spec, params, buffers = _bound_spec(tiny_dataset)
+    backend = SerialBackend(spec)
+    backend.trainer = _WatchedTrainer(backend.trainer, n)
+    return backend, params, buffers
+
+
+def test_serial_overlaps_training_with_delivery(tiny_dataset):
+    """``deliver(result_i)`` returns only once task i+1's training has
+    started, which can only happen on another thread while this one is
+    still inside ``deliver``; delivery itself stays on the caller."""
+    backend, params, buffers = _watched_serial(tiny_dataset, len(_ORDER_TASKS))
+    watched = backend.trainer
+    seen = []
+
+    def deliver(result):
+        i = len(seen)
+        seen.append((result.client_id, threading.get_ident()))
+        if i + 1 < len(_ORDER_TASKS):
+            assert watched.started[i + 1].wait(TIMEOUT_S), (
+                f"task {i + 1} did not start training during deliver {i}"
+            )
+
+    backend.run_clients(_ORDER_TASKS, params, buffers, deliver)
+    assert [cid for cid, _ in seen] == [t.client_id for t in _ORDER_TASKS]
+    assert {ident for _, ident in seen} == {threading.get_ident()}
+
+
+def test_serial_holds_at_most_two_dense_deltas(tiny_dataset):
+    """At every ``deliver`` exactly the delivered delta and the next one
+    are alive — once the next has finished training, so a delta the
+    backend kept past its own ``deliver`` would show up as a third."""
+    backend, params, buffers = _watched_serial(tiny_dataset, len(_ORDER_TASKS))
+    watched = backend.trainer
+    alive = []
+
+    def deliver(result):
+        i = len(alive)
+        if i + 1 < len(_ORDER_TASKS):
+            assert watched.finished[i + 1].wait(TIMEOUT_S)
+        alive.append(watched.alive())
+
+    backend.run_clients(_ORDER_TASKS, params, buffers, deliver)
+    assert alive == [2] * (len(_ORDER_TASKS) - 1) + [1]
+    assert watched.alive() == 0
+
+
+def test_serial_one_task_call_starts_no_thread(tiny_dataset, monkeypatch):
+    """Every async dispatch is one task: it trains inline, and only a
+    second task starts the (one) helper."""
+    spec, params, buffers = _bound_spec(tiny_dataset)
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    with SerialBackend(spec) as backend:
+        seen = _delivered(backend, _ORDER_TASKS[:1], params, buffers)
+        assert started == []
+        _delivered(backend, _ORDER_TASKS[:2], params, buffers)
+    _assert_contract(seen, _ORDER_TASKS[:1])
+    assert len(started) == 1 and started[0].startswith("repro-serial")
+
+
+def test_serial_leaves_no_thread_behind(tiny_dataset):
+    """The helper is joined before ``run_clients`` returns or raises: after
+    a clean call, a training failure and a ``deliver`` failure."""
+    spec, params, buffers = _bound_spec(tiny_dataset)
+    threads = threading.active_count()
+
+    def failing_deliver(result):
+        raise LookupError(result.client_id)
+
+    with SerialBackend(spec) as backend:
+        _delivered(backend, _ORDER_TASKS, params, buffers)
+        assert threading.active_count() == threads
+        with pytest.raises(ValueError, match="local_steps override"):
+            backend.run_clients(
+                _third_fails(_ORDER_TASKS), params, buffers, lambda r: None
+            )
+        assert threading.active_count() == threads
+        with pytest.raises(LookupError):
+            backend.run_clients(_ORDER_TASKS, params, buffers, failing_deliver)
+        assert threading.active_count() == threads
+
+
+def test_serial_stress_bit_equal_to_inline_loop(tiny_dataset):
+    """40 tasks with the interpreter switching threads as often as it can:
+    the same results, in the same order, as training and delivering in
+    turn on one thread."""
+    spec, params, buffers = _bound_spec(tiny_dataset)
+    n = len(spec.clients)
+    tasks = [
+        ClientTask(client_id=i % n, lr=0.05, round_idx=3 + i // n)
+        for i in range(40)
+    ]
+    _, trainer = spec.build_trainer()
+    rngs = RngFactory(spec.seed)
+    want = []
+    for task in tasks:  # the reference: train, deliver, next
+        r = _run_one(trainer, rngs, spec.clients, task, params, buffers)
+        want.append((r.client_id, r.delta, r.buffer_delta, r.mean_loss))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with SerialBackend(spec) as backend:
+            seen = _delivered(backend, tasks, params, buffers)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_contract(seen, tasks)
+    for (cid, delta, buf, loss, _), (w_cid, w_delta, w_buf, w_loss) in zip(seen, want):
+        assert cid == w_cid and loss == w_loss
+        np.testing.assert_array_equal(delta, w_delta)
+        np.testing.assert_array_equal(buf, w_buf)
+
+
+# -- thread: a bounded look-ahead ------------------------------------------------
+
+
+def _thread_call_peak(spec, params, buffers, k):
+    """tracemalloc peak of one warm ``thread``×2 dispatch of ``k`` tasks
+    into a sink that returns only once the pool has run dry, so finished
+    results pile up as far as the backend lets them."""
+    tasks = [ClientTask(client_id=cid, lr=0.05, round_idx=1) for cid in range(k)]
+
+    def slow_deliver(result):
+        deadline = time.monotonic() + TIMEOUT_S
+        while not (
+            backend._replicas.qsize() == backend.workers
+            and backend._pool._work_queue.qsize() == 0
+        ):
+            assert time.monotonic() < deadline, "the pool never ran dry"
+            time.sleep(0.001)
+
+    with ThreadBackend(spec, workers=2) as backend:
+        backend.run_clients(tasks, params, buffers, slow_deliver)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            backend.run_clients(tasks, params, buffers, slow_deliver)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak - before
+
+
+def test_thread_lookahead_is_flat_in_k(tiny_dataset):
+    """At most ``workers + 1`` jobs run or wait ahead of the delivery
+    cursor: twelve more tasks behind a slow sink cost at most two dense
+    vectors of slack, where submitting every job at once keeps up to K
+    finished deltas waiting."""
+    spec, params, buffers = _bound_spec(tiny_dataset, model_kwargs={"hidden": (1500,)})
+    dense = params.nbytes
+    assert dense > 400_000
+    peak_4 = _thread_call_peak(spec, params, buffers, 4)
+    peak_16 = _thread_call_peak(spec, params, buffers, 16)
+    assert peak_16 - peak_4 <= 2 * dense
+
+
+# -- default pool widths ----------------------------------------------------------
+
+
+def test_default_pool_widths_follow_the_affinity_mask(tiny_dataset, monkeypatch):
+    """Under ``taskset -c 0`` every default-width pool has one worker; a
+    platform without an affinity call falls back to the CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cpus() == 1
+    spec, _, _ = _bound_spec(tiny_dataset)
+    with ThreadBackend(spec) as thread, ProcessBackend(spec) as proc:
+        assert thread.workers == proc.workers == 1
+    assert ShardExecutor("thread")._worker_count() == 1
+    server = FLServer(_config(tiny_dataset, "thread"))
+    try:
+        assert server.backend.workers == 1
+    finally:
+        server.close()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cpus() == 3
 
 
 def test_unknown_backend_rejected(tiny_dataset):

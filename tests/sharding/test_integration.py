@@ -11,6 +11,7 @@ import pytest
 from repro.compression import FedAvgStrategy, GlueFLMaskStrategy, STCStrategy
 from repro.core import make_gluefl
 from repro.fl import FLServer, RunConfig, UniformSampler
+from repro.sharding import ShardingRuntime
 
 pytestmark = pytest.mark.sharding
 
@@ -83,6 +84,47 @@ def test_process_backend_bit_identical(tiny_dataset):
         rounds=4,
     )
     np.testing.assert_array_equal(base, got)
+
+
+@pytest.mark.parametrize("execution_backend", ["serial", "thread"])
+def test_shard_pool_forks_from_a_single_thread(
+    tiny_dataset, execution_backend, forks
+):
+    """The shard pool forks where no other thread runs — at server
+    construction and when a closed server runs its next round — never
+    from the client top-k inside ``deliver``, beside a training thread."""
+    server = FLServer(
+        make_config(
+            tiny_dataset, shard_count=4, shard_backend="process",
+            backend_workers=2, execution_backend=execution_backend,
+        )
+    )
+    try:
+        assert forks == [1, 1]
+        for _ in range(2):
+            server.run_round()
+        server.close()
+        server.run_round()
+    finally:
+        server.close()
+    assert forks == [1, 1, 1, 1]
+
+
+def test_runtime_opens_its_pool_at_construction():
+    many = ShardingRuntime(64, 4, backend="process", workers=2)
+    one = ShardingRuntime(64, 1, backend="process", workers=2)
+    try:
+        assert many.executor._procs is not None
+        assert one.executor._procs is None  # one shard runs inline
+    finally:
+        many.close()
+        one.close()
+    assert many.executor._procs is None
+    many.open()
+    try:
+        assert many.executor._procs is not None
+    finally:
+        many.close()
 
 
 @pytest.mark.parametrize(
