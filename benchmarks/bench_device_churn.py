@@ -39,12 +39,12 @@ PRESETS = ("none", "diurnal", "device-classes", "storm")
 TARGET_ACC = 0.35
 
 #: RSS ceiling for the 10^6-client, 20-round event-driven run: 1.25 × the
-#: 126 MB it reads on the reference host (47 MB of that is the
+#: 95.2 MB it reads on the reference host (33 MB of that is the
 #: interpreter with numpy and repro imported).  One N-wide float64
-#: column is 8 MB, so the headroom is allocator noise plus three of
-#: those — a fourth, an O(N)-per-round temporary or any per-client
-#: object goes over.
-MILLION_CLIENT_RSS_CEILING_MB = 158
+#: column is 8 MB, so the 24 MB of headroom is three of those — a
+#: fourth, an O(N)-per-round temporary or any per-client object goes
+#: over.
+MILLION_CLIENT_RSS_CEILING_MB = 119
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

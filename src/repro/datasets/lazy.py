@@ -26,8 +26,8 @@ order and of what was evicted in between.
 >>> calls
 [0, 1]
 >>> _ = shards[2]  # evicts 1 (least recently used)
->>> sorted(shards.cached_ids), sorted(shards.ever_materialized)
-([0, 2], [0, 1, 2])
+>>> sorted(shards.cached_ids)
+[0, 2]
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ class LazyClientList(Sequence):
         self.factory = factory
         self.cache_size = cache_size
         self._cache: "OrderedDict[int, ClientDataset]" = OrderedDict()
-        #: every client id materialized at least once — the memory-bound
-        #: assertion in the 100k smoke test reads this
-        self.ever_materialized: set = set()
 
     def __len__(self) -> int:
         return self.num_clients
@@ -89,7 +86,6 @@ class LazyClientList(Sequence):
         shard = self._cache.get(cid)
         if shard is None:
             shard = self.factory(cid)
-            self.ever_materialized.add(cid)
             self._cache[cid] = shard
             if len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)

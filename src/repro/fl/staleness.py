@@ -7,11 +7,14 @@ the coordinates that changed since its last sync (§2.3) — for FedAvg that
 is always everything; for masking strategies it is the union of the
 per-round masks over the skipped rounds, which is what Fig. 2b measures.
 
-Per-client ``last_sync`` state is lazily materialized
-(:class:`~repro.utils.client_state.LazyClientState`): a client that was
-never contacted holds no entry and reads as version −1 (must download the
-full dense model), so a 10⁶-client run stores sync versions only for the
-ever-sampled cohort instead of an N-wide column.
+Per-client ``last_sync`` state is one int32 column holding ``last_sync +
+1``, all zeros at the start: 0 means never contacted (reads as version
+−1, must download the full dense model).  ``np.zeros`` pages are mapped
+on first write, so a 10⁶-client run holds 4 B per client, flat in how
+many clients it contacts and in run length, and touches only the pages
+its contacted clients sit on.  ``materialized_clients`` is a counter of
+the distinct clients ever synced, and ``record_update`` refuses a version
+the column cannot hold (past 2³¹ − 2) with ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -19,17 +22,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network.encoding import dense_bytes, sparse_bytes, sparse_bytes_many
-from repro.utils.client_state import LazyClientState
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["StalenessTracker"]
+
+#: the last version the ``last_sync + 1`` column can record
+_MAX_VERSION = int(np.iinfo(np.int32).max) - 1
 
 
 class StalenessTracker:
     """Tracks ``last_modified`` per coordinate and ``last_sync`` per client.
 
     Version 0 is the initial model; clients that were never contacted
-    (no materialized ``last_sync`` entry, read as −1) must download the
-    full dense model — their first check-in ships the whole state.
+    (``last_sync`` −1) must download the full dense model — their first
+    check-in ships the whole state.
     """
 
     def __init__(self, d: int, num_clients: int):
@@ -45,22 +51,22 @@ class StalenessTracker:
         # so pricing a contact never rescans d or re-sums the versions
         self._version_hist = np.array([d], dtype=np.int64)
         self._changed_from = np.array([d, 0], dtype=np.int64)
-        self._last_sync = LazyClientState()
+        # last_sync + 1 per client, 0 = never contacted
+        self._synced_at = np.zeros(num_clients, dtype=np.int32)
+        self._contacted = 0
 
     @property
     def materialized_clients(self) -> int:
-        """How many clients hold a ``last_sync`` entry (= ever contacted)."""
-        return len(self._last_sync)
+        """How many distinct clients were ever contacted (synced)."""
+        return self._contacted
 
     def last_sync_of(self, client_ids: np.ndarray) -> np.ndarray:
         """Vectorized ``last_sync`` reads (−1 = never contacted)."""
-        client_ids = np.asarray(client_ids)
-        get = self._last_sync.get
-        return np.fromiter(
-            (get(int(c), -1) for c in client_ids),
-            dtype=np.int64,
-            count=len(client_ids),
-        )
+        last = self._synced_at[np.asarray(client_ids, dtype=np.int64)]
+        return last.astype(np.int64) - 1
+
+    def _last_sync(self, client_id: int) -> int:
+        return int(self._synced_at[int(client_id)]) - 1
 
     def record_update(self, changed_idx: np.ndarray) -> int:
         """Advance the model version; ``changed_idx`` now carry it.
@@ -70,6 +76,11 @@ class StalenessTracker:
         per-version histogram moves each listed coordinate from its old
         version's bin to the new one, in O(len(changed_idx) + versions).
         """
+        if self.version >= _MAX_VERSION:
+            raise OverflowError(
+                f"version {self.version + 1} does not fit the int32 "
+                "last_sync column"
+            )
         self.version += 1
         hist = np.zeros(self.version + 1, dtype=np.int64)
         hist[:-1] = self._version_hist
@@ -87,7 +98,7 @@ class StalenessTracker:
 
     def stale_count(self, client_id: int) -> int:
         """How many coordinates the client must download right now."""
-        last = self._last_sync.get(int(client_id), -1)
+        last = self._last_sync(client_id)
         if last < 0:
             return self.d
         return int((self.last_modified > last).sum())
@@ -120,14 +131,14 @@ class StalenessTracker:
 
     def stale_positions(self, client_id: int) -> np.ndarray:
         """Exact coordinate set the client must download (diagnostics)."""
-        last = self._last_sync.get(int(client_id), -1)
+        last = self._last_sync(client_id)
         if last < 0:
             return np.arange(self.d, dtype=np.int64)
         return np.flatnonzero(self.last_modified > last)
 
     def download_bytes(self, client_id: int) -> int:
         """Wire size of the value sync for one client (no strategy extras)."""
-        last = self._last_sync.get(int(client_id), -1)
+        last = self._last_sync(client_id)
         if last < 0:
             return dense_bytes(self.d)
         return sparse_bytes(self.stale_count(client_id), self.d)
@@ -151,9 +162,11 @@ class StalenessTracker:
 
     def mark_synced(self, client_ids: np.ndarray) -> None:
         """Record that these clients now hold the current version."""
-        version = self.version
-        for cid in np.asarray(client_ids).ravel():
-            self._last_sync.set(int(cid), version)
+        ids = np.asarray(client_ids, dtype=np.int64).ravel()
+        fresh = ids[self._synced_at[ids] == 0]
+        self._synced_at[ids] = self.version + 1
+        if len(fresh):
+            self._contacted += len(sorted_unique(fresh))
 
     def mean_staleness_fraction(self, client_ids: np.ndarray) -> float:
         """Average fraction of the model the given clients would download."""

@@ -56,34 +56,43 @@ _NDT_RATIO_MEDIAN = 0.45  # upload/download ratio
 _NDT_RATIO_SIGMA = 0.7
 
 
+def _log_normal(
+    rng: np.random.Generator, n: int, median: float, sigma: float
+) -> np.ndarray:
+    """``median · exp(sigma · z)`` over ``n`` standard normals, computed in
+    the draw's own buffer (multiplication commutes exactly, so the values
+    are those of the expression written out)."""
+    out = rng.standard_normal(n)
+    out *= sigma
+    np.exp(out, out=out)
+    out *= median
+    return out
+
+
 def ndt_like_bandwidth(n: int, rng: np.random.Generator) -> BandwidthSample:
     """Sample consumer-grade link rates (the paper's end-user environment)."""
-    down = _NDT_DOWN_MEDIAN * np.exp(
-        _NDT_DOWN_SIGMA * rng.standard_normal(n)
-    )
-    ratio = _NDT_RATIO_MEDIAN * np.exp(
-        _NDT_RATIO_SIGMA * rng.standard_normal(n)
-    )
-    up = down * np.clip(ratio, 0.02, 1.2)
-    return BandwidthSample(
-        down_mbps=np.clip(down, 0.5, 3000.0), up_mbps=np.clip(up, 0.1, 2000.0)
-    )
+    down = _log_normal(rng, n, _NDT_DOWN_MEDIAN, _NDT_DOWN_SIGMA)
+    up = _log_normal(rng, n, _NDT_RATIO_MEDIAN, _NDT_RATIO_SIGMA)
+    np.clip(up, 0.02, 1.2, out=up)
+    up *= down  # the clipped up/down ratio times the unclipped download
+    np.clip(down, 0.5, 3000.0, out=down)
+    np.clip(up, 0.1, 2000.0, out=up)
+    return BandwidthSample(down_mbps=down, up_mbps=up)
 
 
 def five_g_bandwidth(n: int, rng: np.random.Generator) -> BandwidthSample:
     """Sample commercial-5G link rates (hundreds of Mbps down)."""
-    down = 600.0 * np.exp(0.5 * rng.standard_normal(n))
-    up = 60.0 * np.exp(0.5 * rng.standard_normal(n))
-    return BandwidthSample(
-        down_mbps=np.clip(down, 50.0, 4000.0), up_mbps=np.clip(up, 5.0, 500.0)
-    )
+    down = _log_normal(rng, n, 600.0, 0.5)
+    up = _log_normal(rng, n, 60.0, 0.5)
+    np.clip(down, 50.0, 4000.0, out=down)
+    np.clip(up, 5.0, 500.0, out=up)
+    return BandwidthSample(down_mbps=down, up_mbps=up)
 
 
 def datacenter_bandwidth(n: int, rng: np.random.Generator) -> BandwidthSample:
     """Sample intra-datacenter link rates (multi-Gbps, near symmetric)."""
-    down = 8000.0 * np.exp(0.2 * rng.standard_normal(n))
-    up = 7000.0 * np.exp(0.2 * rng.standard_normal(n))
-    return BandwidthSample(
-        down_mbps=np.clip(down, 1000.0, 32000.0),
-        up_mbps=np.clip(up, 1000.0, 32000.0),
-    )
+    down = _log_normal(rng, n, 8000.0, 0.2)
+    up = _log_normal(rng, n, 7000.0, 0.2)
+    np.clip(down, 1000.0, 32000.0, out=down)
+    np.clip(up, 1000.0, 32000.0, out=up)
+    return BandwidthSample(down_mbps=down, up_mbps=up)

@@ -72,12 +72,14 @@ from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import CHUNK_IDS, sorted_unique
 
 __all__ = ["PopulationEventQueue"]
 
 #: an event action: ``action(population, fire_round)``
 Action = Callable[[object, int], None]
+
+_INT32 = np.iinfo(np.int32)
 
 
 def _as_integers(values) -> np.ndarray:
@@ -96,11 +98,20 @@ class _FlipWheel:
     distinct periods' rows, independent of how many ids hold still.
 
     Compiling is the population's construction-time memory peak at 10⁶
-    ids, so it works by table lookup and two stable argsorts over keys
-    stored as narrow as their values, and holds at most three N-wide
-    int64 arrays at once.  ``tests/population/oracle.py`` keeps an
+    ids, so besides ``ids`` itself the only N-wide array is a residue per
+    id, as narrow as a residue is.  A stable counting sort does it in two
+    levels, each over keys as narrow as their values (16-bit keys take
+    numpy's radix sort): the ids go to their period's group one
+    :data:`~repro.utils.arrays.CHUNK_IDS` piece at a time, each piece
+    sorted by period and copied to its groups' running cursors, then each
+    group is sorted by residue in place — a few thousand ids per period
+    on the fleet shape (a one-period wheel sorts all its ids at once).
+    Pieces go in id order, so a row keeps its ids ascending.  ``ids`` is
+    stored int32 whenever the ids fit (int64 otherwise) and
+    :meth:`ids_at` widens a round's gather back to int64, the index type
+    numpy indexes with.  ``tests/population/oracle.py`` keeps an
     all-int64 ``searchsorted`` + ``lexsort`` compile as the reference;
-    the four arrays are bit-equal to it.
+    the four arrays equal it.
     """
 
     __slots__ = ("value", "ids", "periods", "row_start", "row_ptr")
@@ -114,34 +125,50 @@ class _FlipWheel:
     ) -> None:
         self.value = value
         if np.any(ids[1:] < ids[:-1]):
-            # the two passes below break ties by position: make that by id
+            # the sorts below break ties by position: make that by id
             by_id = np.argsort(ids, kind="stable")
             ids, period, residue = ids[by_id], period[by_id], residue[by_id]
-        # distinct periods and period -> slot by table, not by sorting
+        pieces = range(0, len(ids), CHUNK_IDS)
+        # distinct periods, their group sizes and period -> slot by table
         top = int(period.max())
-        seen = np.zeros(top + 1, dtype=bool)
-        seen[period] = True
-        self.periods = np.flatnonzero(seen)
+        per_period = np.zeros(top + 1, dtype=np.int64)
+        for lo in pieces:
+            p = period[lo : lo + CHUNK_IDS]
+            per_period += np.bincount(p, minlength=top + 1)
+        self.periods = np.flatnonzero(per_period)
         spans = np.cumsum(self.periods, dtype=np.int64)
         self.row_start = spans - self.periods
         slot_of = np.zeros(top + 1, dtype=np.min_scalar_type(len(self.periods)))
         slot_of[self.periods] = np.arange(len(self.periods))
-        # the two sort keys, each stored as narrow as its values
-        slot = slot_of[period]
-        residue = (residue % period).astype(np.min_scalar_type(top), copy=False)
-        row = self.row_start[slot]
-        row += residue
-        counts = np.bincount(row, minlength=int(spans[-1]))
-        del row
-        self.row_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.row_ptr[1:])
-        # (period, residue, id) order in two stable passes, least
-        # significant key first; 16-bit keys take numpy's radix sort
-        order = np.argsort(residue, kind="stable")
-        del residue  # these temporaries set the peak RSS at 10⁶ ids
-        ids, slot = ids[order], slot[order]
-        del order
-        self.ids = ids[np.argsort(slot, kind="stable")]
+        group = np.zeros(len(self.periods) + 1, dtype=np.int64)
+        np.cumsum(per_period[self.periods], out=group[1:])
+        # level 1: each piece's ids go to their period group, in order
+        wide = ids[0] < _INT32.min or ids[-1] > _INT32.max
+        self.ids = np.empty(len(ids), dtype=np.int64 if wide else np.int32)
+        residues = np.empty(len(ids), dtype=np.min_scalar_type(top))
+        cursor = group[:-1].copy()
+        for lo in pieces:
+            p = period[lo : lo + CHUNK_IDS]
+            slot = slot_of[p]
+            order = np.argsort(slot, kind="stable")
+            slot = slot[order]
+            # slot k's i-th id of the piece goes to cursor[k] + i
+            here = np.bincount(slot, minlength=len(cursor))
+            shift = cursor - np.cumsum(here)
+            shift += here
+            cursor += here
+            dest = shift[slot]
+            dest += np.arange(len(slot))
+            self.ids[dest] = ids[lo : lo + CHUNK_IDS][order]
+            residues[dest] = (residue[lo : lo + CHUNK_IDS] % p)[order]
+        # level 2: each group by residue, which also counts its rows
+        self.row_ptr = np.zeros(int(spans[-1]) + 1, dtype=np.int64)
+        for j, (a, b) in enumerate(zip(group[:-1], group[1:])):
+            res = residues[a:b]
+            self.ids[a:b] = self.ids[a:b][np.argsort(res, kind="stable")]
+            rows = self.row_ptr[self.row_start[j] + 1 : spans[j] + 1]
+            np.cumsum(np.bincount(res, minlength=self.periods[j]), out=rows)
+            rows += a
 
     def ids_at(self, round_idx: int) -> np.ndarray:
         """The ids flipping at ``round_idx``: those registered with
@@ -154,7 +181,7 @@ class _FlipWheel:
         shift = first - (np.cumsum(count, dtype=np.int64) - count)
         take = np.arange(int(count.sum()), dtype=np.int64)
         take += np.repeat(shift, count)
-        return self.ids[take]
+        return self.ids[take].astype(np.int64, copy=False)
 
 
 class _WheelFlip:
@@ -204,15 +231,16 @@ class PopulationEventQueue:
         """Flip ``available[ids[i]]`` to ``value[i]`` at every round ``r``
         with ``r % period[i] == residue[i] % period[i]``, forever.
 
-        ``period`` (≥ 1), ``residue`` and ``value`` are per-id arrays or
-        scalars that broadcast against ``ids``.  Each call compiles its
+        ``ids`` are integers of any width; ``period`` (≥ 1), ``residue``
+        and ``value`` are per-id arrays or scalars that broadcast against
+        ``ids``.  Each call compiles its
         own wheel per direction, so register a trace's flips in as few
         calls as it has directions, not one call per client group.  Flips
         start with the first round not yet drained: rounds are 1-based,
         round 0 being the state the trace seeded, and a call made after
         rounds have drained joins from the next one.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = _as_integers(ids)
         if ids.ndim != 1:
             raise ValueError("ids must be one-dimensional")
         period = np.broadcast_to(_as_integers(period), ids.shape)

@@ -85,7 +85,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.population.events import PopulationEventQueue
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import CHUNK_IDS, sorted_unique
 
 __all__ = [
     "IDLE",
@@ -108,6 +108,12 @@ _FLOAT_COLUMNS = ("connectivity", "completeness", "responsiveness")
 
 def _as_ids(client_ids) -> np.ndarray:
     return np.asarray(client_ids, dtype=np.int64)
+
+
+def _unique_ids(client_ids) -> np.ndarray:
+    """Sorted distinct ``client_ids`` as int64, in a fresh array (the
+    in-place sort never reaches the caller's)."""
+    return sorted_unique(np.array(client_ids, dtype=np.int64))
 
 
 def _snapshot(column: np.ndarray) -> np.ndarray:
@@ -284,19 +290,23 @@ class DeviceStatePopulation:
         self._pending_settle: list = []
         self._touch_buf: Optional[list] = None
         self._counts = np.zeros(4, dtype=np.int64)
-        self._idle_ids = np.empty(n, dtype=np.int64)
-        self._idle_pos = np.full(n, -1, dtype=np.int64)
-        self._idle_len = 0
         self.scalable_sampling = bool(scalable_sampling)
 
         trace.schedule(self, self.events)
+        # the idle index comes after schedule(), so the trace's set-up
+        # temporaries and its 16 B per client never coexist
+        self._idle_ids = np.empty(n, dtype=np.int64)
+        self._idle_pos = np.full(n, -1, dtype=np.int64)
+        self._idle_len = 0
         # settle everyone once against the trace's round-0 availability
-        # and seed the idle index — the only O(N) settle ever paid
-        off = np.flatnonzero(~self.available)
-        self.state[off] = OFFLINE
-        self._counts[IDLE] = n - len(off)
-        self._counts[OFFLINE] = len(off)
-        self._idle_add(np.flatnonzero(self.available))
+        # and seed the idle index in id order — the only O(N) settle ever
+        # paid
+        np.copyto(self.state, OFFLINE, where=~self.available)
+        for lo in range(0, n, CHUNK_IDS):
+            idle = np.flatnonzero(self.available[lo : lo + CHUNK_IDS])
+            self._idle_add(idle + lo)
+        self._counts[IDLE] = self._idle_len
+        self._counts[OFFLINE] = n - self._idle_len
 
     # -- idle-index maintenance ----------------------------------------------------
     def _idle_add(self, ids: np.ndarray) -> None:
@@ -447,7 +457,7 @@ class DeviceStatePopulation:
         """Mark contacted candidates as working — out of the idle pool."""
         if not len(client_ids):
             return
-        ids = np.unique(_as_ids(client_ids))
+        ids = _unique_ids(client_ids)
         self._transition(ids, WORKING)
         self._working_set.update(int(c) for c in ids)
 
@@ -456,7 +466,7 @@ class DeviceStatePopulation:
         devices return to idle without waiting for ``finish_round``."""
         if not len(client_ids):
             return
-        ids = np.unique(_as_ids(client_ids))
+        ids = _unique_ids(client_ids)
         self._working_set.difference_update(int(c) for c in ids)
         ids = ids[self.state[ids] == WORKING]
         self._transition(ids, IDLE)
@@ -468,7 +478,7 @@ class DeviceStatePopulation:
         ``DROPPED`` until ``round_idx + dropped_cooldown`` has passed."""
         if not len(client_ids):
             return
-        ids = np.unique(_as_ids(client_ids))
+        ids = _unique_ids(client_ids)
         self._working_set.difference_update(int(c) for c in ids)
         self._drop(ids, round_idx)
 

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.traces.availability import AvailabilityTrace
 from repro.traces.diurnal import DiurnalAvailabilityTrace
+from repro.utils.arrays import CHUNK_IDS
 
 __all__ = [
     "POPULATION_PRESETS",
@@ -128,6 +129,12 @@ class DutyCycleTrace(ExternalAvailabilityTrace):
     wheel in one vector call per direction, so a round costs one gather
     of its O(Σ 1/period · N) flipping ids, independent of how many
     clients sit between transitions.
+
+    ``schedule`` works through the clients in
+    :data:`~repro.utils.arrays.CHUNK_IDS` pieces, in the draws' narrow
+    storage type, and hands the wrapped trace's per-client draws over to
+    the wheels: once it returns, ``self.trace`` is ``None`` and the draws
+    are freed, so one trace schedules one population.
     """
 
     def __init__(
@@ -150,29 +157,47 @@ class DutyCycleTrace(ExternalAvailabilityTrace):
         )
 
     def schedule(self, population, queue) -> None:
-        t = self.trace
-        period = t._period  # stored as narrow as a period is; so is all below
-        # seed round 0 with the wrapped trace's own expression
-        population.available[:] = t.online(0)
-        # integer on-window length: pos < frac·P  ⟺  pos < ceil(frac·P)
-        length = t._on_fraction * period
-        np.ceil(length, out=length)
-        np.clip(length, 0, period, out=length)
-        length = length.astype(period.dtype)
-        flips = np.flatnonzero((length > 0) & (length < period))
-        period, length = period[flips], length[flips]
-        # the window opens at rounds ≡ −phase and closes at ≡ length − phase
-        # (mod period); written so no intermediate leaves [0, period] — the
-        # unsigned storage type holds neither a negative nor 2·period
-        opens = period - t._phase[flips] % period
-        gap = period - length
-        closes = np.where(opens >= gap, opens - gap, opens + length)
-        # the wheel compiles' temporaries set the process's peak RSS at
-        # 10⁶ clients: nothing N-wide rides through them that they do not
-        # read
-        del length, gap
+        if self.trace is None:
+            raise RuntimeError(
+                "this DutyCycleTrace already scheduled a population: its "
+                "draws live in that population's flip wheels now"
+            )
+        # stored as narrow as a period is; so is everything below
+        period, phase = self.trace._period, self.trace._phase
+        on_fraction = self.trace._on_fraction
+        self.trace = None  # these locals are the draws' last references
+        n = len(period)
+        # each flipping client's id and (period, opens, closes) residues
+        flips = np.empty(n, dtype=np.min_scalar_type(-n))
+        edges = np.empty((3, n), dtype=period.dtype)
+        kept = 0
+        for lo in range(0, n, CHUNK_IDS):
+            hi = lo + CHUNK_IDS
+            p = period[lo:hi]
+            # integer on-window length: pos < frac·P  ⟺  pos < ceil(frac·P)
+            length = on_fraction[lo:hi] * p
+            np.ceil(length, out=length)
+            np.clip(length, 0, p, out=length)
+            length = length.astype(p.dtype)
+            # round 0: the wrapped trace's pos = phase % P, in its window
+            np.less(phase[lo:hi] % p, length, out=population.available[lo:hi])
+            local = np.flatnonzero((length > 0) & (length < p))
+            p, length = p[local], length[local]
+            end = kept + len(local)
+            flips[kept:end] = local + lo
+            flip_period, opens, closes = edges[:, kept:end]
+            flip_period[:] = p
+            # the window opens at rounds ≡ −phase and closes at ≡ length −
+            # phase (mod period); written so no intermediate leaves [0,
+            # period] — the unsigned storage type holds neither a negative
+            # nor 2·period
+            np.subtract(p, phase[lo:hi][local] % p, out=opens)
+            gap = p - length
+            closes[:] = np.where(opens >= gap, opens - gap, opens + length)
+            kept = end
+        del period, phase, on_fraction
+        flips, (period, opens, closes) = flips[:kept], edges[:, :kept]
         queue.schedule_periodic(flips, period, opens, True)
-        del opens
         queue.schedule_periodic(flips, period, closes, False)
 
 

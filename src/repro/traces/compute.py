@@ -42,7 +42,10 @@ class ComputeTrace:
             raise ValueError("base_step_seconds must be positive")
         self.num_clients = num_clients
         self.base_step_seconds = base_step_seconds
-        self.speed_factor = np.exp(sigma * rng.standard_normal(num_clients))
+        # exp(sigma · z), in the draw's own buffer
+        speed = rng.standard_normal(num_clients)
+        speed *= sigma
+        self.speed_factor = np.exp(speed, out=speed)
 
     def round_seconds(
         self, client_id: int, local_steps: int, model_scale: float = 1.0

@@ -6,7 +6,12 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["sorted_unique"]
+__all__ = ["CHUNK_IDS", "sorted_unique"]
+
+#: clients per piece of a set-up pass cut into pieces over a 10⁶-client
+#: population: a piece's int64 temporary is 128 KiB, so what the pass
+#: builds, not its temporaries, sets the traced peak
+CHUNK_IDS = 1 << 14
 
 
 def sorted_unique(

@@ -1,14 +1,17 @@
 """Lazily materialized per-client server state with an optional LRU bound.
 
 A 10⁶-client federation must not pay O(N) server memory for state that
-only ever-sampled clients accumulate — residual stores, staleness
-bookkeeping, per-client norm estimates.  :class:`LazyClientState` is the
-shared container behind those stores: entries materialize on first write,
-absent clients read as the zero-default, and an optional ``max_clients``
-bound evicts least-recently-used entries (eviction must be semantically
-safe for the caller — e.g. a lost residual simply compensates nothing, a
-lost ``last_sync`` re-downloads dense — which is exactly the zero-default
-contract).
+only ever-sampled clients accumulate and that is wider than a column
+entry — a residual's ``(row, weight)`` pair, a per-client norm estimate.
+:class:`LazyClientState` is the shared container behind those stores:
+entries materialize on first write, absent clients read as the
+zero-default, and an optional ``max_clients`` bound evicts
+least-recently-used entries (eviction must be semantically safe for the
+caller — e.g. a lost residual simply compensates nothing — which is
+exactly the zero-default contract).  A dict entry costs ≈ 90 B, so
+state that fits a machine word per client is a numpy column instead:
+``StalenessTracker`` keeps ``last_sync`` as 4 B per client, flat in how
+many clients a run contacts.
 
 >>> store = LazyClientState(default=lambda: 0.0, max_clients=2)
 >>> store.get(7)

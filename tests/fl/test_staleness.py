@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.fl import staleness
 from repro.fl.staleness import StalenessTracker
 from repro.network.encoding import dense_bytes, sparse_bytes
 
@@ -122,3 +125,55 @@ def test_version_histogram_matches_brute_force(seed):
         )
         np.testing.assert_array_equal(tr.stale_counts(ids), brute)
         assert tr.stale_counts(ids).dtype == np.int64
+
+
+def test_materialized_clients_counts_distinct_contacts():
+    tr = StalenessTracker(d=10, num_clients=6)
+    assert tr.materialized_clients == 0
+    tr.mark_synced(np.array([4, 1, 4]))  # a repeat inside one call
+    tr.record_update(np.array([0]))
+    tr.mark_synced(np.array([1, 5]))  # 1 again, in a later version
+    tr.mark_synced(np.array([], dtype=np.int64))
+    assert tr.materialized_clients == 3
+    np.testing.assert_array_equal(
+        tr.last_sync_of(np.arange(6)), [-1, 1, -1, -1, 0, 1]
+    )
+
+
+def test_record_update_refuses_a_version_the_column_cannot_hold(monkeypatch):
+    tr = StalenessTracker(d=4, num_clients=2)
+    # the last version the int32 column holds (as last_sync + 1) reads back
+    tr.version = staleness._MAX_VERSION
+    tr.mark_synced(np.array([0]))
+    assert tr.last_sync_of(np.array([0, 1])).tolist() == [tr.version, -1]
+    # the guard, below a cap small enough to reach by updating
+    monkeypatch.setattr(staleness, "_MAX_VERSION", 2)
+    tr = StalenessTracker(d=4, num_clients=2)
+    assert [tr.record_update(np.array([i])) for i in range(2)] == [1, 2]
+    with pytest.raises(OverflowError, match="int32"):
+        tr.record_update(np.array([2]))
+    assert tr.version == 2 and tr.stale_count(1) == 4
+
+
+@pytest.mark.population
+def test_last_sync_is_one_int32_column_at_a_million_clients():
+    """10⁶ clients, 10⁵ of them contacted (some twice): the tracker holds
+    4 B per client plus O(1), however many it contacts, and
+    ``materialized_clients`` is exact."""
+    n, contacted = 1_000_000, 100_000
+    ids = np.random.default_rng(0).permutation(n)[:contacted]
+    tracemalloc.start()
+    try:
+        tr = StalenessTracker(d=100, num_clients=n)
+        empty, _ = tracemalloc.get_traced_memory()
+        for batch in np.array_split(ids, 1_000):
+            tr.mark_synced(batch)
+            tr.mark_synced(batch[:3])  # a re-sync is not a new client
+            tr.record_update(np.arange(batch[0] % 100, 100))
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert empty <= 4 * n + 64 * 1024
+    assert live - empty <= 64 * 1024, f"{live - empty} B grew with contacts"
+    assert tr.materialized_clients == contacted
+    assert (tr.last_sync_of(ids) >= 0).all()

@@ -71,3 +71,45 @@ def test_client_links_scalar_and_vector_agree(rng):
     vec_up = links.upload_seconds_many(ids, sizes)
     for i in ids:
         assert vec_up[i] == pytest.approx(links.upload_seconds(i, 1e6))
+
+
+# -- the samplers against the expressions they replaced ----------------------------
+# Each sampler draws in its own buffers; these are the whole-array
+# expressions it was written out as before, kept as the reference.
+
+
+def reference_ndt(n, rng):
+    down = 40.0 * np.exp(np.log(4.0) / 0.8416 * rng.standard_normal(n))
+    ratio = 0.45 * np.exp(0.7 * rng.standard_normal(n))
+    up = down * np.clip(ratio, 0.02, 1.2)
+    return np.clip(down, 0.5, 3000.0), np.clip(up, 0.1, 2000.0)
+
+
+def reference_five_g(n, rng):
+    down = 600.0 * np.exp(0.5 * rng.standard_normal(n))
+    up = 60.0 * np.exp(0.5 * rng.standard_normal(n))
+    return np.clip(down, 50.0, 4000.0), np.clip(up, 5.0, 500.0)
+
+
+def reference_datacenter(n, rng):
+    down = 8000.0 * np.exp(0.2 * rng.standard_normal(n))
+    up = 7000.0 * np.exp(0.2 * rng.standard_normal(n))
+    return np.clip(down, 1000.0, 32000.0), np.clip(up, 1000.0, 32000.0)
+
+
+@pytest.mark.parametrize(
+    "sampler, reference",
+    (
+        (ndt_like_bandwidth, reference_ndt),
+        (five_g_bandwidth, reference_five_g),
+        (datacenter_bandwidth, reference_datacenter),
+    ),
+)
+@pytest.mark.parametrize("seed", (0, 7))
+def test_in_place_samplers_equal_the_whole_array_expressions(
+    sampler, reference, seed
+):
+    got = sampler(50_000, np.random.default_rng(seed))
+    down, up = reference(50_000, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got.down_mbps, down)
+    np.testing.assert_array_equal(got.up_mbps, up)

@@ -38,15 +38,17 @@ from repro.population import (
 )
 
 
-def rewrite_columns(trace, pop, round_idx: int) -> None:
-    """Write what ``trace`` says about ``round_idx`` as full columns."""
+def rewrite_columns(trace, pop, round_idx: int, classic=None) -> None:
+    """Write what ``trace`` says about ``round_idx`` as full columns;
+    ``classic`` answers ``online`` in place of the object an
+    :class:`ExternalAvailabilityTrace` wraps."""
     if isinstance(trace, ChurnStormTrace):
         connectivity = pop.writable("connectivity")
         responsiveness = pop.writable("responsiveness")
         connectivity[:] = pop.base_connectivity
         responsiveness[:] = pop.base_responsiveness
         if trace.base is not None:
-            rewrite_columns(trace.base, pop, round_idx)
+            rewrite_columns(trace.base, pop, round_idx, classic)
         if not trace.is_burst(round_idx):
             return
         connectivity *= 1.0 - trace.burst_dropout
@@ -60,8 +62,9 @@ def rewrite_columns(trace, pop, round_idx: int) -> None:
     elif isinstance(trace, DeviceClassTrace):
         pop.available[:] = trace._rng.random(pop.num_clients) < trace._online_p
     elif isinstance(trace, ExternalAvailabilityTrace):
-        # covers DutyCycleTrace / DiurnalTrace: ask the wrapped trace
-        pop.available[:] = trace.trace.online(round_idx)
+        # covers DutyCycleTrace / DiurnalTrace: ask the classic trace
+        wrapped = classic if classic is not None else trace.trace
+        pop.available[:] = wrapped.online(round_idx)
     elif type(trace) not in (DeviceTrace, StaticTrace):
         raise TypeError(f"oracle has no column model for {type(trace).__name__}")
 
@@ -92,13 +95,21 @@ class SweepOraclePopulation:
     scalable_sampling = False
 
     def __init__(
-        self, num_clients, rng, trace=None, *, dropout_prob=0.0, dropped_cooldown=1
+        self,
+        num_clients,
+        rng,
+        trace=None,
+        *,
+        dropout_prob=0.0,
+        dropped_cooldown=1,
+        classic=None,
     ):
         n = num_clients
         self.num_clients = n
         self.dropped_cooldown = dropped_cooldown
         self._rng = rng
         self.trace = trace if trace is not None else StaticTrace()
+        self.classic = classic
         self.available = np.ones(n, dtype=bool)
         self.connectivity = np.full(n, 1.0 - dropout_prob)
         self.completeness = np.ones(n)
@@ -111,15 +122,20 @@ class SweepOraclePopulation:
         self.base_responsiveness = self.responsiveness.copy()
 
     @classmethod
-    def mirroring(cls, population):
+    def mirroring(cls, population, classic=None):
         """An oracle over a *fresh* population's trace, RNG and knobs.
-        The two share RNG streams, so the donor must never be advanced."""
+        The two share RNG streams, so the donor must never be advanced.
+        A ``DutyCycleTrace`` hands its draws to the donor's flip wheels at
+        construction, so the oracle answers availability from
+        ``classic``: the base availability redrawn from the donor's seed,
+        an object no population reads."""
         return cls(
             population.num_clients,
             population._rng,
             population.trace,
             dropout_prob=population.dropout_prob,
             dropped_cooldown=population.dropped_cooldown,
+            classic=classic,
         )
 
     def writable(self, name: str) -> np.ndarray:
@@ -133,7 +149,7 @@ class SweepOraclePopulation:
         self._round = round_idx
         revive = (self.state == DROPPED) & (round_idx > self._drop_until)
         self.state[revive] = IDLE
-        rewrite_columns(self.trace, self, round_idx)
+        rewrite_columns(self.trace, self, round_idx, self.classic)
         settled = (self.state != WORKING) & (self.state != DROPPED)
         self.state[settled] = np.where(self.available[settled], IDLE, OFFLINE)
 
@@ -199,12 +215,18 @@ def lexsort_compile(ids, period, residue):
     return ids[np.lexsort((ids, row))], row_ptr, periods, row_start
 
 
+def assert_wheel_equals(wheel, want):
+    """``wheel``'s four arrays equal ``want`` (a :func:`lexsort_compile`)
+    by value; ids may be stored int32, the CSR tables are int64."""
+    got = (wheel.ids, wheel.row_ptr, wheel.periods, wheel.row_start)
+    for name, g, w in zip(("ids", "row_ptr", "periods", "row_start"), got, want):
+        allowed = (np.int32, np.int64) if name == "ids" else (np.int64,)
+        assert g.dtype in allowed, (name, g.dtype)
+        np.testing.assert_array_equal(g, w, err_msg=name)
+
+
 def assert_compiles_like_lexsort(ids, period, residue):
     q = PopulationEventQueue()
     q.schedule_periodic(ids, period, residue, True)
     (wheel,) = q._wheels
-    want = lexsort_compile(ids, period, residue)
-    got = (wheel.ids, wheel.row_ptr, wheel.periods, wheel.row_start)
-    for name, g, w in zip(("ids", "row_ptr", "periods", "row_start"), got, want):
-        assert g.dtype == np.int64, name
-        np.testing.assert_array_equal(g, w, err_msg=name)
+    assert_wheel_equals(wheel, lexsort_compile(ids, period, residue))

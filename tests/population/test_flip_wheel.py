@@ -17,7 +17,12 @@ from repro.population import (
     PopulationEventQueue,
 )
 from repro.traces.availability import AvailabilityTrace
-from tests.population.oracle import assert_compiles_like_lexsort, lexsort_compile
+from repro.utils.arrays import CHUNK_IDS
+from tests.population.oracle import (
+    assert_compiles_like_lexsort,
+    assert_wheel_equals,
+    lexsort_compile,
+)
 
 pytestmark = pytest.mark.population
 
@@ -94,6 +99,17 @@ def test_scalar_period_residue_and_value_broadcast():
     }
 
 
+def test_wheel_stores_int32_ids_and_drains_int64():
+    """Ids that fit are stored int32 — narrow ids arrive as they are — and
+    a drained round hands them out int64, the type numpy indexes with."""
+    q = PopulationEventQueue()
+    q.schedule_periodic(np.array([4, 2, 9], dtype=np.int8), 3, 1, True)
+    (wheel,) = q._wheels
+    assert wheel.ids.dtype == np.int32
+    ((_, flip),) = q.pop_due(1)
+    assert flip.ids.dtype == np.int64 and flip.ids.tolist() == [2, 4, 9]
+
+
 def test_schedule_periodic_rejects_bad_input():
     q = PopulationEventQueue()
     with pytest.raises(ValueError, match="period"):
@@ -136,6 +152,17 @@ def _wheel_case(name):
         return ids, period, (rng.integers(0, 400, n) % period).astype(np.uint16)
     if name == "negative residues on unsigned periods":
         return ids, rng.integers(2, 200, n).astype(np.uint8), rng.integers(-500, 0, n)
+    if name == "ids beyond 32 bits":  # stored int64, not int32
+        return ids + 2**31, rng.integers(2, 9, n), rng.integers(0, 9, n)
+    big = 2 * CHUNK_IDS + 123  # the compile works in CHUNK_IDS pieces
+    if name == "several pieces":
+        return (
+            np.arange(big, dtype=np.int64),
+            rng.choice([3, 7, 300], big).astype(np.uint16),
+            rng.integers(0, 300, big),
+        )
+    if name == "one period over several pieces":
+        return rng.permutation(big), 48, rng.integers(0, 48, big)
     raise AssertionError(name)
 
 
@@ -153,6 +180,9 @@ def _wheel_case(name):
         "uint8 keys",
         "uint16 keys",
         "negative residues on unsigned periods",
+        "ids beyond 32 bits",
+        "several pieces",
+        "one period over several pieces",
     ),
 )
 def test_compiled_arrays_equal_the_lexsort_compile(case):
@@ -175,8 +205,10 @@ def test_duty_cycle_wheels_equal_the_int64_schedule(max_period):
     """``DutyCycleTrace.schedule`` works in the narrow storage type, where
     neither ``-phase`` nor ``length - phase`` exists; its two wheels must
     be the ones the int64 arithmetic (those two residues, un-reduced)
-    compiled — 200 and 255 put ``2·period`` past uint8."""
-    n, seed = 400, 5
+    compiled — 200 and 255 put ``2·period`` past uint8 — and it seeds
+    round 0 as the wrapped trace's ``online(0)`` would have, over several
+    :data:`~repro.utils.arrays.CHUNK_IDS` pieces."""
+    n, seed = 2 * CHUNK_IDS + 400, 5
     min_period = max_period - 60
     trace = DutyCycleTrace(
         n, np.random.default_rng(seed), 0.6, min_period, max_period
@@ -185,17 +217,16 @@ def test_duty_cycle_wheels_equal_the_int64_schedule(max_period):
     period, phase, on_fraction = int64_duty_cycles(
         seed, n, 0.6, min_period, max_period
     )
+    np.testing.assert_array_equal(
+        pop.available, phase % period < on_fraction * period
+    )
     length = np.clip(np.ceil(on_fraction * period).astype(np.int64), 0, period)
     flips = np.flatnonzero((length > 0) & (length < period))
     period, phase, length = period[flips], phase[flips], length[flips]
     opens, closes = pop.events._wheels
     assert (opens.value, closes.value) == (True, False)
     for wheel, residue in ((opens, -phase), (closes, length - phase)):
-        ids, row_ptr, periods, row_start = lexsort_compile(flips, period, residue)
-        np.testing.assert_array_equal(wheel.ids, ids)
-        np.testing.assert_array_equal(wheel.row_ptr, row_ptr)
-        np.testing.assert_array_equal(wheel.periods, periods)
-        np.testing.assert_array_equal(wheel.row_start, row_start)
+        assert_wheel_equals(wheel, lexsort_compile(flips, period, residue))
 
 
 @pytest.mark.parametrize("max_period", (200, 255, 256, 400, 65_535, 70_000))

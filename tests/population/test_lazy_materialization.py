@@ -64,7 +64,7 @@ def test_lru_evicts_least_recently_used():
     _ = shards[0]  # touch 0: now 1 is LRU
     _ = shards[2]  # evicts 1
     assert sorted(shards.cached_ids) == [0, 2]
-    assert shards.ever_materialized == {0, 1, 2}
+    assert calls == [0, 1, 2]
     _ = shards[1]  # re-materialized after eviction
     assert calls == [0, 1, 2, 1]
 
@@ -104,7 +104,7 @@ def test_weights_are_preset_without_materialization():
     w = dataset.weights()
     np.testing.assert_allclose(w.sum(), 1.0)
     np.testing.assert_allclose(w, 1.0 / 1000)
-    assert not dataset.clients.ever_materialized
+    assert not dataset.clients.cached_ids  # nothing was ever built
 
 
 # -- the 100k-client smoke test ----------------------------------------------------
@@ -137,15 +137,23 @@ def test_100k_clients_20_rounds_materializes_only_cohorts():
         always_available=True,
         seed=2,
     )
+    shards = dataset.clients
+    built = set()
+    factory = shards.factory
+
+    def recording_factory(cid):
+        built.add(cid)
+        return factory(cid)
+
+    shards.factory = recording_factory
     server = FLServer(config)
     result = server.run()
     server.close()
     assert result.num_rounds == 20
 
-    shards = dataset.clients
     # only drawn cohorts ever materialized: ≤ rounds × (K + overcommit
     # extras), a vanishing fraction of the federation
-    assert len(shards.ever_materialized) <= 20 * 8
+    assert 0 < len(built) <= 20 * 8
     assert len(shards.cached_ids) <= 64
     # resident shard payload is cache-bounded (~64 tiny shards)
     resident = sum(

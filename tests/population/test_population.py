@@ -1,10 +1,15 @@
 """Unit tests for the vectorized device-state population."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.population import (
     DROPPED,
     IDLE,
@@ -146,33 +151,87 @@ def test_reads_agree_on_a_view_and_on_a_real_column(materialized):
     assert sure._rng.random() == np.random.default_rng(5).random()
 
 
+def fleet_shape(n):
+    """The ``fleet_async_1m`` population shape at ``n`` clients."""
+    return DeviceStatePopulation(
+        n,
+        np.random.default_rng(1),
+        trace=DutyCycleTrace(
+            n,
+            np.random.default_rng(2),
+            mean_on_fraction=0.8,
+            min_period=100,
+            max_period=400,
+        ),
+        dropout_prob=0.05,
+    )
+
+
 @pytest.mark.population
 def test_fleet_shape_footprint_per_client():
-    """The ``fleet_async_1m`` population shape at N = 10⁵: what stays
-    live is the state that varies (reads 66 B per client; one eager
-    float64 column adds 8) and the wheel compile's temporaries do not
-    pile up (the traced peak reads 101)."""
+    """The fleet shape at N = 10⁵: what stays live is the state that
+    varies (reads 37.9 B per client: the idle index 16, the two wheels
+    ≈ 7.7 and their row tables ≈ 12, ``state`` and ``available``; one
+    eager float64 column adds 8), the build peaks within 1.25× of it
+    (reads 40.0), and nothing else survives ``schedule()`` — the
+    duty-cycle draws are gone."""
     n = 100_000
+    fleet_shape(1_000)  # lazy imports inside the first build are not state
     tracemalloc.start()
     try:
-        pop = DeviceStatePopulation(
-            n,
-            np.random.default_rng(1),
-            trace=DutyCycleTrace(
-                n,
-                np.random.default_rng(2),
-                mean_on_fraction=0.8,
-                min_period=100,
-                max_period=400,
-            ),
-            dropout_prob=0.05,
-        )
+        pop = fleet_shape(n)
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert live <= 80 * n, f"{live / n:.1f} B live per client"
-    assert peak <= 125 * n, f"{peak / n:.1f} B peak per client"
+    assert live <= 45 * n, f"{live / n:.1f} B live per client"
+    assert peak <= 48 * n, f"{peak / n:.1f} B peak per client"
+    assert peak <= 1.25 * live, f"peak {peak / live:.2f} x live"
     assert all(getattr(pop, name).strides == (0,) for name in FLOAT_COLUMNS)
+    columns = (pop.available, pop.state, pop._idle_ids, pop._idle_pos)
+    wheels = [
+        (w.ids, w.row_ptr, w.periods, w.row_start) for w in pop.events._wheels
+    ]
+    held = sum(a.nbytes for a in columns + sum(wheels, ()))
+    assert live - held <= 64 * 1024, f"{live - held} B beyond the columns"
+    assert pop.trace.trace is None
+    assert [w.ids.dtype for w in pop.events._wheels] == [np.int32] * 2
+
+
+def test_a_duty_cycle_trace_schedules_one_population():
+    trace = DutyCycleTrace(20, np.random.default_rng(0))
+    make_pop(20, trace=trace)
+    with pytest.raises(RuntimeError, match="already scheduled"):
+        make_pop(20, trace=trace)
+
+
+def test_transitions_never_import_numpy_ma():
+    """``begin_work`` / ``complete_work`` / ``drop_work`` dedupe with
+    ``sorted_unique``: ``np.unique`` would import ``numpy.ma`` (≈ 26 ms)
+    inside the first dispatch of a run."""
+    code = """
+import sys
+import numpy as np
+from repro.population import DeviceStatePopulation
+pop = DeviceStatePopulation(10_000, np.random.default_rng(0))
+rng = np.random.default_rng(1)
+for t in range(1, 6):
+    cohort = pop.idle_pool(t).sample(rng, 40)
+    pop.begin_work(np.concatenate([cohort, cohort[:3]]))
+    pop.complete_work(cohort[5:])
+    pop.drop_work(cohort[:5], t)
+assert pop.state_counts()["working"] == 0, pop.state_counts()
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.split() == ["False"], out.stderr
 
 
 # -- state machine -----------------------------------------------------------------

@@ -36,6 +36,8 @@ from repro.population import (
     StaticTrace,
     build_population,
 )
+from repro.traces.availability import AvailabilityTrace
+from repro.traces.diurnal import DiurnalAvailabilityTrace
 from repro.utils.rng import RngFactory
 from tests.population.oracle import SweepOraclePopulation
 
@@ -113,6 +115,22 @@ def make_trace(kind: str, n: int, seed: int, composed: bool):
             rng=np.random.default_rng(seed + 1),
         )
     return base
+
+
+def classic_base(preset, seed, config):
+    """The classic availability ``build_population`` wraps for
+    ``preset``, drawn again from the server's named stream: the same
+    draws as the donor population's base, in an object of the oracle's
+    own (``None`` where the base is not a classic trace)."""
+    rng = RngFactory(seed)("population")
+    n = DATASET.num_clients
+    if preset == "diurnal":
+        return DiurnalAvailabilityTrace(n, rng, dropout_prob=0.0)
+    if preset == "device-classes":
+        return None
+    return AvailabilityTrace(
+        n, rng, mean_on_fraction=config.mean_on_fraction, dropout_prob=0.0
+    )
 
 
 def twin_pops(kind, n, seed, composed):
@@ -263,7 +281,10 @@ def test_round_records_identical_event_vs_sweep(
         config=event_cfg,
     )
     sweep_cfg = tiny_config(
-        population=SweepOraclePopulation.mirroring(donor), **knobs
+        population=SweepOraclePopulation.mirroring(
+            donor, classic_base(preset, seed, event_cfg)
+        ),
+        **knobs,
     )
     assert (
         run_training(event_cfg).records == run_training(sweep_cfg).records

@@ -55,6 +55,15 @@ def test_compute_trace_heterogeneity(rng):
     assert np.median(times) == pytest.approx(10 * 0.1, rel=0.3)
 
 
+@pytest.mark.parametrize("sigma", (0.0, 0.5, 1.3))
+def test_compute_trace_speed_equals_the_whole_array_expression(sigma):
+    """The speed factors are drawn in place; the expression they were
+    written out as before is the reference."""
+    trace = ComputeTrace(20_000, np.random.default_rng(3), sigma=sigma)
+    want = np.exp(sigma * np.random.default_rng(3).standard_normal(20_000))
+    np.testing.assert_array_equal(trace.speed_factor, want)
+
+
 def test_compute_trace_scalar_vector_agree(rng):
     trace = ComputeTrace(10, rng)
     vec = trace.round_seconds_many(np.arange(10), 5, model_scale=2.0)
