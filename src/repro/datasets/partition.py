@@ -12,6 +12,8 @@ from typing import List
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 __all__ = ["dirichlet_partition", "shard_partition", "iid_partition"]
 
 
@@ -35,7 +37,8 @@ def dirichlet_partition(
         raise ValueError("num_clients must be positive")
     labels = np.asarray(labels)
     per_client: List[List[np.ndarray]] = [[] for _ in range(num_clients)]
-    for cls in np.unique(labels):
+    # sorted_unique, not np.unique: that one imports numpy.ma on first use
+    for cls in sorted_unique(labels.copy()):
         cls_idx = np.flatnonzero(labels == cls)
         rng.shuffle(cls_idx)
         proportions = rng.dirichlet(np.full(num_clients, alpha))

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.fl.aggregation import equal_weights, horvitz_thompson_weights
 from repro.fl.samplers import ClientSampler, SampleDraw
+from repro.utils.arrays import sorted_unique
 from repro.utils.client_state import LazyClientState
 
 __all__ = [
@@ -79,7 +80,7 @@ class MDSampler(ClientSampler):
         probs = probs / probs.sum()
         want = min(self.k + self._extras(overcommit, self.k), len(pool))
         drawn = self._rng.choice(pool, size=want, replace=True, p=probs)
-        unique = np.unique(drawn)
+        unique = sorted_unique(drawn)
         return SampleDraw(
             sticky=np.empty(0, dtype=np.int64),
             nonsticky=unique.astype(np.int64),
@@ -351,7 +352,7 @@ class OptimalClientSampler(ClientSampler):
         picks = np.searchsorted(cum, points, side="left")
         picks = np.minimum(picks, len(pool) - 1)
         # float-edge duplicates are measure-zero; dedup keeps the draw valid
-        return pool[order[np.unique(picks)]]
+        return pool[order[sorted_unique(picks)]]
 
     def draw(
         self, round_idx: int, available: np.ndarray, overcommit: float = 1.0

@@ -21,6 +21,8 @@ class ReLU(Module):
     only in training mode: an eval-mode forward is the ``maximum`` alone.
     """
 
+    rowwise = True
+
     def __init__(self):
         super().__init__()
         self._mask: Optional[np.ndarray] = None
@@ -47,6 +49,8 @@ class ReLU(Module):
 class LeakyReLU(Module):
     """``x if x > 0 else slope * x``."""
 
+    rowwise = True
+
     def __init__(self, slope: float = 0.01):
         super().__init__()
         self.slope = slope
@@ -66,6 +70,8 @@ class LeakyReLU(Module):
 
 class Sigmoid(Module):
     """Logistic function."""
+
+    rowwise = True
 
     def __init__(self):
         super().__init__()
@@ -90,6 +96,8 @@ class Sigmoid(Module):
 
 class Tanh(Module):
     """Hyperbolic tangent."""
+
+    rowwise = True
 
     def __init__(self):
         super().__init__()

@@ -11,13 +11,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.module import NO_CACHE, Module
+from repro.nn.module import NO_CACHE, Module, children_rowwise
 
 __all__ = ["Identity", "ResidualAdd", "ChannelConcat"]
 
 
 class Identity(Module):
     """Pass-through (useful as a shortcut branch)."""
+
+    rowwise = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x
@@ -37,6 +39,8 @@ class ResidualAdd(Module):
         The skip branch; defaults to :class:`Identity` (requires matching
         shapes).  Use a 1×1 conv (+BN) shortcut for shape changes.
     """
+
+    rowwise = children_rowwise
 
     def __init__(self, main: Module, shortcut: Optional[Module] = None):
         super().__init__()
@@ -63,6 +67,8 @@ class ChannelConcat(Module):
     Used by ShuffleNet stride-2 units, where the shortcut branch is an
     average-pooled copy of the input concatenated with the main branch.
     """
+
+    rowwise = children_rowwise
 
     def __init__(self, left: Module, right: Module):
         super().__init__()

@@ -40,6 +40,9 @@ class Conv2d(Module):
         between for grouped conv (ShuffleNet-style).
     """
 
+    #: matmul's batch axes run one GEMM per (sample, group), whatever N is
+    rowwise = True
+
     def __init__(
         self,
         in_channels: int,

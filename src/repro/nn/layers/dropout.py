@@ -23,6 +23,8 @@ class Dropout(Module):
         behaviour is still deterministic per instance.
     """
 
+    rowwise = True
+
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
         super().__init__()
         if not 0.0 <= p < 1.0:

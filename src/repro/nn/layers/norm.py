@@ -23,6 +23,8 @@ class _BatchNormBase(Module):
 
     #: axes to reduce over, set by subclasses
     _axes: Tuple[int, ...] = (0,)
+    #: eval mode normalizes with the running statistics, element by element
+    rowwise = True
 
     def __init__(
         self,

@@ -25,6 +25,8 @@ class MaxPool2d(Module):
     included); both paths break ties identically.
     """
 
+    rowwise = True
+
     def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
         super().__init__()
         self.kernel_size = kernel_size
@@ -105,6 +107,8 @@ class MaxPool2d(Module):
 class AvgPool2d(Module):
     """Average pooling over square windows (count includes padding)."""
 
+    rowwise = True
+
     def __init__(self, kernel_size: int, stride: Optional[int] = None, padding: int = 0):
         super().__init__()
         self.kernel_size = kernel_size
@@ -137,6 +141,8 @@ class AvgPool2d(Module):
 
 class GlobalAvgPool2d(Module):
     """Mean over all spatial positions: ``(N, C, H, W) → (N, C)``."""
+
+    rowwise = True
 
     def __init__(self):
         super().__init__()

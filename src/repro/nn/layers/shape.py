@@ -14,6 +14,8 @@ __all__ = ["Flatten", "ChannelShuffle"]
 class Flatten(Module):
     """``(N, ...) → (N, prod(...))``."""
 
+    rowwise = True
+
     def __init__(self):
         super().__init__()
         self._shape: Optional[Tuple[int, ...]] = None
@@ -37,6 +39,8 @@ class ChannelShuffle(Module):
     inverse-permutation under swapped ``(G, Cg)``, which is what
     :meth:`backward` applies.
     """
+
+    rowwise = True
 
     def __init__(self, groups: int):
         super().__init__()

@@ -13,6 +13,14 @@ forward is inference (it leaves no activation behind and a backward after
 it raises :data:`NO_CACHE`), and a model holds no activation between one
 step's backward and the next step's forward.
 
+Streaming: a layer that declares :attr:`Module.rowwise` computes each
+sample of an eval-mode forward on its own, bit-identically for any split
+of the batch.  An eval-mode :meth:`Sequential.forward` pushes
+:data:`EVAL_BLOCK` samples at a time through every run of two or more
+consecutive row-wise layers into one preallocated output, so inference
+holds one block's activations per run instead of the whole batch's; a
+row-mixing layer (``Linear``) still sees the whole batch.
+
 Design notes
 ------------
 * Parameters are :class:`Parameter` objects (``data`` + ``grad``); buffers
@@ -27,15 +35,20 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import groupby
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["NO_CACHE", "Parameter", "Buffer", "Module", "Sequential"]
+__all__ = ["NO_CACHE", "EVAL_BLOCK", "Parameter", "Buffer", "Module", "Sequential"]
 
 #: what every layer's ``backward`` raises (``RuntimeError``) when it finds no
 #: cache to read: no forward yet, an eval-mode forward, or a second backward
 NO_CACHE = "backward requires a preceding training-mode forward"
+
+#: samples per block an eval-mode :class:`Sequential` pushes through a run of
+#: row-wise layers; the last block of a batch may be shorter
+EVAL_BLOCK = 32
 
 
 class Parameter:
@@ -84,6 +97,11 @@ class Buffer:
 
 class Module:
     """Base class for all layers and models."""
+
+    #: in eval mode, ``forward`` computes each sample on its own: any split
+    #: of the batch gives bit-identical output.  Declare it only when that
+    #: holds (``Linear`` does not: its GEMM kernel depends on the row count)
+    rowwise: bool = False
 
     def __init__(self):
         self._params: Dict[str, Parameter] = {}
@@ -178,8 +196,35 @@ class Module:
         return self.forward(x)
 
 
+#: ``rowwise`` of a container layer: it holds when all its children's do
+children_rowwise = property(
+    lambda self: all(child.rowwise for child in self._children.values())
+)
+
+
+def _stream(layers: Sequence[Module], x: np.ndarray) -> np.ndarray:
+    """``x`` through ``layers`` :data:`EVAL_BLOCK` samples at a time, each
+    block's result copied into one output allocated at the first block."""
+    out = None
+    for start in range(0, len(x), EVAL_BLOCK):
+        y = x[start : start + EVAL_BLOCK]
+        for layer in layers:
+            y = layer(y)
+        if out is None:
+            out = np.empty((len(x),) + y.shape[1:], dtype=y.dtype)
+        out[start : start + len(y)] = y
+    return out
+
+
 class Sequential(Module):
-    """Chains modules; backward runs them in reverse."""
+    """Chains modules; backward runs them in reverse.
+
+    An eval-mode forward over more than :data:`EVAL_BLOCK` samples streams
+    blocks through each run of two or more consecutive row-wise layers (see
+    the module docstring); a training-mode forward is the plain chain.
+    """
+
+    rowwise = children_rowwise
 
     def __init__(self, *layers: Module):
         super().__init__()
@@ -194,8 +239,17 @@ class Sequential(Module):
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer(x)
+        if self.training or len(x) <= EVAL_BLOCK:
+            for layer in self.layers:
+                x = layer(x)
+            return x
+        for rowwise, run in groupby(self.layers, key=lambda m: m.rowwise):
+            run = list(run)
+            if rowwise and len(run) >= 2:
+                x = _stream(run, x)
+            else:
+                for layer in run:
+                    x = layer(x)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.population.events import PopulationEventQueue
-from repro.utils.arrays import CHUNK_IDS, sorted_unique
+from repro.utils.arrays import CHUNK_IDS, in_sorted, sorted_unique
 
 __all__ = [
     "IDLE",
@@ -496,7 +496,7 @@ class DeviceStatePopulation:
         failures enter ``DROPPED`` until ``round_idx + dropped_cooldown``
         has passed."""
         dropped = (
-            _as_ids(dropped_ids)
+            _unique_ids(dropped_ids)
             if dropped_ids is not None and len(dropped_ids)
             else None
         )
@@ -506,13 +506,13 @@ class DeviceStatePopulation:
         working.sort()
         self._working_set.clear()
         returned = (
-            np.setdiff1d(working, dropped) if dropped is not None else working
+            working[~in_sorted(working, dropped)] if dropped is not None else working
         )
         self._transition(returned, IDLE)
         if len(returned):
             self._pending_settle.append(returned)
         if dropped is not None:
-            self._drop(np.unique(dropped), round_idx)
+            self._drop(dropped, round_idx)
 
     # -- AvailabilityTrace protocol ----------------------------------------------
     def survives_round(self, client_ids: np.ndarray) -> np.ndarray:

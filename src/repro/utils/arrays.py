@@ -1,4 +1,8 @@
-"""Index-array helpers shared by the compression and population layers."""
+"""Index-array helpers shared across layers.
+
+The set operations stand in for ``np.unique`` / ``np.setdiff1d``, which
+import ``numpy.ma`` on first use.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CHUNK_IDS", "sorted_unique"]
+__all__ = ["CHUNK_IDS", "in_sorted", "sorted_unique"]
 
 #: clients per piece of a set-up pass cut into pieces over a 10⁶-client
 #: population: a piece's int64 temporary is 128 KiB, so what the pass
@@ -34,3 +38,18 @@ def sorted_unique(
     fresh[:1] = True
     np.not_equal(values[1:], values[:-1], out=fresh[1:])
     return values[fresh]
+
+
+def in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``np.isin(values, table)`` for a sorted ``table``: one binary search
+    per value.  ``np.isin`` may take its sort path, whose ``np.unique``
+    imports ``numpy.ma`` (≈ 1.2 MB, 8–15 ms) on first use.
+
+    >>> in_sorted(np.array([4, 1, 7]), np.array([1, 3, 4])).tolist()
+    [True, True, False]
+    """
+    if not len(table):
+        return np.zeros(len(values), dtype=bool)
+    pos = np.searchsorted(table, values)
+    np.minimum(pos, len(table) - 1, out=pos)
+    return table[pos] == values

@@ -205,8 +205,9 @@ def test_a_duty_cycle_trace_schedules_one_population():
 
 
 def test_transitions_never_import_numpy_ma():
-    """``begin_work`` / ``complete_work`` / ``drop_work`` dedupe with
-    ``sorted_unique``: ``np.unique`` would import ``numpy.ma`` (≈ 26 ms)
+    """``begin_work`` / ``complete_work`` / ``drop_work`` / ``finish_round``
+    dedupe with ``sorted_unique`` and subtract with ``in_sorted``:
+    ``np.unique`` / ``np.setdiff1d`` would import ``numpy.ma`` (≈ 26 ms)
     inside the first dispatch of a run."""
     code = """
 import sys
@@ -220,6 +221,12 @@ for t in range(1, 6):
     pop.complete_work(cohort[5:])
     pop.drop_work(cohort[:5], t)
 assert pop.state_counts()["working"] == 0, pop.state_counts()
+for t in range(6, 9):
+    cohort = pop.idle_pool(t).sample(rng, 40)
+    pop.begin_work(cohort)
+    pop.finish_round(t, np.concatenate([cohort[:4], cohort[:2]]))
+counts = pop.state_counts()
+assert counts["working"] == 0 and counts["dropped"] > 0, counts
 print("numpy.ma" in sys.modules)
 """
     src = str(Path(repro.__file__).resolve().parents[1])

@@ -33,7 +33,7 @@ from repro.population import (
     DiurnalTrace,
     DutyCycleTrace,
 )
-from repro.utils.arrays import sorted_unique
+from repro.utils.arrays import in_sorted, sorted_unique
 from tests.population.oracle import (
     PrescheduledDiffTrace,
     SweepOraclePopulation,
@@ -210,3 +210,13 @@ def test_union_sorted_leaves_its_inputs_untouched():
     # the shared helper sorts in place: it must only ever see the merged copy
     np.testing.assert_array_equal(a, [1, 4, 4, 9])
     np.testing.assert_array_equal(b, [0, 4, 10])
+
+
+@given(
+    values=st.lists(st.integers(-50, 50), max_size=60),
+    table=st.lists(st.integers(-50, 50), max_size=60),
+)
+def test_in_sorted_equals_np_isin(values, table):
+    arr = np.array(values, dtype=np.int64)
+    tab = np.sort(np.array(table, dtype=np.int64))
+    np.testing.assert_array_equal(in_sorted(arr, tab), np.isin(arr, tab))
