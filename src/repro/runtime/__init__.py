@@ -15,11 +15,12 @@ Two orthogonal knobs, both selected through
   0.78–0.97× of serial on the 2-CPU reference host, ROADMAP), so the
   backend pays only with the opt-in ``batch_replicas`` path
   (:mod:`repro.runtime.batched`);
-* ``"process"`` — a fork-based process pool.  The frozen global
-  parameters/buffers are shipped **once per round** through POSIX shared
-  memory; each worker owns its own model replica and
-  :class:`~repro.fl.client.LocalTrainer`, and returns
-  ``(client_id, delta, buffer_delta, loss)``.
+* ``"process"`` — fork-ed worker processes.  The frozen global
+  parameters/buffers are shipped **once per round** through an anonymous
+  shared mapping the workers inherited at the fork; each worker owns its
+  own model replica and :class:`~repro.fl.client.LocalTrainer`, and
+  writes its deltas into a second such mapping.  A worker that dies
+  mid-dispatch raises :class:`~repro.runtime.backends.WorkerLostError`.
 
 All three backends produce **bit-identical** training results for the same
 seed: each client's mini-batch stream comes from its own named RNG
@@ -53,6 +54,7 @@ from repro.runtime.backends import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
+    WorkerLostError,
     WorkerSpec,
     create_backend,
 )
@@ -66,6 +68,7 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
+    "WorkerLostError",
     "WorkerSpec",
     "create_backend",
     "DTYPE_NAMES",

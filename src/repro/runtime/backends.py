@@ -25,10 +25,11 @@ Backends
     without any serialization cost; at most ``workers + 1`` jobs run or
     wait ahead of the delivery cursor.
 ``process``
-    A ``fork``-based :class:`multiprocessing.pool.Pool`.  The frozen global
-    state is written once per round into a POSIX shared-memory block;
-    workers read it zero-copy, train on their own replica, and send back
-    only the per-client deltas.
+    A pool of ``fork``-ed worker processes.  The frozen global state is
+    written once per round into an anonymous shared mapping the workers
+    inherited at the fork; they read it zero-copy, train on their own
+    replica, and write their deltas into a second such mapping.  A worker
+    that dies ends the dispatch with :class:`WorkerLostError`.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "WorkerLostError",
     "create_backend",
     "require_fork",
     "usable_cpus",
@@ -274,7 +276,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release worker resources (pools, shared memory)."""
+        """Release worker resources (threads, worker processes)."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -545,118 +547,92 @@ class ThreadBackend(ExecutionBackend):
 
 
 # -- process backend ----------------------------------------------------------
-# Worker-process globals, populated once by the pool initializer (the pool
-# is fork-based, so the spec — including the dataset shards — is inherited
-# by reference, never pickled).
-_worker_ctx: Dict[str, Any] = {}
+class WorkerLostError(RuntimeError):
+    """A process-backend worker died mid-dispatch (a signal, the OOM
+    killer, an exit).  Every worker is then killed and reaped, none is
+    replaced, and every later ``run_clients`` raises this error too."""
 
 
-def _process_worker_init(
-    spec: WorkerSpec,
-    shm_name: str,
-    res_name: Optional[str] = None,
-    res_capacity: int = 0,
-    res_cursor=None,
-    res_slot_epochs=None,
-    res_epoch=None,
+def _shared_array(n: int, dtype: np.dtype) -> np.ndarray:
+    """``n`` elements on an anonymous ``MAP_SHARED`` mapping: a child
+    forked after this call shares its pages, and nothing names it, so
+    nothing outlives the processes that map it."""
+    import mmap
+
+    return np.ndarray(n, dtype, mmap.mmap(-1, max(1, n * dtype.itemsize)))
+
+
+def _process_worker_main(
+    conn, parent_ends, spec, flat, ring, capacity, cursor, slot_epochs, epoch
 ) -> None:
-    from multiprocessing import shared_memory
-
-    # Workers fork from the parent, so they share its resource tracker:
-    # attaching here re-registers the same name in the same tracker set
-    # (idempotent), and the parent's close()+unlink() cleans up once.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    dt = resolve_dtype(spec.dtype)
-    flat = np.ndarray(spec.d + spec.num_buffer, dtype=dt, buffer=shm.buf)
+    """A worker's life.  Everything arrives by reference through the fork —
+    the spec with its dataset shards, both shared mappings — never pickled.
+    It closes the parent's pipe ends the fork copied in (so a dead parent
+    reads as EOF), builds a replica, and answers one task per message
+    until ``None``."""
+    for end in parent_ends:
+        end.close()
     _, trainer = spec.build_trainer()
-    _worker_ctx.update(
-        spec=spec,
-        shm=shm,
-        params=flat[: spec.d],
-        buffers=flat[spec.d :],
-        trainer=trainer,
-        rngs=RngFactory(spec.seed),
-        res_shm=None,
-        res_flat=None,
-        res_capacity=0,
-        res_cursor=None,
-        res_slot_epochs=None,
-        res_epoch=None,
-    )
-    if res_name is not None:
-        res_shm = shared_memory.SharedMemory(name=res_name)
-        stride = spec.d + spec.num_buffer
-        _worker_ctx.update(
-            res_shm=res_shm,
-            res_flat=np.ndarray(res_capacity * stride, dtype=dt, buffer=res_shm.buf),
-            res_capacity=res_capacity,
-            res_cursor=res_cursor,
-            res_slot_epochs=res_slot_epochs,
-            res_epoch=res_epoch,
-        )
+    rngs = RngFactory(spec.seed)
+    d, stride = spec.d, spec.d + spec.num_buffer
 
-
-def _process_worker_run(task: ClientTask):
-    ctx = _worker_ctx
-    try:
-        result = _run_one(
-            ctx["trainer"], ctx["rngs"], ctx["spec"].clients, task,
-            ctx["params"], ctx["buffers"],
-        )
-    except Exception as exc:
-        # returned, not raised: map() comes back on the first raise while
-        # the other tasks keep running and claiming ring slots, and the
-        # parent must not reset the ring under them.  Unpickles as ``exc``
-        # itself with the worker's traceback as its cause, like a raise.
-        from multiprocessing.pool import ExceptionWithTraceback
-
-        return ExceptionWithTraceback(exc, exc.__traceback__)
-    cursor = ctx["res_cursor"]
-    if cursor is None:
-        return result
-    # claim one ring slot; a full ring (more outstanding results than
-    # max_in_flight budgeted for) degrades to the pickled return path
-    with cursor.get_lock():
-        slot = cursor.value
-        if slot < ctx["res_capacity"]:
+    def run(task: ClientTask):
+        result = _run_one(trainer, rngs, spec.clients, task, flat[:d], flat[d:])
+        with cursor.get_lock():
+            slot = cursor.value
+            if slot >= capacity:
+                # a full ring (more outstanding results than max_in_flight
+                # budgeted for) degrades to the pickled return path
+                return result
             cursor.value = slot + 1
-        else:
-            slot = -1
-        if slot >= 0 and ctx["res_slot_epochs"] is not None:
-            # sanitize mode: stamp the claim with the dispatch epoch (still
-            # under the cursor lock, which serializes all claims) so a
-            # broken cursor protocol — two workers on one slot — raises in
-            # the claiming worker instead of silently aliasing deltas
-            _sanitize.checked_slot_claim(
-                ctx["res_slot_epochs"], slot, ctx["res_epoch"].value
-            )
-    if slot < 0:
-        return result
-    spec = ctx["spec"]
-    stride = spec.d + spec.num_buffer
-    base = slot * stride
-    res_flat = ctx["res_flat"]
-    res_flat[base : base + spec.d] = result.delta
-    if spec.num_buffer:
-        res_flat[base + spec.d : base + stride] = result.buffer_delta
-    return _SlotResult(
-        client_id=result.client_id,
-        slot=slot,
-        num_samples=result.num_samples,
-        mean_loss=result.mean_loss,
-    )
+            if slot_epochs is not None:
+                # sanitize mode: stamp the claim with the dispatch epoch
+                # (still under the cursor lock, which serializes all
+                # claims) so a broken cursor protocol — two workers on one
+                # slot — raises here instead of silently aliasing deltas
+                _sanitize.checked_slot_claim(slot_epochs, slot, epoch.value)
+        base = slot * stride
+        ring[base : base + d] = result.delta
+        ring[base + d : base + stride] = result.buffer_delta
+        return _SlotResult(
+            result.client_id, slot, result.num_samples, result.mean_loss
+        )
+
+    try:
+        for task in iter(conn.recv, None):
+            try:
+                reply = run(task)
+            except Exception as exc:
+                # returned, not raised: the worker lives on, and the caller
+                # sees the error once every task of the dispatch is back —
+                # never while a task still claims ring slots.  Unpickles as
+                # ``exc`` itself with this traceback as its cause.
+                from multiprocessing.pool import ExceptionWithTraceback
+
+                reply = ExceptionWithTraceback(exc, exc.__traceback__)
+            conn.send(reply)
+    except (EOFError, BrokenPipeError):  # the parent is gone
+        pass
 
 
 class ProcessBackend(ExecutionBackend):
-    """Fork-based process pool with shared-memory shipping both ways.
+    """Fork-based worker processes with shared-memory shipping both ways.
 
     Per round the server writes ``global_params``/``global_buffers`` once
-    into a shared-memory block sized at setup; workers read it zero-copy.
-    Results travel the same way: a second shared-memory block holds a ring
-    of ``max_in_flight`` slots of ``d + num_buffer`` elements each, workers
+    into a shared mapping sized at setup; workers read it zero-copy.
+    Results travel the same way: a second mapping holds a ring of
+    ``max_in_flight`` slots of ``d + num_buffer`` elements each, workers
     claim slots through a shared cursor and write their deltas in place,
-    and only a tiny slot descriptor crosses the pickle channel.  The parent
+    and only a tiny slot descriptor crosses the worker's pipe.  The parent
     delivers :class:`ClientResult` objects whose arrays **view** the ring.
+    Both mappings are anonymous and made before the workers fork: nothing
+    is named or unlinked, and nothing outlives the processes.
+
+    Each worker holds one task at a time, the next going to whichever
+    answers first; results are delivered in task order once all are back.
+    The parent waits on the workers' exit sentinels too, so a worker that
+    dies ends the dispatch at once with :class:`WorkerLostError`.  None is
+    replaced: a replacement would fork beside the caller's threads.
 
     Ownership handoff: each ``run_clients`` call bumps the ring epoch and
     resets the cursor, reclaiming every slot of the previous dispatch —
@@ -672,75 +648,52 @@ class ProcessBackend(ExecutionBackend):
         import multiprocessing as mp
 
         require_fork("execution_backend='process'")
-        from multiprocessing import shared_memory
-
         self.workers = max(1, workers or usable_cpus())
         dt = resolve_dtype(spec.dtype)
-        self._dtype = dt
-        stride = spec.d + spec.num_buffer
-        self._stride = stride
-        self._shm = None
-        self._res_shm = None
-        self._pool = None
+        self._stride = stride = spec.d + spec.num_buffer
+        #: the ring epoch — OwnershipTags on ring views check it
+        self.sanitize_epoch = 0
+        self._sanitize = spec.sanitize or _sanitize.enabled()
+        self._conns: list = []
+        self._procs: list = []
+        self._owner: Dict[Any, Any] = {}  # pipe or exit sentinel -> worker
+        self._lost: Optional[str] = None
         self._closed = False
-        # everything after the first shm allocation can fail (a second
-        # allocation, pool spawn) — unwind what exists so no segment leaks
+        ctx = mp.get_context("fork")
+        # the ring is sized by the scheduler's declared in-flight budget (at
+        # least one slot per worker so small direct uses of the backend
+        # still ride the zero-copy path)
+        capacity = max(spec.max_in_flight, self.workers) if stride else 0
+        self._flat = _shared_array(stride, dt)
+        self._res = _shared_array(capacity * stride, dt)
+        self._res_cursor = ctx.Value("q", 0)
+        self._shared_epoch = self._slot_epochs = None
+        if self._sanitize:
+            # lock-free is safe: the parent writes the epoch only between
+            # dispatches, and the per-slot claim stamps are serialized by
+            # the cursor's lock in the workers
+            self._shared_epoch = ctx.Value("q", 0, lock=False)
+            self._slot_epochs = ctx.Array("q", capacity, lock=False)
+        shared = (
+            spec, self._flat, self._res, capacity, self._res_cursor,
+            self._slot_epochs, self._shared_epoch,
+        )
         try:
-            nbytes = max(1, stride * dt.itemsize)
-            self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._flat = np.ndarray(stride, dtype=dt, buffer=self._shm.buf)
-
-            ctx = mp.get_context("fork")
-            self._res_capacity = 0
-            self._res_cursor = None
-            self._epoch = 0
-            self._sanitize = spec.sanitize or _sanitize.enabled()
-            self._shared_epoch = None
-            self._slot_epochs = None
-            initargs: tuple = (spec, self._shm.name)
-            if stride > 0:
-                # ring sized by the scheduler's declared in-flight budget
-                # (at least one slot per worker so small direct uses of the
-                # backend still ride the zero-copy path)
-                self._res_capacity = max(spec.max_in_flight, self.workers)
-                self._res_shm = shared_memory.SharedMemory(
-                    create=True,
-                    size=self._res_capacity * stride * dt.itemsize,
+            for _ in range(self.workers):
+                here, there = ctx.Pipe()
+                self._conns.append(here)
+                proc = ctx.Process(
+                    target=_process_worker_main,
+                    args=(there, self._conns, *shared),
+                    daemon=True,
                 )
-                self._res = np.ndarray(
-                    self._res_capacity * stride, dtype=dt,
-                    buffer=self._res_shm.buf,
-                )
-                self._res_cursor = ctx.Value("q", 0)
-                initargs = (
-                    spec, self._shm.name, self._res_shm.name,
-                    self._res_capacity, self._res_cursor,
-                )
-                if self._sanitize:
-                    # lock-free is safe: the parent writes the epoch only
-                    # while the pool is idle between map() calls, and the
-                    # per-slot claim stamps are serialized by the cursor's
-                    # lock in the workers
-                    self._shared_epoch = ctx.Value("q", 0, lock=False)
-                    self._slot_epochs = ctx.Array(
-                        "q", self._res_capacity, lock=False
-                    )
-                    initargs = initargs + (
-                        self._slot_epochs, self._shared_epoch,
-                    )
-            self._pool = ctx.Pool(
-                processes=self.workers,
-                initializer=_process_worker_init,
-                initargs=initargs,
-            )
-        except Exception:
-            self._cleanup_shared()
+                proc.start()
+                self._procs.append(proc)
+                self._owner[here] = self._owner[proc.sentinel] = proc
+                there.close()
+        except BaseException:
+            self.close()
             raise
-
-    @property
-    def sanitize_epoch(self) -> int:
-        """Current ring epoch — OwnershipTags on ring views check this."""
-        return self._epoch
 
     def run_clients(
         self,
@@ -749,21 +702,29 @@ class ProcessBackend(ExecutionBackend):
         global_buffers: np.ndarray,
         deliver: Deliver,
     ) -> None:
+        if self._lost is not None:
+            raise WorkerLostError(self._lost)
         spec = self.spec
         self._flat[: spec.d] = global_params
         if spec.num_buffer:
             self._flat[spec.d :] = global_buffers
-        if self._res_cursor is not None:
-            # new epoch: reclaim the previous dispatch's slots (the pool is
-            # idle between map() calls, so no worker races this reset)
-            self._epoch += 1
-            self._res_cursor.value = 0
-            if self._shared_epoch is not None:
-                self._shared_epoch.value = self._epoch
-        # map() preserves task order, so aggregation order matches serial;
+        # new epoch: reclaim the previous dispatch's slots (no worker holds
+        # a task between dispatches, so none races this reset)
+        self.sanitize_epoch += 1
+        self._res_cursor.value = 0
+        if self._shared_epoch is not None:
+            self._shared_epoch.value = self.sanitize_epoch
+        try:
+            raw = self._map(tasks)
+        except BaseException as exc:
+            if self._lost is None:
+                # a worker may still hold a task of this call, whose reply
+                # would read as the next call's: end the pool
+                self._reap(grace=0.0)
+                self._lost = f"the process pool was stopped by {exc!r}"
+            raise
         # every delta already sits in the ring (not on this heap), so
-        # delivering after the one map() costs no dense copy
-        raw = self._pool.map(_process_worker_run, tasks, chunksize=1)
+        # delivering after the whole dispatch costs no dense copy
         d, stride = spec.d, self._stride
         for r in raw:
             if isinstance(r, Exception):
@@ -779,7 +740,7 @@ class ProcessBackend(ExecutionBackend):
                     # deltas.  detach() copies drop the guard.
                     tag = _sanitize.OwnershipTag(
                         host=self,
-                        epoch=self._epoch,
+                        epoch=self.sanitize_epoch,
                         label=f"result-ring slot {r.slot}",
                     )
                     delta = _sanitize.guard(delta, tag)
@@ -793,40 +754,76 @@ class ProcessBackend(ExecutionBackend):
                 )
             deliver(r)
 
-    def _cleanup_shared(self) -> None:
-        """Close + unlink both segments; tolerates partially-built state."""
-        for attr in ("_flat", "_res"):
-            if hasattr(self, attr):
-                delattr(self, attr)
-        first_error = None
-        for shm in (self._shm, self._res_shm):
-            if shm is None:
-                continue
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double close
-                pass
-            except Exception as exc:  # pragma: no cover - defensive
-                first_error = first_error or exc
-        self._shm = None
-        self._res_shm = None
-        if first_error is not None:
-            raise first_error
+    def _map(self, tasks: Sequence[ClientTask]) -> list:
+        """Every task's reply, in task order — what ``Pool.map`` with
+        ``chunksize=1`` returns — or :class:`WorkerLostError` the moment
+        a worker ends."""
+        from multiprocessing.connection import wait
+
+        replies: list = [None] * len(tasks)
+        jobs = iter(enumerate(tasks))
+        holding: Dict[Any, int] = {}  # worker pipe -> index of its task
+        sentinels = [proc.sentinel for proc in self._procs]
+
+        def hand(conn) -> None:
+            job = next(jobs, None)
+            if job is not None:
+                holding[conn] = job[0]
+                try:
+                    conn.send(job[1])
+                except BrokenPipeError:  # its EOF is read below
+                    pass
+
+        for conn in self._conns:
+            hand(conn)
+        while holding:
+            for ready in wait([*holding, *sentinels]):
+                if ready not in holding:  # an exit sentinel
+                    self._lose(self._owner[ready])
+                try:
+                    replies[holding.pop(ready)] = ready.recv()
+                except EOFError:  # the pipe closed as its worker died
+                    self._lose(self._owner[ready])
+                hand(ready)
+        return replies
+
+    def _lose(self, proc) -> None:
+        """``proc`` ended mid-dispatch: kill and reap every worker, then fail
+        this dispatch and every later one with :class:`WorkerLostError`."""
+        import signal
+
+        proc.join(1.0)  # its pipe or sentinel closed as it exited
+        self._reap(grace=0.0)
+        code = proc.exitcode
+        how = (
+            f"was killed by signal {-code} ({signal.strsignal(-code)})"
+            if code < 0 else f"exited with code {code}"
+        )
+        self._lost = f"process-backend worker {proc.pid} {how}; its pool is closed"
+        raise WorkerLostError(self._lost)
+
+    def _reap(self, grace: float) -> None:
+        """Give each worker ``grace`` seconds to exit, then SIGKILL; reap all."""
+        for proc in self._procs:
+            proc.join(grace)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        try:
-            if self._pool is not None:
-                self._pool.close()
-                self._pool.join()
-        finally:
-            # the segments must be unlinked even if the pool teardown blows
-            # up (e.g. a worker died mid-task) — leaked /dev/shm blocks
-            # outlive the process
-            self._cleanup_shared()
+        for conn in self._conns:
+            try:
+                conn.send(None)
+            except OSError:  # that worker is gone already
+                pass
+        self._reap(grace=5.0)
+        for conn in self._conns:
+            conn.close()
+        # dropping the last views unmaps both regions
+        self._flat = self._res = None
 
     def __del__(self):  # pragma: no cover - belt and suspenders
         try:

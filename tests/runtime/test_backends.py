@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
@@ -29,6 +31,7 @@ from repro.runtime import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
+    WorkerLostError,
     WorkerSpec,
     create_backend,
 )
@@ -308,6 +311,129 @@ def test_deliver_failure_propagates_and_leaves_backend_usable(
         _assert_contract(
             _delivered(backend, _ORDER_TASKS, params, buffers), _ORDER_TASKS
         )
+
+
+# -- process: fork-shared mappings, and a worker lost mid-task -------------------
+
+
+def _shm_entries():
+    """What ``/dev/shm`` holds — where a named POSIX segment would show."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    return sorted(os.listdir("/dev/shm"))
+
+
+def test_process_backend_names_no_shared_memory(tiny_dataset):
+    """Both mappings are anonymous: ``/dev/shm`` is the same before the
+    backend exists, after a dispatch, and after ``close()``."""
+    spec, params, buffers = _bound_spec(tiny_dataset)
+    before = _shm_entries()
+    backend = ProcessBackend(spec, workers=2)
+    assert _shm_entries() == before
+    _assert_contract(
+        _delivered(backend, _ORDER_TASKS, params, buffers), _ORDER_TASKS
+    )
+    assert _shm_entries() == before
+    backend.close()
+    backend.close()  # idempotent
+    assert _shm_entries() == before
+
+
+class _KillOnFetch:
+    """A ``clients`` sequence whose ``__getitem__`` SIGKILLs the calling
+    process — only a forked worker, never the parent — when it fetches
+    ``victim``, recording its pid and the kill time first."""
+
+    def __init__(self, clients, victim):
+        self.clients = clients
+        self.victim = victim
+        self.parent = os.getpid()
+        fork = multiprocessing.get_context("fork")
+        self.pid = fork.Value("q", 0, lock=False)
+        self.killed_at = fork.Value("d", 0.0, lock=False)
+
+    def __len__(self):
+        return len(self.clients)
+
+    def __getitem__(self, cid):
+        if cid == self.victim and os.getpid() != self.parent:
+            self.pid.value = os.getpid()
+            self.killed_at.value = time.monotonic()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self.clients[cid]
+
+
+def _assert_reaped(procs):
+    """Every worker has exited and been waited for: not even a zombie."""
+    for proc in procs:
+        assert proc.exitcode is not None
+        assert not os.path.exists(f"/proc/{proc.pid}")
+
+
+def test_worker_killed_mid_task_raises_worker_lost(tiny_dataset):
+    spec, params, buffers = _bound_spec(tiny_dataset)
+    spec.clients = victim = _KillOnFetch(spec.clients, _ORDER_TASKS[2].client_id)
+    before = _shm_entries()
+    backend = ProcessBackend(spec, workers=2)
+    procs = list(backend._procs)
+    seen = []
+    with pytest.raises(WorkerLostError) as lost:
+        backend.run_clients(
+            _ORDER_TASKS, params, buffers,
+            lambda result: seen.append(result.client_id),
+        )
+    assert time.monotonic() - victim.killed_at.value < 1.0
+    message = str(lost.value)
+    assert f"worker {victim.pid.value} was killed by signal 9" in message
+    assert seen == []  # results are delivered only once all are back
+    _assert_reaped(procs)
+    # no replacement was forked, and every later dispatch fails the same way
+    assert backend._procs == procs
+    with pytest.raises(WorkerLostError) as again:
+        backend.run_clients(_ORDER_TASKS[:1], params, buffers, seen.append)
+    assert str(again.value) == message
+    backend.close()
+    backend.close()
+    assert _shm_entries() == before
+
+
+def test_worker_killed_between_dispatches_fails_the_next(tiny_dataset):
+    spec, params, buffers = _bound_spec(tiny_dataset)
+    with ProcessBackend(spec, workers=2) as backend:
+        _delivered(backend, _ORDER_TASKS, params, buffers)
+        dead = backend._procs[1]
+        os.kill(dead.pid, signal.SIGKILL)
+        dead.join(TIMEOUT_S)
+        with pytest.raises(WorkerLostError, match=f"worker {dead.pid} was killed"):
+            backend.run_clients(_ORDER_TASKS, params, buffers, lambda r: None)
+        _assert_reaped(backend._procs)
+
+
+def test_process_stress_bit_equal_to_inline_loop(tiny_dataset):
+    """Four workers on however many cores, 40 tasks, a ring of four slots
+    (so most results come back pickled) and the sanitizer's claim stamps
+    on, dispatched twice: the same results, in task order, as training in
+    turn on one replica."""
+    spec, params, buffers = _bound_spec(tiny_dataset, sanitize=True)
+    n = len(spec.clients)
+    tasks = [
+        ClientTask(client_id=i % n, lr=0.05, round_idx=3 + i // n)
+        for i in range(40)
+    ]
+    _, trainer = spec.build_trainer()
+    rngs = RngFactory(spec.seed)
+    want = [
+        _run_one(trainer, rngs, spec.clients, task, params, buffers)
+        for task in tasks
+    ]
+    with ProcessBackend(spec, workers=4) as backend:
+        for _ in range(2):  # the second dispatch reclaims the first's ring
+            seen = _delivered(backend, tasks, params, buffers)
+            _assert_contract(seen, tasks)
+            for (cid, delta, buf, loss, _), w in zip(seen, want):
+                assert cid == w.client_id and loss == w.mean_loss
+                np.testing.assert_array_equal(delta, w.delta)
+                np.testing.assert_array_equal(buf, w.buffer_delta)
 
 
 # -- serial: the next client trains while the last one is delivered ------------
