@@ -76,9 +76,10 @@ def _sparse_payloads(k_clients=30, keep=D // 10):
 
 
 def fold_round(runtime, payloads):
-    """A round's Eq. 6 sum as a strategy builds it: the accumulator, then
-    one ``fold_sparse`` (an ``np.add.at`` scatter, sorted idx) per payload."""
-    acc = runtime.accumulator(np.float64)
+    """A round's Eq. 6 sum as a strategy builds it: a fresh ``np.zeros``,
+    then one ``fold_sparse`` (an ``np.add.at`` scatter, sorted idx) per
+    payload."""
+    acc = np.zeros(runtime.d, dtype=np.float64)
     for _, weight, payload in payloads:
         runtime.fold_sparse(acc, weight, payload.data["idx"], payload.data["vals"])
     return acc

@@ -154,7 +154,7 @@ def micro_ops(repeats: int) -> dict:
     def fold_round():
         # a round's Eq. 6 sum as a strategy builds it: one fold per payload
         runtime = ShardingRuntime(D, 1)
-        acc = runtime.accumulator(np.float64)
+        acc = np.zeros(runtime.d, dtype=np.float64)
         for _, weight, payload in payloads:
             runtime.fold_sparse(acc, weight, payload.data["idx"], payload.data["vals"])
         return acc

@@ -147,11 +147,11 @@ class CompressionStrategy:
         """Replace the one-shard runtime :meth:`setup` bound.
 
         Called by the server after :meth:`setup` with the runtime
-        ``RunConfig.shard_count`` / ``shard_backend`` / ``shard_mmap``
-        describe.  Every shard count is bit-identical, so binding never
-        changes results, only how the ``self.sharding`` kernels are
-        partitioned, dispatched and stored.  Wrapper strategies must
-        delegate to their inner strategy.
+        ``RunConfig.shard_count`` / ``shard_backend`` describe.  Every
+        shard count is bit-identical, so binding never changes results,
+        only how the ``self.sharding`` kernels are partitioned and
+        dispatched.  Wrapper strategies must delegate to their inner
+        strategy.
         """
         self.sharding = runtime
 

@@ -36,8 +36,6 @@ class FedAvgStrategy(CompressionStrategy):
         )
 
     def _new_sums(self):
-        # freshly allocated, never the recycled (memmap) accumulator: the
-        # dense sum *is* the global delta, which outlives the round
         return np.zeros(self.d, dtype=self.dtype)
 
     def fold(self, weight: float, payload: ClientPayload) -> None:

@@ -166,7 +166,7 @@ class GlueFLMaskStrategy(CompressionStrategy):
         # sum runs on length-|M| vectors) and Eq. 6's length-d accumulator
         return (
             np.zeros(len(self._effective_mask()), dtype=self.dtype),
-            self.sharding.accumulator(self.dtype),
+            np.zeros(self.d, dtype=self.dtype),
         )
 
     def fold(self, weight: float, payload: ClientPayload) -> None:

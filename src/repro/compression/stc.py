@@ -98,7 +98,7 @@ class STCStrategy(CompressionStrategy):
         )
 
     def _new_sums(self):
-        return self.sharding.accumulator(self.dtype)
+        return np.zeros(self.d, dtype=self.dtype)
 
     def fold(self, weight: float, payload: ClientPayload) -> None:
         self.sharding.fold_sparse(

@@ -34,15 +34,13 @@ class RunConfig:
       the whole hot path (model, training, compression, aggregation) in
       single precision for a large CPU speedup at FL-irrelevant accuracy
       cost.
-    * ``shard_count`` / ``shard_backend`` / ``shard_mmap`` — the server
-      hot path (aggregation sums, top-k selection, the params apply)
-      always runs through the kernels of :mod:`repro.sharding`, over
-      ``shard_count`` contiguous coordinate-range shards (default 1).
+    * ``shard_count`` / ``shard_backend`` — the server hot path
+      (aggregation sums, top-k selection, the params apply) always runs
+      through the kernels of :mod:`repro.sharding`, selection and apply
+      over ``shard_count`` contiguous coordinate-range shards (default 1).
       Bit-identical for every count, so the knobs trade nothing but how
-      the work is partitioned, dispatched (``"serial"``/``"thread"``/
-      ``"process"``; one shard runs inline) and stored
-      (``shard_mmap=True`` backs the dense accumulator with an
-      ``np.memmap`` file).
+      the work is partitioned and dispatched (``"serial"``/``"thread"``/
+      ``"process"``; one shard runs inline).
 
     Scheduling knobs (see :mod:`repro.engine.schedulers`):
 
@@ -205,11 +203,6 @@ class RunConfig:
     #: per-shard kernel dispatch: "serial" | "thread" | "process" (the
     #: shard analogue of execution_backend; a single shard runs inline)
     shard_backend: str = "serial"
-    #: back the dense Eq. 6 accumulator with an np.memmap file so the
-    #: d-sized aggregation temporary lives out-of-core (see
-    #: repro.sharding.ShardedServerState for the fully memmapped
-    #: parameter store)
-    shard_mmap: bool = False
 
     # round scheduling (repro.engine)
     #: round shape: "sync" (Algorithm 1), "async" (FedBuff-style buffered
@@ -392,7 +385,6 @@ class RunConfig:
         for flag in (
             "always_available",
             "sanitize",
-            "shard_mmap",
             "skip_empty_rounds",
             "stop_at_target",
             "count_buffer_sync",

@@ -118,7 +118,6 @@ class FLServer:
             config.shard_count,
             backend=config.shard_backend,
             workers=config.backend_workers,
-            mmap=config.shard_mmap,
         )
         self.strategy.bind_sharding(self.sharding)
         if config.residual_max_clients is not None:

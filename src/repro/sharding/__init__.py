@@ -1,8 +1,8 @@
-"""The server kernels, partitioned by coordinate range (and out of core).
+"""The server kernels, partitioned by coordinate range.
 
-Every run's server hot path — weighted-sum aggregation, shared-mask
-bookkeeping, top-k selection, the params apply, release ledgers — runs
-through this package over contiguous coordinate-range shards; the default
+Every run's server hot path — the weighted-sum folds, top-k selection,
+the params apply, release ledgers — runs through this package, selection
+and apply over contiguous coordinate-range shards; the default
 ``RunConfig.shard_count = 1`` is simply one shard:
 
 * :class:`ShardSpec` — the partition (``np.array_split`` convention);
@@ -10,30 +10,24 @@ through this package over contiguous coordinate-range shards; the default
   ``serial``/``thread``/``process`` backends;
 * :class:`ShardingRuntime` — the kernels every strategy folds and
   selects through (bound by ``CompressionStrategy.setup``, re-bound by
-  the server: optionally memmapped accumulator, release ledger);
-* :class:`ShardedServerState` — the fully out-of-core surface: per-shard
-  ``np.memmap`` parameters and a fused shard pass that never
-  materializes a dense length-``d`` vector in RAM.
+  the server), plus the release ledger.
 
 Bit-identity across shard counts is the subsystem's contract, proven
 against the plain numpy expressions (``tests/sharding/reference.py``) by
 the differential suite in ``tests/properties/test_props_sharding.py``:
-contiguous shards preserve per-coordinate operation order for every sum,
-and the per-shard top-k candidates are a superset of the answer (see
+contiguous shards preserve per-coordinate operation order, and the
+per-shard top-k candidates are a superset of the answer (see
 :mod:`repro.sharding.kernels` for the argument).
 """
 
 from repro.sharding.executor import SHARD_BACKENDS, ShardExecutor
 from repro.sharding.kernels import (
     shard_elementwise_add,
-    shard_slice_weighted_sum,
     shard_top_k,
     shard_top_k_in_support,
-    shard_weighted_scatter,
 )
 from repro.sharding.partition import ShardSpec
 from repro.sharding.runtime import ShardingRuntime, ShardReleaseLedger
-from repro.sharding.state import ShardedServerState
 
 __all__ = [
     "SHARD_BACKENDS",
@@ -41,10 +35,7 @@ __all__ = [
     "ShardExecutor",
     "ShardingRuntime",
     "ShardReleaseLedger",
-    "ShardedServerState",
     "shard_elementwise_add",
-    "shard_slice_weighted_sum",
     "shard_top_k",
     "shard_top_k_in_support",
-    "shard_weighted_scatter",
 ]

@@ -1,18 +1,10 @@
 """Per-shard server kernels.
 
-Four kernels cover the whole GlueFL server hot path, and every run —
+Three kernels cover the server's selection and apply, and every run —
 one shard (the default) or many — executes exactly these:
 
-* **scatter** (:func:`shard_weighted_scatter`) — ``Σ ν_i · sparse_i``
-  (Eq. 6's accumulator): one payload at a time over the whole sum when a
-  strategy folds (``lo = 0``), a shard's slice of a whole round in the
-  out-of-core state.  Either way every coordinate receives the exact
-  sequence of adds it would in one plain loop, so the sum is
-  bit-identical whatever the partition;
-* **slice sums** (:func:`shard_slice_weighted_sum`,
-  :func:`shard_elementwise_add`) — shared-mask accumulation (Eq. 5), the
-  active-set and dense FedAvg sums (folded one payload at a time) and the
-  model-update apply, trivially shard-local;
+* **apply** (:func:`shard_elementwise_add`) — the model-update apply,
+  trivially shard-local;
 * **top-k** (:func:`shard_top_k`, :func:`shard_top_k_in_support`) — one
   shard's candidates for a global top-k, over its coordinate range or
   over its slice of a sorted support.  Any member of the global top-k is
@@ -21,8 +13,14 @@ one shard (the default) or many — executes exactly these:
   is a superset of the answer (:meth:`ShardingRuntime.top_k_indices
   <repro.sharding.runtime.ShardingRuntime.top_k_indices>` finishes it).
 
+The round sums (Eq. 5/6) are not shard kernels: a strategy folds each
+payload into them in the calling process, as plain numpy
+(:meth:`ShardingRuntime.fold_sparse
+<repro.sharding.runtime.ShardingRuntime.fold_sparse>` /
+:meth:`~repro.sharding.runtime.ShardingRuntime.fold_dense`).
+
 **The slice-writing rule.**  Every kernel takes its output as the first
-argument — the shard's view of the caller's result (the length-``d`` sum,
+argument — the shard's view of the caller's result (the applied params,
 the candidate list) — writes into it in place and returns it.  Under the
 ``serial`` / ``thread`` backends that view *is* the result's memory, so a
 shard costs no part buffer and no copy and one shard costs what the plain
@@ -35,45 +33,15 @@ the ``process`` shard backend can ship it through a fork pool unchanged.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 
 from repro.compression.topk import top_k_indices
 
 __all__ = [
-    "shard_weighted_scatter",
-    "shard_slice_weighted_sum",
     "shard_elementwise_add",
     "shard_top_k",
     "shard_top_k_in_support",
 ]
-
-
-def shard_weighted_scatter(
-    out: np.ndarray,
-    lo: int,
-    items: Sequence[Tuple[float, np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """``out += Σ weight · scatter(idx − lo, vals)`` over one shard.
-
-    ``out`` covers global coordinates ``[lo, lo + len(out))``; ``items``
-    holds ``(weight, idx, vals)`` per payload, ``idx`` global and in the
-    payload's original (sorted) order — so each coordinate sees its adds
-    in the same order under every partition.
-    """
-    for weight, idx, vals in items:
-        np.add.at(out, idx - lo, weight * vals)
-    return out
-
-
-def shard_slice_weighted_sum(
-    out: np.ndarray, items: Sequence[Tuple[float, np.ndarray]]
-) -> np.ndarray:
-    """``out += Σ weight · vals`` over aligned contiguous slices."""
-    for weight, vals in items:
-        out += weight * vals
-    return out
 
 
 def shard_elementwise_add(

@@ -1,17 +1,16 @@
 """Contiguous coordinate-range partitioning of a length-``d`` vector.
 
-Every sharded structure in :mod:`repro.sharding` — accumulators, the
-memory-mapped parameter store, mask bookkeeping, release ledgers — is
-partitioned the same way: ``shard_count`` contiguous ranges in
-``np.array_split`` convention (the first ``d % shard_count`` shards are
-one element larger), so a coordinate's shard is a single
-``searchsorted`` over the offset table and a *sorted* index array splits
-into per-shard slices without any gather.
+Everything :mod:`repro.sharding` partitions — top-k selection, the
+params apply, the release ledger — is split the same way:
+``shard_count`` contiguous ranges in ``np.array_split`` convention (the
+first ``d % shard_count`` shards are one element larger), so a
+coordinate's shard is a single ``searchsorted`` over the offset table and
+a *sorted* index array splits into per-shard slices without any gather.
 
 Contiguity is what makes the kernels bit-identical for every shard
 count: a contiguous range preserves the relative order of every
-per-coordinate operation (scatter-adds, slice sums, element-wise adds),
-so the floating-point sequence each coordinate sees is unchanged.
+per-coordinate operation, so the floating-point sequence each coordinate
+sees is unchanged, and a sorted support splits into sorted slices.
 """
 
 from __future__ import annotations

@@ -7,12 +7,9 @@ One object carries the whole server-kernel path:
   second path but this one with a single task per kernel;
 * a :class:`~repro.sharding.executor.ShardExecutor` dispatching per-shard
   kernels over the configured backend (at most one task runs inline);
-* the per-payload folds a strategy builds its round sums with — in the
-  calling process, over the whole sum (:meth:`ShardingRuntime.fold_sparse`,
-  :meth:`ShardingRuntime.fold_dense`);
-* the length-``d`` accumulator of Eq. 6 — a fresh ``np.zeros`` per round,
-  or one recycled ``np.memmap`` file (``RunConfig.shard_mmap``) so the
-  dense sum never lives in RAM;
+* the per-payload folds a strategy builds its round sums with — plain
+  numpy in the calling process, over the whole sum
+  (:meth:`ShardingRuntime.fold_sparse`, :meth:`ShardingRuntime.fold_dense`);
 * a :class:`ShardReleaseLedger` counting released (changed) coordinates
   per shard — the bookkeeping seam for per-coordinate privacy accounting
   over sparse releases (Kerkouche et al., 2021).
@@ -25,15 +22,13 @@ configured one; both import this package at call time, so
 
 Results are bit-identical for every shard count, and one shard costs what
 the plain expression costs: :mod:`repro.sharding.kernels` gives both
-arguments (operation order, the top-k superset, the slice-writing rule).
+arguments (the top-k superset, the slice-writing rule).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,10 +36,8 @@ from repro.compression.topk import top_k_in_support
 from repro.sharding.executor import ShardExecutor
 from repro.sharding.kernels import (
     shard_elementwise_add,
-    shard_slice_weighted_sum,
     shard_top_k,
     shard_top_k_in_support,
-    shard_weighted_scatter,
 )
 from repro.sharding.partition import ShardSpec
 
@@ -89,10 +82,10 @@ class ShardReleaseLedger:
 class ShardingRuntime:
     """Per-shard kernels + shard-partitioned server bookkeeping.
 
-    Payload index arrays handed to the sums must be sorted ascending —
-    the repo-wide payload convention (``top_k_indices`` returns sorted
-    indices), and what lets a shard take its slice of each payload with a
-    ``searchsorted`` instead of a gather.
+    Index arrays handed to it — payload ``idx``, a top-k ``support``,
+    ``changed_idx`` — are sorted ascending: the repo-wide convention
+    (``top_k_indices`` returns sorted indices), and what lets a shard take
+    its slice of a support with a ``searchsorted`` instead of a gather.
     """
 
     def __init__(
@@ -101,18 +94,11 @@ class ShardingRuntime:
         shard_count: int,
         backend: str = "serial",
         workers: Optional[int] = None,
-        mmap: bool = False,
-        mmap_dir: Optional[str] = None,
     ):
         self.spec = ShardSpec.build(d, shard_count)
         self._bounds = [(lo, hi) for _s, lo, hi in self.spec.iter_bounds()]
         self.executor = ShardExecutor(backend, workers=workers)
         self.ledger = ShardReleaseLedger(self.spec)
-        self.mmap = bool(mmap)
-        self._mmap_dir = mmap_dir
-        self._owns_dir = False
-        self._acc: Dict[str, np.ndarray] = {}
-        self._acc_paths: Dict[str, str] = {}
         self.open()
 
     def open(self) -> None:
@@ -129,39 +115,6 @@ class ShardingRuntime:
     @property
     def d(self) -> int:
         return self.spec.d
-
-    # -- accumulator ------------------------------------------------------
-    def _mmap_root(self) -> str:
-        if self._mmap_dir is None:
-            self._mmap_dir = tempfile.mkdtemp(prefix="repro-shard-")
-            self._owns_dir = True
-        return self._mmap_dir
-
-    def accumulator(self, dtype) -> np.ndarray:
-        """A zeroed length-``d`` accumulator — Eq. 6's open sum.
-
-        A strategy requests it at a round's first ``fold`` and it stays
-        open, receiving one fold per update, until that round's
-        ``aggregate()`` (or ``abort_round``) closes it.  In RAM it is a
-        fresh ``np.zeros`` the caller owns — exactly what the plain
-        expression allocates, and nothing d-sized stays resident between
-        rounds.  With ``shard_mmap`` it is one ``np.memmap`` file per
-        dtype, recycled across calls, so the round's d-sized sum lives on
-        disk; a caller must then be done with it — its round aggregated or
-        aborted — before anyone requests the next accumulator of the same
-        dtype, which zeroes the file.
-        """
-        dtype = np.dtype(dtype)
-        if not self.mmap:
-            return np.zeros(self.d, dtype=dtype)
-        acc = self._acc.get(dtype.name)
-        if acc is None:
-            path = os.path.join(self._mmap_root(), f"acc-{dtype.name}.dat")
-            acc = np.memmap(path, dtype=dtype, mode="w+", shape=(self.d,))
-            self._acc[dtype.name] = acc
-            self._acc_paths[dtype.name] = path
-        acc[:] = 0
-        return acc
 
     def _map_into(
         self,
@@ -191,76 +144,28 @@ class ShardingRuntime:
         pts = self.spec.split_points(sorted_idx).tolist()
         return list(zip(pts[:-1], pts[1:]))
 
-    def payload_slices(
-        self,
-        payloads: Sequence[Tuple[int, float, object]],
-        key_idx: str = "idx",
-        key_vals: str = "vals",
-    ) -> List[List[Tuple[float, np.ndarray, np.ndarray]]]:
-        """Per shard, every payload's ``(weight, idx, vals)`` slice — views
-        of the payload arrays, ``idx`` still global."""
-        splits = [
-            self._split(payload.data[key_idx]) for _, _, payload in payloads
-        ]
-        return [
-            [
-                (weight, payload.data[key_idx][a:b], payload.data[key_vals][a:b])
-                for (_, weight, payload), (a, b) in zip(
-                    payloads, (split[s] for split in splits)
-                )
-            ]
-            for s in range(self.spec.count)
-        ]
-
     # -- folds ------------------------------------------------------------
     # A strategy's round sums grow one payload at a time, as each update is
     # compressed (``CompressionStrategy.fold``).  A fold is O(payload) and
     # mutates the sum across calls, so it runs in the calling process over
-    # the whole accumulator — shipping the accumulator to a shard worker per
-    # payload would cost d per fold.  Every coordinate still receives the
-    # same adds in the same order as under any partition: bit-identical.
+    # the whole sum, as plain numpy — shipping the sum to a shard worker per
+    # payload would cost d per fold.  Every coordinate receives its adds in
+    # payload order whatever the shard count: bit-identical.
 
     @staticmethod
     def fold_sparse(
         acc: np.ndarray, weight: float, idx: np.ndarray, vals: np.ndarray
-    ) -> np.ndarray:
+    ) -> None:
         """``acc += weight · scatter(idx, vals)`` — one payload into a
         length-``d`` sum (Eq. 6's accumulator); ``np.add.at`` lets indices
         repeat across payloads."""
-        return shard_weighted_scatter(acc, 0, [(weight, idx, vals)])
+        np.add.at(acc, idx, weight * vals)
 
     @staticmethod
-    def fold_dense(acc: np.ndarray, weight: float, vals: np.ndarray) -> np.ndarray:
+    def fold_dense(acc: np.ndarray, weight: float, vals: np.ndarray) -> None:
         """``acc += weight · vals`` over aligned vectors — one payload into
         Eq. 5's shared-mask sum, an active-set sum or the dense FedAvg sum."""
-        return shard_slice_weighted_sum(acc, [(weight, vals)])
-
-    # -- list-at-once sums (ShardedServerState) ---------------------------
-    def masked_weighted_sum(
-        self,
-        payloads: Sequence[Tuple[int, float, object]],
-        mask: np.ndarray,
-        key: str = "shr_vals",
-        dtype=np.float64,
-    ) -> np.ndarray:
-        """Eq. 5: ``Σ ν_i · vals_i`` on the shared mask, over a whole
-        round's payloads — the out-of-core
-        :class:`~repro.sharding.state.ShardedServerState` round; strategies
-        fold instead.
-
-        ``payload.data[key]`` holds one value per (sorted) ``mask``
-        position — the server knows the positions, so the sum runs on
-        length-``|M|`` vectors and nothing dense is materialized — and the
-        shard partition of the mask splits every payload into aligned
-        contiguous slices.
-        """
-        bounds = self._split(mask)
-        tasks = [
-            ([(weight, payload.data[key][a:b]) for _, weight, payload in payloads],)
-            for a, b in bounds
-        ]
-        out = np.zeros(len(mask), dtype=np.dtype(dtype))
-        return self._map_into(shard_slice_weighted_sum, out, bounds, tasks)
+        acc += weight * vals
 
     # -- selection --------------------------------------------------------
     def top_k_indices(
@@ -325,23 +230,5 @@ class ShardingRuntime:
         self.ledger.observe(changed_idx)
 
     def close(self) -> None:
-        """Release pools and delete any memmap accumulator files.
-
-        Idempotent, and the runtime stays usable — :meth:`open` restarts
-        its pool, and accumulators are rebuilt on demand.
-        """
+        """Release the shard pool; idempotent, and :meth:`open` restarts it."""
         self.executor.close()
-        self._acc.clear()
-        for path in self._acc_paths.values():
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._acc_paths.clear()
-        if self._owns_dir and self._mmap_dir is not None:
-            try:
-                os.rmdir(self._mmap_dir)
-            except OSError:
-                pass
-            self._mmap_dir = None
-            self._owns_dir = False

@@ -55,20 +55,15 @@ def test_gluefl_sharded_run_bit_identical(tiny_dataset, count):
     np.testing.assert_array_equal(base, got)
 
 
-def test_thread_backend_and_mmap_bit_identical(tiny_dataset):
-    """At one shard the knobs still mean something — ``thread`` runs its
-    single task inline, ``shard_mmap`` memmaps the accumulator — and
-    change nothing, exactly as at four."""
+def test_thread_backend_bit_identical(tiny_dataset):
+    """At one shard ``thread`` still means something — it runs its single
+    task inline — and changes nothing, exactly as at four."""
     base = run_params(make_config(tiny_dataset))
     for count in (1, 4):
         threaded = run_params(
             make_config(tiny_dataset, shard_count=count, shard_backend="thread")
         )
-        mmapped = run_params(
-            make_config(tiny_dataset, shard_count=count, shard_mmap=True)
-        )
         np.testing.assert_array_equal(base, threaded)
-        np.testing.assert_array_equal(base, mmapped)
 
 
 @pytest.mark.slow
@@ -145,73 +140,6 @@ def test_other_strategies_sharded_bit_identical(tiny_dataset, make_strategy):
     np.testing.assert_array_equal(base, got)
 
 
-class _ThirdClientFails(Exception):
-    pass
-
-
-@pytest.mark.parametrize(
-    "make_strategy",
-    [
-        lambda: GlueFLMaskStrategy(q=0.2, q_shr=0.16, regen_interval=5),
-        lambda: STCStrategy(q=0.2),
-    ],
-    ids=["gluefl", "stc"],
-)
-def test_mmap_accumulator_open_across_folds_matches_ram(
-    tiny_dataset, make_strategy, monkeypatch, tmp_path
-):
-    """Eq. 6's accumulator is open from a round's first fold to its
-    ``aggregate()``; under ``shard_mmap`` it is one recycled file, so a
-    round that dies after two folds leaves it dirty and the next round's
-    first fold must start from zeros.  Twelve rounds — round 5 aborts
-    after two folds (for GlueFL a scheduled regeneration, re-armed at 6),
-    round 10 regenerates — are bit-identical to RAM, and ``close()``
-    leaves nothing in the memmap directory."""
-    monkeypatch.setenv("TMPDIR", str(tmp_path))
-    monkeypatch.setattr("tempfile.tempdir", None)
-
-    def run(mmap):
-        strategy = make_strategy()
-        server = FLServer(
-            make_config(
-                tiny_dataset, strategy=strategy, sampler=UniformSampler(5),
-                shard_mmap=mmap, rounds=12,
-            )
-        )
-        compress, aborted = strategy.client_compress, []
-
-        def client_compress(cid, delta, weight):
-            if server.round_idx == 5:
-                aborted.append(cid)
-                if len(aborted) == 3:
-                    raise _ThirdClientFails(cid)
-            return compress(cid, delta, weight)
-
-        strategy.client_compress = client_compress
-        params = []
-        try:
-            for t in range(1, 13):
-                if t == 5:
-                    with pytest.raises(_ThirdClientFails):
-                        server.run_round()
-                    continue
-                server.run_round()
-                params.append(server.global_params.copy())
-            mmap_dir = server.sharding._mmap_dir
-        finally:
-            server.close()
-        assert len(aborted) == 3
-        return params, mmap_dir
-
-    ram, _ = run(False)
-    disk, mmap_dir = run(True)
-    assert mmap_dir is not None and os.path.dirname(mmap_dir) == str(tmp_path)
-    for a, b in zip(ram, disk):
-        np.testing.assert_array_equal(a, b)
-    assert not os.path.exists(mmap_dir)
-    assert os.listdir(tmp_path) == []
-
-
 def test_server_binds_and_closes_runtime(tiny_dataset):
     server = FLServer(make_config(tiny_dataset, shard_count=3))
     assert server.sharding is not None
@@ -266,9 +194,3 @@ def test_config_validates_shard_backend(tiny_dataset):
         cfg.validate()
     for backend in ("serial", "thread", "process"):
         make_config(tiny_dataset, shard_count=2, shard_backend=backend).validate()
-
-
-def test_config_rejects_non_bool_shard_mmap(tiny_dataset):
-    cfg = make_config(tiny_dataset, shard_count=2, shard_mmap="yes")
-    with pytest.raises(ValueError, match="shard_mmap"):
-        cfg.validate()

@@ -7,58 +7,12 @@ from repro.compression.topk import top_k_indices
 from repro.sharding import (
     ShardingRuntime,
     shard_elementwise_add,
-    shard_slice_weighted_sum,
     shard_top_k,
     shard_top_k_in_support,
-    shard_weighted_scatter,
 )
 from tests.sharding import reference
 
 pytestmark = pytest.mark.sharding
-
-
-def test_weighted_scatter_matches_add_at_order():
-    """The scatter kernel sees each coordinate's adds in payload order —
-    bit-identical to the plain np.add.at loop on that slice — and writes
-    them into the slice it was handed."""
-    rng = np.random.default_rng(1)
-    n, lo = 50, 1000
-    items = []
-    ref = np.zeros(n, dtype=np.float32)
-    for _ in range(4):
-        idx = np.sort(rng.choice(n, size=20, replace=False)).astype(np.int64)
-        vals = rng.normal(size=20).astype(np.float32)
-        w = float(rng.uniform(0.5, 2.0))
-        items.append((w, idx + lo, vals))
-        np.add.at(ref, idx, w * vals)
-    whole = np.zeros(n + 7, dtype=np.float32)
-    view = whole[3 : 3 + n]
-    got = shard_weighted_scatter(view, lo, items)
-    assert got is view
-    np.testing.assert_array_equal(ref, whole[3 : 3 + n])
-    assert not whole[:3].any() and not whole[3 + n :].any()
-
-
-def test_weighted_scatter_empty_items():
-    out = np.zeros(5, dtype=np.float64)
-    assert shard_weighted_scatter(out, 0, []) is out
-    empty = (1.0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32))
-    shard_weighted_scatter(out, 0, [empty])
-    np.testing.assert_array_equal(out, np.zeros(5))
-
-
-def test_slice_weighted_sum_matches_inplace_loop():
-    rng = np.random.default_rng(2)
-    items = [
-        (float(rng.uniform(0.5, 2.0)), rng.normal(size=30).astype(np.float32))
-        for _ in range(5)
-    ]
-    ref = np.zeros(30, dtype=np.float32)
-    for w, vals in items:
-        ref += w * vals
-    out = np.zeros(30, dtype=np.float32)
-    assert shard_slice_weighted_sum(out, items) is out
-    np.testing.assert_array_equal(ref, out)
 
 
 def test_elementwise_add_is_plain_add():

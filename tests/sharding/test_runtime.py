@@ -1,8 +1,6 @@
 """ShardingRuntime: folds, sums and top-k for 1..N shards vs the plain
-references, what one shard costs, the (optionally memmapped) accumulator,
-and the release ledger."""
+references, what one shard costs, and the release ledger."""
 
-import os
 import tracemalloc
 
 import numpy as np
@@ -32,7 +30,7 @@ def make_payloads(rng, d, n=5, nnz=40):
 def folded_sum(rt, payloads, dtype):
     """Eq. 6's sum the way a strategy builds it: the round's accumulator,
     one ``fold_sparse`` per payload as it arrives."""
-    acc = rt.accumulator(dtype)
+    acc = np.zeros(rt.d, dtype=dtype)
     for _, weight, payload in payloads:
         rt.fold_sparse(acc, weight, payload.data["idx"], payload.data["vals"])
     return acc
@@ -43,12 +41,14 @@ def folded_sum(rt, payloads, dtype):
 def test_sparse_weighted_sum_bit_identical(count, dtype):
     """Folded payload by payload, through a strategy bound to a
     ``count``-shard runtime (STC at q = 1 keeps every coordinate, so its
-    global delta *is* the sum), Eq. 6 is the plain loop's bits."""
+    global delta *is* the sum), Eq. 6 is the plain loop's bits — an
+    empty payload among them included."""
     rng = np.random.default_rng(count)
     d = 211
     rt = ShardingRuntime(d, count)
     try:
         payloads = make_payloads(rng, d)
+        payloads.insert(2, make_payloads(rng, d, n=1, nnz=0)[0])
         ref = reference.weighted_dense_sum(payloads, d, dtype=dtype)
         np.testing.assert_array_equal(ref, folded_sum(rt, payloads, dtype))
         stc = STCStrategy(q=1.0)
@@ -72,34 +72,29 @@ def dense_payloads(rng, length, key, n=4, dtype=np.float32):
     ]
 
 
-def test_masked_weighted_sum_matches_inplace_loop():
-    rng = np.random.default_rng(9)
-    d, m = 150, 40
-    mask = np.sort(rng.choice(d, size=m, replace=False)).astype(np.int64)
-    payloads = dense_payloads(rng, m, "shr_vals")
-    ref = reference.slice_weighted_sum(payloads, "shr_vals", m, np.float32)
-    for count in (1, 7):
-        got = ShardingRuntime(d, count).masked_weighted_sum(
-            payloads, mask, dtype=np.float32
+def test_fold_dense_matches_inplace_loop():
+    """``fold_dense`` is the in-place loop's bits on Eq. 5's shared-mask
+    sum — an empty shared part (a GlueFL regeneration round) included."""
+    rng = np.random.default_rng(2)
+    for m in (30, 0):
+        payloads = dense_payloads(rng, m, "shr_vals", n=5)
+        acc = np.zeros(m, dtype=np.float32)
+        for _, weight, payload in payloads:
+            ShardingRuntime.fold_dense(acc, weight, payload.data["shr_vals"])
+        np.testing.assert_array_equal(
+            reference.slice_weighted_sum(payloads, "shr_vals", m, np.float32), acc
         )
-        np.testing.assert_array_equal(ref, got)
-    # an empty mask (a regeneration round) sums to an empty vector
-    empty = dense_payloads(rng, 0, "shr_vals")
-    got = ShardingRuntime(d, 7).masked_weighted_sum(
-        empty, np.empty(0, dtype=np.int64), dtype=np.float32
-    )
-    assert got.shape == (0,) and got.dtype == np.float32
 
 
 def test_dense_weighted_sum_is_fresh_and_exact():
-    """The FedAvg sum escapes as the global delta — it must never be the
-    runtime's recycled (memmap) accumulator, even with one configured."""
+    """The FedAvg sum escapes as the global delta, so each round's is a
+    fresh allocation, and the plain loop's bits."""
     rng = np.random.default_rng(11)
     d = 97
     payloads = dense_payloads(rng, d, "dense", n=3, dtype=np.float64)
     ref = reference.slice_weighted_sum(payloads, "dense", d, np.float64)
     for count in (1, 4):
-        rt = ShardingRuntime(d, count, mmap=True)
+        rt = ShardingRuntime(d, count)
         fedavg = FedAvgStrategy()
         fedavg.setup(d, rng)
         fedavg.bind_sharding(rt)
@@ -108,7 +103,6 @@ def test_dense_weighted_sum_is_fresh_and_exact():
             got2 = aggregate_payloads(fedavg, payloads).global_delta
             np.testing.assert_array_equal(ref, got1)
             assert got1 is not got2  # fresh allocation per round
-            assert not isinstance(got1, np.memmap)
         finally:
             rt.close()
 
@@ -128,77 +122,15 @@ def test_top_k_indices_bit_identical(count):
         rt.close()
 
 
-def test_accumulator_recycled_and_zeroed():
-    """Only the memmap accumulator is recycled; in RAM each call is the
-    fresh ``np.zeros`` the plain expression allocates, so nothing d-sized
-    stays resident between rounds."""
-    rt = ShardingRuntime(10, 3, mmap=True)
-    try:
-        acc = rt.accumulator(np.float32)
-        acc[:] = 7.0
-        again = rt.accumulator(np.float32)
-        assert again is acc
-        np.testing.assert_array_equal(again, np.zeros(10, dtype=np.float32))
-        # distinct dtypes get distinct buffers
-        assert rt.accumulator(np.float64) is not acc
-    finally:
-        rt.close()
-    ram = ShardingRuntime(10, 3)
-    acc = ram.accumulator(np.float32)
-    acc[:] = 7.0
-    again = ram.accumulator(np.float32)
-    assert again is not acc and not isinstance(again, np.memmap)
-    np.testing.assert_array_equal(again, np.zeros(10, dtype=np.float32))
-    assert not ram._acc
-
-
-def test_mmap_accumulator_file_lifecycle():
-    rt = ShardingRuntime(64, 4, mmap=True)
-    acc = rt.accumulator(np.float32)
-    assert isinstance(acc, np.memmap)
-    paths = list(rt._acc_paths.values())
-    assert paths and all(os.path.exists(p) for p in paths)
-    root = rt._mmap_dir
-    rt.close()
-    assert not any(os.path.exists(p) for p in paths)
-    assert not os.path.exists(root)
-    # the runtime survives close: the next request recreates the file
-    acc2 = rt.accumulator(np.float32)
-    assert isinstance(acc2, np.memmap)
-    rt.close()
-
-
-def test_mmap_sum_bit_identical_to_ram():
-    rng = np.random.default_rng(17)
-    d = 211
-    payloads = make_payloads(rng, d)
-    for count in (1, 5):
-        ram = ShardingRuntime(d, count)
-        disk = ShardingRuntime(d, count, mmap=True)
-        try:
-            a = np.array(folded_sum(ram, payloads, np.float32))
-            b = np.array(folded_sum(disk, payloads, np.float32))
-            np.testing.assert_array_equal(a, b)
-        finally:
-            ram.close()
-            disk.close()
-
-
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_parallel_backends_fill_every_slice(backend):
     """Threads write their view of the result in place; a fork worker
     returns its part and the parent copies it back."""
     rng = np.random.default_rng(19)
-    d, m = 211, 90
-    mask = np.sort(rng.choice(d, size=m, replace=False)).astype(np.int64)
-    shared = dense_payloads(rng, m, "shr_vals")
+    d = 211
     a = rng.normal(size=d).astype(np.float32)
     rt = ShardingRuntime(d, 4, backend=backend, workers=2)
     try:
-        np.testing.assert_array_equal(
-            rt.masked_weighted_sum(shared, mask, dtype=np.float32),
-            reference.slice_weighted_sum(shared, "shr_vals", m, np.float32),
-        )
         np.testing.assert_array_equal(
             rt.elementwise_add(a, a[::-1]), reference.elementwise_add(a, a[::-1])
         )
