@@ -20,7 +20,6 @@ from repro.datasets import femnist_like
 from repro.fl.staleness import StalenessTracker
 from repro.nn import Conv2d, CrossEntropyLoss, Sequential
 from repro.runtime import ClientTask, WorkerSpec, create_backend
-from repro.sharding import ShardingRuntime
 
 D = 5_000_000
 
@@ -46,8 +45,7 @@ def test_mask_shift_sparse_support_5m(benchmark):
     delta = np.zeros(D)
     delta[support] = rng.normal(size=len(support))
     k_shr = D * 4 // 25
-    runtime = ShardingRuntime(D, 1)  # the default server kernels
-    idx = benchmark(runtime.top_k_indices, delta, k_shr, support=support)
+    idx = benchmark(top_k_indices, delta, k_shr, support=support)
     assert len(idx) == k_shr
 
 
@@ -75,20 +73,19 @@ def _sparse_payloads(k_clients=30, keep=D // 10):
     return payloads
 
 
-def fold_round(runtime, payloads):
+def fold_round(payloads):
     """A round's Eq. 6 sum as a strategy builds it: a fresh ``np.zeros``,
-    then one ``fold_sparse`` (an ``np.add.at`` scatter, sorted idx) per
-    payload."""
-    acc = np.zeros(runtime.d, dtype=np.float64)
+    then one ``np.add.at`` scatter (sorted idx) per payload."""
+    acc = np.zeros(D, dtype=np.float64)
     for _, weight, payload in payloads:
-        runtime.fold_sparse(acc, weight, payload.data["idx"], payload.data["vals"])
+        np.add.at(acc, payload.data["idx"], weight * payload.data["vals"])
     return acc
 
 
 def test_sparse_accumulate_scatter_5m(benchmark):
     """The shipped path: each payload folded into the open sum."""
     payloads = _sparse_payloads(k_clients=10)
-    acc = benchmark(fold_round, ShardingRuntime(D, 1), payloads)
+    acc = benchmark(fold_round, payloads)
     assert np.isfinite(acc).all()
 
 

@@ -33,7 +33,6 @@ import numpy as np
 from repro.compression.base import ClientPayload
 from repro.compression.topk import top_k_indices
 from repro.nn import Conv2d, Sequential
-from repro.sharding import ShardingRuntime
 
 D = 5_000_000
 
@@ -153,10 +152,9 @@ def micro_ops(repeats: int) -> dict:
 
     def fold_round():
         # a round's Eq. 6 sum as a strategy builds it: one fold per payload
-        runtime = ShardingRuntime(D, 1)
-        acc = np.zeros(runtime.d, dtype=np.float64)
+        acc = np.zeros(D, dtype=np.float64)
         for _, weight, payload in payloads:
-            runtime.fold_sparse(acc, weight, payload.data["idx"], payload.data["vals"])
+            np.add.at(acc, payload.data["idx"], weight * payload.data["vals"])
         return acc
 
     out["aggregate_scatter_k30_5m_s"] = timed(fold_round, repeats)
@@ -300,18 +298,6 @@ def main() -> None:
                 "dtype": "float32",
                 "scheduler": "async",
                 "async_buffer_size": 5,
-            },
-        ),
-        # sharded server state: aggregation/top-k/apply partitioned into
-        # contiguous coordinate-range shards, kernels dispatched through
-        # a fork pool (bit-identical to serial_float32 by contract)
-        (
-            "shard_process_float32",
-            {
-                "execution_backend": "serial",
-                "dtype": "float32",
-                "shard_count": 4,
-                "shard_backend": "process",
             },
         ),
         # tiered semi-async scheduler (sync fast tier + straggler fold-in)

@@ -226,7 +226,6 @@ def _load_builtin_checkers() -> None:
         dtype_discipline,
         golden_coverage,
         lifecycle,
-        shard_dtype,
     )
 
 

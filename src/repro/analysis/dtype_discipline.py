@@ -7,6 +7,8 @@ is float64 regardless of policy, and since the half-precision path
 landed, one silent float64 promotion in nn/, compression/, the runtime,
 or aggregation quietly doubles (or quadruples) bytes moved — or worse,
 widens a reduction the dtype story says happens in float32.
+``np.memmap`` is covered too: its default is *uint8*, so an unpinned
+memmap is not even the wrong float — it reinterprets the file outright.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ BARE_CONSTRUCTORS = {
     "numpy.full",
     "numpy.array",
     "numpy.arange",
+    "numpy.memmap",
 }
 
 
@@ -45,14 +48,8 @@ class DtypeDisciplineChecker(Checker):
     hint = (
         "pass dtype= explicitly — derive it from the operand "
         "(x.dtype), the run policy (resolve_dtype), or pin the intended "
-        "width (np.float64 / np.int64)"
+        "width (np.float64 / np.int64); np.memmap defaults to uint8"
     )
-
-    #: class attributes so path-scoped variants (shard-kernel-dtype) can
-    #: subclass with their own coverage / constructor set
-    hot_path_dirs = HOT_PATH_DIRS
-    hot_path_files = HOT_PATH_FILES
-    constructors = BARE_CONSTRUCTORS
 
     #: constructors where a positional argument at this index (0-based)
     #: already pins the dtype
@@ -60,8 +57,8 @@ class DtypeDisciplineChecker(Checker):
 
     def applies_to(self, path: str) -> bool:
         return any(
-            frag in path for frag in self.hot_path_dirs
-        ) or path.endswith(self.hot_path_files)
+            frag in path for frag in HOT_PATH_DIRS
+        ) or path.endswith(HOT_PATH_FILES)
 
     def check(self, source: SourceFile) -> List[Finding]:
         imports = ImportMap(source.tree)
@@ -70,7 +67,7 @@ class DtypeDisciplineChecker(Checker):
             if not isinstance(node, ast.Call):
                 continue
             name = imports.resolve(node.func)
-            if name not in self.constructors:
+            if name not in BARE_CONSTRUCTORS:
                 continue
             if any(kw.arg == "dtype" for kw in node.keywords):
                 continue
@@ -82,6 +79,11 @@ class DtypeDisciplineChecker(Checker):
         return findings
 
     def _message(self, name: str) -> str:
+        if name == "numpy.memmap":
+            return (
+                "np.memmap() without dtype= defaults to uint8 — it "
+                "reinterprets the backing file outright"
+            )
         return (
             f"{name.replace('numpy', 'np')}() without dtype= on a "
             "precision-policy hot path defaults to float64 "

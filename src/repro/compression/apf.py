@@ -124,7 +124,7 @@ class APFStrategy(CompressionStrategy):
 
     def fold(self, weight: float, payload: ClientPayload) -> None:
         _, acc = self._open_sums()
-        self.sharding.fold_dense(acc, weight, payload.data["vals"])
+        acc += weight * payload.data["vals"]
 
     def aggregate(self) -> AggregateResult:
         self._check_setup()

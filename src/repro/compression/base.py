@@ -75,7 +75,7 @@ class AggregateResult:
     Every server step after aggregation relies on it to do work
     proportional to ``len(changed_idx)`` rather than ``d``: the mask shift
     selects among ``global_delta[changed_idx]``
-    (``self.sharding.top_k_indices(..., support=changed_idx)``), and
+    (``top_k_indices(..., support=changed_idx)``), and
     the staleness ledger advances its version histogram from
     ``changed_idx`` alone.  A strategy that moves a coordinate it does not
     list would have that movement ignored by both — and never downloaded
@@ -108,9 +108,6 @@ class CompressionStrategy:
     def __init__(self) -> None:
         self.d: int = 0
         self.dtype: np.dtype = np.dtype(np.float64)
-        #: the :class:`repro.sharding.ShardingRuntime` whose kernels this
-        #: strategy aggregates and selects through; bound by :meth:`setup`
-        self.sharding = None
         #: the round's open sums (:meth:`_new_sums`): opened by its first
         #: :meth:`fold`, closed by :meth:`aggregate`, dropped by
         #: :meth:`abort_round`
@@ -123,37 +120,19 @@ class CompressionStrategy:
         ``dtype`` is the run-level precision (see :mod:`repro.runtime`):
         aggregation outputs and any dense scratch vectors the strategy
         materializes use it, so a float32 run stays float32 end to end.
-        Leaves a one-shard :class:`~repro.sharding.ShardingRuntime` bound
-        as ``self.sharding``, so a strategy is usable after ``setup()``
-        alone; the server re-binds its configured one.  A strategy bound
+        A strategy is usable after ``setup()`` alone.  A strategy bound
         again starts over: open sums are dropped and the conventional
         ``self.residuals`` store is reset (its mode and LRU bound stay),
         so no run compensates with another run's residuals.
         """
         if d <= 0:
             raise ValueError(f"model dimension must be positive, got {d}")
-        # call-time import: repro.sharding imports repro.compression.topk
-        from repro.sharding import ShardingRuntime
-
         self.d = d
         self.dtype = np.dtype(dtype)
-        self.sharding = ShardingRuntime(d, 1)
         self._sums = None
         store = getattr(self, "residuals", None)
         if store is not None:
             store.reset()
-
-    def bind_sharding(self, runtime) -> None:
-        """Replace the one-shard runtime :meth:`setup` bound.
-
-        Called by the server after :meth:`setup` with the runtime
-        ``RunConfig.shard_count`` / ``shard_backend`` describe.  Every
-        shard count is bit-identical, so binding never changes results,
-        only how the ``self.sharding`` kernels are partitioned and
-        dispatched.  Wrapper strategies must delegate to their inner
-        strategy.
-        """
-        self.sharding = runtime
 
     def begin_round(self, round_idx: int) -> None:
         """Per-round state decisions before any client work."""

@@ -74,11 +74,6 @@ class ResidualStore:
     later via :meth:`bound`) turns on LRU eviction; evicted rows go on a
     free list, so the file never exceeds ``max_clients`` rows.
 
-    A residual is one flat row whatever the server's shard count:
-    residuals are *client-side* state that ``compensate`` reads whole, once
-    per participation, so chunking one along the server's partition would
-    buy a reassembly copy per read and nothing else.
-
     The file is closed by :meth:`close` (reached from
     ``FLServer.close()``), or by a finalizer when the store is dropped
     un-closed.  Not thread-safe: compression runs in the server process, in

@@ -39,7 +39,8 @@ class FedAvgStrategy(CompressionStrategy):
         return np.zeros(self.d, dtype=self.dtype)
 
     def fold(self, weight: float, payload: ClientPayload) -> None:
-        self.sharding.fold_dense(self._open_sums(), weight, payload.data["dense"])
+        acc = self._open_sums()
+        acc += weight * payload.data["dense"]
 
     def aggregate(self) -> AggregateResult:
         self._check_setup()

@@ -37,7 +37,7 @@ from repro.compression.base import (
     CompressionStrategy,
 )
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
-from repro.compression.topk import ratio_to_k, union_sorted
+from repro.compression.topk import ratio_to_k, top_k_indices, union_sorted
 from repro.network.encoding import bitmap_bytes, sparse_bytes, values_bytes
 
 __all__ = ["GlueFLMaskStrategy"]
@@ -149,7 +149,7 @@ class GlueFLMaskStrategy(CompressionStrategy):
         shr_vals = accumulated[mask]  # fancy indexing copies
         accumulated[mask] = 0.0
         k_uni = self._k_unique()
-        uni_idx = self.sharding.top_k_indices(accumulated, k_uni)
+        uni_idx = top_k_indices(accumulated, k_uni)
         uni_vals = accumulated[uni_idx].copy()
         accumulated[uni_idx] = 0.0  # what remains is exactly the residual
         self.residuals.record(client_id, accumulated, weight)
@@ -172,15 +172,15 @@ class GlueFLMaskStrategy(CompressionStrategy):
     def fold(self, weight: float, payload: ClientPayload) -> None:
         shr_acc, uni_acc = self._open_sums()
         data = payload.data
-        self.sharding.fold_dense(shr_acc, weight, data["shr_vals"])
-        self.sharding.fold_sparse(uni_acc, weight, data["idx"], data["vals"])
+        shr_acc += weight * data["shr_vals"]
+        np.add.at(uni_acc, data["idx"], weight * data["vals"])
 
     def aggregate(self) -> AggregateResult:
         self._check_setup()
         mask = self._effective_mask()
         shr_acc, uni_acc = self._close_sums()
         # Eq. 6: top-(q - q_shr) of the aggregated unique parts
-        keep = self.sharding.top_k_indices(uni_acc, self._k_unique())
+        keep = top_k_indices(uni_acc, self._k_unique())
         # global_delta is built fresh — it must not alias the shared-mask
         # accumulator (mask and keep are disjoint, but end_round and
         # callers treat global_delta as an independently-owned vector)
@@ -200,7 +200,7 @@ class GlueFLMaskStrategy(CompressionStrategy):
         self._check_setup()
         self._regen_pending = False
         if self._k_shr > 0:
-            self.mask_idx = self.sharding.top_k_indices(
+            self.mask_idx = top_k_indices(
                 agg.global_delta, self._k_shr, support=agg.changed_idx
             )
 

@@ -52,12 +52,6 @@ class QuantizedStrategy(CompressionStrategy):
         self._rng = rng
         self.inner.setup(d, rng, dtype=dtype)
 
-    def bind_sharding(self, runtime) -> None:
-        # quantization transforms values; the sharded kernels live in the
-        # inner strategy's aggregation/top-k path
-        super().bind_sharding(runtime)
-        self.inner.bind_sharding(runtime)
-
     def begin_round(self, round_idx: int) -> None:
         self.inner.begin_round(round_idx)
 

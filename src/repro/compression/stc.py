@@ -25,7 +25,7 @@ from repro.compression.base import (
     CompressionStrategy,
 )
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
-from repro.compression.topk import ratio_to_k
+from repro.compression.topk import ratio_to_k, top_k_indices
 from repro.network.encoding import sparse_bytes
 
 __all__ = ["STCStrategy"]
@@ -88,7 +88,7 @@ class STCStrategy(CompressionStrategy):
         # compensate() returns a caller-owned vector: zero the sent top-k
         # in place and what remains is the residual (no zeros(d) scratch)
         accumulated = self.residuals.compensate(client_id, delta, weight)
-        idx = self.sharding.top_k_indices(accumulated, self._k)
+        idx = top_k_indices(accumulated, self._k)
         vals = accumulated[idx].copy()
         accumulated[idx] = 0.0
         self.residuals.record(client_id, accumulated, weight)
@@ -101,16 +101,15 @@ class STCStrategy(CompressionStrategy):
         return np.zeros(self.d, dtype=self.dtype)
 
     def fold(self, weight: float, payload: ClientPayload) -> None:
-        self.sharding.fold_sparse(
-            self._open_sums(), weight, payload.data["idx"], payload.data["vals"]
-        )
+        data = payload.data
+        np.add.at(self._open_sums(), data["idx"], weight * data["vals"])
 
     def aggregate(self) -> AggregateResult:
         self._check_setup()
         acc = self._close_sums()
         if self.server_residual:
             acc = acc + self._server_h
-        keep = self.sharding.top_k_indices(acc, self._k)
+        keep = top_k_indices(acc, self._k)
         global_delta = np.zeros(self.d, dtype=self.dtype)
         global_delta[keep] = acc[keep]
         if self.server_residual:

@@ -12,14 +12,14 @@ case (``(1 − q)·d`` exact ties at zero).  :func:`top_k_in_support` selects
 among the support's values only, so the mask shift costs O(q·d); the index
 sets it works on are combined by :func:`union_sorted`, a linear merge.
 
-These are the selection *primitives*.  Server-side selection goes through
-``strategy.sharding.top_k_indices(x, k, support=...)``
-(:class:`repro.sharding.ShardingRuntime`), which runs them per shard.
+Every selection in the repo, client or server side, is one
+:func:`top_k_indices` call; a server-side one over a sparse vector passes
+``support=`` and becomes a :func:`top_k_in_support`.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,17 +45,29 @@ def ratio_to_k(ratio: float, d: int) -> int:
     return int(np.clip(round(ratio * d), 0, d))
 
 
-def top_k_indices(x: np.ndarray, k: int) -> np.ndarray:
+def top_k_indices(
+    x: np.ndarray, k: int, support: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Indices of the ``k`` largest ``|x|`` entries (sorted ascending).
 
     Returns all indices when ``k >= len(x)`` and an empty array when
-    ``k <= 0``.
+    ``k <= 0``; ties at the k-th magnitude are broken arbitrarily
+    (``argpartition``'s contract).
+
+    ``support`` (sorted coordinates outside which ``x`` is exactly zero,
+    e.g. ``AggregateResult.changed_idx``) selects among the support's
+    values instead of all of ``x`` — O(q·d), where the dense selection
+    over an aggregated update meets ``(1 − q)·d`` exact ties at zero,
+    introselect's worst case.  ``k >= len(support)`` needs coordinates
+    from outside the support and runs the dense selection.
     """
     d = x.shape[0]
     if k <= 0:
         return np.empty(0, dtype=np.int64)
     if k >= d:
         return np.arange(d, dtype=np.int64)
+    if support is not None and k < len(support):
+        return top_k_in_support(x[support], support, k)
     idx = np.argpartition(np.abs(x), d - k)[d - k :]
     return np.sort(idx).astype(np.int64, copy=False)
 

@@ -229,9 +229,7 @@ def apply_aggregate(server, batch: Batch):
     and the new arrays are marked read-only to enforce that invariant.
     """
     agg = server.strategy.aggregate()
-    params = server.sharding.elementwise_add(
-        server.global_params, agg.global_delta
-    )
+    params = server.global_params + agg.global_delta
     if params.dtype != server.global_params.dtype:
         # half-precision run: the delta was accumulated in float32 —
         # round back to the run dtype once, after the add
@@ -245,7 +243,6 @@ def apply_aggregate(server, batch: Batch):
         buffers.flags.writeable = False
         server.global_buffers = buffers
     server.staleness.record_update(agg.changed_idx)
-    server.sharding.observe_release(agg.changed_idx)
     return agg
 
 

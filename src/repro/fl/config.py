@@ -34,13 +34,6 @@ class RunConfig:
       the whole hot path (model, training, compression, aggregation) in
       single precision for a large CPU speedup at FL-irrelevant accuracy
       cost.
-    * ``shard_count`` / ``shard_backend`` — the server hot path
-      (aggregation sums, top-k selection, the params apply) always runs
-      through the kernels of :mod:`repro.sharding`, selection and apply
-      over ``shard_count`` contiguous coordinate-range shards (default 1).
-      Bit-identical for every count, so the knobs trade nothing but how
-      the work is partitioned and dispatched (``"serial"``/``"thread"``/
-      ``"process"``; one shard runs inline).
 
     Scheduling knobs (see :mod:`repro.engine.schedulers`):
 
@@ -193,17 +186,6 @@ class RunConfig:
     #: floating-point op order, so it is off for golden-pinned runs
     batch_replicas: Optional[int] = None
 
-    # server kernels (repro.sharding)
-    #: run the server hot path over this many contiguous coordinate-range
-    #: shards; the default is one shard, not a separate path.  Bit-identical
-    #: for every count — contiguous shards preserve per-coordinate
-    #: operation order and the per-shard top-k is exact — so the knob only
-    #: changes how server work is partitioned/dispatched
-    shard_count: int = 1
-    #: per-shard kernel dispatch: "serial" | "thread" | "process" (the
-    #: shard analogue of execution_backend; a single shard runs inline)
-    shard_backend: str = "serial"
-
     # round scheduling (repro.engine)
     #: round shape: "sync" (Algorithm 1), "async" (FedBuff-style buffered
     #: asynchrony), "failure" (sync + injected dropout bursts/straggler
@@ -326,7 +308,6 @@ class RunConfig:
         from repro.privacy import PRIVACY_MODES
         from repro.runtime.backends import BACKENDS
         from repro.runtime.dtype import DTYPE_NAMES
-        from repro.sharding.executor import SHARD_BACKENDS
 
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
@@ -425,17 +406,6 @@ class RunConfig:
                 f"execution_backend={self.execution_backend!r} it would be "
                 "silently ignored — set execution_backend='process' (or "
                 "unset it)"
-            )
-        if (
-            not isinstance(self.shard_count, int)
-            or isinstance(self.shard_count, bool)
-            or self.shard_count <= 0
-        ):
-            raise ValueError("shard_count must be a positive int")
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"unknown shard_backend {self.shard_backend!r}; "
-                f"expected {SHARD_BACKENDS}"
             )
         if self.dtype == "float16":
             if self.privacy_mode == "gaussian":

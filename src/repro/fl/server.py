@@ -105,21 +105,6 @@ class FLServer:
         self.strategy.setup(
             self.d, self.rngs("strategy"), dtype=accumulation_dtype(self.dtype)
         )
-        # the server kernels (repro.sharding): aggregation sums, top-k
-        # selections and the params apply run over shard_count contiguous
-        # coordinate ranges — one by default, bit-identical for any count —
-        # through this runtime, which replaces the one-shard runtime
-        # setup() bound.  Lazy import: repro.sharding pulls in
-        # runtime/compression modules this module also feeds.
-        from repro.sharding import ShardingRuntime
-
-        self.sharding = ShardingRuntime(
-            self.d,
-            config.shard_count,
-            backend=config.shard_backend,
-            workers=config.backend_workers,
-        )
-        self.strategy.bind_sharding(self.sharding)
         if config.residual_max_clients is not None:
             # bound per-client error-compensation state to an LRU budget;
             # wrappers delegate the call down to the strategy that owns
@@ -351,10 +336,6 @@ class FLServer:
     def run_round(self) -> RoundRecord:
         """Advance the run by one scheduler round (sync: one Algorithm 1
         round; async: one buffer flush) and return its record."""
-        # a closed server reopens its shard pool here, before the round
-        # starts a thread: forked beside a live thread, a pool worker can
-        # inherit a lock that thread held
-        self.sharding.open()
         return self.scheduler.run_round(self)
 
     @property
@@ -391,14 +372,12 @@ class FLServer:
         Idempotent; only needed when ``run_round`` is driven manually —
         :meth:`run` closes automatically, and a server dropped un-closed
         still closes the row file when it is collected.  Further training
-        after close is fine: the next ``run_round`` reopens the shard pool
-        and builds a fresh backend, but error compensation starts over (the
+        after close is fine: the next ``run_round`` builds a fresh backend, but error compensation starts over (the
         residuals went with the file).
         """
         if self._backend is not None:
             self._backend.close()
             self._backend = None
-        self.sharding.close()
         self.strategy.close()
 
     # -- full run -----------------------------------------------------------------------

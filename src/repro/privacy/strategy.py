@@ -263,12 +263,6 @@ class PrivateStrategy(CompressionStrategy):
                 strategy.residuals = ResidualStore(ErrorCompMode.NONE)
             strategy = getattr(strategy, "inner", None)
 
-    def bind_sharding(self, runtime) -> None:
-        # the mechanism clips/noises values; sharded aggregation kernels
-        # belong to the wrapped strategy
-        super().bind_sharding(runtime)
-        self.inner.bind_sharding(runtime)
-
     def begin_round(self, round_idx: int) -> None:
         # drop prior-round observations so feedback_norm can never hand a
         # sampler a stale noisy norm for a client that did not compress

@@ -90,11 +90,9 @@ def usable_cpus() -> int:
 def require_fork(feature: str) -> None:
     """Raise unless the platform offers the ``fork`` start method.
 
-    Both process pools in the repo — the client-training
-    :class:`ProcessBackend` and the shard dispatcher in
-    :mod:`repro.sharding.executor` — rely on fork semantics (workers
-    inherit read-only parent state by reference instead of pickling it),
-    so the capability check lives in one place.
+    The repo's one process pool, the client-training
+    :class:`ProcessBackend`, relies on fork semantics (workers inherit
+    read-only parent state by reference instead of pickling it).
     """
     import multiprocessing as mp
 

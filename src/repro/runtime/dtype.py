@@ -16,7 +16,7 @@ any *accumulation over many small terms* is numerically fragile there
 (float16 has a 10-bit significand), so the hot reductions run in
 :func:`accumulation_dtype` (float32) and round once at the end:
 
-* server aggregation (the ``repro.sharding`` sums, BN-buffer averaging)
+* server aggregation (the strategies' round sums, BN-buffer averaging)
   accumulates in float32 and casts the final update back to the run
   dtype;
 * the cross-entropy loss reduces log-probabilities in float32 (the loss

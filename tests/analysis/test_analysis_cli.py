@@ -85,5 +85,4 @@ def test_suite_has_exactly_the_pinned_rules():
         "config-coverage",
         "golden-coverage",
         "lifecycle-pairing",
-        "shard-kernel-dtype",
     }

@@ -140,56 +140,45 @@ def test_bare_dtype_file_waiver():
     ) == []
 
 
-# -- shard-kernel-dtype --------------------------------------------------------
-def test_shard_dtype_flags_sharding_package():
-    assert rules_of(BARE, path="src/repro/sharding/kernels.py") == [
-        "shard-kernel-dtype"
-    ]
-    # outside repro/sharding/ the rule stays silent (bare-dtype owns the
-    # other hot paths)
-    assert rules_of(
-        BARE, path="src/repro/fl/metrics.py", rules=["shard-kernel-dtype"]
-    ) == []
-
-
-def test_shard_dtype_flags_bare_memmap():
+# -- bare-dtype: np.memmap -----------------------------------------------------
+def test_bare_dtype_flags_bare_memmap():
     findings = analyze_source(
         textwrap.dedent(
             """
             import numpy as np
 
-            def open_shard(path):
+            def open_rows(path):
                 return np.memmap(path, mode="r")
             """
         ),
-        path="src/repro/sharding/state.py",
+        path="src/repro/compression/error_comp.py",
     )
-    assert [f.rule for f in findings] == ["shard-kernel-dtype"]
+    assert [f.rule for f in findings] == ["bare-dtype"]
     assert "uint8" in findings[0].message
 
 
-def test_shard_dtype_accepts_pinned_memmap():
+def test_bare_dtype_accepts_pinned_memmap():
     assert rules_of(
         """
         import numpy as np
 
-        def open_shard(path):
+        def open_rows(path):
             acc = np.zeros(8, dtype=np.float32)
             return acc, np.memmap(path, dtype=np.float32, mode="r")
         """,
-        path="src/repro/sharding/state.py",
+        path="src/repro/compression/error_comp.py",
     ) == []
 
 
-def test_shard_dtype_waiver_honored():
+def test_bare_dtype_memmap_waiver_honored():
     assert rules_of(
         """
         import numpy as np
 
         def raw(path):
-            return np.memmap(path, mode="r")  # repro: allow[shard-kernel-dtype] -- byte probe
+            return np.memmap(path, mode="r")  # repro: allow[bare-dtype] -- byte probe
         """,
-        path="src/repro/sharding/state.py",
+        path="src/repro/compression/error_comp.py",
     ) == []
 
 

@@ -1,13 +1,11 @@
-"""Plain numpy references for the server kernels.
+"""Plain numpy references for the server round.
 
-``repro.sharding`` is the only implementation of the server hot path in
-``src/`` — one shard is the default, not a second path — so the textbook
-expressions it must stay bit-identical to live here, test-side (the
-``tests/population/oracle.py`` precedent): one accumulator, one loop, one
-``argpartition``, no partition and no dispatch — and every sum over the
-whole round's payload list at once, where strategies fold one payload at
-a time.  Nothing here imports ``repro.sharding``, so nothing here can
-share a bug with it.
+The strategies fold each payload into their round sums as it arrives and
+select through ``repro.compression.topk``; the textbook form they must
+stay bit-identical to lives here, test-side (the
+``tests/population/oracle.py`` precedent): every sum over the whole
+round's payload list at once, one accumulator, one loop, one dense
+top-k.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from repro.compression import (
     GlueFLMaskStrategy,
     STCStrategy,
 )
-from repro.compression.topk import top_k_in_support, top_k_indices
+from repro.compression.topk import top_k_indices
 
 
 def weighted_dense_sum(
@@ -42,20 +40,6 @@ def slice_weighted_sum(payloads, key, length, dtype=np.float64):
     for _, weight, payload in payloads:
         acc += weight * payload.data[key]
     return acc
-
-
-def elementwise_add(a, b):
-    """The params apply."""
-    return a + b
-
-
-def select_top_k(x, k, support=None):
-    """Dense selection, or selection within a sorted ``support`` outside
-    which ``x`` is exactly zero; ``k >= len(support)`` needs coordinates
-    from outside the support and is dense again."""
-    if support is not None and k < len(support):
-        return top_k_in_support(x[support], support, k)
-    return top_k_indices(x, k)
 
 
 def strategy_round(strategy, payloads):
@@ -82,14 +66,14 @@ def strategy_round(strategy, payloads):
     delta = np.zeros(d, dtype=dtype)
     if isinstance(strategy, GlueFLMaskStrategy):
         mask = strategy._effective_mask()
-        keep = select_top_k(uni, strategy._k_unique())
+        keep = top_k_indices(uni, strategy._k_unique())
         delta[mask] = slice_weighted_sum(payloads, "shr_vals", len(mask), dtype)
         delta[keep] += uni[keep]
         return delta, np.union1d(mask, keep)
     assert isinstance(strategy, STCStrategy)
     if strategy.server_residual:
         uni = uni + strategy._server_h
-    keep = select_top_k(uni, strategy._k)
+    keep = top_k_indices(uni, strategy._k)
     delta[keep] = uni[keep]
     return delta, keep
 

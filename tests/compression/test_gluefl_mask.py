@@ -5,7 +5,6 @@ import pytest
 
 from repro.compression import ErrorCompMode, GlueFLMaskStrategy
 from repro.network.encoding import bitmap_bytes, sparse_bytes, values_bytes
-from repro.sharding import ShardingRuntime
 from tests.compression.rounds import aggregate_payloads
 
 
@@ -222,14 +221,11 @@ def test_client_compress_does_not_mutate_caller_delta(rng):
     np.testing.assert_array_equal(delta, original)
 
 
-@pytest.mark.parametrize("shard_count", [1, 4])
-def test_mask_shift_selects_within_the_support(rng, monkeypatch, shard_count):
+def test_mask_shift_selects_within_the_support(rng, monkeypatch):
     """Work count: Alg. 3 line 26 must never hand ``argpartition`` more
     than the ``q·d`` values of the update's support — over the dense
     vector its ``(1 − q)·d`` exact zeros are introselect's worst case."""
     s = make(d=1000, q=0.2, q_shr=0.1)
-    rt = ShardingRuntime(1000, shard_count)
-    s.bind_sharding(rt)
     lengths = []
     real = np.argpartition
 
@@ -237,19 +233,16 @@ def test_mask_shift_selects_within_the_support(rng, monkeypatch, shard_count):
         lengths.append(len(a))
         return real(a, *args, **kwargs)
 
-    try:
-        for t in (1, 2):  # a regeneration round, then a shifted one
-            s.begin_round(t)
-            payloads = [
-                (i, 0.5, s.client_compress(i, rng.normal(size=1000), 0.5))
-                for i in range(2)
-            ]
-            agg = aggregate_payloads(s, payloads)
-            with monkeypatch.context() as m:
-                m.setattr(np, "argpartition", recording)
-                s.end_round(agg, t)
-            assert lengths and max(lengths) <= len(agg.changed_idx) == 200
-            assert len(s.mask_idx) == 100
-            lengths.clear()
-    finally:
-        rt.close()
+    for t in (1, 2):  # a regeneration round, then a shifted one
+        s.begin_round(t)
+        payloads = [
+            (i, 0.5, s.client_compress(i, rng.normal(size=1000), 0.5))
+            for i in range(2)
+        ]
+        agg = aggregate_payloads(s, payloads)
+        with monkeypatch.context() as m:
+            m.setattr(np, "argpartition", recording)
+            s.end_round(agg, t)
+        assert lengths and max(lengths) <= len(agg.changed_idx) == 200
+        assert len(s.mask_idx) == 100
+        lengths.clear()

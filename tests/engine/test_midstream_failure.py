@@ -21,7 +21,7 @@ import pytest
 from repro.compression import GlueFLMaskStrategy, QuantizedStrategy, STCStrategy
 from repro.fl import FLServer, RunConfig, UniformSampler
 from repro.privacy import PrivateStrategy
-from tests.sharding import reference
+from tests.compression import server_reference as reference
 
 
 class HandOffBroke(Exception):

@@ -3,8 +3,8 @@
 ``repro.nn.module.Sequential.forward`` streams :data:`EVAL_BLOCK`-sample
 blocks through runs of row-wise layers in eval mode; there is no second
 path in ``src/``.  The plain chain it replaced — every layer sees the
-whole batch — lives here, test-side (the ``tests/sharding/reference.py``
-precedent), and :func:`whole_batch` installs it for the duration of a
+whole batch — lives here, test-side (the
+``tests/compression/server_reference.py`` precedent), and :func:`whole_batch` installs it for the duration of a
 block so a model's oracle output comes from the same parameters.
 """
 

@@ -2,8 +2,7 @@
 
 A server-side vector is zero outside a known sorted support (the
 ``AggregateResult`` invariant), so the mask shift
-(``ShardingRuntime.top_k_indices(x, k, support)``, for one shard or many)
-selects among the support's values only and index sets are combined by a
+(``top_k_indices(x, k, support=support)``) selects among the support's values only and index sets are combined by a
 linear merge.  Both must be indistinguishable from the dense formulations
 they replace: ``top_k_indices`` over the scattered vector whenever the
 k-th magnitude is untied, and ``np.union1d``.
@@ -24,8 +23,9 @@ from repro.compression.topk import (
     top_k_indices,
     union_sorted,
 )
-from repro.sharding import ShardingRuntime
 from tests.compression.rounds import aggregate_payloads
+
+pytestmark = pytest.mark.server_kernels
 
 
 def sparse_vector(rng, d, support_size, zeros_inside):
@@ -67,49 +67,27 @@ def test_support_topk_equals_dense_when_untied(case):
     np.testing.assert_array_equal(
         top_k_in_support(x[support], support, k), expected
     )
-    got = ShardingRuntime(len(x), 1).top_k_indices(x, k, support=support)
+    got = top_k_indices(x, k, support=support)
     np.testing.assert_array_equal(got, expected)
     assert got.dtype == np.int64
 
 
-@pytest.mark.sharding
-@pytest.mark.parametrize("shard_count", [1, 2, 7, 16])
-@given(case=sparse_cases)
-def test_support_topk_per_shard_split_equals_dense(shard_count, case):
-    x, support, k = draw_untied(case)
-    rt = ShardingRuntime(len(x), shard_count)
-    try:
-        np.testing.assert_array_equal(
-            rt.top_k_indices(x, k, support), top_k_indices(x, k)
-        )
-    finally:
-        rt.close()
-
-
-@pytest.mark.sharding
 @given(
     d=st.integers(2, 200),
     support_size=st.integers(0, 200),
     extra=st.integers(0, 250),
-    shard_count=st.sampled_from([1, 2, 7, 16]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_k_at_least_support_is_todays_dense_result(
-    d, support_size, extra, shard_count, seed
-):
+def test_k_at_least_support_is_todays_dense_result(d, support_size, extra, seed):
     """``k >= |support|`` needs coordinates from outside the support:
     the answer is whatever the dense selection gives (ties and all)."""
     rng = np.random.default_rng(seed)
     m = min(support_size, d)
     x, support = sparse_vector(rng, d, m, 0)
     k = m + extra
-    rt = ShardingRuntime(d, shard_count)
-    try:
-        np.testing.assert_array_equal(
-            rt.top_k_indices(x, k, support), rt.top_k_indices(x, k)
-        )
-    finally:
-        rt.close()
+    np.testing.assert_array_equal(
+        top_k_indices(x, k, support=support), top_k_indices(x, k)
+    )
     # the coordinate-form helper has nothing outside the support to offer
     np.testing.assert_array_equal(
         top_k_in_support(x[support], support, k), support
@@ -131,34 +109,28 @@ def test_union_sorted_equals_union1d(a, b):
 
 @given(
     d=st.integers(20, 300),
-    shard_count=st.sampled_from([1, 2, 7, 16]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gluefl_mask_shift_equals_dense_topk(d, shard_count, seed):
+def test_gluefl_mask_shift_equals_dense_topk(d, seed):
     """Regeneration (empty mask) and shifted rounds: the next mask is the
     dense ``top_{q_shr}(Δ̃_t)`` and ``changed_idx`` is ``mask ∪ keep``."""
     rng = np.random.default_rng(seed)
     s = GlueFLMaskStrategy(q=0.3, q_shr=0.2, regen_interval=3)
     s.setup(d, rng)
-    rt = ShardingRuntime(d, shard_count)
-    s.bind_sharding(rt)
-    try:
-        for t in range(1, 5):
-            s.begin_round(t)
-            mask = s._effective_mask()
-            assert (len(mask) == 0) == (t in (1, 3))
-            payloads = [
-                (i, 0.5, s.client_compress(i, rng.normal(size=d), 0.5))
-                for i in range(2)
-            ]
-            agg = aggregate_payloads(s, payloads)
-            np.testing.assert_array_equal(
-                agg.changed_idx,
-                np.union1d(mask, np.flatnonzero(agg.global_delta)),
-            )
-            s.end_round(agg, t)
-            np.testing.assert_array_equal(
-                s.mask_idx, top_k_indices(agg.global_delta, s._k_shr)
-            )
-    finally:
-        rt.close()
+    for t in range(1, 5):
+        s.begin_round(t)
+        mask = s._effective_mask()
+        assert (len(mask) == 0) == (t in (1, 3))
+        payloads = [
+            (i, 0.5, s.client_compress(i, rng.normal(size=d), 0.5))
+            for i in range(2)
+        ]
+        agg = aggregate_payloads(s, payloads)
+        np.testing.assert_array_equal(
+            agg.changed_idx,
+            np.union1d(mask, np.flatnonzero(agg.global_delta)),
+        )
+        s.end_round(agg, t)
+        np.testing.assert_array_equal(
+            s.mask_idx, top_k_indices(agg.global_delta, s._k_shr)
+        )

@@ -36,7 +36,6 @@ from repro.runtime import (
     create_backend,
 )
 from repro.runtime.backends import _run_one, usable_cpus
-from repro.sharding import ShardExecutor
 from repro.utils.rng import RngFactory
 
 #: every wait in these tests gives up after this many seconds
@@ -637,7 +636,6 @@ def test_default_pool_widths_follow_the_affinity_mask(tiny_dataset, monkeypatch)
     spec, _, _ = _bound_spec(tiny_dataset)
     with ThreadBackend(spec) as thread, ProcessBackend(spec) as proc:
         assert thread.workers == proc.workers == 1
-    assert ShardExecutor("thread")._worker_count() == 1
     server = FLServer(_config(tiny_dataset, "thread"))
     try:
         assert server.backend.workers == 1
