@@ -266,35 +266,11 @@ def main() -> None:
         # has no half BLAS, so this is a bytes/tolerance mode, not a fast one)
         ("serial_float16", {"execution_backend": "serial", "dtype": "float16"}),
         ("process_float32", {"execution_backend": "process", "dtype": "float32"}),
-        # batched replica training: grouped clients share one vectorized
-        # model with a leading replica axis (RunConfig.batch_replicas)
-        (
-            "batched_thread_float32",
-            {
-                "execution_backend": "thread",
-                "backend_workers": 1,
-                "batch_replicas": 10,
-                "dtype": "float32",
-            },
-        ),
         # async/buffered scheduler (one round == one 5-arrival flush)
         (
             "async_serial_float32",
             {
                 "execution_backend": "serial",
-                "dtype": "float32",
-                "scheduler": "async",
-                "async_buffer_size": 5,
-            },
-        ),
-        # async dispatch + batched replicas: the fastest combo on this
-        # workload (fewer client-rounds per flush, vectorized training)
-        (
-            "async_batched_float32",
-            {
-                "execution_backend": "thread",
-                "backend_workers": 1,
-                "batch_replicas": 5,
                 "dtype": "float32",
                 "scheduler": "async",
                 "async_buffer_size": 5,

@@ -180,11 +180,6 @@ class RunConfig:
     #: Debugging aid (every touch of a ring view pays a tag check), so it
     #: defaults off; ``REPRO_SANITIZE=1`` in the environment also enables it
     sanitize: bool = False
-    #: thread backend only: train this many clients' mini-batches through
-    #: one vectorized replica with a leading replica axis (see
-    #: repro.runtime.batched).  None disables (the default); changes
-    #: floating-point op order, so it is off for golden-pinned runs
-    batch_replicas: Optional[int] = None
 
     # round scheduling (repro.engine)
     #: round shape: "sync" (Algorithm 1), "async" (FedBuff-style buffered
@@ -391,15 +386,6 @@ class RunConfig:
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; expected {DTYPE_NAMES}"
             )
-        if self.batch_replicas is not None:
-            if self.batch_replicas <= 0:
-                raise ValueError("batch_replicas must be positive (or None)")
-            if self.execution_backend != "thread":
-                raise ValueError(
-                    "batch_replicas vectorizes replicas inside one process; "
-                    "it requires execution_backend='thread' (got "
-                    f"{self.execution_backend!r})"
-                )
         if self.sanitize and self.execution_backend != "process":
             raise ValueError(
                 "sanitize guards the process backend's result ring; with "
@@ -407,21 +393,14 @@ class RunConfig:
                 "silently ignored — set execution_backend='process' (or "
                 "unset it)"
             )
-        if self.dtype == "float16":
-            if self.privacy_mode == "gaussian":
-                raise ValueError(
-                    "privacy_mode='gaussian' is incompatible with "
-                    f"dtype={self.dtype!r}: calibrated noise and the RDP "
-                    "accountant assume the mechanism's arithmetic is not "
-                    "dominated by quantization error — run the private "
-                    "path in float32 or float64"
-                )
-            if self.batch_replicas is not None:
-                raise ValueError(
-                    "batch_replicas accumulates many replicas' GEMMs in the "
-                    f"run dtype; {self.dtype!r} loses too much precision "
-                    "there — combine batched replicas with float32/float64"
-                )
+        if self.dtype == "float16" and self.privacy_mode == "gaussian":
+            raise ValueError(
+                "privacy_mode='gaussian' is incompatible with "
+                f"dtype={self.dtype!r}: calibrated noise and the RDP "
+                "accountant assume the mechanism's arithmetic is not "
+                "dominated by quantization error — run the private "
+                "path in float32 or float64"
+            )
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; expected {SCHEDULERS}"

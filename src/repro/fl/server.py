@@ -201,7 +201,6 @@ class FLServer:
                 int(math.ceil(config.overcommit * config.sampler.k)),
                 config.async_concurrency or 0,
             ),
-            batch_replicas=config.batch_replicas or 0,
         )
         self._backend = None
         self.lr_schedule = config.lr_schedule()

@@ -191,9 +191,6 @@ class WorkerSpec:
     #: (sizes the process backend's zero-copy result rings); 0 = derive
     #: from the task count per call
     max_in_flight: int = 0
-    #: vectorize up to this many clients' local rounds through one batched
-    #: replica (thread backend only); 0 disables the batched path
-    batch_replicas: int = 0
 
     def build_trainer(self) -> Tuple[Module, "LocalTrainer"]:
         from repro.fl.client import LocalTrainer
@@ -349,16 +346,6 @@ class ThreadBackend(ExecutionBackend):
     in-flight tasks.  Jobs are submitted as delivery advances, never more
     than ``workers + 1`` ahead of it, so results that finished before the
     caller could deliver them stay bounded by the pool, not by K.
-
-    When ``spec.batch_replicas > 1``, tasks with the same realized
-    ``(local_steps, lr)`` are grouped into chunks of up to that many clients
-    and each chunk trains vectorized through one
-    :class:`~repro.runtime.batched.BatchedReplicaTrainer` (a leading replica
-    axis over the whole layer stack).  Unsupported models fall back to the
-    per-client path at construction time; differing batch *sizes* within a
-    group are padded with masked rows, and only incompatible batch *shapes*
-    (heterogeneous sample features) fall back per group at run time.  Either
-    way results come back in task order.
     """
 
     name = "thread"
@@ -370,42 +357,9 @@ class ThreadBackend(ExecutionBackend):
         for _ in range(self.workers):
             _, trainer = spec.build_trainer()
             self._replicas.put(trainer)
-        self._batched: Optional["queue.SimpleQueue"] = None
-        self.batch_replicas = max(0, int(spec.batch_replicas or 0))
-        if self.batch_replicas > 1:
-            self._batched = self._build_batched_pool()
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-client"
         )
-
-    def _build_batched_pool(self) -> Optional["queue.SimpleQueue"]:
-        import warnings
-
-        from repro.nn.flat import FlatParamView
-        from repro.runtime.batched import (
-            BatchedReplicaTrainer,
-            UnsupportedModelError,
-        )
-
-        pool: "queue.SimpleQueue[BatchedReplicaTrainer]" = queue.SimpleQueue()
-        for i in range(self.workers):
-            model, _ = self.spec.build_trainer()
-            view = FlatParamView(model)
-            try:
-                pool.put(
-                    BatchedReplicaTrainer(
-                        model, view.num_trainable, view.num_buffer
-                    )
-                )
-            except UnsupportedModelError as exc:
-                warnings.warn(
-                    f"batch_replicas disabled: {exc}; falling back to "
-                    "per-client training",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return None
-        return pool
 
     def _run_task(
         self,
@@ -422,77 +376,6 @@ class ThreadBackend(ExecutionBackend):
         finally:
             self._replicas.put(trainer)
 
-    def _run_tasks(
-        self,
-        group: Sequence[ClientTask],
-        global_params: np.ndarray,
-        global_buffers: np.ndarray,
-    ) -> List[ClientResult]:
-        return [
-            self._run_task(task, global_params, global_buffers) for task in group
-        ]
-
-    def _run_group(
-        self,
-        group: Sequence[ClientTask],
-        global_params: np.ndarray,
-        global_buffers: np.ndarray,
-    ) -> List[ClientResult]:
-        from repro.runtime.batched import RaggedBatchError
-
-        trainer = self._batched.get()
-        try:
-            outs = trainer.run_group(
-                group,
-                global_params,
-                global_buffers,
-                self.spec.clients,
-                self.rngs,
-                self.spec.batch_size,
-                self.spec.local_steps,
-                self.spec.momentum,
-                self.spec.weight_decay,
-            )
-        except RaggedBatchError:
-            # a client in the group yields short batches — the whole group
-            # retrains serially (RNG streams are per-call, so no state leaks)
-            return self._run_tasks(group, global_params, global_buffers)
-        finally:
-            self._batched.put(trainer)
-        return [
-            ClientResult(
-                client_id=task.client_id,
-                delta=delta,
-                buffer_delta=buffer_delta,
-                num_samples=num_samples,
-                mean_loss=mean_loss,
-            )
-            for task, (delta, buffer_delta, num_samples, mean_loss) in zip(
-                group, outs
-            )
-        ]
-
-    def _chunks(self, tasks: Sequence[ClientTask]) -> List[List[int]]:
-        """Task indices per pool job: one task each, or — batched — the
-        tasks sharing a realized ``(steps, lr)`` in chunks of up to
-        ``batch_replicas`` (differing shard sizes are fine: the batched
-        trainer pads ragged steps with masked rows)."""
-        if self._batched is None:
-            return [[i] for i in range(len(tasks))]
-        grouped: Dict[tuple, List[int]] = {}
-        for i, task in enumerate(tasks):
-            steps = (
-                task.local_steps
-                if task.local_steps is not None
-                else self.spec.local_steps
-            )
-            grouped.setdefault((steps, task.lr), []).append(i)
-        return [
-            indices[start : start + self.batch_replicas]
-            for indices in grouped.values()
-            for start in range(0, len(indices), self.batch_replicas)
-        ]
-
     def run_clients(
         self,
         tasks: Sequence[ClientTask],
@@ -500,44 +383,34 @@ class ThreadBackend(ExecutionBackend):
         global_buffers: np.ndarray,
         deliver: Deliver,
     ) -> None:
-        run = self._run_tasks if self._batched is None else self._run_group
-        chunks = iter(self._chunks(tasks))
+        pending = iter(tasks)
         # submitted jobs not yet taken by this thread, oldest first: at most
         # workers + 1, so every worker has a job and one waits behind them,
         # and finished-but-undelivered results stay flat in K
-        ahead: "deque[Tuple[List[int], Future]]" = deque()
+        ahead: "deque[Future]" = deque()
 
         def submit_next() -> None:
-            chunk = next(chunks, None)
-            if chunk is not None:
-                ahead.append((chunk, self._pool.submit(
-                    run, [tasks[i] for i in chunk], global_params, global_buffers
-                )))
+            task = next(pending, None)
+            if task is not None:
+                ahead.append(self._pool.submit(
+                    self._run_task, task, global_params, global_buffers
+                ))
 
-        # a job's results wait here only until every earlier task has been
-        # delivered — per-task jobs never wait, a batched chunk's do when
-        # its group interleaves with another's in task order
-        waiting: Dict[int, ClientResult] = {}
-        delivered = 0
         try:
             for _ in range(self.workers + 1):
                 submit_next()
             while ahead:
-                # popped, not indexed: a done future keeps its results alive
-                chunk, future = ahead.popleft()
-                waiting.update(zip(chunk, future.result()))
-                del future
+                # popped, not indexed: a done future keeps its result alive
+                result = ahead.popleft().result()
                 submit_next()
-                while delivered in waiting:
-                    deliver(waiting.pop(delivered))
-                    delivered += 1
+                deliver(result)
+                del result  # the consumer owns a delivered result
         except BaseException:
             # leave no job of this call behind: queued ones are cancelled,
             # running ones finish and put their replica back
-            live = [future for _, future in ahead]
-            for future in live:
+            for future in ahead:
                 future.cancel()
-            wait(live)
+            wait(ahead)
             raise
 
     def close(self) -> None:

@@ -106,15 +106,9 @@ def test_weights_and_metadata_are_preserved():
         ("float32", {}),
         ("float16", {}),
         ("float32", {"execution_backend": "process", "backend_workers": 2}),
-        (
-            "float32",
-            {
-                "execution_backend": "thread", "backend_workers": 1,
-                "batch_replicas": 4,
-            },
-        ),
+        ("float32", {"execution_backend": "thread", "backend_workers": 2}),
     ],
-    ids=["serial", "serial-float16", "process", "batch_replicas"],
+    ids=["serial", "serial-float16", "process", "thread"],
 )
 def test_backends_train_on_run_dtype_shards_bit_identically(
     monkeypatch, dtype, overrides

@@ -116,18 +116,6 @@ def test_validate_rejects_gaussian_privacy_in_half_precision(tiny_dataset):
         cfg.validate()
 
 
-def test_validate_rejects_batch_replicas_in_half_precision(tiny_dataset):
-    cfg = _config(
-        tiny_dataset,
-        "float16",
-        execution_backend="thread",
-        backend_workers=1,
-        batch_replicas=4,
-    )
-    with pytest.raises(ValueError, match="batch_replicas"):
-        cfg.validate()
-
-
 def test_validate_accepts_plain_float16(tiny_dataset):
     _config(tiny_dataset, "float16").validate()
 
