@@ -262,9 +262,6 @@ def main() -> None:
     combos = [
         ("serial_float64", {"execution_backend": "serial", "dtype": "float64"}),
         ("serial_float32", {"execution_backend": "serial", "dtype": "float32"}),
-        # half-precision storage (GEMMs widen to float32 internally; numpy
-        # has no half BLAS, so this is a bytes/tolerance mode, not a fast one)
-        ("serial_float16", {"execution_backend": "serial", "dtype": "float16"}),
         ("process_float32", {"execution_backend": "process", "dtype": "float32"}),
         # async/buffered scheduler (one round == one 5-arrival flush)
         (

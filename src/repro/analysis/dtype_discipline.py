@@ -3,10 +3,9 @@
 The run-level precision policy (``RunConfig.dtype`` through the single
 :func:`repro.runtime.dtype.resolve_dtype` gate) only holds if every array
 materialized on the hot path states its dtype.  A bare ``np.zeros(d)``
-is float64 regardless of policy, and since the half-precision path
-landed, one silent float64 promotion in nn/, compression/, the runtime,
-or aggregation quietly doubles (or quadruples) bytes moved — or worse,
-widens a reduction the dtype story says happens in float32.
+is float64 regardless of policy, so one silent float64 promotion in
+nn/, compression/, the runtime, or aggregation quietly doubles the
+bytes a float32 run moves.
 ``np.memmap`` is covered too: its default is *uint8*, so an unpinned
 memmap is not even the wrong float — it reinterprets the file outright.
 """

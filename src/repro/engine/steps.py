@@ -230,15 +230,11 @@ def apply_aggregate(server, batch: Batch):
     """
     agg = server.strategy.aggregate()
     params = server.global_params + agg.global_delta
-    if params.dtype != server.global_params.dtype:
-        # half-precision run: the delta was accumulated in float32 —
-        # round back to the run dtype once, after the add
-        params = params.astype(server.global_params.dtype)
     params.flags.writeable = False
     server.global_params = params
     if batch.buffer_sum is not None:
         buffers = server.global_buffers + mean_buffer_delta(
-            batch.buffer_sum, batch.folded, server.global_buffers.dtype
+            batch.buffer_sum, batch.folded
         )
         buffers.flags.writeable = False
         server.global_buffers = buffers
@@ -567,7 +563,7 @@ def close_round(
 def make_record(
     server, rnd: _OpenRound, batch: Batch, *, down_bytes: int, **ledger
 ) -> RoundRecord:
-    """Evaluate + log when the eval schedule says so, and build the
+    """Evaluate when the eval schedule says so, and build the
     round's :class:`~repro.fl.metrics.RoundRecord` — the only place one is
     built; ``ledger`` carries the caller's clock and candidate fields."""
     cfg = server.config
@@ -575,10 +571,6 @@ def make_record(
     accuracy = None
     if round_idx % cfg.eval_every == 0 or round_idx == cfg.rounds:
         accuracy = server.evaluate()
-        server.logger.log(
-            "eval", round=round_idx, accuracy=round(accuracy, 4),
-            down_gb=round(down_bytes / 1e9, 4),
-        )
     return RoundRecord(
         round_idx=round_idx,
         down_bytes=down_bytes,

@@ -117,24 +117,16 @@ def staleness_discounted_weights(
 def fold_buffer_delta(acc: Optional[np.ndarray], delta: np.ndarray) -> np.ndarray:
     """Appendix D, one arrival at a time: add a non-trainable (BN
     statistic) delta into the running sum ``acc`` (``None`` opens it) and
-    return the sum.
-
-    Half-precision deltas accumulate in float32 (K small terms summed in a
-    2-byte float would lose whole contributions to rounding);
-    float32/float64 deltas accumulate in their own dtype, bit-identical to
-    the seed.
+    return the sum, in the deltas' own dtype.
     """
     if acc is None:
-        dt = delta.dtype
-        acc = np.zeros(delta.shape, dtype=np.float32 if dt.itemsize <= 2 else dt)
+        acc = np.zeros(delta.shape, dtype=delta.dtype)
     acc += delta
     return acc
 
 
-def mean_buffer_delta(acc: Optional[np.ndarray], count: int, dtype) -> np.ndarray:
-    """The unweighted mean of the ``count`` deltas folded into ``acc``,
-    rounded back to the deltas' ``dtype`` once."""
+def mean_buffer_delta(acc: Optional[np.ndarray], count: int) -> np.ndarray:
+    """The unweighted mean of the ``count`` deltas folded into ``acc``."""
     if acc is None or count <= 0:
         raise ValueError("no buffer deltas to aggregate")
-    mean = acc / count
-    return mean.astype(dtype) if mean.dtype != dtype else mean
+    return acc / count

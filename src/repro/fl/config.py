@@ -168,9 +168,7 @@ class RunConfig:
     # runtime policy (repro.runtime)
     execution_backend: str = "serial"  # "serial" | "thread" | "process"
     backend_workers: Optional[int] = None
-    #: "float64" | "float32" | "float16".  Half-precision runs keep
-    #: aggregation and loss accumulation in float32 (see
-    #: repro.runtime.dtype)
+    #: "float64" | "float32" (see repro.runtime.dtype)
     dtype: str = "float64"
     #: process backend only: runtime sanitizer (see
     #: :mod:`repro.runtime.sanitize`) — tag the result-ring slots with
@@ -289,7 +287,6 @@ class RunConfig:
     # bookkeeping
     seed: int = 0
     count_buffer_sync: bool = True
-    log_echo: bool = False
     collect_sync_details: bool = False
 
     def lr_schedule(self) -> ExponentialDecay:
@@ -332,11 +329,13 @@ class RunConfig:
             raise ValueError("base_step_seconds must be positive")
         if self.compute_sigma < 0:
             raise ValueError("compute_sigma must be >= 0")
-        if self.availability_trace is not None and not hasattr(
-            self.availability_trace, "online"
+        if self.availability_trace is not None and not all(
+            hasattr(self.availability_trace, m)
+            for m in ("online", "survives_round")
         ):
             raise ValueError(
-                "availability_trace must expose online(round_idx) (see "
+                "availability_trace must expose online(round_idx) and "
+                "survives_round(client_ids) (see "
                 "repro.traces.diurnal.DiurnalAvailabilityTrace)"
             )
         # evaluation / stopping
@@ -364,7 +363,6 @@ class RunConfig:
             "skip_empty_rounds",
             "stop_at_target",
             "count_buffer_sync",
-            "log_echo",
             "collect_sync_details",
         ):
             if not isinstance(getattr(self, flag), bool):
@@ -392,14 +390,6 @@ class RunConfig:
                 f"execution_backend={self.execution_backend!r} it would be "
                 "silently ignored — set execution_backend='process' (or "
                 "unset it)"
-            )
-        if self.dtype == "float16" and self.privacy_mode == "gaussian":
-            raise ValueError(
-                "privacy_mode='gaussian' is incompatible with "
-                f"dtype={self.dtype!r}: calibrated noise and the RDP "
-                "accountant assume the mechanism's arithmetic is not "
-                "dominated by quantization error — run the private "
-                "path in float32 or float64"
             )
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
@@ -610,4 +600,10 @@ class RunConfig:
             raise ValueError(
                 f"K={self.sampler.k} exceeds federation size "
                 f"N={self.dataset.num_clients}"
+            )
+        if self.eval_top_k >= self.dataset.num_classes:
+            raise ValueError(
+                f"eval_top_k={self.eval_top_k} covers every one of the "
+                f"dataset's {self.dataset.num_classes} classes, so accuracy "
+                "would be 1.0 before any training"
             )

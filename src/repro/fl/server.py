@@ -50,10 +50,9 @@ from repro.network.transfer import ClientLinks
 from repro.nn.flat import FlatParamView
 from repro.nn.models import build_model
 from repro.runtime.backends import WorkerSpec, create_backend, usable_cpus
-from repro.runtime.dtype import accumulation_dtype, resolve_dtype
+from repro.runtime.dtype import resolve_dtype
 from repro.traces.availability import AvailabilityTrace, always_available
 from repro.traces.compute import ComputeTrace
-from repro.utils.logging import RunLogger
 from repro.utils.rng import RngFactory
 
 __all__ = ["FLServer", "run_training"]
@@ -99,12 +98,7 @@ class FLServer:
         self.strategy = config.strategy
         if config.privacy_mode != "off":
             self.strategy = self._privatize_strategy(config)
-        # strategies accumulate dense sums in the accumulation dtype —
-        # identical to the run dtype except for half-precision runs, whose
-        # aggregation is pinned to float32 (see repro.runtime.dtype)
-        self.strategy.setup(
-            self.d, self.rngs("strategy"), dtype=accumulation_dtype(self.dtype)
-        )
+        self.strategy.setup(self.d, self.rngs("strategy"), dtype=self.dtype)
         if config.residual_max_clients is not None:
             # bound per-client error-compensation state to an LRU budget;
             # wrappers delegate the call down to the strategy that owns
@@ -204,7 +198,6 @@ class FLServer:
         )
         self._backend = None
         self.lr_schedule = config.lr_schedule()
-        self.logger = RunLogger(echo=config.log_echo)
         self.round_idx = 0
 
         # local import: repro.engine's steps import repro.fl submodules, so

@@ -16,31 +16,10 @@ __all__ = [
     "im2col",
     "pad_nchw",
     "col2im",
-    "matmul_widened",
     "softmax",
     "log_softmax",
     "one_hot",
 ]
-
-
-def matmul_widened(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """``np.matmul`` that upcasts 2-byte operands to float32 for the GEMM.
-
-    NumPy has no half-precision BLAS kernels: a float16 matmul falls back to
-    a software loop that is orders of magnitude slower than the float32 path.
-    For 2-byte dtypes this helper computes the product in float32 (BLAS) and
-    rounds the result back, which also means products accumulate in float32
-    — consistent with the accumulation policy everywhere else in the dtype
-    story (see :mod:`repro.runtime.dtype`).  float32/float64 operands pass
-    straight through to ``np.matmul``, bit-identically.
-    """
-    if np.result_type(a, b).itemsize > 2:
-        return np.matmul(a, b, out=out) if out is not None else np.matmul(a, b)
-    wide = np.matmul(a.astype(np.float32), b.astype(np.float32))
-    if out is not None:
-        np.copyto(out, wide)
-        return out
-    return wide.astype(np.result_type(a, b))
 
 
 def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:

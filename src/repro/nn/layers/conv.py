@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import col2im, conv_out_size, im2col, matmul_widened
+from repro.nn.functional import col2im, conv_out_size, im2col
 from repro.nn.module import NO_CACHE, Module, Parameter, kaiming_init
 
 __all__ = ["Conv2d"]
@@ -105,7 +105,7 @@ class Conv2d(Module):
         out = np.empty(
             (n, g, self.out_channels // g, oh * ow), dtype=x.dtype
         )
-        matmul_widened(self._grouped_weight(), cols, out=out)
+        np.matmul(self._grouped_weight(), cols, out=out)
         out = out.reshape(n, self.out_channels, oh, ow)
         if self.bias is not None:
             out += self.bias.data[None, :, None, None]
@@ -131,21 +131,16 @@ class Conv2d(Module):
         # the transposed view on the small operand instead of the big one
         m = (c // g) * k * k
         dw_n = np.empty((n, g, m, self.out_channels // g), dtype=grad_out.dtype)
-        matmul_widened(cols, ggrad.swapaxes(-1, -2), out=dw_n)
+        np.matmul(cols, ggrad.swapaxes(-1, -2), out=dw_n)
         # last read of the k² × input matrix: let dcols reuse its block
         del cols
         dw = dw_n.sum(axis=0).swapaxes(-1, -2)
         self.weight.grad += dw.reshape(self.weight.data.shape)
         if self.bias is not None:
-            # float32 accumulation for 2-byte dtypes; native otherwise
-            dt = grad_out.dtype
-            acc_dt = np.dtype(np.float32) if dt.itemsize <= 2 else dt
-            self.bias.grad += grad_out.sum(axis=(0, 2, 3), dtype=acc_dt)
+            self.bias.grad += grad_out.sum(axis=(0, 2, 3))
 
         # dcols = Wᵀ @ ggrad, broadcast over the (N, G) batch axes
         dcols = np.empty((n, g, m, oh * ow), dtype=grad_out.dtype)
-        matmul_widened(
-            self._grouped_weight().swapaxes(-1, -2), ggrad, out=dcols
-        )
+        np.matmul(self._grouped_weight().swapaxes(-1, -2), ggrad, out=dcols)
         dcols = dcols.reshape(n, c, k, k, oh, ow)
         return col2im(dcols, self._x_shape, k, k, s, p)

@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.functional import matmul_widened
 from repro.nn.module import NO_CACHE, Module, Parameter, kaiming_init
 
 __all__ = ["Linear"]
@@ -48,7 +47,7 @@ class Linear(Module):
                 f"Linear expects (N, {self.in_features}), got {x.shape}"
             )
         self._x = x if self.training else None
-        out = matmul_widened(x, self.weight.data.T)
+        out = x @ self.weight.data.T
         if self.bias is not None:
             out += self.bias.data
         return out
@@ -57,10 +56,7 @@ class Linear(Module):
         x, self._x = self._x, None
         if x is None:
             raise RuntimeError(NO_CACHE)
-        self.weight.grad += matmul_widened(grad_out.T, x)
+        self.weight.grad += grad_out.T @ x
         if self.bias is not None:
-            # float32 accumulation for 2-byte dtypes; native otherwise
-            dt = grad_out.dtype
-            acc_dt = np.dtype(np.float32) if dt.itemsize <= 2 else dt
-            self.bias.grad += grad_out.sum(axis=0, dtype=acc_dt)
-        return matmul_widened(grad_out, self.weight.data)
+            self.bias.grad += grad_out.sum(axis=0)
+        return grad_out @ self.weight.data

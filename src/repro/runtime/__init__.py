@@ -33,17 +33,15 @@ backend, with a bounded few dense deltas alive instead of the whole
 cohort's.
 
 ``dtype`` — *in what precision* the whole run executes: ``"float64"``
-(default, the seed behavior), ``"float32"``, or the 2-byte storage mode
-``"float16"`` (one :func:`resolve_dtype` gate; GEMMs and long reductions
-widen to float32, see :mod:`repro.runtime.dtype`).  The
+(default, the seed behavior) or ``"float32"`` (one :func:`resolve_dtype`
+gate, see :mod:`repro.runtime.dtype`).  The
 policy is threaded through model construction (every
 ``Conv2d``/``Linear``/norm layer), :class:`~repro.nn.flat.FlatParamView`,
 local training (inputs are cast once per batch), the compression
 strategies and the aggregation path, so a float32 run never silently
 up-casts back to float64 in the hot loop.
-On memory-bandwidth-bound numpy kernels float32 alone is a ~1.5–2×
-speedup over float64; the 2-byte mode trades bytes for tolerance, not
-time (numpy has no half-precision BLAS).
+On memory-bandwidth-bound numpy kernels float32 is a ~1.5–2×
+speedup over float64.
 """
 
 from repro.runtime.backends import (

@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG fan-out, registries, run logging."""
+"""Shared utilities: deterministic RNG fan-out and registries."""
 
 from repro.utils.rng import RngFactory, child_rng
 from repro.utils.registry import Registry
-from repro.utils.logging import RunLogger
 
-__all__ = ["RngFactory", "child_rng", "Registry", "RunLogger"]
+__all__ = ["RngFactory", "child_rng", "Registry"]

@@ -75,26 +75,27 @@ def test_buffer_aggregation_is_unweighted_mean():
     acc = None
     for delta in (np.array([1.0, 2.0]), np.array([3.0, 4.0])):
         acc = fold_buffer_delta(acc, delta)
-    np.testing.assert_allclose(mean_buffer_delta(acc, 2, np.float64), [2.0, 3.0])
+    np.testing.assert_allclose(mean_buffer_delta(acc, 2), [2.0, 3.0])
 
 
 def test_buffer_aggregation_empty_raises():
     with pytest.raises(ValueError):
-        mean_buffer_delta(None, 0, np.float64)
+        mean_buffer_delta(None, 0)
 
 
 @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 def test_buffer_sum_is_the_sequential_loop(dtype):
     """Folding deltas as they arrive is the textbook loop — ``acc += delta``
-    in order (float32 under half precision), one ``/ n``, one round back."""
+    in order, in the deltas' own dtype (a 2-byte delta is not widened),
+    then one ``/ n``."""
     rng = np.random.default_rng(1)
     deltas = [rng.normal(size=7).astype(dtype) for _ in range(5)]
     acc = None
     for delta in deltas:
         acc = fold_buffer_delta(acc, delta)
-    plain = np.zeros(7, dtype=np.float32 if dtype == np.float16 else dtype)
+    plain = np.zeros(7, dtype=dtype)
     for delta in deltas:
         plain += delta
-    got = mean_buffer_delta(acc, len(deltas), np.dtype(dtype))
+    got = mean_buffer_delta(acc, len(deltas))
     assert got.dtype == dtype
-    np.testing.assert_array_equal(got, (plain / len(deltas)).astype(dtype))
+    np.testing.assert_array_equal(got, plain / len(deltas))

@@ -104,11 +104,10 @@ def test_weights_and_metadata_are_preserved():
     "dtype, overrides",
     [
         ("float32", {}),
-        ("float16", {}),
         ("float32", {"execution_backend": "process", "backend_workers": 2}),
         ("float32", {"execution_backend": "thread", "backend_workers": 2}),
     ],
-    ids=["serial", "serial-float16", "process", "thread"],
+    ids=["serial", "process", "thread"],
 )
 def test_backends_train_on_run_dtype_shards_bit_identically(
     monkeypatch, dtype, overrides

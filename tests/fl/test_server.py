@@ -238,6 +238,33 @@ def test_config_validation(tiny_dataset):
         cfg.validate()
 
 
+def test_validate_rejects_a_trace_that_cannot_survive_a_round(tiny_dataset):
+    """A trace must answer both questions a round asks it; one with only
+    ``online`` used to pass validate() and fail mid-round."""
+
+    class OnlineOnly:
+        def online(self, round_idx):
+            return np.ones(tiny_dataset.num_clients, dtype=bool)
+
+    cfg = make_config(
+        tiny_dataset, FedAvgStrategy(), UniformSampler(5),
+        availability_trace=OnlineOnly(),
+    )
+    with pytest.raises(ValueError, match="survives_round"):
+        cfg.validate()
+
+
+def test_validate_rejects_a_top_k_that_covers_every_class(tiny_dataset):
+    """Top-5 on a 4-class dataset counts every sample correct untrained."""
+    assert tiny_dataset.num_classes == 4
+    make_config(tiny_dataset, FedAvgStrategy(), UniformSampler(5)).validate()
+    cfg = make_config(
+        tiny_dataset, FedAvgStrategy(), UniformSampler(5), eval_top_k=5
+    )
+    with pytest.raises(ValueError, match="eval_top_k"):
+        cfg.validate()
+
+
 def test_sticky_sampler_weights_used(tiny_dataset):
     """With sticky sampling, weights differ between buckets (Eq. 3)."""
     strategy, sampler = make_gluefl(5, group_size=20, sticky_count=4, q=0.3, q_shr=0.1)

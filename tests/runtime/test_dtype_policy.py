@@ -10,7 +10,7 @@ from repro.fl import RunConfig
 from repro.fl.server import FLServer, run_training
 from repro.nn.flat import FlatParamView
 from repro.nn.models import build_model
-from repro.runtime import cast_model_dtype, resolve_dtype
+from repro.runtime import DTYPE_NAMES, cast_model_dtype, resolve_dtype
 
 
 def test_resolve_dtype_spellings():
@@ -23,6 +23,23 @@ def test_resolve_dtype_spellings():
 def test_resolve_dtype_rejects_non_float(bad):
     with pytest.raises(ValueError, match="unsupported runtime dtype"):
         resolve_dtype(bad)
+
+
+def test_float16_is_rejected_at_both_gates(tiny_dataset):
+    """Two run dtypes: a 2-byte float is refused by resolve_dtype and by
+    RunConfig.validate() alike, and both errors name the accepted pair."""
+    with pytest.raises(ValueError, match=r"\('float32', 'float64'\)"):
+        resolve_dtype("float16")
+    with pytest.raises(ValueError, match=r"\('float32', 'float64'\)"):
+        _config(tiny_dataset, "float16").validate()
+
+
+def test_bfloat16_is_an_unknown_dtype():
+    """Cut, not gated: the ordinary unknown-dtype error, like any other
+    name outside ``DTYPE_NAMES``."""
+    assert "bfloat16" not in DTYPE_NAMES
+    with pytest.raises(ValueError, match="unsupported runtime dtype"):
+        resolve_dtype("bfloat16")
 
 
 @pytest.mark.parametrize("model_name", ["mlp", "cnn", "resnet", "shufflenet", "mobilenet"])
