@@ -108,9 +108,11 @@ def test_conv_training_step(benchmark, dtype):
     assert out.dtype == dtype
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_round_dispatch_k30(benchmark, backend):
-    """One round's worth of client training (K=30) through each backend."""
+    """One round's worth of client training (K=30) through each backend;
+    the process ring has a slot per task, so every result is zero-copy."""
+    tasks = [ClientTask(client_id=cid, lr=0.05, round_idx=1) for cid in range(30)]
     dataset = femnist_like(
         num_clients=60, num_classes=8, image_size=8,
         samples_per_client=24, seed=5,
@@ -128,13 +130,13 @@ def test_round_dispatch_k30(benchmark, backend):
         seed=1,
         clients=dataset.clients,
         dtype="float32",
+        max_in_flight=len(tasks),
     )
     model, _ = spec.build_trainer()
     from repro.nn.flat import snapshot
 
     params, buffers = snapshot(model)
     spec.d, spec.num_buffer = len(params), len(buffers)
-    tasks = [ClientTask(client_id=cid, lr=0.05, round_idx=1) for cid in range(30)]
     engine = create_backend(backend, spec)
     delivered = []
     try:

@@ -35,7 +35,7 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     default; norm-proportional for
     :class:`~repro.fl.extra_samplers.OptimalClientSampler`).  Arrivals
     tied at the same finish time from the same dispatch snapshot drain as
-    *one* backend batch, so thread/process backends parallelize them.
+    *one* backend batch, so the process backend parallelizes them.
     The record stream is pinned by ``tests/engine/golden_async.json``.
 
 ``failure``
@@ -414,8 +414,8 @@ class AsyncBufferedScheduler(Scheduler):
 
         Events with *equal* finish times and the same dispatch snapshot
         version trained from identical global state, so they form one
-        batch for ``run_clients`` — this is what lets thread/process
-        backends parallelize simultaneous arrivals instead of receiving
+        batch for ``run_clients`` — this is what lets the process
+        backend parallelize simultaneous arrivals instead of receiving
         one task per call.  Mid-round dropouts are drawn per client in pop
         order (same RNG stream as draining one by one).
         """

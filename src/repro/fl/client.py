@@ -1,8 +1,8 @@
 """Client-side local training (Algorithm 2/3 lines 8–14).
 
 One trainer owns one model instance (the serial backend reuses a single
-shared instance for every client; parallel backends give each worker its
-own replica + trainer): load the global state, run ``E`` local SGD steps on
+shared instance for every client; the process backend gives each worker
+its own replica + trainer): load the global state, run ``E`` local SGD steps on
 the client's shard, and return the parameter delta
 ``Δ_i = w^{t,E}_i − w^t`` plus the batch-norm buffer delta (Appendix D,
 Eq. 49).  Mini-batch features are cast once per batch to the model's

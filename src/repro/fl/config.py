@@ -24,10 +24,10 @@ class RunConfig:
     Runtime knobs (see :mod:`repro.runtime`):
 
     * ``execution_backend`` — how participants are trained each round:
-      ``"serial"`` (default), ``"thread"``, or ``"process"``.  All three
-      are bit-identical for the same seed; the parallel backends trade
-      setup cost for wall-clock on multi-core hosts.
-    * ``backend_workers`` — worker count for the parallel backends
+      ``"serial"`` (default) or ``"process"``.  Both are bit-identical
+      for the same seed; process trades fork and memory cost for
+      wall-clock on multi-core hosts when training dominates the round.
+    * ``backend_workers`` — worker count for the process backend
       (default: the CPUs the process may run on, capped at K —
       ``repro.runtime.backends.usable_cpus``).
     * ``dtype`` — ``"float64"`` (default) or ``"float32"``; float32 runs
@@ -166,7 +166,7 @@ class RunConfig:
     weight_mode: str = "unbiased"  # "unbiased" | "equal"
 
     # runtime policy (repro.runtime)
-    execution_backend: str = "serial"  # "serial" | "thread" | "process"
+    execution_backend: str = "serial"  # "serial" | "process"
     backend_workers: Optional[int] = None
     #: "float64" | "float32" (see repro.runtime.dtype)
     dtype: str = "float64"

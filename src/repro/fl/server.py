@@ -358,8 +358,8 @@ class FLServer:
         return self._backend
 
     def close(self) -> None:
-        """Release execution-backend resources (threads, worker processes
-        and the mappings they share) and the strategy's residual row file.
+        """Release execution-backend resources (worker processes and the
+        mappings they share) and the strategy's residual row file.
 
         Idempotent; only needed when ``run_round`` is driven manually —
         :meth:`run` closes automatically, and a server dropped un-closed

@@ -9,11 +9,6 @@ Two orthogonal knobs, both selected through
   after another in the server process (the seed behavior), from the
   second task on by a per-call helper thread one client ahead of the
   caller's ``deliver``;
-* ``"thread"`` — a thread pool with one model replica per worker.  Only
-  the time numpy spends inside GIL-releasing kernels can overlap.  On a
-  2-CPU host, two thread workers ran the micro-bench CNN config (K=10,
-  20 rounds, float32) 1.33× as fast as serial, against 1.51× for two
-  process workers, and the wide MLP at 0.62× of serial;
 * ``"process"`` — fork-ed worker processes.  The frozen global
   parameters/buffers are shipped **once per round** through an anonymous
   shared mapping the workers inherited at the fork; each worker owns its
@@ -21,16 +16,17 @@ Two orthogonal knobs, both selected through
   writes its deltas into a second such mapping.  A worker that dies
   mid-dispatch raises :class:`~repro.runtime.backends.WorkerLostError`.
 
-All three backends produce **bit-identical** training results for the same
+Both backends produce **bit-identical** training results for the same
 seed, with no opt-in exception: every client trains through one
 :class:`~repro.fl.client.LocalTrainer` call, its mini-batch stream comes
 from its own named RNG (``RngFactory(f"client/{cid}/round/{t}")``), so
-per-client results are independent of execution order, and every backend *delivers* each result
-to the round (``run_clients(tasks, params, buffers, deliver)``: one
-``deliver(result)`` per task, in task order, on the calling thread), which
-compresses it on the spot — the same deterministic order regardless of
-backend, with a bounded few dense deltas alive instead of the whole
-cohort's.
+per-client results are independent of execution order, and every backend
+*delivers* each result to the round (``run_clients(tasks, params, buffers,
+deliver)``: one ``deliver(result)`` per task, in task order, on the calling
+thread), which compresses it on the spot — the same deterministic order
+regardless of backend.  Serial delivers each result as it lands, so at most
+two dense deltas are alive; process delivers a dispatch's results once the
+dispatch returns, as views into its shared result ring.
 
 ``dtype`` — *in what precision* the whole run executes: ``"float64"``
 (default, the seed behavior) or ``"float32"`` (one :func:`resolve_dtype`
@@ -51,7 +47,6 @@ from repro.runtime.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     WorkerLostError,
     WorkerSpec,
     create_backend,
@@ -65,7 +60,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "WorkerLostError",
     "WorkerSpec",
     "create_backend",

@@ -6,11 +6,13 @@ named RNG stream, so client results do not depend on execution order.  A
 backend receives the round's :class:`ClientTask` list, the frozen
 ``global_params``/``global_buffers`` and a ``deliver`` callable, and hands
 ``deliver`` one :class:`ClientResult` per task, **in task order, on the
-calling thread**, as soon as that result and every one before it exist —
-the round compresses inside ``deliver`` and drops the result, in that
-deterministic order, which is what makes every backend bit-identical to
-serial execution and keeps a bounded number of dense deltas alive where a
-returned list would keep all of them.
+calling thread** — the round compresses inside ``deliver`` and drops the
+result, in that deterministic order, which is what makes every backend
+bit-identical to serial execution.  When a result is delivered depends on
+the backend: serial delivers each one as soon as it lands, so at most two
+dense deltas are alive; process delivers a dispatch's results once the
+whole dispatch returns, as views into a shared ring rather than heap
+copies.
 
 Backends
 --------
@@ -19,11 +21,6 @@ Backends
     trained one client at a time; from the second task on, training runs
     on one per-call helper thread, one task ahead of the caller's
     ``deliver``, so a client's compress overlaps the next one's training.
-``thread``
-    A thread pool over per-worker model replicas.  numpy's BLAS/einsum
-    kernels release the GIL, so wall-clock improves on multi-core hosts
-    without any serialization cost; at most ``workers + 1`` jobs run or
-    wait ahead of the delivery cursor.
 ``process``
     A pool of ``fork``-ed worker processes.  The frozen global state is
     written once per round into an anonymous shared mapping the workers
@@ -35,9 +32,7 @@ Backends
 from __future__ import annotations
 
 import os
-import queue
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
@@ -66,7 +61,6 @@ __all__ = [
     "WorkerSpec",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "WorkerLostError",
     "create_backend",
@@ -74,7 +68,7 @@ __all__ = [
     "usable_cpus",
 ]
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def usable_cpus() -> int:
@@ -99,7 +93,7 @@ def require_fork(feature: str) -> None:
     if "fork" not in mp.get_all_start_methods():
         raise RuntimeError(
             f"{feature} requires the 'fork' start method (POSIX); "
-            "use the 'thread' backend on this platform"
+            "use the 'serial' backend on this platform"
         )
 
 
@@ -187,9 +181,9 @@ class WorkerSpec:
     #: process backend's result ring; False still honors the
     #: REPRO_SANITIZE environment gate there
     sanitize: bool = False
-    #: cap on results a parallel backend may have outstanding at once
-    #: (sizes the process backend's zero-copy result rings); 0 = derive
-    #: from the task count per call
+    #: results one process-backend dispatch can return zero-copy: the
+    #: ring has max(max_in_flight, workers) slots, fixed before the fork,
+    #: and every result beyond them comes back pickled
     max_in_flight: int = 0
 
     def build_trainer(self) -> Tuple[Module, "LocalTrainer"]:
@@ -260,10 +254,10 @@ class ExecutionBackend:
         """Train every task's client, handing each result to ``deliver``.
 
         ``deliver(result)`` is called once per task, in task order, on the
-        calling thread, as soon as that result and all before it exist;
-        nothing is returned and the backend keeps no reference to a
-        delivered result, so a dense delta lives only as long as its
-        consumer holds it.  Training may run on any thread; ``deliver``
+        calling thread — by serial as soon as each result lands, by
+        process once the whole dispatch has returned; nothing is returned
+        and the backend keeps no reference to a delivered result, so a
+        dense delta lives only as long as its consumer holds it.  Training may run on any thread; ``deliver``
         may not.  An exception — from a task's training or from
         ``deliver`` — propagates as itself once no task of this call is
         still running; results after it are never delivered.
@@ -271,7 +265,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release worker resources (threads, worker processes)."""
+        """Release worker resources (worker processes)."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -336,85 +330,6 @@ class SerialBackend(ExecutionBackend):
                     del result  # the consumer owns a delivered result
                     result = pending.result()
         deliver(result)
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread pool over a set of per-worker model replicas.
-
-    Replicas are handed out through a queue, so at most ``workers`` clients
-    train concurrently and no model instance is ever shared between two
-    in-flight tasks.  Jobs are submitted as delivery advances, never more
-    than ``workers + 1`` ahead of it, so results that finished before the
-    caller could deliver them stay bounded by the pool, not by K.
-    """
-
-    name = "thread"
-
-    def __init__(self, spec: WorkerSpec, workers: Optional[int] = None):
-        super().__init__(spec)
-        self.workers = max(1, workers or usable_cpus())
-        self._replicas: "queue.SimpleQueue[LocalTrainer]" = queue.SimpleQueue()
-        for _ in range(self.workers):
-            _, trainer = spec.build_trainer()
-            self._replicas.put(trainer)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-client"
-        )
-
-    def _run_task(
-        self,
-        task: ClientTask,
-        global_params: np.ndarray,
-        global_buffers: np.ndarray,
-    ) -> ClientResult:
-        trainer = self._replicas.get()
-        try:
-            return _run_one(
-                trainer, self.rngs, self.spec.clients, task,
-                global_params, global_buffers,
-            )
-        finally:
-            self._replicas.put(trainer)
-
-    def run_clients(
-        self,
-        tasks: Sequence[ClientTask],
-        global_params: np.ndarray,
-        global_buffers: np.ndarray,
-        deliver: Deliver,
-    ) -> None:
-        pending = iter(tasks)
-        # submitted jobs not yet taken by this thread, oldest first: at most
-        # workers + 1, so every worker has a job and one waits behind them,
-        # and finished-but-undelivered results stay flat in K
-        ahead: "deque[Future]" = deque()
-
-        def submit_next() -> None:
-            task = next(pending, None)
-            if task is not None:
-                ahead.append(self._pool.submit(
-                    self._run_task, task, global_params, global_buffers
-                ))
-
-        try:
-            for _ in range(self.workers + 1):
-                submit_next()
-            while ahead:
-                # popped, not indexed: a done future keeps its result alive
-                result = ahead.popleft().result()
-                submit_next()
-                deliver(result)
-                del result  # the consumer owns a delivered result
-        except BaseException:
-            # leave no job of this call behind: queued ones are cancelled,
-            # running ones finish and put their replica back
-            for future in ahead:
-                future.cancel()
-            wait(ahead)
-            raise
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 # -- process backend ----------------------------------------------------------
@@ -717,8 +632,6 @@ def create_backend(
     """
     if name == "serial":
         return SerialBackend(spec, trainer=trainer)
-    if name == "thread":
-        return ThreadBackend(spec, workers=workers)
     if name == "process":
         return ProcessBackend(spec, workers=workers)
     raise ValueError(f"unknown execution backend {name!r}; expected {BACKENDS}")

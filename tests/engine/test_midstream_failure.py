@@ -156,10 +156,6 @@ def _fail_round_three_then_recover(dataset, backend, fault, strategy):
         assert server.global_params is params
         assert server.global_params.tobytes() == params_bytes
         assert server.staleness.version == version
-        if backend == "thread":
-            pool = faulty.inner
-            assert pool._replicas.qsize() == pool.workers
-            assert pool._pool._work_queue.qsize() == 0
 
         # the next round is a whole one: it aggregates its own five
         # payloads and nothing the failed round folded
@@ -181,7 +177,7 @@ def _fail_round_three_then_recover(dataset, backend, fault, strategy):
 
 
 @pytest.mark.parametrize("fault", ["train", "deliver"])
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_round_failing_at_its_third_client_aborts_cleanly(
     tiny_dataset, backend, fault
 ):
@@ -196,7 +192,7 @@ def test_round_failing_at_its_third_client_aborts_cleanly(
 
 
 @pytest.mark.parametrize("fault", ["train", "deliver"])
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize(
     "make_strategy",
     [

@@ -295,12 +295,12 @@ def test_semiasync_reproducible_and_backend_invariant(tiny_dataset):
             )
         )
 
-    serial, threaded = run("serial"), run("thread")
+    serial, forked = run("serial"), run("process")
     np.testing.assert_array_equal(
-        serial.series("train_loss"), threaded.series("train_loss")
+        serial.series("train_loss"), forked.series("train_loss")
     )
     np.testing.assert_array_equal(
-        serial.series("up_bytes"), threaded.series("up_bytes")
+        serial.series("up_bytes"), forked.series("up_bytes")
     )
 
 

@@ -453,7 +453,7 @@ class RecordingBackend:
 
 def test_async_batches_simultaneous_arrivals(tiny_dataset):
     """Arrivals tied at the same finish time (same dispatch snapshot) go to
-    the backend as ONE run_clients call, so thread/process backends can
+    the backend as ONE run_clients call, so the process backend can
     actually parallelize under scheduler="async"."""
     cfg = make_config(
         tiny_dataset,
@@ -462,8 +462,8 @@ def test_async_batches_simultaneous_arrivals(tiny_dataset):
         async_concurrency=6,
         always_available=True,
         dropout_prob=0.0,
-        execution_backend="thread",
-        backend_workers=4,
+        execution_backend="process",
+        backend_workers=2,
     )
     server = FLServer(cfg)
     # constant link/compute times => every in-flight client finishes at
@@ -499,12 +499,12 @@ def test_async_batching_preserves_serial_results(tiny_dataset):
         return run_training(cfg)
 
     serial = run("serial")
-    threaded = run("thread")
+    forked = run("process")
     np.testing.assert_array_equal(
-        serial.series("train_loss"), threaded.series("train_loss")
+        serial.series("train_loss"), forked.series("train_loss")
     )
     np.testing.assert_array_equal(
-        serial.series("up_bytes"), threaded.series("up_bytes")
+        serial.series("up_bytes"), forked.series("up_bytes")
     )
 
 

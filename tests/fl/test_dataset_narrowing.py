@@ -105,9 +105,8 @@ def test_weights_and_metadata_are_preserved():
     [
         ("float32", {}),
         ("float32", {"execution_backend": "process", "backend_workers": 2}),
-        ("float32", {"execution_backend": "thread", "backend_workers": 2}),
     ],
-    ids=["serial", "process", "thread"],
+    ids=["serial", "process"],
 )
 def test_backends_train_on_run_dtype_shards_bit_identically(
     monkeypatch, dtype, overrides

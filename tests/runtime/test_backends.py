@@ -9,14 +9,12 @@ params, bytes, timings, losses — on every backend.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import multiprocessing
 import os
 import signal
 import sys
 import threading
 import time
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -30,7 +28,6 @@ from repro.runtime import (
     ClientTask,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     WorkerLostError,
     WorkerSpec,
     create_backend,
@@ -77,7 +74,8 @@ def _fingerprint(result):
     ]
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+# one case, still parametrized: keeps the `[process]` test id it always had
+@pytest.mark.parametrize("backend", ["process"])
 def test_backend_bit_identical_to_serial(tiny_dataset, backend):
     strategy, sampler = make_gluefl(4, q=0.3, q_shr=0.15, regen_interval=3)
     serial = run_training(_config(tiny_dataset, "serial"))
@@ -192,12 +190,12 @@ def _assert_contract(seen, tasks):
 
 
 def test_backends_preserve_task_order(tiny_dataset):
-    """Serial and thread: one ``deliver`` per task, in task order, on the
+    """Serial and process: one ``deliver`` per task, in task order, on the
     caller's thread, with bit-equal results."""
     spec, params, buffers = _bound_spec(tiny_dataset)
-    with SerialBackend(spec) as serial, ThreadBackend(spec, workers=2) as thread:
+    with SerialBackend(spec) as serial, ProcessBackend(spec, workers=2) as proc:
         want = _delivered(serial, _ORDER_TASKS, params, buffers)
-        seen = _delivered(thread, _ORDER_TASKS, params, buffers)
+        seen = _delivered(proc, _ORDER_TASKS, params, buffers)
     _assert_contract(want, _ORDER_TASKS)
     _assert_contract(seen, _ORDER_TASKS)
     for (_, delta, buf, loss, _), (_, w_delta, w_buf, w_loss, _) in zip(seen, want):
@@ -245,12 +243,7 @@ def _third_fails(tasks):
     ]
 
 
-def _assert_thread_backend_idle(backend):
-    assert backend._replicas.qsize() == backend.workers
-    assert backend._pool._work_queue.qsize() == 0
-
-
-@pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
 def test_training_failure_propagates_after_earlier_deliveries(
     tiny_dataset, backend_name
 ):
@@ -263,15 +256,13 @@ def test_training_failure_propagates_after_earlier_deliveries(
                 lambda result: seen.append(result.client_id),
             )
         assert seen == [7, 3]  # everything before the failure, nothing after
-        if backend_name == "thread":
-            _assert_thread_backend_idle(backend)
         # pool, replicas and ring are all usable for the next dispatch
         _assert_contract(
             _delivered(backend, _ORDER_TASKS, params, buffers), _ORDER_TASKS
         )
 
 
-@pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
 def test_deliver_failure_propagates_and_leaves_backend_usable(
     tiny_dataset, backend_name
 ):
@@ -291,8 +282,6 @@ def test_deliver_failure_propagates_and_leaves_backend_usable(
         with pytest.raises(SinkFull, match="9"):
             backend.run_clients(_ORDER_TASKS, params, buffers, deliver)
         assert seen == [7, 3]
-        if backend_name == "thread":
-            _assert_thread_backend_idle(backend)
         _assert_contract(
             _delivered(backend, _ORDER_TASKS, params, buffers), _ORDER_TASKS
         )
@@ -566,51 +555,6 @@ def test_serial_stress_bit_equal_to_inline_loop(tiny_dataset):
         np.testing.assert_array_equal(buf, w_buf)
 
 
-# -- thread: a bounded look-ahead ------------------------------------------------
-
-
-def _thread_call_peak(spec, params, buffers, k):
-    """tracemalloc peak of one warm ``thread``×2 dispatch of ``k`` tasks
-    into a sink that returns only once the pool has run dry, so finished
-    results pile up as far as the backend lets them."""
-    tasks = [ClientTask(client_id=cid, lr=0.05, round_idx=1) for cid in range(k)]
-
-    def slow_deliver(result):
-        deadline = time.monotonic() + TIMEOUT_S
-        while not (
-            backend._replicas.qsize() == backend.workers
-            and backend._pool._work_queue.qsize() == 0
-        ):
-            assert time.monotonic() < deadline, "the pool never ran dry"
-            time.sleep(0.001)
-
-    with ThreadBackend(spec, workers=2) as backend:
-        backend.run_clients(tasks, params, buffers, slow_deliver)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            backend.run_clients(tasks, params, buffers, slow_deliver)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    return peak - before
-
-
-def test_thread_lookahead_is_flat_in_k(tiny_dataset):
-    """At most ``workers + 1`` jobs run or wait ahead of the delivery
-    cursor: twelve more tasks behind a slow sink cost at most two dense
-    vectors of slack, where submitting every job at once keeps up to K
-    finished deltas waiting."""
-    spec, params, buffers = _bound_spec(tiny_dataset, model_kwargs={"hidden": (1500,)})
-    dense = params.nbytes
-    assert dense > 400_000
-    peak_4 = _thread_call_peak(spec, params, buffers, 4)
-    peak_16 = _thread_call_peak(spec, params, buffers, 16)
-    assert peak_16 - peak_4 <= 2 * dense
-
-
 # -- default pool widths ----------------------------------------------------------
 
 
@@ -620,9 +564,9 @@ def test_default_pool_widths_follow_the_affinity_mask(tiny_dataset, monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert usable_cpus() == 1
     spec, _, _ = _bound_spec(tiny_dataset)
-    with ThreadBackend(spec) as thread, ProcessBackend(spec) as proc:
-        assert thread.workers == proc.workers == 1
-    server = FLServer(_config(tiny_dataset, "thread"))
+    with ProcessBackend(spec) as proc:
+        assert proc.workers == 1
+    server = FLServer(_config(tiny_dataset, "process"))
     try:
         assert server.backend.workers == 1
     finally:
@@ -638,3 +582,5 @@ def test_unknown_backend_rejected(tiny_dataset):
         create_backend("gpu", spec)
     with pytest.raises(ValueError, match="execution_backend"):
         _config(tiny_dataset, backend="gpu").validate()
+    with pytest.raises(ValueError, match=r"expected \('serial', 'process'\)"):
+        _config(tiny_dataset, backend="thread").validate()
