@@ -21,19 +21,86 @@ but does not stop training, partial work actually happens under
 device classes, and quorum re-draws fire (and are billed) under storms.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
-from benchmarks.run_micro_bench import (
-    POPULATION_SCALE_SIZES,
-    population_scale_run,
-)
 from repro.experiments.runner import build_config, make_strategy
 from repro.experiments.scenarios import get_scenario
 from repro.fl import run_training
+
+#: population-size scaling probe: one event-driven, scalable-sampling
+#: run per federation size.  Round 1 (sticky init + lazy materialization
+#: warm-up) is charged to setup; the steady-state per-round figure is
+#: what must stay flat in N.
+POPULATION_SCALE_SNIPPET = """\
+import json, resource, sys, time
+import numpy as np
+from repro.compression import FedAvgStrategy
+from repro.datasets import lazy_synthetic_federation
+from repro.fl import RunConfig, UniformSampler
+from repro.fl.server import FLServer
+from repro.population import DeviceStatePopulation, DutyCycleTrace
+
+n, rounds = int(sys.argv[1]), int(sys.argv[2])
+dataset = lazy_synthetic_federation(
+    num_clients=n, num_classes=4, image_size=6, samples_per_client=8,
+    cache_size=64, seed=5)
+pop = DeviceStatePopulation(
+    n, np.random.default_rng(0),
+    trace=DutyCycleTrace(n, np.random.default_rng(1), mean_on_fraction=0.8,
+                         min_period=100, max_period=400))
+config = RunConfig(
+    dataset=dataset, model_name="mlp", model_kwargs={"hidden": (8,)},
+    strategy=FedAvgStrategy(), sampler=UniformSampler(10), rounds=rounds,
+    local_steps=1, batch_size=4, lr=0.05, eval_every=10**9, population=pop,
+    population_scalable_sampling=True, residual_max_clients=256,
+    skip_empty_rounds=True, seed=2)
+t0 = time.perf_counter()
+server = FLServer(config)
+server.run_round()
+setup_s = time.perf_counter() - t0
+t1 = time.perf_counter()
+for _ in range(rounds - 1):
+    server.run_round()
+per_round = (time.perf_counter() - t1) / (rounds - 1)
+server.close()
+print(json.dumps({
+    "seconds_per_round": per_round,
+    "setup_seconds": setup_s,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+#: federation sizes the scaling probe reports (10^3 .. 10^6)
+POPULATION_SCALE_SIZES = (1_000, 10_000, 100_000, 1_000_000)
+
+
+def population_scale_run(
+    python_path: str, num_clients: int, rounds: int = 20
+) -> dict:
+    """Per-round seconds + peak RSS of one scalable run, in a fresh
+    subprocess (so ``ru_maxrss`` measures this run alone)."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            POPULATION_SCALE_SNIPPET,
+            str(num_clients),
+            str(rounds),
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": python_path, "PATH": "/usr/bin:/bin"},
+        check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
 
 PRESETS = ("none", "diurnal", "device-classes", "storm")
 TARGET_ACC = 0.35

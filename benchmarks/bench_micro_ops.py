@@ -5,10 +5,8 @@ simulation spends its time in, at paper-scale dimensions (d = 5M):
 top-k selection (dense and support-restricted), staleness bookkeeping,
 sparse aggregation, the conv training step in both precisions, and round
 dispatch through the execution backends.  Unlike the experiment benches
-these use pytest-benchmark's normal repeated timing.
-
-``benchmarks/run_micro_bench.py`` runs the same cases standalone and dumps
-``BENCH_micro.json`` so the perf trajectory is tracked across PRs.
+these use pytest-benchmark's normal repeated timing.  End-to-end
+performance across changes is tracked by ``benchmarks/ledger``.
 """
 
 import numpy as np

@@ -62,7 +62,9 @@ class RunConfig:
       (phone/tablet/silo), or ``"storm"`` (periodic churn bursts).
       ``scheduler="failure"`` auto-builds the ``"storm"`` population from
       the ``failure_*`` knobs (storms wrap any other preset it is combined
-      with).
+      with).  ``"none"`` and ``"storm"`` run over the classic availability
+      knobs; ``"diurnal"`` and ``"device-classes"`` draw their own trace,
+      so ``validate()`` rejects an ``availability_trace`` beside them.
     * ``population_scalable_sampling`` — draw cohorts from the
       population's maintained idle index (O(idle) per draw) instead of
       N-wide availability masks; a different RNG stream, so opt-in.
@@ -159,7 +161,8 @@ class RunConfig:
     always_available: bool = False
     #: optional pre-built availability trace (e.g.
     #: :class:`~repro.traces.diurnal.DiurnalAvailabilityTrace`); overrides
-    #: the duty-cycle trace built from the fields above
+    #: the duty-cycle trace built from the fields above (rejected beside
+    #: ``population`` or the "diurnal" / "device-classes" presets)
     availability_trace: Optional[Any] = None
 
     # aggregation (Fig. 5 ablation switch)
@@ -215,8 +218,9 @@ class RunConfig:
     #: availability model: "none" | "diurnal" | "device-classes" | "storm"
     #: (``scheduler="failure"`` defaults to "storm" automatically)
     population_preset: Optional[str] = None
-    #: pre-built :class:`~repro.population.DeviceStatePopulation`;
-    #: overrides ``population_preset``
+    #: pre-built :class:`~repro.population.DeviceStatePopulation`; the
+    #: run's whole availability model, so ``validate()`` rejects it beside
+    #: ``population_preset``, ``availability_trace`` or ``always_available``
     population: Optional[Any] = None
     #: floor on any trace-assigned per-client completeness (work fraction)
     population_min_completeness: float = 0.25
@@ -437,6 +441,30 @@ class RunConfig:
                     f"unknown population_preset {self.population_preset!r}; "
                     f"expected {POPULATION_PRESETS}"
                 )
+        # a population is the whole availability model: an explicit object
+        # replaces every classic knob, and the diurnal / device-classes
+        # presets draw their own trace instead of the base one
+        if self.population is not None:
+            for knob, is_set in (
+                ("population_preset", self.population_preset is not None),
+                ("availability_trace", self.availability_trace is not None),
+                ("always_available", self.always_available),
+            ):
+                if is_set:
+                    raise ValueError(
+                        f"{knob} would be ignored: an explicit population= "
+                        "is the run's whole availability model — set one "
+                        "of the two"
+                    )
+        if self.availability_trace is not None and self.population_preset in (
+            "diurnal",
+            "device-classes",
+        ):
+            raise ValueError(
+                "availability_trace would be ignored: population_preset="
+                f"{self.population_preset!r} draws its own trace — use "
+                "population_preset='none' (or 'storm') to run over it"
+            )
         if not 0.0 < self.population_min_completeness <= 1.0:
             raise ValueError(
                 "population_min_completeness must be in (0, 1]"

@@ -116,8 +116,9 @@ class FLServer:
             sigma=config.compute_sigma,
         )
         self.model_scale = ComputeTrace.model_scale(self.d)
-        # device population: explicit object > preset > auto "storm" for
-        # the failure scheduler (its faults are trace-driven transitions).
+        # device population: explicit object, else preset, else auto
+        # "storm" for the failure scheduler (its faults are trace-driven
+        # transitions); validate() rejects the knobs each would ignore.
         # When bound, the population *is* the availability model — it
         # duck-types the trace protocol over its vectorized state columns.
         if config.population is not None:

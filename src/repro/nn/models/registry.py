@@ -107,10 +107,14 @@ def build_model(
     ``image_size`` is the (square) spatial input size; only the MLP builder
     needs it, but all builders accept it for uniformity.  ``dtype`` is the
     run-level precision policy, threaded into every layer's parameters and
-    buffers.
+    buffers; whatever the builder returns is then cast to it, so a builder
+    that drops ``dtype=`` still yields a model of the run's precision.
     """
+    # imported here: repro.runtime's package imports this module
+    from repro.runtime.dtype import cast_model_dtype
+
     builder = MODELS.get(name)
-    return builder(
+    model = builder(
         in_channels=in_channels,
         num_classes=num_classes,
         image_size=image_size,
@@ -118,3 +122,4 @@ def build_model(
         dtype=dtype,
         **kwargs,
     )
+    return cast_model_dtype(model, dtype)

@@ -43,7 +43,7 @@ import numpy as np
 from repro.datasets.base import ClientDataset
 from repro.nn.models import build_model
 from repro.nn.module import Module
-from repro.runtime.dtype import cast_model_dtype, resolve_dtype
+from repro.runtime.dtype import resolve_dtype
 from repro.runtime import sanitize as _sanitize
 from repro.utils.rng import RngFactory
 
@@ -198,7 +198,6 @@ class WorkerSpec:
             dtype=resolve_dtype(self.dtype),
             **self.model_kwargs,
         )
-        cast_model_dtype(model, self.dtype)
         trainer = LocalTrainer(
             model,
             local_steps=self.local_steps,

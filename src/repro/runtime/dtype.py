@@ -48,11 +48,14 @@ def cast_model_dtype(model, dtype: Union[str, type, np.dtype]):
     """Cast every parameter, gradient, and buffer of ``model`` in place.
 
     Safety net for models built without dtype threading (e.g. external
-    registry entries): guarantees the whole parameter tree matches the run
-    policy before a :class:`~repro.nn.flat.FlatParamView` is taken.
+    registry entries): :func:`repro.nn.models.build_model` applies it to
+    every model it builds, so the server's model and every worker replica
+    match the run policy before a :class:`~repro.nn.flat.FlatParamView` is
+    taken.  ``dtype`` is taken as given: the layers are dtype-generic, and
+    which dtypes a *run* may use is :func:`resolve_dtype`'s call.
     Returns the model for chaining.
     """
-    dt = resolve_dtype(dtype)
+    dt = np.dtype(dtype)
     for _, p in model.named_parameters():
         if p.data.dtype != dt:
             p.data = np.ascontiguousarray(p.data, dtype=dt)

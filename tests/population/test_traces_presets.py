@@ -155,6 +155,86 @@ def test_explicit_population_object_wins(dataset):
     server.close()
 
 
+class NobodyOnline:
+    """Classic availability trace with every client offline, every round:
+    a run that consumes it has no participants."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def online(self, round_idx):
+        return np.zeros(self.n, dtype=bool)
+
+    def survives_round(self, client_ids):
+        return np.ones(len(client_ids), dtype=bool)
+
+
+def _pop(dataset):
+    return DeviceStatePopulation(dataset.num_clients, np.random.default_rng(9))
+
+
+def test_population_rejects_population_preset(dataset):
+    cfg = make_config(dataset, population=_pop(dataset), population_preset="none")
+    with pytest.raises(ValueError, match="^population_preset would be ignored"):
+        FLServer(cfg)
+
+
+def test_population_rejects_availability_trace(dataset):
+    cfg = make_config(
+        dataset,
+        population=_pop(dataset),
+        availability_trace=NobodyOnline(dataset.num_clients),
+    )
+    with pytest.raises(ValueError, match="^availability_trace would be ignored"):
+        FLServer(cfg)
+
+
+def test_population_rejects_always_available(dataset):
+    cfg = make_config(dataset, population=_pop(dataset), always_available=True)
+    with pytest.raises(ValueError, match="^always_available would be ignored"):
+        FLServer(cfg)
+
+
+@pytest.mark.parametrize("scheduler", ["sync", "failure", "async"])
+def test_diurnal_preset_rejects_availability_trace(dataset, scheduler):
+    cfg = make_config(
+        dataset,
+        scheduler=scheduler,
+        population_preset="diurnal",
+        availability_trace=NobodyOnline(dataset.num_clients),
+    )
+    with pytest.raises(ValueError, match="^availability_trace would be ignored"):
+        FLServer(cfg)
+
+
+@pytest.mark.parametrize("scheduler", ["sync", "failure", "async"])
+def test_device_classes_preset_rejects_availability_trace(dataset, scheduler):
+    cfg = make_config(
+        dataset,
+        scheduler=scheduler,
+        population_preset="device-classes",
+        availability_trace=NobodyOnline(dataset.num_clients),
+    )
+    with pytest.raises(ValueError, match="^availability_trace would be ignored"):
+        FLServer(cfg)
+
+
+@pytest.mark.parametrize("preset", [None, "none", "storm"])
+def test_availability_trace_drives_base_presets(dataset, preset):
+    """The presets that run over the classic knobs consume the trace:
+    nobody online means nobody participates."""
+    result = run_training(
+        make_config(
+            dataset,
+            rounds=2,
+            population_preset=preset,
+            availability_trace=NobodyOnline(dataset.num_clients),
+            skip_empty_rounds=True,
+        )
+    )
+    assert [r.num_participants for r in result.records] == [0, 0]
+
+
 def test_population_size_mismatch_rejected(dataset):
     pop = DeviceStatePopulation(13, np.random.default_rng(9))
     with pytest.raises(ValueError, match="13"):

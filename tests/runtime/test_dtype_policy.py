@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import make_gluefl
 from repro.fl import RunConfig
 from repro.fl.server import FLServer, run_training
+from repro.nn import MLP
 from repro.nn.flat import FlatParamView
-from repro.nn.models import build_model
+from repro.nn.models import MODELS, build_model
 from repro.runtime import DTYPE_NAMES, cast_model_dtype, resolve_dtype
 
 
@@ -127,3 +130,35 @@ def test_invalid_dtype_rejected(tiny_dataset):
     cfg = _config(tiny_dataset, "int32")
     with pytest.raises(ValueError, match="dtype"):
         cfg.validate()
+
+
+def _mlp_ignoring_dtype(in_channels, num_classes, image_size, rng=None, **kw):
+    """A registry builder written without dtype threading: it drops
+    ``dtype=`` and builds float64 layers whatever the run asks for."""
+    kw.pop("dtype")
+    return MLP(in_channels * image_size * image_size, num_classes=num_classes,
+               rng=rng, **kw)
+
+
+def test_dtype_gate_holds_for_a_builder_that_ignores_dtype(
+    tiny_dataset, monkeypatch
+):
+    """The server's model and every worker replica come out of the same
+    gate: a float32 run of a dtype-blind builder is float32 on every
+    backend, and the backends stay bit-identical."""
+    monkeypatch.setitem(MODELS._entries, "mlp-f64-only", _mlp_ignoring_dtype)
+    digests = {}
+    for backend in ("serial", "process"):
+        cfg = _config(tiny_dataset, "float32")
+        cfg.model_name = "mlp-f64-only"
+        cfg.execution_backend = backend
+        cfg.backend_workers = 2
+        server = FLServer(cfg)
+        try:
+            for _ in range(3):
+                server.run_round()
+        finally:
+            server.close()
+        assert server.global_params.dtype == np.float32
+        digests[backend] = hashlib.sha256(server.global_params.tobytes()).hexdigest()
+    assert digests["serial"] == digests["process"]
