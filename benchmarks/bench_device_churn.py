@@ -37,9 +37,11 @@ from repro.fl import run_training
 #: population-size scaling probe: one event-driven, scalable-sampling
 #: run per federation size.  Round 1 (sticky init + lazy materialization
 #: warm-up) is charged to setup; the steady-state per-round figure is
-#: what must stay flat in N.
+#: what must stay flat in N.  Peak RSS is the process's own ``VmHWM``:
+#: ``ru_maxrss`` survives ``exec`` on Linux, so in a child it reads the
+#: launcher's peak whenever that is the larger.
 POPULATION_SCALE_SNIPPET = """\
-import json, resource, sys, time
+import json, sys, time
 import numpy as np
 from repro.compression import FedAvgStrategy
 from repro.datasets import lazy_synthetic_federation
@@ -70,10 +72,13 @@ for _ in range(rounds - 1):
     server.run_round()
 per_round = (time.perf_counter() - t1) / (rounds - 1)
 server.close()
+with open("/proc/self/status") as status:
+    hwm_kb = next(int(line.split()[1]) for line in status
+                  if line.startswith("VmHWM:"))
 print(json.dumps({
     "seconds_per_round": per_round,
     "setup_seconds": setup_s,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": hwm_kb / 1024,
 }))
 """
 
@@ -85,7 +90,7 @@ def population_scale_run(
     python_path: str, num_clients: int, rounds: int = 20
 ) -> dict:
     """Per-round seconds + peak RSS of one scalable run, in a fresh
-    subprocess (so ``ru_maxrss`` measures this run alone)."""
+    subprocess whose own ``VmHWM`` measures this run alone."""
     proc = subprocess.run(
         [
             sys.executable,
@@ -209,7 +214,7 @@ def test_population_size_scaling(benchmark):
     flat as the federation grows 10^3 -> 10^6 clients.
 
     Each size runs a 20-round duty-cycle workload in its own subprocess
-    (so ``ru_maxrss`` measures that run alone).  Round 1 — lazy
+    (whose own ``VmHWM`` measures that run alone).  Round 1 — lazy
     materialization warm-up and sticky init — is charged to setup; the
     assertions hold the steady-state figure: the per-round time at 10^6
     clients must sit within noise of 10^5 (a 10x client jump), and the

@@ -5,12 +5,7 @@ from repro.compression.base import (
     ClientPayload,
     CompressionStrategy,
 )
-from repro.compression.topk import (
-    ratio_to_k,
-    sparsify_top_k,
-    top_k_indices,
-    top_k_mask,
-)
+from repro.compression.topk import ratio_to_k, top_k_indices
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
 from repro.compression.fedavg import FedAvgStrategy
 from repro.compression.stc import STCStrategy
@@ -28,8 +23,6 @@ __all__ = [
     "ClientPayload",
     "AggregateResult",
     "top_k_indices",
-    "top_k_mask",
-    "sparsify_top_k",
     "ratio_to_k",
     "ErrorCompMode",
     "ResidualStore",

@@ -19,7 +19,7 @@ Every selection in the repo, client or server side, is one
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "top_k_indices",
-    "top_k_mask",
-    "sparsify_top_k",
     "top_k_in_support",
     "union_sorted",
     "ratio_to_k",
@@ -98,15 +96,3 @@ def union_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     merged = np.concatenate((a, b), dtype=np.int64)
     return sorted_unique(merged, kind="stable")
 
-
-def top_k_mask(x: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask selecting the ``k`` largest ``|x|`` entries."""
-    mask = np.zeros(x.shape[0], dtype=bool)
-    mask[top_k_indices(x, k)] = True
-    return mask
-
-
-def sparsify_top_k(x: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indices, values)`` of the ``k`` largest ``|x|`` entries."""
-    idx = top_k_indices(x, k)
-    return idx, x[idx].copy()

@@ -1,12 +1,5 @@
-"""The paper's contribution, packaged: GlueFL factory + paper presets."""
+"""The paper's contribution, packaged: the GlueFL factory."""
 
 from repro.core.gluefl import make_gluefl, make_sticky_fedavg
-from repro.core.presets import PAPER_PRESETS, GlueFLPreset, preset_for_model
 
-__all__ = [
-    "make_gluefl",
-    "make_sticky_fedavg",
-    "PAPER_PRESETS",
-    "GlueFLPreset",
-    "preset_for_model",
-]
+__all__ = ["make_gluefl", "make_sticky_fedavg"]

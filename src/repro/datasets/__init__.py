@@ -1,11 +1,7 @@
 """Synthetic non-IID federated datasets (FEMNIST/OpenImage/Speech stand-ins)."""
 
 from repro.datasets.base import ClientDataset, FederatedDataset
-from repro.datasets.partition import (
-    dirichlet_partition,
-    iid_partition,
-    shard_partition,
-)
+from repro.datasets.partition import dirichlet_partition
 from repro.datasets.filters import FEDSCALE_MIN_SAMPLES, filter_min_samples
 from repro.datasets.synthetic import (
     image_prototypes,
@@ -17,18 +13,11 @@ from repro.datasets.lazy import LazyClientList, lazy_synthetic_federation
 from repro.datasets.femnist import femnist_like
 from repro.datasets.openimage import openimage_like
 from repro.datasets.speech import speech_like
-from repro.datasets.adapters import (
-    federation_from_arrays,
-    subset_federation,
-    validate_federation,
-)
 
 __all__ = [
     "ClientDataset",
     "FederatedDataset",
     "dirichlet_partition",
-    "shard_partition",
-    "iid_partition",
     "filter_min_samples",
     "FEDSCALE_MIN_SAMPLES",
     "synthetic_federation",
@@ -40,7 +29,4 @@ __all__ = [
     "femnist_like",
     "openimage_like",
     "speech_like",
-    "federation_from_arrays",
-    "validate_federation",
-    "subset_federation",
 ]

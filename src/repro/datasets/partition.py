@@ -1,9 +1,9 @@
-"""Non-IID partitioners.
+"""The non-IID partitioner.
 
 The paper partitions real datasets with FedScale's client-data mapping.  We
 reproduce the *statistical* property that matters — heterogeneous label
 distributions across clients — with the standard Dirichlet partitioner
-(lower ``alpha`` → more skew) plus shard- and IID-partitioners for ablations.
+(lower ``alpha`` → more skew).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.utils.arrays import sorted_unique
 
-__all__ = ["dirichlet_partition", "shard_partition", "iid_partition"]
+__all__ = ["dirichlet_partition"]
 
 
 def dirichlet_partition(
@@ -57,42 +57,3 @@ def dirichlet_partition(
             out.append(np.array([], dtype=np.int64))
     return out
 
-
-def shard_partition(
-    labels: np.ndarray,
-    num_clients: int,
-    shards_per_client: int,
-    rng: np.random.Generator,
-) -> List[np.ndarray]:
-    """McMahan-style shard partition: sort by label, deal out shards.
-
-    Each client receives ``shards_per_client`` contiguous label-sorted
-    shards, giving clients a small number of classes each.
-    """
-    labels = np.asarray(labels)
-    n = len(labels)
-    num_shards = num_clients * shards_per_client
-    if num_shards > n:
-        raise ValueError(
-            f"{num_shards} shards requested but only {n} samples available"
-        )
-    order = np.argsort(labels, kind="stable")
-    shards = np.array_split(order, num_shards)
-    shard_ids = rng.permutation(num_shards)
-    out = []
-    for client_id in range(num_clients):
-        mine = shard_ids[
-            client_id * shards_per_client : (client_id + 1) * shards_per_client
-        ]
-        idx = np.concatenate([shards[s] for s in mine])
-        rng.shuffle(idx)
-        out.append(idx)
-    return out
-
-
-def iid_partition(
-    num_samples: int, num_clients: int, rng: np.random.Generator
-) -> List[np.ndarray]:
-    """Uniform random equal-size split (the IID control)."""
-    order = rng.permutation(num_samples)
-    return [np.sort(chunk) for chunk in np.array_split(order, num_clients)]

@@ -25,16 +25,8 @@ from repro.experiments.fig10 import run_fig10
 from repro.experiments.fig11 import run_fig11
 from repro.experiments.table3 import run_table3a, run_table3b
 from repro.experiments.theory_tables import run_case_study
-from repro.experiments.multiseed import (
-    SeedSummary,
-    compare_strategies_seeds,
-    run_strategy_seeds,
-)
-from repro.experiments.analysis import (
-    gap_fraction_curve,
-    participation_counts,
-    time_breakdown,
-)
+from repro.experiments.multiseed import SeedSummary, run_strategy_seeds
+from repro.experiments.analysis import gap_fraction_curve
 
 __all__ = [
     "Scenario",
@@ -64,8 +56,5 @@ __all__ = [
     "run_case_study",
     "SeedSummary",
     "run_strategy_seeds",
-    "compare_strategies_seeds",
     "gap_fraction_curve",
-    "time_breakdown",
-    "participation_counts",
 ]

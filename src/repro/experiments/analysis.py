@@ -1,7 +1,7 @@
-"""Post-hoc analysis of run records (staleness curves, breakdowns).
+"""Post-hoc analysis of run records: the staleness curve.
 
-These helpers turn a :class:`~repro.fl.metrics.RunResult` into the derived
-series the paper plots, so users can compute them for their own runs
+:func:`gap_fraction_curve` turns a :class:`~repro.fl.metrics.RunResult`
+into the series Fig. 2b plots, so users can compute it for their own runs
 without going through the figure modules.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 from repro.fl.metrics import RunResult
 from repro.network.encoding import dense_bytes
 
-__all__ = ["gap_fraction_curve", "time_breakdown", "participation_counts"]
+__all__ = ["gap_fraction_curve"]
 
 
 def gap_fraction_curve(
@@ -54,33 +54,3 @@ def gap_fraction_curve(
         )
     return {gap: float(np.mean(vals)) for gap, vals in sorted(bucket.items())}
 
-
-def time_breakdown(result: RunResult) -> Dict[str, float]:
-    """Fig. 9's bar: mean per-round download/compute/upload/total seconds."""
-    return {
-        "download_s": float(np.mean(result.series("download_seconds"))),
-        "compute_s": float(np.mean(result.series("compute_seconds"))),
-        "upload_s": float(np.mean(result.series("upload_seconds"))),
-        "round_s": float(np.mean(result.series("round_seconds"))),
-    }
-
-
-def participation_counts(result: RunResult) -> Dict[int, int]:
-    """How many times each client was *contacted* during the run.
-
-    Requires sync details (every contacted candidate appears there).
-    Useful for verifying sticky sampling's participation skew empirically.
-    """
-    counts: Dict[int, int] = defaultdict(int)
-    saw_details = False
-    for record in result.records:
-        if record.sync_details is None:
-            continue
-        saw_details = True
-        for cid, _, _ in record.sync_details:
-            counts[cid] += 1
-    if not saw_details:
-        raise ValueError(
-            "run has no sync details; re-run with collect_sync_details=True"
-        )
-    return dict(counts)

@@ -8,7 +8,7 @@ noise and to make A/B claims (GlueFL vs baseline) statistically honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from repro.experiments.runner import run_strategy
 from repro.experiments.scenarios import Scenario
 from repro.fl.metrics import RunResult
 
-__all__ = ["SeedSummary", "run_strategy_seeds", "compare_strategies_seeds"]
+__all__ = ["SeedSummary", "run_strategy_seeds"]
 
 
 @dataclass
@@ -83,17 +83,3 @@ def run_strategy_seeds(
         results=results,
     )
 
-
-def compare_strategies_seeds(
-    scenario: Scenario,
-    strategy_names: Sequence[str],
-    seeds: Sequence[int] = (0, 1, 2),
-    **config_overrides,
-) -> Dict[str, SeedSummary]:
-    """Seed-averaged comparison across strategies on one scenario."""
-    return {
-        name: run_strategy_seeds(
-            scenario, name, seeds=seeds, **config_overrides
-        )
-        for name in strategy_names
-    }

@@ -3,9 +3,6 @@
 These are extensions beyond the paper's core contribution, provided so the
 library covers the sampling landscape GlueFL is positioned against:
 
-* :class:`MDSampler` — multinomial-distribution sampling (Li et al., 2020a):
-  clients drawn *with replacement* proportionally to their importance
-  weights ``p_i``; the unbiased correction is a simple ``1/K`` average.
 * :class:`OortLikeSampler` — a utility-guided sampler in the spirit of
   Oort (Lai et al., 2021): clients are scored by a blend of statistical
   utility (recent training loss) and system speed, with an
@@ -24,10 +21,9 @@ library covers the sampling landscape GlueFL is positioned against:
 
 All plug into the :class:`~repro.fl.samplers.ClientSampler` interface and
 own their aggregation-weight corrections (see the weight contract in
-:mod:`repro.fl.samplers`): MD and Oort return ``1/K`` weights (MD's
-correction is exactly that; Oort is biased by design), OCS returns
-Horvitz–Thompson weights, and the dynamic wrapper delegates to its inner
-sampler.
+:mod:`repro.fl.samplers`): Oort returns ``1/K`` weights (it is biased
+by design), OCS returns Horvitz–Thompson weights, and the dynamic wrapper
+delegates to its inner sampler.
 """
 
 from __future__ import annotations
@@ -42,58 +38,12 @@ from repro.utils.arrays import sorted_unique
 from repro.utils.client_state import LazyClientState
 
 __all__ = [
-    "MDSampler",
     "OortLikeSampler",
     "UpdateNormEstimator",
     "OptimalClientSampler",
     "DynamicScheduleSampler",
     "capped_proportional_probs",
 ]
-
-
-class MDSampler(ClientSampler):
-    """Multinomial-distribution sampling: draw K clients ∝ p_i, with
-    replacement (duplicates collapsed for the simulator; the aggregation
-    weight convention for MD sampling is plain 1/K, i.e. ``weight_mode=
-    "equal"`` in :class:`~repro.fl.config.RunConfig`)."""
-
-    def __init__(self, num_to_sample: int, p: Optional[np.ndarray] = None):
-        super().__init__(num_to_sample)
-        self._p = p
-
-    def setup(self, num_clients: int, rng: np.random.Generator) -> None:
-        super().setup(num_clients, rng)
-        if self._p is None:
-            self._p = np.full(num_clients, 1.0 / num_clients)
-        if len(self._p) != num_clients:
-            raise ValueError("p must have one entry per client")
-        self._p = np.asarray(self._p, dtype=np.float64)
-        self._p = self._p / self._p.sum()
-
-    def draw(
-        self, round_idx: int, available: np.ndarray, overcommit: float = 1.0
-    ) -> SampleDraw:
-        pool = np.flatnonzero(available)
-        if len(pool) == 0:
-            raise RuntimeError(f"no clients available in round {round_idx}")
-        probs = self._p[pool]
-        probs = probs / probs.sum()
-        want = min(self.k + self._extras(overcommit, self.k), len(pool))
-        drawn = self._rng.choice(pool, size=want, replace=True, p=probs)
-        unique = sorted_unique(drawn)
-        return SampleDraw(
-            sticky=np.empty(0, dtype=np.int64),
-            nonsticky=unique.astype(np.int64),
-            quota_sticky=0,
-            quota_nonsticky=min(self.k, len(unique)),
-        )
-
-    def aggregation_weights(
-        self, p: np.ndarray, sticky_ids: np.ndarray, nonsticky_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """MD sampling's correction: draws arrive ∝ p_i, so the unbiased
-        estimator of ``Σ p_i Δ_i`` is the plain ``1/K`` average."""
-        return np.empty(0), equal_weights(nonsticky_ids)
 
 
 class OortLikeSampler(ClientSampler):
@@ -108,8 +58,8 @@ class OortLikeSampler(ClientSampler):
       clients, fed back by the server via :meth:`observe_speed`.
 
     Per round, ``1 − exploration`` of the K slots go to the highest-utility
-    known clients and the rest to unexplored ones.  Like MD sampling this
-    is *biased* by design; pair it with ``weight_mode="equal"``.
+    known clients and the rest to unexplored ones.  This is *biased* by
+    design; pair it with ``weight_mode="equal"``.
     """
 
     def __init__(

@@ -8,8 +8,8 @@ momentum, and a flat-parameter view that serves as the masking surface.
 
 from repro.nn.module import Buffer, Module, Parameter, Sequential
 from repro.nn.flat import FlatParamView
-from repro.nn.loss import CrossEntropyLoss, MSELoss
-from repro.nn.optim import SGD, ConstantLR, ExponentialDecay, StepDecay
+from repro.nn.loss import CrossEntropyLoss
+from repro.nn.optim import SGD, ExponentialDecay
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm1d,
@@ -17,17 +17,13 @@ from repro.nn.layers import (
     ChannelConcat,
     ChannelShuffle,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
     ResidualAdd,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn.models import (
     MLP,
@@ -46,25 +42,18 @@ __all__ = [
     "Sequential",
     "FlatParamView",
     "CrossEntropyLoss",
-    "MSELoss",
     "SGD",
-    "ConstantLR",
     "ExponentialDecay",
-    "StepDecay",
     "Linear",
     "Conv2d",
     "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "ChannelShuffle",
-    "Dropout",
     "Identity",
     "ResidualAdd",
     "ChannelConcat",

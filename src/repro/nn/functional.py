@@ -17,7 +17,6 @@ __all__ = [
     "pad_nchw",
     "col2im",
     "softmax",
-    "log_softmax",
     "one_hot",
 ]
 
@@ -116,12 +115,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically-stable log-softmax."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:

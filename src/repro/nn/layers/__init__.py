@@ -3,10 +3,9 @@
 from repro.nn.layers.linear import Linear
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.norm import BatchNorm1d, BatchNorm2d
-from repro.nn.layers.activation import LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.layers.activation import ReLU
 from repro.nn.layers.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from repro.nn.layers.shape import ChannelShuffle, Flatten
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.block import ChannelConcat, Identity, ResidualAdd
 
 __all__ = [
@@ -15,15 +14,11 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "MaxPool2d",
     "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "ChannelShuffle",
-    "Dropout",
     "Identity",
     "ResidualAdd",
     "ChannelConcat",

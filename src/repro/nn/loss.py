@@ -1,19 +1,17 @@
-"""Loss functions.
+"""The training loss.
 
-Each loss exposes ``forward(logits/preds, targets) -> float`` and
+:class:`CrossEntropyLoss` exposes ``forward(logits, targets) -> float`` and
 ``backward() -> grad_wrt_inputs``; the returned gradient is already averaged
 over the batch so it can be fed straight into ``model.backward``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.nn.functional import one_hot
 
-__all__ = ["CrossEntropyLoss", "MSELoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss:
@@ -59,27 +57,3 @@ class CrossEntropyLoss:
         probs, y, n = self._cache
         return (probs - y) / n
 
-
-class MSELoss:
-    """Mean squared error over arbitrary-shaped predictions."""
-
-    def __init__(self):
-        self._cache: Optional[tuple] = None
-
-    def forward(self, preds: np.ndarray, targets: np.ndarray) -> float:
-        if preds.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: preds {preds.shape} vs targets {targets.shape}"
-            )
-        diff = preds - targets
-        self._cache = (diff, preds.size)
-        return float((diff**2).mean())
-
-    def __call__(self, preds: np.ndarray, targets: np.ndarray) -> float:
-        return self.forward(preds, targets)
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        diff, size = self._cache
-        return 2.0 * diff / size

@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules.
+"""The client optimizer and its learning-rate schedule.
 
 The paper trains clients with PyTorch SGD, momentum 0.9, and an exponential
 learning-rate decay of 0.98 every 10 rounds (§5.1).  :class:`SGD` replicates
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["SGD", "ExponentialDecay", "StepDecay", "ConstantLR"]
+__all__ = ["SGD", "ExponentialDecay"]
 
 
 class SGD:
@@ -88,16 +88,6 @@ class SGD:
         self._buffers.clear()
 
 
-class ConstantLR:
-    """Flat learning-rate schedule."""
-
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def at_round(self, round_idx: int) -> float:
-        return self.lr
-
-
 class ExponentialDecay:
     """``lr * decay ** (round // every)`` — the paper's 0.98-every-10 rule."""
 
@@ -111,17 +101,3 @@ class ExponentialDecay:
     def at_round(self, round_idx: int) -> float:
         return self.lr * self.decay ** (round_idx // self.every)
 
-
-class StepDecay:
-    """Piecewise-constant schedule from explicit ``{round: lr}`` milestones."""
-
-    def __init__(self, lr: float, milestones: Dict[int, float]):
-        self.lr = lr
-        self.milestones = dict(sorted(milestones.items()))
-
-    def at_round(self, round_idx: int) -> float:
-        lr = self.lr
-        for boundary, value in self.milestones.items():
-            if round_idx >= boundary:
-                lr = value
-        return lr

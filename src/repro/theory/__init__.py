@@ -7,13 +7,7 @@ from repro.theory.sampling import (
     uniform_expected_gap,
     uniform_resample_prob,
 )
-from repro.theory.convergence import (
-    ConvergenceSetting,
-    convergence_bound,
-    prescribed_learning_rate,
-    suggest_learning_rate,
-    variance_amplification,
-)
+from repro.theory.convergence import variance_amplification
 
 __all__ = [
     "uniform_resample_prob",
@@ -22,8 +16,4 @@ __all__ = [
     "sticky_expected_gap",
     "sticky_advantage_horizon",
     "variance_amplification",
-    "prescribed_learning_rate",
-    "suggest_learning_rate",
-    "convergence_bound",
-    "ConvergenceSetting",
 ]

@@ -1,31 +1,20 @@
-"""Theorem 2: convergence-rate machinery for sticky sampling.
-
-Provides the variance amplification term
+"""Theorem 2's variance amplification term for sticky sampling.
 
 .. math::
 
     A = \\frac{K}{N}\\Big(\\frac{S^2}{C} + \\frac{(N-S)^2}{K-C}\\Big)
-        \\sum_{i=1}^N p_i^2,
+        \\sum_{i=1}^N p_i^2.
 
-the prescribed learning rate ``γ = sqrt(K / (E(σ² + E) T A))`` (Eq. 8), and
-the resulting bound on ``min_t ‖∇F(w_t)‖²`` (Eq. 9).  With equal weights
-and no sticky group the machinery reduces to FedAvg's ``O(1/sqrt(KT))``
-(§4.2), which the test suite checks.
+It enters both the prescribed learning rate (Eq. 8) and the bound on
+``min_t ‖∇F(w_t)‖²`` (Eq. 9).  With equal weights and no sticky group it
+reduces to FedAvg's ``A = 1`` (§4.2), which the test suite checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "variance_amplification",
-    "prescribed_learning_rate",
-    "suggest_learning_rate",
-    "convergence_bound",
-    "ConvergenceSetting",
-]
+__all__ = ["variance_amplification"]
 
 
 def variance_amplification(
@@ -36,6 +25,11 @@ def variance_amplification(
     For uniform weights ``p_i = 1/N`` and the degenerate "no sticky group"
     configuration the paper notes ``A = 1``; that limit corresponds to
     ``S² / C + (N-S)² / (K-C) → N² / K`` (all mass on one bucket).
+
+    A bucket that holds clients but gets no slots — ``S > 0`` with
+    ``C = 0``, or ``S < N`` with ``C = K`` — leaves those clients
+    undrawable, so no unbiased estimator exists and the geometry is
+    rejected.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or len(p) != n:
@@ -46,6 +40,11 @@ def variance_amplification(
         raise ValueError("need 0 < K <= N")
     if not 0 <= c <= k or not c <= s <= n:
         raise ValueError("need 0 <= C <= K and C <= S <= N")
+    if (s > 0 and c == 0) or (s < n and c == k):
+        raise ValueError(
+            f"S={s}, C={c}, K={k}, N={n} leaves a bucket with clients but no "
+            "slots: its clients can never be drawn"
+        )
     sum_p2 = float((p**2).sum())
     bucket = 0.0
     if c > 0:
@@ -53,79 +52,3 @@ def variance_amplification(
     if k - c > 0:
         bucket += (n - s) ** 2 / (k - c)
     return (k / n) * bucket * sum_p2
-
-
-def prescribed_learning_rate(
-    k: int, t: int, a: float, local_steps: int, sigma2: float
-) -> float:
-    """Eq. 8: ``γ = sqrt(K / (E(σ² + E) · T · A))``."""
-    if min(k, t, local_steps) <= 0 or a <= 0 or sigma2 < 0:
-        raise ValueError("invalid convergence-rate inputs")
-    return float(
-        np.sqrt(k / (local_steps * (sigma2 + local_steps) * t * a))
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceSetting:
-    """Problem constants treated as O(1) in Theorem 2."""
-
-    lipschitz_smooth: float = 1.0  # L_s
-    lipschitz_cont: float = 1.0  # L_c
-    loss_gap: float = 1.0  # F(w_1) - F*
-    sigma2: float = 1.0  # local gradient variance bound
-
-
-def suggest_learning_rate(
-    *,
-    num_clients: int,
-    num_sampled: int,
-    group_size: int,
-    sticky_count: int,
-    rounds: int,
-    local_steps: int,
-    p: np.ndarray,
-    sigma2: float = 1.0,
-) -> float:
-    """Theorem-2-guided client learning rate for a planned run.
-
-    Combines :func:`variance_amplification` and
-    :func:`prescribed_learning_rate` (Eq. 8) into one call taking the same
-    vocabulary as :class:`~repro.fl.config.RunConfig` / the samplers.  The
-    bound's constants are loose, so treat the result as a starting point
-    for tuning rather than an optimum — but it scales correctly with
-    T, E, K, and the sticky geometry.
-    """
-    a = variance_amplification(
-        num_clients, num_sampled, group_size, sticky_count, p
-    )
-    return prescribed_learning_rate(
-        k=num_sampled, t=rounds, a=a, local_steps=local_steps, sigma2=sigma2
-    )
-
-
-def convergence_bound(
-    n: int,
-    k: int,
-    s: int,
-    c: int,
-    p: np.ndarray,
-    t: int,
-    local_steps: int,
-    setting: ConvergenceSetting = ConvergenceSetting(),
-) -> float:
-    """Eq. 9 bound on ``min_t ‖∇F(w_t)‖²`` up to the paper's constants.
-
-    Evaluates ``sqrt((1 + σ²/E) · A / (K T)) + K / (T A)`` — the two terms
-    of Eq. 9 with the O(·) constants set to 1, which is what the test suite
-    uses to check monotonicity properties (more rounds → smaller bound;
-    bigger variance amplification → bigger bound).
-    """
-    a = variance_amplification(n, k, s, c, p)
-    if t <= 0 or local_steps <= 0:
-        raise ValueError("T and E must be positive")
-    term1 = np.sqrt(
-        (1.0 + setting.sigma2 / local_steps) * a / (k * t)
-    )
-    term2 = k / (t * a)
-    return float(term1 + term2)

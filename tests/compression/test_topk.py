@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.compression.topk import (
-    ratio_to_k,
-    sparsify_top_k,
-    top_k_indices,
-    top_k_mask,
-)
+from repro.compression.topk import ratio_to_k, top_k_indices
 
 
 def test_top_k_selects_largest_magnitudes():
@@ -20,29 +15,6 @@ def test_top_k_edge_cases():
     assert len(top_k_indices(x, 0)) == 0
     np.testing.assert_array_equal(top_k_indices(x, 5), np.arange(5))
     np.testing.assert_array_equal(top_k_indices(x, 99), np.arange(5))
-
-
-def test_top_k_mask_consistent_with_indices(rng):
-    x = rng.normal(size=100)
-    mask = top_k_mask(x, 30)
-    assert mask.sum() == 30
-    np.testing.assert_array_equal(np.flatnonzero(mask), top_k_indices(x, 30))
-
-
-def test_sparsify_values_match(rng):
-    x = rng.normal(size=50)
-    idx, vals = sparsify_top_k(x, 10)
-    np.testing.assert_array_equal(vals, x[idx])
-    # everything kept is >= everything dropped (in magnitude)
-    dropped = np.setdiff1d(np.arange(50), idx)
-    assert np.abs(x[idx]).min() >= np.abs(x[dropped]).max() - 1e-12
-
-
-def test_sparsify_returns_copies(rng):
-    x = rng.normal(size=20)
-    idx, vals = sparsify_top_k(x, 5)
-    vals[:] = 0
-    assert np.abs(x[idx]).sum() > 0
 
 
 def test_ratio_to_k():

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets.partition import (
-    dirichlet_partition,
-    iid_partition,
-    shard_partition,
-)
+from repro.datasets.partition import dirichlet_partition
 
 
 def test_dirichlet_covers_all_samples(rng):
@@ -47,30 +43,3 @@ def test_dirichlet_validation(rng):
     with pytest.raises(ValueError):
         dirichlet_partition(np.zeros(10, dtype=int), 0, alpha=1.0, rng=rng)
 
-
-def test_shard_partition_sizes_and_coverage(rng):
-    labels = rng.integers(0, 10, 400)
-    parts = shard_partition(labels, 20, shards_per_client=2, rng=rng)
-    assert len(parts) == 20
-    merged = np.sort(np.concatenate(parts))
-    np.testing.assert_array_equal(merged, np.arange(400))
-
-
-def test_shard_partition_limits_classes_per_client(rng):
-    labels = np.repeat(np.arange(10), 100)
-    parts = shard_partition(labels, 50, shards_per_client=2, rng=rng)
-    classes_per_client = [len(np.unique(labels[idx])) for idx in parts]
-    # 2 contiguous label shards -> at most ~3 distinct classes
-    assert max(classes_per_client) <= 3
-
-
-def test_shard_partition_too_many_shards(rng):
-    with pytest.raises(ValueError):
-        shard_partition(np.zeros(10, dtype=int), 10, shards_per_client=2, rng=rng)
-
-
-def test_iid_partition_equal_sizes(rng):
-    parts = iid_partition(100, 4, rng)
-    assert [len(p) for p in parts] == [25, 25, 25, 25]
-    merged = np.sort(np.concatenate(parts))
-    np.testing.assert_array_equal(merged, np.arange(100))

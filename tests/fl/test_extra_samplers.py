@@ -1,51 +1,11 @@
 import numpy as np
 import pytest
 
-from repro.fl.extra_samplers import MDSampler, OortLikeSampler
+from repro.fl.extra_samplers import OortLikeSampler
 
 
 def all_available(n):
     return np.ones(n, dtype=bool)
-
-
-# ---------------------------------------------------------------- MD sampling
-def test_md_uniform_p_draws_k(rng):
-    sampler = MDSampler(8)
-    sampler.setup(100, rng)
-    draw = sampler.draw(1, all_available(100))
-    assert draw.quota_nonsticky <= 8
-    assert len(draw.nonsticky) >= draw.quota_nonsticky
-
-
-def test_md_respects_importance_weights(rng):
-    p = np.zeros(50)
-    p[:5] = 1.0  # all mass on the first five clients
-    sampler = MDSampler(5, p=p)
-    sampler.setup(50, rng)
-    for t in range(10):
-        draw = sampler.draw(t, all_available(50))
-        assert set(draw.nonsticky) <= set(range(5))
-
-
-def test_md_normalizes_p(rng):
-    sampler = MDSampler(3, p=np.full(20, 7.0))
-    sampler.setup(20, rng)
-    np.testing.assert_allclose(sampler._p.sum(), 1.0)
-
-
-def test_md_p_length_validation(rng):
-    sampler = MDSampler(3, p=np.ones(5))
-    with pytest.raises(ValueError):
-        sampler.setup(20, rng)
-
-
-def test_md_availability(rng):
-    sampler = MDSampler(3)
-    sampler.setup(20, rng)
-    available = np.zeros(20, dtype=bool)
-    available[10:] = True
-    draw = sampler.draw(1, available)
-    assert (draw.nonsticky >= 10).all()
 
 
 # ---------------------------------------------------------------- Oort-like
@@ -125,17 +85,15 @@ def test_oort_in_full_training_loop(tiny_dataset):
 
 
 # --------------------------------------------------------- weight ownership
-def test_md_and_oort_own_equal_weights(rng):
-    """Both biased samplers return 1/K weights instead of inheriting Eq. 2."""
-    for sampler in (MDSampler(4), OortLikeSampler(4)):
-        sampler.setup(20, rng)
-        p = rng.dirichlet(np.ones(20))
-        ids = np.array([1, 5, 9, 13])
-        nu_s, nu_r = sampler.aggregation_weights(
-            p, np.empty(0, dtype=np.int64), ids
-        )
-        assert len(nu_s) == 0
-        np.testing.assert_allclose(nu_r, np.full(4, 0.25))
+def test_oort_owns_equal_weights(rng):
+    """The biased sampler returns 1/K weights instead of inheriting Eq. 2."""
+    sampler = OortLikeSampler(4)
+    sampler.setup(20, rng)
+    p = rng.dirichlet(np.ones(20))
+    ids = np.array([1, 5, 9, 13])
+    nu_s, nu_r = sampler.aggregation_weights(p, np.empty(0, dtype=np.int64), ids)
+    assert len(nu_s) == 0
+    np.testing.assert_allclose(nu_r, np.full(4, 0.25))
 
 
 # ------------------------------------------------- capped proportional probs

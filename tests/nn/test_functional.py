@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.functional import (
-    col2im,
-    conv_out_size,
-    im2col,
-    log_softmax,
-    one_hot,
-    softmax,
-)
+from repro.nn.functional import col2im, conv_out_size, im2col, one_hot, softmax
 
 
 def test_conv_out_size_values():
@@ -61,13 +54,6 @@ def test_softmax_stable_for_large_logits():
     p = softmax(np.array([[1000.0, 0.0]]))
     assert np.isfinite(p).all()
     assert p[0, 0] == pytest.approx(1.0)
-
-
-def test_log_softmax_consistent_with_softmax(rng):
-    logits = rng.normal(size=(3, 5))
-    np.testing.assert_allclose(
-        np.exp(log_softmax(logits)), softmax(logits), atol=1e-12
-    )
 
 
 def test_one_hot():

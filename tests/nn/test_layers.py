@@ -10,44 +10,40 @@ from repro.nn import (
     ChannelConcat,
     ChannelShuffle,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
-    MSELoss,
     ReLU,
     ResidualAdd,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn.flat import FlatParamView
 
-from tests.conftest import (
-    assert_activation_lifetime,
-    held_arrays,
-    numeric_gradient,
-)
+from tests.conftest import assert_activation_lifetime, numeric_gradient
+
+
+def mse(preds, target):
+    """Mean squared error and its gradient: the scalar the checks below
+    differentiate."""
+    diff = preds - target
+    return float((diff**2).mean()), 2.0 * diff / diff.size
 
 
 def gradcheck_params(model, x, rng, n_coords=30, tol=1e-5):
     """Check analytic parameter gradients against central differences."""
-    loss = MSELoss()
     view = FlatParamView(model)
     theta0 = view.get_flat()
     target = np.random.default_rng(0).normal(size=model(x).shape)
 
     def f(theta):
         view.set_flat(theta)
-        return loss(model(x), target)
+        return mse(model(x), target)[0]
 
     view.set_flat(theta0)
     model.zero_grad()
-    loss(model(x), target)
-    model.backward(loss.backward())
+    model.backward(mse(model(x), target)[1])
     analytic = view.get_grad_flat()
     idx = rng.choice(theta0.size, size=min(n_coords, theta0.size), replace=False)
     numeric = numeric_gradient(f, theta0, idx)
@@ -59,15 +55,13 @@ def gradcheck_params(model, x, rng, n_coords=30, tol=1e-5):
 
 def gradcheck_input(model, x, tol=1e-5):
     """Check analytic input gradients against central differences."""
-    loss = MSELoss()
     target = np.random.default_rng(0).normal(size=model(x).shape)
 
     def f(xv):
-        return loss(model(xv.reshape(x.shape)), target)
+        return mse(model(xv.reshape(x.shape)), target)[0]
 
     model.zero_grad()
-    loss(model(x), target)
-    g_in = model.backward(loss.backward()).ravel()
+    g_in = model.backward(mse(model(x), target)[1]).ravel()
     flat = x.ravel().copy()
     idx = np.random.default_rng(1).choice(
         flat.size, size=min(25, flat.size), replace=False
@@ -181,9 +175,8 @@ def test_bn_buffers_not_parameters():
 
 
 # ---------------------------------------------------------------- activations
-@pytest.mark.parametrize("act", [ReLU, LeakyReLU, Sigmoid, Tanh])
-def test_activation_gradcheck(rng, act):
-    model = Sequential(Linear(4, 4, rng=rng), act())
+def test_activation_gradcheck(rng):
+    model = Sequential(Linear(4, 4, rng=rng), ReLU())
     # keep inputs away from ReLU kinks by shifting
     x = rng.normal(size=(6, 4)) + 0.05
     gradcheck_params(model, x, rng)
@@ -192,12 +185,6 @@ def test_activation_gradcheck(rng, act):
 def test_relu_zeroes_negatives():
     out = ReLU()(np.array([-1.0, 0.0, 2.0]))
     np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
-
-
-def test_sigmoid_stable_extremes():
-    out = Sigmoid()(np.array([-1000.0, 1000.0]))
-    assert np.isfinite(out).all()
-    np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------- pooling
@@ -270,34 +257,6 @@ def test_channel_shuffle_backward_inverts(rng):
     np.testing.assert_array_equal(shuffle.backward(out), x)
 
 
-# ---------------------------------------------------------------- dropout
-def test_dropout_eval_is_identity(rng):
-    drop = Dropout(0.5, rng=rng)
-    drop.eval()
-    x = rng.normal(size=(4, 4))
-    np.testing.assert_array_equal(drop(x), x)
-
-
-def test_dropout_preserves_expectation(rng):
-    drop = Dropout(0.3, rng=rng)
-    x = np.ones((200, 200))
-    out = drop(x)
-    assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-
-def test_dropout_backward_uses_same_mask(rng):
-    drop = Dropout(0.5, rng=rng)
-    x = np.ones((10, 10))
-    out = drop(x)
-    g = drop.backward(np.ones_like(x))
-    np.testing.assert_array_equal(g, out)
-
-
-def test_dropout_invalid_p():
-    with pytest.raises(ValueError):
-        Dropout(1.0)
-
-
 # ---------------------------------------------------------------- blocks
 def test_identity_passthrough(rng):
     x = rng.normal(size=(2, 3))
@@ -308,7 +267,7 @@ def test_identity_passthrough(rng):
 
 def test_residual_add_gradcheck(rng):
     block = ResidualAdd(
-        Sequential(Conv2d(2, 2, 3, padding=1, rng=rng), Tanh())
+        Sequential(Conv2d(2, 2, 3, padding=1, rng=rng), ReLU())
     )
     gradcheck_params(block, rng.normal(size=(2, 2, 4, 4)), rng)
 
@@ -335,20 +294,9 @@ def test_channel_concat_gradcheck(rng):
     "make,shape",
     [
         (lambda: BatchNorm1d(6), (4, 6)),
-        (LeakyReLU, (4, 6)),
-        (Sigmoid, (4, 6)),
-        (Tanh, (4, 6)),
         (lambda: MaxPool2d(3, stride=2, padding=1), (2, 2, 6, 6)),
     ],
 )
 def test_layer_caches_only_in_training_and_backward_releases(rng, make, shape):
     assert_activation_lifetime(make(), rng.normal(size=shape))
 
-
-def test_dropout_backward_releases_mask(rng):
-    drop = Dropout(0.5, rng=rng)
-    x = np.ones((10, 10))
-    drop(x)
-    assert held_arrays(drop) != []
-    drop.backward(np.ones_like(x))
-    assert held_arrays(drop) == []

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import (
-    MLP,
-    ConstantLR,
-    CrossEntropyLoss,
-    ExponentialDecay,
-    MSELoss,
-    SGD,
-    StepDecay,
-)
+from repro.nn import MLP, SGD, CrossEntropyLoss, ExponentialDecay
 from repro.nn.module import Parameter
 
 
@@ -59,27 +51,9 @@ def test_cross_entropy_numeric_gradient(rng):
         assert num == pytest.approx(g[i, j], rel=1e-5)
 
 
-def test_mse_loss_and_gradient(rng):
-    loss = MSELoss()
-    pred = rng.normal(size=(4, 3))
-    tgt = rng.normal(size=(4, 3))
-    val = loss(pred, tgt)
-    assert val == pytest.approx(((pred - tgt) ** 2).mean())
-    np.testing.assert_allclose(
-        loss.backward(), 2 * (pred - tgt) / pred.size, atol=1e-12
-    )
-
-
-def test_mse_shape_mismatch():
-    with pytest.raises(ValueError):
-        MSELoss()(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
 def test_backward_before_forward_raises():
     with pytest.raises(RuntimeError):
         CrossEntropyLoss().backward()
-    with pytest.raises(RuntimeError):
-        MSELoss().backward()
 
 
 # ---------------------------------------------------------------- SGD
@@ -167,13 +141,3 @@ def test_exponential_decay_paper_rule():
     assert sched.at_round(10) == pytest.approx(0.05 * 0.98)
     assert sched.at_round(25) == pytest.approx(0.05 * 0.98**2)
 
-
-def test_constant_lr():
-    assert ConstantLR(0.1).at_round(100) == 0.1
-
-
-def test_step_decay():
-    sched = StepDecay(0.1, {50: 0.01, 100: 0.001})
-    assert sched.at_round(0) == 0.1
-    assert sched.at_round(50) == 0.01
-    assert sched.at_round(150) == 0.001

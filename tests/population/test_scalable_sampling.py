@@ -12,7 +12,10 @@ import pytest
 from repro.compression import FedAvgStrategy
 from repro.datasets import femnist_like
 from repro.fl import RunConfig, StickySampler, UniformSampler, run_training
-from repro.fl.extra_samplers import DynamicScheduleSampler, MDSampler
+from repro.fl.extra_samplers import (
+    DynamicScheduleSampler,
+    OptimalClientSampler,
+)
 from repro.population import DeviceStatePopulation
 
 pytestmark = pytest.mark.population
@@ -71,7 +74,7 @@ def test_scalable_sampling_rejects_mask_only_samplers(dataset):
             dataset,
             population_preset="diurnal",
             population_scalable_sampling=True,
-            sampler=MDSampler(5),
+            sampler=OptimalClientSampler(5),
         ).validate()
 
 
@@ -150,7 +153,9 @@ def test_dynamic_schedule_sampler_delegates_pool_support():
     pop = make_pop(30)
     draw = dyn.draw_pool(4, pop.idle_pool(4))
     assert draw.quota_nonsticky == 2  # annealed budget reached k_min
-    assert not MDSampler(5).supports_pool_draw
+    # over a mask-only sampler the wrapper is mask-only too
+    mask_only = DynamicScheduleSampler(OptimalClientSampler(5), k_min=2)
+    assert not mask_only.supports_pool_draw
 
 
 # -- end-to-end --------------------------------------------------------------------

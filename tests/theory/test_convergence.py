@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.theory import (
-    convergence_bound,
-    prescribed_learning_rate,
-    variance_amplification,
-)
+from repro.theory import variance_amplification
 
 
 def uniform_p(n):
@@ -43,43 +39,13 @@ def test_a_term_validation():
         variance_amplification(10, 5, 4, 2, np.full(9, 1 / 9))
     with pytest.raises(ValueError):
         variance_amplification(10, 5, 4, 2, np.full(10, 0.2))  # sum != 1
+    # a bucket with clients but no slots: those clients are never drawn,
+    # so no unbiased estimator exists (both read A = 0.36 < FedAvg's 1)
+    with pytest.raises(ValueError, match="no slots"):
+        variance_amplification(10, 5, 4, 0, uniform_p(10))  # sticky, C = 0
+    with pytest.raises(ValueError, match="no slots"):
+        variance_amplification(10, 5, 6, 5, uniform_p(10))  # non-sticky, C = K
+    # the edges stay legal: FedAvg (S = C = 0) and an all-sticky group
+    assert variance_amplification(10, 5, 0, 0, uniform_p(10)) == pytest.approx(1.0)
+    assert variance_amplification(10, 5, 10, 5, uniform_p(10)) == pytest.approx(1.0)
 
-
-def test_learning_rate_formula():
-    gamma = prescribed_learning_rate(k=30, t=1000, a=2.0, local_steps=10, sigma2=1.0)
-    assert gamma == pytest.approx(np.sqrt(30 / (10 * 11 * 1000 * 2.0)))
-
-
-def test_learning_rate_shrinks_with_t():
-    g1 = prescribed_learning_rate(30, 100, 1.0, 10, 1.0)
-    g2 = prescribed_learning_rate(30, 10_000, 1.0, 10, 1.0)
-    assert g2 < g1
-
-
-def test_learning_rate_validation():
-    with pytest.raises(ValueError):
-        prescribed_learning_rate(0, 10, 1.0, 5, 1.0)
-    with pytest.raises(ValueError):
-        prescribed_learning_rate(5, 10, -1.0, 5, 1.0)
-
-
-def test_bound_decreases_with_rounds():
-    n, k, s, c = 100, 10, 40, 8
-    p = uniform_p(n)
-    b1 = convergence_bound(n, k, s, c, p, t=100, local_steps=10)
-    b2 = convergence_bound(n, k, s, c, p, t=10_000, local_steps=10)
-    assert b2 < b1
-
-
-def test_bound_sqrt_rate():
-    """Eq. 9's leading term decays like 1/sqrt(T)."""
-    n, k, s, c = 100, 10, 40, 8
-    p = uniform_p(n)
-    b1 = convergence_bound(n, k, s, c, p, t=10_000, local_steps=10)
-    b2 = convergence_bound(n, k, s, c, p, t=40_000, local_steps=10)
-    assert b2 == pytest.approx(b1 / 2, rel=0.15)
-
-
-def test_bound_validation():
-    with pytest.raises(ValueError):
-        convergence_bound(10, 5, 4, 2, uniform_p(10), t=0, local_steps=5)
