@@ -11,7 +11,7 @@ columns driven by a trace.  This study runs the same GlueFL workload
 * ``device-classes`` — phone/tablet/silo heterogeneity: slow phones do
   partial work (completeness < 1), silos are fast and reliable;
 * ``storm`` — periodic connectivity collapse + straggler storms (the
-  ``failure`` scheduler's trace), plus a fifth cell re-running the storm
+  fault-injection population), plus a fifth cell re-running the storm
   with ``quorum_fraction`` so burst rounds pay bounded re-draw waves.
 
 Printed per cell: final accuracy, simulated wall-clock, simulated time to
@@ -22,6 +22,7 @@ device classes, and quorum re-draws fire (and are billed) under storms.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -90,7 +91,9 @@ def population_scale_run(
     python_path: str, num_clients: int, rounds: int = 20
 ) -> dict:
     """Per-round seconds + peak RSS of one scalable run, in a fresh
-    subprocess whose own ``VmHWM`` measures this run alone."""
+    subprocess whose own ``VmHWM`` measures this run alone.  The child
+    inherits the caller's environment (``PYTHONDONTWRITEBYTECODE`` among
+    it), so a probe leaves the tree it imports from as it found it."""
     proc = subprocess.run(
         [
             sys.executable,
@@ -101,7 +104,7 @@ def population_scale_run(
         ],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": python_path, "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "PYTHONPATH": python_path},
         check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -128,7 +128,7 @@ def demo_quantization() -> None:
 
 def demo_multiseed() -> None:
     print("4) multi-seed summary — GlueFL vs FedAvg with dispersion")
-    scenario = get_scenario("femnist-tiny").with_(rounds=16, eval_every=4)
+    scenario = get_scenario("femnist-tiny").with_(rounds=ROUNDS, eval_every=4)
     for name in ("fedavg", "gluefl"):
         summary = run_strategy_seeds(scenario, name, seeds=(0, 1, 2))
         print("   " + summary.as_row())
@@ -187,7 +187,7 @@ def demo_privacy() -> None:
         model_kwargs={"hidden": (32,)},
         strategy=strategy,
         sampler=sampler,
-        rounds=30,
+        rounds=ROUNDS,
         local_steps=3,
         privacy_mode="gaussian",
         privacy_epsilon=60.0,     # total budget for the whole run
@@ -216,7 +216,7 @@ def demo_privacy() -> None:
     strategy, sampler = make_gluefl(K, q=0.2, q_shr=0.16)
     defended = run_training(RunConfig(
         dataset=ds, model_name="mlp", model_kwargs={"hidden": (32,)},
-        strategy=strategy, sampler=sampler, rounds=30, local_steps=3,
+        strategy=strategy, sampler=sampler, rounds=ROUNDS, local_steps=3,
         privacy_mode="random_defense", privacy_defense_fraction=0.5,
         seed=6,
     ))

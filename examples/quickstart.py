@@ -36,10 +36,13 @@ point in float64 if you need the extra digits.  See
 ``examples/bandwidth_planning.py`` for the full planning workflow.
 """
 
+import numpy as np
+
 from repro.compression import FedAvgStrategy
 from repro.core import make_gluefl
 from repro.datasets import femnist_like
 from repro.fl import RunConfig, UniformSampler, run_training
+from repro.population import ChurnStormTrace, DeviceStatePopulation, DutyCycleTrace
 
 ROUNDS = 60
 K = 10  # clients aggregated per round
@@ -150,7 +153,6 @@ def main() -> None:
         scheduler="async",
         async_buffer_size=5,
         async_concurrency=2 * K,
-        async_staleness_alpha=0.5,
     )
     async_result = run_training(async_config)
     stale = [r.mean_update_staleness for r in async_result.records]
@@ -162,32 +164,53 @@ def main() -> None:
         f"(sync: {gluefl.cumulative_seconds()[-1]:.0f}s)"
     )
 
-    # "failure" replays the sync pipeline under injected dropout bursts and
-    # straggler storms; skip_empty_rounds keeps the run alive when a burst
-    # wipes out every participant.
-    failure_config = RunConfig(
-        dataset=dataset,
-        model_name="mlp",
-        model_kwargs={"hidden": (48,)},
-        strategy=FedAvgStrategy(),
-        sampler=UniformSampler(K),
-        rounds=ROUNDS,
-        local_steps=3,
-        lr=0.01,
-        seed=7,
-        scheduler="failure",
-        failure_burst_every=10,
-        failure_burst_dropout=0.9,
-        skip_empty_rounds=True,
+    # --- fault injection: storm populations ----------------------------------
+    # Faults are device-population state, not a round shape: the "storm"
+    # preset wraps the availability model in periodic dropout bursts and
+    # straggler storms (every 5th round), and every scheduler flags the
+    # burst rounds in RoundRecord.injected_failure.  skip_empty_rounds
+    # keeps the run alive when a burst wipes out every participant.
+    def stormy(**population):
+        config = RunConfig(
+            dataset=dataset,
+            model_name="mlp",
+            model_kwargs={"hidden": (48,)},
+            strategy=FedAvgStrategy(),
+            sampler=UniformSampler(K),
+            rounds=ROUNDS,
+            local_steps=3,
+            lr=0.01,
+            seed=7,
+            skip_empty_rounds=True,
+            **population,
+        )
+        result = run_training(config)
+        bursts = [r for r in result.records if r.injected_failure]
+        wiped = sum(1 for r in bursts if r.num_participants == 0)
+        return (
+            f"accuracy {result.final_accuracy():.3f}, "
+            f"{len(bursts)} burst rounds, {wiped} fully wiped out"
+        )
+
+    print(f"storm preset (burst every 5th round): "
+          f"{stormy(population_preset='storm')}")
+    # A storm on its own schedule is an explicit population: here 90%
+    # dropout every 10th round over a duty-cycle availability trace.
+    rng = np.random.default_rng(7)
+    n = dataset.num_clients
+    custom = DeviceStatePopulation(
+        n,
+        rng,
+        ChurnStormTrace(
+            DutyCycleTrace(n, rng, mean_on_fraction=0.9),
+            burst_every=10,
+            burst_dropout=0.9,
+            rng=rng,
+        ),
+        dropout_prob=0.05,
     )
-    failure_result = run_training(failure_config)
-    bursts = [r for r in failure_result.records if r.injected_failure]
-    print(
-        f"failure injection (burst every 10th round): "
-        f"accuracy {failure_result.final_accuracy():.3f}, "
-        f"{len(bursts)} burst rounds, "
-        f"{sum(1 for r in bursts if r.num_participants == 0)} fully wiped out"
-    )
+    print(f"custom storm (burst every 10th round): "
+          f"{stormy(population=custom)}")
 
     # --- the simulated clock: tiered and overlapped rounds --------------------
     # Every scheduler runs on a shared SimClock and stamps cumulative

@@ -6,10 +6,9 @@ checker suite encoding the repo's pinned invariants (see
 on findings, so it composes with CI.  Violations that are by design are
 waived in place with ``# repro: allow[rule] -- justification``.
 
-Runtime half: the sanitizer mode (``REPRO_SANITIZE=1`` or
-``RunConfig.sanitize=True``) lives in :mod:`repro.runtime.sanitize` and
-turns the process backend's result-ring ownership protocol into checked
-assertions.
+Runtime half: the sanitizer mode (switched on by ``REPRO_SANITIZE=1``
+only) lives in :mod:`repro.runtime.sanitize` and turns the process
+backend's result-ring ownership protocol into checked assertions.
 
 >>> from repro.analysis import analyze_source
 >>> bad = "import time\\ndef f():\\n    return time.time()\\n"

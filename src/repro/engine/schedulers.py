@@ -1,12 +1,17 @@
-"""Pluggable round schedulers: sync, async/buffered, failure-injection,
-tiered semi-async, and overlapped sync rounds.
+"""Pluggable round schedulers: sync, async/buffered, tiered semi-async,
+and overlapped sync rounds.
 
 Every scheduler runs on the shared simulated-time core
 (:class:`~repro.engine.clock.SimClock`): the clock owns cumulative
 simulated time and the completion-event queue, and every
 :class:`~repro.fl.metrics.RoundRecord` carries the clock's reading as
 ``wall_clock_s`` — monotone under every round shape, so time-to-accuracy
-is comparable across schedulers.
+is comparable across schedulers.  Fault injection is a population, not a
+round shape: under every scheduler a record's ``injected_failure`` is the
+bound population trace's ``is_burst`` for that round — True on the burst
+rounds of the ``"storm"`` preset's
+:class:`~repro.population.traces.ChurnStormTrace`, False for every other
+trace (``tests/engine/golden_storm.json`` pins sync rounds over storms).
 
 A scheduler decides what one call to ``FLServer.run_round`` means:
 
@@ -24,8 +29,8 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     :class:`~repro.fl.simulator.CandidateTimings` latency model) are popped
     from the clock's event queue; every ``async_buffer_size`` arrivals the
     server aggregates the buffer with staleness-discounted weights
-    ``(1 + τ)^(−async_staleness_alpha)`` (normalized), where τ counts global
-    updates applied since the client's dispatch.  One ``run_round`` call ==
+    ``(1 + τ)^(−α)`` (normalized; α = :data:`STALENESS_ALPHA`), where τ
+    counts global updates applied since the client's dispatch.  One ``run_round`` call ==
     one buffer flush == one :class:`~repro.fl.metrics.RoundRecord`, whose
     ``mean_update_staleness`` reports the buffer's mean τ and whose
     ``wall_clock_s`` reports the event queue's current time.  Sticky-group
@@ -38,23 +43,6 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     *one* backend batch, so the process backend parallelizes them.
     The record stream is pinned by ``tests/engine/golden_async.json``.
 
-``failure``
-    The sync round over a fault-injecting device population: the server
-    auto-attaches a ``"storm"`` population preset
-    (:class:`~repro.population.traces.ChurnStormTrace`, parameterized by
-    the ``failure_*`` knobs; wrapped around any other
-    ``population_preset``), so every ``failure_burst_every``-th round
-    (1-based — first burst at round ``failure_burst_every``) a dropout
-    burst collapses the population's connectivity column by
-    ``failure_burst_dropout`` and a straggler storm multiplies
-    ``failure_straggler_fraction`` of devices' responsiveness by
-    ``failure_straggler_slowdown``× — plain trace-driven state
-    transitions read by the unchanged selection step.  Burst rounds are
-    flagged in ``RoundRecord.injected_failure``; pair with
-    ``RunConfig.skip_empty_rounds`` so a burst that wipes out every
-    candidate records a zero-participant round instead of aborting.  The
-    record stream is pinned by ``tests/engine/golden_failure.json``.
-
 ``semiasync``
     FLASH-style tiered rounds.  The round *is* the ``sync`` round — the
     same steps, so with nobody left behind (``overcommit=1.0``) the two
@@ -65,9 +53,9 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     simply discarded under ``sync`` — keep training: their finish events
     go onto the clock, and when a later round's deadline passes an event,
     that stale update folds into that round's aggregation with the
-    discounted weight ``(1 + τ)^(−async_staleness_alpha) / K`` (τ = rounds
-    since dispatch; the ``1/K`` unit matches one fast-tier share).
-    Arrivals staler than ``semiasync_max_lag`` rounds are discarded.
+    discounted weight ``(1 + τ)^(−α) / K`` (τ = rounds since dispatch;
+    the ``1/K`` unit matches one fast-tier share).  Arrivals staler than
+    :data:`SEMIASYNC_MAX_LAG` rounds are discarded.
     Clients with an in-flight straggler task are *busy* — excluded from
     the sampler pool until their arrival folds in, so no round ever
     aggregates two updates from one client.  Straggler upload bytes land
@@ -108,13 +96,17 @@ __all__ = [
     "Scheduler",
     "SyncScheduler",
     "AsyncBufferedScheduler",
-    "FailureInjectionScheduler",
     "SemiAsyncScheduler",
     "OverlappedSyncScheduler",
     "create_scheduler",
 ]
 
-SCHEDULERS = ("sync", "async", "failure", "semiasync", "overlapped")
+SCHEDULERS = ("sync", "async", "semiasync", "overlapped")
+
+#: staleness-discount exponent α in ``(1 + τ)^(−α)`` (async and semiasync)
+STALENESS_ALPHA = 0.5
+#: semiasync: straggler arrivals staler than this many rounds are discarded
+SEMIASYNC_MAX_LAG = 10
 
 
 class Scheduler:
@@ -195,26 +187,6 @@ class SyncScheduler(Scheduler):
         self.clock.advance_to(start + record.round_seconds)
 
 
-class FailureInjectionScheduler(SyncScheduler):
-    """Sync rounds over a fault-injecting population (module docstring).
-
-    The faults are trace-driven state transitions the unchanged selection
-    step reads; this scheduler only *flags* burst rounds by asking the
-    trace's ``is_burst`` (``FLServer`` rejects an explicit ``population=``
-    whose trace has none).  Round indices are 1-based, so the first burst
-    lands at round ``failure_burst_every``, not round 0 (pinned by
-    ``tests/engine/test_schedulers.py``).
-    """
-
-    name = "failure"
-
-    def run_round(self, server) -> RoundRecord:
-        record = super().run_round(server)
-        # the population columns already carry the burst; flag the record
-        record.injected_failure = server.population.trace.is_burst(record.round_idx)
-        return record
-
-
 class OverlappedSyncScheduler(SyncScheduler):
     """Sync learning dynamics under a pipelined communication clock: the
     identical round, but the clock advances by the overlapped-round
@@ -264,11 +236,10 @@ class SemiAsyncScheduler(SyncScheduler):
 
     name = "semiasync"
     tiered = True
+    alpha = STALENESS_ALPHA
+    max_lag = SEMIASYNC_MAX_LAG
 
     def setup(self, server) -> None:
-        cfg = server.config
-        self.alpha = cfg.async_staleness_alpha
-        self.max_lag = cfg.semiasync_max_lag
         # clients with a scheduled, not-yet-folded straggler arrival are
         # still computing, so the sampler must not re-draw them (a client
         # contributing twice to one aggregation is a state no real device
@@ -336,6 +307,7 @@ class AsyncBufferedScheduler(Scheduler):
     """
 
     name = "async"
+    alpha = STALENESS_ALPHA
 
     def __init__(self) -> None:
         super().__init__()
@@ -350,7 +322,6 @@ class AsyncBufferedScheduler(Scheduler):
         cfg = server.config
         self.buffer_size = cfg.async_buffer_size
         self.concurrency = cfg.async_concurrency or server.sampler.k
-        self.alpha = cfg.async_staleness_alpha
 
     # -- dispatch ---------------------------------------------------------------
     def _dispatch(self, server, round_idx: int) -> None:
@@ -514,7 +485,6 @@ class AsyncBufferedScheduler(Scheduler):
 _SCHEDULER_TYPES = {
     "sync": SyncScheduler,
     "async": AsyncBufferedScheduler,
-    "failure": FailureInjectionScheduler,
     "semiasync": SemiAsyncScheduler,
     "overlapped": OverlappedSyncScheduler,
 }

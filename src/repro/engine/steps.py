@@ -126,7 +126,7 @@ class Batch:
     buffer_sum: Optional[np.ndarray] = None
     losses: List[float] = field(default_factory=list)
     #: the folded payloads' upstream bytes; :func:`close_round` adds the
-    #: dense batch-norm buffer shipment per update (``count_buffer_sync``)
+    #: dense batch-norm buffer shipment per update
     up_bytes: int = 0
 
 
@@ -138,23 +138,20 @@ def downstream_sync_bytes(server, client_ids: np.ndarray):
     """``(value_sync_bytes, per_client_total, stale_counts)`` for
     contacting ``client_ids``.
 
-    The total adds the strategy's per-client mask overhead and, when
-    ``count_buffer_sync`` is on, the dense BN-buffer shipment;
-    ``stale_counts`` are the coordinates the value sync was priced from.
+    The total adds the strategy's per-client mask overhead and the dense
+    BN-buffer shipment; ``stale_counts`` are the coordinates the value
+    sync was priced from.
     """
     sync_bytes, stale_counts = server.staleness.download_bytes_many(client_ids)
     extra = server.strategy.downstream_extra_bytes()
-    if server.config.count_buffer_sync and server.view.num_buffer:
-        extra += dense_bytes(server.view.num_buffer)
+    extra += dense_bytes(server.view.num_buffer)
     return sync_bytes, sync_bytes + extra, stale_counts
 
 
 def nominal_upstream_bytes(server) -> int:
     """A-priori per-client upload size (for round-time scheduling)."""
     up = server.strategy.nominal_upstream_bytes()
-    if server.config.count_buffer_sync and server.view.num_buffer:
-        up += dense_bytes(server.view.num_buffer)
-    return up
+    return up + dense_bytes(server.view.num_buffer)
 
 
 def candidate_timings(
@@ -547,8 +544,7 @@ def close_round(
     """
     while batch.pending:
         compress_result(server, batch, batch.pending.pop(0))
-    if server.config.count_buffer_sync and server.view.num_buffer:
-        batch.up_bytes += dense_bytes(server.view.num_buffer) * batch.folded
+    batch.up_bytes += dense_bytes(server.view.num_buffer) * batch.folded
     if not batch.folded:
         if not server.config.skip_empty_rounds:
             raise RuntimeError(f"round {rnd.round_idx}: {why_empty}")
@@ -590,5 +586,9 @@ def make_record(
             else None
         ),
         privacy_epsilon_spent=server.strategy.privacy_epsilon_spent(),
+        injected_failure=(
+            server.population is not None
+            and server.population.trace.is_burst(round_idx)
+        ),
         **ledger,
     )

@@ -18,8 +18,10 @@ class RunConfig:
     """Everything needed to launch one training run.
 
     The defaults follow the paper's §5.1 training parameters: 10 local
-    updates, SGD momentum 0.9, exponential LR decay 0.98 every 10 rounds,
-    over-commitment 1.3.
+    updates and over-commitment 1.3; the client optimizer itself (SGD
+    momentum 0.9, exponential LR decay 0.98 every 10 rounds) is fixed, held
+    by :class:`~repro.fl.client.LocalTrainer` and
+    :class:`~repro.nn.optim.ExponentialDecay`.
 
     Runtime knobs (see :mod:`repro.runtime`):
 
@@ -40,12 +42,10 @@ class RunConfig:
     * ``scheduler`` — the round shape: ``"sync"`` (default, Algorithm 1),
       ``"async"`` (FedBuff-style buffered asynchrony; one round == one
       buffer flush of ``async_buffer_size`` arrivals, weighted by
-      ``(1 + τ)^(−async_staleness_alpha)``), ``"failure"`` (sync rounds
-      with periodic dropout bursts + straggler storms), ``"semiasync"``
-      (FLASH-style tiered rounds: the fast tier aggregates synchronously
-      at its deadline, over-committed stragglers fold into later rounds
-      with staleness-discounted weights, capped at ``semiasync_max_lag``
-      rounds of lag), or ``"overlapped"`` (sync learning dynamics under a
+      ``(1 + τ)^(−α)``), ``"semiasync"`` (FLASH-style tiered rounds: the
+      fast tier aggregates synchronously at its deadline, over-committed
+      stragglers fold into later rounds with staleness-discounted
+      weights), or ``"overlapped"`` (sync learning dynamics under a
       pipelined clock: round *t+1*'s downloads overlap round *t*'s
       uploads).  Every scheduler runs on the shared
       :class:`~repro.engine.clock.SimClock` and stamps cumulative
@@ -59,10 +59,12 @@ class RunConfig:
       :class:`~repro.population.DeviceStatePopulation` (numpy state
       columns with an idle/working/offline/dropped state machine) driven
       by a scenario trace: ``"none"``, ``"diurnal"``, ``"device-classes"``
-      (phone/tablet/silo), or ``"storm"`` (periodic churn bursts).
-      ``scheduler="failure"`` auto-builds the ``"storm"`` population from
-      the ``failure_*`` knobs (storms wrap any other preset it is combined
-      with).  ``"none"`` and ``"storm"`` run over the classic availability
+      (phone/tablet/silo), or ``"storm"`` (periodic churn bursts: the
+      fault-injection run, whose burst rounds every scheduler flags in
+      ``RoundRecord.injected_failure``; a storm with other parameters or
+      over another base is an explicit ``population=`` wrapping a
+      :class:`~repro.population.ChurnStormTrace`).  ``"none"`` and
+      ``"storm"`` run over the classic availability
       knobs; ``"diurnal"`` and ``"device-classes"`` draw their own trace,
       so ``validate()`` rejects an ``availability_trace`` beside them.
     * ``population_scalable_sampling`` — draw cohorts from the
@@ -103,10 +105,9 @@ class RunConfig:
       ``privacy_defense_fraction`` of each update before compression —
       no ε, no noise, and no clipping unless ``privacy_clip_norm`` is
       set).
-    * ``privacy_epsilon`` / ``privacy_delta`` — the total (ε, δ) budget
-      for the whole run; the server calibrates the noise multiplier so
-      ``rounds`` rounds spend at most ε.  An explicit
-      ``privacy_noise_multiplier`` overrides the calibration.
+    * ``privacy_epsilon`` — the total ε budget for the whole run, at
+      δ = 10⁻⁵; the server calibrates the noise multiplier so ``rounds``
+      rounds spend at most ε.
     * Accounting is honest about composition: with noise on, the wrapped
       strategy's client-side error compensation is disabled (residuals
       would breach the clip bound; ``random_defense`` disables it too, so
@@ -140,21 +141,10 @@ class RunConfig:
     local_steps: int = 10
     batch_size: int = 16
     lr: float = 0.05
-    lr_decay: float = 0.98
-    lr_decay_every: int = 10
-    momentum: float = 0.9
-    weight_decay: float = 0.0
     model_kwargs: Dict[str, Any] = field(default_factory=dict)
 
     # systems environment
     network_profile: str = "ndt"
-    #: Calibrated to reproduce the paper's Fig. 9 regimes with our ~100×
-    #: smaller stand-in models: on NDT-like end-user links transmission
-    #: dominates the round (several × compute), while on 5G/datacenter
-    #: links the same compute dominates transmission.  (Wire times shrink
-    #: with the model ~100×, so compute must shrink with them.)
-    base_step_seconds: float = 0.008
-    compute_sigma: float = 0.5
     overcommit: float = 1.3
     mean_on_fraction: float = 0.9
     dropout_prob: float = 0.05
@@ -173,20 +163,11 @@ class RunConfig:
     backend_workers: Optional[int] = None
     #: "float64" | "float32" (see repro.runtime.dtype)
     dtype: str = "float64"
-    #: process backend only: runtime sanitizer (see
-    #: :mod:`repro.runtime.sanitize`) — tag the result-ring slots with
-    #: claim epochs and the parent-side ring views with the dispatch
-    #: epoch, and raise ``SanitizerError`` on a double slot claim or a
-    #: result touched after the next dispatch reclaimed the ring.
-    #: Debugging aid (every touch of a ring view pays a tag check), so it
-    #: defaults off; ``REPRO_SANITIZE=1`` in the environment also enables it
-    sanitize: bool = False
 
     # round scheduling (repro.engine)
     #: round shape: "sync" (Algorithm 1), "async" (FedBuff-style buffered
-    #: asynchrony), "failure" (sync + injected dropout bursts/straggler
-    #: storms), "semiasync" (sync fast tier + stale straggler fold-ins) or
-    #: "overlapped" (sync dynamics under a pipelined clock); see
+    #: asynchrony), "semiasync" (sync fast tier + stale straggler fold-ins)
+    #: or "overlapped" (sync dynamics under a pipelined clock); see
     #: :mod:`repro.engine.schedulers` for semantics
     scheduler: str = "sync"
     #: record a zero-participant RoundRecord and continue instead of
@@ -196,38 +177,16 @@ class RunConfig:
     async_buffer_size: int = 5
     #: async: clients kept in flight (default: the sampler's K)
     async_concurrency: Optional[int] = None
-    #: async + semiasync: staleness-discount exponent α in ``(1 + τ)^(−α)``
-    async_staleness_alpha: float = 0.5
-    #: semiasync: discard straggler arrivals staler than this many rounds
-    #: (0 keeps only same-round arrivals)
-    semiasync_max_lag: int = 10
-    #: failure: inject a burst every Nth round (0 disables).  Round
-    #: indices are 1-based, so the first burst lands at round
-    #: ``failure_burst_every`` — round 1 is never a burst unless this is 1
-    failure_burst_every: int = 5
-    #: failure: extra mid-round dropout probability during a burst
-    failure_burst_dropout: float = 0.75
-    #: failure: fraction of candidates slowed by a straggler storm
-    failure_straggler_fraction: float = 0.3
-    #: failure: compute-time multiplier for storm-hit candidates
-    failure_straggler_slowdown: float = 4.0
 
     # device population (repro.population)
     #: scenario preset building a vectorized
     #: :class:`~repro.population.DeviceStatePopulation` as the server's
     #: availability model: "none" | "diurnal" | "device-classes" | "storm"
-    #: (``scheduler="failure"`` defaults to "storm" automatically)
     population_preset: Optional[str] = None
     #: pre-built :class:`~repro.population.DeviceStatePopulation`; the
     #: run's whole availability model, so ``validate()`` rejects it beside
     #: ``population_preset``, ``availability_trace`` or ``always_available``
     population: Optional[Any] = None
-    #: floor on any trace-assigned per-client completeness (work fraction)
-    population_min_completeness: float = 0.25
-    #: cap on any trace-assigned compute-slowdown multiplier
-    population_max_responsiveness: float = 8.0
-    #: rounds a mid-round-dropped client sits out before rejoining the pool
-    population_dropped_cooldown: int = 1
     #: sample cohorts from the population's maintained idle index
     #: (:class:`~repro.population.IdlePool`, O(idle) per draw) instead of
     #: building N-wide availability masks.  A *different RNG stream* than
@@ -254,19 +213,14 @@ class RunConfig:
     # privacy (repro.privacy)
     #: "off" | "gaussian" | "random_defense"
     privacy_mode: str = "off"
-    #: total (ε, δ)-DP budget for the run; the noise multiplier is
+    #: total ε budget for the run, at δ = 1e-5; the noise multiplier is
     #: calibrated so `rounds` rounds spend at most this (gaussian mode)
     privacy_epsilon: Optional[float] = None
-    #: the δ of the (ε, δ) guarantee
-    privacy_delta: float = 1e-5
     #: per-client L2 clip bound S (the mechanism's sensitivity); required
     #: for gaussian noise — there is no sensible universal default, S is a
     #: workload property.  None (the default) disables clipping, which is
-    #: only legal without noise (random_defense, or an explicit z = 0)
+    #: only legal without noise (random_defense)
     privacy_clip_norm: Optional[float] = None
-    #: explicit noise multiplier z (std = z·S per transmitted coordinate);
-    #: overrides the ε-based calibration when set
-    privacy_noise_multiplier: Optional[float] = None
     #: random_defense: fraction of coordinates zeroed per client per round;
     #: None (the default) means the mode's default
     #: (``repro.privacy.DEFAULT_DEFENSE_FRACTION``).  Like the other
@@ -282,19 +236,15 @@ class RunConfig:
 
     # evaluation
     eval_every: int = 5
-    eval_batch: int = 256
     eval_top_k: int = 1
-    accuracy_window: int = 5
     target_accuracy: Optional[float] = None
-    stop_at_target: bool = False
 
     # bookkeeping
     seed: int = 0
-    count_buffer_sync: bool = True
     collect_sync_details: bool = False
 
     def lr_schedule(self) -> ExponentialDecay:
-        return ExponentialDecay(self.lr, self.lr_decay, self.lr_decay_every)
+        return ExponentialDecay(self.lr)
 
     def validate(self) -> None:
         # the canonical name lists live next to their factories; imported
@@ -318,21 +268,9 @@ class RunConfig:
             raise ValueError("batch_size must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must be in (0, 1]")
-        if self.lr_decay_every <= 0:
-            raise ValueError("lr_decay_every must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         # systems environment
         if not self.network_profile:
             raise ValueError("network_profile must be a profile name")
-        if self.base_step_seconds <= 0:
-            raise ValueError("base_step_seconds must be positive")
-        if self.compute_sigma < 0:
-            raise ValueError("compute_sigma must be >= 0")
         if self.availability_trace is not None and not all(
             hasattr(self.availability_trace, m)
             for m in ("online", "survives_round")
@@ -342,31 +280,20 @@ class RunConfig:
                 "survives_round(client_ids) (see "
                 "repro.traces.diurnal.DiurnalAvailabilityTrace)"
             )
-        # evaluation / stopping
+        # evaluation
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
-        if self.eval_batch <= 0:
-            raise ValueError("eval_batch must be positive")
-        if self.accuracy_window <= 0:
-            raise ValueError("accuracy_window must be positive")
         if self.target_accuracy is not None and not (
             0.0 < self.target_accuracy <= 1.0
         ):
             raise ValueError("target_accuracy must be in (0, 1]")
-        if self.stop_at_target and self.target_accuracy is None:
-            raise ValueError(
-                "stop_at_target needs target_accuracy to know when to stop"
-            )
         # bookkeeping: the seed and the boolean switches are used as-is in
         # hashed/golden-pinned places, so reject look-alike types early
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError("seed must be an int")
         for flag in (
             "always_available",
-            "sanitize",
             "skip_empty_rounds",
-            "stop_at_target",
-            "count_buffer_sync",
             "collect_sync_details",
         ):
             if not isinstance(getattr(self, flag), bool):
@@ -382,18 +309,19 @@ class RunConfig:
                 f"unknown execution_backend {self.execution_backend!r}; "
                 f"expected {BACKENDS}"
             )
-        if self.backend_workers is not None and self.backend_workers <= 0:
-            raise ValueError("backend_workers must be positive")
+        if self.backend_workers is not None:
+            if self.backend_workers <= 0:
+                raise ValueError("backend_workers must be positive")
+            if self.execution_backend != "process":
+                raise ValueError(
+                    "backend_workers sizes the process backend's pool; with "
+                    f"execution_backend={self.execution_backend!r} it would "
+                    "be silently ignored — set execution_backend='process' "
+                    "(or unset it)"
+                )
         if self.dtype not in DTYPE_NAMES:
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; expected {DTYPE_NAMES}"
-            )
-        if self.sanitize and self.execution_backend != "process":
-            raise ValueError(
-                "sanitize guards the process backend's result ring; with "
-                f"execution_backend={self.execution_backend!r} it would be "
-                "silently ignored — set execution_backend='process' (or "
-                "unset it)"
             )
         if self.scheduler not in SCHEDULERS:
             raise ValueError(
@@ -419,20 +347,18 @@ class RunConfig:
             raise ValueError("dropout_prob must be in [0, 1)")
         if self.async_buffer_size <= 0:
             raise ValueError("async_buffer_size must be positive")
+        if (
+            self.async_buffer_size
+            != type(self).__dataclass_fields__["async_buffer_size"].default
+            and self.scheduler != "async"
+        ):
+            raise ValueError(
+                "async_buffer_size sizes the async scheduler's flush; with "
+                f"scheduler={self.scheduler!r} it would be silently ignored "
+                "— set scheduler='async' (or unset it)"
+            )
         if self.async_concurrency is not None and self.async_concurrency <= 0:
             raise ValueError("async_concurrency must be positive")
-        if self.async_staleness_alpha < 0:
-            raise ValueError("async_staleness_alpha must be non-negative")
-        if self.semiasync_max_lag < 0:
-            raise ValueError("semiasync_max_lag must be >= 0")
-        if self.failure_burst_every < 0:
-            raise ValueError("failure_burst_every must be >= 0")
-        if not 0.0 <= self.failure_burst_dropout <= 1.0:
-            raise ValueError("failure_burst_dropout must be in [0, 1]")
-        if not 0.0 <= self.failure_straggler_fraction <= 1.0:
-            raise ValueError("failure_straggler_fraction must be in [0, 1]")
-        if self.failure_straggler_slowdown < 1.0:
-            raise ValueError("failure_straggler_slowdown must be >= 1")
         if self.population_preset is not None:
             from repro.population import POPULATION_PRESETS
 
@@ -465,14 +391,6 @@ class RunConfig:
                 f"{self.population_preset!r} draws its own trace — use "
                 "population_preset='none' (or 'storm') to run over it"
             )
-        if not 0.0 < self.population_min_completeness <= 1.0:
-            raise ValueError(
-                "population_min_completeness must be in (0, 1]"
-            )
-        if self.population_max_responsiveness < 1.0:
-            raise ValueError("population_max_responsiveness must be >= 1")
-        if self.population_dropped_cooldown < 0:
-            raise ValueError("population_dropped_cooldown must be >= 0")
         if self.quorum_fraction is not None:
             if not 0.0 < self.quorum_fraction <= 1.0:
                 raise ValueError("quorum_fraction must be in (0, 1]")
@@ -489,16 +407,11 @@ class RunConfig:
         if not isinstance(self.population_scalable_sampling, bool):
             raise ValueError("population_scalable_sampling must be a bool")
         if self.population_scalable_sampling:
-            if (
-                self.population is None
-                and self.population_preset is None
-                and self.scheduler != "failure"
-            ):
+            if self.population is None and self.population_preset is None:
                 raise ValueError(
                     "population_scalable_sampling draws from a device "
                     "population's idle index; set population/"
-                    "population_preset (or scheduler='failure', which "
-                    "auto-builds one)"
+                    "population_preset"
                 )
             if not getattr(self.sampler, "supports_pool_draw", False):
                 raise ValueError(
@@ -526,15 +439,8 @@ class RunConfig:
             )
         if self.privacy_epsilon is not None and self.privacy_epsilon <= 0:
             raise ValueError("privacy_epsilon must be positive")
-        if not 0.0 < self.privacy_delta < 1.0:
-            raise ValueError("privacy_delta must be in (0, 1)")
         if self.privacy_clip_norm is not None and self.privacy_clip_norm <= 0:
             raise ValueError("privacy_clip_norm must be positive (or None)")
-        if (
-            self.privacy_noise_multiplier is not None
-            and self.privacy_noise_multiplier < 0
-        ):
-            raise ValueError("privacy_noise_multiplier must be non-negative")
         if self.privacy_defense_fraction is not None and not (
             0.0 <= self.privacy_defense_fraction < 1.0
         ):
@@ -554,7 +460,6 @@ class RunConfig:
                 for name, value in (
                     ("privacy_epsilon", self.privacy_epsilon),
                     ("privacy_clip_norm", self.privacy_clip_norm),
-                    ("privacy_noise_multiplier", self.privacy_noise_multiplier),
                     ("privacy_defense_fraction", self.privacy_defense_fraction),
                 )
                 if value is not None
@@ -573,47 +478,28 @@ class RunConfig:
                 f"epsilon; it means nothing under "
                 f"privacy_mode={self.privacy_mode!r}"
             )
-        if self.privacy_mode == "random_defense" and (
-            self.privacy_epsilon is not None
-            or self.privacy_noise_multiplier is not None
+        if (
+            self.privacy_mode == "random_defense"
+            and self.privacy_epsilon is not None
         ):
             raise ValueError(
                 "privacy_mode='random_defense' adds no noise and tracks no "
-                "epsilon; unset privacy_epsilon/privacy_noise_multiplier "
-                "(use privacy_mode='gaussian' for the DP mechanism)"
+                "epsilon; unset privacy_epsilon (use "
+                "privacy_mode='gaussian' for the DP mechanism)"
             )
         if self.privacy_mode == "gaussian":
-            if (
-                self.privacy_epsilon is None
-                and self.privacy_noise_multiplier is None
-            ):
+            if self.privacy_epsilon is None:
                 raise ValueError(
-                    "privacy_mode='gaussian' needs privacy_epsilon (to "
-                    "calibrate noise) or an explicit "
-                    "privacy_noise_multiplier"
+                    "privacy_mode='gaussian' needs privacy_epsilon to "
+                    "calibrate noise"
                 )
-            if (
-                self.privacy_epsilon is not None
-                and self.privacy_noise_multiplier is not None
-            ):
-                raise ValueError(
-                    "privacy_epsilon and privacy_noise_multiplier are "
-                    "alternative ways to set the noise level; an explicit "
-                    "multiplier overrides the calibration, so the epsilon "
-                    "budget would be silently ignored — set exactly one"
-                )
-            noisy = (
-                self.privacy_noise_multiplier is None  # ε-calibrated > 0
-                or self.privacy_noise_multiplier > 0
-            )
-            if noisy and self.privacy_clip_norm is None:
+            if self.privacy_clip_norm is None:
                 raise ValueError(
                     "gaussian noise requires privacy_clip_norm: the clip "
                     "bound is the mechanism's sensitivity"
                 )
             if (
-                noisy
-                and not self.privacy_values_only
+                not self.privacy_values_only
                 and getattr(self.strategy, "data_dependent_selection", False)
             ):
                 raise ValueError(

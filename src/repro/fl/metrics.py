@@ -55,8 +55,8 @@ class RoundRecord:
     #: or a semi-async round's folded-in stragglers (τ = rounds since
     #: dispatch); None when the round aggregated none
     mean_update_staleness: Optional[float] = None
-    #: True when the failure-injection scheduler hit this round with a
-    #: dropout burst / straggler storm
+    #: True when the bound population's trace hit this round with a
+    #: dropout burst / straggler storm (``DeviceTrace.is_burst``)
     injected_failure: bool = False
     #: quorum degradation: how many re-draw waves ran after the cohort
     #: collapsed below ``quorum_fraction · K`` (0 = quorum met first try)

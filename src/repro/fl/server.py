@@ -14,16 +14,16 @@ availability, staleness) — and delegates every ``run_round`` call to a
 * ``"async"`` runs FedBuff-style buffered asynchrony over the shared
   simulated-time clock's event queue of client finish times, flushing
   through the same lifecycle guard, task builder, close and record;
-* ``"failure"`` is the sync round over a fault-injecting device
-  population (``"storm"`` preset: dropout bursts + straggler storms as
-  trace-driven state transitions), flagging the burst rounds;
 * ``"semiasync"`` runs FLASH-style tiered rounds (the sync round as fast
   tier at its deadline + staleness-discounted straggler fold-in);
 * ``"overlapped"`` is the sync round under a pipelined clock (round *t+1*
   downloads overlap round *t* uploads).
 
-All five run on one :class:`~repro.engine.clock.SimClock` per scheduler,
-whose cumulative reading lands in ``RoundRecord.wall_clock_s``.
+All four run on one :class:`~repro.engine.clock.SimClock` per scheduler,
+whose cumulative reading lands in ``RoundRecord.wall_clock_s``.  Fault
+injection is not a round shape but a population: the ``"storm"`` preset
+(dropout bursts + straggler storms as trace-driven state transitions)
+under any scheduler, whose records flag the burst rounds.
 
 The steps reach the state through this object (``server`` in their
 signatures); anything per-round lives in the
@@ -52,10 +52,14 @@ from repro.nn.models import build_model
 from repro.runtime.backends import WorkerSpec, create_backend, usable_cpus
 from repro.runtime.dtype import resolve_dtype
 from repro.traces.availability import AvailabilityTrace, always_available
-from repro.traces.compute import ComputeTrace
+from repro.traces.compute import CALIBRATED_STEP_SECONDS, ComputeTrace
 from repro.utils.rng import RngFactory
 
 __all__ = ["FLServer", "run_training"]
+
+#: test samples per evaluation forward: the rows a row-mixing layer
+#: (``Linear``) sees at once; eval-mode forwards keep no backward state
+EVAL_BATCH = 256
 
 
 class FLServer:
@@ -112,22 +116,20 @@ class FLServer:
         self.compute = ComputeTrace(
             self.n,
             self.rngs("compute"),
-            base_step_seconds=config.base_step_seconds,
-            sigma=config.compute_sigma,
+            base_step_seconds=CALIBRATED_STEP_SECONDS,
         )
         self.model_scale = ComputeTrace.model_scale(self.d)
-        # device population: explicit object, else preset, else auto
-        # "storm" for the failure scheduler (its faults are trace-driven
-        # transitions); validate() rejects the knobs each would ignore.
-        # When bound, the population *is* the availability model — it
-        # duck-types the trace protocol over its vectorized state columns.
+        # device population: explicit object, else preset; validate()
+        # rejects the knobs each would ignore.  When bound, the population
+        # *is* the availability model — it duck-types the trace protocol
+        # over its vectorized state columns.
         if config.population is not None:
             self.population = config.population
-        elif config.population_preset is not None or config.scheduler == "failure":
+        elif config.population_preset is not None:
             from repro.population import build_population
 
             self.population = build_population(
-                config.population_preset or "storm",
+                config.population_preset,
                 self.n,
                 self.rngs("population"),
                 config=config,
@@ -139,16 +141,6 @@ class FLServer:
                 raise ValueError(
                     f"population models {self.population.num_clients} "
                     f"clients but the dataset has {self.n}"
-                )
-            if config.scheduler == "failure" and not hasattr(
-                self.population.trace, "is_burst"
-            ):
-                raise ValueError(
-                    "scheduler='failure' injects faults through the "
-                    "population's trace, but "
-                    f"{type(self.population.trace).__name__} has no "
-                    "is_burst(round_idx) — wrap it in ChurnStormTrace, or "
-                    "drop population= for the auto-built storm population"
                 )
             if config.population_scalable_sampling:
                 # presets inherit the flag at construction; an explicit
@@ -171,8 +163,6 @@ class FLServer:
             self.model,
             local_steps=config.local_steps,
             batch_size=config.batch_size,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
         )
         self._worker_spec = WorkerSpec(
             model_name=config.model_name,
@@ -182,14 +172,11 @@ class FLServer:
             image_size=dataset.image_size,
             local_steps=config.local_steps,
             batch_size=config.batch_size,
-            momentum=config.momentum,
-            weight_decay=config.weight_decay,
             seed=config.seed,
             clients=dataset.clients,
             dtype=config.dtype,
             d=self.d,
             num_buffer=self.view.num_buffer,
-            sanitize=config.sanitize,
             # sizes the process backend's zero-copy result rings: the most
             # results a scheduler can ask for before draining them
             max_in_flight=max(
@@ -236,7 +223,7 @@ class FLServer:
         # overlapped has identical per-round sampling to sync (only the
         # clock differs); semiasync folds stale arrivals across rounds and
         # async never samples rounds at all, so both account at rate 1.0
-        if config.scheduler in ("sync", "failure", "overlapped"):
+        if config.scheduler in ("sync", "overlapped"):
             sample_rate = config.sampler.dp_sample_rate(
                 self.n, config.overcommit
             )
@@ -250,9 +237,7 @@ class FLServer:
                 rounds=config.rounds,
                 sample_rate=sample_rate,
                 epsilon=config.privacy_epsilon,
-                delta=config.privacy_delta,
                 clip_norm=config.privacy_clip_norm,
-                noise_multiplier=config.privacy_noise_multiplier,
                 defense_fraction=config.privacy_defense_fraction,
                 values_only=config.privacy_values_only,
             )
@@ -311,9 +296,9 @@ class FLServer:
         # model holds no test-batch activation once this returns
         self.model.eval()
         try:
-            for start in range(0, total, cfg.eval_batch):
-                xb = dataset.test_x[start : start + cfg.eval_batch]
-                yb = dataset.test_y[start : start + cfg.eval_batch]
+            for start in range(0, total, EVAL_BATCH):
+                xb = dataset.test_x[start : start + EVAL_BATCH]
+                yb = dataset.test_y[start : start + EVAL_BATCH]
                 logits = self.model(xb.astype(self.dtype, copy=False))
                 if cfg.eval_top_k == 1:
                     correct += int((logits.argmax(axis=1) == yb).sum())
@@ -392,15 +377,6 @@ class FLServer:
         try:
             for _ in range(cfg.rounds):
                 result.append(self.run_round())
-                if (
-                    cfg.stop_at_target
-                    and cfg.target_accuracy is not None
-                    and result.rounds_to_target(
-                        cfg.target_accuracy, cfg.accuracy_window
-                    )
-                    is not None
-                ):
-                    break
         finally:
             self.close()
         result.meta["sim_time_s"] = self.sim_time_s

@@ -21,8 +21,10 @@ base's, touches ``connectivity``/``responsiveness``.
 
 The ``POPULATION_PRESETS`` registry names the scenarios
 ``RunConfig.population_preset`` accepts; :func:`build_population` turns a
-preset name plus a config into a ready population (this is also how
-``scheduler="failure"`` gets its storm population).
+preset name plus a config into a ready population; a trace with other
+parameters is an explicit ``RunConfig.population`` built from the
+constructors here (e.g. a :class:`ChurnStormTrace` with its own burst
+schedule).
 
 >>> import numpy as np
 >>> from repro.population.population import DeviceStatePopulation
@@ -83,6 +85,11 @@ class DeviceTrace:
         behavior.  Actions write ``available`` through
         ``population.set_available`` / ``note_available_changed`` and the
         float columns through ``population.writable(name)``."""
+
+    def is_burst(self, round_idx: int) -> bool:
+        """True when the trace injects a fault burst at ``round_idx``;
+        every scheduler copies it into ``RoundRecord.injected_failure``."""
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
@@ -264,8 +271,7 @@ class DeviceClassTrace(DeviceTrace):
     and responsiveness — phones are flaky, slow, and often unable to run
     the full local workload; silos are datacenter-grade.  Completeness is
     floored at ``min_completeness`` and responsiveness capped at
-    ``max_responsiveness`` (the ``population_min_completeness`` /
-    ``population_max_responsiveness`` config knobs).
+    ``max_responsiveness``.
 
     The per-round Bernoulli redraw is inherently O(N) (the model *is* an
     independent draw per client per round), so the trace registers a
@@ -330,8 +336,8 @@ class ChurnStormTrace(DeviceTrace):
     ``burst_every == 1``) the trace multiplies connectivity by
     ``1 − burst_dropout`` and slows a ``straggler_fraction`` of clients by
     ``straggler_slowdown``×; calm rounds restore the population baselines.
-    ``scheduler="failure"`` runs on this trace (the ``"storm"`` preset)
-    and reads ``is_burst`` to flag burst rounds.
+    The ``"storm"`` preset runs on this trace with the defaults, and every
+    scheduler reads ``is_burst`` to flag burst rounds.
 
     The base trace's events keep driving ``available`` while a recurring
     storm action handles bursts.  Calm → calm rounds cost nothing — the
@@ -427,11 +433,8 @@ def build_population(
     * ``"diurnal"`` — day/night windows (:class:`DiurnalTrace`);
     * ``"device-classes"`` — phone/tablet/silo population
       (:class:`DeviceClassTrace`);
-    * ``"storm"`` — periodic churn storms over the base availability,
-      parameterized by the ``failure_*`` knobs (:class:`ChurnStormTrace`).
-
-    ``scheduler="failure"`` wraps whichever preset it is combined with in
-    the same storm trace, so its population always answers ``is_burst``.
+    * ``"storm"`` — periodic churn storms over the base availability
+      (:class:`ChurnStormTrace` with its defaults).
 
     ``config.population_scalable_sampling`` marks the population for
     O(idle) pool-based sampler draws.
@@ -459,26 +462,13 @@ def build_population(
     elif preset == "diurnal":
         trace = DiurnalTrace(num_clients, rng)
     else:  # "device-classes"
-        trace = DeviceClassTrace(
-            num_clients,
-            rng,
-            min_completeness=config.population_min_completeness,
-            max_responsiveness=config.population_max_responsiveness,
-        )
-    if preset == "storm" or config.scheduler == "failure":
-        trace = ChurnStormTrace(
-            trace,
-            burst_every=config.failure_burst_every,
-            burst_dropout=config.failure_burst_dropout,
-            straggler_fraction=config.failure_straggler_fraction,
-            straggler_slowdown=config.failure_straggler_slowdown,
-            rng=rng,
-        )
+        trace = DeviceClassTrace(num_clients, rng)
+    if preset == "storm":
+        trace = ChurnStormTrace(trace, rng=rng)
     return DeviceStatePopulation(
         num_clients,
         rng,
         trace,
         dropout_prob=dropout,
-        dropped_cooldown=config.population_dropped_cooldown,
         scalable_sampling=config.population_scalable_sampling,
     )

@@ -4,7 +4,7 @@ The engine's compression seam is the one point every scheduler's client
 updates pass through, so privacy plugs in exactly like quantization does
 (:class:`~repro.compression.quantized.QuantizedStrategy`): wrap any
 :class:`~repro.compression.base.CompressionStrategy` and privatize what
-clients upload, leaving the sync/async/failure schedulers untouched.
+clients upload, leaving every scheduler untouched.
 
 Two modes:
 

@@ -170,17 +170,11 @@ class WorkerSpec:
     image_size: int
     local_steps: int
     batch_size: int
-    momentum: float
-    weight_decay: float
     seed: int
     clients: List[ClientDataset]
     dtype: str = "float64"
     d: int = 0
     num_buffer: int = 0
-    #: runtime ownership sanitizer (repro.runtime.sanitize): guard the
-    #: process backend's result ring; False still honors the
-    #: REPRO_SANITIZE environment gate there
-    sanitize: bool = False
     #: results one process-backend dispatch can return zero-copy: the
     #: ring has max(max_in_flight, workers) slots, fixed before the fork,
     #: and every result beyond them comes back pickled
@@ -202,8 +196,6 @@ class WorkerSpec:
             model,
             local_steps=self.local_steps,
             batch_size=self.batch_size,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
         )
         return model, trainer
 
@@ -438,7 +430,7 @@ class ProcessBackend(ExecutionBackend):
         self._stride = stride = spec.d + spec.num_buffer
         #: the ring epoch — OwnershipTags on ring views check it
         self.sanitize_epoch = 0
-        self._sanitize = spec.sanitize or _sanitize.enabled()
+        self._sanitize = _sanitize.enabled()
         self._conns: list = []
         self._procs: list = []
         self._owner: Dict[Any, Any] = {}  # pipe or exit sentinel -> worker

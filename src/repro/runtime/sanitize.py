@@ -8,8 +8,8 @@ promise is cheap to break silently — an un-``detach()``-ed ring result
 reads recycled memory and produces wrong numbers, not a crash.
 
 This module makes the promise checkable.  With sanitize mode on
-(``RunConfig.sanitize=True`` or ``REPRO_SANITIZE=1`` in the environment)
-the process backend stamps each result-ring slot with the dispatch epoch
+(``REPRO_SANITIZE=1`` in the environment, its one switch) the process
+backend stamps each result-ring slot with the dispatch epoch
 that claimed it (:func:`checked_slot_claim` — a double claim within one
 epoch raises in the worker) and wraps the parent-side ring views in
 :class:`GuardedView` objects carrying an :class:`OwnershipTag` (owning

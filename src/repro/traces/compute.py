@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ComputeTrace"]
+__all__ = ["CALIBRATED_STEP_SECONDS", "ComputeTrace"]
+
+#: The simulator's seconds per local step (``FLServer``'s compute model).
+#: Calibrated to reproduce the paper's Fig. 9 regimes with our ~100×
+#: smaller stand-in models: on NDT-like end-user links transmission
+#: dominates the round (several × compute), while on 5G/datacenter links
+#: the same compute dominates transmission.  (Wire times shrink with the
+#: model ~100×, so compute must shrink with them.)
+CALIBRATED_STEP_SECONDS = 0.008
 
 
 class ComputeTrace:

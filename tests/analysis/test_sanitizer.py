@@ -101,15 +101,13 @@ def _process_spec(tiny_dataset):
         image_size=tiny_dataset.image_size,
         local_steps=2,
         batch_size=8,
-        momentum=0.9,
-        weight_decay=0.0,
         seed=5,
         clients=tiny_dataset.clients,
-        sanitize=True,
     )
 
 
-def test_ring_result_touch_after_reclaim_raises(tiny_dataset):
+def test_ring_result_touch_after_reclaim_raises(tiny_dataset, monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
     spec = _process_spec(tiny_dataset)
     model, _ = spec.build_trainer()
     params, buffers = snapshot(model)
@@ -130,7 +128,7 @@ def test_ring_result_touch_after_reclaim_raises(tiny_dataset):
 
 
 # -- bit-neutrality ------------------------------------------------------------
-def _run(tiny_dataset, backend, sanitize):
+def _run(tiny_dataset, backend):
     strategy, sampler = make_gluefl(4, q=0.3, q_shr=0.15, regen_interval=3)
     config = RunConfig(
         dataset=tiny_dataset,
@@ -144,7 +142,6 @@ def _run(tiny_dataset, backend, sanitize):
         seed=11,
         eval_every=2,
         execution_backend=backend,
-        sanitize=sanitize,
     )
     result = run_training(config)
     return [
@@ -155,20 +152,23 @@ def _run(tiny_dataset, backend, sanitize):
 
 # one case, still parametrized: keeps the `[process]` test id it always had
 @pytest.mark.parametrize("backend", ["process"])
-def test_sanitize_mode_is_bit_identical(tiny_dataset, backend):
-    assert _run(tiny_dataset, backend, False) == _run(
-        tiny_dataset, backend, True
-    )
+def test_sanitize_mode_is_bit_identical(tiny_dataset, backend, monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    plain = _run(tiny_dataset, backend)
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    assert _run(tiny_dataset, backend) == plain
 
 
-# one case, still parametrized: keeps the `[serial]` test id it always had
-@pytest.mark.parametrize("backend", ["serial"])
-def test_sanitize_is_rejected_off_the_process_backend(tiny_dataset, backend):
-    """Only the process backend has a ring to guard: set-but-ignored
-    elsewhere is a validate() error, not a silent no-op."""
-    with pytest.raises(ValueError, match="sanitize guards the process"):
-        _run(tiny_dataset, backend, True)
-
-
-def test_sanitize_defaults_off():
-    assert RunConfig.__dataclass_fields__["sanitize"].default is False
+def test_sanitize_defaults_off(tiny_dataset, monkeypatch):
+    """Without ``REPRO_SANITIZE`` the process backend hands out plain ring
+    views: no epoch stamps, no guards."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    spec = _process_spec(tiny_dataset)
+    model, _ = spec.build_trainer()
+    params, buffers = snapshot(model)
+    spec.d, spec.num_buffer = len(params), len(buffers)
+    tasks = [ClientTask(client_id=1, lr=0.05, round_idx=1)]
+    with ProcessBackend(spec, workers=1) as backend:
+        results = []
+        backend.run_clients(tasks, params, buffers, results.append)
+        assert not isinstance(results[0].delta, GuardedView)

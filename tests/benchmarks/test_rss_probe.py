@@ -1,4 +1,5 @@
-"""The population-scale RSS probe measures its run, not its launcher.
+"""The population-scale RSS probe measures its run, not its launcher,
+and leaves the tree it runs from untouched.
 
 ``bench_device_churn.population_scale_run`` runs the probe in a child
 process and reports its ``peak_rss_mb``; the 10^6-client memory gate
@@ -7,12 +8,17 @@ compares that reading against a pinned ceiling.  On Linux a child's
 once held 200 MB made the child read over 200 MB for a ~14 MB run.  The
 same 10^3-client run, launched from a bare interpreter and from one
 holding 200 MB, must read the same peak.
+
+The child also inherits ``PYTHONDONTWRITEBYTECODE``: a probe that wrote
+``__pycache__/`` into the source tree would make later timings from that
+tree (the ledger's ``setup_s``) read low against a clean export.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +55,17 @@ def test_peak_rss_ignores_the_launchers_peak():
     loaded = probe_from_launcher(200)
     assert bare < 150  # the 10^3 run itself is tens of MB
     assert abs(loaded - bare) < 5.0, (bare, loaded)
+
+
+def test_probe_writes_no_bytecode_into_the_tree_it_imports(
+    tmp_path, monkeypatch
+):
+    from benchmarks.bench_device_churn import population_scale_run
+
+    src = tmp_path / "src"
+    shutil.copytree(
+        REPO_ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    population_scale_run(str(src), 1_000, rounds=2)
+    assert not list(src.rglob("__pycache__"))

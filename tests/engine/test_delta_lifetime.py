@@ -182,7 +182,7 @@ def test_norm_feedback_sequence_is_the_batch_end_hooks(
         tiny_dataset, 5, scheduler,
         strategy=make_strategy(), sampler=sampler, overcommit=1.4,
         model_kwargs={"hidden": (16,)}, local_steps=2,
-        async_buffer_size=3,
+        **({"async_buffer_size": 3} if scheduler == "async" else {}),
     )
     expected = _batch_end_oracle(server.strategy)
     try:

@@ -1,14 +1,17 @@
-"""Golden regression for the ``failure`` scheduler's record stream.
+"""Golden regression for fault injection: sync rounds over storms.
 
-Since the device-population refactor, ``scheduler="failure"`` runs the
-sync pipeline over an auto-attached ``"storm"`` population: dropout bursts
-and straggler storms are trace-driven transitions in the population's
-connectivity/responsiveness columns rather than context-knob injections.
-``golden_failure.json`` pins the full record stream (floats as
-``float.hex()``, final global state as SHA-256) so any change to the
+Fault injection is a device population, not a round shape: dropout
+bursts and straggler storms are trace-driven transitions in a
+:class:`~repro.population.ChurnStormTrace` population's
+connectivity/responsiveness columns, and every scheduler flags the burst
+rounds in ``RoundRecord.injected_failure``.  The three configs run sync
+rounds over explicit storm populations (``tests/population/storms.py``,
+on the ``RngFactory(seed)("population")`` stream the ``"storm"`` preset
+draws from).  ``golden_storm.json`` pins the full record stream (floats
+as ``float.hex()``, final global state as SHA-256) so any change to the
 population's RNG consumption, the burst schedule (1-based: first burst at
-round ``failure_burst_every``), or the state machine's revive timing
-breaks this test rather than silently shifting the simulated workload.
+round ``burst_every``), or the state machine's revive timing breaks this
+test rather than silently shifting the simulated workload.
 
 Regenerate (only when the population semantics intentionally change)
 with::
@@ -30,10 +33,12 @@ from repro.core import make_gluefl
 from repro.datasets import femnist_like
 from repro.fl import FLServer, RunConfig, UniformSampler
 
-GOLDEN_PATH = Path(__file__).parent / "golden_failure.json"
+from tests.population.storms import storm_population
+
+GOLDEN_PATH = Path(__file__).parent / "golden_storm.json"
 
 #: RoundRecord fields the golden pins (sync fields + the failure/population
-#: extras this scheduler sets).
+#: extras a storm population sets).
 RECORD_FIELDS = (
     "round_idx",
     "down_bytes",
@@ -65,21 +70,24 @@ def _dataset():
     )
 
 
-def _base(dataset, strategy, sampler, **overrides):
+SEED = 11
+
+
+def _base(dataset, strategy, sampler, storm, **overrides):
     params = dict(
         dataset=dataset,
         model_name="mlp",
         model_kwargs={"hidden": (16,)},
         strategy=strategy,
         sampler=sampler,
-        scheduler="failure",
+        population=storm_population(dataset.num_clients, SEED, **storm),
         skip_empty_rounds=True,
         rounds=9,
         local_steps=2,
         batch_size=8,
         lr=0.05,
         eval_every=3,
-        seed=11,
+        seed=SEED,
     )
     params.update(overrides)
     return RunConfig(**params)
@@ -94,27 +102,25 @@ def golden_configs():
             dataset,
             FedAvgStrategy(),
             UniformSampler(5),
-            failure_burst_every=3,
-            failure_burst_dropout=1.0,
-            failure_straggler_fraction=0.0,
+            dict(burst_every=3, burst_dropout=1.0, straggler_fraction=0.0),
         ),
         # partial storms (dropout + stragglers) under the paper's strategy
         "gluefl_storm": _base(
             dataset,
             *make_gluefl(5, group_size=20, sticky_count=4, q=0.2, q_shr=0.16),
-            failure_burst_every=4,
-            failure_burst_dropout=0.5,
-            failure_straggler_fraction=0.5,
-            failure_straggler_slowdown=8.0,
+            dict(
+                burst_every=4,
+                burst_dropout=0.5,
+                straggler_fraction=0.5,
+                straggler_slowdown=8.0,
+            ),
         ),
         # quorum degradation: bounded re-draws charged to the clock
         "fedavg_quorum": _base(
             dataset,
             FedAvgStrategy(),
             UniformSampler(5),
-            failure_burst_every=3,
-            failure_burst_dropout=1.0,
-            failure_straggler_fraction=0.0,
+            dict(burst_every=3, burst_dropout=1.0, straggler_fraction=0.0),
             quorum_fraction=0.6,
             redraw_max_attempts=2,
             redraw_backoff_s=5.0,
@@ -165,8 +171,8 @@ def test_failure_scheduler_record_stream_pinned(name, golden):
 
 
 def test_burst_schedule_is_one_based(golden):
-    """The first burst lands at round ``failure_burst_every`` — never at
-    the first round — and the golden agrees."""
+    """The first burst lands at round ``burst_every`` — never at the
+    first round — and the golden agrees."""
     want = golden["fedavg_bursts"]["records"]
     flagged = [r["round_idx"] for r in want if r["injected_failure"]]
     assert flagged == [3, 6, 9]

@@ -92,7 +92,7 @@ def _fail_round_three_then_recover(dataset, backend, fault, strategy):
             always_available=True,
             dropout_prob=0.0,
             execution_backend=backend,
-            backend_workers=2,
+            backend_workers=2 if backend == "process" else None,
         )
     )
     faulty = server._backend = FaultyBackend(server.backend)

@@ -19,7 +19,15 @@ from repro.engine import (
 from repro.fl import FLServer, RunConfig, UniformSampler, run_training
 from repro.traces.availability import AvailabilityTrace
 
-ALL_SCHEDULERS = ("sync", "async", "failure", "semiasync", "overlapped")
+#: every round shape, by the id its tests run under: the four schedulers,
+#: and ``failure`` — fault injection, sync rounds over the storm preset
+ROUND_SHAPES = {
+    "sync": dict(scheduler="sync"),
+    "async": dict(scheduler="async"),
+    "failure": dict(population_preset="storm"),
+    "semiasync": dict(scheduler="semiasync"),
+    "overlapped": dict(scheduler="overlapped"),
+}
 
 
 def make_config(dataset, **overrides):
@@ -68,11 +76,13 @@ class NobodyOnlineTrace(AvailabilityTrace):
 # -- wall-clock threading (tentpole invariant) -------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+@pytest.mark.parametrize("scheduler", ROUND_SHAPES)
 def test_every_scheduler_reports_monotone_wall_clock(tiny_dataset, scheduler):
     """Acceptance: every RoundRecord carries monotone ``wall_clock_s``."""
     result = run_training(
-        make_config(tiny_dataset, scheduler=scheduler, skip_empty_rounds=True)
+        make_config(
+            tiny_dataset, **ROUND_SHAPES[scheduler], skip_empty_rounds=True
+        )
     )
     stamps = [r.wall_clock_s for r in result.records]
     assert all(s is not None and not math.isnan(s) for s in stamps)
@@ -81,12 +91,14 @@ def test_every_scheduler_reports_monotone_wall_clock(tiny_dataset, scheduler):
     assert result.meta["sim_time_s"] == stamps[-1]
 
 
-@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+@pytest.mark.parametrize("scheduler", ROUND_SHAPES)
 def test_round_seconds_sum_to_wall_clock(tiny_dataset, scheduler):
     """``round_seconds`` is the per-record clock advance under every
     scheduler, so its cumsum tracks the clock itself."""
     result = run_training(
-        make_config(tiny_dataset, scheduler=scheduler, skip_empty_rounds=True)
+        make_config(
+            tiny_dataset, **ROUND_SHAPES[scheduler], skip_empty_rounds=True
+        )
     )
     np.testing.assert_allclose(
         result.cumulative_seconds(), result.wall_clock_series(), rtol=1e-12
@@ -252,15 +264,17 @@ def test_semiasync_collects_sync_details(tiny_dataset):
 
 
 def test_semiasync_max_lag_zero_keeps_same_round_arrivals_only(tiny_dataset):
-    cfg = make_config(
-        tiny_dataset,
-        scheduler="semiasync",
-        semiasync_max_lag=0,
-        overcommit=2.0,
-        always_available=True,
-        dropout_prob=0.0,
+    server = FLServer(
+        make_config(
+            tiny_dataset,
+            scheduler="semiasync",
+            overcommit=2.0,
+            always_available=True,
+            dropout_prob=0.0,
+        )
     )
-    result = run_training(cfg)
+    server.scheduler.max_lag = 0
+    result = server.run()
     stale = [r.mean_update_staleness for r in result.records]
     assert all(s is None or s == 0.0 for s in stale)
 
@@ -373,7 +387,7 @@ def test_semiasync_raise_paths_pair_round_state(tiny_dataset):
     assert strategy.begins == strategy.ends + strategy.aborts
 
 
-@pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
+@pytest.mark.parametrize("scheduler", ROUND_SHAPES)
 def test_raise_after_close_does_not_abort_again(tiny_dataset, scheduler):
     """The lifecycle guard closes a round exactly once: a failure *after*
     ``end_round`` (here: evaluation) must not abort the round it ended."""
@@ -382,7 +396,7 @@ def test_raise_after_close_does_not_abort_again(tiny_dataset, scheduler):
         make_config(
             tiny_dataset,
             strategy=strategy,
-            scheduler=scheduler,
+            **ROUND_SHAPES[scheduler],
             always_available=True,
             dropout_prob=0.0,
             eval_every=1,
@@ -440,8 +454,10 @@ def test_create_scheduler_builds_new_names():
 
 
 def test_config_validates_semiasync_knobs(tiny_dataset):
-    cfg = make_config(tiny_dataset, scheduler="semiasync", semiasync_max_lag=-1)
-    with pytest.raises(ValueError, match="semiasync_max_lag"):
+    """semiasync has no buffer to size: a set ``async_buffer_size`` would
+    be ignored, so it is rejected; the plain config validates."""
+    cfg = make_config(tiny_dataset, scheduler="semiasync", async_buffer_size=3)
+    with pytest.raises(ValueError, match="async_buffer_size"):
         cfg.validate()
     make_config(tiny_dataset, scheduler="semiasync").validate()
     make_config(tiny_dataset, scheduler="overlapped").validate()

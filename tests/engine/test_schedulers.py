@@ -1,5 +1,6 @@
-"""Behavioral tests for the async/buffered and failure-injection schedulers,
-plus empty-round survival and the strategy round-lifecycle pairing."""
+"""Behavioral tests for the async/buffered scheduler and fault injection
+(sync rounds over storm populations), plus empty-round survival and the
+strategy round-lifecycle pairing."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from repro.fl import (
     staleness_discounted_weights,
 )
 from repro.traces.availability import AvailabilityTrace
+
+from tests.population.storms import storm_population
 
 
 def make_config(dataset, **overrides):
@@ -137,19 +140,24 @@ def test_staleness_discounted_weights():
 # -- failure injection -------------------------------------------------------------
 
 
+def _storm(dataset, **storm):
+    """An always-on population storming on ``storm``'s schedule."""
+    return storm_population(
+        dataset.num_clients, 3, always_available=True, **storm
+    )
+
+
 def test_failure_scheduler_records_dropout_rounds(tiny_dataset):
     """Total-dropout bursts every 3rd round: flagged, zero participants,
     run survives via skip_empty_rounds."""
     cfg = make_config(
         tiny_dataset,
-        scheduler="failure",
-        failure_burst_every=3,
-        failure_burst_dropout=1.0,
-        failure_straggler_fraction=0.0,
+        population=_storm(
+            tiny_dataset, burst_every=3, burst_dropout=1.0,
+            straggler_fraction=0.0,
+        ),
         skip_empty_rounds=True,
         rounds=9,
-        always_available=True,
-        dropout_prob=0.0,
     )
     result = run_training(cfg)
     assert result.num_rounds == 9
@@ -164,18 +172,16 @@ def test_failure_scheduler_records_dropout_rounds(tiny_dataset):
 
 def test_failure_first_burst_lands_at_burst_every(tiny_dataset):
     """Regression (1-based rounds): the first burst fires at round
-    ``failure_burst_every`` exactly — never at round 1, and there is no
-    phantom "round 0" burst."""
+    ``burst_every`` exactly — never at round 1, and there is no phantom
+    "round 0" burst."""
     cfg = make_config(
         tiny_dataset,
-        scheduler="failure",
-        failure_burst_every=5,
-        failure_burst_dropout=1.0,
-        failure_straggler_fraction=0.0,
+        population=_storm(
+            tiny_dataset, burst_every=5, burst_dropout=1.0,
+            straggler_fraction=0.0,
+        ),
         skip_empty_rounds=True,
         rounds=5,
-        always_available=True,
-        dropout_prob=0.0,
     )
     result = run_training(cfg)
     flagged = [r.round_idx for r in result.records if r.injected_failure]
@@ -190,14 +196,11 @@ def test_failure_scheduler_straggler_storm(tiny_dataset):
     """A 100% straggler storm inflates burst-round compute time ~slowdown×."""
     cfg = make_config(
         tiny_dataset,
-        scheduler="failure",
-        failure_burst_every=4,
-        failure_burst_dropout=0.0,
-        failure_straggler_fraction=1.0,
-        failure_straggler_slowdown=50.0,
+        population=_storm(
+            tiny_dataset, burst_every=4, burst_dropout=0.0,
+            straggler_fraction=1.0, straggler_slowdown=50.0,
+        ),
         rounds=8,
-        always_available=True,
-        dropout_prob=0.0,
     )
     result = run_training(cfg)
     burst = [r.compute_seconds for r in result.records if r.injected_failure]
@@ -261,29 +264,14 @@ def test_config_validates_scheduler_knobs(tiny_dataset):
     cfg = make_config(tiny_dataset, scheduler="warp")
     with pytest.raises(ValueError, match="unknown scheduler"):
         cfg.validate()
-    cfg = make_config(tiny_dataset, failure_burst_dropout=1.5)
-    with pytest.raises(ValueError, match="failure_burst_dropout"):
-        cfg.validate()
-    cfg = make_config(tiny_dataset, failure_straggler_slowdown=0.5)
-    with pytest.raises(ValueError, match="failure_straggler_slowdown"):
-        cfg.validate()
-    cfg = make_config(tiny_dataset, failure_burst_every=-1)
-    with pytest.raises(ValueError, match="failure_burst_every"):
+    cfg = make_config(tiny_dataset, scheduler="failure")
+    with pytest.raises(ValueError, match="unknown scheduler"):
         cfg.validate()
 
 
 def test_config_validates_population_knobs(tiny_dataset):
     cfg = make_config(tiny_dataset, population_preset="volcano")
     with pytest.raises(ValueError, match="population_preset"):
-        cfg.validate()
-    cfg = make_config(tiny_dataset, population_min_completeness=0.0)
-    with pytest.raises(ValueError, match="population_min_completeness"):
-        cfg.validate()
-    cfg = make_config(tiny_dataset, population_max_responsiveness=0.5)
-    with pytest.raises(ValueError, match="population_max_responsiveness"):
-        cfg.validate()
-    cfg = make_config(tiny_dataset, population_dropped_cooldown=-1)
-    with pytest.raises(ValueError, match="population_dropped_cooldown"):
         cfg.validate()
     # valid presets pass
     make_config(tiny_dataset, population_preset="device-classes").validate()

@@ -113,7 +113,6 @@ def test_buffer_sync_adds_fixed_cost(tiny_dataset):
         UniformSampler(k),
         model_name="cnn",
         model_kwargs={"widths": (4,)},
-        count_buffer_sync=True,
     )
 
     def stub_run(

@@ -52,17 +52,6 @@ def test_nonpositive_clip_norm_rejected(dataset):
         make(dataset, privacy_clip_norm=-2.0).validate()
 
 
-def test_bad_delta_rejected(dataset):
-    for delta in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError, match="privacy_delta"):
-            make(dataset, privacy_delta=delta).validate()
-
-
-def test_negative_noise_multiplier_rejected(dataset):
-    with pytest.raises(ValueError, match="privacy_noise_multiplier"):
-        make(dataset, privacy_noise_multiplier=-0.1).validate()
-
-
 def test_defense_fraction_range(dataset):
     with pytest.raises(ValueError, match="privacy_defense_fraction"):
         make(dataset, privacy_defense_fraction=1.0).validate()
@@ -73,44 +62,27 @@ def test_defense_fraction_range(dataset):
 
 
 def test_gaussian_needs_a_budget_or_multiplier(dataset):
+    # the budget is the only way to set the noise level: z is calibrated
+    # from it (an explicit multiplier is not a RunConfig knob)
     with pytest.raises(ValueError, match="gaussian"):
         make(dataset, privacy_mode="gaussian",
              privacy_clip_norm=1.0).validate()
     make(dataset, privacy_mode="gaussian", privacy_epsilon=4.0,
          privacy_clip_norm=1.0).validate()
-    make(dataset, privacy_mode="gaussian", privacy_noise_multiplier=1.0,
-         privacy_clip_norm=1.0).validate()
-
-
-def test_gaussian_rejects_budget_plus_explicit_multiplier(dataset):
-    # an explicit multiplier overrides calibration: a configured epsilon
-    # would be silently ignored (worst case z=0 — a non-private run
-    # carrying a stated budget)
-    for nm in (0.0, 1.0):
-        with pytest.raises(ValueError, match="exactly one"):
-            make(dataset, privacy_mode="gaussian", privacy_epsilon=8.0,
-                 privacy_noise_multiplier=nm,
-                 privacy_clip_norm=1.0).validate()
 
 
 def test_gaussian_noise_needs_clip_norm(dataset):
     # clip_norm defaults to None: gaussian noise must set it explicitly
     with pytest.raises(ValueError, match="clip"):
         make(dataset, privacy_mode="gaussian", privacy_epsilon=4.0).validate()
-    with pytest.raises(ValueError, match="clip"):
-        make(dataset, privacy_mode="gaussian",
-             privacy_noise_multiplier=1.0).validate()
-    # ... but an explicit zero-noise run may skip clipping (the no-op)
-    make(dataset, privacy_mode="gaussian",
-         privacy_noise_multiplier=0.0).validate()
 
 
 def test_random_defense_rejects_gaussian_knobs(dataset):
-    # masking adds no noise: a user setting noise/epsilon knobs expects
-    # masking + DP, which this mode does not provide — fail loudly
+    # masking adds no noise: a user setting an epsilon expects masking +
+    # DP, which this mode does not provide — fail loudly
     with pytest.raises(ValueError, match="random_defense"):
-        make(dataset, privacy_mode="random_defense",
-             privacy_noise_multiplier=1.0, privacy_clip_norm=2.0).validate()
+        make(dataset, privacy_mode="random_defense", privacy_epsilon=8.0,
+             privacy_clip_norm=2.0).validate()
     with pytest.raises(ValueError, match="random_defense"):
         make(dataset, privacy_mode="random_defense",
              privacy_epsilon=8.0).validate()
@@ -122,7 +94,6 @@ def test_off_mode_rejects_set_privacy_knobs(dataset):
     for knobs in (
         dict(privacy_epsilon=8.0),
         dict(privacy_clip_norm=2.0),
-        dict(privacy_noise_multiplier=1.0),
         dict(privacy_defense_fraction=0.3),
         dict(privacy_epsilon=8.0, privacy_clip_norm=2.0),
         dict(privacy_values_only=True),
@@ -133,7 +104,7 @@ def test_off_mode_rejects_set_privacy_knobs(dataset):
 
 def test_defense_fraction_rejected_under_gaussian(dataset):
     with pytest.raises(ValueError, match="privacy_defense_fraction"):
-        make(dataset, privacy_mode="gaussian", privacy_noise_multiplier=1.0,
+        make(dataset, privacy_mode="gaussian", privacy_epsilon=4.0,
              privacy_clip_norm=1.0, privacy_defense_fraction=0.3).validate()
 
 
@@ -148,13 +119,10 @@ def test_gaussian_noise_over_client_chosen_indices_needs_waiver(dataset):
     # data-dependent release the Gaussian mechanism does not cover
     with pytest.raises(ValueError, match="index release"):
         make(dataset, strategy=STCStrategy(q=0.2), privacy_mode="gaussian",
-             privacy_noise_multiplier=1.0, privacy_clip_norm=1.0).validate()
+             privacy_epsilon=4.0, privacy_clip_norm=1.0).validate()
     make(dataset, strategy=STCStrategy(q=0.2), privacy_mode="gaussian",
-         privacy_noise_multiplier=1.0, privacy_clip_norm=1.0,
+         privacy_epsilon=4.0, privacy_clip_norm=1.0,
          privacy_values_only=True).validate()
-    # zero noise releases nothing beyond the plain strategy: no waiver
-    make(dataset, strategy=STCStrategy(q=0.2), privacy_mode="gaussian",
-         privacy_noise_multiplier=0.0).validate()
     # dense strategies never need it
-    make(dataset, privacy_mode="gaussian", privacy_noise_multiplier=1.0,
+    make(dataset, privacy_mode="gaussian", privacy_epsilon=4.0,
          privacy_clip_norm=1.0).validate()

@@ -15,6 +15,8 @@ from repro.compression import (
 from repro.core import make_gluefl
 from repro.datasets import femnist_like
 from repro.fl import FLServer, RunConfig, StickySampler, UniformSampler, run_training
+from repro.fl.server import EVAL_BATCH
+from repro.network.encoding import dense_bytes
 
 from tests.conftest import held_arrays
 
@@ -154,29 +156,23 @@ def test_higher_overcommit_higher_downstream(tiny_dataset):
 
 
 def test_bn_buffers_sync_counted(tiny_dataset):
-    cfg_with = make_config(
+    """Every round charges the dense batch-norm buffers on both legs: each
+    candidate downloads them, each participant uploads them."""
+    cfg = make_config(
         tiny_dataset,
         FedAvgStrategy(),
         UniformSampler(5),
         model_name="cnn",
         model_kwargs={"widths": (4,)},
-        count_buffer_sync=True,
         rounds=4,
     )
-    cfg_without = make_config(
-        tiny_dataset,
-        FedAvgStrategy(),
-        UniformSampler(5),
-        model_name="cnn",
-        model_kwargs={"widths": (4,)},
-        count_buffer_sync=False,
-        rounds=4,
-    )
-    with_sync = run_training(cfg_with)
-    without = run_training(cfg_without)
-    assert (
-        with_sync.cumulative_down_bytes()[-1] > without.cumulative_down_bytes()[-1]
-    )
+    server = FLServer(cfg)
+    result = server.run()
+    dense, buf = dense_bytes(server.d), dense_bytes(server.view.num_buffer)
+    assert buf > 0
+    for r in result.records:
+        assert r.down_bytes == r.num_candidates * (dense + buf)
+        assert r.up_bytes == r.num_participants * (dense + buf)
 
 
 def test_bn_buffers_updated_by_training(tiny_dataset):
@@ -192,20 +188,6 @@ def test_bn_buffers_updated_by_training(tiny_dataset):
     before = server.global_buffers.copy()
     server.run()
     assert np.abs(server.global_buffers - before).sum() > 0
-
-
-def test_stop_at_target(tiny_dataset):
-    cfg = make_config(
-        tiny_dataset,
-        FedAvgStrategy(),
-        UniformSampler(5),
-        rounds=50,
-        target_accuracy=0.1,  # trivially reachable
-        stop_at_target=True,
-        eval_every=2,
-    )
-    result = run_training(cfg)
-    assert result.num_rounds < 50
 
 
 def test_sync_details_collected(tiny_dataset):
@@ -280,7 +262,7 @@ def test_sticky_sampler_weights_used(tiny_dataset):
 
 # ---------------------------------------------------------------- evaluation
 def _evaluate_traced(model_name):
-    """Two ``evaluate()`` calls of a 28×28 float32 server at ``eval_batch``
+    """Two ``evaluate()`` calls of a 28×28 float32 server at ``EVAL_BATCH``
     256 under ``tracemalloc``: ``(server, bytes kept, peak growth)``."""
     dataset = femnist_like(
         num_clients=20, num_classes=10, image_size=28,
@@ -288,10 +270,10 @@ def _evaluate_traced(model_name):
     )
     cfg = make_config(
         dataset, FedAvgStrategy(), UniformSampler(4),
-        model_name=model_name, model_kwargs={}, dtype="float32", eval_batch=256,
+        model_name=model_name, model_kwargs={}, dtype="float32",
     )
     server = FLServer(cfg)
-    assert len(dataset.test_y) >= 2 * cfg.eval_batch
+    assert len(dataset.test_y) >= 2 * EVAL_BATCH
     gc.collect()
     tracemalloc.start()
     try:
@@ -307,7 +289,7 @@ def _evaluate_traced(model_name):
     assert server.model.training
     # the stream's block buffers die with the call, like every activation
     assert held_arrays(server.model) == []
-    eval_input = cfg.eval_batch * dataset.test_x[0].size * 4  # 0.8 MB
+    eval_input = EVAL_BATCH * dataset.test_x[0].size * 4  # 0.8 MB
     assert after - before <= eval_input
     return peak - before
 

@@ -215,7 +215,7 @@ def test_eval_forward_is_split_invariant(build, shape, dtype):
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_model_eval_logits_equal_the_whole_batch_oracle(name, dtype):
-    """At the default ``eval_batch`` (256) every registry model's streamed
+    """At the server's ``EVAL_BATCH`` (256) every registry model's streamed
     logits are the plain chain's bytes, and the blocks die with the call."""
     model = build_model(
         name, in_channels=1, num_classes=10, image_size=16,

@@ -8,6 +8,8 @@ from repro.datasets import femnist_like
 from repro.fl import FLServer, RunConfig, UniformSampler, run_training
 from repro.population import ChurnStormTrace, DeviceStatePopulation
 
+from tests.population.storms import storm_population
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -42,13 +44,15 @@ def make_config(dataset, **overrides):
 def storm_config(dataset, **overrides):
     """Total-dropout bursts every 3rd round, quorum checking on."""
     params = dict(
-        scheduler="failure",
-        failure_burst_every=3,
-        failure_burst_dropout=1.0,
-        failure_straggler_fraction=0.0,
+        population=storm_population(
+            dataset.num_clients,
+            3,
+            always_available=True,
+            burst_every=3,
+            burst_dropout=1.0,
+            straggler_fraction=0.0,
+        ),
         skip_empty_rounds=True,
-        always_available=True,
-        dropout_prob=0.0,
         quorum_fraction=0.6,
         redraw_max_attempts=2,
     )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.compression import FedAvgStrategy
 from repro.datasets import femnist_like
+from repro.engine import SCHEDULERS
 from repro.fl import FLServer, RunConfig, UniformSampler, run_training
 from repro.population import (
     POPULATION_PRESETS,
@@ -65,16 +66,6 @@ def test_build_population_presets(dataset, preset):
     assert mask.dtype == bool and len(mask) == 40
 
 
-def test_storm_preset_inherits_failure_knobs(dataset):
-    cfg = make_config(
-        dataset, failure_burst_every=7, failure_burst_dropout=0.4
-    )
-    pop = build_population("storm", 40, np.random.default_rng(0), config=cfg)
-    assert isinstance(pop.trace, ChurnStormTrace)
-    assert pop.trace.burst_every == 7
-    assert pop.trace.burst_dropout == 0.4
-
-
 def test_device_classes_assign_heterogeneous_columns(dataset):
     cfg = make_config(dataset)
     pop = build_population(
@@ -85,9 +76,9 @@ def test_device_classes_assign_heterogeneous_columns(dataset):
     assert len(np.unique(pop.connectivity)) >= 2
     assert len(np.unique(pop.completeness)) >= 2
     assert len(np.unique(pop.responsiveness)) >= 2
-    # config floors/caps hold
-    assert (pop.completeness >= cfg.population_min_completeness).all()
-    assert (pop.responsiveness <= cfg.population_max_responsiveness).all()
+    # the trace's floors/caps hold
+    assert (pop.completeness >= pop.trace.min_completeness).all()
+    assert (pop.responsiveness <= pop.trace.max_responsiveness).all()
 
 
 def test_diurnal_preset_has_day_night_cycle(dataset):
@@ -121,31 +112,35 @@ def test_server_without_preset_has_no_population(dataset):
     server.close()
 
 
-def test_failure_scheduler_autobuilds_storm_population(dataset):
-    server = FLServer(make_config(dataset, scheduler="failure"))
-    assert server.population is not None
-    assert isinstance(server.population.trace, ChurnStormTrace)
-    server.close()
-
-
-def test_failure_scheduler_storms_over_any_preset(dataset):
-    for preset, base in (
-        ("diurnal", DiurnalTrace),
-        ("device-classes", DeviceClassTrace),
-    ):
-        server = FLServer(
-            make_config(dataset, scheduler="failure", population_preset=preset)
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("base", [DiurnalTrace, DeviceClassTrace])
+def test_every_scheduler_flags_the_bursts_of_a_storm_over_any_base(
+    dataset, scheduler, base
+):
+    """A storm is a population: wrapped around any other trace it injects
+    its bursts under every round shape, and every record's
+    ``injected_failure`` is the trace's ``is_burst``."""
+    rng = np.random.default_rng(9)
+    storm = ChurnStormTrace(
+        base(dataset.num_clients, rng), burst_every=2, rng=rng
+    )
+    pop = DeviceStatePopulation(dataset.num_clients, rng, storm)
+    result = run_training(
+        make_config(
+            dataset, scheduler=scheduler, population=pop, rounds=4,
+            skip_empty_rounds=True,
         )
-        storm = server.population.trace
-        assert isinstance(storm, ChurnStormTrace)
-        assert isinstance(storm.base, base)
-        server.close()
+    )
+    flagged = [r.round_idx for r in result.records if r.injected_failure]
+    assert flagged == [2, 4]
 
 
-def test_failure_scheduler_rejects_population_without_bursts(dataset):
-    pop = DeviceStatePopulation(dataset.num_clients, np.random.default_rng(9))
-    with pytest.raises(ValueError, match="is_burst"):
-        FLServer(make_config(dataset, scheduler="failure", population=pop))
+@pytest.mark.parametrize("preset", [None, "none", "diurnal", "device-classes"])
+def test_runs_without_a_storm_flag_no_burst(dataset, preset):
+    result = run_training(
+        make_config(dataset, population_preset=preset, skip_empty_rounds=True)
+    )
+    assert not any(r.injected_failure for r in result.records)
 
 
 def test_explicit_population_object_wins(dataset):
@@ -195,7 +190,7 @@ def test_population_rejects_always_available(dataset):
         FLServer(cfg)
 
 
-@pytest.mark.parametrize("scheduler", ["sync", "failure", "async"])
+@pytest.mark.parametrize("scheduler", ["sync", "async"])
 def test_diurnal_preset_rejects_availability_trace(dataset, scheduler):
     cfg = make_config(
         dataset,
@@ -207,7 +202,7 @@ def test_diurnal_preset_rejects_availability_trace(dataset, scheduler):
         FLServer(cfg)
 
 
-@pytest.mark.parametrize("scheduler", ["sync", "failure", "async"])
+@pytest.mark.parametrize("scheduler", ["sync", "async"])
 def test_device_classes_preset_rejects_availability_trace(dataset, scheduler):
     cfg = make_config(
         dataset,
@@ -275,7 +270,7 @@ def test_device_classes_partial_work_scales_weights(dataset):
     """Phones (completeness 0.6) run fewer steps; the record reports the
     participants' mean realized work fraction — under every round shape
     (semiasync and async used to train every device for the full E)."""
-    for scheduler in ("sync", "overlapped", "failure", "semiasync", "async"):
+    for scheduler in SCHEDULERS:
         cfg = make_config(
             dataset,
             scheduler=scheduler,
@@ -324,14 +319,14 @@ def test_population_runs_are_reproducible(dataset):
 def test_dropped_clients_sit_out_next_round(dataset):
     """A client whose upload is lost mid-round is DROPPED and cannot be
     re-drawn before its cooldown expires."""
-    cfg = make_config(
-        dataset,
-        population_preset="none",
+    pop = DeviceStatePopulation(
+        dataset.num_clients,
+        np.random.default_rng(9),
         dropout_prob=0.9,
-        always_available=False,
-        skip_empty_rounds=True,
-        population_dropped_cooldown=2,
-        rounds=1,
+        dropped_cooldown=2,
+    )
+    cfg = make_config(
+        dataset, population=pop, skip_empty_rounds=True, rounds=1
     )
     server = FLServer(cfg)
     server.run_round()

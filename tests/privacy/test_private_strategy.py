@@ -230,9 +230,11 @@ class TestEngineIntegration:
         not perturb a single bit of the run."""
         dataset = _dataset()
         plain_sha, plain = _final_sha(_config(dataset))
+        gluefl, _ = make_gluefl(
+            5, group_size=20, sticky_count=4, q=0.2, q_shr=0.16
+        )
         wrapped_sha, wrapped = _final_sha(_config(
-            dataset, privacy_mode="gaussian",
-            privacy_noise_multiplier=0.0, privacy_clip_norm=None,
+            dataset, strategy=PrivateStrategy(gluefl, noise_multiplier=0.0),
         ))
         assert plain_sha == wrapped_sha
         for a, b in zip(plain.records, wrapped.records):
@@ -244,11 +246,13 @@ class TestEngineIntegration:
     def test_epsilon_monotone_and_pinned_by_seed(self):
         """Deterministic seed ⇒ the per-round ε ledger is exactly the
         accountant's closed-form schedule."""
-        dataset = _dataset()
+        gluefl, _ = make_gluefl(
+            5, group_size=20, sticky_count=4, q=0.2, q_shr=0.16
+        )
         result = run_training(_config(
-            dataset, privacy_mode="gaussian",
-            privacy_noise_multiplier=1.0, privacy_clip_norm=1.0,
-            privacy_values_only=True,
+            _dataset(), strategy=PrivateStrategy(
+                gluefl, clip_norm=1.0, noise_multiplier=1.0, values_only=True
+            ),
         ))
         spend = [r.privacy_epsilon_spent for r in result.records]
         assert all(b > a for a, b in zip(spend, spend[1:]))
@@ -281,13 +285,17 @@ class TestEngineIntegration:
 
     @pytest.mark.parametrize("scheduler", ["async", "failure"])
     def test_other_schedulers_run_privatized_unchanged(self, scheduler):
+        """``failure`` is the fault-injection run: sync rounds over the
+        ``storm`` population preset."""
         overrides = dict(
-            scheduler=scheduler, privacy_mode="gaussian",
+            privacy_mode="gaussian",
             privacy_epsilon=6.0, privacy_clip_norm=1.0,
             privacy_values_only=True, skip_empty_rounds=True,
         )
         if scheduler == "async":
-            overrides["async_buffer_size"] = 3
+            overrides.update(scheduler="async", async_buffer_size=3)
+        else:
+            overrides["population_preset"] = "storm"
         result = run_training(_config(_dataset(), **overrides))
         spend = [r.privacy_epsilon_spent for r in result.records]
         assert all(b >= a for a, b in zip(spend, spend[1:]))
@@ -295,17 +303,21 @@ class TestEngineIntegration:
 
     def test_poisson_sampler_amplifies_end_to_end(self):
         """The one sampler whose draw is the accountant's analyzed scheme:
-        a run under it must spend strictly less than full-rate accounting."""
+        a run under it must spend strictly less than full-rate accounting
+        at the same noise multiplier."""
         from repro.fl import PoissonSampler
 
-        result = run_training(_config(
+        server = FLServer(_config(
             _dataset(), sampler=PoissonSampler(5), strategy=FedAvgStrategy(),
             skip_empty_rounds=True, privacy_mode="gaussian",
-            privacy_noise_multiplier=1.0, privacy_clip_norm=1.0,
+            privacy_epsilon=6.0, privacy_clip_norm=1.0,
         ))
+        result = server.run()
         spend = [r.privacy_epsilon_spent for r in result.records]
         assert spend[-1] > 0
-        full_rate = RdpAccountant(1.0, sample_rate=1.0, delta=1e-5)
+        full_rate = RdpAccountant(
+            server.strategy.noise_multiplier, sample_rate=1.0, delta=1e-5
+        )
         full_rate.step(len(result.records))
         assert spend[-1] < full_rate.epsilon()
 
@@ -435,7 +447,7 @@ class TestAccountingHonesty:
         dataset = _dataset()
         sync_server = FLServer(_config(
             dataset, sampler=PoissonSampler(5), strategy=STCStrategy(q=0.2),
-            privacy_mode="gaussian", privacy_noise_multiplier=1.0,
+            privacy_mode="gaussian", privacy_epsilon=6.0,
             privacy_clip_norm=1.0, privacy_values_only=True,
         ))
         assert sync_server.strategy.sample_rate == pytest.approx(
@@ -452,7 +464,7 @@ class TestAccountingHonesty:
         async_server = FLServer(_config(
             dataset, sampler=AsyncCapable(5), strategy=STCStrategy(q=0.2),
             scheduler="async", privacy_mode="gaussian",
-            privacy_noise_multiplier=1.0, privacy_clip_norm=1.0,
+            privacy_epsilon=6.0, privacy_clip_norm=1.0,
             privacy_values_only=True,
         ))
         assert async_server.strategy.sample_rate == 1.0

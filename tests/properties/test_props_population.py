@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from repro.compression import FedAvgStrategy
 from repro.datasets import femnist_like
+from repro.engine import SCHEDULERS
 from repro.fl import RunConfig, UniformSampler, run_training
 from repro.population import (
     DeviceStatePopulation,
     ExternalAvailabilityTrace,
 )
+from tests.population.storms import storm_population
 
-SCHEDULERS = ("sync", "async", "failure", "semiasync", "overlapped")
 
 #: one tiny federation shared by every example (module import, not a
 #: fixture: hypothesis re-enters the test body per example, not per
@@ -98,7 +99,7 @@ def test_wall_clock_monotone_under_random_churn(
 
 # ------------------------------------------------- aggregation uniqueness
 @given(
-    scheduler=st.sampled_from(("sync", "failure", "overlapped")),
+    scheduler=st.sampled_from(("sync", "overlapped")),
     quorum=st.one_of(st.none(), st.floats(0.2, 1.0)),
     dropout=st.floats(0.0, 0.9),
     seed=st.integers(0, 2**31 - 1),
@@ -114,9 +115,9 @@ def test_no_client_is_aggregated_twice_in_one_round(
         tiny_config(
             strategy=spy,
             scheduler=scheduler,
-            population_preset="storm",
-            failure_burst_every=2,
-            failure_burst_dropout=dropout,
+            population=storm_population(
+                DATASET.num_clients, seed, burst_every=2, burst_dropout=dropout
+            ),
             quorum_fraction=quorum,
             redraw_max_attempts=2,
             seed=seed,
@@ -175,12 +176,14 @@ def test_quorum_collapse_degrades_instead_of_crashing(
     finish anyway, reporting bounded re-draws and empty burst rounds."""
     result = run_training(
         tiny_config(
-            scheduler="failure",
-            failure_burst_every=2,
-            failure_burst_dropout=1.0,
-            failure_straggler_fraction=0.0,
-            always_available=True,
-            dropout_prob=0.0,
+            population=storm_population(
+                DATASET.num_clients,
+                seed,
+                always_available=True,
+                burst_every=2,
+                burst_dropout=1.0,
+                straggler_fraction=0.0,
+            ),
             quorum_fraction=quorum,
             redraw_max_attempts=attempts,
             redraw_backoff_s=backoff,

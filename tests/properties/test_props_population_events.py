@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.compression import FedAvgStrategy
 from repro.datasets import femnist_like
+from repro.engine import SCHEDULERS
 from repro.fl import RunConfig, UniformSampler, run_training
 from repro.population import (
     IDLE,
@@ -43,7 +44,6 @@ from tests.population.oracle import SweepOraclePopulation
 
 pytestmark = pytest.mark.population
 
-SCHEDULERS = ("sync", "async", "failure", "semiasync", "overlapped")
 
 DATASET = femnist_like(
     num_clients=12,

@@ -130,8 +130,6 @@ def _spec(tiny_dataset, dtype="float64"):
         image_size=tiny_dataset.image_size,
         local_steps=2,
         batch_size=8,
-        momentum=0.9,
-        weight_decay=0.0,
         seed=5,
         clients=tiny_dataset.clients,
         dtype=dtype,
@@ -383,12 +381,13 @@ def test_worker_killed_between_dispatches_fails_the_next(tiny_dataset):
         _assert_reaped(backend._procs)
 
 
-def test_process_stress_bit_equal_to_inline_loop(tiny_dataset):
+def test_process_stress_bit_equal_to_inline_loop(tiny_dataset, monkeypatch):
     """Four workers on however many cores, 40 tasks, a ring of four slots
     (so most results come back pickled) and the sanitizer's claim stamps
     on, dispatched twice: the same results, in task order, as training in
     turn on one replica."""
-    spec, params, buffers = _bound_spec(tiny_dataset, sanitize=True)
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    spec, params, buffers = _bound_spec(tiny_dataset)
     n = len(spec.clients)
     tasks = [
         ClientTask(client_id=i % n, lr=0.05, round_idx=3 + i // n)

@@ -152,7 +152,8 @@ def test_dtype_gate_holds_for_a_builder_that_ignores_dtype(
         cfg = _config(tiny_dataset, "float32")
         cfg.model_name = "mlp-f64-only"
         cfg.execution_backend = backend
-        cfg.backend_workers = 2
+        if backend == "process":
+            cfg.backend_workers = 2
         server = FLServer(cfg)
         try:
             for _ in range(3):
