@@ -11,7 +11,7 @@ This sweep quantifies what that costs in accuracy:
   δ = 1e-5, noise calibrated by the RDP accountant).
 
 Both swept strategies transmit client-chosen top-k indices, so every
-gaussian cell runs under ``privacy_values_only=True``: the reported ε
+gaussian cell wraps them with ``values_only=True``: the reported ε
 covers the released *values* only — the index sets are a data-dependent
 release the mechanism does not analyze (dense FedAvg would need no such
 waiver, but is not a bandwidth-relevant column).
@@ -31,6 +31,7 @@ from benchmarks.conftest import run_once
 from repro.experiments.runner import build_config, make_strategy
 from repro.experiments.scenarios import get_scenario
 from repro.fl import run_training
+from repro.privacy import PrivateStrategy
 
 EPSILONS = (None, 8.0, 2.0)  # None == privacy off
 STRATEGIES = ("gluefl", "stc")
@@ -39,24 +40,20 @@ CHANCE_FLOOR = 1.0 / 8  # femnist-private has 8 classes
 
 def _run_cell(scenario, strategy_name, epsilon, mode="gaussian", seed=0):
     strategy, sampler = make_strategy(strategy_name, scenario)
-    overrides = {}
     if mode == "random_defense":
-        overrides = dict(
-            privacy_mode="random_defense",
-            privacy_defense_fraction=0.5,
+        strategy = PrivateStrategy(
+            strategy, mode="random_defense", defense_fraction=0.5
         )
     elif epsilon is not None:
-        overrides = dict(
-            privacy_mode="gaussian",
-            privacy_epsilon=epsilon,
-            privacy_clip_norm=2.0,
+        strategy = PrivateStrategy(
+            strategy,
+            epsilon=epsilon,
+            clip_norm=2.0,
             # GlueFL/STC upload client-chosen indices: epsilon is a
             # values-only claim (see the module docstring)
-            privacy_values_only=True,
+            values_only=True,
         )
-    return run_training(
-        build_config(scenario, strategy, sampler, seed=seed, **overrides)
-    )
+    return run_training(build_config(scenario, strategy, sampler, seed=seed))
 
 
 def _sweep():

@@ -35,6 +35,7 @@ from repro.datasets import femnist_like
 from repro.experiments import get_scenario, run_strategy_seeds
 from repro.fl import RunConfig, UniformSampler, run_training
 from repro.fl.extra_samplers import OortLikeSampler
+from repro.privacy import PrivateStrategy
 from repro.traces import DiurnalAvailabilityTrace
 
 K = 8
@@ -181,21 +182,23 @@ def demo_privacy() -> None:
     # (rate 1.0) — at this toy scale that means a loose budget is needed
     # for the model to still learn; production-scale N buys much more.
     strategy, sampler = make_gluefl(K, q=0.2, q_shr=0.16)
+    private = PrivateStrategy(
+        strategy,
+        epsilon=60.0,     # total budget for the whole run
+        clip_norm=2.0,    # per-client L2 sensitivity bound
+        # GlueFL clients pick their own unique-top-k indices — a
+        # data-dependent release value noise cannot cover, so epsilon is
+        # a values-only claim and the wrapper demands this explicit waiver
+        values_only=True,
+    )
     cfg = RunConfig(
         dataset=ds,
         model_name="mlp",
         model_kwargs={"hidden": (32,)},
-        strategy=strategy,
+        strategy=private,
         sampler=sampler,
         rounds=ROUNDS,
         local_steps=3,
-        privacy_mode="gaussian",
-        privacy_epsilon=60.0,     # total budget for the whole run
-        privacy_clip_norm=2.0,    # per-client L2 sensitivity bound
-        # GlueFL clients pick their own unique-top-k indices — a
-        # data-dependent release value noise cannot cover, so epsilon is
-        # a values-only claim and the config demands this explicit waiver
-        privacy_values_only=True,
         seed=6,
     )
     result = run_training(cfg)
@@ -216,9 +219,10 @@ def demo_privacy() -> None:
     strategy, sampler = make_gluefl(K, q=0.2, q_shr=0.16)
     defended = run_training(RunConfig(
         dataset=ds, model_name="mlp", model_kwargs={"hidden": (32,)},
-        strategy=strategy, sampler=sampler, rounds=ROUNDS, local_steps=3,
-        privacy_mode="random_defense", privacy_defense_fraction=0.5,
-        seed=6,
+        strategy=PrivateStrategy(
+            strategy, mode="random_defense", defense_fraction=0.5
+        ),
+        sampler=sampler, rounds=ROUNDS, local_steps=3, seed=6,
     ))
     print(
         f"   rdmask  : accuracy {defended.final_accuracy():.3f}, "

@@ -94,40 +94,12 @@ class RunConfig:
     * ``weight_mode="equal"`` — bypass the sampler's correction with the
       biased ``1/K`` weights of the Fig. 5 "Equal" ablation.
 
-    Privacy (see :mod:`repro.privacy`):
+    Privacy is not a field but a strategy wrapper:
+    ``strategy=PrivateStrategy(inner, ...)``, under ``QuantizedStrategy``
+    when the run quantizes (see :mod:`repro.privacy`).
 
-    * ``privacy_mode`` — ``"off"`` (default; the configured strategy runs
-      untouched), ``"gaussian"`` (clip each client's update to
-      ``privacy_clip_norm`` — required in this mode — add calibrated
-      Gaussian noise to the *transmitted* coordinates only, and track the
-      spend with an RDP accountant), or ``"random_defense"`` (Kim &
-      Park's random gradient masking: zero a random
-      ``privacy_defense_fraction`` of each update before compression —
-      no ε, no noise, and no clipping unless ``privacy_clip_norm`` is
-      set).
-    * ``privacy_epsilon`` — the total ε budget for the whole run, at
-      δ = 10⁻⁵; the server calibrates the noise multiplier so ``rounds``
-      rounds spend at most ε.
-    * Accounting is honest about composition: with noise on, the wrapped
-      strategy's client-side error compensation is disabled (residuals
-      would breach the clip bound; ``random_defense`` disables it too, so
-      masked coordinates are not re-uploaded later), and subsampling
-      amplification is only claimed when the sampler's ``dp_sample_rate``
-      genuinely bounds per-round inclusion under the *Poisson* scheme the
-      accountant's bound is proved for
-      (:class:`~repro.fl.samplers.PoissonSampler`; every other built-in
-      sampler and the async scheduler account at rate 1.0).
-    * Sparsifying strategies whose clients choose their own transmitted
-      coordinates (STC, the GlueFL mask) release a data-dependent index
-      set that value noise cannot cover, so gaussian noise over them is
-      rejected unless ``privacy_values_only=True`` acknowledges (with a
-      warning) that the reported ε covers the released values only.
-    * Per-round spend lands in
-      :attr:`~repro.fl.metrics.RoundRecord.privacy_epsilon_spent`, and
-      norm-aware samplers only ever observe privatized update norms.
-
-    >>> RunConfig.__dataclass_fields__["privacy_mode"].default
-    'off'
+    >>> RunConfig.__dataclass_fields__["scheduler"].default
+    'sync'
     """
 
     # workload
@@ -210,34 +182,9 @@ class RunConfig:
     #: (on top of the failed wave's round time)
     redraw_backoff_s: float = 0.0
 
-    # privacy (repro.privacy)
-    #: "off" | "gaussian" | "random_defense"
-    privacy_mode: str = "off"
-    #: total ε budget for the run, at δ = 1e-5; the noise multiplier is
-    #: calibrated so `rounds` rounds spend at most this (gaussian mode)
-    privacy_epsilon: Optional[float] = None
-    #: per-client L2 clip bound S (the mechanism's sensitivity); required
-    #: for gaussian noise — there is no sensible universal default, S is a
-    #: workload property.  None (the default) disables clipping, which is
-    #: only legal without noise (random_defense)
-    privacy_clip_norm: Optional[float] = None
-    #: random_defense: fraction of coordinates zeroed per client per round;
-    #: None (the default) means the mode's default
-    #: (``repro.privacy.DEFAULT_DEFENSE_FRACTION``).  Like the other
-    #: privacy knobs, setting it under any other mode is rejected — a set
-    #: knob that does nothing is a silent non-defense
-    privacy_defense_fraction: Optional[float] = None
-    #: gaussian only: accept (with a UserWarning) that noising a strategy
-    #: with client-chosen transmitted coordinates (STC, GlueFL) yields an
-    #: ε covering the released *values* only — the chosen index set is a
-    #: data-dependent release the mechanism does not analyze.  Without
-    #: this waiver such combinations are rejected
-    privacy_values_only: bool = False
-
     # evaluation
     eval_every: int = 5
     eval_top_k: int = 1
-    target_accuracy: Optional[float] = None
 
     # bookkeeping
     seed: int = 0
@@ -251,7 +198,6 @@ class RunConfig:
         # lazily because repro.engine/runtime modules import repro.fl
         # submodules (a module-level import here would cycle)
         from repro.engine.schedulers import SCHEDULERS
-        from repro.privacy import PRIVACY_MODES
         from repro.runtime.backends import BACKENDS
         from repro.runtime.dtype import DTYPE_NAMES
 
@@ -261,6 +207,11 @@ class RunConfig:
             raise ValueError("model_name must be a non-empty model key")
         if not isinstance(self.model_kwargs, dict):
             raise ValueError("model_kwargs must be a dict")
+        if not isinstance(self.strategy, CompressionStrategy):
+            raise ValueError(
+                "strategy must be a CompressionStrategy (privacy and "
+                "quantization are wrappers around one)"
+            )
         # local-training hyperparameters (paper §5.1)
         if self.local_steps <= 0:
             raise ValueError("local_steps must be positive")
@@ -283,10 +234,6 @@ class RunConfig:
         # evaluation
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
-        if self.target_accuracy is not None and not (
-            0.0 < self.target_accuracy <= 1.0
-        ):
-            raise ValueError("target_accuracy must be in (0, 1]")
         # bookkeeping: the seed and the boolean switches are used as-is in
         # hashed/golden-pinned places, so reject look-alike types early
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -432,84 +379,6 @@ class RunConfig:
             or self.residual_max_clients < 1
         ):
             raise ValueError("residual_max_clients must be >= 1 (or None)")
-        if self.privacy_mode not in PRIVACY_MODES:
-            raise ValueError(
-                f"unknown privacy_mode {self.privacy_mode!r}; "
-                f"expected {PRIVACY_MODES}"
-            )
-        if self.privacy_epsilon is not None and self.privacy_epsilon <= 0:
-            raise ValueError("privacy_epsilon must be positive")
-        if self.privacy_clip_norm is not None and self.privacy_clip_norm <= 0:
-            raise ValueError("privacy_clip_norm must be positive (or None)")
-        if self.privacy_defense_fraction is not None and not (
-            0.0 <= self.privacy_defense_fraction < 1.0
-        ):
-            raise ValueError("privacy_defense_fraction must be in [0, 1)")
-        if (
-            self.privacy_defense_fraction is not None
-            and self.privacy_mode == "gaussian"
-        ):
-            raise ValueError(
-                "privacy_defense_fraction belongs to "
-                "privacy_mode='random_defense'; the gaussian mechanism "
-                "masks nothing"
-            )
-        if self.privacy_mode == "off":
-            stale = [
-                name
-                for name, value in (
-                    ("privacy_epsilon", self.privacy_epsilon),
-                    ("privacy_clip_norm", self.privacy_clip_norm),
-                    ("privacy_defense_fraction", self.privacy_defense_fraction),
-                )
-                if value is not None
-            ]
-            if self.privacy_values_only:
-                stale.append("privacy_values_only")
-            if stale:
-                raise ValueError(
-                    f"privacy_mode='off' ignores {', '.join(stale)}; a "
-                    "budget without a mode would run non-private silently "
-                    "— set privacy_mode='gaussian' (or unset the knobs)"
-                )
-        if self.privacy_values_only and self.privacy_mode != "gaussian":
-            raise ValueError(
-                "privacy_values_only qualifies the gaussian mechanism's "
-                f"epsilon; it means nothing under "
-                f"privacy_mode={self.privacy_mode!r}"
-            )
-        if (
-            self.privacy_mode == "random_defense"
-            and self.privacy_epsilon is not None
-        ):
-            raise ValueError(
-                "privacy_mode='random_defense' adds no noise and tracks no "
-                "epsilon; unset privacy_epsilon (use "
-                "privacy_mode='gaussian' for the DP mechanism)"
-            )
-        if self.privacy_mode == "gaussian":
-            if self.privacy_epsilon is None:
-                raise ValueError(
-                    "privacy_mode='gaussian' needs privacy_epsilon to "
-                    "calibrate noise"
-                )
-            if self.privacy_clip_norm is None:
-                raise ValueError(
-                    "gaussian noise requires privacy_clip_norm: the clip "
-                    "bound is the mechanism's sensitivity"
-                )
-            if (
-                not self.privacy_values_only
-                and getattr(self.strategy, "data_dependent_selection", False)
-            ):
-                raise ValueError(
-                    f"strategy {self.strategy.name!r} transmits "
-                    "client-chosen coordinates; gaussian noise covers the "
-                    "values but not that data-dependent index release.  "
-                    "Set privacy_values_only=True to accept values-only "
-                    "accounting, or use a strategy with data-independent "
-                    "selection (fedavg, apf)"
-                )
         if self.sampler.k > self.dataset.num_clients:
             raise ValueError(
                 f"K={self.sampler.k} exceeds federation size "

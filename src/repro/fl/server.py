@@ -100,8 +100,7 @@ class FLServer:
         self.global_buffers.flags.writeable = False
 
         self.strategy = config.strategy
-        if config.privacy_mode != "off":
-            self.strategy = self._privatize_strategy(config)
+        self._bind_privacy(config)
         self.strategy.setup(self.d, self.rngs("strategy"), dtype=self.dtype)
         if config.residual_max_clients is not None:
             # bound per-client error-compensation state to an LRU budget;
@@ -196,57 +195,33 @@ class FLServer:
         self.scheduler.setup(self)
 
     # -- privacy wiring --------------------------------------------------------
-    def _privatize_strategy(self, config: RunConfig):
-        """Wrap the configured strategy per ``privacy_mode`` (see
-        :mod:`repro.privacy`); every scheduler then runs privatized
-        unchanged.
+    def _bind_privacy(self, config: RunConfig) -> None:
+        """Hand the run's accounting terms to the strategy's privacy layer.
 
-        Two seam subtleties live here rather than in the wrapper:
-
-        * **Amplification is the sampler's claim.**  The accountant's
-          sampled-Gaussian bound is proved for *Poisson* subsampling, so
-          the rate comes from ``sampler.dp_sample_rate`` — sub-1 only for
-          :class:`~repro.fl.samplers.PoissonSampler`, whose draw is that
-          scheme; uniform fixed-size, sticky, norm-aware and utility
-          policies all answer 1.0 — and is forced to 1.0 under the async
-          scheduler, whose continuous dispatch keeps clients in flight
-          rather than sampling rounds.
-        * **Noise goes under quantization, not over it.**  A
-          ``QuantizedStrategy`` re-prices payloads to ``bits`` per value;
-          noising *after* quantization would put off-grid floats on wire
-          bytes priced for the grid.  The private layer is spliced inside
-          the quantization wrapper: ``Quantized(Private(inner))``.
+        The :class:`~repro.privacy.PrivateStrategy` is the layer down the
+        ``.inner`` chain (under a ``QuantizedStrategy`` when the run
+        quantizes) with a ``bind_run`` — found by name, so a non-private
+        run never imports :mod:`repro.privacy`.  It gets ``rounds`` and
+        the rate its accountant may claim amplification for.  The
+        sampled-Gaussian bound is proved for *Poisson* subsampling, so the
+        rate is the sampler's own ``dp_sample_rate`` — sub-1 only for
+        :class:`~repro.fl.samplers.PoissonSampler` — under ``sync`` and
+        ``overlapped`` (identical per-round sampling, only the clock
+        differs), and 1.0 under ``semiasync``, which folds stale arrivals
+        across rounds, and ``async``, which never samples rounds at all.
         """
-        from repro.compression.quantized import QuantizedStrategy
-        from repro.privacy import build_private_strategy
-
-        # overlapped has identical per-round sampling to sync (only the
-        # clock differs); semiasync folds stale arrivals across rounds and
-        # async never samples rounds at all, so both account at rate 1.0
+        private = config.strategy
+        while private is not None and not hasattr(private, "bind_run"):
+            private = getattr(private, "inner", None)
+        if private is None:
+            return
         if config.scheduler in ("sync", "overlapped"):
             sample_rate = config.sampler.dp_sample_rate(
                 self.n, config.overcommit
             )
         else:
             sample_rate = 1.0
-
-        def privatize(inner):
-            return build_private_strategy(
-                inner,
-                mode=config.privacy_mode,
-                rounds=config.rounds,
-                sample_rate=sample_rate,
-                epsilon=config.privacy_epsilon,
-                clip_norm=config.privacy_clip_norm,
-                defense_fraction=config.privacy_defense_fraction,
-                values_only=config.privacy_values_only,
-            )
-
-        if isinstance(config.strategy, QuantizedStrategy):
-            return QuantizedStrategy(
-                privatize(config.strategy.inner), bits=config.strategy.bits
-            )
-        return privatize(config.strategy)
+        private.bind_run(config.rounds, sample_rate)
 
     # -- weights ---------------------------------------------------------------
     def _weights_for(

@@ -15,33 +15,30 @@ on the same compression seam the schedulers already share:
   :class:`~repro.compression.base.CompressionStrategy`, and the
   ``random_defense`` mode (Kim & Park, 2024).
 
-Enable per run with ``RunConfig(privacy_mode="gaussian",
-privacy_epsilon=8.0, ...)`` — see :class:`~repro.fl.config.RunConfig` —
-or wrap a strategy directly.  Strategies whose clients choose their own
-transmitted coordinates (STC, the GlueFL mask) release a data-dependent
-index set that value noise cannot cover, so noising them requires the
-explicit ``values_only`` waiver (the reported ε then covers the released
-values only):
+Privatize a run by wrapping its strategy — the only way in — under
+quantization when the run quantizes:
+``RunConfig(strategy=QuantizedStrategy(PrivateStrategy(inner, epsilon=8.0,
+clip_norm=2.0), bits=8), ...)``.  The server hands the wrapper the run's
+rounds and the sampler's accounting rate before setup, so ε is calibrated
+against the sampling the run really does.  Strategies whose clients
+choose their own transmitted coordinates (STC, the GlueFL mask) release a
+data-dependent index set that value noise cannot cover, so noising them
+requires the explicit ``values_only`` waiver (the reported ε then covers
+the released values only):
 
 >>> from repro.compression import STCStrategy
 >>> from repro.privacy import PrivateStrategy
 >>> PrivateStrategy(STCStrategy(q=0.2), clip_norm=1.0,
-...                 noise_multiplier=1.2)   # doctest: +ELLIPSIS
+...                 epsilon=8.0)   # doctest: +ELLIPSIS
 Traceback (most recent call last):
 ValueError: strategy 'stc' selects its transmitted coordinates...
 >>> import warnings
 >>> with warnings.catch_warnings():        # the waiver warns
 ...     warnings.simplefilter("ignore")
 ...     private = PrivateStrategy(STCStrategy(q=0.2), clip_norm=1.0,
-...                               noise_multiplier=1.2, values_only=True)
+...                               epsilon=8.0, values_only=True)
 >>> private.name
 'stc+dp'
-
-(``sample_rate`` stays at its default 1.0 above: the accountant's
-subsampling amplification is only sound when clients are drawn by
-:class:`~repro.fl.samplers.PoissonSampler` — the ``RunConfig`` path
-asks the sampler via ``dp_sample_rate`` rather than trusting a
-hand-supplied K/N.)
 """
 
 from repro.privacy.accountant import (
@@ -54,18 +51,11 @@ from repro.privacy.accountant import (
 )
 from repro.privacy.clipping import clip_by_l2, clip_factor
 from repro.privacy.mechanisms import add_gaussian_noise, gaussian_noise_std
-from repro.privacy.strategy import (
-    DEFAULT_DEFENSE_FRACTION,
-    PRIVACY_MODES,
-    PrivateStrategy,
-    build_private_strategy,
-)
+from repro.privacy.strategy import DEFAULT_DEFENSE_FRACTION, PrivateStrategy
 
 __all__ = [
     "DEFAULT_DEFENSE_FRACTION",
-    "PRIVACY_MODES",
     "PrivateStrategy",
-    "build_private_strategy",
     "RdpAccountant",
     "DEFAULT_ORDERS",
     "gaussian_rdp",

@@ -62,19 +62,37 @@ per-result sink (``repro.engine.steps.compress_result``) asks
 uploaded (noisy under ``gaussian``) instead of the raw local update —
 Optimal Client Sampling under privacy noise never sees a clean norm.
 
+Every rule for a legal setup is checked once, at construction: a knob
+that does nothing in its mode (``defense_fraction`` under ``gaussian``,
+``epsilon`` or ``noise_multiplier`` under ``random_defense``, ``epsilon``
+beside an explicit ``noise_multiplier``) raises, and so does an inner
+strategy that is or wraps a
+:class:`~repro.compression.quantized.QuantizedStrategy`: noise added after
+quantization would be off the quantizer's grid, so privacy nests *under*
+quantization, ``QuantizedStrategy(PrivateStrategy(inner, ...), bits=8)``.
+An inner strategy that is already privatized raises too: a run has one
+privacy layer and one accountant.
+
+The accountant's sampling rate is not a constructor argument: it is the
+run's claim, not the wrapper's.  :class:`~repro.fl.server.FLServer` finds
+the wrapper in the strategy's ``.inner`` chain and hands it the run's
+``rounds`` and the sampler's ``dp_sample_rate`` (1.0 under the async and
+semiasync schedulers) through :meth:`PrivateStrategy.bind_run` before
+``setup``; an ``epsilon=`` budget is calibrated into a noise multiplier
+there.  Unbound, the wrapper accounts at rate 1.0 — no amplification
+claimed:
+
 >>> import numpy as np
 >>> from repro.compression import FedAvgStrategy
->>> private = PrivateStrategy(FedAvgStrategy(), clip_norm=1.0,
-...                           noise_multiplier=1.0, sample_rate=0.1)
+>>> private = PrivateStrategy(FedAvgStrategy(), epsilon=4.0, clip_norm=1.0)
+>>> private.bind_run(rounds=10, sample_rate=1.0)   # what FLServer does
 >>> private.setup(4, np.random.default_rng(0))
 >>> private.begin_round(1)
 >>> payload = private.client_compress(0, np.full(4, 10.0), 1.0)
->>> float(np.linalg.norm(payload.data["dense"])) < 20.0   # clipped + noise
-True
 >>> private.fold(1.0, payload)
 >>> agg = private.aggregate()
 >>> private.end_round(agg, 1)
->>> 0.0 < private.privacy_epsilon_spent() < 3.0           # ε after 1 round
+>>> 0.0 < private.privacy_epsilon_spent() < 4.0    # 1 of 10 rounds spent
 True
 """
 
@@ -93,19 +111,16 @@ from repro.compression.base import (
     CompressionStrategy,
 )
 from repro.compression.error_comp import ErrorCompMode, ResidualStore
-from repro.privacy.accountant import DEFAULT_ORDERS, RdpAccountant
+from repro.compression.quantized import QuantizedStrategy
+from repro.privacy.accountant import (
+    DEFAULT_ORDERS,
+    RdpAccountant,
+    calibrate_noise_multiplier,
+)
 from repro.privacy.clipping import clip_by_l2
 from repro.privacy.mechanisms import add_gaussian_noise, gaussian_noise_std
 
-__all__ = [
-    "DEFAULT_DEFENSE_FRACTION",
-    "PRIVACY_MODES",
-    "PrivateStrategy",
-    "build_private_strategy",
-]
-
-#: Valid ``RunConfig.privacy_mode`` values ("off" disables wrapping).
-PRIVACY_MODES = ("off", "gaussian", "random_defense")
+__all__ = ["DEFAULT_DEFENSE_FRACTION", "PrivateStrategy"]
 
 #: ``random_defense`` masking fraction used when none is configured —
 #: the single source for the mode's default.
@@ -128,28 +143,34 @@ class PrivateStrategy(CompressionStrategy):
     Parameters
     ----------
     inner:
-        Any compression strategy; its masks, byte accounting and
-        aggregation run unchanged.
+        Any compression strategy that neither is nor wraps a
+        ``QuantizedStrategy`` or another ``PrivateStrategy``; its masks,
+        byte accounting and aggregation run unchanged.
     mode:
         ``"gaussian"`` (default) or ``"random_defense"``.
     clip_norm:
         L2 sensitivity bound S applied before ``inner`` compresses.
         ``None`` disables clipping (forbidden when noise is on — noise
         without a sensitivity bound carries no guarantee).
+    epsilon:
+        ``gaussian`` only: the total ε budget for the whole run at
+        ``delta``; the noise multiplier is calibrated so the run's
+        ``rounds`` rounds spend at most this (see :meth:`bind_run`).
     noise_multiplier:
-        z — per-coordinate noise std in units of ``clip_norm``.  0 adds
+        ``gaussian`` only, instead of ``epsilon``: a fixed z — the
+        per-coordinate noise std in units of ``clip_norm``.  0 adds
         nothing, draws nothing, and leaves the wrapped strategy
         bit-identical (the regression-tested no-op).
     defense_fraction:
         ``random_defense`` only: fraction of coordinates zeroed per
-        client per round.
+        client per round (default :data:`DEFAULT_DEFENSE_FRACTION`).
     values_only:
-        Waiver for wrapping a strategy with
+        ``gaussian`` only: the waiver for wrapping a strategy with
         :attr:`~repro.compression.base.CompressionStrategy.data_dependent_selection`
-        under active gaussian noise: acknowledge (with a ``UserWarning``)
-        that the reported ε covers only the released values, not the
-        client-chosen index set.  Without it such a combination raises.
-    sample_rate / delta / orders:
+        under active noise — acknowledge (with a ``UserWarning``) that the
+        reported ε covers only the released values, not the client-chosen
+        index set.  Without it such a combination raises.
+    delta / orders:
         Accountant parameters (see :class:`~repro.privacy.accountant.RdpAccountant`).
     """
 
@@ -159,13 +180,12 @@ class PrivateStrategy(CompressionStrategy):
         *,
         mode: str = "gaussian",
         clip_norm: Optional[float] = None,
-        noise_multiplier: float = 0.0,
-        defense_fraction: float = DEFAULT_DEFENSE_FRACTION,
+        epsilon: Optional[float] = None,
+        noise_multiplier: Optional[float] = None,
+        defense_fraction: Optional[float] = None,
         values_only: bool = False,
-        sample_rate: float = 1.0,
         delta: float = 1e-5,
         orders: Sequence[int] = DEFAULT_ORDERS,
-        _warn_stacklevel: int = 2,
     ):
         super().__init__()
         if mode not in ("gaussian", "random_defense"):
@@ -175,27 +195,68 @@ class PrivateStrategy(CompressionStrategy):
             )
         if clip_norm is not None and clip_norm <= 0:
             raise ValueError(f"clip_norm must be positive, got {clip_norm}")
-        if noise_multiplier < 0:
+        if epsilon is not None and epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if noise_multiplier is not None and noise_multiplier < 0:
             raise ValueError("noise_multiplier must be non-negative")
-        if mode == "gaussian" and noise_multiplier > 0 and clip_norm is None:
+        if defense_fraction is not None and not 0.0 <= defense_fraction < 1.0:
+            raise ValueError("defense_fraction must be in [0, 1)")
+        if mode == "gaussian":
+            if defense_fraction is not None:
+                raise ValueError(
+                    "defense_fraction belongs to mode='random_defense'; the "
+                    "gaussian mechanism masks nothing"
+                )
+            if epsilon is not None and noise_multiplier is not None:
+                raise ValueError(
+                    "set epsilon (a budget the noise multiplier is "
+                    "calibrated against) or noise_multiplier, not both"
+                )
+            if epsilon is None and noise_multiplier is None:
+                raise ValueError(
+                    "gaussian mode needs epsilon (a total budget to "
+                    "calibrate noise against) or an explicit noise_multiplier"
+                )
+        else:
+            for knob, value in (
+                ("epsilon", epsilon),
+                ("noise_multiplier", noise_multiplier),
+            ):
+                if value is not None:
+                    raise ValueError(
+                        f"mode='random_defense' adds no noise and tracks no "
+                        f"epsilon; unset {knob} (mode='gaussian' is the DP "
+                        "mechanism)"
+                    )
+            if values_only:
+                raise ValueError(
+                    "values_only qualifies the gaussian mechanism's epsilon; "
+                    f"it means nothing under mode {mode!r}"
+                )
+        noisy = mode == "gaussian" and (
+            epsilon is not None or noise_multiplier > 0
+        )
+        if noisy and clip_norm is None:
             raise ValueError(
                 "gaussian mode with noise requires clip_norm: noise is "
                 "calibrated to the clip bound (the mechanism's sensitivity)"
             )
-        if not 0.0 <= defense_fraction < 1.0:
-            raise ValueError("defense_fraction must be in [0, 1)")
-        if values_only and mode != "gaussian":
-            # mirror RunConfig.validate: a waiver on a mechanism with no
-            # epsilon records an honesty concession that never applies
-            raise ValueError(
-                "values_only qualifies the gaussian mechanism's epsilon; "
-                f"it means nothing under mode {mode!r}"
-            )
-        if (
-            mode == "gaussian"
-            and noise_multiplier > 0
-            and inner.data_dependent_selection
-        ):
+        layer = inner
+        while layer is not None:
+            if isinstance(layer, QuantizedStrategy):
+                raise ValueError(
+                    "PrivateStrategy must sit under quantization, not over "
+                    "it: noise added after quantizing is off the "
+                    "quantizer's grid — nest it as QuantizedStrategy("
+                    "PrivateStrategy(inner, ...), bits=...)"
+                )
+            if isinstance(layer, PrivateStrategy):
+                raise ValueError(
+                    f"strategy {inner.name!r} is already privatized; one "
+                    "run has one privacy layer and one accountant"
+                )
+            layer = getattr(layer, "inner", None)
+        if noisy and inner.data_dependent_selection:
             if not values_only:
                 raise ValueError(
                     f"strategy {inner.name!r} selects its transmitted "
@@ -211,15 +272,23 @@ class PrivateStrategy(CompressionStrategy):
                 "accounted epsilon covers the released values only — the "
                 "index set is an unaccounted data-dependent release",
                 UserWarning,
-                stacklevel=_warn_stacklevel,
+                stacklevel=2,
             )
         self.inner = inner
         self.values_only = bool(values_only)
         self.mode = mode
         self.clip_norm = clip_norm
-        self.noise_multiplier = float(noise_multiplier)
-        self.defense_fraction = float(defense_fraction)
-        self.sample_rate = float(sample_rate)
+        self.epsilon = epsilon
+        #: None until :meth:`bind_run` calibrates it from ``epsilon``
+        self.noise_multiplier = (
+            None if noise_multiplier is None else float(noise_multiplier)
+        )
+        self.defense_fraction = float(
+            DEFAULT_DEFENSE_FRACTION
+            if defense_fraction is None
+            else defense_fraction
+        )
+        self.sample_rate = 1.0
         self.delta = float(delta)
         self.orders = tuple(orders)
         self.accountant: Optional[RdpAccountant] = None
@@ -229,8 +298,29 @@ class PrivateStrategy(CompressionStrategy):
         self._rng: np.random.Generator = np.random.default_rng(0)
         self._observed: Dict[int, float] = {}
 
+    def bind_run(self, rounds: int, sample_rate: float) -> None:
+        """Take the run's accounting terms; ``FLServer`` calls this before
+        :meth:`setup`.
+
+        ``sample_rate`` is the per-round inclusion rate the accountant may
+        claim amplification for — the sampler's ``dp_sample_rate`` under
+        the sync-shaped schedulers, 1.0 otherwise — and ``rounds`` the
+        horizon an ``epsilon`` budget is calibrated over.
+        """
+        self.sample_rate = float(sample_rate)
+        if self.epsilon is not None:
+            self.noise_multiplier = calibrate_noise_multiplier(
+                self.epsilon, self.delta, rounds, sample_rate
+            )
+
     # -- lifecycle ----------------------------------------------------------
     def setup(self, d: int, rng: np.random.Generator, dtype=np.float64) -> None:
+        if self.mode == "gaussian" and self.noise_multiplier is None:
+            raise ValueError(
+                "epsilon is a whole-run budget: bind_run(rounds, "
+                "sample_rate) must calibrate it before setup (FLServer "
+                "does); outside a run, pass noise_multiplier instead"
+            )
         super().setup(d, rng, dtype=dtype)
         self._rng = rng
         self.inner.setup(d, rng, dtype=dtype)
@@ -368,59 +458,3 @@ class PrivateStrategy(CompressionStrategy):
             return None
         return self.accountant.epsilon()
 
-
-def build_private_strategy(
-    inner: CompressionStrategy,
-    *,
-    mode: str,
-    rounds: int,
-    sample_rate: float,
-    epsilon: Optional[float] = None,
-    delta: float = 1e-5,
-    clip_norm: Optional[float] = None,
-    noise_multiplier: Optional[float] = None,
-    defense_fraction: Optional[float] = None,
-    values_only: bool = False,
-) -> PrivateStrategy:
-    """Assemble a :class:`PrivateStrategy` from run-level knobs.
-
-    This is the ``RunConfig`` → privacy bridge the server uses: in
-    ``gaussian`` mode an explicit ``noise_multiplier`` wins; otherwise z
-    is calibrated so the full ``rounds``-round spend stays within
-    ``epsilon`` at ``delta``
-    (:func:`~repro.privacy.accountant.calibrate_noise_multiplier`).
-    ``values_only`` is :class:`PrivateStrategy`'s waiver for strategies
-    with data-dependent coordinate selection.
-    """
-    if mode not in PRIVACY_MODES or mode == "off":
-        raise ValueError(
-            f"cannot build a private strategy for mode {mode!r}"
-        )
-    if mode == "gaussian" and noise_multiplier is None:
-        if epsilon is None:
-            raise ValueError(
-                "gaussian privacy needs privacy_epsilon (a total budget to "
-                "calibrate noise against) or an explicit noise multiplier"
-            )
-        from repro.privacy.accountant import calibrate_noise_multiplier
-
-        noise_multiplier = calibrate_noise_multiplier(
-            epsilon, delta, rounds, sample_rate
-        )
-    return PrivateStrategy(
-        inner,
-        mode=mode,
-        clip_norm=clip_norm,
-        noise_multiplier=noise_multiplier or 0.0,
-        defense_fraction=(
-            defense_fraction
-            if defense_fraction is not None
-            else DEFAULT_DEFENSE_FRACTION
-        ),
-        values_only=values_only,
-        sample_rate=sample_rate,
-        delta=delta,
-        # attribute the values-only warning to this function's caller,
-        # not to the construction line below
-        _warn_stacklevel=3,
-    )

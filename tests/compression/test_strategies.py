@@ -137,7 +137,7 @@ def test_setup_starts_a_fresh_residual_store(make, rng):
 
 def test_close_reaches_the_store_through_wrappers(rng):
     inner = GlueFLMaskStrategy(q=0.3, q_shr=0.2)
-    stack = PrivateStrategy(QuantizedStrategy(inner, bits=8), clip_norm=None)
+    stack = QuantizedStrategy(PrivateStrategy(inner, noise_multiplier=0.0), bits=8)
     setup_strategy(stack)
     stack.begin_round(1)
     stack.client_compress(0, rng.normal(size=100), 1.0)
@@ -263,8 +263,7 @@ def test_apf_validation():
 # ------------------------------------------- AggregateResult invariant
 def _private(inner):
     return PrivateStrategy(
-        inner, clip_norm=1.0, noise_multiplier=0.5, sample_rate=0.1,
-        values_only=True,
+        inner, clip_norm=1.0, noise_multiplier=0.5, values_only=True,
     )
 
 

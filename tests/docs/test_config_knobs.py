@@ -9,9 +9,15 @@ nothing.  Tests and examples do not count either.  A field no caller sets
 holds one value for every run, so it is a constant, not a knob; one that
 stays anyway needs a one-line reason on :data:`ALLOWED`.
 
+The read side is the twin: a field must also be read, as an attribute
+(``config.x``) or a constant ``getattr`` name, somewhere in ``src/``
+outside ``RunConfig.validate``.  A field only ``validate()`` looks at is
+checked and then ignored, so it does nothing for any run.
+
 Names are matched by their bare identifier, so a same-named keyword of
 another constructor counts as setting the field (``mean_on_fraction=0.8``
-to ``DutyCycleTrace``); the check errs towards keeping a field.
+to ``DutyCycleTrace``) and a same-named attribute of another object as
+reading it; the checks err towards keeping a field.
 """
 
 from __future__ import annotations
@@ -66,6 +72,43 @@ def set_names() -> frozenset:
     return frozenset(names)
 
 
+def _validate_nodes(tree: ast.AST) -> set:
+    """ids of every node inside ``RunConfig.validate``."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "RunConfig":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "validate":
+                    return {id(node) for node in ast.walk(fn)}
+    return set()
+
+
+@functools.lru_cache(maxsize=None)
+def read_names() -> frozenset:
+    """Every attribute ``src/`` reads and every constant ``getattr`` name
+    it asks for, outside ``RunConfig.validate``."""
+    names = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = _validate_nodes(tree) if path == CONFIG_MODULE else set()
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load
+            ):
+                names.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+            ):
+                names.add(node.args[1].value)
+    return frozenset(names)
+
+
 def field_names() -> list:
     return [f.name for f in dataclasses.fields(RunConfig)]
 
@@ -105,4 +148,15 @@ def test_allow_list_is_not_stale():
     assert not stale, (
         "allow-listed fields that are now set or gone; drop them from "
         "ALLOWED:\n" + "\n".join(stale)
+    )
+
+
+def test_every_field_is_read_outside_validate():
+    names = read_names()
+    assert {"scheduler", "execution_backend", "rounds"} <= names
+    unread = [name for name in field_names() if name not in names]
+    assert not unread, (
+        "RunConfig fields nothing in src/ reads outside RunConfig.validate: "
+        "they are checked and then ignored.  Delete them (with their "
+        "validate() checks and doc rows) or read them:\n" + "\n".join(unread)
     )

@@ -15,7 +15,7 @@ from repro.core import make_gluefl
 from repro.datasets import femnist_like
 from repro.fl import FLServer, RunConfig, run_training
 from repro.fl.extra_samplers import OptimalClientSampler
-from repro.privacy import PrivateStrategy, RdpAccountant, build_private_strategy
+from repro.privacy import PrivateStrategy, RdpAccountant
 from tests.compression.rounds import aggregate_payloads
 
 
@@ -45,14 +45,17 @@ class TestWrapperUnit:
                             values_only=True)
 
     def test_name_tags_the_mode(self):
-        assert PrivateStrategy(STCStrategy(q=0.2), clip_norm=1.0).name == "stc+dp"
+        assert (
+            PrivateStrategy(STCStrategy(q=0.2), noise_multiplier=0.0).name
+            == "stc+dp"
+        )
         assert (
             PrivateStrategy(FedAvgStrategy(), mode="random_defense").name
             == "fedavg+rdmask"
         )
 
     def test_clipping_bounds_the_payload(self):
-        strategy = self._ready(clip_norm=1.0)
+        strategy = self._ready(clip_norm=1.0, noise_multiplier=0.0)
         payload = strategy.client_compress(0, np.full(16, 5.0), 1.0)
         assert np.isclose(np.linalg.norm(payload.data["dense"]), 1.0)
 
@@ -73,7 +76,7 @@ class TestWrapperUnit:
 
     def test_zero_noise_draws_nothing_and_changes_nothing(self):
         rng = np.random.default_rng(9)
-        strategy = PrivateStrategy(FedAvgStrategy(), clip_norm=None)
+        strategy = PrivateStrategy(FedAvgStrategy(), noise_multiplier=0.0)
         strategy.setup(8, rng)
         before = rng.bit_generator.state
         payload = strategy.client_compress(0, np.ones(8), 1.0)
@@ -100,11 +103,11 @@ class TestWrapperUnit:
                 STCStrategy(q=0.2), clip_norm=1.0, noise_multiplier=1.0,
                 values_only=True,
             )
-        # ...and is reached through the quantization wrapper too
-        with pytest.raises(ValueError, match="index release"):
+        # noise over a quantizer is refused outright: it nests underneath
+        with pytest.raises(ValueError, match="under quantization"):
             PrivateStrategy(
                 QuantizedStrategy(STCStrategy(q=0.2), bits=8),
-                clip_norm=1.0, noise_multiplier=1.0,
+                clip_norm=1.0, noise_multiplier=1.0, values_only=True,
             )
 
     def test_data_independent_strategies_need_no_waiver(self):
@@ -142,7 +145,7 @@ class TestWrapperUnit:
         # the raw norm the mechanism withholds
         assert strategy.feedback_norm(99, delta) == pytest.approx(1.0)
         # without noise the wrapper claims nothing and delegates raw
-        plain = self._ready(clip_norm=1.0)
+        plain = self._ready(clip_norm=1.0, noise_multiplier=0.0)
         assert plain.feedback_norm(99, delta) == pytest.approx(
             float(np.linalg.norm(delta))
         )
@@ -173,25 +176,19 @@ class TestWrapperUnit:
         assert stack.privacy_epsilon_spent() == private.privacy_epsilon_spent()
         assert stack.privacy_epsilon_spent() > 0
 
-    def test_build_private_strategy_calibrates_from_epsilon(self):
-        strategy = build_private_strategy(
-            FedAvgStrategy(), mode="gaussian", rounds=20, sample_rate=0.1,
-            epsilon=4.0, clip_norm=1.0,
-        )
+    def test_epsilon_calibrates_at_bind_run(self):
+        """An ε budget becomes a noise multiplier only once the run's
+        rounds and rate are bound; without them setup refuses to guess."""
+        strategy = PrivateStrategy(FedAvgStrategy(), epsilon=4.0, clip_norm=1.0)
+        assert strategy.noise_multiplier is None
+        with pytest.raises(ValueError, match="bind_run"):
+            strategy.setup(8, np.random.default_rng(0))
+        strategy.bind_run(rounds=20, sample_rate=0.1)
         assert strategy.noise_multiplier > 0
         strategy.setup(8, np.random.default_rng(0))
+        assert strategy.accountant.sample_rate == 0.1
         strategy.accountant.step(20)
         assert strategy.accountant.epsilon() <= 4.0
-
-    def test_build_private_strategy_rejects_missing_budget(self):
-        with pytest.raises(ValueError):
-            build_private_strategy(
-                FedAvgStrategy(), mode="gaussian", rounds=10, sample_rate=0.1
-            )
-        with pytest.raises(ValueError):
-            build_private_strategy(
-                FedAvgStrategy(), mode="off", rounds=10, sample_rate=0.1
-            )
 
 
 # ---------------------------------------------------------- engine integration
@@ -213,6 +210,22 @@ def _config(dataset, **overrides):
     )
     params.update(overrides)
     return RunConfig(**params)
+
+
+def _private_config(dataset, **overrides):
+    """``_config`` with its GlueFL strategy privatized at ε = 6 (values
+    only: GlueFL clients choose their own indices)."""
+    gluefl, sampler = make_gluefl(
+        5, group_size=20, sticky_count=4, q=0.2, q_shr=0.16
+    )
+    params = dict(
+        strategy=PrivateStrategy(
+            gluefl, epsilon=6.0, clip_norm=1.0, values_only=True
+        ),
+        sampler=sampler,
+    )
+    params.update(overrides)
+    return _config(dataset, **params)
 
 
 def _final_sha(config):
@@ -265,20 +278,14 @@ class TestEngineIntegration:
             )
 
     def test_calibrated_run_lands_within_budget(self):
-        result = run_training(_config(
-            _dataset(), privacy_mode="gaussian", privacy_epsilon=6.0,
-            privacy_clip_norm=1.0, privacy_values_only=True,
-        ))
+        result = run_training(_private_config(_dataset()))
         spend = [r.privacy_epsilon_spent for r in result.records]
         assert 0 < spend[-1] <= 6.0
 
     def test_upstream_bytes_match_non_private_run(self):
         dataset = _dataset()
         plain = run_training(_config(dataset))
-        private = run_training(_config(
-            dataset, privacy_mode="gaussian", privacy_epsilon=6.0,
-            privacy_clip_norm=1.0, privacy_values_only=True,
-        ))
+        private = run_training(_private_config(dataset))
         assert [r.up_bytes for r in plain.records] == [
             r.up_bytes for r in private.records
         ]
@@ -287,16 +294,12 @@ class TestEngineIntegration:
     def test_other_schedulers_run_privatized_unchanged(self, scheduler):
         """``failure`` is the fault-injection run: sync rounds over the
         ``storm`` population preset."""
-        overrides = dict(
-            privacy_mode="gaussian",
-            privacy_epsilon=6.0, privacy_clip_norm=1.0,
-            privacy_values_only=True, skip_empty_rounds=True,
-        )
+        overrides = dict(skip_empty_rounds=True)
         if scheduler == "async":
             overrides.update(scheduler="async", async_buffer_size=3)
         else:
             overrides["population_preset"] = "storm"
-        result = run_training(_config(_dataset(), **overrides))
+        result = run_training(_private_config(_dataset(), **overrides))
         spend = [r.privacy_epsilon_spent for r in result.records]
         assert all(b >= a for a, b in zip(spend, spend[1:]))
         assert spend[-1] > 0
@@ -308,9 +311,11 @@ class TestEngineIntegration:
         from repro.fl import PoissonSampler
 
         server = FLServer(_config(
-            _dataset(), sampler=PoissonSampler(5), strategy=FedAvgStrategy(),
-            skip_empty_rounds=True, privacy_mode="gaussian",
-            privacy_epsilon=6.0, privacy_clip_norm=1.0,
+            _dataset(), sampler=PoissonSampler(5),
+            strategy=PrivateStrategy(
+                FedAvgStrategy(), epsilon=6.0, clip_norm=1.0
+            ),
+            skip_empty_rounds=True,
         ))
         result = server.run()
         spend = [r.privacy_epsilon_spent for r in result.records]
@@ -322,9 +327,13 @@ class TestEngineIntegration:
         assert spend[-1] < full_rate.epsilon()
 
     def test_random_defense_runs_and_reports_no_epsilon(self):
+        gluefl, sampler = make_gluefl(
+            5, group_size=20, sticky_count=4, q=0.2, q_shr=0.16
+        )
         result = run_training(_config(
-            _dataset(), privacy_mode="random_defense",
-            privacy_defense_fraction=0.5, privacy_clip_norm=None,
+            _dataset(), sampler=sampler, strategy=PrivateStrategy(
+                gluefl, mode="random_defense", defense_fraction=0.5
+            ),
         ))
         assert all(r.privacy_epsilon_spent is None for r in result.records)
         assert result.records[-1].num_participants > 0
@@ -344,8 +353,7 @@ class TestEngineIntegration:
                 raw_norms.append(float(np.linalg.norm(delta)))
                 return super().client_compress(client_id, delta, weight)
 
-        # hand the server a pre-wrapped strategy (privacy_mode stays
-        # "off" so it is not wrapped twice) to spy on the raw deltas
+        # a subclass of the wrapper spies on the raw deltas
         config = _config(
             _dataset(),
             strategy=SpyPrivate(
@@ -388,7 +396,7 @@ class TestAccountingHonesty:
         from repro.compression.error_comp import ErrorCompMode
 
         inner = STCStrategy(q=0.5)
-        strategy = PrivateStrategy(inner, clip_norm=None)
+        strategy = PrivateStrategy(inner, noise_multiplier=0.0)
         strategy.setup(16, np.random.default_rng(0))
         assert inner.residuals.mode is ErrorCompMode.EC
 
@@ -416,10 +424,14 @@ class TestAccountingHonesty:
     def test_ec_disabled_through_wrapper_chain(self):
         from repro.compression.error_comp import ErrorCompMode
 
+        # set up from the top of a quantized stack, the private layer
+        # still reaches the store beneath it
         gluefl = GlueFLMaskStrategy(q=0.3, q_shr=0.2)
-        stack = PrivateStrategy(
-            QuantizedStrategy(gluefl, bits=8),
-            clip_norm=1.0, noise_multiplier=1.0, values_only=True,
+        stack = QuantizedStrategy(
+            PrivateStrategy(
+                gluefl, clip_norm=1.0, noise_multiplier=1.0, values_only=True
+            ),
+            bits=8,
         )
         stack.setup(32, np.random.default_rng(0))
         assert gluefl.residuals.mode is ErrorCompMode.NONE
@@ -442,50 +454,64 @@ class TestAccountingHonesty:
         assert sampler.dp_sample_rate(4, 1.3) == 1.0  # capped
 
     def test_server_uses_sampler_rate_sync_and_full_rate_async(self):
+        """The server binds the sampler's own rate under the sync-shaped
+        schedulers and 1.0 under semiasync/async, and the ε budget is
+        calibrated at the bound rate — under all four schedulers, with the
+        private layer found beneath a quantizer."""
         from repro.fl import PoissonSampler, UniformSampler
+        from repro.privacy import calibrate_noise_multiplier
+
+        class ClaimsTenth(UniformSampler):
+            def dp_sample_rate(self, num_clients, overcommit):
+                return 0.1
 
         dataset = _dataset()
+        bound = {"sync": 0.1, "overlapped": 0.1, "semiasync": 1.0, "async": 1.0}
+        for scheduler, rate in bound.items():
+            private = PrivateStrategy(
+                STCStrategy(q=0.2), epsilon=6.0, clip_norm=1.0,
+                values_only=True,
+            )
+            server = FLServer(_config(
+                dataset, sampler=ClaimsTenth(5), scheduler=scheduler,
+                strategy=QuantizedStrategy(private, bits=8),
+            ))
+            assert private.sample_rate == rate, scheduler
+            assert private.accountant.sample_rate == rate, scheduler
+            assert private.noise_multiplier == calibrate_noise_multiplier(
+                6.0, 1e-5, server.config.rounds, rate
+            ), scheduler
+            server.close()
+
+        # the one built-in sampler whose draw is the Poisson scheme
         sync_server = FLServer(_config(
-            dataset, sampler=PoissonSampler(5), strategy=STCStrategy(q=0.2),
-            privacy_mode="gaussian", privacy_epsilon=6.0,
-            privacy_clip_norm=1.0, privacy_values_only=True,
+            dataset, sampler=PoissonSampler(5), strategy=PrivateStrategy(
+                STCStrategy(q=0.2), epsilon=6.0, clip_norm=1.0,
+                values_only=True,
+            ),
         ))
         assert sync_server.strategy.sample_rate == pytest.approx(
             min(1.0, 1.3 * 5 / dataset.num_clients)
         )
         sync_server.close()
 
-        # a sampler claiming a sub-1 rate is still forced to 1.0 under
-        # the async scheduler (continuous dispatch is not a round sample)
-        class AsyncCapable(UniformSampler):
-            def dp_sample_rate(self, num_clients, overcommit):
-                return 0.1
-
-        async_server = FLServer(_config(
-            dataset, sampler=AsyncCapable(5), strategy=STCStrategy(q=0.2),
-            scheduler="async", privacy_mode="gaussian",
-            privacy_epsilon=6.0, privacy_clip_norm=1.0,
-            privacy_values_only=True,
-        ))
-        assert async_server.strategy.sample_rate == 1.0
-        async_server.close()
-
     def test_quantized_config_splices_privacy_underneath(self):
-        """Auto-wrap must produce Quantized(Private(inner)) — noising
-        after quantization would put off-grid floats on grid-priced
-        bytes."""
+        """A quantized private run is written Quantized(Private(inner)) —
+        noising after quantization would put off-grid floats on
+        grid-priced bytes — and the server keeps the stack as written."""
         gluefl, sampler = make_gluefl(
             5, group_size=20, sticky_count=4, q=0.2, q_shr=0.16
         )
+        private = PrivateStrategy(
+            gluefl, epsilon=6.0, clip_norm=1.0, values_only=True
+        )
         server = FLServer(_config(
-            _dataset(), strategy=QuantizedStrategy(gluefl, bits=8),
-            sampler=sampler, privacy_mode="gaussian",
-            privacy_epsilon=6.0, privacy_clip_norm=1.0,
-            privacy_values_only=True,
+            _dataset(), strategy=QuantizedStrategy(private, bits=8),
+            sampler=sampler,
         ))
         assert isinstance(server.strategy, QuantizedStrategy)
-        assert isinstance(server.strategy.inner, PrivateStrategy)
-        assert server.strategy.inner.inner is gluefl
+        assert server.strategy.inner is private
+        assert private.inner is gluefl
         record = server.run_round()
         assert record.privacy_epsilon_spent > 0
         server.close()
