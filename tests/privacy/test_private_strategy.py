@@ -190,6 +190,15 @@ class TestWrapperUnit:
         strategy.accountant.step(20)
         assert strategy.accountant.epsilon() <= 4.0
 
+    def test_build_private_strategy_rejects_missing_budget(self):
+        """Gaussian noise with neither ε nor a multiplier has no noise
+        level to use; an 'off' mode does not exist (leave the strategy
+        unwrapped instead)."""
+        with pytest.raises(ValueError, match="needs epsilon"):
+            PrivateStrategy(FedAvgStrategy(), mode="gaussian", clip_norm=1.0)
+        with pytest.raises(ValueError, match="unknown privacy mode"):
+            PrivateStrategy(FedAvgStrategy(), mode="off")
+
 
 # ---------------------------------------------------------- engine integration
 def _dataset():
