@@ -15,8 +15,11 @@ import pytest
 from repro.compression.base import ClientPayload
 from repro.compression.topk import top_k_indices
 from repro.datasets import femnist_like
+from repro.fl.client import LocalTrainer
 from repro.fl.staleness import StalenessTracker
 from repro.nn import Conv2d, CrossEntropyLoss, Sequential
+from repro.nn.flat import snapshot
+from repro.nn.models import build_model
 from repro.runtime import ClientTask, WorkerSpec, create_backend
 
 D = 5_000_000
@@ -109,32 +112,34 @@ def test_conv_training_step(benchmark, dtype):
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_round_dispatch_k30(benchmark, backend):
     """One round's worth of client training (K=30) through each backend;
-    the process ring has a slot per task, so every result is zero-copy."""
+    the process ring has a slot per task, each result a view of its slot."""
     tasks = [ClientTask(client_id=cid, lr=0.05, round_idx=1) for cid in range(30)]
     dataset = femnist_like(
         num_clients=60, num_classes=8, image_size=8,
         samples_per_client=24, seed=5,
     )
+
+    def make_trainer():
+        model = build_model(
+            "mlp",
+            in_channels=dataset.in_channels,
+            num_classes=dataset.num_classes,
+            image_size=dataset.image_size,
+            rng=np.random.default_rng(0),
+            dtype=np.float32,
+            hidden=(32,),
+        )
+        return LocalTrainer(model, local_steps=5, batch_size=16)
+
+    params, buffers = snapshot(make_trainer().model)
     spec = WorkerSpec(
-        model_name="mlp",
-        model_kwargs={"hidden": (32,)},
-        in_channels=dataset.in_channels,
-        num_classes=dataset.num_classes,
-        image_size=dataset.image_size,
-        local_steps=5,
-        batch_size=16,
-        momentum=0.9,
-        weight_decay=0.0,
-        seed=1,
+        make_trainer=make_trainer,
         clients=dataset.clients,
-        dtype="float32",
+        seed=1,
+        d=len(params),
+        num_buffer=len(buffers),
         max_in_flight=len(tasks),
     )
-    model, _ = spec.build_trainer()
-    from repro.nn.flat import snapshot
-
-    params, buffers = snapshot(model)
-    spec.d, spec.num_buffer = len(params), len(buffers)
     engine = create_backend(backend, spec)
     delivered = []
     try:

@@ -412,6 +412,9 @@ class DynamicScheduleSampler(ClientSampler):
         return max(self.k_min, int(round(self.k0 * self.decay**t)))
 
     def setup(self, num_clients: int, rng: np.random.Generator) -> None:
+        # a run starts at K_0: a sampler reused from an earlier run would
+        # otherwise keep that run's annealed budget
+        self.inner.k = self.k0
         self.inner.setup(num_clients, rng)
 
     def draw(

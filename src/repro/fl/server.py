@@ -35,6 +35,7 @@ server.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Tuple
 
@@ -80,15 +81,10 @@ class FLServer:
         self.n = dataset.num_clients
         self.p = dataset.weights()
 
-        self.model = build_model(
-            config.model_name,
-            in_channels=dataset.in_channels,
-            num_classes=dataset.num_classes,
-            image_size=dataset.image_size,
-            rng=self.rngs("model-init"),
-            dtype=self.dtype,
-            **config.model_kwargs,
-        )
+        new_trainer = functools.partial(_new_trainer, config, self.dtype)
+        # the serial backend trains on this same instance
+        self.trainer = new_trainer(self.rngs("model-init"))
+        self.model = self.trainer.model
         self.view = FlatParamView(self.model)
         self.d = self.view.num_trainable
         # the globals are replaced (never mutated) on every update — async
@@ -158,26 +154,17 @@ class FLServer:
                 dropout_prob=config.dropout_prob,
             )
         self.staleness = StalenessTracker(self.d, self.n)
-        self.trainer = LocalTrainer(
-            self.model,
-            local_steps=config.local_steps,
-            batch_size=config.batch_size,
-        )
         self._worker_spec = WorkerSpec(
-            model_name=config.model_name,
-            model_kwargs=dict(config.model_kwargs),
-            in_channels=dataset.in_channels,
-            num_classes=dataset.num_classes,
-            image_size=dataset.image_size,
-            local_steps=config.local_steps,
-            batch_size=config.batch_size,
+            # a replica's initial weights are overwritten by every task, so
+            # it is built from a throwaway stream, not "model-init"
+            make_trainer=lambda: new_trainer(np.random.default_rng(0)),
             seed=config.seed,
             clients=dataset.clients,
-            dtype=config.dtype,
             d=self.d,
             num_buffer=self.view.num_buffer,
-            # sizes the process backend's zero-copy result rings: the most
-            # results a scheduler can ask for before draining them
+            # sizes the process backend's result ring: the most results a
+            # scheduler asks for in one dispatch (a round's over-committed
+            # cohort, stragglers included, or the async concurrency)
             max_in_flight=max(
                 int(math.ceil(config.overcommit * config.sampler.k)),
                 config.async_concurrency or 0,
@@ -356,6 +343,27 @@ class FLServer:
             self.close()
         result.meta["sim_time_s"] = self.sim_time_s
         return result
+
+
+def _new_trainer(
+    config: RunConfig, dtype: np.dtype, rng: np.random.Generator
+) -> LocalTrainer:
+    """A client model initialised from ``rng`` and its local trainer — the
+    one place either is built, for the server and for every backend
+    replica alike."""
+    dataset = config.dataset
+    model = build_model(
+        config.model_name,
+        in_channels=dataset.in_channels,
+        num_classes=dataset.num_classes,
+        image_size=dataset.image_size,
+        rng=rng,
+        dtype=dtype,
+        **config.model_kwargs,
+    )
+    return LocalTrainer(
+        model, local_steps=config.local_steps, batch_size=config.batch_size
+    )
 
 
 def run_training(config: RunConfig) -> RunResult:

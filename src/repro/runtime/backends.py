@@ -33,23 +33,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
-)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.datasets.base import ClientDataset
-from repro.nn.models import build_model
-from repro.nn.module import Module
-from repro.runtime.dtype import resolve_dtype
 from repro.runtime import sanitize as _sanitize
 from repro.utils.rng import RngFactory
 
-# LocalTrainer is imported lazily inside build_trainer(): repro.fl pulls in
-# this module through repro.fl.server, so a module-level import here would
-# close an import cycle
+# typing only: repro.fl pulls in this module through repro.fl.server, so a
+# runtime import of LocalTrainer here would close an import cycle
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.client import LocalTrainer
 
@@ -142,62 +136,27 @@ Deliver = Callable[[ClientResult], None]
 
 
 @dataclass
-class _SlotResult:
-    """Wire format for a zero-copy worker return: everything but the
-    arrays, which sit in the worker's claimed ring slot."""
-
-    client_id: int
-    slot: int
-    num_samples: int
-    mean_loss: float
-
-
-@dataclass
 class WorkerSpec:
-    """Everything a worker needs to rebuild the training context.
+    """Everything a backend needs besides the round's tasks and globals.
 
-    The replica's initial weights are irrelevant — every task overwrites
-    them from the shipped global state — so replicas are built with a fixed
-    throwaway RNG.  Per-client randomness comes from
+    ``make_trainer`` builds a client model and its
+    :class:`~repro.fl.client.LocalTrainer` — the server's own trainer
+    builder, bound to a throwaway RNG: a replica's initial weights are
+    irrelevant, since every task overwrites them from the shipped global
+    state.  Per-client randomness comes from
     ``RngFactory(seed)(f"client/{cid}/round/{t}")``, exactly the stream the
     serial path uses.
     """
 
-    model_name: str
-    model_kwargs: Dict[str, Any]
-    in_channels: int
-    num_classes: int
-    image_size: int
-    local_steps: int
-    batch_size: int
+    make_trainer: Callable[[], "LocalTrainer"]
+    clients: Sequence[ClientDataset]
     seed: int
-    clients: List[ClientDataset]
-    dtype: str = "float64"
-    d: int = 0
-    num_buffer: int = 0
-    #: results one process-backend dispatch can return zero-copy: the
-    #: ring has max(max_in_flight, workers) slots, fixed before the fork,
-    #: and every result beyond them comes back pickled
-    max_in_flight: int = 0
-
-    def build_trainer(self) -> Tuple[Module, "LocalTrainer"]:
-        from repro.fl.client import LocalTrainer
-
-        model = build_model(
-            self.model_name,
-            in_channels=self.in_channels,
-            num_classes=self.num_classes,
-            image_size=self.image_size,
-            rng=np.random.default_rng(0),
-            dtype=resolve_dtype(self.dtype),
-            **self.model_kwargs,
-        )
-        trainer = LocalTrainer(
-            model,
-            local_steps=self.local_steps,
-            batch_size=self.batch_size,
-        )
-        return model, trainer
+    d: int
+    num_buffer: int
+    #: the most tasks one process-backend dispatch may carry: its result
+    #: ring has this many slots, fixed before the fork, and task ``i`` of a
+    #: dispatch writes slot ``i``
+    max_in_flight: int
 
 
 def _run_one(
@@ -288,9 +247,7 @@ class SerialBackend(ExecutionBackend):
         trainer: Optional[LocalTrainer] = None,
     ):
         super().__init__(spec)
-        if trainer is None:
-            _, trainer = spec.build_trainer()
-        self.trainer = trainer
+        self.trainer = spec.make_trainer() if trainer is None else trainer
 
     def run_clients(
         self,
@@ -339,51 +296,34 @@ def _shared_array(n: int, dtype: np.dtype) -> np.ndarray:
     return np.ndarray(n, dtype, mmap.mmap(-1, max(1, n * dtype.itemsize)))
 
 
-def _process_worker_main(
-    conn, parent_ends, spec, flat, ring, capacity, cursor, slot_epochs, epoch
-) -> None:
+def _process_worker_main(conn, parent_ends, trainer, spec, flat, ring) -> None:
     """A worker's life.  Everything arrives by reference through the fork —
-    the spec with its dataset shards, both shared mappings — never pickled.
-    It closes the parent's pipe ends the fork copied in (so a dead parent
-    reads as EOF), builds a replica, and answers one task per message
-    until ``None``."""
+    the replica trainer, the spec with its dataset shards, both shared
+    mappings — never pickled.  It closes the parent's pipe ends the fork
+    copied in (so a dead parent reads as EOF) and answers one
+    ``(slot, task)`` message at a time until ``None``: it trains the task,
+    writes the deltas into ring slot ``slot`` and replies with the rest."""
     for end in parent_ends:
         end.close()
-    _, trainer = spec.build_trainer()
     rngs = RngFactory(spec.seed)
     d, stride = spec.d, spec.d + spec.num_buffer
 
-    def run(task: ClientTask):
+    def run(slot: int, task: ClientTask):
         result = _run_one(trainer, rngs, spec.clients, task, flat[:d], flat[d:])
-        with cursor.get_lock():
-            slot = cursor.value
-            if slot >= capacity:
-                # a full ring (more outstanding results than max_in_flight
-                # budgeted for) degrades to the pickled return path
-                return result
-            cursor.value = slot + 1
-            if slot_epochs is not None:
-                # sanitize mode: stamp the claim with the dispatch epoch
-                # (still under the cursor lock, which serializes all
-                # claims) so a broken cursor protocol — two workers on one
-                # slot — raises here instead of silently aliasing deltas
-                _sanitize.checked_slot_claim(slot_epochs, slot, epoch.value)
         base = slot * stride
         ring[base : base + d] = result.delta
         ring[base + d : base + stride] = result.buffer_delta
-        return _SlotResult(
-            result.client_id, slot, result.num_samples, result.mean_loss
-        )
+        return result.num_samples, result.mean_loss
 
     try:
-        for task in iter(conn.recv, None):
+        for slot, task in iter(conn.recv, None):
             try:
-                reply = run(task)
+                reply = run(slot, task)
             except Exception as exc:
                 # returned, not raised: the worker lives on, and the caller
                 # sees the error once every task of the dispatch is back —
-                # never while a task still claims ring slots.  Unpickles as
-                # ``exc`` itself with this traceback as its cause.
+                # never while a task still writes its ring slot.  Unpickles
+                # as ``exc`` itself with this traceback as its cause.
                 from multiprocessing.pool import ExceptionWithTraceback
 
                 reply = ExceptionWithTraceback(exc, exc.__traceback__)
@@ -398,12 +338,15 @@ class ProcessBackend(ExecutionBackend):
     Per round the server writes ``global_params``/``global_buffers`` once
     into a shared mapping sized at setup; workers read it zero-copy.
     Results travel the same way: a second mapping holds a ring of
-    ``max_in_flight`` slots of ``d + num_buffer`` elements each, workers
-    claim slots through a shared cursor and write their deltas in place,
-    and only a tiny slot descriptor crosses the worker's pipe.  The parent
-    delivers :class:`ClientResult` objects whose arrays **view** the ring.
-    Both mappings are anonymous and made before the workers fork: nothing
-    is named or unlinked, and nothing outlives the processes.
+    ``spec.max_in_flight`` slots of ``d + num_buffer`` elements each.  The
+    parent sends task ``i`` of a dispatch with its slot number ``i``, the
+    worker writes its deltas there, and only the sample count and loss
+    cross its pipe.  The parent delivers :class:`ClientResult` objects
+    whose arrays **view** the ring.  A dispatch with more tasks than slots
+    is refused with ``ValueError`` before any task is sent.  Both mappings
+    are anonymous and made before the workers fork: nothing is named or
+    unlinked, and nothing outlives the processes.  The workers' replica
+    trainer is built once, here, before the fork, and inherited.
 
     Each worker holds one task at a time, the next going to whichever
     answers first; results are delivered in task order once all are back.
@@ -411,11 +354,9 @@ class ProcessBackend(ExecutionBackend):
     dies ends the dispatch at once with :class:`WorkerLostError`.  None is
     replaced: a replacement would fork beside the caller's threads.
 
-    Ownership handoff: each ``run_clients`` call bumps the ring epoch and
-    resets the cursor, reclaiming every slot of the previous dispatch —
-    callers that keep results across dispatches must ``detach()`` them
-    first.  When a dispatch outgrows the ring, the overflow results fall
-    back to the classic pickled return (correct, just slower).
+    Ownership handoff: each ``run_clients`` call bumps the ring epoch,
+    reclaiming every slot of the previous dispatch — callers that keep
+    results across dispatches must ``detach()`` them first.
     """
 
     name = "process"
@@ -426,7 +367,6 @@ class ProcessBackend(ExecutionBackend):
 
         require_fork("execution_backend='process'")
         self.workers = max(1, workers or usable_cpus())
-        dt = resolve_dtype(spec.dtype)
         self._stride = stride = spec.d + spec.num_buffer
         #: the ring epoch — OwnershipTags on ring views check it
         self.sanitize_epoch = 0
@@ -437,24 +377,12 @@ class ProcessBackend(ExecutionBackend):
         self._lost: Optional[str] = None
         self._closed = False
         ctx = mp.get_context("fork")
-        # the ring is sized by the scheduler's declared in-flight budget (at
-        # least one slot per worker so small direct uses of the backend
-        # still ride the zero-copy path)
-        capacity = max(spec.max_in_flight, self.workers) if stride else 0
-        self._flat = _shared_array(stride, dt)
-        self._res = _shared_array(capacity * stride, dt)
-        self._res_cursor = ctx.Value("q", 0)
-        self._shared_epoch = self._slot_epochs = None
-        if self._sanitize:
-            # lock-free is safe: the parent writes the epoch only between
-            # dispatches, and the per-slot claim stamps are serialized by
-            # the cursor's lock in the workers
-            self._shared_epoch = ctx.Value("q", 0, lock=False)
-            self._slot_epochs = ctx.Array("q", capacity, lock=False)
-        shared = (
-            spec, self._flat, self._res, capacity, self._res_cursor,
-            self._slot_epochs, self._shared_epoch,
-        )
+        # one replica, built before the fork: each worker inherits its own
+        # copy, in the run's dtype, which the mappings share
+        trainer = spec.make_trainer()
+        self._flat = _shared_array(stride, trainer.dtype)
+        self._res = _shared_array(spec.max_in_flight * stride, trainer.dtype)
+        shared = (trainer, spec, self._flat, self._res)
         try:
             for _ in range(self.workers):
                 here, there = ctx.Pipe()
@@ -482,15 +410,18 @@ class ProcessBackend(ExecutionBackend):
         if self._lost is not None:
             raise WorkerLostError(self._lost)
         spec = self.spec
+        if len(tasks) > spec.max_in_flight:
+            raise ValueError(
+                f"a dispatch of {len(tasks)} tasks outgrows the process "
+                f"backend's {spec.max_in_flight}-slot result ring "
+                "(WorkerSpec.max_in_flight)"
+            )
         self._flat[: spec.d] = global_params
         if spec.num_buffer:
             self._flat[spec.d :] = global_buffers
         # new epoch: reclaim the previous dispatch's slots (no worker holds
-        # a task between dispatches, so none races this reset)
+        # a task between dispatches, so none is still writing one)
         self.sanitize_epoch += 1
-        self._res_cursor.value = 0
-        if self._shared_epoch is not None:
-            self._shared_epoch.value = self.sanitize_epoch
         try:
             raw = self._map(tasks)
         except BaseException as exc:
@@ -503,38 +434,40 @@ class ProcessBackend(ExecutionBackend):
         # every delta already sits in the ring (not on this heap), so
         # delivering after the whole dispatch costs no dense copy
         d, stride = spec.d, self._stride
-        for r in raw:
-            if isinstance(r, Exception):
-                raise r
-            if isinstance(r, _SlotResult):
-                base = r.slot * stride
-                delta = self._res[base : base + d]
-                buffer_delta = self._res[base + d : base + stride]
-                if self._sanitize:
-                    # epoch-scope the borrowed ring views: a result of this
-                    # dispatch touched after the next run_clients reclaims
-                    # the ring raises instead of reading the next round's
-                    # deltas.  detach() copies drop the guard.
-                    tag = _sanitize.OwnershipTag(
-                        host=self,
-                        epoch=self.sanitize_epoch,
-                        label=f"result-ring slot {r.slot}",
-                    )
-                    delta = _sanitize.guard(delta, tag)
-                    buffer_delta = _sanitize.guard(buffer_delta, tag)
-                r = ClientResult(
-                    client_id=r.client_id,
+        for slot, (task, reply) in enumerate(zip(tasks, raw)):
+            if isinstance(reply, Exception):
+                raise reply
+            num_samples, mean_loss = reply
+            base = slot * stride
+            delta = self._res[base : base + d]
+            buffer_delta = self._res[base + d : base + stride]
+            if self._sanitize:
+                # epoch-scope the borrowed ring views: a result of this
+                # dispatch touched after the next run_clients reclaims the
+                # ring raises instead of reading the next round's deltas.
+                # detach() copies drop the guard.
+                tag = _sanitize.OwnershipTag(
+                    host=self,
+                    epoch=self.sanitize_epoch,
+                    label=f"result-ring slot {slot}",
+                )
+                delta = _sanitize.guard(delta, tag)
+                buffer_delta = _sanitize.guard(buffer_delta, tag)
+            deliver(
+                ClientResult(
+                    client_id=task.client_id,
                     delta=delta,
                     buffer_delta=buffer_delta,
-                    num_samples=r.num_samples,
-                    mean_loss=r.mean_loss,
+                    num_samples=num_samples,
+                    mean_loss=mean_loss,
                 )
-            deliver(r)
+            )
 
     def _map(self, tasks: Sequence[ClientTask]) -> list:
         """Every task's reply, in task order — what ``Pool.map`` with
         ``chunksize=1`` returns — or :class:`WorkerLostError` the moment
-        a worker ends."""
+        a worker ends.  Task ``i`` travels as ``(i, task)``: its ring slot
+        is its position in the dispatch."""
         from multiprocessing.connection import wait
 
         replies: list = [None] * len(tasks)
@@ -547,7 +480,7 @@ class ProcessBackend(ExecutionBackend):
             if job is not None:
                 holding[conn] = job[0]
                 try:
-                    conn.send(job[1])
+                    conn.send(job)
                 except BrokenPipeError:  # its EOF is read below
                     pass
 

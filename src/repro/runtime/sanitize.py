@@ -9,14 +9,14 @@ reads recycled memory and produces wrong numbers, not a crash.
 
 This module makes the promise checkable.  With sanitize mode on
 (``REPRO_SANITIZE=1`` in the environment, its one switch) the process
-backend stamps each result-ring slot with the dispatch epoch
-that claimed it (:func:`checked_slot_claim` — a double claim within one
-epoch raises in the worker) and wraps the parent-side ring views in
-:class:`GuardedView` objects carrying an :class:`OwnershipTag` (owning
-host, epoch at hand-out time); every element access / ufunc application
-re-validates the tag, so a previous dispatch's result touched after the
-ring was reclaimed raises :class:`SanitizerError` at the faulting line
-instead of silently reading the next round's deltas.
+backend wraps the parent-side ring views in :class:`GuardedView` objects
+carrying an :class:`OwnershipTag` (owning host, epoch at hand-out time);
+every element access / ufunc application re-validates the tag, so a
+previous dispatch's result touched after the ring was reclaimed raises
+:class:`SanitizerError` at the faulting line instead of silently reading
+the next round's deltas.  (Which slot a worker writes is not a protocol
+to check: the parent names it — task ``i`` of a dispatch writes slot
+``i`` — so no two results of one dispatch can share a slot.)
 
 Guards are *lifetime-scoped to the borrowed memory*: ``__array_finalize__``
 propagates the tag to views (``base is not None``) but drops it from
@@ -60,7 +60,6 @@ __all__ = [
     "GuardedView",
     "enabled",
     "guard",
-    "checked_slot_claim",
 ]
 
 
@@ -180,23 +179,3 @@ def guard(buf: np.ndarray, tag: OwnershipTag) -> np.ndarray:
     view = buf.view(GuardedView)
     view._guard = tag
     return view
-
-
-def checked_slot_claim(slot_epochs, slot: int, epoch: int) -> None:
-    """Record a worker's claim of result-ring ``slot`` for dispatch ``epoch``.
-
-    ``slot_epochs`` is the shared per-slot epoch table (one entry per ring
-    slot; process backend passes a fork-shared ``multiprocessing`` array).
-    Claiming a slot twice in the same epoch means two workers were handed
-    the same slot — the cursor protocol is broken — so it raises rather
-    than letting one worker's deltas overwrite the other's.
-
-    Callers must invoke this under the same lock that serializes cursor
-    claims (the process backend uses the cursor's own lock).
-    """
-    if slot_epochs[slot] == epoch:
-        raise SanitizerError(
-            f"result-ring slot {slot} claimed twice in dispatch epoch "
-            f"{epoch} — two in-flight results would alias one buffer"
-        )
-    slot_epochs[slot] = epoch

@@ -8,14 +8,15 @@ import pytest
 
 from repro.core import make_gluefl
 from repro.fl import RunConfig
+from repro.fl.client import LocalTrainer
 from repro.fl.server import run_training
 from repro.nn.flat import snapshot
+from repro.nn.models import build_model
 from repro.runtime import ClientTask, ProcessBackend, WorkerSpec
 from repro.runtime.sanitize import (
     GuardedView,
     OwnershipTag,
     SanitizerError,
-    checked_slot_claim,
     enabled,
     guard,
 )
@@ -81,37 +82,36 @@ def test_stale_epoch_tag_names_the_buffer():
         np.sum(buf)
 
 
-# -- result-ring claims --------------------------------------------------------
-def test_double_slot_claim_raises():
-    slot_epochs = [0, 0, 0]
-    checked_slot_claim(slot_epochs, 1, epoch=7)
-    assert slot_epochs[1] == 7
-    with pytest.raises(SanitizerError, match="claimed twice"):
-        checked_slot_claim(slot_epochs, 1, epoch=7)
-    # a later dispatch reuses the slot legally
-    checked_slot_claim(slot_epochs, 1, epoch=8)
-
-
+# -- result-ring views ---------------------------------------------------------
 def _process_spec(tiny_dataset):
-    return WorkerSpec(
-        model_name="mlp",
-        model_kwargs={"hidden": (8,)},
-        in_channels=tiny_dataset.in_channels,
-        num_classes=tiny_dataset.num_classes,
-        image_size=tiny_dataset.image_size,
-        local_steps=2,
-        batch_size=8,
-        seed=5,
+    """A two-slot spec for an 8-unit MLP, plus its flat params and buffers."""
+
+    def make_trainer():
+        model = build_model(
+            "mlp",
+            in_channels=tiny_dataset.in_channels,
+            num_classes=tiny_dataset.num_classes,
+            image_size=tiny_dataset.image_size,
+            rng=np.random.default_rng(0),
+            hidden=(8,),
+        )
+        return LocalTrainer(model, local_steps=2, batch_size=8)
+
+    params, buffers = snapshot(make_trainer().model)
+    spec = WorkerSpec(
+        make_trainer=make_trainer,
         clients=tiny_dataset.clients,
+        seed=5,
+        d=len(params),
+        num_buffer=len(buffers),
+        max_in_flight=2,
     )
+    return spec, params, buffers
 
 
 def test_ring_result_touch_after_reclaim_raises(tiny_dataset, monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    spec = _process_spec(tiny_dataset)
-    model, _ = spec.build_trainer()
-    params, buffers = snapshot(model)
-    spec.d, spec.num_buffer = len(params), len(buffers)
+    spec, params, buffers = _process_spec(tiny_dataset)
     tasks = [ClientTask(client_id=c, lr=0.05, round_idx=1) for c in (1, 2)]
     with ProcessBackend(spec, workers=2) as backend:
         first = []
@@ -161,12 +161,9 @@ def test_sanitize_mode_is_bit_identical(tiny_dataset, backend, monkeypatch):
 
 def test_sanitize_defaults_off(tiny_dataset, monkeypatch):
     """Without ``REPRO_SANITIZE`` the process backend hands out plain ring
-    views: no epoch stamps, no guards."""
+    views, unguarded."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    spec = _process_spec(tiny_dataset)
-    model, _ = spec.build_trainer()
-    params, buffers = snapshot(model)
-    spec.d, spec.num_buffer = len(params), len(buffers)
+    spec, params, buffers = _process_spec(tiny_dataset)
     tasks = [ClientTask(client_id=1, lr=0.05, round_idx=1)]
     with ProcessBackend(spec, workers=1) as backend:
         results = []

@@ -5,19 +5,27 @@ by some ``src/`` or ``benchmarks/`` file other than ``fl/config.py``
 itself, as a keyword argument or as a string key of a dict literal.  A
 keyword whose value is ``<obj>.<the same name>`` does not count: that
 forwards a field someone else set (``momentum=config.momentum``), it sets
-nothing.  Tests and examples do not count either.  A field no caller sets
-holds one value for every run, so it is a constant, not a knob; one that
-stays anyway needs a one-line reason on :data:`ALLOWED`.
+nothing.  Nor does a keyword to a ``src/`` callable that declares that
+parameter itself (``DutyCycleTrace(mean_on_fraction=0.8)`` sets the
+trace's fraction, not the config's) — unless that name is also forwarded
+into a config somewhere, as ``x=<obj>.x`` to a callee that does not
+declare ``x`` (``eval_top_k=1`` to ``Scenario`` counts, because
+``build_config`` forwards ``eval_top_k=scenario.eval_top_k`` into the
+config's ``dict``).  Tests and examples do not count either.  A field no
+caller sets holds one value for every run, so it is a constant, not a
+knob; one that stays anyway needs a one-line reason on :data:`ALLOWED`.
 
 The read side is the twin: a field must also be read, as an attribute
 (``config.x``) or a constant ``getattr`` name, somewhere in ``src/``
 outside ``RunConfig.validate``.  A field only ``validate()`` looks at is
 checked and then ignored, so it does nothing for any run.
 
-Names are matched by their bare identifier, so a same-named keyword of
-another constructor counts as setting the field (``mean_on_fraction=0.8``
-to ``DutyCycleTrace``) and a same-named attribute of another object as
-reading it; the checks err towards keeping a field.
+Callees are matched by their bare name (``Name(...)`` or
+``obj.name(...)``) against every function and class ``src/`` defines
+(``RunConfig`` itself aside); a class declares its ``__init__``
+parameters and its annotated fields.  Read-side names are matched by
+their bare identifier too, so a same-named attribute of another object
+counts as reading a field; the read check errs towards keeping one.
 """
 
 from __future__ import annotations
@@ -37,6 +45,11 @@ CONFIG_MODULE = REPO_ROOT / "src" / "repro" / "fl" / "config.py"
 ALLOWED = {
     "availability_trace": "classic availability knob; ROADMAP 9(d) decides "
     "whether the classic trace folds into population presets",
+    "mean_on_fraction": "classic availability knob (callers set only the "
+    "traces' own parameter); ROADMAP 9(d) folds it into a population preset",
+    "dropout_prob": "classic availability knob (callers set only the "
+    "population's own parameter); ROADMAP 9(d) folds it into a population "
+    "preset",
 }
 
 
@@ -46,30 +59,99 @@ def _forwards(keyword: ast.keyword) -> bool:
     return isinstance(value, ast.Attribute) and value.attr == keyword.arg
 
 
+def _callee(call: ast.Call):
+    """A call's bare callee name: ``f`` of ``f(...)`` and ``obj.f(...)``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def declared_params(trees) -> dict:
+    """Callable name -> every parameter a same-named function or class
+    in ``trees`` declares (a class: its ``__init__`` and its annotated
+    fields).  ``RunConfig`` is left out: a keyword to it sets a field."""
+    declared: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                names = {a.arg for a in params}
+            elif isinstance(node, ast.ClassDef) and node.name != "RunConfig":
+                names = set()
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(
+                        item.target, ast.Name
+                    ):
+                        names.add(item.target.id)
+                    elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        args = item.args
+                        names.update(
+                            a.arg for a in args.args + args.kwonlyargs
+                        )
+            else:
+                continue
+            declared.setdefault(node.name, set()).update(names)
+    return declared
+
+
+def names_set(trees, declared: dict) -> frozenset:
+    """Every keyword argument and dict-literal string key ``trees`` write,
+    under the rules in the module docstring, given the ``src/``
+    declarations ``declared``."""
+    calls = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    # names forwarded into a config: x=<obj>.x to a callee not declaring x
+    into_config = {
+        kw.arg
+        for call in calls
+        for kw in call.keywords
+        if kw.arg is not None
+        and _forwards(kw)
+        and kw.arg not in declared.get(_callee(call), ())
+    }
+    names = set()
+    for call in calls:
+        own = declared.get(_callee(call), ())
+        names.update(
+            kw.arg
+            for kw in call.keywords
+            if kw.arg is not None
+            and not _forwards(kw)
+            and (kw.arg not in own or kw.arg in into_config)
+        )
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                names.update(
+                    key.value
+                    for key in node.keys
+                    if isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)
+                )
+    return frozenset(names)
+
+
+def _parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text())
+
+
 @functools.lru_cache(maxsize=None)
 def set_names() -> frozenset:
-    """Every keyword argument and dict-literal string key the callers
-    write, under the rules in the module docstring."""
-    names = set()
-    for root in CALLERS:
-        for path in sorted((REPO_ROOT / root).rglob("*.py")):
-            if path == CONFIG_MODULE:
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    names.update(
-                        kw.arg
-                        for kw in node.keywords
-                        if kw.arg is not None and not _forwards(kw)
-                    )
-                elif isinstance(node, ast.Dict):
-                    names.update(
-                        key.value
-                        for key in node.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    )
-    return frozenset(names)
+    """Every field name the callers set, under the rules in the module
+    docstring."""
+    src = [_parse(p) for p in sorted((REPO_ROOT / "src").rglob("*.py"))]
+    callers = [
+        _parse(path)
+        for root in CALLERS
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        if path != CONFIG_MODULE
+    ]
+    return names_set(callers, declared_params(src))
 
 
 def _validate_nodes(tree: ast.AST) -> set:
@@ -117,10 +199,26 @@ def test_scan_sees_the_callers():
     """The scan finds keyword arguments (guards a walk that finds nothing,
     which would pass vacuously) and skips forwarding."""
     names = set_names()
-    assert {"scheduler", "execution_backend", "rounds"} <= names
+    assert {"scheduler", "execution_backend", "rounds", "eval_top_k"} <= names
     tree = ast.parse("f(momentum=config.momentum, lr=config.base_lr)")
     call = tree.body[0].value
     assert [_forwards(kw) for kw in call.keywords] == [True, False]
+
+
+def test_a_callees_own_parameter_sets_no_field():
+    """``Trace(p=0.8)`` sets the trace's ``p``; it counts as setting a
+    field only once some call forwards ``p`` into a config."""
+    declared = declared_params(
+        [ast.parse("class Trace:\n    def __init__(self, n, p=1.0): ...")]
+    )
+    assert declared["Trace"] == {"self", "n", "p"}
+    alone = [ast.parse("Trace(3, p=0.8)\nRunConfig(rounds=2)")]
+    assert names_set(alone, declared) == {"rounds"}
+    through = alone + [ast.parse("dict(p=scenario.p)")]
+    assert names_set(through, declared) == {"rounds", "p"}
+    # forwarding to a callee that declares the name is no config
+    beside = alone + [ast.parse("Trace(1, p=config.p)")]
+    assert names_set(beside, declared) == {"rounds"}
 
 
 def test_every_field_is_set_by_a_caller():

@@ -23,7 +23,10 @@ import pytest
 from repro.compression import FedAvgStrategy
 from repro.core import make_gluefl
 from repro.fl import RunConfig, UniformSampler
+from repro.fl.client import LocalTrainer
 from repro.fl.server import FLServer, run_training
+from repro.nn.flat import snapshot
+from repro.nn.models import build_model
 from repro.runtime import (
     ClientTask,
     ProcessBackend,
@@ -121,38 +124,6 @@ def test_backend_bit_identical_with_cnn_buffers(tiny_dataset):
     assert _fingerprint(serial) == _fingerprint(proc)
 
 
-def _spec(tiny_dataset, dtype="float64"):
-    return WorkerSpec(
-        model_name="mlp",
-        model_kwargs={"hidden": (8,)},
-        in_channels=tiny_dataset.in_channels,
-        num_classes=tiny_dataset.num_classes,
-        image_size=tiny_dataset.image_size,
-        local_steps=2,
-        batch_size=8,
-        seed=5,
-        clients=tiny_dataset.clients,
-        dtype=dtype,
-    )
-
-
-# -- the delivery contract -------------------------------------------------------
-# run_clients(tasks, params, buffers, deliver): one deliver(result) per task,
-# in task order, on the calling thread, nothing returned.
-
-
-def _bound_spec(tiny_dataset, **overrides):
-    from repro.nn.flat import snapshot
-
-    spec = _spec(tiny_dataset)
-    for name, value in overrides.items():
-        setattr(spec, name, value)
-    model, _ = spec.build_trainer()
-    params, buffers = snapshot(model)
-    spec.d, spec.num_buffer = len(params), len(buffers)
-    return spec, params, buffers
-
-
 #: seven tasks in an order unrelated to client id, with two learning
 #: rates interleaved, so in-order delivery cannot fall out of sorting
 _ORDER_TASKS = [
@@ -162,12 +133,54 @@ _ORDER_TASKS = [
 ]
 
 
+def _bound_spec(tiny_dataset, slots=len(_ORDER_TASKS)):
+    """A spec for an 8-unit MLP on ``tiny_dataset`` whose process ring has
+    ``slots`` slots, plus that model's flat params and buffers."""
+
+    def make_trainer():
+        model = build_model(
+            "mlp",
+            in_channels=tiny_dataset.in_channels,
+            num_classes=tiny_dataset.num_classes,
+            image_size=tiny_dataset.image_size,
+            rng=np.random.default_rng(0),
+            hidden=(8,),
+        )
+        return LocalTrainer(model, local_steps=2, batch_size=8)
+
+    params, buffers = snapshot(make_trainer().model)
+    spec = WorkerSpec(
+        make_trainer=make_trainer,
+        clients=tiny_dataset.clients,
+        seed=5,
+        d=len(params),
+        num_buffer=len(buffers),
+        max_in_flight=slots,
+    )
+    return spec, params, buffers
+
+
+# -- the delivery contract -------------------------------------------------------
+# run_clients(tasks, params, buffers, deliver): one deliver(result) per task,
+# in task order, on the calling thread, nothing returned.
+
+
+def _assert_ring_view(backend, result):
+    """A process-backend result is borrowed from the backend's ring, not
+    a pickle or a copy."""
+    assert np.shares_memory(result.delta, backend._res)
+    if result.buffer_delta.size:
+        assert np.shares_memory(result.buffer_delta, backend._res)
+
+
 def _delivered(backend, tasks, params, buffers):
     """What ``deliver`` saw: copies (a ring view dies at the next
     dispatch) plus the thread each call ran on."""
     seen = []
 
     def deliver(result):
+        if isinstance(backend, ProcessBackend):
+            _assert_ring_view(backend, result)
         seen.append(
             (
                 result.client_id,
@@ -214,7 +227,7 @@ def test_process_delivery_hands_out_live_ring_views(tiny_dataset):
         inside = []
 
         def deliver(result):
-            assert result.delta.base is not None  # borrowed, not copied
+            _assert_ring_view(backend, result)
             inside.append(float(np.abs(result.delta).sum()))
             held.append(result)
 
@@ -382,18 +395,18 @@ def test_worker_killed_between_dispatches_fails_the_next(tiny_dataset):
 
 
 def test_process_stress_bit_equal_to_inline_loop(tiny_dataset, monkeypatch):
-    """Four workers on however many cores, 40 tasks, a ring of four slots
-    (so most results come back pickled) and the sanitizer's claim stamps
-    on, dispatched twice: the same results, in task order, as training in
-    turn on one replica."""
+    """Four workers on however many cores, 40 tasks into a 40-slot ring
+    with the sanitizer's guards on, dispatched twice: the same results, in
+    task order, each a view of the ring, as training in turn on one
+    replica."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    spec, params, buffers = _bound_spec(tiny_dataset)
+    spec, params, buffers = _bound_spec(tiny_dataset, slots=40)
     n = len(spec.clients)
     tasks = [
         ClientTask(client_id=i % n, lr=0.05, round_idx=3 + i // n)
         for i in range(40)
     ]
-    _, trainer = spec.build_trainer()
+    trainer = spec.make_trainer()
     rngs = RngFactory(spec.seed)
     want = [
         _run_one(trainer, rngs, spec.clients, task, params, buffers)
@@ -407,6 +420,41 @@ def test_process_stress_bit_equal_to_inline_loop(tiny_dataset, monkeypatch):
                 assert cid == w.client_id and loss == w.mean_loss
                 np.testing.assert_array_equal(delta, w.delta)
                 np.testing.assert_array_equal(buf, w.buffer_delta)
+
+
+def test_process_refuses_a_dispatch_past_its_ring(tiny_dataset):
+    """Task i writes slot i, so a dispatch one task longer than the ring is
+    refused before any task is sent — nothing delivered, and the pool and
+    ring serve the next dispatch as before."""
+    spec, params, buffers = _bound_spec(tiny_dataset)
+    tasks = _ORDER_TASKS + [ClientTask(client_id=0, lr=0.05, round_idx=1)]
+    with ProcessBackend(spec, workers=2) as backend:
+        seen = []
+        with pytest.raises(ValueError, match="8 tasks outgrows .* 7-slot"):
+            backend.run_clients(tasks, params, buffers, seen.append)
+        assert seen == []
+        _assert_contract(
+            _delivered(backend, _ORDER_TASKS, params, buffers), _ORDER_TASKS
+        )
+
+
+def test_reused_dynamic_sampler_restarts_at_k0(tiny_dataset):
+    """A second server on an annealed ``DynamicScheduleSampler`` starts at
+    K_0 again: its ring holds the first round's over-committed cohort, and
+    its run reports K_0."""
+    from repro.fl.extra_samplers import DynamicScheduleSampler
+
+    sampler = DynamicScheduleSampler(UniformSampler(10), k_min=2, decay=0.5)
+    kwargs = dict(strategy=FedAvgStrategy(), sampler=sampler, rounds=3)
+    run_training(_config(tiny_dataset, **kwargs))
+    assert sampler.k == 2  # annealed: round 3's budget
+    kwargs.update(strategy=FedAvgStrategy(), rounds=1)
+    server = FLServer(_config(tiny_dataset, "process", **kwargs))
+    try:
+        assert server.backend.spec.max_in_flight == 13  # ⌈1.3 · 10⌉
+        assert server.run().meta["k"] == 10
+    finally:
+        server.close()
 
 
 # -- serial: the next client trains while the last one is delivered ------------
@@ -534,7 +582,7 @@ def test_serial_stress_bit_equal_to_inline_loop(tiny_dataset):
         ClientTask(client_id=i % n, lr=0.05, round_idx=3 + i // n)
         for i in range(40)
     ]
-    _, trainer = spec.build_trainer()
+    trainer = spec.make_trainer()
     rngs = RngFactory(spec.seed)
     want = []
     for task in tasks:  # the reference: train, deliver, next
@@ -576,7 +624,7 @@ def test_default_pool_widths_follow_the_affinity_mask(tiny_dataset, monkeypatch)
 
 
 def test_unknown_backend_rejected(tiny_dataset):
-    spec = _spec(tiny_dataset)
+    spec, _, _ = _bound_spec(tiny_dataset)
     with pytest.raises(ValueError, match="unknown execution backend"):
         create_backend("gpu", spec)
     with pytest.raises(ValueError, match="execution_backend"):
