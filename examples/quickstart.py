@@ -212,13 +212,11 @@ def main() -> None:
     print(f"custom storm (burst every 10th round): "
           f"{stormy(population=custom)}")
 
-    # --- the simulated clock: tiered and overlapped rounds --------------------
+    # --- the simulated clock: tiered rounds -----------------------------------
     # Every scheduler runs on a shared SimClock and stamps cumulative
     # simulated time into RoundRecord.wall_clock_s.  "semiasync" keeps the
     # sync fast tier but salvages over-committed stragglers into later
-    # rounds (staleness-discounted); "overlapped" keeps sync's learning
-    # dynamics bit-identical and only pipelines round t+1's downloads
-    # behind round t's uploads, shrinking the simulated wall clock.
+    # rounds (staleness-discounted).
     def timed(scheduler):
         config = RunConfig(
             dataset=dataset,
@@ -234,7 +232,7 @@ def main() -> None:
         )
         return run_training(config)
 
-    for scheduler in ("sync", "semiasync", "overlapped"):
+    for scheduler in ("sync", "semiasync"):
         result = timed(scheduler)
         print(
             f"{scheduler:10s}: accuracy {result.final_accuracy():.3f}, "

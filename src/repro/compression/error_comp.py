@@ -138,7 +138,9 @@ class ResidualStore:
         nothing.  The returned array is always **owned by the caller** — a
         fresh allocation, never an alias of ``delta`` — so strategies may
         zero it in place while splitting sent mass from residual mass
-        without corrupting the caller's delta.
+        without corrupting the caller's delta.  A ratio of exactly 1 (the
+        client stayed in its sticky or non-sticky group) skips the
+        multiply: ``x · 1.0 == x``, so the result is the same bits.
         """
         if self.mode is ErrorCompMode.NONE:
             return delta.copy()
@@ -157,6 +159,8 @@ class ResidualStore:
                     f"client {client_id}"
                 )
             scale = stored_weight / current_weight
+            if scale == 1.0:
+                scale = None
         # scale·h lands directly in the caller-owned result and delta is
         # added in place: the same two IEEE operations (in delta's dtype) as
         # ``delta + scale * h.astype(delta.dtype)``, without its cast copy

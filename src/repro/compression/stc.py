@@ -42,11 +42,10 @@ class STCStrategy(CompressionStrategy):
         Client-side error feedback mode.  STC's original formulation uses
         plain accumulation (``EC``); under uniform sampling the aggregation
         weight is constant across rounds, so ``EC`` and ``REC`` coincide.
-    server_residual:
-        Keep a server-side residual of the aggregate mass dropped by the
-        server's top-q (Sattler et al.'s "weight update caching"), folding
-        it into the next round's aggregate.  Off by default to match the
-        paper's Algorithm 1, which omits it.
+
+    The server keeps no residual of the aggregate mass its top-q drops
+    (Sattler et al.'s "weight update caching"): the paper's Algorithm 1
+    omits it.
     """
 
     name = "stc"
@@ -58,23 +57,19 @@ class STCStrategy(CompressionStrategy):
         self,
         q: float,
         error_comp: ErrorCompMode = ErrorCompMode.EC,
-        server_residual: bool = False,
     ):
         super().__init__()
         if not 0.0 < q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {q}")
         self.q = q
         self.residuals = ResidualStore(error_comp)
-        self.server_residual = server_residual
         self._k: int = 0
-        self._server_h: np.ndarray = np.zeros(0, dtype=np.float64)
 
     def setup(self, d: int, rng: np.random.Generator, dtype=np.float64) -> None:
         super().setup(d, rng, dtype=dtype)
         self._k = ratio_to_k(self.q, d)
         if self._k == 0:
             raise ValueError(f"q={self.q} keeps zero of {d} coordinates")
-        self._server_h = np.zeros(d, dtype=self.dtype)
 
     def nominal_upstream_bytes(self) -> int:
         self._check_setup()
@@ -107,11 +102,7 @@ class STCStrategy(CompressionStrategy):
     def aggregate(self) -> AggregateResult:
         self._check_setup()
         acc = self._close_sums()
-        if self.server_residual:
-            acc = acc + self._server_h
         keep = top_k_indices(acc, self._k)
         global_delta = np.zeros(self.d, dtype=self.dtype)
         global_delta[keep] = acc[keep]
-        if self.server_residual:
-            self._server_h = acc - global_delta
         return AggregateResult(global_delta=global_delta, changed_idx=keep)

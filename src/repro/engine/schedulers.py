@@ -1,5 +1,5 @@
-"""Pluggable round schedulers: sync, async/buffered, tiered semi-async,
-and overlapped sync rounds.
+"""Pluggable round schedulers: sync, async/buffered and tiered semi-async
+rounds.
 
 Every scheduler runs on the shared simulated-time core
 (:class:`~repro.engine.clock.SimClock`): the clock owns cumulative
@@ -63,20 +63,6 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     compressed under the strategy state of the arrival round —
     under GlueFL's shifting shared mask this is exactly the mask-drift
     regime ``benchmarks/bench_sticky_staleness.py`` studies.
-
-``overlapped``
-    Pipelined sync rounds: identical learning dynamics to ``sync`` (same
-    RNG streams, same updates, bit-identical records apart from the clock
-    fields) under an overlapped communication model — round *t+1*'s
-    downloads start when round *t*'s uploads start, so the downlink leg
-    hides behind the previous uplink leg.  The pipeline runs on the
-    *critical participant's* legs (``ParticipantSelection.critical_*_s``,
-    which sum exactly to the sync round time): with aggregation of round
-    *t−1* done at ``A``, round *t* finishes at
-    ``max(A, dl_start + D) + C + U`` where ``dl_start`` is round *t−1*'s
-    upload start.  Per-round advance is never larger than the sync round
-    time (savings up to ``min(D_t, U_{t−1})``); ``round_seconds`` reports
-    the advance so cumulative time matches ``wall_clock_s``.
 """
 
 from __future__ import annotations
@@ -97,11 +83,10 @@ __all__ = [
     "SyncScheduler",
     "AsyncBufferedScheduler",
     "SemiAsyncScheduler",
-    "OverlappedSyncScheduler",
     "create_scheduler",
 ]
 
-SCHEDULERS = ("sync", "async", "semiasync", "overlapped")
+SCHEDULERS = ("sync", "async", "semiasync")
 
 #: staleness-discount exponent α in ``(1 + τ)^(−α)`` (async and semiasync)
 STALENESS_ALPHA = 0.5
@@ -133,7 +118,7 @@ class SyncScheduler(Scheduler):
     """The default: one synchronous cohort round, the steps in order.
 
     :meth:`run_round` is the round every cohort scheduler runs; the policy
-    points below it are all that ``overlapped`` and ``semiasync`` override.
+    points below it are all that ``semiasync`` overrides.
     """
 
     name = "sync"
@@ -168,7 +153,7 @@ class SyncScheduler(Scheduler):
             quorum_redraws=cohort.quorum_redraws,
             quorum_failed=cohort.quorum_failed,
         )
-        self.advance_clock(start, selection, record)
+        self.advance_clock(start, record)
         record.wall_clock_s = self.clock.now
         return record
 
@@ -181,36 +166,10 @@ class SyncScheduler(Scheduler):
         if server.population is not None:
             server.population.finish_round(t, cohort.lost)
 
-    def advance_clock(self, start: float, selection, record: RoundRecord) -> None:
+    def advance_clock(self, start: float, record: RoundRecord) -> None:
         """Replay the round's duration through the clock, from the round's
         ``start``, so every record carries comparable cumulative time."""
         self.clock.advance_to(start + record.round_seconds)
-
-
-class OverlappedSyncScheduler(SyncScheduler):
-    """Sync learning dynamics under a pipelined communication clock: the
-    identical round, but the clock advances by the overlapped-round
-    recurrence of the module docstring, which overwrites the record's
-    ``round_seconds`` before ``wall_clock_s`` is stamped."""
-
-    name = "overlapped"
-    _prev_upload_start: Optional[float] = None
-
-    def advance_clock(self, start: float, selection, record: RoundRecord) -> None:
-        agg_ready = start  # previous round's aggregation time
-        dl_start = (
-            self._prev_upload_start
-            if self._prev_upload_start is not None
-            else agg_ready
-        )
-        dl_done = dl_start + selection.critical_download_s
-        # compute needs both the prefetched payload and the fresh update
-        compute_start = max(dl_done, agg_ready)
-        upload_start = compute_start + selection.critical_compute_s
-        done = upload_start + selection.critical_upload_s
-        self._prev_upload_start = upload_start
-        record.round_seconds = done - agg_ready
-        self.clock.advance_to(done)
 
 
 @dataclass
@@ -486,7 +445,6 @@ _SCHEDULER_TYPES = {
     "sync": SyncScheduler,
     "async": AsyncBufferedScheduler,
     "semiasync": SemiAsyncScheduler,
-    "overlapped": OverlappedSyncScheduler,
 }
 assert tuple(_SCHEDULER_TYPES) == SCHEDULERS
 

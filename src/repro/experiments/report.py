@@ -62,13 +62,10 @@ def format_series(
     x_label: str = "down_GB",
     y_label: str = "acc",
     max_points: int = 12,
-    plot: bool = True,
 ) -> str:
-    """Render figure-style (x, y) series as aligned text columns.
-
-    With ``plot=True`` (the default) an ASCII chart of the curves is
-    appended, approximating the paper's figure visually in the terminal.
-    """
+    """Render figure-style (x, y) series as aligned text columns, followed
+    by an ASCII chart of the curves that approximates the paper's figure
+    in the terminal."""
     lines = [title, "-" * len(title)]
     for name, points in series.items():
         pts: List[Tuple[float, float]] = list(points)
@@ -77,7 +74,7 @@ def format_series(
             pts = pts[::step] + ([pts[-1]] if pts[-1] not in pts[::step] else [])
         body = "  ".join(f"({x:.3g},{y:.3f})" for x, y in pts)
         lines.append(f"{name:<24} {x_label}/{y_label}: {body}")
-    if plot and any(len(list(pts)) for pts in series.values()):
+    if any(len(list(pts)) for pts in series.values()):
         from repro.experiments.ascii_plot import ascii_plot
 
         lines.append("")

@@ -24,6 +24,9 @@ from repro.nn.optim import SGD
 
 __all__ = ["LocalResult", "LocalTrainer"]
 
+#: client SGD momentum (§5.1: PyTorch SGD, momentum 0.9, no weight decay)
+MOMENTUM = 0.9
+
 
 @dataclass
 class LocalResult:
@@ -46,8 +49,9 @@ class LocalTrainer:
         E — local SGD iterations per round (paper: 10).
     batch_size:
         Mini-batch size per step.
-    momentum, weight_decay:
-        Client optimizer settings (paper: momentum 0.9).
+
+    The optimizer is plain :class:`~repro.nn.optim.SGD` with the paper's
+    :data:`MOMENTUM`, fresh for every participation.
     """
 
     def __init__(
@@ -55,8 +59,6 @@ class LocalTrainer:
         model: Module,
         local_steps: int,
         batch_size: int,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
     ):
         if local_steps <= 0:
             raise ValueError("local_steps must be positive")
@@ -65,8 +67,6 @@ class LocalTrainer:
         self.dtype = self.view.dtype
         self.local_steps = local_steps
         self.batch_size = batch_size
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.loss = CrossEntropyLoss()
 
     def run(
@@ -91,12 +91,7 @@ class LocalTrainer:
             self.view.set_buffers_flat(global_buffers)
         self.model.train()
         # fresh momentum each participation: client state is not retained
-        optimizer = SGD(
-            self.model.parameters(),
-            lr=lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
+        optimizer = SGD(self.model.parameters(), lr=lr, momentum=MOMENTUM)
         losses = []
         for xb, yb in dataset.batches(
             self.batch_size, rng, num_batches=steps

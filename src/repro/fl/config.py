@@ -45,9 +45,7 @@ class RunConfig:
       ``(1 + τ)^(−α)``), ``"semiasync"`` (FLASH-style tiered rounds: the
       fast tier aggregates synchronously at its deadline, over-committed
       stragglers fold into later rounds with staleness-discounted
-      weights), or ``"overlapped"`` (sync learning dynamics under a
-      pipelined clock: round *t+1*'s downloads overlap round *t*'s
-      uploads).  Every scheduler runs on the shared
+      weights).  Every scheduler runs on the shared
       :class:`~repro.engine.clock.SimClock` and stamps cumulative
       simulated time into ``RoundRecord.wall_clock_s``.
     * ``skip_empty_rounds`` — survive rounds where nobody's update arrives
@@ -138,9 +136,8 @@ class RunConfig:
 
     # round scheduling (repro.engine)
     #: round shape: "sync" (Algorithm 1), "async" (FedBuff-style buffered
-    #: asynchrony), "semiasync" (sync fast tier + stale straggler fold-ins)
-    #: or "overlapped" (sync dynamics under a pipelined clock); see
-    #: :mod:`repro.engine.schedulers` for semantics
+    #: asynchrony) or "semiasync" (sync fast tier + stale straggler
+    #: fold-ins); see :mod:`repro.engine.schedulers` for semantics
     scheduler: str = "sync"
     #: record a zero-participant RoundRecord and continue instead of
     #: aborting when no participant survives a round
@@ -173,7 +170,7 @@ class RunConfig:
     residual_max_clients: Optional[int] = None
     #: graceful degradation: minimum surviving cohort, as a fraction of the
     #: sampler's K, below which the round re-draws fresh candidates
-    #: (None disables quorum checking).  Sync-shaped schedulers only
+    #: (None disables quorum checking).  The sync scheduler only
     quorum_fraction: Optional[float] = None
     #: quorum: bounded number of re-draw waves before giving up and
     #: degrading to ``skip_empty_rounds`` semantics
@@ -345,7 +342,7 @@ class RunConfig:
                 raise ValueError(
                     "quorum_fraction is a synchronous-cohort concept; the "
                     f"{self.scheduler!r} scheduler has no per-round cohort "
-                    "to re-draw — unset it or use a sync-shaped scheduler"
+                    "to re-draw — unset it or use the sync scheduler"
                 )
         if self.redraw_max_attempts < 0:
             raise ValueError("redraw_max_attempts must be >= 0")

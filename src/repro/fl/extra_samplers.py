@@ -364,7 +364,7 @@ class DynamicScheduleSampler(ClientSampler):
     sampler, whose weight correction stays unbiased at every budget
     because it is recomputed from the realized draw.
 
-    Sync-shaped schedulers only (sync/overlapped): annealing acts
+    The sync scheduler only: annealing acts
     through :meth:`draw`, which the async scheduler never calls, and the
     semiasync scheduler folds stale updates across rounds whose ``1/K``
     share the annealed budget would distort — ``RunConfig.validate``

@@ -45,7 +45,7 @@ class RoundRecord:
     #: cumulative simulated wall-clock (seconds) at the end of this round,
     #: read off the scheduler's :class:`~repro.engine.clock.SimClock` —
     #: monotone across records under every scheduler, so time-to-accuracy
-    #: is comparable between sync, async, tiered, and overlapped rounds
+    #: is comparable between sync, async and tiered rounds
     wall_clock_s: Optional[float] = None
     #: optional per-candidate ``(client_id, gap_rounds, sync_bytes)`` detail
     #: (gap −1 = first contact); enabled by RunConfig.collect_sync_details

@@ -15,11 +15,9 @@ availability, staleness) — and delegates every ``run_round`` call to a
   simulated-time clock's event queue of client finish times, flushing
   through the same lifecycle guard, task builder, close and record;
 * ``"semiasync"`` runs FLASH-style tiered rounds (the sync round as fast
-  tier at its deadline + staleness-discounted straggler fold-in);
-* ``"overlapped"`` is the sync round under a pipelined clock (round *t+1*
-  downloads overlap round *t* uploads).
+  tier at its deadline + staleness-discounted straggler fold-in).
 
-All four run on one :class:`~repro.engine.clock.SimClock` per scheduler,
+All three run on one :class:`~repro.engine.clock.SimClock` per scheduler,
 whose cumulative reading lands in ``RoundRecord.wall_clock_s``.  Fault
 injection is not a round shape but a population: the ``"storm"`` preset
 (dropout bursts + straggler storms as trace-driven state transitions)
@@ -192,9 +190,8 @@ class FLServer:
         the rate its accountant may claim amplification for.  The
         sampled-Gaussian bound is proved for *Poisson* subsampling, so the
         rate is the sampler's own ``dp_sample_rate`` — sub-1 only for
-        :class:`~repro.fl.samplers.PoissonSampler` — under ``sync`` and
-        ``overlapped`` (identical per-round sampling, only the clock
-        differs), and 1.0 under ``semiasync``, which folds stale arrivals
+        :class:`~repro.fl.samplers.PoissonSampler` — under ``sync``, and
+        1.0 under ``semiasync``, which folds stale arrivals
         across rounds, and ``async``, which never samples rounds at all.
         """
         private = config.strategy
@@ -202,7 +199,7 @@ class FLServer:
             private = getattr(private, "inner", None)
         if private is None:
             return
-        if config.scheduler in ("sync", "overlapped"):
+        if config.scheduler == "sync":
             sample_rate = config.sampler.dp_sample_rate(
                 self.n, config.overcommit
             )

@@ -47,14 +47,6 @@ class ParticipantSelection:
     download_seconds: float
     compute_seconds: float
     upload_seconds: float
-    #: the download/compute/upload legs of the *critical* participant —
-    #: the one whose upload lands last, so the three legs sum exactly to
-    #: ``round_seconds``.  Overlapped-round clock models pipeline on these
-    #: legs (the per-leg maxima above are taken over different clients and
-    #: sum to more than the critical path).
-    critical_download_s: float = 0.0
-    critical_compute_s: float = 0.0
-    critical_upload_s: float = 0.0
 
     @property
     def participant_ids(self) -> np.ndarray:
@@ -128,21 +120,13 @@ def select_participants(
     compute = _gather("compute_s")
     upload = _gather("upload_s")
     if len(finish):
-        # the critical participant: the one whose upload lands last (its
-        # legs sum exactly to round_seconds — overlapped clocks pipeline
-        # on them); argmax picks the same element np.max reduces to
-        crit = int(np.argmax(finish))
-        round_seconds = float(finish[crit])
-        critical_download = float(download[crit])
-        critical_compute = float(compute[crit])
-        critical_upload = float(upload[crit])
+        round_seconds = float(np.max(finish))
         download_seconds = float(np.max(download))
         compute_seconds = float(np.max(compute))
         upload_seconds = float(np.max(upload))
     else:
         round_seconds = download_seconds = compute_seconds = 0.0
         upload_seconds = 0.0
-        critical_download = critical_compute = critical_upload = 0.0
     return ParticipantSelection(
         sticky_ids=sticky_ids,
         nonsticky_ids=nonsticky_ids,
@@ -150,7 +134,4 @@ def select_participants(
         download_seconds=download_seconds,
         compute_seconds=compute_seconds,
         upload_seconds=upload_seconds,
-        critical_download_s=critical_download,
-        critical_compute_s=critical_compute,
-        critical_upload_s=critical_upload,
     )

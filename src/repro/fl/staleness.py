@@ -15,6 +15,16 @@ many clients it contacts and in run length, and touches only the pages
 its contacted clients sit on.  ``materialized_clients`` is a counter of
 the distinct clients ever synced, and ``record_update`` refuses a version
 the column cannot hold (past 2³¹ − 2) with ``OverflowError``.
+
+Pricing a contact needs, per client, how many coordinates changed after
+its last sync.  The per-version histogram of ``last_modified`` lives in a
+Fenwick (binary indexed) tree — position ``v + 1`` holds version ``v`` —
+so an update moves its coordinates between versions and a lookup reads a
+prefix count, exact in integers, each touching one node per tree level
+(all levels in one vectorized step) and never a pass over the versions;
+the tree doubles when the versions outgrow it.  A long async run makes
+one version per buffer flush, so a cost linear in the version count
+would grow with run length.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ __all__ = ["StalenessTracker"]
 
 #: the last version the ``last_sync + 1`` column can record
 _MAX_VERSION = int(np.iinfo(np.int32).max) - 1
+#: versions the histogram tree holds before its first doubling
+_FIRST_CAPACITY = 64
 
 
 class StalenessTracker:
@@ -45,12 +57,11 @@ class StalenessTracker:
         self.num_clients = num_clients
         self.version = 0
         self.last_modified = np.zeros(d, dtype=np.int64)
-        # _version_hist[v] = #coordinates with last_modified == v and
-        # _changed_from[v] = #coordinates with last_modified >= v (its
-        # suffix sum, one trailing 0), both kept in step by record_update
-        # so pricing a contact never rescans d or re-sums the versions
-        self._version_hist = np.array([d], dtype=np.int64)
-        self._changed_from = np.array([d, 0], dtype=np.int64)
+        # Fenwick tree over the per-version histogram (#coordinates with
+        # last_modified == v at position v + 1; slot 0 stays 0), sized to a
+        # power of two: version 0 holds all d coordinates
+        self._tree = np.zeros(_FIRST_CAPACITY + 1, dtype=np.int64)
+        self._add(np.array([1], dtype=np.int64), np.array([d], dtype=np.int64))
         # last_sync + 1 per client, 0 = never contacted
         self._synced_at = np.zeros(num_clients, dtype=np.int32)
         self._contacted = 0
@@ -62,19 +73,48 @@ class StalenessTracker:
 
     def last_sync_of(self, client_ids: np.ndarray) -> np.ndarray:
         """Vectorized ``last_sync`` reads (−1 = never contacted)."""
-        last = self._synced_at[np.asarray(client_ids, dtype=np.int64)]
-        return last.astype(np.int64) - 1
+        return self._synced_column(client_ids).astype(np.int64) - 1
 
     def _last_sync(self, client_id: int) -> int:
         return int(self._synced_at[int(client_id)]) - 1
+
+    def _levels(self) -> np.ndarray:
+        """The tree's bit levels: ``0 … log2(capacity)``."""
+        return np.arange((len(self._tree) - 1).bit_length(), dtype=np.int64)
+
+    def _add(self, pos: np.ndarray, amount: np.ndarray) -> None:
+        """Add ``amount[i]`` to the histogram at Fenwick position
+        ``pos[i]``: on level ``b`` the node covering ``pos`` is the next
+        multiple of ``2^b`` at or above it, when that multiple is odd
+        (``pos − 1`` has bit ``b`` clear) and inside the tree.  Nodes
+        shared by several positions sum through ``np.add.at``."""
+        levels = self._levels()
+        above = (pos[:, None] - 1) >> levels
+        nodes = (above + 1) << levels
+        covers = ((above & 1) == 0) & (nodes < len(self._tree))
+        np.add.at(
+            self._tree,
+            nodes[covers],
+            np.broadcast_to(amount[:, None], nodes.shape)[covers],
+        )
+
+    def _grow(self) -> None:
+        """Double the tree.  The new nodes cover versions not reached
+        yet, except the new root, which covers every version: all d."""
+        capacity = len(self._tree) - 1
+        tree = np.zeros(2 * capacity + 1, dtype=np.int64)
+        tree[: capacity + 1] = self._tree
+        tree[-1] = self.d
+        self._tree = tree
 
     def record_update(self, changed_idx: np.ndarray) -> int:
         """Advance the model version; ``changed_idx`` now carry it.
 
         ``changed_idx`` must hold no duplicates (the
-        :class:`~repro.compression.base.AggregateResult` contract): the
-        per-version histogram moves each listed coordinate from its old
-        version's bin to the new one, in O(len(changed_idx) + versions).
+        :class:`~repro.compression.base.AggregateResult` contract): each
+        listed coordinate leaves its old version's count for the new one,
+        in ``O(len(changed_idx) · log versions)`` time and memory, with no
+        pass over the versions.
         """
         if self.version >= _MAX_VERSION:
             raise OverflowError(
@@ -82,18 +122,29 @@ class StalenessTracker:
                 "last_sync column"
             )
         self.version += 1
-        hist = np.zeros(self.version + 1, dtype=np.int64)
-        hist[:-1] = self._version_hist
-        if len(changed_idx):
-            hist[:-1] -= np.bincount(
-                self.last_modified[changed_idx], minlength=self.version
+        if self.version + 1 >= len(self._tree):
+            self._grow()
+        n = len(changed_idx)
+        if n:
+            old = self.last_modified[changed_idx]
+            low = int(old.min())
+            span = int(old.max()) - low + 1
+            if span <= n:
+                # few distinct old versions (the common case: a round
+                # moves coordinates last changed in recent rounds) —
+                # count them once instead of walking the tree per
+                # coordinate
+                counts = np.bincount(old - low, minlength=span)
+                versions = np.flatnonzero(counts)
+                leave = counts[versions]
+                versions += low
+            else:
+                versions, leave = old, np.ones(n, dtype=np.int64)
+            self._add(
+                np.append(versions + 1, self.version + 1),
+                np.append(-leave, n),
             )
-            hist[-1] = len(changed_idx)
             self.last_modified[changed_idx] = self.version
-        self._version_hist = hist
-        self._changed_from = np.concatenate(
-            [np.cumsum(hist[::-1])[::-1], [0]]
-        )
         return self.version
 
     def stale_count(self, client_id: int) -> int:
@@ -103,19 +154,32 @@ class StalenessTracker:
             return self.d
         return int((self.last_modified > last).sum())
 
-    def _stale_counts_since(self, last: np.ndarray) -> np.ndarray:
-        """Stale counts for clients whose ``last_sync`` reads ``last``."""
-        lookup = self._changed_from[np.minimum(last + 1, self.version + 1)]
-        return np.where(last < 0, self.d, lookup).astype(np.int64, copy=False)
+    def _synced_column(self, client_ids: np.ndarray) -> np.ndarray:
+        """``last_sync + 1`` per client (0 = never contacted)."""
+        return self._synced_at[np.asarray(client_ids, dtype=np.int64)]
+
+    def _stale_counts_at(self, pos: np.ndarray) -> np.ndarray:
+        """Stale counts for clients whose ``last_sync + 1`` reads ``pos``:
+        ``d`` minus the tree's prefix count at ``pos`` — the coordinates
+        last modified at or before their sync (none at ``pos`` 0)."""
+        if not pos.any():
+            # first contacts only (most of a 10⁶-client fleet's): no tree
+            return np.full(len(pos), self.d, dtype=np.int64)
+        # the prefix at pos sums, for every set bit b of pos, the node at
+        # pos with the bits below b cleared
+        levels = self._levels()
+        shifted = pos[:, None] >> levels
+        prefix = (self._tree[shifted << levels] * (shifted & 1)).sum(axis=1)
+        return self.d - prefix
 
     def stale_counts(self, client_ids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`stale_count` over several clients.
 
-        One lookup per client in the suffix sum ``record_update`` keeps
-        over the per-version histogram — ``O(len(client_ids))``,
-        independent of ``d`` and of the number of versions.
+        One prefix count per client in the tree ``record_update`` keeps
+        over the per-version histogram — ``O(len(client_ids) · log
+        versions)``, independent of ``d``.
         """
-        return self._stale_counts_since(self.last_sync_of(client_ids))
+        return self._stale_counts_at(self._synced_column(client_ids))
 
     def sync_gaps(self, client_ids: np.ndarray) -> np.ndarray:
         """Versions elapsed since each client's last sync (−1 = never).
@@ -151,10 +215,10 @@ class StalenessTracker:
         ledger, counts for the stale fraction) and this is its per-arrival
         hot path on a 10⁶-client fleet.
         """
-        last = self.last_sync_of(client_ids)
-        counts = self._stale_counts_since(last)
+        pos = self._synced_column(client_ids)
+        counts = self._stale_counts_at(pos)
         nbytes = np.where(
-            last < 0,
+            pos == 0,
             dense_bytes(self.d),
             sparse_bytes_many(counts, self.d),
         ).astype(np.int64, copy=False)

@@ -12,7 +12,6 @@ from repro.nn.loss import CrossEntropyLoss
 from repro.nn.optim import SGD, ExponentialDecay
 from repro.nn.layers import (
     AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     ChannelConcat,
     ChannelShuffle,
@@ -46,7 +45,6 @@ __all__ = [
     "ExponentialDecay",
     "Linear",
     "Conv2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
     "MaxPool2d",

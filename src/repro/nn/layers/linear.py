@@ -18,8 +18,6 @@ class Linear(Module):
     ----------
     in_features, out_features:
         Input/output widths.
-    bias:
-        Whether to include an additive bias term.
     rng:
         Generator for deterministic He initialization.
     """
@@ -28,7 +26,6 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
         rng: Optional[np.random.Generator] = None,
         dtype=np.float64,
     ):
@@ -38,7 +35,7 @@ class Linear(Module):
         self.weight = Parameter(
             kaiming_init((out_features, in_features), in_features, rng, dtype)
         )
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype)) if bias else None
+        self.bias = Parameter(np.zeros(out_features, dtype=dtype))
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -48,8 +45,7 @@ class Linear(Module):
             )
         self._x = x if self.training else None
         out = x @ self.weight.data.T
-        if self.bias is not None:
-            out += self.bias.data
+        out += self.bias.data
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -57,6 +53,5 @@ class Linear(Module):
         if x is None:
             raise RuntimeError(NO_CACHE)
         self.weight.grad += grad_out.T @ x
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
+        self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data

@@ -9,20 +9,20 @@ go through masking; running statistics are averaged without re-weighting).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.nn.module import NO_CACHE, Buffer, Module, Parameter
 
-__all__ = ["BatchNorm1d", "BatchNorm2d"]
+__all__ = ["BatchNorm2d"]
 
 
-class _BatchNormBase(Module):
-    """Shared machinery for 1-D (NC) and 2-D (NCHW) batch norm."""
+class BatchNorm2d(Module):
+    """Batch norm over ``(N, C, H, W)`` inputs, per channel."""
 
-    #: axes to reduce over, set by subclasses
-    _axes: Tuple[int, ...] = (0,)
+    #: axes to reduce over: batch and both spatial axes
+    _axes: Tuple[int, ...] = (0, 2, 3)
     #: eval mode normalizes with the running statistics, element by element
     rowwise = True
 
@@ -45,7 +45,10 @@ class _BatchNormBase(Module):
         self._cache = None
 
     def _shape_check(self, x: np.ndarray) -> None:
-        raise NotImplementedError
+        if x.ndim != 4 or x.shape[1] != self.num_features:
+            raise ValueError(
+                f"BatchNorm2d expects (N, {self.num_features}, H, W), got {x.shape}"
+            )
 
     def _expand(self, v: np.ndarray, ndim: int) -> np.ndarray:
         """Broadcast a per-channel vector across the reduction axes."""
@@ -112,27 +115,3 @@ class _BatchNormBase(Module):
         g -= tmp
         g *= self._expand(inv_std, nd)
         return g
-
-
-class BatchNorm1d(_BatchNormBase):
-    """Batch norm over ``(N, C)`` inputs."""
-
-    _axes = (0,)
-
-    def _shape_check(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm1d expects (N, {self.num_features}), got {x.shape}"
-            )
-
-
-class BatchNorm2d(_BatchNormBase):
-    """Batch norm over ``(N, C, H, W)`` inputs, per channel."""
-
-    _axes = (0, 2, 3)
-
-    def _shape_check(self, x: np.ndarray) -> None:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm2d expects (N, {self.num_features}, H, W), got {x.shape}"
-            )

@@ -15,19 +15,9 @@ __all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss:
-    """Softmax cross-entropy over integer class labels.
+    """Softmax cross-entropy over integer class labels."""
 
-    Parameters
-    ----------
-    label_smoothing:
-        Mixes the one-hot target with the uniform distribution; ``0`` gives
-        plain cross-entropy.
-    """
-
-    def __init__(self, label_smoothing: float = 0.0):
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
-        self.label_smoothing = label_smoothing
+    def __init__(self):
         self._cache = None
 
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
@@ -35,9 +25,6 @@ class CrossEntropyLoss:
             raise ValueError(f"logits must be (N, C), got {logits.shape}")
         n, c = logits.shape
         y = one_hot(targets, c, dtype=logits.dtype)
-        if self.label_smoothing > 0.0:
-            eps = self.label_smoothing
-            y = (1.0 - eps) * y + eps / c
         # one shifted-exp pass yields both log-softmax (loss) and softmax
         # (gradient) instead of exponentiating twice
         shifted = logits - np.max(logits, axis=1, keepdims=True)

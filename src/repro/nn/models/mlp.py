@@ -6,14 +6,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.nn.layers import BatchNorm1d, Flatten, Linear, ReLU
+from repro.nn.layers import Flatten, Linear, ReLU
 from repro.nn.module import Module, Sequential
 
 __all__ = ["MLP"]
 
 
 class MLP(Module):
-    """Flatten → [Linear → (BN) → ReLU]* → Linear.
+    """Flatten → [Linear → ReLU]* → Linear.
 
     Parameters
     ----------
@@ -23,9 +23,6 @@ class MLP(Module):
         Hidden layer widths.
     num_classes:
         Output logits count.
-    batch_norm:
-        Insert BatchNorm1d after each hidden linear layer — useful to
-        exercise the Appendix D buffer-aggregation path with a cheap model.
     dtype:
         Parameter/buffer precision (the run-level dtype policy).
     """
@@ -35,7 +32,6 @@ class MLP(Module):
         in_features: int,
         hidden: Sequence[int] = (64, 64),
         num_classes: int = 10,
-        batch_norm: bool = False,
         rng: Optional[np.random.Generator] = None,
         dtype=np.float64,
     ):
@@ -46,8 +42,6 @@ class MLP(Module):
         prev = in_features
         for width in hidden:
             layers.append(Linear(prev, width, rng=rng, dtype=dtype))
-            if batch_norm:
-                layers.append(BatchNorm1d(width, dtype=dtype))
             layers.append(ReLU())
             prev = width
         layers.append(Linear(prev, num_classes, rng=rng, dtype=dtype))

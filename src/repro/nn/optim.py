@@ -18,17 +18,14 @@ __all__ = ["SGD", "ExponentialDecay"]
 
 
 class SGD:
-    """Stochastic gradient descent with momentum / Nesterov / weight decay.
+    """Stochastic gradient descent with momentum.
 
-    Matches ``torch.optim.SGD`` semantics:
+    Matches ``torch.optim.SGD`` semantics (no Nesterov, no weight decay):
 
     .. code-block:: text
 
-        g   = grad + weight_decay * param
-        buf = momentum * buf + g
-        g   = g + momentum * buf       (if nesterov)
-            = buf                      (otherwise)
-        param -= lr * g
+        buf = momentum * buf + grad
+        param -= lr * buf
     """
 
     def __init__(
@@ -36,18 +33,12 @@ class SGD:
         params: List[Parameter],
         lr: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if nesterov and momentum <= 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._buffers: Dict[int, np.ndarray] = {}
 
     def zero_grad(self) -> None:
@@ -56,14 +47,9 @@ class SGD:
 
     def step(self) -> None:
         # out= into a buffer of the gradient's dtype pins every product to
-        # that dtype, whatever scalar type lr / momentum / weight_decay is
+        # that dtype, whatever scalar type lr / momentum is
         for p in self.params:
             g = p.grad
-            if self.weight_decay:
-                t = np.empty(g.shape, dtype=g.dtype)
-                np.multiply(p.data, self.weight_decay, out=t)
-                np.add(g, t, out=t)
-                g = t
             if self.momentum:
                 buf = self._buffers.get(id(p))
                 if buf is None:
@@ -72,13 +58,7 @@ class SGD:
                 else:
                     buf *= self.momentum
                     buf += g
-                if self.nesterov:
-                    t = np.empty(buf.shape, dtype=buf.dtype)
-                    np.multiply(buf, self.momentum, out=t)
-                    np.add(g, t, out=t)
-                    g = t
-                else:
-                    g = buf
+                g = buf
             upd = np.empty(g.shape, dtype=g.dtype)
             np.multiply(g, self.lr, out=upd)
             p.data -= upd

@@ -26,9 +26,7 @@ Two modes:
     the noise would no longer match the mechanism's sensitivity and the
     reported ε would be fiction.  This is the "co-design, don't stack"
     lesson of constrained-DP FL: under DP, what each round uploads must
-    itself be the clipped quantity.  (Server-side residuals such as STC's
-    ``server_residual`` are post-processing of already-noised aggregates
-    and stay untouched.)
+    itself be the clipped quantity.
 
     **The analyzed mechanism releases noisy values at a data-independent
     support.**  A sparsifying strategy whose clients pick their own top-k
@@ -304,7 +302,7 @@ class PrivateStrategy(CompressionStrategy):
 
         ``sample_rate`` is the per-round inclusion rate the accountant may
         claim amplification for — the sampler's ``dp_sample_rate`` under
-        the sync-shaped schedulers, 1.0 otherwise — and ``rounds`` the
+        the sync scheduler, 1.0 otherwise — and ``rounds`` the
         horizon an ``epsilon`` budget is calibrated over.
         """
         self.sample_rate = float(sample_rate)

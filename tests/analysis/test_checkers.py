@@ -241,7 +241,7 @@ def test_golden_coverage_accepts_pinned_schedulers():
     # every real scheduler has a golden + regen test, so the real tuple
     # passes — this is also what keeps the registry honest in CI
     assert rules_of(
-        'SCHEDULERS = ("sync", "async", "semiasync", "overlapped")\n',
+        'SCHEDULERS = ("sync", "async", "semiasync")\n',
         path="src/repro/engine/schedulers.py",
     ) == []
 

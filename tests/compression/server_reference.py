@@ -71,8 +71,6 @@ def strategy_round(strategy, payloads):
         delta[keep] += uni[keep]
         return delta, np.union1d(mask, keep)
     assert isinstance(strategy, STCStrategy)
-    if strategy.server_residual:
-        uni = uni + strategy._server_h
     keep = top_k_indices(uni, strategy._k)
     delta[keep] = uni[keep]
     return delta, keep

@@ -99,6 +99,24 @@ def test_compensate_is_bit_identical_to_eq7_reference(rng, mode, dtype):
     np.testing.assert_array_equal(store.peek(0)[0], h)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rec_at_ratio_one_adds_the_raw_residual(rng, dtype):
+    """A client that kept its weight (it stayed in its group) gets the
+    plain residual sum: the rescale by exactly 1 is skipped, and the bits
+    equal both the multiplied form and EC's."""
+    residual = rng.normal(size=129).astype(dtype)
+    delta = rng.normal(size=129).astype(dtype)
+    out = {}
+    for mode in (ErrorCompMode.REC, ErrorCompMode.EC):
+        store = ResidualStore(mode)
+        store.record(0, residual.copy(), weight=0.3)
+        out[mode] = store.compensate(0, delta, current_weight=0.3)
+    h = residual.astype(np.float32).astype(dtype)
+    np.testing.assert_array_equal(out[ErrorCompMode.REC], delta + 1.0 * h)
+    assert out[ErrorCompMode.REC].tobytes() == out[ErrorCompMode.EC].tobytes()
+    assert not np.shares_memory(out[ErrorCompMode.REC], delta)
+
+
 # -- the store against its in-RAM oracle ---------------------------------------
 def test_peek_returns_a_copy_and_keeps_lru_rank(rng):
     store = ResidualStore(ErrorCompMode.EC, max_clients=2)

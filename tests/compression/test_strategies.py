@@ -277,7 +277,7 @@ def _gluefl():
     [
         FedAvgStrategy,
         lambda: STCStrategy(q=0.2),
-        lambda: STCStrategy(q=0.2, server_residual=True),
+        lambda: _private(STCStrategy(q=0.2)),
         _gluefl,
         lambda: APFStrategy(warmup_rounds=2, check_every=1, base_period=2),
         lambda: QuantizedStrategy(_gluefl(), bits=4),

@@ -1,6 +1,6 @@
 """Behavioral tests for the simulated-clock scheduler core: wall-clock
-threading across every scheduler, the tiered (semiasync) fold-in, the
-overlapped pipeline, and the async record fixes."""
+threading across every scheduler, the tiered (semiasync) fold-in and the
+async record fixes."""
 
 import dataclasses
 import hashlib
@@ -11,22 +11,17 @@ import pytest
 
 from repro.compression import FedAvgStrategy
 from repro.core import make_gluefl
-from repro.engine import (
-    OverlappedSyncScheduler,
-    SemiAsyncScheduler,
-    create_scheduler,
-)
+from repro.engine import SemiAsyncScheduler, create_scheduler
 from repro.fl import FLServer, RunConfig, UniformSampler, run_training
 from repro.traces.availability import AvailabilityTrace
 
-#: every round shape, by the id its tests run under: the four schedulers,
+#: every round shape, by the id its tests run under: the three schedulers,
 #: and ``failure`` — fault injection, sync rounds over the storm preset
 ROUND_SHAPES = {
     "sync": dict(scheduler="sync"),
     "async": dict(scheduler="async"),
     "failure": dict(population_preset="storm"),
     "semiasync": dict(scheduler="semiasync"),
-    "overlapped": dict(scheduler="overlapped"),
 }
 
 
@@ -112,30 +107,6 @@ def test_time_to_target_uses_the_clock(tiny_dataset):
     assert t is not None and t > 0.0
     assert t <= result.wall_clock_series()[-1]
     assert result.time_to_target_s(target=2.0) is None
-
-
-# -- overlapped rounds -------------------------------------------------------------
-
-
-def test_overlapped_keeps_sync_dynamics_but_runs_faster(tiny_dataset):
-    """Identical learning dynamics to sync (same RNG draws, same updates);
-    only the clock model differs — and it is never slower."""
-    sync = run_training(make_config(tiny_dataset, scheduler="sync"))
-    over = run_training(make_config(tiny_dataset, scheduler="overlapped"))
-    for field in ("train_loss", "up_bytes", "down_bytes", "num_participants"):
-        np.testing.assert_array_equal(
-            sync.series(field), over.series(field), err_msg=field
-        )
-    # per-leg metrics (DT inputs) are untouched by the pipeline model
-    np.testing.assert_array_equal(
-        sync.series("download_seconds"), over.series("download_seconds")
-    )
-    # the pipeline hides download legs behind the previous uploads
-    assert over.wall_clock_series()[-1] < sync.wall_clock_series()[-1]
-    # ... but each round can never beat its compute+upload critical legs
-    assert (over.series("round_seconds") > 0.0).all()
-    # first round has nothing to overlap with: identical to sync
-    assert over.records[0].round_seconds == sync.records[0].round_seconds
 
 
 # -- semiasync tiered rounds -------------------------------------------------------
@@ -450,7 +421,6 @@ def test_async_wall_clock_matches_event_queue(tiny_dataset):
 
 def test_create_scheduler_builds_new_names():
     assert isinstance(create_scheduler("semiasync"), SemiAsyncScheduler)
-    assert isinstance(create_scheduler("overlapped"), OverlappedSyncScheduler)
 
 
 def test_config_validates_semiasync_knobs(tiny_dataset):
@@ -460,7 +430,6 @@ def test_config_validates_semiasync_knobs(tiny_dataset):
     with pytest.raises(ValueError, match="async_buffer_size"):
         cfg.validate()
     make_config(tiny_dataset, scheduler="semiasync").validate()
-    make_config(tiny_dataset, scheduler="overlapped").validate()
 
 
 def test_config_rejects_sync_only_samplers_under_semiasync(tiny_dataset):
@@ -473,8 +442,5 @@ def test_config_rejects_sync_only_samplers_under_semiasync(tiny_dataset):
     cfg = make_config(tiny_dataset, sampler=sampler, scheduler="semiasync")
     with pytest.raises(ValueError, match="sync-only"):
         cfg.validate()
-    # the sync-shaped schedulers stay allowed
+    # the sync scheduler stays allowed
     make_config(tiny_dataset, sampler=sampler).validate()
-    make_config(
-        tiny_dataset, sampler=sampler, scheduler="overlapped"
-    ).validate()

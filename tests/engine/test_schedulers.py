@@ -59,8 +59,8 @@ def test_async_buffered_aggregation_cadence(tiny_dataset):
 
 
 def test_async_records_staleness(tiny_dataset):
-    """Overlapped rounds produce genuinely stale updates — the thing the
-    monolithic sync loop could not express."""
+    """Clients training across flushes produce genuinely stale updates —
+    the thing the monolithic sync loop could not express."""
     cfg = make_config(
         tiny_dataset,
         scheduler="async",

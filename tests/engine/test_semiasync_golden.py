@@ -1,12 +1,11 @@
-"""Golden regression: the tiered (semiasync) and overlapped schedulers.
+"""Golden regression: the tiered (semiasync) scheduler.
 
 ``golden_semiasync.json`` pins the FLASH-style tiered scheduler's record
-stream and ``golden_overlapped.json`` the pipelined-clock scheduler's, the
-way ``golden_sync.json`` pins the sync engine: per-round records plus the
-final global state as a SHA-256 digest, every float stored as
-``float.hex()`` so the comparison is bit-exact.  Both pin ``wall_clock_s``
-— the new simulated-clock field — so any change to the clock model, the
-straggler fold-in weights, or the overlap recurrence shows up here.
+stream the way ``golden_sync.json`` pins the sync engine: per-round
+records plus the final global state as a SHA-256 digest, every float
+stored as ``float.hex()`` so the comparison is bit-exact.  It pins
+``wall_clock_s`` — the simulated-clock field — so any change to the clock
+model or the straggler fold-in weights shows up here.
 
 Regenerate (only when the scheduler semantics intentionally change) with::
 
@@ -30,7 +29,6 @@ from repro.fl import FLServer, RunConfig, UniformSampler
 
 GOLDENS = {
     "semiasync": Path(__file__).parent / "golden_semiasync.json",
-    "overlapped": Path(__file__).parent / "golden_overlapped.json",
 }
 
 #: RoundRecord fields pinned per round (the sync set + the clock fields).
@@ -119,7 +117,7 @@ def capture(config) -> dict:
     }
 
 
-@pytest.mark.parametrize("scheduler", ["semiasync", "overlapped"])
+@pytest.mark.parametrize("scheduler", list(GOLDENS))
 @pytest.mark.parametrize("name", ["fedavg", "gluefl"])
 def test_scheduler_matches_golden(scheduler, name):
     golden = json.loads(GOLDENS[scheduler].read_text())
@@ -134,7 +132,7 @@ def test_scheduler_matches_golden(scheduler, name):
     assert got["params_sum"] == want["params_sum"]
 
 
-@pytest.mark.parametrize("scheduler", ["semiasync", "overlapped"])
+@pytest.mark.parametrize("scheduler", list(GOLDENS))
 def test_golden_wall_clock_is_monotone(scheduler):
     """The pinned streams themselves satisfy the acceptance invariant:
     every record carries a monotone nondecreasing ``wall_clock_s``."""

@@ -51,5 +51,3 @@ def test_plot_validation():
 def test_format_series_embeds_plot():
     text = format_series("t", demo_series())
     assert "o = FedAvg" in text
-    no_plot = format_series("t", demo_series(), plot=False)
-    assert "o = FedAvg" not in no_plot

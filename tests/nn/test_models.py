@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    MLP,
     CrossEntropyLoss,
     MobileNetLite,
     ResNetLite,
@@ -63,13 +62,6 @@ def test_registry_contains_all():
 def test_unknown_model_raises(rng):
     with pytest.raises(KeyError):
         build_model("transformer", in_channels=1, num_classes=2, image_size=8)
-
-
-def test_mlp_batch_norm_variant(rng):
-    model = MLP(in_features=16, hidden=(8,), num_classes=2, batch_norm=True, rng=rng)
-    view = FlatParamView(model)
-    assert view.num_buffer > 0
-    model(rng.normal(size=(4, 16)))
 
 
 def test_shufflenet_stride1_requires_matching_channels(rng):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm1d, Linear, ReLU, Sequential
+from repro.nn import Linear, ReLU, Sequential
 from repro.nn.module import Buffer, Module, Parameter
+
+from tests.nn.flat_bn import FlatBatchNorm
 
 
 def make_net(rng):
-    return Sequential(Linear(4, 8, rng=rng), BatchNorm1d(8), ReLU(), Linear(8, 2, rng=rng))
+    return Sequential(Linear(4, 8, rng=rng), FlatBatchNorm(8), ReLU(), Linear(8, 2, rng=rng))
 
 
 def test_named_parameters_stable_order(rng):

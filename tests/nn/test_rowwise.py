@@ -17,7 +17,6 @@ import pytest
 
 from repro.nn import (
     AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     ChannelConcat,
     ChannelShuffle,
@@ -36,6 +35,7 @@ from repro.nn.models import MODELS
 from repro.nn.module import EVAL_BLOCK, Module
 
 from tests.conftest import held_arrays
+from tests.nn.flat_bn import FlatBatchNorm
 from tests.nn.reference import whole_batch_forward
 
 SIZES = (1, 2, 31, 32, 33, 257)
@@ -107,7 +107,6 @@ CASES = {
     ChannelShuffle: [("", lambda dt: ChannelShuffle(2), (8, 3, 3))],
     Identity: [("", lambda dt: Identity(), (3, 4, 4))],
     Conv2d: _conv_cases(),
-    BatchNorm1d: [("", lambda dt: _bn(BatchNorm1d, 6, dt), (6,))],
     BatchNorm2d: [("", lambda dt: _bn(BatchNorm2d, 4, dt), (4, 5, 5))],
     ResidualAdd: [
         ("identity", lambda dt: ResidualAdd(_residual_main(dt)), (4, 6, 6)),
@@ -228,9 +227,12 @@ def test_model_eval_logits_equal_the_whole_batch_oracle(name, dtype):
 
 
 def test_batch_norm_mlp_streams_and_stays_exact():
-    model = build_model(
-        "mlp", in_channels=1, num_classes=5, image_size=8,
-        rng=np.random.default_rng(0), batch_norm=True,
+    """An MLP with a row-wise norm → ReLU run after each hidden layer."""
+    rng = np.random.default_rng(0)
+    model = Sequential(
+        Flatten(),
+        Linear(64, 16, rng=rng), _bn(FlatBatchNorm, 16, np.float64), ReLU(),
+        Linear(16, 5, rng=rng),
     ).eval()
     x = np.random.default_rng(1).normal(size=(100, 1, 8, 8))
     assert _same_bytes(model(x), whole_batch_forward(model, x))

@@ -463,9 +463,9 @@ class TestAccountingHonesty:
         assert sampler.dp_sample_rate(4, 1.3) == 1.0  # capped
 
     def test_server_uses_sampler_rate_sync_and_full_rate_async(self):
-        """The server binds the sampler's own rate under the sync-shaped
-        schedulers and 1.0 under semiasync/async, and the ε budget is
-        calibrated at the bound rate — under all four schedulers, with the
+        """The server binds the sampler's own rate under the sync
+        scheduler and 1.0 under semiasync/async, and the ε budget is
+        calibrated at the bound rate — under all three schedulers, with the
         private layer found beneath a quantizer."""
         from repro.fl import PoissonSampler, UniformSampler
         from repro.privacy import calibrate_noise_multiplier
@@ -475,7 +475,7 @@ class TestAccountingHonesty:
                 return 0.1
 
         dataset = _dataset()
-        bound = {"sync": 0.1, "overlapped": 0.1, "semiasync": 1.0, "async": 1.0}
+        bound = {"sync": 0.1, "semiasync": 1.0, "async": 1.0}
         for scheduler, rate in bound.items():
             private = PrivateStrategy(
                 STCStrategy(q=0.2), epsilon=6.0, clip_norm=1.0,

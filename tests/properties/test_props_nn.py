@@ -37,14 +37,20 @@ def test_im2col_col2im_adjoint(n, c, hw, ksp, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_linear_is_linear(n, fin, fout, seed):
-    """f(a·x + b·y) == a·f(x) + b·f(y) for a bias-free Linear layer."""
+    """f(a·x + b·y) == a·f(x) + b·f(y) for a Linear layer's map less its
+    bias."""
     rng = np.random.default_rng(seed)
-    layer = Linear(fin, fout, bias=False, rng=rng)
+    layer = Linear(fin, fout, rng=rng)
+    layer.bias.data[:] = rng.normal(size=fout)
+
+    def f(v):
+        return layer(v) - layer.bias.data
+
     x = rng.normal(size=(n, fin))
     y = rng.normal(size=(n, fin))
     a, b = rng.normal(size=2)
-    lhs = layer(a * x + b * y)
-    rhs = a * layer(x) + b * layer(y)
+    lhs = f(a * x + b * y)
+    rhs = a * f(x) + b * f(y)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 

@@ -99,22 +99,18 @@ def test_wall_clock_monotone_under_random_churn(
 
 # ------------------------------------------------- aggregation uniqueness
 @given(
-    scheduler=st.sampled_from(("sync", "overlapped")),
     quorum=st.one_of(st.none(), st.floats(0.2, 1.0)),
     dropout=st.floats(0.0, 0.9),
     seed=st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=12, deadline=None)
-def test_no_client_is_aggregated_twice_in_one_round(
-    scheduler, quorum, dropout, seed
-):
+def test_no_client_is_aggregated_twice_in_one_round(quorum, dropout, seed):
     """Even when quorum re-draws contact extra waves, a client's update
     is folded into a round's aggregate at most once."""
     spy = SpyStrategy()
     run_training(
         tiny_config(
             strategy=spy,
-            scheduler=scheduler,
             population=storm_population(
                 DATASET.num_clients, seed, burst_every=2, burst_dropout=dropout
             ),

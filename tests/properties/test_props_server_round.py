@@ -198,7 +198,6 @@ def _private(inner):
 FOLDING_STRATEGIES = {
     "gluefl": lambda: GlueFLMaskStrategy(q=0.3, q_shr=0.15, regen_interval=2),
     "stc": lambda: STCStrategy(q=0.25),
-    "stc-server-residual": lambda: STCStrategy(q=0.25, server_residual=True),
     "apf": lambda: APFStrategy(
         threshold=0.5, check_every=1, base_period=2, warmup_rounds=1
     ),
