@@ -3,8 +3,9 @@
 Not a paper artifact — these guard the performance of the primitives the
 simulation spends its time in, at paper-scale dimensions (d = 5M):
 top-k selection (dense and support-restricted), staleness bookkeeping,
-sparse aggregation, the conv training step in both precisions, and round
-dispatch through the execution backends.  Unlike the experiment benches
+sparse aggregation, the conv training step in both precisions, round
+dispatch through the execution backends, and one async flush at a device
+fleet's shape (its per-arrival path).  Unlike the experiment benches
 these use pytest-benchmark's normal repeated timing.  End-to-end
 performance across changes is tracked by ``benchmarks/ledger``.
 """
@@ -12,14 +13,17 @@ performance across changes is tracked by ``benchmarks/ledger``.
 import numpy as np
 import pytest
 
+from repro.compression import FedAvgStrategy
 from repro.compression.base import ClientPayload
 from repro.compression.topk import top_k_indices
-from repro.datasets import femnist_like
+from repro.datasets import femnist_like, lazy_synthetic_federation
+from repro.fl import FLServer, RunConfig, UniformSampler
 from repro.fl.client import LocalTrainer
 from repro.fl.staleness import StalenessTracker
 from repro.nn import Conv2d, CrossEntropyLoss, Sequential
 from repro.nn.flat import snapshot
 from repro.nn.models import build_model
+from repro.population import DeviceStatePopulation, DutyCycleTrace
 from repro.runtime import ClientTask, WorkerSpec, create_backend
 
 D = 5_000_000
@@ -150,3 +154,40 @@ def test_round_dispatch_k30(benchmark, backend):
     finally:
         engine.close()
     assert delivered[-30:] == list(range(30))
+
+
+def test_async_flush_fleet_shape(benchmark):
+    """One async buffer flush on a duty-cycled fleet of 10⁵ lazily built
+    clients (buffer 10, 40 in flight, a 36→8→4 model): ten arrivals' pops,
+    survival draws, refills, shard builds and local steps — time that goes
+    to the per-arrival interpreter and small-array path, not the model."""
+    n = 100_000
+    population = DeviceStatePopulation(
+        n, np.random.default_rng(1),
+        trace=DutyCycleTrace(
+            n, np.random.default_rng(2), mean_on_fraction=0.8,
+            min_period=100, max_period=400,
+        ),
+        dropout_prob=0.05,
+    )
+    server = FLServer(
+        RunConfig(
+            dataset=lazy_synthetic_federation(
+                num_clients=n, num_classes=4, image_size=6,
+                samples_per_client=8, cache_size=64, seed=0,
+            ),
+            model_name="mlp", model_kwargs={"hidden": (8,)},
+            strategy=FedAvgStrategy(), sampler=UniformSampler(10),
+            rounds=10**9, local_steps=1, batch_size=4, lr=0.05,
+            eval_every=10**9, dtype="float32", scheduler="async",
+            async_buffer_size=10, async_concurrency=40,
+            population=population, population_scalable_sampling=True,
+            residual_max_clients=256, skip_empty_rounds=True, seed=3,
+        )
+    )
+    try:
+        server.run_round()  # warm-up: the in-flight pool fills
+        record = benchmark(server.run_round)
+    finally:
+        server.close()
+    assert record.num_participants == 10

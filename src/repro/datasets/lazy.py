@@ -155,10 +155,17 @@ def lazy_synthetic_federation(
     test_y = root.integers(0, num_classes, size=test_samples)
     test_x = sample_from_prototypes(protos, test_y, root, noise=noise)
 
+    concentration = np.full(num_classes, alpha)
+
     def factory(cid: int) -> ClientDataset:
         rng = np.random.default_rng([seed, cid])
-        prefs = rng.dirichlet(np.full(num_classes, alpha))
-        labels = rng.choice(num_classes, size=samples_per_client, p=prefs)
+        prefs = rng.dirichlet(concentration)
+        # ``rng.choice(num_classes, size=samples_per_client, p=prefs)``'s
+        # own inverse-CDF draw, without its argument checks: the same
+        # uniforms, so the same labels
+        cdf = prefs.cumsum()
+        cdf /= cdf[-1]
+        labels = cdf.searchsorted(rng.random(samples_per_client), side="right")
         x = sample_from_prototypes(protos, labels, rng, noise=noise)
         return ClientDataset(x=x, y=labels, client_id=cid)
 

@@ -38,9 +38,13 @@ A scheduler decides what one call to ``FLServer.run_round`` means:
     are not applied here; replacement dispatch goes through the sampler's
     own ``sample_replacements`` policy (uniform over the online pool by
     default; norm-proportional for
-    :class:`~repro.fl.extra_samplers.OptimalClientSampler`).  Arrivals
-    tied at the same finish time from the same dispatch snapshot drain as
-    *one* backend batch, so the process backend parallelizes them.
+    :class:`~repro.fl.extra_samplers.OptimalClientSampler`).  A flush
+    drains, then trains: it pops arrivals, plans their tasks and refills
+    the in-flight pool until the buffer is full, and only then trains,
+    one ``run_clients`` call per arrival in arrival order (arrivals tied
+    at the same finish time from the same dispatch snapshot are one
+    arrival, one call) — bit-identical to training each arrival before
+    the next refill (:class:`AsyncBufferedScheduler` says why).
     The record stream is pinned by ``tests/engine/golden_async.json``.
 
 ``semiasync``
@@ -262,7 +266,17 @@ class AsyncBufferedScheduler(Scheduler):
     """FedBuff-style buffered-asynchronous aggregation (see module docs).
 
     Dispatch and the event drain are its own; a flush goes through the
-    cohort rounds' lifecycle guard, task builder, close and record.
+    cohort rounds' lifecycle guard, task builder, close and record.  A
+    flush drains, then trains: the pop → plan → refill loop records each
+    arrival's ``(tasks, params, buffers)`` and trains nothing; after it,
+    one ``run_clients`` call per arrival trains them in arrival order.
+    Nothing training touches is state of that loop — a task reads its
+    dispatch-time snapshot (the server replaces its global arrays, never
+    mutates them), its own ``client/{cid}/round/{t}`` stream and the steps
+    planned in the loop — so the RNG draws, the records and the model are
+    bit-identical to training each arrival before the next refill, and
+    results still reach the buffer in the arrival order that ``taus`` and
+    the weights index.
     """
 
     name = "async"
@@ -343,10 +357,9 @@ class AsyncBufferedScheduler(Scheduler):
         """Pop every surviving job tied at the earliest finish time.
 
         Events with *equal* finish times and the same dispatch snapshot
-        version trained from identical global state, so they form one
-        batch for ``run_clients`` — this is what lets the process
-        backend parallelize simultaneous arrivals instead of receiving
-        one task per call.  Mid-round dropouts are drawn per client in pop
+        version train from identical global state, so they form one
+        arrival: one ``run_clients`` call, which the process backend
+        parallelizes.  Mid-round dropouts are drawn per client in pop
         order (same RNG stream as draining one by one).
         """
         jobs: List[_InFlightJob] = []
@@ -374,8 +387,9 @@ class AsyncBufferedScheduler(Scheduler):
 
     # -- one buffer flush --------------------------------------------------------
     def run_round(self, server) -> RoundRecord:
-        """One flush: drain arrivals until the buffer is full, then
-        aggregate it with staleness-discounted weights."""
+        """One flush: drain arrivals until the buffer is full, train
+        them, then aggregate the buffer with staleness-discounted
+        weights."""
         server.round_idx += 1
         t = server.round_idx
         with steps.strategy_round(server, t) as rnd:
@@ -392,6 +406,9 @@ class AsyncBufferedScheduler(Scheduler):
                 # before the next dispatch reclaims its slot
                 results.append(result.detach())
 
+            # drain: pop, plan and refill, recording each arrival's work
+            # order; nothing trains yet
+            arrivals: list = []
             while len(jobs) < self.buffer_size and len(self.clock):
                 arrived = self._pop_batch(server, self.buffer_size - len(jobs))
                 if arrived:
@@ -401,13 +418,14 @@ class AsyncBufferedScheduler(Scheduler):
                         [job.lr for job in arrived],
                     )
                     # same snapshot version ⇒ same dispatch-time global arrays
-                    server.backend.run_clients(
-                        tasks, arrived[0].params, arrived[0].buffers, deliver
-                    )
+                    arrivals.append((tasks, arrived[0].params, arrived[0].buffers))
                     jobs += arrived
                     work += planned_work
                 # refill — also after a batch lost mid-round came up empty
                 self._dispatch(server, t)
+            # then train, one backend call per arrival, in arrival order
+            for tasks, params, buffers in arrivals:
+                server.backend.run_clients(tasks, params, buffers, deliver)
 
             taus = np.array(
                 [server.staleness.version - job.start_version for job in jobs]

@@ -51,7 +51,8 @@ class LocalTrainer:
         Mini-batch size per step.
 
     The optimizer is plain :class:`~repro.nn.optim.SGD` with the paper's
-    :data:`MOMENTUM`, fresh for every participation.
+    :data:`MOMENTUM`, bound to the model's parameters once; every
+    participation sets its learning rate and starts from empty momentum.
     """
 
     def __init__(
@@ -68,6 +69,10 @@ class LocalTrainer:
         self.local_steps = local_steps
         self.batch_size = batch_size
         self.loss = CrossEntropyLoss()
+        # the model's Parameter objects live as long as the model (loading
+        # a state copies into them), so one optimizer serves every client;
+        # each ``run`` sets its learning rate
+        self.optimizer = SGD(model.parameters(), lr=1.0, momentum=MOMENTUM)
 
     def run(
         self,
@@ -91,7 +96,9 @@ class LocalTrainer:
             self.view.set_buffers_flat(global_buffers)
         self.model.train()
         # fresh momentum each participation: client state is not retained
-        optimizer = SGD(self.model.parameters(), lr=lr, momentum=MOMENTUM)
+        optimizer = self.optimizer
+        optimizer.lr = lr
+        optimizer.reset_state()
         losses = []
         for xb, yb in dataset.batches(
             self.batch_size, rng, num_batches=steps

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.network.encoding import dense_bytes, sparse_bytes, sparse_bytes_many
+from repro.network.encoding import dense_bytes, sparse_bytes_many
 from repro.utils.arrays import sorted_unique
 
 __all__ = ["StalenessTracker"]
@@ -74,9 +74,6 @@ class StalenessTracker:
     def last_sync_of(self, client_ids: np.ndarray) -> np.ndarray:
         """Vectorized ``last_sync`` reads (−1 = never contacted)."""
         return self._synced_column(client_ids).astype(np.int64) - 1
-
-    def _last_sync(self, client_id: int) -> int:
-        return int(self._synced_at[int(client_id)]) - 1
 
     def _levels(self) -> np.ndarray:
         """The tree's bit levels: ``0 … log2(capacity)``."""
@@ -147,13 +144,6 @@ class StalenessTracker:
             self.last_modified[changed_idx] = self.version
         return self.version
 
-    def stale_count(self, client_id: int) -> int:
-        """How many coordinates the client must download right now."""
-        last = self._last_sync(client_id)
-        if last < 0:
-            return self.d
-        return int((self.last_modified > last).sum())
-
     def _synced_column(self, client_ids: np.ndarray) -> np.ndarray:
         """``last_sync + 1`` per client (0 = never contacted)."""
         return self._synced_at[np.asarray(client_ids, dtype=np.int64)]
@@ -173,7 +163,7 @@ class StalenessTracker:
         return self.d - prefix
 
     def stale_counts(self, client_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`stale_count` over several clients.
+        """How many coordinates each client must download right now.
 
         One prefix count per client in the tree ``record_update`` keeps
         over the per-version histogram — ``O(len(client_ids) · log
@@ -193,30 +183,22 @@ class StalenessTracker:
             np.int64, copy=False
         )
 
-    def stale_positions(self, client_id: int) -> np.ndarray:
-        """Exact coordinate set the client must download (diagnostics)."""
-        last = self._last_sync(client_id)
-        if last < 0:
-            return np.arange(self.d, dtype=np.int64)
-        return np.flatnonzero(self.last_modified > last)
-
-    def download_bytes(self, client_id: int) -> int:
-        """Wire size of the value sync for one client (no strategy extras)."""
-        last = self._last_sync(client_id)
-        if last < 0:
-            return dense_bytes(self.d)
-        return sparse_bytes(self.stale_count(client_id), self.d)
-
     def download_bytes_many(self, client_ids: np.ndarray):
         """Price a contact: ``(value_sync_bytes, stale_counts)`` per client.
 
-        The vectorized :meth:`download_bytes` / :meth:`stale_count` pair
-        from one ``last_sync`` read — a dispatch needs both (bytes for the
+        The wire size of each client's value sync (no strategy extras:
+        the dense model for a first contact, the changed coordinates
+        sparse-encoded otherwise) and its stale count, from one
+        ``last_sync`` read — a dispatch needs both (bytes for the
         ledger, counts for the stale fraction) and this is its per-arrival
         hot path on a 10⁶-client fleet.
         """
         pos = self._synced_column(client_ids)
         counts = self._stale_counts_at(pos)
+        if not pos.any():
+            # first contacts only: each ships the dense model, nothing is
+            # priced sparse
+            return np.full(len(pos), dense_bytes(self.d), dtype=np.int64), counts
         nbytes = np.where(
             pos == 0,
             dense_bytes(self.d),

@@ -27,9 +27,9 @@ class CrossEntropyLoss:
         y = one_hot(targets, c, dtype=logits.dtype)
         # one shifted-exp pass yields both log-softmax (loss) and softmax
         # (gradient) instead of exponentiating twice
-        shifted = logits - np.max(logits, axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
-        denom = np.sum(exp, axis=1, keepdims=True)
+        denom = exp.sum(axis=1, keepdims=True)
         logp = shifted - np.log(denom)
         loss = float(-(y * logp).sum() / n)
         self._cache = (exp / denom, y, n)

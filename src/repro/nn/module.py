@@ -148,14 +148,15 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    # a plain bool: no need for ``__setattr__``'s parameter/child routing
     def train(self) -> "Module":
         for m in self.modules():
-            m.training = True
+            object.__setattr__(m, "training", True)
         return self
 
     def eval(self) -> "Module":
         for m in self.modules():
-            m.training = False
+            object.__setattr__(m, "training", False)
         return self
 
     def num_parameters(self) -> int:

@@ -34,12 +34,20 @@ class SGD:
         lr: float,
         momentum: float = 0.0,
     ):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
         self._buffers: Dict[int, np.ndarray] = {}
+
+    @property
+    def lr(self) -> float:
+        return self._lr
+
+    @lr.setter
+    def lr(self, lr: float) -> None:
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self._lr = lr
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -48,6 +56,7 @@ class SGD:
     def step(self) -> None:
         # out= into a buffer of the gradient's dtype pins every product to
         # that dtype, whatever scalar type lr / momentum is
+        lr = self._lr
         for p in self.params:
             g = p.grad
             if self.momentum:
@@ -60,7 +69,7 @@ class SGD:
                     buf += g
                 g = buf
             upd = np.empty(g.shape, dtype=g.dtype)
-            np.multiply(g, self.lr, out=upd)
+            np.multiply(g, lr, out=upd)
             p.data -= upd
 
     def reset_state(self) -> None:

@@ -192,11 +192,13 @@ class IdlePool:
         """Draw up to ``size`` distinct idle ids uniformly, skipping
         ``exclude``; returns fewer when the eligible pool is smaller."""
         n = len(self)
-        seen = {int(c) for c in exclude} if exclude is not None else set()
+        seen = set(np.asarray(exclude).tolist()) if exclude is not None else set()
         if n == 0 or size <= 0:
             return _EMPTY_IDS.copy()
         eligible = n
-        if seen:
+        if len(seen) > n - size:
+            # only then can the excluded ids leave fewer than ``size``
+            # eligible: count the ones that are idle
             exc = np.fromiter(seen, dtype=np.int64, count=len(seen))
             in_range = exc[(exc >= 0) & (exc < self._pop.num_clients)]
             eligible = n - int(np.count_nonzero(self.contains(in_range)))
@@ -459,7 +461,7 @@ class DeviceStatePopulation:
             return
         ids = _unique_ids(client_ids)
         self._transition(ids, WORKING)
-        self._working_set.update(int(c) for c in ids)
+        self._working_set.update(ids.tolist())
 
     def complete_work(self, client_ids: np.ndarray) -> None:
         """Per-client round completion (continuous schedulers): working
@@ -467,7 +469,7 @@ class DeviceStatePopulation:
         if not len(client_ids):
             return
         ids = _unique_ids(client_ids)
-        self._working_set.difference_update(int(c) for c in ids)
+        self._working_set.difference_update(ids.tolist())
         ids = ids[self.state[ids] == WORKING]
         self._transition(ids, IDLE)
         if len(ids):
@@ -479,7 +481,7 @@ class DeviceStatePopulation:
         if not len(client_ids):
             return
         ids = _unique_ids(client_ids)
-        self._working_set.difference_update(int(c) for c in ids)
+        self._working_set.difference_update(ids.tolist())
         self._drop(ids, round_idx)
 
     def _drop(self, ids: np.ndarray, round_idx: int) -> None:
@@ -519,7 +521,7 @@ class DeviceStatePopulation:
         """Mid-round survival draw from the per-client connectivity column."""
         ids = _as_ids(client_ids)
         conn = self.connectivity[ids]
-        if np.all(conn >= 1.0):
+        if (conn >= 1.0).all():
             return np.ones(len(ids), dtype=bool)
         return self._rng.random(len(ids)) < conn
 

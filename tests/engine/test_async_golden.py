@@ -15,6 +15,7 @@ Regenerate (only when the async semantics intentionally change) with::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -130,6 +131,17 @@ def test_async_scheduler_matches_golden(name, golden):
         f"{name}: final global params diverged"
     )
     assert got["params_sum"] == want["params_sum"]
+
+
+@pytest.mark.parametrize("name", ["fedavg", "gluefl"])
+def test_async_process_backend_matches_golden(name, golden):
+    """A flush trains its arrivals after its last refill; the process
+    backend's records and final model still equal the serial golden."""
+    config = dataclasses.replace(
+        golden_configs()[name], execution_backend="process", backend_workers=2
+    )
+    got = capture(config)
+    assert got == golden[name]
 
 
 def main() -> None:

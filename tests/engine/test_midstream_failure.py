@@ -220,3 +220,101 @@ def test_wrapped_round_failing_after_two_folds_drops_its_sums(
     )
     if isinstance(strategy.inner, GlueFLMaskStrategy):
         assert recovered[0] == ("begin", 4, True)
+
+
+class FailAtArrival:
+    """Wraps an ExecutionBackend; once armed with ``k``, the ``k``-th
+    ``run_clients`` call from then on trains with a zero step override,
+    which ``LocalTrainer.run`` rejects.  Records every delivery."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.armed = None
+        self.calls = 0
+        self.delivered = []
+
+    def run_clients(self, tasks, global_params, global_buffers, deliver):
+        self.calls += 1
+        if self.calls == self.armed:
+            tasks = [dataclasses.replace(task, local_steps=0) for task in tasks]
+
+        def record(result):
+            self.delivered.append((self.calls, result.client_id))
+            deliver(result)
+
+        self.inner.run_clients(tasks, global_params, global_buffers, record)
+
+    def close(self):
+        self.inner.close()
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_async_flush_failing_at_its_third_arrival_aborts_cleanly(
+    tiny_dataset, backend
+):
+    """A flush trains its arrivals after its last refill, one backend call
+    each.  When the third arrival's training fails, the error propagates as
+    itself, the flush's strategy round aborts exactly once with no open
+    sums, nothing after the failed arrival is delivered, the model is
+    untouched, and the next flush is a whole one."""
+    strategy = GlueFLMaskStrategy(q=0.3, q_shr=0.15, regen_interval=3)
+    server = FLServer(
+        RunConfig(
+            dataset=tiny_dataset,
+            model_name="mlp",
+            model_kwargs={"hidden": (16,)},
+            strategy=strategy,
+            sampler=UniformSampler(5),
+            rounds=10,
+            local_steps=2,
+            batch_size=8,
+            lr=0.05,
+            eval_every=10,
+            seed=3,
+            always_available=True,
+            dropout_prob=0.0,
+            scheduler="async",
+            async_buffer_size=5,
+            async_concurrency=8,
+            execution_backend=backend,
+            backend_workers=2 if backend == "process" else None,
+        )
+    )
+    faulty = server._backend = FailAtArrival(server.backend)
+    lifecycle = []
+    abort, end = strategy.abort_round, strategy.end_round
+
+    def abort_round(t):
+        lifecycle.append(("abort", t, _holds_open_sums(strategy)))
+        abort(t)
+
+    def end_round(agg, t):
+        lifecycle.append(("end", t))
+        end(agg, t)
+
+    strategy.abort_round, strategy.end_round = abort_round, end_round
+    try:
+        server.run_round()
+        params, version = server.global_params, server.staleness.version
+        params_bytes = params.tobytes()
+        del lifecycle[:], faulty.delivered[:]
+        faulty.calls, faulty.armed = 0, 3
+        with pytest.raises(ValueError, match="local_steps"):
+            server.run_round()
+        # the fold happens at the flush's close, so nothing was open yet
+        assert lifecycle == [("abort", 2, False)]
+        assert not _holds_open_sums(strategy)
+        assert [call for call, _ in faulty.delivered] == [1, 2]
+        assert faulty.calls == 3
+        assert server.global_params is params
+        assert server.global_params.tobytes() == params_bytes
+        assert server.staleness.version == version
+
+        del lifecycle[:]
+        faulty.armed = None
+        record = server.run_round()
+        assert record.num_participants == 5
+        assert lifecycle == [("end", 3)]
+        assert server.staleness.version == version + 1
+    finally:
+        server.close()

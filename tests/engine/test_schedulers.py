@@ -472,6 +472,57 @@ def test_async_batches_simultaneous_arrivals(tiny_dataset):
     assert max(recorder.batch_sizes) == 4
 
 
+def test_async_flush_drains_then_trains_each_arrival_in_order(tiny_dataset):
+    """A flush pops, plans and refills first; its ``run_clients`` calls all
+    come after its last ``_dispatch``, one per arrival, in the order the
+    arrivals popped — one task each when no two finish together."""
+    cfg = make_config(
+        tiny_dataset,
+        scheduler="async",
+        async_buffer_size=4,
+        async_concurrency=8,
+        rounds=6,
+    )
+    server = FLServer(cfg)
+    scheduler = server.scheduler
+    events = []
+    dispatch, pop_batch = scheduler._dispatch, scheduler._pop_batch
+
+    def spy_dispatch(srv, round_idx):
+        events.append(("dispatch", round_idx))
+        dispatch(srv, round_idx)
+
+    def spy_pop_batch(srv, limit):
+        jobs = pop_batch(srv, limit)
+        if jobs:
+            events.append(("arrival", [job.client_id for job in jobs]))
+        return jobs
+
+    class SpyBackend(RecordingBackend):
+        def run_clients(self, tasks, global_params, global_buffers, deliver):
+            events.append(("train", [task.client_id for task in tasks]))
+            super().run_clients(tasks, global_params, global_buffers, deliver)
+
+    scheduler._dispatch, scheduler._pop_batch = spy_dispatch, spy_pop_batch
+    server._backend = SpyBackend(server.backend)
+    try:
+        for _ in range(cfg.rounds):
+            del events[:]
+            record = server.run_round()
+            kinds = [kind for kind, _ in events]
+            last_dispatch = max(i for i, k in enumerate(kinds) if k == "dispatch")
+            first_train = kinds.index("train")
+            assert last_dispatch < first_train
+            assert set(kinds[first_train:]) == {"train"}
+            arrivals = [ids for kind, ids in events if kind == "arrival"]
+            trained = [ids for kind, ids in events if kind == "train"]
+            assert trained == arrivals
+            assert all(len(ids) == 1 for ids in trained)
+            assert record.num_participants == sum(map(len, trained))
+    finally:
+        server.close()
+
+
 def test_async_batching_preserves_serial_results(tiny_dataset):
     """Tie-batched execution aggregates the same clients as the pre-batch
     one-at-a-time drain (order within a tie follows heap pop order)."""

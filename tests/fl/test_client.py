@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.compression import FedAvgStrategy
 from repro.datasets.base import ClientDataset
+from repro.fl import FLServer, RunConfig, UniformSampler
 from repro.fl.client import LocalTrainer
 from repro.nn import MLP, Linear, ReLU, Sequential
 from repro.nn.flat import FlatParamView
@@ -184,3 +186,73 @@ def test_validation(rng):
     model = FlatMLP(rng)
     with pytest.raises(ValueError):
         LocalTrainer(model, local_steps=0, batch_size=4)
+
+
+def test_bound_trainer_matches_a_fresh_trainer_per_participation(rng):
+    """One trainer binds one optimizer for its life.  Clients A, B, then A
+    again on it give, bit for bit, the deltas a fresh trainer gives each
+    of them: no momentum and no learning rate leak from one participation
+    into the next."""
+    model = FlatMLP(np.random.default_rng(11))
+    view = FlatParamView(model)
+    theta, bufs = view.get_flat(), view.get_buffers_flat()
+    shards = {
+        "A": make_shard(np.random.default_rng(5)),
+        "B": make_shard(np.random.default_rng(6)),
+    }
+    lrs = {"A": 0.05, "B": 0.2}
+
+    def run(trainer, name):
+        return trainer.run(
+            theta, bufs, shards[name], lrs[name], np.random.default_rng(ord(name))
+        )
+
+    def fresh(name):
+        model = FlatMLP(np.random.default_rng(11))
+        return run(LocalTrainer(model, local_steps=4, batch_size=8), name)
+
+    bound = LocalTrainer(model, local_steps=4, batch_size=8)
+    for name in ("A", "B", "A"):
+        got, want = run(bound, name), fresh(name)
+        np.testing.assert_array_equal(got.delta, want.delta)
+        np.testing.assert_array_equal(got.buffer_delta, want.buffer_delta)
+        assert got.mean_loss == want.mean_loss
+
+
+def test_run_after_evaluate_trains_in_training_mode(tiny_dataset):
+    """The serial backend trains on the model ``server.evaluate()`` runs in
+    eval mode: the next ``run`` trains in training mode, so the CNN's
+    batch-norm running statistics move — also when the model was left in
+    eval mode."""
+    server = FLServer(
+        RunConfig(
+            dataset=tiny_dataset, model_name="cnn", strategy=FedAvgStrategy(),
+            sampler=UniformSampler(2), rounds=1, local_steps=2, batch_size=8,
+            seed=3,
+        )
+    )
+    try:
+        assert server.view.num_buffer > 0
+        for leave_in_eval in (False, True):
+            server.evaluate()
+            if leave_in_eval:
+                server.model.eval()
+            result = server.trainer.run(
+                server.global_params, server.global_buffers,
+                tiny_dataset.clients[0], 0.05, np.random.default_rng(0),
+            )
+            assert server.model.training
+            assert np.abs(result.buffer_delta).max() > 0
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("lr", [0.0, -0.1])
+def test_run_rejects_a_non_positive_learning_rate(rng, lr):
+    model = FlatMLP(rng)
+    view = FlatParamView(model)
+    trainer = LocalTrainer(model, local_steps=2, batch_size=8)
+    with pytest.raises(ValueError, match="learning rate"):
+        trainer.run(
+            view.get_flat(), view.get_buffers_flat(), make_shard(rng), lr, rng
+        )

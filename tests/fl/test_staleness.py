@@ -10,17 +10,29 @@ from repro.network.encoding import dense_bytes, sparse_bytes
 from tests.fl.reference import HistogramLedger
 
 
+def _stale_positions(tr, client_id):
+    """The exact coordinates a client must download, read off
+    ``last_modified``: every one changed after its last sync, or all of
+    them before its first."""
+    last = tr.last_sync_of(np.array([client_id]))[0]
+    if last < 0:
+        return np.arange(tr.d)
+    return np.flatnonzero(tr.last_modified > last)
+
+
 def test_first_contact_downloads_full_model():
     tr = StalenessTracker(d=100, num_clients=5)
-    assert tr.stale_count(0) == 100
-    assert tr.download_bytes(0) == dense_bytes(100)
+    nbytes, counts = tr.download_bytes_many(np.array([0]))
+    assert counts.tolist() == [100]
+    assert nbytes.tolist() == [dense_bytes(100)]
 
 
 def test_synced_client_downloads_nothing():
     tr = StalenessTracker(d=100, num_clients=5)
     tr.mark_synced(np.array([0]))
-    assert tr.stale_count(0) == 0
-    assert tr.download_bytes(0) == 0
+    nbytes, counts = tr.download_bytes_many(np.array([0]))
+    assert counts.tolist() == [0]
+    assert nbytes.tolist() == [0]
 
 
 def test_staleness_accumulates_union_of_masks():
@@ -28,45 +40,54 @@ def test_staleness_accumulates_union_of_masks():
     tr.mark_synced(np.array([0, 1]))
     tr.record_update(np.arange(0, 10))
     tr.record_update(np.arange(5, 15))  # overlap with previous
-    assert tr.stale_count(0) == 15  # union, not sum
+    assert tr.stale_counts(np.array([0])).tolist() == [15]  # union, not sum
     tr.mark_synced(np.array([0]))
     tr.record_update(np.arange(20, 25))
-    assert tr.stale_count(0) == 5
-    assert tr.stale_count(1) == 20
+    assert tr.stale_counts(np.array([0, 1])).tolist() == [5, 20]
 
 
 def test_stale_positions_exact():
     tr = StalenessTracker(d=20, num_clients=2)
     tr.mark_synced(np.array([0]))
     tr.record_update(np.array([3, 7]))
-    np.testing.assert_array_equal(tr.stale_positions(0), [3, 7])
-    np.testing.assert_array_equal(tr.stale_positions(1), np.arange(20))
+    np.testing.assert_array_equal(_stale_positions(tr, 0), [3, 7])
+    np.testing.assert_array_equal(_stale_positions(tr, 1), np.arange(20))
+    # the counts the ledger prices are the sizes of those exact sets
+    assert tr.stale_counts(np.array([0, 1])).tolist() == [2, 20]
 
 
 def test_vectorized_counts_match_scalar():
-    tr = StalenessTracker(d=50, num_clients=6)
-    tr.mark_synced(np.array([1, 3]))
-    tr.record_update(np.arange(10))
-    tr.mark_synced(np.array([3]))
-    tr.record_update(np.arange(5, 20))
+    """Counts and bytes per client == the whole-histogram oracle's counts,
+    priced one client at a time."""
+    d = 50
+    tr, ref = StalenessTracker(d=d, num_clients=6), HistogramLedger(d, 6)
+    for ledger in (tr, ref):
+        ledger.mark_synced(np.array([1, 3]))
+        ledger.record_update(np.arange(10))
+        ledger.mark_synced(np.array([3]))
+        ledger.record_update(np.arange(5, 20))
     ids = np.arange(6)
     counts = tr.stale_counts(ids)
     for i in ids:
-        assert counts[i] == tr.stale_count(i)
+        assert counts[i] == ref.stale_counts(np.array([i]))[0]
+        assert counts[i] == len(_stale_positions(tr, i))
     # a contact is priced from one last_sync read: bytes and counts together
     nbytes, priced_counts = tr.download_bytes_many(ids)
     np.testing.assert_array_equal(priced_counts, counts)
+    last = tr.last_sync_of(ids)
     for i in ids:
-        assert nbytes[i] == tr.download_bytes(i)
+        want = dense_bytes(d) if last[i] < 0 else sparse_bytes(int(counts[i]), d)
+        assert nbytes[i] == want
 
 
 def test_download_bytes_sparse_vs_dense():
     tr = StalenessTracker(d=1000, num_clients=2)
     tr.mark_synced(np.array([0]))
     tr.record_update(np.arange(10))
-    assert tr.download_bytes(0) == sparse_bytes(10, 1000)
+    nbytes, _ = tr.download_bytes_many(np.array([0, 1]))
+    assert nbytes[0] == sparse_bytes(10, 1000)
     # client 1 never synced -> dense
-    assert tr.download_bytes(1) == dense_bytes(1000)
+    assert nbytes[1] == dense_bytes(1000)
 
 
 def test_mean_staleness_fraction():
@@ -199,7 +220,7 @@ def test_record_update_refuses_a_version_the_column_cannot_hold(monkeypatch):
     assert [tr.record_update(np.array([i])) for i in range(2)] == [1, 2]
     with pytest.raises(OverflowError, match="int32"):
         tr.record_update(np.array([2]))
-    assert tr.version == 2 and tr.stale_count(1) == 4
+    assert tr.version == 2 and tr.stale_counts(np.array([1])).tolist() == [4]
 
 
 @pytest.mark.population

@@ -18,6 +18,8 @@ from repro.network.encoding import (
 )
 from repro.nn.functional import one_hot, softmax
 
+from tests.fl.reference import HistogramLedger
+
 finite_vectors = arrays(
     np.float64,
     st.integers(min_value=1, max_value=200),
@@ -113,16 +115,21 @@ def test_rec_weighted_contribution_invariant(h, w_old, w_new):
     )
 )
 def test_staleness_equals_union_of_updates(update_batches):
-    """stale set == union of per-round changed sets since last sync."""
-    tr = StalenessTracker(d=50, num_clients=1)
+    """stale set == union of per-round changed sets since last sync, and
+    its size is the count both ledgers price."""
+    tr, ref = StalenessTracker(d=50, num_clients=1), HistogramLedger(50, 1)
     tr.mark_synced(np.array([0]))
+    ref.mark_synced(np.array([0]))
     union = set()
     for batch in update_batches:
         idx = np.unique(np.array(batch, dtype=np.int64))
         tr.record_update(idx)
+        ref.record_update(idx)
         union |= set(idx.tolist())
-    assert tr.stale_count(0) == len(union)
-    assert set(tr.stale_positions(0).tolist()) == union
+    # synced at version 0: stale is everything modified since
+    assert set(np.flatnonzero(tr.last_modified > 0).tolist()) == union
+    assert tr.stale_counts(np.array([0])).tolist() == [len(union)]
+    assert ref.stale_counts(np.array([0])).tolist() == [len(union)]
 
 
 @given(st.integers(1, 40), st.integers(1, 40))
@@ -133,7 +140,7 @@ def test_staleness_monotone_in_updates(d, rounds):
     rng = np.random.default_rng(0)
     for _ in range(rounds):
         tr.record_update(rng.choice(d, size=min(3, d), replace=False))
-        now = tr.stale_count(0)
+        now = int(tr.stale_counts(np.array([0]))[0])
         assert now >= prev
         prev = now
 
