@@ -89,10 +89,6 @@ class APFStrategy(CompressionStrategy):
         self._check_setup()
         return self._frozen_until <= self._round
 
-    def frozen_fraction(self) -> float:
-        """Fraction of coordinates currently frozen (diagnostic)."""
-        return float(1.0 - self.active_mask().mean())
-
     def downstream_extra_bytes(self) -> int:
         # the active-set bitmap accompanies each model sync
         return bitmap_bytes(self.d)

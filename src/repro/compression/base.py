@@ -255,6 +255,19 @@ class CompressionStrategy:
         """
         return float(np.linalg.norm(delta))
 
+    def feedback_loss(self, client_id: int, mean_loss: float) -> Optional[float]:
+        """The training loss the engine may report to utility-guided
+        samplers (those with an ``observe_loss`` hook, e.g. Oort).
+
+        The default passes the raw mean loss through; privacy wrappers
+        return ``None`` — there is no privatized loss to release — and
+        the engine then reports nothing for the client.
+
+        >>> CompressionStrategy().feedback_loss(0, 1.5)
+        1.5
+        """
+        return mean_loss
+
     def privacy_epsilon_spent(self) -> Optional[float]:
         """Cumulative privacy budget ε consumed so far, if tracked.
 

@@ -88,6 +88,10 @@ class QuantizedStrategy(CompressionStrategy):
         # a wrapped privacy layer's noisy norm must survive the stack
         return self.inner.feedback_norm(client_id, delta)
 
+    def feedback_loss(self, client_id: int, mean_loss: float):
+        # a wrapped privacy layer's withheld loss must stay withheld
+        return self.inner.feedback_loss(client_id, mean_loss)
+
     def privacy_epsilon_spent(self):
         return self.inner.privacy_epsilon_spent()
 

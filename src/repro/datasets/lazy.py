@@ -93,33 +93,6 @@ class LazyClientList(Sequence):
             self._cache.move_to_end(cid)
         return shard
 
-    def evict(self, client_ids) -> int:
-        """Drop the given clients' shards from the cache now.
-
-        Population-aware memory management: when a client leaves the
-        active cohort for a long stretch (dropped with a cooldown, or its
-        server-side lazy state was LRU-evicted), its shard can be
-        released immediately instead of waiting to age out of the LRU.
-        Re-access simply re-materializes — the factory is deterministic —
-        so eviction is always safe.  Returns how many shards were
-        resident.
-
-        >>> shards = LazyClientList(
-        ...     4, lambda cid: ClientDataset(
-        ...         x=np.zeros((1, 1)), y=np.zeros(1, dtype=np.int64),
-        ...         client_id=cid))
-        >>> _ = shards[0]; _ = shards[1]
-        >>> shards.evict([1, 3])
-        1
-        >>> shards.cached_ids
-        [0]
-        """
-        dropped = 0
-        for cid in client_ids:
-            if self._cache.pop(int(cid), None) is not None:
-                dropped += 1
-        return dropped
-
     @property
     def cached_ids(self):
         """Client ids currently resident (≤ ``cache_size``)."""

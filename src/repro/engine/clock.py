@@ -91,10 +91,6 @@ class SimClock:
         heapq.heappush(self._heap, (time_s, seq, payload))
         return seq
 
-    def schedule_in(self, delay_s: float, payload: Any = None) -> int:
-        """Queue ``payload`` to complete ``delay_s`` seconds from *now*."""
-        return self.schedule(self._now + delay_s, payload)
-
     def schedule_timings(
         self,
         timings,

@@ -186,6 +186,7 @@ class _StaleArrival:
     #: from the backend's memory (it is held across rounds)
     result: object
     work: float  # the fraction it trained with scales its 1/K share
+    finish_s: float  # its finish offset from the dispatch round's start
 
 
 class SemiAsyncScheduler(SyncScheduler):
@@ -214,7 +215,9 @@ class SemiAsyncScheduler(SyncScheduler):
         for cid, finish_s, (result, work) in zip(
             cohort.straggler_ids.tolist(), cohort.straggler_finish_s.tolist(), late
         ):
-            clock.schedule(clock.now + finish_s, _StaleArrival(cid, t, result, work))
+            clock.schedule(
+                clock.now + finish_s, _StaleArrival(cid, t, result, work, finish_s)
+            )
             self.busy.add(cid)
 
         # the fast tier's deadline collects due straggler arrivals (the
@@ -244,6 +247,7 @@ class SemiAsyncScheduler(SyncScheduler):
         batch.pending += [a.result for a in kept]
         batch.weights = np.concatenate([batch.weights, shares])
         batch.work = np.concatenate([batch.work, work])
+        batch.finish_s = np.concatenate([batch.finish_s, [a.finish_s for a in kept]])
 
 
 @dataclass
@@ -433,7 +437,10 @@ class AsyncBufferedScheduler(Scheduler):
             work = np.array(work)
             weights = staleness_discounted_weights(taus, self.alpha)
             weights = steps.scale_by_work(weights, work)
-            batch = steps.Batch(weights, work, taus, pending=results)
+            batch = steps.Batch(
+                weights, work, taus, pending=results,
+                finish_s=[job.download_s + job.compute_s + job.upload_s for job in jobs],
+            )
             steps.close_round(
                 server, rnd, batch,
                 why_empty="no clients available to fill the buffer",

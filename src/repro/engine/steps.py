@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Collection, List, Optional
+from typing import Collection, List, Optional, Sequence
 
 import numpy as np
 
@@ -128,6 +128,9 @@ class Batch:
     #: the folded payloads' upstream bytes; :func:`close_round` adds the
     #: dense batch-norm buffer shipment per update
     up_bytes: int = 0
+    #: each update's simulated finish offset from its dispatch, in fold
+    #: order (the speed a utility-guided sampler observes)
+    finish_s: Sequence[float] = ()
 
 
 # -- shared round slices -----------------------------------------------------------
@@ -193,16 +196,22 @@ def compress_result(server, batch: Batch, result) -> None:
     a dense Δ_i's life to "from its training to its compress" and a
     payload's to its fold.
 
-    Norm feedback rides here: samplers that opt in via
+    Sampler feedback rides here.  Samplers that opt in via
     ``wants_update_norms`` (e.g. Optimal Client Sampling) receive
     ``observe_update(client_id, norm)`` for every result that reaches
     aggregation.  The norm comes from the *strategy's*
     :meth:`~repro.compression.base.CompressionStrategy.feedback_norm` —
     the raw ``‖Δ‖₂`` by default, but a privacy wrapper substitutes the
     privatized (noisy) norm it recorded while compressing, so the hook
-    fires *after* this result's own ``client_compress``.  Sitting on the
-    one seam every scheduler's results pass through, the feedback flows
-    identically under all of them; samplers that don't opt in cost nothing.
+    fires *after* this result's own ``client_compress``.  A utility-guided
+    sampler (one with ``observe_loss``, e.g. Oort) receives the loss from
+    the strategy's
+    :meth:`~repro.compression.base.CompressionStrategy.feedback_loss` —
+    the result's mean training loss by default, withheld (``None``, and
+    then no feedback at all) under a privacy wrapper — and, through
+    ``observe_speed``, its simulated finish offset.  Sitting on the one seam every scheduler's results pass
+    through, the feedback flows identically under all of them; samplers
+    that take none cost one attribute check each.
     """
     cid, strategy = result.client_id, server.strategy
     weight = batch.weights.item(batch.folded)
@@ -211,6 +220,12 @@ def compress_result(server, batch: Batch, result) -> None:
     batch.folded += 1
     if server.sampler.wants_update_norms:
         server.sampler.observe_update(cid, strategy.feedback_norm(cid, result.delta))
+    observe_loss = getattr(server.sampler, "observe_loss", None)
+    if observe_loss is not None:
+        loss = strategy.feedback_loss(cid, result.mean_loss)
+        if loss is not None:
+            observe_loss(cid, loss)
+            server.sampler.observe_speed(cid, batch.finish_s[batch.folded - 1])
     if server.view.num_buffer:
         batch.buffer_sum = fold_buffer_delta(batch.buffer_sum, result.buffer_delta)
     batch.losses.append(result.mean_loss)
@@ -446,6 +461,7 @@ def enforce_quorum(server, round_idx: int, cohort: Cohort) -> None:
             download_seconds=0.0,
             compute_seconds=0.0,
             upload_seconds=0.0,
+            finish_s=np.empty(0),
         )
 
 
@@ -507,6 +523,7 @@ def train_cohort(server, round_idx: int, cohort: Cohort, with_stragglers: bool):
     batch = Batch(
         weights=scale_by_work(np.concatenate([nu_s, nu_r]), fast_work),
         work=fast_work,
+        finish_s=selection.finish_s,
     )
     late: list = []
 

@@ -32,7 +32,10 @@ compression seam feeds every participant's update norm back after local
 training (the *privatized* norm whenever a privacy wrapper is active,
 never the raw one; see
 :meth:`repro.privacy.strategy.PrivateStrategy.feedback_norm`), in both
-the sync and async schedulers.
+the sync and async schedulers.  Samplers with an ``observe_loss`` hook
+receive each participant's training loss the same way, except under a
+privacy wrapper, which withholds it
+(:meth:`repro.privacy.strategy.PrivateStrategy.feedback_loss`).
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ class SampleDraw:
     @property
     def candidates(self) -> np.ndarray:
         return np.concatenate([self.sticky, self.nonsticky])
-
-    @property
-    def quota_total(self) -> int:
-        return self.quota_sticky + self.quota_nonsticky
 
 
 class ClientSampler:
@@ -518,9 +517,3 @@ class StickySampler(ClientSampler):
             [c for c in self.sticky_group if c not in to_remove], dtype=np.int64
         )
         self.sticky_group = np.concatenate([kept, newcomers[:n_swap]])
-
-    def is_sticky(self, client_ids: np.ndarray) -> np.ndarray:
-        """Boolean: which of ``client_ids`` are currently in the sticky group."""
-        membership = np.zeros(self.num_clients, dtype=bool)
-        membership[self.sticky_group] = True
-        return membership[np.asarray(client_ids)]

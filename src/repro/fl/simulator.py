@@ -47,6 +47,9 @@ class ParticipantSelection:
     download_seconds: float
     compute_seconds: float
     upload_seconds: float
+    #: each participant's finish offset from the round start, in
+    #: ``participant_ids`` order
+    finish_s: np.ndarray
 
     @property
     def participant_ids(self) -> np.ndarray:
@@ -134,4 +137,5 @@ def select_participants(
         download_seconds=download_seconds,
         compute_seconds=compute_seconds,
         upload_seconds=upload_seconds,
+        finish_s=finish,
     )

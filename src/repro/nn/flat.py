@@ -11,7 +11,7 @@ aggregates without masking or re-weighting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class FlatParamView:
     Notes
     -----
     ``get_flat`` returns a **copy** (callers mutate it freely); ``set_flat``
-    and ``add_flat`` write back through to the live parameter arrays.
+    writes back through to the live parameter arrays.
     """
 
     def __init__(self, model: Module):
@@ -71,18 +71,6 @@ class FlatParamView:
         for (_, p), off in zip(self._params, self._offsets):
             np.copyto(p.data, vec[off : off + p.size].reshape(p.shape))
 
-    def add_flat(self, delta: np.ndarray) -> None:
-        """In-place ``params += delta``."""
-        self._check(delta, self.num_trainable)
-        for (_, p), off in zip(self._params, self._offsets):
-            p.data += delta[off : off + p.size].reshape(p.shape)
-
-    def get_grad_flat(self) -> np.ndarray:
-        """Copy of accumulated parameter gradients as one vector."""
-        if not self._params:
-            return np.zeros(0, dtype=self.dtype)
-        return np.concatenate([p.grad.ravel() for _, p in self._params])
-
     # -- non-trainable buffers (BN running statistics) -------------------------
     def get_buffers_flat(self) -> np.ndarray:
         """Copy of all buffers (running stats) as one vector of length ``d_b``."""
@@ -94,20 +82,6 @@ class FlatParamView:
         self._check(vec, self.num_buffer)
         for (_, b), off in zip(self._buffers, self._buf_offsets):
             np.copyto(b.data, vec[off : off + b.size].reshape(b.shape))
-
-    # -- introspection ---------------------------------------------------------
-    def param_slices(self) -> Dict[str, slice]:
-        """Dotted parameter name → slice into the flat vector."""
-        return {
-            name: slice(off, off + p.size)
-            for (name, p), off in zip(self._params, self._offsets)
-        }
-
-    def param_names(self) -> List[str]:
-        return [name for name, _ in self._params]
-
-    def buffer_names(self) -> List[str]:
-        return [name for name, _ in self._buffers]
 
     @staticmethod
     def _check(vec: np.ndarray, expected: int) -> None:

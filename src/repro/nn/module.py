@@ -159,10 +159,6 @@ class Module:
             object.__setattr__(m, "training", False)
         return self
 
-    def num_parameters(self) -> int:
-        """Total count of trainable scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of all parameters and buffers, keyed by dotted path."""
         out: Dict[str, np.ndarray] = {}

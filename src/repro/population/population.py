@@ -445,10 +445,6 @@ class DeviceStatePopulation:
         self.advance(round_idx)
         return self.state == IDLE
 
-    def online_clients(self, round_idx: int) -> np.ndarray:
-        """Ids of selectable clients at ``round_idx``."""
-        return np.flatnonzero(self.online(round_idx))
-
     def idle_pool(self, round_idx: int) -> IdlePool:
         """Advance to ``round_idx`` and return the O(idle) sampling view
         over the index maintained at transition time."""

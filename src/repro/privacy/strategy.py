@@ -59,6 +59,9 @@ per-result sink (``repro.engine.steps.compress_result``) asks
 ``client_compress``, which reports the L2 norm of the values actually
 uploaded (noisy under ``gaussian``) instead of the raw local update —
 Optimal Client Sampling under privacy noise never sees a clean norm.
+A training loss has no privatized counterpart, so
+:meth:`PrivateStrategy.feedback_loss` withholds it and a utility-guided
+sampler (Oort) observes nothing.
 
 Every rule for a legal setup is checked once, at construction: a knob
 that does nothing in its mode (``defense_fraction`` under ``gaussian``,
@@ -448,6 +451,13 @@ class PrivateStrategy(CompressionStrategy):
         if self.mode == "gaussian" and self.noise_multiplier > 0:
             return float(self.clip_norm)
         return self.inner.feedback_norm(client_id, delta)
+
+    def feedback_loss(self, client_id: int, mean_loss: float) -> None:
+        """Always ``None``: a client's training loss is a function of its
+        data that the mechanism neither clips nor noises, so a
+        utility-guided sampler ranking clients by it would spend privacy
+        the accountant never charged.  The engine reports no loss."""
+        return None
 
     def privacy_epsilon_spent(self) -> Optional[float]:
         """Cumulative ε after the rounds aggregated so far (None without

@@ -67,10 +67,6 @@ class AvailabilityTrace:
         pos %= self._period.astype(np.int64)
         return pos < self._on_fraction * self._period
 
-    def online_clients(self, round_idx: int) -> np.ndarray:
-        """Ids of clients online at ``round_idx``."""
-        return np.flatnonzero(self.online(round_idx))
-
     def survives_round(self, client_ids: np.ndarray) -> np.ndarray:
         """Draw mid-round dropout: True where the client's update arrives."""
         if self.dropout_prob == 0.0:

@@ -82,9 +82,6 @@ class DiurnalAvailabilityTrace:
             in_window = in_window ^ flip
         return in_window
 
-    def online_clients(self, round_idx: int) -> np.ndarray:
-        return np.flatnonzero(self.online(round_idx))
-
     def survives_round(self, client_ids: np.ndarray) -> np.ndarray:
         if self.dropout_prob == 0.0:
             return np.ones(len(client_ids), dtype=bool)

@@ -63,9 +63,5 @@ class RngFactory:
     def __call__(self, name: str) -> np.random.Generator:
         return child_rng(self.seed, name)
 
-    def spawn(self, name: str) -> "RngFactory":
-        """Derive a sub-factory whose streams are disjoint from the parent's."""
-        return RngFactory(_seed_from(self.seed, f"spawn:{name}"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(seed={self.seed})"

@@ -175,7 +175,6 @@ def make_apf(d=200, **kw):
 def test_apf_starts_fully_active():
     s = make_apf()
     assert s.active_mask().all()
-    assert s.frozen_fraction() == 0.0
 
 
 def test_apf_freezes_oscillating_coordinates(rng):

@@ -50,7 +50,6 @@ DOCUMENTED_MODULES = (
     "repro.datasets.base",
     "repro.datasets.lazy",
     "repro.datasets.synthetic",
-    "repro.analysis",
     "repro.runtime.sanitize",
 )
 

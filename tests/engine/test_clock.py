@@ -83,12 +83,6 @@ def test_pop_until_stops_at_deadline():
     assert clock.pop_until(3.0) == []  # remaining event is past the deadline
 
 
-def test_schedule_in_is_relative_to_now():
-    clock = SimClock(start=5.0)
-    clock.schedule_in(2.0, "x")
-    assert clock.peek() == (7.0, "x")
-
-
 def test_schedule_timings_pushes_finish_events():
     timings = CandidateTimings(
         client_ids=np.array([7, 3]),

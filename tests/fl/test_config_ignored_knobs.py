@@ -1,8 +1,9 @@
 """RunConfig.validate rejects a knob the configured run would ignore.
 
 A set knob that changes nothing is a silent misconfiguration, so each
-one is rejected off the component that reads it (the rule in the
-``repro.analysis.config_coverage`` docstring).
+one is rejected off the component that reads it (the ``config-validated``
+rule in ``tests/lint/config_fields.py`` checks that ``validate()`` looks
+at every field).
 """
 
 import pytest

@@ -84,6 +84,64 @@ def test_oort_in_full_training_loop(tiny_dataset):
     assert result.num_rounds == 6
 
 
+def test_oort_exploits_what_the_run_fed_back(tiny_dataset):
+    """The engine feeds every result's loss and finish offset back, so a
+    pure-exploitation Oort re-draws round 1's observed clients."""
+    from repro.compression import FedAvgStrategy
+    from repro.fl import RunConfig, run_training
+
+    sampler = OortLikeSampler(5, exploration=0.0)
+    draws = []
+    draw = sampler.draw
+    sampler.draw = lambda *a, **kw: draws.append(draw(*a, **kw)) or draws[-1]
+    cfg = RunConfig(
+        dataset=tiny_dataset,
+        model_name="mlp",
+        model_kwargs={"hidden": (16,)},
+        strategy=FedAvgStrategy(),
+        sampler=sampler,
+        rounds=3,
+        local_steps=2,
+        weight_mode="equal",
+        overcommit=1.0,
+        seed=0,
+    )
+    run_training(cfg)
+    first = set(draws[0].candidates.tolist())
+    assert set(sampler._loss) == set(sampler._speed) == first
+    assert all(seconds > 0 for seconds in sampler._speed.values())
+    assert [set(d.candidates.tolist()) for d in draws[1:]] == [first, first]
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_privatized_oort_gets_no_raw_loss(tiny_dataset, quantized):
+    """A privacy wrapper withholds the training loss — through a
+    quantizer above it too — so Oort under noise observes nothing and
+    keeps drawing data-independently."""
+    from repro.compression import FedAvgStrategy, QuantizedStrategy
+    from repro.fl import RunConfig, run_training
+    from repro.privacy import PrivateStrategy
+
+    strategy = PrivateStrategy(FedAvgStrategy(), epsilon=6.0, clip_norm=1.0)
+    if quantized:
+        strategy = QuantizedStrategy(strategy, bits=8)
+    assert strategy.feedback_loss(0, 1.5) is None
+    sampler = OortLikeSampler(5, exploration=0.0)
+    cfg = RunConfig(
+        dataset=tiny_dataset,
+        model_name="mlp",
+        model_kwargs={"hidden": (16,)},
+        strategy=strategy,
+        sampler=sampler,
+        rounds=3,
+        local_steps=2,
+        weight_mode="equal",
+        seed=0,
+    )
+    run_training(cfg)
+    assert sampler._loss == {} and sampler._speed == {}
+
+
 # --------------------------------------------------------- weight ownership
 def test_oort_owns_equal_weights(rng):
     """The biased sampler returns 1/K weights instead of inheriting Eq. 2."""

@@ -189,14 +189,6 @@ def test_sticky_availability_shrinks_quota(rng):
     assert draw.quota_nonsticky == 7  # refilled from non-sticky pool
 
 
-def test_sticky_membership_helper(rng):
-    sampler = make_sticky(rng)
-    flags = sampler.is_sticky(sampler.sticky_group[:5])
-    assert flags.all()
-    outsider = np.setdiff1d(np.arange(100), sampler.sticky_group)[:5]
-    assert not sampler.is_sticky(outsider).any()
-
-
 def test_sticky_validation(rng):
     with pytest.raises(ValueError):
         StickySampler(10, group_size=5, sticky_count=8)  # S < C

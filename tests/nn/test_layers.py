@@ -43,7 +43,7 @@ def gradcheck_params(model, x, rng, n_coords=30, tol=1e-5):
     view.set_flat(theta0)
     model.zero_grad()
     model.backward(mse(model(x), target)[1])
-    analytic = view.get_grad_flat()
+    analytic = np.concatenate([p.grad.ravel() for p in model.parameters()])
     idx = rng.choice(theta0.size, size=min(n_coords, theta0.size), replace=False)
     numeric = numeric_gradient(f, theta0, idx)
     view.set_flat(theta0)

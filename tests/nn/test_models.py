@@ -29,7 +29,7 @@ def test_build_forward_backward(rng, name):
     assert logits.shape == (4, 7)
     loss(logits, y)
     model.backward(loss.backward())
-    grads = FlatParamView(model).get_grad_flat()
+    grads = np.concatenate([p.grad.ravel() for p in model.parameters()])
     assert np.isfinite(grads).all()
     assert np.abs(grads).sum() > 0
 

@@ -73,12 +73,6 @@ def test_load_state_dict_shape_mismatch(rng):
         net.load_state_dict(state)
 
 
-def test_num_parameters(rng):
-    net = make_net(rng)
-    expected = 4 * 8 + 8 + 8 + 8 + 8 * 2 + 2
-    assert net.num_parameters() == expected
-
-
 def test_parameter_and_buffer_repr_shapes():
     p = Parameter(np.zeros((2, 3)))
     b = Buffer(np.zeros(5))

@@ -91,7 +91,7 @@ def test_state_counts_match_truth_through_transition_sequence():
     )
     rng = np.random.default_rng(11)
     for t in range(1, 9):
-        idle = pop.online_clients(t)
+        idle = np.flatnonzero(pop.online(t))
         assert pop.state_counts() == counts_truth(pop)
         if len(idle):
             cohort = rng.choice(idle, size=min(4, len(idle)), replace=False)

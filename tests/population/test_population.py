@@ -60,7 +60,7 @@ def test_default_population_is_all_idle():
     assert pop.state_counts() == {
         "idle": 5, "working": 0, "offline": 0, "dropped": 0,
     }
-    np.testing.assert_array_equal(pop.online_clients(1), np.arange(5))
+    np.testing.assert_array_equal(np.flatnonzero(pop.online(1)), np.arange(5))
 
 
 def test_dropout_prob_sets_baseline_connectivity():

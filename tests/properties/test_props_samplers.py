@@ -33,7 +33,7 @@ def test_sticky_draw_invariants(config, overcommit, seed):
         # quotas never exceed candidates or K
         assert draw.quota_sticky <= len(draw.sticky)
         assert draw.quota_nonsticky <= len(draw.nonsticky)
-        assert draw.quota_total <= k
+        assert draw.quota_sticky + draw.quota_nonsticky <= k
         # sticky candidates really are group members
         group = set(sampler.sticky_group.tolist())
         assert set(draw.sticky) <= group

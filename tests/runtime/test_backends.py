@@ -215,7 +215,7 @@ def test_backends_preserve_task_order(tiny_dataset):
         assert loss == w_loss
 
 
-@pytest.mark.analysis
+@pytest.mark.sanitize
 def test_process_delivery_hands_out_live_ring_views(tiny_dataset):
     """The process backend delivers views into its result ring: readable
     inside ``deliver`` and until the next dispatch (epoch-guarded under the

@@ -69,7 +69,7 @@ def test_models_thread_dtype_everywhere(model_name):
     out = model(x.astype(np.float32))
     assert out.dtype == np.float32
     model.backward(np.ones_like(out) / out.size)
-    assert view.get_grad_flat().dtype == np.float32
+    assert np.concatenate([p.grad.ravel() for p in model.parameters()]).dtype == np.float32
 
 
 def test_cast_model_dtype_round_trip():

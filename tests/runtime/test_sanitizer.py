@@ -21,7 +21,7 @@ from repro.runtime.sanitize import (
     guard,
 )
 
-pytestmark = pytest.mark.analysis
+pytestmark = pytest.mark.sanitize
 
 
 # -- guard semantics -----------------------------------------------------------

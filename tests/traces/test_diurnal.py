@@ -19,8 +19,8 @@ def test_mean_availability_matches_window(rng):
 def test_availability_rotates_with_time(rng):
     """Different times of day see different client cohorts."""
     trace = make(rng)
-    morning = set(trace.online_clients(0).tolist())
-    evening = set(trace.online_clients(12).tolist())
+    morning = set(np.flatnonzero(trace.online(0)).tolist())
+    evening = set(np.flatnonzero(trace.online(12)).tolist())
     overlap = len(morning & evening) / max(len(morning | evening), 1)
     assert overlap < 0.5
 

@@ -19,13 +19,6 @@ def test_availability_is_temporally_correlated(rng):
     assert np.mean(agree) > 0.9
 
 
-def test_online_clients_ids(rng):
-    trace = AvailabilityTrace(50, rng)
-    ids = trace.online_clients(3)
-    mask = trace.online(3)
-    np.testing.assert_array_equal(ids, np.flatnonzero(mask))
-
-
 def test_survives_round_rate(rng):
     trace = AvailabilityTrace(10, rng, dropout_prob=0.3)
     draws = np.concatenate(

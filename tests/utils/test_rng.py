@@ -26,17 +26,3 @@ def test_factory_matches_child_rng():
     a = factory("x").integers(0, 1 << 30, size=5)
     b = child_rng(42, "x").integers(0, 1 << 30, size=5)
     np.testing.assert_array_equal(a, b)
-
-
-def test_spawn_is_disjoint_from_parent():
-    factory = RngFactory(seed=42)
-    spawned = factory.spawn("sub")
-    a = factory("x").integers(0, 1 << 30, size=5)
-    b = spawned("x").integers(0, 1 << 30, size=5)
-    assert not np.array_equal(a, b)
-
-
-def test_spawn_is_deterministic():
-    a = RngFactory(3).spawn("sub")("x").integers(0, 1 << 30, size=5)
-    b = RngFactory(3).spawn("sub")("x").integers(0, 1 << 30, size=5)
-    np.testing.assert_array_equal(a, b)
