@@ -142,7 +142,6 @@ def test_round_dispatch_k30(benchmark, backend):
         seed=1,
         d=len(params),
         num_buffer=len(buffers),
-        max_in_flight=len(tasks),
     )
     engine = create_backend(backend, spec)
     delivered = []

@@ -182,8 +182,8 @@ class _StaleArrival:
 
     client_id: int
     dispatch_round: int
-    #: ClientResult trained from the dispatch-round snapshot, detached
-    #: from the backend's memory (it is held across rounds)
+    #: ClientResult trained from the dispatch-round snapshot (it owns its
+    #: arrays, so it is held across rounds as delivered)
     result: object
     work: float  # the fraction it trained with scales its 1/K share
     finish_s: float  # its finish offset from the dispatch round's start
@@ -402,14 +402,6 @@ class AsyncBufferedScheduler(Scheduler):
             results: list = []
             work: List[float] = []
 
-            def deliver(result) -> None:
-                # the buffer stays dense until the flush: its weights
-                # normalise over the complete buffer, and it outlives
-                # later run_clients calls in this flush, so a result
-                # borrowed from the process backend's ring is copied out
-                # before the next dispatch reclaims its slot
-                results.append(result.detach())
-
             # drain: pop, plan and refill, recording each arrival's work
             # order; nothing trains yet
             arrivals: list = []
@@ -427,9 +419,11 @@ class AsyncBufferedScheduler(Scheduler):
                     work += planned_work
                 # refill — also after a batch lost mid-round came up empty
                 self._dispatch(server, t)
-            # then train, one backend call per arrival, in arrival order
+            # then train, one backend call per arrival, in arrival order;
+            # the buffer stays dense until the flush, since its weights
+            # normalise over the complete buffer
             for tasks, params, buffers in arrivals:
-                server.backend.run_clients(tasks, params, buffers, deliver)
+                server.backend.run_clients(tasks, params, buffers, results.append)
 
             taus = np.array(
                 [server.staleness.version - job.start_version for job in jobs]

@@ -508,8 +508,7 @@ def train_cohort(server, round_idx: int, cohort: Cohort, with_stragglers: bool):
     ``with_stragglers`` also trains the cohort's stragglers, in the same
     backend batch (per-client RNG streams are order-independent by
     construction); ``late`` is their ``(result, work)`` pairs, for a tiered
-    scheduler to fold in when they arrive — held across rounds, so
-    detached from any backend-owned memory.
+    scheduler to fold in when they arrive.
     """
     selection = cohort.selection
     ids = selection.participant_ids
@@ -532,7 +531,7 @@ def train_cohort(server, round_idx: int, cohort: Cohort, with_stragglers: bool):
         if batch.folded < n:
             compress_result(server, batch, result)
         else:
-            late.append((result.detach(), work[n + len(late)]))
+            late.append((result, work[n + len(late)]))
 
     server.backend.run_clients(
         tasks, server.global_params, server.global_buffers, deliver

@@ -77,10 +77,23 @@ class OortLikeSampler(ClientSampler):
         self.deadline_seconds = deadline_seconds
         self._loss: Dict[int, float] = {}
         self._speed: Dict[int, float] = {}
+        #: ``_observed[c]``: ``c`` has a loss in ``_loss`` (one bool per
+        #: client of the bound population, so a draw splits its pool in
+        #: numpy rather than with a dict lookup per available client)
+        self._observed = np.zeros(0, dtype=bool)
+
+    def setup(self, num_clients: int, rng: np.random.Generator) -> None:
+        super().setup(num_clients, rng)
+        self._observed = np.zeros(num_clients, dtype=bool)
+        ids = np.fromiter(self._loss, dtype=np.int64, count=len(self._loss))
+        self._observed[ids[ids < num_clients]] = True
 
     # -- feedback hooks ------------------------------------------------------
     def observe_loss(self, client_id: int, mean_loss: float) -> None:
-        self._loss[int(client_id)] = float(mean_loss)
+        client_id = int(client_id)
+        self._loss[client_id] = float(mean_loss)
+        if client_id < len(self._observed):
+            self._observed[client_id] = True
 
     def observe_speed(self, client_id: int, round_seconds: float) -> None:
         self._speed[int(client_id)] = float(round_seconds)
@@ -102,8 +115,8 @@ class OortLikeSampler(ClientSampler):
         if len(pool) == 0:
             raise RuntimeError(f"no clients available in round {round_idx}")
         want = min(self.k + self._extras(overcommit, self.k), len(pool))
-        explored = np.array([c for c in pool if c in self._loss], dtype=np.int64)
-        fresh = np.array([c for c in pool if c not in self._loss], dtype=np.int64)
+        observed = self._observed[pool]
+        explored, fresh = pool[observed], pool[~observed]
 
         n_explore = min(int(round(self.exploration * want)), len(fresh))
         n_exploit = min(want - n_explore, len(explored))

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from typing import Tuple
 
 import numpy as np
@@ -160,13 +159,6 @@ class FLServer:
             clients=dataset.clients,
             d=self.d,
             num_buffer=self.view.num_buffer,
-            # sizes the process backend's result ring: the most results a
-            # scheduler asks for in one dispatch (a round's over-committed
-            # cohort, stragglers included, or the async concurrency)
-            max_in_flight=max(
-                int(math.ceil(config.overcommit * config.sampler.k)),
-                config.async_concurrency or 0,
-            ),
         )
         self._backend = None
         self.lr_schedule = config.lr_schedule()

@@ -13,8 +13,9 @@ Two orthogonal knobs, both selected through
   parameters/buffers are shipped **once per round** through an anonymous
   shared mapping the workers inherited at the fork; each worker owns its
   own model replica and :class:`~repro.fl.client.LocalTrainer`, and
-  writes its deltas into a second such mapping.  A worker that dies
-  mid-dispatch raises :class:`~repro.runtime.backends.WorkerLostError`.
+  writes its deltas into its own slot of a second such mapping, which the
+  parent copies out as the reply lands.  A worker that dies mid-dispatch
+  raises :class:`~repro.runtime.backends.WorkerLostError`.
 
 Both backends produce **bit-identical** training results for the same
 seed, with no opt-in exception: every client trains through one
@@ -26,7 +27,7 @@ deliver)``: one ``deliver(result)`` per task, in task order, on the calling
 thread), which compresses it on the spot — the same deterministic order
 regardless of backend.  Serial delivers each result as it lands, so at most
 two dense deltas are alive; process delivers a dispatch's results once the
-dispatch returns, as views into its shared result ring.
+dispatch returns.  Under both, a delivered result owns its arrays.
 
 ``dtype`` — *in what precision* the whole run executes: ``"float64"``
 (default, the seed behavior) or ``"float32"`` (one :func:`resolve_dtype`

@@ -11,8 +11,8 @@ result, in that deterministic order, which is what makes every backend
 bit-identical to serial execution.  When a result is delivered depends on
 the backend: serial delivers each one as soon as it lands, so at most two
 dense deltas are alive; process delivers a dispatch's results once the
-whole dispatch returns, as views into a shared ring rather than heap
-copies.
+whole dispatch returns.  Either way a delivered result owns its arrays:
+a consumer may keep it across any number of later dispatches.
 
 Backends
 --------
@@ -25,8 +25,9 @@ Backends
     A pool of ``fork``-ed worker processes.  The frozen global state is
     written once per round into an anonymous shared mapping the workers
     inherited at the fork; they read it zero-copy, train on their own
-    replica, and write their deltas into a second such mapping.  A worker
-    that dies ends the dispatch with :class:`WorkerLostError`.
+    replica, and write their deltas into their own slot of a second such
+    mapping, which the parent copies out on the reply.  A worker that dies
+    ends the dispatch with :class:`WorkerLostError`.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.datasets.base import ClientDataset
-from repro.runtime import sanitize as _sanitize
 from repro.utils.rng import RngFactory
 
 # typing only: repro.fl pulls in this module through repro.fl.server, so a
@@ -107,11 +107,9 @@ class ClientTask:
 class ClientResult:
     """One participant's training outcome, as delivered by a backend.
 
-    The process backend delivers ``delta``/``buffer_delta`` as **views into
-    a shared-memory result ring** that is reclaimed at the next
-    ``run_clients`` call.  Consumers that hold a result across dispatches
-    (the async arrival buffer, semi-async stragglers) must call
-    :meth:`detach` first; same-round consumption needs no copy.
+    ``delta`` and ``buffer_delta`` own their memory under every backend,
+    so a consumer may hold a result across later dispatches (the async
+    arrival buffer, semi-async stragglers) without copying it.
     """
 
     client_id: int
@@ -119,16 +117,6 @@ class ClientResult:
     buffer_delta: np.ndarray
     num_samples: int
     mean_loss: float
-
-    def detach(self) -> "ClientResult":
-        """Copy any borrowed arrays so this result survives the next
-        dispatch.  No-op (no copy) for results that already own their
-        memory, so callers can detach unconditionally."""
-        if self.delta.base is not None:
-            self.delta = self.delta.copy()
-        if self.buffer_delta.base is not None:
-            self.buffer_delta = self.buffer_delta.copy()
-        return self
 
 
 #: the round's per-result sink (see :meth:`ExecutionBackend.run_clients`)
@@ -153,10 +141,6 @@ class WorkerSpec:
     seed: int
     d: int
     num_buffer: int
-    #: the most tasks one process-backend dispatch may carry: its result
-    #: ring has this many slots, fixed before the fork, and task ``i`` of a
-    #: dispatch writes slot ``i``
-    max_in_flight: int
 
 
 def _run_one(
@@ -296,34 +280,33 @@ def _shared_array(n: int, dtype: np.dtype) -> np.ndarray:
     return np.ndarray(n, dtype, mmap.mmap(-1, max(1, n * dtype.itemsize)))
 
 
-def _process_worker_main(conn, parent_ends, trainer, spec, flat, ring) -> None:
+def _process_worker_main(conn, parent_ends, trainer, spec, flat, slot) -> None:
     """A worker's life.  Everything arrives by reference through the fork —
-    the replica trainer, the spec with its dataset shards, both shared
-    mappings — never pickled.  It closes the parent's pipe ends the fork
-    copied in (so a dead parent reads as EOF) and answers one
-    ``(slot, task)`` message at a time until ``None``: it trains the task,
-    writes the deltas into ring slot ``slot`` and replies with the rest."""
+    the replica trainer, the spec with its dataset shards, the shared
+    globals and this worker's own result slot — never pickled.  It closes
+    the parent's pipe ends the fork copied in (so a dead parent reads as
+    EOF) and answers one task at a time until ``None``: it trains the task,
+    writes the deltas into ``slot`` and replies with the rest."""
     for end in parent_ends:
         end.close()
     rngs = RngFactory(spec.seed)
-    d, stride = spec.d, spec.d + spec.num_buffer
+    d = spec.d
 
-    def run(slot: int, task: ClientTask):
+    def run(task: ClientTask):
         result = _run_one(trainer, rngs, spec.clients, task, flat[:d], flat[d:])
-        base = slot * stride
-        ring[base : base + d] = result.delta
-        ring[base + d : base + stride] = result.buffer_delta
+        slot[:d] = result.delta
+        slot[d:] = result.buffer_delta
         return result.num_samples, result.mean_loss
 
     try:
-        for slot, task in iter(conn.recv, None):
+        for task in iter(conn.recv, None):
             try:
-                reply = run(slot, task)
+                reply = run(task)
             except Exception as exc:
                 # returned, not raised: the worker lives on, and the caller
-                # sees the error once every task of the dispatch is back —
-                # never while a task still writes its ring slot.  Unpickles
-                # as ``exc`` itself with this traceback as its cause.
+                # sees the error once every task of the dispatch is back.
+                # Unpickles as ``exc`` itself with this traceback as its
+                # cause.
                 from multiprocessing.pool import ExceptionWithTraceback
 
                 reply = ExceptionWithTraceback(exc, exc.__traceback__)
@@ -337,26 +320,23 @@ class ProcessBackend(ExecutionBackend):
 
     Per round the server writes ``global_params``/``global_buffers`` once
     into a shared mapping sized at setup; workers read it zero-copy.
-    Results travel the same way: a second mapping holds a ring of
-    ``spec.max_in_flight`` slots of ``d + num_buffer`` elements each.  The
-    parent sends task ``i`` of a dispatch with its slot number ``i``, the
-    worker writes its deltas there, and only the sample count and loss
-    cross its pipe.  The parent delivers :class:`ClientResult` objects
-    whose arrays **view** the ring.  A dispatch with more tasks than slots
-    is refused with ``ValueError`` before any task is sent.  Both mappings
-    are anonymous and made before the workers fork: nothing is named or
-    unlinked, and nothing outlives the processes.  The workers' replica
-    trainer is built once, here, before the fork, and inherited.
+    Results travel the same way: a second mapping holds one slot of
+    ``d + num_buffer`` elements per worker, and worker ``w`` always writes
+    slot ``w``.  Only the task crosses the pipe one way, and only the
+    sample count and loss the other.  Each worker holds one task at a
+    time, so the parent copies its slot out to the heap as soon as the
+    reply arrives, before handing that worker the next task: a dispatch
+    may carry any number of tasks, and every delivered result owns its
+    arrays.  Both mappings are anonymous and made before the workers
+    fork: nothing is named or unlinked, and nothing outlives the
+    processes.  The workers' replica trainer is built once, here, before
+    the fork, and inherited.
 
-    Each worker holds one task at a time, the next going to whichever
-    answers first; results are delivered in task order once all are back.
-    The parent waits on the workers' exit sentinels too, so a worker that
-    dies ends the dispatch at once with :class:`WorkerLostError`.  None is
-    replaced: a replacement would fork beside the caller's threads.
-
-    Ownership handoff: each ``run_clients`` call bumps the ring epoch,
-    reclaiming every slot of the previous dispatch — callers that keep
-    results across dispatches must ``detach()`` them first.
+    The next task goes to whichever worker answers first; results are
+    delivered in task order once all are back.  The parent waits on the
+    workers' exit sentinels too, so a worker that dies ends the dispatch
+    at once with :class:`WorkerLostError`.  None is replaced: a
+    replacement would fork beside the caller's threads.
     """
 
     name = "process"
@@ -367,13 +347,11 @@ class ProcessBackend(ExecutionBackend):
 
         require_fork("execution_backend='process'")
         self.workers = max(1, workers or usable_cpus())
-        self._stride = stride = spec.d + spec.num_buffer
-        #: the ring epoch — OwnershipTags on ring views check it
-        self.sanitize_epoch = 0
-        self._sanitize = _sanitize.enabled()
+        stride = spec.d + spec.num_buffer
         self._conns: list = []
         self._procs: list = []
         self._owner: Dict[Any, Any] = {}  # pipe or exit sentinel -> worker
+        self._slot: Dict[Any, np.ndarray] = {}  # pipe -> its result slot
         self._lost: Optional[str] = None
         self._closed = False
         ctx = mp.get_context("fork")
@@ -381,19 +359,20 @@ class ProcessBackend(ExecutionBackend):
         # copy, in the run's dtype, which the mappings share
         trainer = spec.make_trainer()
         self._flat = _shared_array(stride, trainer.dtype)
-        self._res = _shared_array(spec.max_in_flight * stride, trainer.dtype)
-        shared = (trainer, spec, self._flat, self._res)
+        self._res = _shared_array(self.workers * stride, trainer.dtype)
         try:
-            for _ in range(self.workers):
+            for w in range(self.workers):
                 here, there = ctx.Pipe()
                 self._conns.append(here)
+                slot = self._res[w * stride : (w + 1) * stride]
                 proc = ctx.Process(
                     target=_process_worker_main,
-                    args=(there, self._conns, *shared),
+                    args=(there, self._conns, trainer, spec, self._flat, slot),
                     daemon=True,
                 )
                 proc.start()
                 self._procs.append(proc)
+                self._slot[here] = slot
                 self._owner[here] = self._owner[proc.sentinel] = proc
                 there.close()
         except BaseException:
@@ -410,20 +389,11 @@ class ProcessBackend(ExecutionBackend):
         if self._lost is not None:
             raise WorkerLostError(self._lost)
         spec = self.spec
-        if len(tasks) > spec.max_in_flight:
-            raise ValueError(
-                f"a dispatch of {len(tasks)} tasks outgrows the process "
-                f"backend's {spec.max_in_flight}-slot result ring "
-                "(WorkerSpec.max_in_flight)"
-            )
         self._flat[: spec.d] = global_params
         if spec.num_buffer:
             self._flat[spec.d :] = global_buffers
-        # new epoch: reclaim the previous dispatch's slots (no worker holds
-        # a task between dispatches, so none is still writing one)
-        self.sanitize_epoch += 1
         try:
-            raw = self._map(tasks)
+            results = self._map(tasks)
         except BaseException as exc:
             if self._lost is None:
                 # a worker may still hold a task of this call, whose reply
@@ -431,46 +401,23 @@ class ProcessBackend(ExecutionBackend):
                 self._reap(grace=0.0)
                 self._lost = f"the process pool was stopped by {exc!r}"
             raise
-        # every delta already sits in the ring (not on this heap), so
-        # delivering after the whole dispatch costs no dense copy
-        d, stride = spec.d, self._stride
-        for slot, (task, reply) in enumerate(zip(tasks, raw)):
-            if isinstance(reply, Exception):
-                raise reply
-            num_samples, mean_loss = reply
-            base = slot * stride
-            delta = self._res[base : base + d]
-            buffer_delta = self._res[base + d : base + stride]
-            if self._sanitize:
-                # epoch-scope the borrowed ring views: a result of this
-                # dispatch touched after the next run_clients reclaims the
-                # ring raises instead of reading the next round's deltas.
-                # detach() copies drop the guard.
-                tag = _sanitize.OwnershipTag(
-                    host=self,
-                    epoch=self.sanitize_epoch,
-                    label=f"result-ring slot {slot}",
-                )
-                delta = _sanitize.guard(delta, tag)
-                buffer_delta = _sanitize.guard(buffer_delta, tag)
-            deliver(
-                ClientResult(
-                    client_id=task.client_id,
-                    delta=delta,
-                    buffer_delta=buffer_delta,
-                    num_samples=num_samples,
-                    mean_loss=mean_loss,
-                )
-            )
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+            deliver(result)
 
-    def _map(self, tasks: Sequence[ClientTask]) -> list:
-        """Every task's reply, in task order — what ``Pool.map`` with
-        ``chunksize=1`` returns — or :class:`WorkerLostError` the moment
-        a worker ends.  Task ``i`` travels as ``(i, task)``: its ring slot
-        is its position in the dispatch."""
+    def _map(
+        self, tasks: Sequence[ClientTask]
+    ) -> list[Union[ClientResult, Exception]]:
+        """Every task's result (or the exception its training raised), in
+        task order — what ``Pool.map`` with ``chunksize=1`` returns — or
+        :class:`WorkerLostError` the moment a worker ends.  A reply's
+        deltas are copied out of the worker's slot before that worker gets
+        its next task, the one thing that overwrites the slot."""
         from multiprocessing.connection import wait
 
-        replies: list = [None] * len(tasks)
+        d = self.spec.d
+        results: list = [None] * len(tasks)
         jobs = iter(enumerate(tasks))
         holding: Dict[Any, int] = {}  # worker pipe -> index of its task
         sentinels = [proc.sentinel for proc in self._procs]
@@ -480,7 +427,7 @@ class ProcessBackend(ExecutionBackend):
             if job is not None:
                 holding[conn] = job[0]
                 try:
-                    conn.send(job)
+                    conn.send(job[1])
                 except BrokenPipeError:  # its EOF is read below
                     pass
 
@@ -490,12 +437,24 @@ class ProcessBackend(ExecutionBackend):
             for ready in wait([*holding, *sentinels]):
                 if ready not in holding:  # an exit sentinel
                     self._lose(self._owner[ready])
+                i = holding.pop(ready)
                 try:
-                    replies[holding.pop(ready)] = ready.recv()
+                    reply = ready.recv()
                 except EOFError:  # the pipe closed as its worker died
                     self._lose(self._owner[ready])
+                if not isinstance(reply, Exception):
+                    slot = self._slot[ready]
+                    num_samples, mean_loss = reply
+                    reply = ClientResult(
+                        client_id=tasks[i].client_id,
+                        delta=slot[:d].copy(),
+                        buffer_delta=slot[d:].copy(),
+                        num_samples=num_samples,
+                        mean_loss=mean_loss,
+                    )
+                results[i] = reply
                 hand(ready)
-        return replies
+        return results
 
     def _lose(self, proc) -> None:
         """``proc`` ended mid-dispatch: kill and reap every worker, then fail
@@ -534,6 +493,7 @@ class ProcessBackend(ExecutionBackend):
             conn.close()
         # dropping the last views unmaps both regions
         self._flat = self._res = None
+        self._slot.clear()
 
     def __del__(self):  # pragma: no cover - belt and suspenders
         try:

@@ -50,7 +50,6 @@ DOCUMENTED_MODULES = (
     "repro.datasets.base",
     "repro.datasets.lazy",
     "repro.datasets.synthetic",
-    "repro.runtime.sanitize",
 )
 
 #: Example scripts whose module docstrings carry doctests.

@@ -102,7 +102,8 @@ def test_delta_built_in_place_is_the_plain_difference_bit_for_bit(rng, dtype):
         view.get_flat() - theta, view.get_buffers_flat() - bufs
     )
     assert np.abs(result.delta).max() > 0 and np.abs(result.buffer_delta).max() > 0
-    # owned memory, not a view: ClientResult.detach() must stay a no-op on it
+    # owned memory, not a view: a delivered ClientResult may be held across
+    # dispatches as it is
     assert result.delta.base is None and result.buffer_delta.base is None
 
 

@@ -28,6 +28,18 @@ def test_oort_exploits_high_loss_clients(rng):
     assert set(draw.nonsticky[:4]) == {0, 1, 2, 3}
 
 
+def test_oort_setup_keeps_earlier_observations(rng):
+    """A sampler set up again (a second run) still counts the clients it
+    observed before as explored, as its loss table does."""
+    sampler = OortLikeSampler(4, exploration=0.0)
+    sampler.setup(40, rng)
+    for cid in range(20):
+        sampler.observe_loss(cid, 5.0 if cid < 4 else 0.1)
+    sampler.setup(40, rng)
+    draw = sampler.draw(1, all_available(40), overcommit=1.0)
+    assert set(draw.nonsticky) == {0, 1, 2, 3}
+
+
 def test_oort_penalizes_slow_clients(rng):
     sampler = OortLikeSampler(2, exploration=0.0, deadline_seconds=1.0)
     sampler.setup(10, rng)

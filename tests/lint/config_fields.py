@@ -3,8 +3,12 @@
 A field is a knob only if ``validate()`` checks it, the docs name it, a
 caller sets it and the run reads it:
 
-* ``config-validated`` — ``RunConfig.validate`` mentions the field, so an
-  out-of-range or ignored value fails at construction, not deep in a run;
+* ``config-validated`` — ``RunConfig.validate`` reads the field, so an
+  out-of-range or ignored value fails at construction, not deep in a run.
+  A read is ``self.<field>``, or the field's name as a whole string
+  constant outside a ``raise`` (``for flag in ("a", "b"): getattr(self,
+  flag)``).  A name that survives only in an error message, or a
+  docstring, checks nothing;
 * ``config-documented`` — README.md or a ``docs/*.md`` page names it;
 * ``config-set`` — some ``src/`` or ``benchmarks/`` file other than
   ``fl/config.py`` passes it, as a keyword or a dict-literal string key.
@@ -58,12 +62,37 @@ def _config(index: Index):
     return cls, fields, find_method(cls, "validate")
 
 
+def validated_names(validate) -> set:
+    """Every ``self.<name>`` read and every string constant ``validate``
+    holds outside its ``raise`` statements and bare string statements."""
+    if validate is None:
+        return set()
+    skip = {
+        id(inner)
+        for node in ast.walk(validate)
+        if isinstance(node, ast.Raise)
+        or (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+        for inner in ast.walk(node)
+    }
+    names = set()
+    for node in ast.walk(validate):
+        if id(node) in skip:
+            continue
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
 def config_validated(index: Index) -> set:
     _, fields, validate = _config(index)
-    text = "" if validate is None else ast.get_source_segment(
-        index.modules[CONFIG].text, validate
-    )
-    return {name for name in fields if not mentions(name, text)}
+    return set(fields) - validated_names(validate)
 
 
 def config_documented(index: Index) -> set:

@@ -179,6 +179,27 @@ CASES = [
         {"mystery_knob_xyzzy"},
     ),
     (
+        "named-only-in-a-message",
+        "config-validated",
+        {"src/repro/fl/config.py": '''
+            class RunConfig:
+                rounds: int = 3
+                fast_flag: bool = False
+                eval_top_k: int = 1
+
+                def validate(self):
+                    """Checks rounds, fast_flag and eval_top_k."""
+                    if self.rounds <= 0:
+                        raise ValueError("rounds must be positive")
+                    for flag in ("fast_flag",):
+                        if not isinstance(getattr(self, flag), bool):
+                            raise ValueError(f"{flag} must be a bool")
+                    if getattr(self, "eval_" + "top_k") not in (1, 5):
+                        raise ValueError("eval_top_k must be 1 or 5")
+        '''},
+        {"eval_top_k"},
+    ),
+    (
         "undocumented",
         "config-documented",
         {"src/repro/fl/config.py": CONFIG, "README.md": "`rounds` and `p`\n"},

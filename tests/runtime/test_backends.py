@@ -133,9 +133,9 @@ _ORDER_TASKS = [
 ]
 
 
-def _bound_spec(tiny_dataset, slots=len(_ORDER_TASKS)):
-    """A spec for an 8-unit MLP on ``tiny_dataset`` whose process ring has
-    ``slots`` slots, plus that model's flat params and buffers."""
+def _bound_spec(tiny_dataset):
+    """A spec for an 8-unit MLP on ``tiny_dataset``, plus that model's flat
+    params and buffers."""
 
     def make_trainer():
         model = build_model(
@@ -155,7 +155,6 @@ def _bound_spec(tiny_dataset, slots=len(_ORDER_TASKS)):
         seed=5,
         d=len(params),
         num_buffer=len(buffers),
-        max_in_flight=slots,
     )
     return spec, params, buffers
 
@@ -165,27 +164,18 @@ def _bound_spec(tiny_dataset, slots=len(_ORDER_TASKS)):
 # in task order, on the calling thread, nothing returned.
 
 
-def _assert_ring_view(backend, result):
-    """A process-backend result is borrowed from the backend's ring, not
-    a pickle or a copy."""
-    assert np.shares_memory(result.delta, backend._res)
-    if result.buffer_delta.size:
-        assert np.shares_memory(result.buffer_delta, backend._res)
-
-
 def _delivered(backend, tasks, params, buffers):
-    """What ``deliver`` saw: copies (a ring view dies at the next
-    dispatch) plus the thread each call ran on."""
+    """What ``deliver`` saw, plus the thread each call ran on.  Every
+    delivered array owns its memory, so it is kept as delivered."""
     seen = []
 
     def deliver(result):
-        if isinstance(backend, ProcessBackend):
-            _assert_ring_view(backend, result)
+        assert result.delta.base is None and result.buffer_delta.base is None
         seen.append(
             (
                 result.client_id,
-                result.delta.copy(),
-                result.buffer_delta.copy(),
+                result.delta,
+                result.buffer_delta,
                 result.mean_loss,
                 threading.get_ident(),
             )
@@ -215,31 +205,38 @@ def test_backends_preserve_task_order(tiny_dataset):
         assert loss == w_loss
 
 
-@pytest.mark.sanitize
-def test_process_delivery_hands_out_live_ring_views(tiny_dataset):
-    """The process backend delivers views into its result ring: readable
-    inside ``deliver`` and until the next dispatch (epoch-guarded under the
-    sanitizer, which the REPRO_SANITIZE=1 CI job turns on here)."""
+def _inline(spec, tasks, params, buffers):
+    """The reference: every task trained in turn on one fresh replica."""
+    trainer = spec.make_trainer()
+    rngs = RngFactory(spec.seed)
+    return [
+        _run_one(trainer, rngs, spec.clients, task, params, buffers)
+        for task in tasks
+    ]
+
+
+def _assert_equal_results(seen, want):
+    for (cid, delta, buf, loss, _), w in zip(seen, want, strict=True):
+        assert cid == w.client_id and loss == w.mean_loss
+        np.testing.assert_array_equal(delta, w.delta)
+        np.testing.assert_array_equal(buf, w.buffer_delta)
+
+
+@pytest.mark.parametrize("backend_name", ["serial", "process"])
+def test_results_outlive_their_dispatch(tiny_dataset, backend_name):
+    """Results kept from one ``run_clients`` call still hold their own
+    values after a second call with other clients in a later round has
+    trained on the same workers."""
     spec, params, buffers = _bound_spec(tiny_dataset)
-    with SerialBackend(spec) as serial, ProcessBackend(spec, workers=2) as backend:
-        want = _delivered(serial, _ORDER_TASKS, params, buffers)
-        held = []
-        inside = []
-
-        def deliver(result):
-            _assert_ring_view(backend, result)
-            inside.append(float(np.abs(result.delta).sum()))
-            held.append(result)
-
-        backend.run_clients(_ORDER_TASKS, params, buffers, deliver)
-        # after the call, before the next dispatch: still the same bytes
-        for result, (cid, w_delta, w_buf, w_loss, _), total in zip(held, want, inside):
-            assert result.client_id == cid and result.mean_loss == w_loss
-            np.testing.assert_array_equal(np.asarray(result.delta), w_delta)
-            np.testing.assert_array_equal(np.asarray(result.buffer_delta), w_buf)
-            assert total == float(np.abs(w_delta).sum())
-        seen = _delivered(backend, _ORDER_TASKS, params, buffers)
-    _assert_contract(seen, _ORDER_TASKS)
+    later = [
+        ClientTask(client_id=cid, lr=0.03, round_idx=2)
+        for cid in (0, 5, 6, 10, 11, 12, 13)
+    ]
+    with create_backend(backend_name, spec, workers=2) as backend:
+        held = _delivered(backend, _ORDER_TASKS, params, buffers)
+        again = _delivered(backend, later, params, buffers)
+    _assert_equal_results(held, _inline(spec, _ORDER_TASKS, params, buffers))
+    _assert_equal_results(again, _inline(spec, later, params, buffers))
 
 
 # -- a failure mid-stream ---------------------------------------------------------
@@ -267,7 +264,7 @@ def test_training_failure_propagates_after_earlier_deliveries(
                 lambda result: seen.append(result.client_id),
             )
         assert seen == [7, 3]  # everything before the failure, nothing after
-        # pool, replicas and ring are all usable for the next dispatch
+        # pool, replicas and result slots are all usable for the next dispatch
         _assert_contract(
             _delivered(backend, _ORDER_TASKS, params, buffers), _ORDER_TASKS
         )
@@ -394,54 +391,42 @@ def test_worker_killed_between_dispatches_fails_the_next(tiny_dataset):
         _assert_reaped(backend._procs)
 
 
-def test_process_stress_bit_equal_to_inline_loop(tiny_dataset, monkeypatch):
-    """Four workers on however many cores, 40 tasks into a 40-slot ring
-    with the sanitizer's guards on, dispatched twice: the same results, in
-    task order, each a view of the ring, as training in turn on one
-    replica."""
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    spec, params, buffers = _bound_spec(tiny_dataset, slots=40)
+def test_process_stress_bit_equal_to_inline_loop(tiny_dataset):
+    """Four workers on however many cores, 40 tasks dispatched twice: the
+    same results, in task order, as training in turn on one replica."""
+    spec, params, buffers = _bound_spec(tiny_dataset)
     n = len(spec.clients)
     tasks = [
         ClientTask(client_id=i % n, lr=0.05, round_idx=3 + i // n)
         for i in range(40)
     ]
-    trainer = spec.make_trainer()
-    rngs = RngFactory(spec.seed)
-    want = [
-        _run_one(trainer, rngs, spec.clients, task, params, buffers)
-        for task in tasks
-    ]
+    want = _inline(spec, tasks, params, buffers)
     with ProcessBackend(spec, workers=4) as backend:
-        for _ in range(2):  # the second dispatch reclaims the first's ring
+        for _ in range(2):
             seen = _delivered(backend, tasks, params, buffers)
             _assert_contract(seen, tasks)
-            for (cid, delta, buf, loss, _), w in zip(seen, want):
-                assert cid == w.client_id and loss == w.mean_loss
-                np.testing.assert_array_equal(delta, w.delta)
-                np.testing.assert_array_equal(buf, w.buffer_delta)
+            _assert_equal_results(seen, want)
 
 
-def test_process_refuses_a_dispatch_past_its_ring(tiny_dataset):
-    """Task i writes slot i, so a dispatch one task longer than the ring is
-    refused before any task is sent — nothing delivered, and the pool and
-    ring serve the next dispatch as before."""
+def test_process_delivers_a_dispatch_of_any_length(tiny_dataset):
+    """Worker w always writes result slot w, so a dispatch of three tasks
+    per worker reuses every slot within the call and still delivers all of
+    them, in task order, each equal to training it in turn."""
     spec, params, buffers = _bound_spec(tiny_dataset)
-    tasks = _ORDER_TASKS + [ClientTask(client_id=0, lr=0.05, round_idx=1)]
-    with ProcessBackend(spec, workers=2) as backend:
-        seen = []
-        with pytest.raises(ValueError, match="8 tasks outgrows .* 7-slot"):
-            backend.run_clients(tasks, params, buffers, seen.append)
-        assert seen == []
-        _assert_contract(
-            _delivered(backend, _ORDER_TASKS, params, buffers), _ORDER_TASKS
-        )
+    tasks = [
+        ClientTask(client_id=cid, lr=0.05, round_idx=1)
+        for cid in (7, 3, 9, 1, 4, 8, 2, 0, 5)
+    ]
+    with ProcessBackend(spec, workers=3) as backend:
+        seen = _delivered(backend, tasks, params, buffers)
+    assert len(tasks) == 3 * backend.workers
+    _assert_contract(seen, tasks)
+    _assert_equal_results(seen, _inline(spec, tasks, params, buffers))
 
 
 def test_reused_dynamic_sampler_restarts_at_k0(tiny_dataset):
     """A second server on an annealed ``DynamicScheduleSampler`` starts at
-    K_0 again: its ring holds the first round's over-committed cohort, and
-    its run reports K_0."""
+    K_0 again: its run reports K_0."""
     from repro.fl.extra_samplers import DynamicScheduleSampler
 
     sampler = DynamicScheduleSampler(UniformSampler(10), k_min=2, decay=0.5)
@@ -451,7 +436,6 @@ def test_reused_dynamic_sampler_restarts_at_k0(tiny_dataset):
     kwargs.update(strategy=FedAvgStrategy(), rounds=1)
     server = FLServer(_config(tiny_dataset, "process", **kwargs))
     try:
-        assert server.backend.spec.max_in_flight == 13  # ⌈1.3 · 10⌉
         assert server.run().meta["k"] == 10
     finally:
         server.close()
@@ -582,12 +566,7 @@ def test_serial_stress_bit_equal_to_inline_loop(tiny_dataset):
         ClientTask(client_id=i % n, lr=0.05, round_idx=3 + i // n)
         for i in range(40)
     ]
-    trainer = spec.make_trainer()
-    rngs = RngFactory(spec.seed)
-    want = []
-    for task in tasks:  # the reference: train, deliver, next
-        r = _run_one(trainer, rngs, spec.clients, task, params, buffers)
-        want.append((r.client_id, r.delta, r.buffer_delta, r.mean_loss))
+    want = _inline(spec, tasks, params, buffers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -596,10 +575,7 @@ def test_serial_stress_bit_equal_to_inline_loop(tiny_dataset):
     finally:
         sys.setswitchinterval(interval)
     _assert_contract(seen, tasks)
-    for (cid, delta, buf, loss, _), (w_cid, w_delta, w_buf, w_loss) in zip(seen, want):
-        assert cid == w_cid and loss == w_loss
-        np.testing.assert_array_equal(delta, w_delta)
-        np.testing.assert_array_equal(buf, w_buf)
+    _assert_equal_results(seen, want)
 
 
 # -- default pool widths ----------------------------------------------------------
